@@ -19,7 +19,6 @@ import (
 	"sqlml/internal/core"
 	"sqlml/internal/experiments"
 	"sqlml/internal/ml"
-	"sqlml/internal/row"
 	"sqlml/internal/stream"
 )
 
@@ -168,32 +167,28 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 }
 
 // BenchmarkAblationBlockSize sweeps the rows-per-block budget of the wire
-// protocol, plus the v1 per-row framing as the degenerate point — the
+// protocol, down to one row per block as the degenerate point — the
 // block-oriented-transfer ablation (frames/op makes the coalescing
-// visible). The v2-vs-v3 × compression-on/off grid isolates what the
-// columnar frame buys on top of block coalescing (wire-B/op) and what the
-// per-column encodings buy on top of the columnar layout.
+// visible). Every run reports raw-B/op (what the rows cost row-encoded)
+// beside wire-B/op, which is what the columnar frame buys; the nocompress
+// variant separates the layout from the per-column encodings.
 func BenchmarkAblationBlockSize(b *testing.B) {
 	type variant struct {
 		name       string
 		blockRows  int
-		proto      int
 		noCompress bool
 	}
 	variants := []variant{
-		{"rowframes-v1", 0, row.WireProtoRow, false},
-		{"block=64rows", 64, 0, false},
-		{"block=1024rows", 1024, 0, false},
-		{"block=4096rows", 4096, 0, false},
-		{"v2-rowblocks", 1024, row.WireProtoBlock, false},
-		{"v3-columnar", 1024, row.WireProtoCol, false},
-		{"v3-columnar-nocompress", 1024, row.WireProtoCol, true},
+		{"block=1rows", 1, false},
+		{"block=64rows", 64, false},
+		{"block=1024rows", 1024, false},
+		{"block=4096rows", 4096, false},
+		{"block=1024rows-nocompress", 1024, true},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			cfg := experiments.DefaultTransfer()
 			cfg.BlockRows = v.blockRows
-			cfg.Proto = v.proto
 			cfg.DisableCompression = v.noCompress
 			var frames, wire, raw int64
 			var total time.Duration

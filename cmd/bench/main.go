@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"sqlml/internal/experiments"
-	"sqlml/internal/row"
 	"sqlml/internal/stream"
 )
 
@@ -172,16 +171,7 @@ func runAblations(experiments.Scale) error {
 		}
 		report("buffer size", fmt.Sprintf("%dKB", size>>10), rep)
 	}
-	{
-		cfg := experiments.DefaultTransfer()
-		cfg.Proto = row.WireProtoRow
-		rep, err := experiments.RunTransfer(cfg)
-		if err != nil {
-			return err
-		}
-		report("block framing", "v1 per-row frames", rep)
-	}
-	for _, blockRows := range []int{64, 1024, 4096} {
+	for _, blockRows := range []int{1, 64, 1024, 4096} {
 		cfg := experiments.DefaultTransfer()
 		cfg.BlockRows = blockRows
 		rep, err := experiments.RunTransfer(cfg)
@@ -191,25 +181,16 @@ func runAblations(experiments.Scale) error {
 		report("block framing", fmt.Sprintf("block=%d rows", blockRows), rep)
 	}
 	{
-		type wireVariant struct {
-			name       string
-			proto      int
-			noCompress bool
+		// Every row reports raw-KB (the rows' row-encoded size) beside
+		// wire-KB, so "block=1024 rows" above is already the layout+encodings
+		// contrast; this run isolates the columnar layout alone.
+		cfg := experiments.DefaultTransfer()
+		cfg.DisableCompression = true
+		rep, err := experiments.RunTransfer(cfg)
+		if err != nil {
+			return err
 		}
-		for _, v := range []wireVariant{
-			{"v2 row blocks", row.WireProtoBlock, false},
-			{"v3 columnar", row.WireProtoCol, false},
-			{"v3 columnar, raw vectors", row.WireProtoCol, true},
-		} {
-			cfg := experiments.DefaultTransfer()
-			cfg.Proto = v.proto
-			cfg.DisableCompression = v.noCompress
-			rep, err := experiments.RunTransfer(cfg)
-			if err != nil {
-				return err
-			}
-			report("wire format", v.name, rep)
-		}
+		report("wire format", "raw vectors (no encodings)", rep)
 	}
 	for _, colocate := range []bool{true, false} {
 		cfg := experiments.DefaultTransfer()

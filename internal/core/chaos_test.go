@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"sqlml/internal/fault"
-	"sqlml/internal/row"
 	"sqlml/internal/stream"
 )
 
@@ -174,12 +173,11 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 		{
 			name: "reset-v3-frames", seed: 1111, approach: InSQLStream,
 			arm: func(g *chaosGear, envCfg *EnvConfig, pipe *PipelineConfig) {
-				// Pin the columnar protocol explicitly and shrink the block
-				// budget so the stream spans many small v3 frames: the resets
-				// then land mid-stream and recovery must resume from the
-				// frame-aligned spool — the epoch/offset handshake locating
-				// the first unconsumed row inside a columnar frame sequence.
-				envCfg.SenderConfig.Proto = row.WireProtoCol
+				// Shrink the block budget so the stream spans many small
+				// frames: the resets then land mid-stream and recovery must
+				// resume from the frame-aligned spool — the epoch/offset
+				// handshake locating the first unconsumed row inside a
+				// columnar frame sequence.
 				envCfg.SenderConfig.BlockRows = 8
 				g.dialer = fault.NewDialer(1111, fault.DialerConfig{
 					MaxFaults: 2, Ops: []fault.Op{fault.Reset}, MaxByte: 768,

@@ -22,13 +22,12 @@ type TransferConfig struct {
 	RowsPerWork int
 	BufferSize  int
 	QueueFrames int
-	// BlockRows caps rows per wire block (0 means the sender default);
-	// Proto pins the wire-format version (0 means latest) — together the
-	// block-framing ablation knobs. DisableCompression turns off v3's
-	// per-column encodings (columnar frames, raw vectors), isolating the
-	// compression axis of the v2-vs-v3 grid.
+	// BlockRows caps rows per wire block (0 means the sender default; 1
+	// degenerates to a frame per row) — the block-framing ablation knob.
+	// DisableCompression turns off the frames' per-column encodings
+	// (columnar layout, raw vectors), isolating what the encodings buy on
+	// top of the layout.
 	BlockRows          int
-	Proto              int
 	DisableCompression bool
 	ConsumeDelay       time.Duration
 	// Colocate places ML workers on the SQL workers' nodes (the
@@ -61,7 +60,7 @@ type TransferReport struct {
 	NetBytes     int64
 	SpilledBytes int64
 	Restarts     int
-	// RawBytes/WireBytes mirror SenderStats: the v2-equivalent size of the
+	// RawBytes/WireBytes mirror SenderStats: the row-encoded size of the
 	// delivered rows vs the bytes actually framed — the compression ratio.
 	RawBytes  int64
 	WireBytes int64
@@ -129,7 +128,6 @@ func RunTransfer(cfg TransferConfig) (*TransferReport, error) {
 	senderCfg.BufferSize = cfg.BufferSize
 	senderCfg.QueueFrames = cfg.QueueFrames
 	senderCfg.BlockRows = cfg.BlockRows
-	senderCfg.Proto = cfg.Proto
 	senderCfg.DisableCompression = cfg.DisableCompression
 	senderCfg.MaxRestarts = 8
 	if cfg.ConsumeDelay > 0 {

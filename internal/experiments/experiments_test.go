@@ -108,6 +108,36 @@ func TestRunTransferExactlyOnceGuard(t *testing.T) {
 	}
 }
 
+// TestRunTransferBlockFramingContrast pins the ablation table's coalescing
+// contrast: one row per block degenerates to a frame per row, the default
+// budget packs up to 1024 rows into each, and at the default the columnar
+// frames undercut the rows' row-encoded size.
+func TestRunTransferBlockFramingContrast(t *testing.T) {
+	cfg := DefaultTransfer()
+	cfg.Workers = 2
+	cfg.RowsPerWork = 200 // every frame pins a pooled block buffer in the replay spool
+	cfg.BlockRows = 1
+	perRow, err := RunTransfer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perRow.FramesSent != int64(perRow.Rows) {
+		t.Errorf("BlockRows=1: %d frames for %d rows; want one frame per row", perRow.FramesSent, perRow.Rows)
+	}
+	cfg.RowsPerWork = 1500
+	cfg.BlockRows = 0
+	blocks, err := RunTransfer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks.FramesSent*1024 < int64(blocks.Rows) || blocks.FramesSent > 4 {
+		t.Errorf("default blocks: %d frames for %d rows; want 2 per sender", blocks.FramesSent, blocks.Rows)
+	}
+	if blocks.RawBytes <= blocks.WireBytes {
+		t.Errorf("default blocks: raw %d ≤ wire %d; per-column encodings absent", blocks.RawBytes, blocks.WireBytes)
+	}
+}
+
 func TestRecodeAblationBothPathsRun(t *testing.T) {
 	env, err := Setup(SmallScale(), stream.DefaultSenderConfig())
 	if err != nil {

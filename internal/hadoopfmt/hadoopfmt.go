@@ -40,41 +40,16 @@ type RecordReader interface {
 	Close() error
 }
 
-// BatchRecordReader is an optional extension of RecordReader: readers that
-// stage multiple rows per underlying transfer unit (e.g. one wire block of
-// the streaming transfer) expose them a batch at a time, so consumers
-// amortize per-row call overhead. NextBatch appends into buf (which may be
-// nil or recycled between calls) and returns the filled batch; ok is false
-// at the end of the split. Batches interleave freely with Next.
-type BatchRecordReader interface {
-	RecordReader
-	NextBatch(buf []row.Row) (batch []row.Row, ok bool, err error)
-}
-
-// ColBatchRecordReader is a further optional extension: readers whose
-// transfer unit is already column-major (the v3 columnar wire frames of
-// the streaming transfer) materialize it straight into a ColBatch, so a
+// ColBatchRecordReader is an optional extension of RecordReader: readers
+// whose transfer unit is already column-major (the wire frames of the
+// streaming transfer) materialize it straight into a ColBatch, so a
 // columnar consumer ingests without ever constructing a row. NextColBatch
 // resets and fills dst (the reader knows its own schema) and returns the
 // row count; ok is false at the end of the split. Calls interleave freely
-// with Next/NextBatch — each call serves whole transfer units.
+// with Next — each call serves the rest of one transfer unit.
 type ColBatchRecordReader interface {
 	RecordReader
 	NextColBatch(dst *row.ColBatch) (n int, ok bool, err error)
-}
-
-// ReadBatch drains one batch from rr, falling back to a single Next call
-// when rr does not implement BatchRecordReader. Callers must copy rows they
-// retain before reusing buf.
-func ReadBatch(rr RecordReader, buf []row.Row) ([]row.Row, bool, error) {
-	if br, ok := rr.(BatchRecordReader); ok {
-		return br.NextBatch(buf)
-	}
-	r, ok, err := rr.Next()
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	return append(buf[:0], r), true, nil
 }
 
 // InputFormat produces splits and readers over a dataset.
@@ -336,14 +311,13 @@ func ReadAll(f InputFormat, node *cluster.Node) ([]row.Row, error) {
 		return nil, err
 	}
 	var out []row.Row
-	var buf []row.Row
 	for _, s := range splits {
 		rr, err := f.Open(s, node)
 		if err != nil {
 			return nil, err
 		}
 		for {
-			batch, ok, err := ReadBatch(rr, buf[:0])
+			r, ok, err := rr.Next()
 			if err != nil {
 				if cerr := rr.Close(); cerr != nil {
 					err = errors.Join(err, cerr)
@@ -353,8 +327,7 @@ func ReadAll(f InputFormat, node *cluster.Node) ([]row.Row, error) {
 			if !ok {
 				break
 			}
-			out = append(out, batch...)
-			buf = batch
+			out = append(out, r)
 		}
 		if err := rr.Close(); err != nil {
 			return nil, err

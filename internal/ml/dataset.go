@@ -139,11 +139,9 @@ func Ingest(f hadoopfmt.InputFormat, opts IngestOptions) (*Dataset, error) {
 }
 
 // readSplit runs one ingest task: open the split, convert every row, and
-// append into out. Batch-capable readers (the streaming transfer's) are
-// drained a wire block at a time; the batch buffer is recycled across
-// iterations since converted points don't retain the rows. A columnar
-// reader (v3 wire frames) skips rows entirely: points are built straight
-// from the batch's typed vectors.
+// append into out. A columnar reader (the streaming transfer's) skips rows
+// entirely: points are built straight from each wire frame's typed
+// vectors. Every other reader is drained row by row.
 func readSplit(f hadoopfmt.InputFormat, split hadoopfmt.InputSplit, node *cluster.Node, conv *converter, out *[]LabeledPoint) (err error) {
 	rr, err := f.Open(split, node)
 	if err != nil {
@@ -170,23 +168,19 @@ func readSplit(f hadoopfmt.InputFormat, split hadoopfmt.InputSplit, node *cluste
 			}
 		}
 	}
-	var buf []row.Row
 	for {
-		batch, ok, err := hadoopfmt.ReadBatch(rr, buf[:0])
+		r, ok, err := rr.Next()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			return nil
 		}
-		for _, r := range batch {
-			p, err := conv.convert(r)
-			if err != nil {
-				return err
-			}
-			*out = append(*out, p)
+		p, err := conv.convert(r)
+		if err != nil {
+			return err
 		}
-		buf = batch
+		*out = append(*out, p)
 	}
 }
 
@@ -289,7 +283,7 @@ func (c *converter) convert(r row.Row) (LabeledPoint, error) {
 }
 
 // convertBatch is the columnar half of convert: it builds points straight
-// from a batch's typed vectors, so ingest from v3 wire frames never
+// from a batch's typed vectors, so ingest from the wire frames never
 // pivots through rows. Only the label and feature columns are touched.
 func (c *converter) convertBatch(b *row.ColBatch, out *[]LabeledPoint) error {
 	numAt := func(v *row.Vector, p int) float64 {

@@ -8,22 +8,23 @@ import (
 	"math"
 )
 
-// The binary row format is used on the parallel streaming transfer path
-// (paper §3): a compact, length-prefixed frame per row so that the SQL-side
-// sender UDFs and the ML-side SQLStreamInputFormat can exchange rows without
-// text re-parsing.
+// The binary row encoding is the self-describing, length-prefixed form of
+// one row: the §8 message log stores its entries in it, the hash-path
+// oracles compare against it, and the streaming transfer prices its frames
+// in it (BlockEncoder.RawBytes). The transfer itself ships columnar block
+// frames (colblock.go), not these.
 //
-// Frame layout (all little-endian):
+// Layout (all little-endian):
 //
-//	uint32  frame length (bytes after this header)
+//	uint32  body length (bytes after this word)
 //	per value:
 //	  uint8   tag: 0=NULL-int 1=NULL-float 2=NULL-string 3=NULL-bool
 //	               4=int 5=float 6=string 7=bool
-//	  payload int: varint-free int64 (8 bytes); float: IEEE754 bits;
+//	  payload int: int64 (8 bytes); float: IEEE754 bits;
 //	          string: uint32 length + bytes; bool: 1 byte
 //
-// Arity is carried by the schema header exchanged at stream open
-// (see WriteSchema / ReadSchema), not per frame.
+// Arity is carried by the schema exchanged out of band (WriteSchema /
+// ReadSchema on a stream, the topic schema in the message log).
 
 const (
 	tagNullBase = 0
@@ -33,11 +34,11 @@ const (
 	tagBoolV    = 7
 )
 
-// MaxFrameSize bounds a single encoded row to guard against corrupt
-// length prefixes on the wire.
+// MaxFrameSize bounds a single encoded row or schema header to guard
+// against corrupt length prefixes.
 const MaxFrameSize = 64 << 20
 
-// AppendBinary appends the binary encoding of the row (including the frame
+// AppendBinary appends the binary encoding of the row (including the
 // length prefix) to dst.
 func AppendBinary(dst []byte, r Row) []byte {
 	start := len(dst)
@@ -71,7 +72,7 @@ func AppendBinary(dst []byte, r Row) []byte {
 	return dst
 }
 
-// DecodeBinary decodes one frame body (without the length prefix) into a row.
+// DecodeBinary decodes one row body (without the length prefix) into a row.
 func DecodeBinary(body []byte) (Row, error) {
 	var out Row
 	i := 0
@@ -117,34 +118,14 @@ func DecodeBinary(body []byte) (Row, error) {
 	return out, nil
 }
 
-// Writer streams binary row frames onto an io.Writer.
-type Writer struct {
-	w   *bufio.Writer
-	buf []byte
-}
-
-// NewWriter returns a frame writer over w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-// Write encodes and buffers one row.
-func (w *Writer) Write(r Row) error {
-	w.buf = AppendBinary(w.buf[:0], r)
-	_, err := w.w.Write(w.buf)
-	return err
-}
-
-// Flush flushes buffered frames to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Reader decodes binary row frames from an io.Reader. It understands all
-// three wire formats: v1 single-row frames, v2 multi-row block frames
-// (block.go), and v3 columnar block frames (colblock.go) may be freely
-// interleaved on one stream. A block is read off the wire in one I/O
-// operation into a reused buffer, then its rows are served in place —
-// per-row syscalls and allocations drop to per-block. Columnar consumers
-// call ReadColBatch and skip row materialization entirely.
+// Reader decodes the streaming transfer's wire frames from an io.Reader.
+// There is one frame format — the columnar block frame of colblock.go — and
+// a length word that announces anything else (a per-row frame, a block with
+// another version byte) is rejected with an error naming what it saw. A
+// frame is read off the wire in one I/O operation into a reused buffer;
+// ReadColBatch decodes it straight into the caller's batch, and Read serves
+// its rows one at a time (the resume handshake's duplicate skip, and
+// row-at-a-time consumers).
 type Reader struct {
 	r     *bufio.Reader
 	buf   []byte
@@ -154,27 +135,23 @@ type Reader struct {
 	// explicit end-of-stream frame (WriteEOS). See RequireEOS.
 	requireEOS bool
 
-	// pending block: rows still to serve, and the wire size to credit to
-	// nread once the last of them has been consumed.
-	block     []byte
-	blockRows int
-	blockWire int64
-
-	// pending v3 columnar frame: the staged tail (aliasing buf — valid
-	// until the next frame is read, i.e. until this one is fully served).
-	// The row-path reads decode it lazily into colDec and serve rows off
-	// the batch; ReadColBatch takes an untouched frame whole, zero-pivot.
-	colTail    []byte
-	colDec     *ColBatch
-	colDecoded bool
-	colServed  int
+	// staged frame: its tail (aliasing buf — valid until the next frame is
+	// read, i.e. until this one is fully served), the rows still to serve,
+	// and the wire size to credit to nread once the last of them has been
+	// consumed. Read decodes the tail lazily into dec and serves rows off
+	// it; ReadColBatch takes an untouched frame whole, zero-pivot.
+	tail      []byte
+	tailRows  int
+	tailWire  int64
+	dec       ColBatch
+	decoded   bool
+	decServed int
 }
 
 // Bytes returns the wire bytes of fully consumed frames (headers
 // included); the streaming transfer's flow control is driven by this
-// counter. A block frame counts only once all of its rows have been
-// served, so a slow consumer does not grant credit for rows it has merely
-// buffered.
+// counter. A frame counts only once all of its rows have been served, so a
+// slow consumer does not grant credit for rows it has merely buffered.
 func (r *Reader) Bytes() int64 { return r.nread }
 
 // NewReader returns a frame reader over r.
@@ -191,9 +168,9 @@ func NewReader(r io.Reader) *Reader {
 func (r *Reader) RequireEOS() { r.requireEOS = true }
 
 // WriteEOS writes the explicit end-of-stream frame: a zero length word,
-// which no data frame ever produces (v1 rows and blocks are both non-empty
-// on the wire). Readers in RequireEOS mode treat it as the only clean end
-// of stream.
+// which no data frame ever produces (every block frame carries the flag
+// bit). Readers in RequireEOS mode treat it as the only clean end of
+// stream.
 func WriteEOS(w io.Writer) error {
 	var hdr [4]byte
 	_, err := w.Write(hdr[:])
@@ -202,155 +179,62 @@ func WriteEOS(w io.Writer) error {
 
 // Read decodes the next row. It returns io.EOF cleanly at end of stream.
 func (r *Reader) Read() (Row, error) {
-	for r.blockRows == 0 {
+	for r.tailRows == 0 {
 		if err := r.nextFrame(); err != nil {
 			return nil, err
 		}
 	}
-	if r.colTail != nil {
-		if err := r.decodeStagedCol(); err != nil {
+	if !r.decoded {
+		if _, err := decodeColTail(r.tail, &r.dec); err != nil {
 			return nil, err
 		}
-		row := r.colDec.RowAt(r.colServed, nil)
-		r.colServed++
-		r.blockRows--
-		if r.blockRows == 0 {
-			r.nread += r.blockWire
-			r.colTail, r.colDecoded = nil, false
-		}
-		return row, nil
+		r.decoded, r.decServed = true, 0
 	}
-	row, rest, err := decodeBlockRow(r.block)
-	if err != nil {
-		return nil, err
-	}
-	r.block = rest
-	r.blockRows--
-	if r.blockRows == 0 {
-		if len(r.block) != 0 {
-			return nil, fmt.Errorf("row: %d trailing block bytes", len(r.block))
-		}
-		r.nread += r.blockWire
+	row := r.dec.RowAt(r.decServed, nil)
+	r.decServed++
+	r.tailRows--
+	if r.tailRows == 0 {
+		r.nread += r.tailWire
 	}
 	return row, nil
 }
 
-// decodeStagedCol decodes the staged v3 frame into the reader's scratch
-// batch, once per frame.
-func (r *Reader) decodeStagedCol() error {
-	if r.colDecoded {
-		return nil
-	}
-	if r.colDec == nil {
-		r.colDec = &ColBatch{}
-	}
-	rows, err := decodeColTail(r.colTail, r.colDec)
-	if err != nil {
-		return err
-	}
-	if rows != r.blockRows {
-		return fmt.Errorf("row: columnar frame decoded %d rows, staged %d", rows, r.blockRows)
-	}
-	r.colDecoded, r.colServed = true, 0
-	return nil
-}
-
-// ReadBlock appends every remaining row of the current frame to dst and
-// returns it: the rows of one block frame, or a single row for a v1
-// frame. It returns io.EOF cleanly at end of stream. Batch consumers
-// (hadoopfmt.BatchRecordReader) use it to amortize per-row call overhead.
-func (r *Reader) ReadBlock(dst []Row) ([]Row, error) {
-	for r.blockRows == 0 {
-		if err := r.nextFrame(); err != nil {
-			return nil, err
-		}
-	}
-	if r.colTail != nil {
-		if err := r.decodeStagedCol(); err != nil {
-			return nil, err
-		}
-		for r.blockRows > 0 {
-			dst = append(dst, r.colDec.RowAt(r.colServed, nil))
-			r.colServed++
-			r.blockRows--
-		}
-		r.nread += r.blockWire
-		r.colTail, r.colDecoded = nil, false
-		return dst, nil
-	}
-	for r.blockRows > 0 {
-		row, rest, err := decodeBlockRow(r.block)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, row)
-		r.block = rest
-		r.blockRows--
-	}
-	if len(r.block) != 0 {
-		return nil, fmt.Errorf("row: %d trailing block bytes", len(r.block))
-	}
-	r.nread += r.blockWire
-	return dst, nil
-}
-
-// ReadColBatch decodes the next frame into dst, reset to the given
-// column types, and returns its remaining row count. An untouched v3
-// frame decodes straight into dst — the zero-pivot path — while v1/v2
-// frames and v3 frames already partially served row-wise (the resume
-// handshake's duplicate skip) transpose the remaining rows. It returns
-// io.EOF cleanly at end of stream, and always consumes (and credits) the
-// whole frame.
+// ReadColBatch decodes the next frame into dst, reset to the given column
+// types, and returns its remaining row count. An untouched frame decodes
+// straight into dst — the zero-pivot path — while a frame already
+// partially served row-wise (the resume handshake's duplicate skip)
+// copies over its remaining rows. It returns io.EOF cleanly at end of
+// stream, and always consumes (and credits) the whole frame.
 func (r *Reader) ReadColBatch(dst *ColBatch, types []Type) (int, error) {
-	for r.blockRows == 0 {
+	for r.tailRows == 0 {
 		if err := r.nextFrame(); err != nil {
 			return 0, err
 		}
 	}
-	if r.colTail != nil && !r.colDecoded {
-		rows, err := decodeColTail(r.colTail, dst)
+	if !r.decoded {
+		rows, err := decodeColTail(r.tail, dst)
 		if err != nil {
 			return 0, err
 		}
 		if err := colTypesMatch(dst, types); err != nil {
 			return 0, err
 		}
-		r.nread += r.blockWire
-		r.colTail, r.blockRows = nil, 0
+		r.nread += r.tailWire
+		r.tailRows = 0
 		return rows, nil
 	}
-	dst.Reset(types)
-	if r.colTail != nil {
-		if err := colTypesMatch(r.colDec, types); err != nil {
-			return 0, err
-		}
-		for r.blockRows > 0 {
-			for c := 0; c < dst.NumCols(); c++ {
-				dst.Col(c).AppendFrom(r.colDec.Col(c), r.colServed)
-			}
-			dst.SetFullLen(dst.FullLen() + 1)
-			r.colServed++
-			r.blockRows--
-		}
-		r.colTail, r.colDecoded = nil, false
-	} else {
-		for r.blockRows > 0 {
-			row, rest, err := decodeBlockRow(r.block)
-			if err != nil {
-				return 0, err
-			}
-			if len(row) != dst.NumCols() {
-				return 0, fmt.Errorf("row: frame row has %d values, schema has %d columns", len(row), dst.NumCols())
-			}
-			dst.AppendRow(row)
-			r.block = rest
-			r.blockRows--
-		}
-		if len(r.block) != 0 {
-			return 0, fmt.Errorf("row: %d trailing block bytes", len(r.block))
-		}
+	if err := colTypesMatch(&r.dec, types); err != nil {
+		return 0, err
 	}
-	r.nread += r.blockWire
+	dst.Reset(types)
+	for ; r.tailRows > 0; r.tailRows-- {
+		for c := 0; c < dst.NumCols(); c++ {
+			dst.Col(c).AppendFrom(r.dec.Col(c), r.decServed)
+		}
+		dst.SetFullLen(dst.FullLen() + 1)
+		r.decServed++
+	}
+	r.nread += r.tailWire
 	return dst.Len(), nil
 }
 
@@ -370,9 +254,7 @@ func colTypesMatch(b *ColBatch, types []Type) error {
 }
 
 // nextFrame reads one wire frame into the reused buffer and stages its
-// rows for serving. A v1 frame is staged as a one-row block (synthesizing
-// the length prefix decodeBlockRow expects from the frame header it
-// already consumed).
+// rows for serving. Nothing is credited to Bytes() for a rejected frame.
 func (r *Reader) nextFrame() error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
@@ -389,26 +271,9 @@ func (r *Reader) nextFrame() error {
 		// Explicit end-of-stream frame (WriteEOS).
 		return io.EOF
 	}
-	if word&blockFlag == 0 {
-		// v1 single-row frame.
-		n := int(word)
-		if n > MaxFrameSize {
-			return fmt.Errorf("row: frame of %d bytes exceeds limit", n)
-		}
-		if cap(r.buf) < 4+n {
-			r.buf = make([]byte, 4+n)
-		}
-		body := r.buf[:4+n]
-		copy(body, hdr[:])
-		if _, err := io.ReadFull(r.r, body[4:]); err != nil {
-			return fmt.Errorf("row: truncated frame body: %w", err)
-		}
-		r.block, r.blockRows, r.blockWire = body, 1, int64(4+n)
-		return nil
-	}
-	n := int(word &^ blockFlag)
-	if n > MaxBlockSize {
-		return fmt.Errorf("row: block of %d bytes exceeds limit", n)
+	n, err := blockFrameLen(word)
+	if err != nil {
+		return err
 	}
 	if cap(r.buf) < n {
 		r.buf = make([]byte, n)
@@ -417,39 +282,21 @@ func (r *Reader) nextFrame() error {
 	if _, err := io.ReadFull(r.r, tail); err != nil {
 		return fmt.Errorf("row: truncated block frame: %w", err)
 	}
-	if tail[0] == WireProtoCol {
-		// v3 columnar frame: stage the tail; the row path decodes it
-		// lazily, ReadColBatch takes it whole.
-		if n < colTailLen {
-			return fmt.Errorf("row: truncated columnar header")
-		}
-		rows := int(binary.LittleEndian.Uint32(tail[2:]))
-		if rows > MaxBlockSize {
-			return fmt.Errorf("row: columnar frame claims %d rows", rows)
-		}
-		if rows == 0 {
-			r.nread += int64(4 + n)
-			return nil
-		}
-		r.block = nil
-		r.colTail, r.colDecoded, r.colServed = tail, false, 0
-		r.blockRows, r.blockWire = rows, int64(4+n)
-		return nil
-	}
-	payload, rows, err := parseBlockTail(tail)
+	rows, err := colHeaderRows(tail)
 	if err != nil {
 		return err
 	}
 	if rows == 0 {
-		// Empty block: account it and move on.
+		// Empty frame: account it and move on.
 		r.nread += int64(4 + n)
 		return nil
 	}
-	r.block, r.blockRows, r.blockWire = payload, rows, int64(4+n)
+	r.tail, r.decoded = tail, false
+	r.tailRows, r.tailWire = rows, int64(4+n)
 	return nil
 }
 
-// WriteSchema writes a schema header: it precedes row frames on a stream so
+// WriteSchema writes a schema header: it precedes the frames on a stream so
 // the receiving side can type its output without out-of-band agreement.
 func WriteSchema(w io.Writer, s Schema) error {
 	enc := []byte(s.String())

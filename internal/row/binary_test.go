@@ -44,40 +44,9 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestWriterReaderStream(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	rows := []Row{
-		{Int(1), String_("a"), Float(1.5), Bool(true)},
-		{Int(2), NullOf(TypeString), Float(-2.5), Bool(false)},
-		{NullOf(TypeInt), String_(""), NullOf(TypeFloat), NullOf(TypeBool)},
-	}
-	for _, r := range rows {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rd := NewReader(&buf)
-	for i, want := range rows {
-		got, err := rd.Read()
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("row %d: got %v want %v", i, got, want)
-		}
-	}
-	if _, err := rd.Read(); err != io.EOF {
-		t.Errorf("expected io.EOF at stream end, got %v", err)
-	}
-}
-
 func TestReaderRejectsOversizedFrame(t *testing.T) {
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(MaxFrameSize+1))
+	binary.LittleEndian.PutUint32(hdr[:], blockFlag|uint32(MaxBlockSize+1))
 	rd := NewReader(bytes.NewReader(hdr[:]))
 	if _, err := rd.Read(); err == nil {
 		t.Error("oversized frame accepted")
@@ -85,7 +54,7 @@ func TestReaderRejectsOversizedFrame(t *testing.T) {
 }
 
 func TestReaderTruncatedBody(t *testing.T) {
-	enc := AppendBinary(nil, Row{String_("hello world")})
+	enc := encodeBlock(blockRows(3, 0))
 	rd := NewReader(bytes.NewReader(enc[:len(enc)-3]))
 	if _, err := rd.Read(); err == nil {
 		t.Error("truncated body accepted")
@@ -128,15 +97,15 @@ func TestSchemaThenRowsOnOneStream(t *testing.T) {
 	if err := WriteSchema(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(&buf)
+	var enc BlockEncoder
+	enc.EnableColumnar(SchemaTypes(s), true)
 	for i := 0; i < 100; i++ {
-		if err := w.Write(Row{Int(int64(i)), Float(float64(i) / 2)}); err != nil {
-			t.Fatal(err)
+		enc.Append(Row{Int(int64(i)), Float(float64(i) / 2)})
+		if enc.Rows() == 32 {
+			buf.Write(enc.Finish())
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(enc.Finish())
 
 	got, err := ReadSchema(&buf)
 	if err != nil || !got.Equal(s) {

@@ -4,45 +4,24 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 )
 
-// Block frames amortize the per-row costs of the streaming transfer: one
-// length word, one channel hand-off, one spool entry, and one disk write
-// cover ~BlockTargetRows rows instead of one. The wire stays
-// self-describing — a stream may interleave v1 single-row frames and v2
-// block frames, and Reader decodes both — while the coordinator handshake
-// (see internal/stream) lets mixed-version deployments pin a job to v1.
-//
-// Block frame layout (all little-endian):
-//
-//	uint32  blockFlag | n   (top bit set marks a block frame; the low 31
-//	                         bits are the byte count that follows this word)
-//	uint8   version         (WireProtoBlock)
-//	uint8   flags           (reserved, 0)
-//	uint32  row count
-//	payload: row count × (uint32 body length + body), the same per-row
-//	         body encoding as a v1 frame
-//
-// The flag bit cannot collide with a v1 frame: v1 lengths are bounded by
-// MaxFrameSize (2^26), far below the 2^31 flag bit.
+// Block frames are the unit of the streaming transfer: one length word, one
+// channel hand-off, one spool entry and one disk write cover
+// ~BlockTargetRows rows. This file holds the sender-side encoder, the
+// pooled frame buffers and the raw-frame reader of the spill replay; the
+// frame layout and its codec are in colblock.go.
 
 const (
-	// WireProtoRow is the original one-frame-per-row wire format.
-	WireProtoRow = 1
-	// WireProtoBlock is the multi-row block-frame wire format.
-	WireProtoBlock = 2
-	// WireProtoLatest is what senders and readers advertise by default —
-	// the columnar v3 format (WireProtoCol, colblock.go).
-	WireProtoLatest = WireProtoCol
-
+	// blockFlag is the top bit of a block frame's length word; the low 31
+	// bits are the byte count that follows the word.
 	blockFlag = uint32(1) << 31
-	// blockTailLen is the header part covered by the length word:
-	// version(1) + flags(1) + rowCount(4).
-	blockTailLen = 6
-	// blockHeaderLen is the full block frame header.
-	blockHeaderLen = 4 + blockTailLen
+
+	// rowBlockHeaderLen is what a block of row-encoded rows spends on
+	// framing (length word, version, flags, row count) — the fixed term of
+	// BlockEncoder.RawBytes.
+	rowBlockHeaderLen = 10
 
 	// BlockTargetRows and BlockTargetBytes are the default flush budgets:
 	// a block is emitted when it reaches either. The row budget IS the
@@ -74,8 +53,7 @@ func NewBlockBuffer() []byte {
 
 // RecycleBlockBuffer returns a buffer obtained from NewBlockBuffer (or a
 // finished block frame built on one) to the pool. The caller must not
-// touch the slice afterwards. Undersized buffers (e.g. ad-hoc v1 row
-// frames that flow through the same code path) are dropped rather than
+// touch the slice afterwards. Undersized buffers are dropped rather than
 // pooled, so the pool only ever hands out block-capacity buffers.
 func RecycleBlockBuffer(b []byte) {
 	if cap(b) < BlockTargetBytes {
@@ -84,78 +62,69 @@ func RecycleBlockBuffer(b []byte) {
 	blockBufPool.Put(&b)
 }
 
-// IsBlockFrame reports whether frame starts a v2 block frame (as opposed
-// to a v1 single-row frame).
-func IsBlockFrame(frame []byte) bool {
-	return len(frame) >= 4 && binary.LittleEndian.Uint32(frame)&blockFlag != 0
+// blockFrameLen validates a frame's length word and returns the byte count
+// that follows it. A word without the block flag is what the retired
+// per-row (v1) framing put on the wire.
+func blockFrameLen(word uint32) (int, error) {
+	if word&blockFlag == 0 {
+		return 0, fmt.Errorf("row: unsupported wire format version 1 (per-row frame, length word %#x); only v%d block frames are accepted", word, WireProtoCol)
+	}
+	n := int(word &^ blockFlag)
+	if n > MaxBlockSize {
+		return 0, fmt.Errorf("row: block of %d bytes exceeds limit", n)
+	}
+	return n, nil
 }
 
-// BlockEncoder packs rows into one block frame built on a pooled buffer.
-// Append rows until Rows()/Len() hit the caller's budget, then Finish to
-// take the frame; the encoder detaches and starts the next block lazily.
-//
-// EnableColumnar switches the encoder to v3 output: appends stage into a
-// column-major ColBatch instead of encoding bytes row by row, and Finish
-// emits one columnar frame (AppendColBlock). In that mode Len() is the
-// v2-equivalent byte size of the staged rows — the same flush-budget
-// currency as before, computed without encoding — and RawBytes() exposes
-// it for the sender's compression-ratio accounting.
+// BlockEncoder packs rows into one block frame. EnableColumnar sets the
+// column types; appends then stage into a column-major ColBatch, and
+// Finish encodes the staged rows as one frame (AppendColBlock) on a pooled
+// buffer and starts the next block. Append rows until Rows()/RawBytes()
+// hit the caller's budget, then Finish to take the frame.
 type BlockEncoder struct {
-	buf  []byte
-	rows int
-
-	// columnar (v3) staging
-	colMode  bool
+	rows     int
 	compress bool
 	colTypes []Type
 	col      *ColBatch
 	rawBytes int
 }
 
-// EnableColumnar switches the encoder to columnar v3 frames over the
-// given column types. With compress false every column keeps its raw
-// encoding (the ablation grid's uncompressed arm). Must be called before
-// the first append.
+// EnableColumnar sets the column types of the frames to build. With
+// compress false every column keeps its raw encoding (the ablation grid's
+// uncompressed arm). Must be called before the first append.
 func (e *BlockEncoder) EnableColumnar(types []Type, compress bool) {
-	e.colMode, e.compress, e.colTypes = true, compress, types
+	e.compress, e.colTypes = compress, types
 }
 
-// staging returns the columnar staging batch, creating it on first use.
-// The batch is plain (not pooled): it lives for the whole transfer and
-// recycles its own vector capacity across Finish calls.
+// staging returns the staging batch, creating it on first use, and opens
+// a new block's RawBytes account with the block header. The batch is plain
+// (not pooled): it lives for the whole transfer and recycles its own
+// vector capacity across Finish calls.
 func (e *BlockEncoder) staging() *ColBatch {
 	if e.col == nil {
 		e.col = NewColBatch(e.colTypes)
 	}
+	if e.rows == 0 {
+		e.rawBytes = rowBlockHeaderLen
+	}
 	return e.col
 }
 
-// Append encodes one row into the current block.
+// Append stages one row into the current block.
 func (e *BlockEncoder) Append(r Row) {
-	if e.colMode {
-		e.staging().AppendRow(r)
-		if e.rows == 0 {
-			e.rawBytes = blockHeaderLen
-		}
-		e.rawBytes += 4
-		for _, v := range r {
-			e.rawBytes += v2CellSize(v.Kind, v.Null, len(v.s))
-		}
-		e.rows++
-		return
+	e.staging().AppendRow(r)
+	e.rawBytes += 4
+	for _, v := range r {
+		e.rawBytes += rowCellSize(v.Kind, v.Null, len(v.s))
 	}
-	if e.buf == nil {
-		e.buf = append(NewBlockBuffer(), make([]byte, blockHeaderLen)...)
-	}
-	e.buf = AppendBinary(e.buf, r)
 	e.rows++
 }
 
-// v2CellSize is the wire cost of one value in the v1/v2 row encoding:
-// the tag byte plus the type's payload. It prices the columnar staging
-// in the same currency as the row encoders, so flush budgets and the
-// raw-vs-wire stats compare like with like.
-func v2CellSize(t Type, null bool, strLen int) int {
+// rowCellSize is the cost of one value in the binary row encoding
+// (AppendBinary): the tag byte plus the type's payload. It prices the
+// staged rows so flush budgets and the raw-vs-wire stats are in a
+// currency that does not depend on how well a block compresses.
+func rowCellSize(t Type, null bool, strLen int) int {
 	if null {
 		return 1
 	}
@@ -169,83 +138,40 @@ func v2CellSize(t Type, null bool, strLen int) int {
 	}
 }
 
-// AppendBatchRow encodes physical row p of a column-major batch into the
-// current block, byte-identical to Append of the materialized row but
-// straight off the vectors — the sender's columnar fast path, skipping the
-// per-row Value materialization entirely.
+// vectorCellSize is rowCellSize of slot p of a vector.
+func vectorCellSize(v *Vector, p int) int {
+	strLen := 0
+	if v.Type() == TypeString && !v.Null(p) {
+		strLen = len(v.Bytes(p))
+	}
+	return rowCellSize(v.Type(), v.Null(p), strLen)
+}
+
+// AppendBatchRow stages physical row p of a column-major batch into the
+// current block, value-identical to Append of the materialized row but
+// straight off the vectors — the sender's path when a batch fans out over
+// several targets.
 func (e *BlockEncoder) AppendBatchRow(b *ColBatch, p int) {
-	if e.colMode {
-		st := e.staging()
-		if e.rows == 0 {
-			e.rawBytes = blockHeaderLen
-		}
-		e.rawBytes += 4
-		for c := 0; c < b.NumCols(); c++ {
-			col := b.Col(c)
-			st.Col(c).AppendFrom(col, p)
-			strLen := 0
-			if col.Type() == TypeString && !col.Null(p) {
-				strLen = len(col.Bytes(p))
-			}
-			e.rawBytes += v2CellSize(col.Type(), col.Null(p), strLen)
-		}
-		st.SetFullLen(st.FullLen() + 1)
-		e.rows++
-		return
-	}
-	if e.buf == nil {
-		e.buf = append(NewBlockBuffer(), make([]byte, blockHeaderLen)...)
-	}
-	dst := e.buf
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
+	st := e.staging()
+	e.rawBytes += 4
 	for c := 0; c < b.NumCols(); c++ {
 		col := b.Col(c)
-		if col.Null(p) {
-			dst = append(dst, byte(tagNullBase+int(col.typ)))
-			continue
-		}
-		switch col.typ {
-		case TypeInt:
-			dst = append(dst, tagIntV)
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(col.Ints[p]))
-		case TypeFloat:
-			dst = append(dst, tagFloatV)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(col.Floats[p]))
-		case TypeString:
-			s := col.Bytes(p)
-			dst = append(dst, tagStringV)
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-			dst = append(dst, s...)
-		case TypeBool:
-			dst = append(dst, tagBoolV)
-			if col.Bools[p] {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		}
+		st.Col(c).AppendFrom(col, p)
+		e.rawBytes += vectorCellSize(col, p)
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	e.buf = dst
+	st.SetFullLen(st.FullLen() + 1)
 	e.rows++
 }
 
 // AppendBatch stages every live row of a column-major batch into the
 // current block — the sender's zero-pivot path when one target consumes
-// whole batches. Columnar mode only.
+// whole batches.
 func (e *BlockEncoder) AppendBatch(b *ColBatch) {
-	if !e.colMode {
-		panic("row: BlockEncoder.AppendBatch without EnableColumnar")
-	}
 	rows := b.Len()
 	if rows == 0 {
 		return
 	}
 	st := e.staging()
-	if e.rows == 0 {
-		e.rawBytes = blockHeaderLen
-	}
 	e.rawBytes += 4 * rows
 	for c := 0; c < b.NumCols(); c++ {
 		src := b.Col(c)
@@ -253,11 +179,7 @@ func (e *BlockEncoder) AppendBatch(b *ColBatch) {
 		for si := 0; si < rows; si++ {
 			p := b.SelPos(si)
 			dstV.AppendFrom(src, p)
-			strLen := 0
-			if src.Type() == TypeString && !src.Null(p) {
-				strLen = len(src.Bytes(p))
-			}
-			e.rawBytes += v2CellSize(src.Type(), src.Null(p), strLen)
+			e.rawBytes += vectorCellSize(src, p)
 		}
 	}
 	st.SetFullLen(st.FullLen() + rows)
@@ -267,20 +189,11 @@ func (e *BlockEncoder) AppendBatch(b *ColBatch) {
 // Rows returns the number of rows in the current block.
 func (e *BlockEncoder) Rows() int { return e.rows }
 
-// Len returns the current block's size in bytes for flush budgeting: the
-// encoded frame so far (v1/v2), or the staged rows' v2-equivalent size
-// (columnar mode, where encoding happens at Finish).
-func (e *BlockEncoder) Len() int {
-	if e.colMode {
-		return e.rawBytes
-	}
-	return len(e.buf)
-}
-
 // RawBytes returns the current block's pre-compression size — what the
-// staged rows would cost in the v2 row encoding. Callers sampling the
-// compression ratio read it just before Finish.
-func (e *BlockEncoder) RawBytes() int { return e.Len() }
+// staged rows would cost in the binary row encoding, computed without
+// encoding them. It is the flush-budget currency and, sampled just before
+// Finish, the numerator of the compression ratio.
+func (e *BlockEncoder) RawBytes() int { return e.rawBytes }
 
 // Finish seals and returns the block frame, transferring ownership to the
 // caller (recycle it with RecycleBlockBuffer once it has left the
@@ -289,138 +202,35 @@ func (e *BlockEncoder) Finish() []byte {
 	if e.rows == 0 {
 		return nil
 	}
-	if e.colMode {
-		frame := AppendColBlock(NewBlockBuffer(), e.col, e.compress)
-		e.col.Reset(e.colTypes)
-		e.rows, e.rawBytes = 0, 0
-		return frame
-	}
-	b := e.buf
-	binary.LittleEndian.PutUint32(b, blockFlag|uint32(len(b)-4))
-	b[4] = WireProtoBlock
-	b[5] = 0
-	binary.LittleEndian.PutUint32(b[6:], uint32(e.rows))
-	e.buf, e.rows = nil, 0
-	return b
+	frame := AppendColBlock(NewBlockBuffer(), e.col, e.compress)
+	e.col.Reset(e.colTypes)
+	e.rows, e.rawBytes = 0, 0
+	return frame
 }
 
-// BlockDecoder iterates the rows of one encoded block frame — v2 row
-// blocks in place (no per-row reads, no payload copies), v3 columnar
-// blocks through an internal ColBatch. DecodeBatch is the column-major
-// twin: one whole frame into a caller-owned batch, zero-pivot for v3.
-type BlockDecoder struct {
-	payload   []byte
-	remaining int
+// BlockDecoder decodes whole block frames into caller-owned batches; it is
+// the decode-side twin of BlockEncoder and carries no state.
+type BlockDecoder struct{}
 
-	// v3 frames decode column-major; Next then serves owning rows off
-	// the batch.
-	colFrame bool
-	col      *ColBatch
-	colPos   int
-}
-
-// NewBlockDecoder validates the frame header and returns a decoder over
-// the block's rows.
-func NewBlockDecoder(frame []byte) (*BlockDecoder, error) {
-	var d BlockDecoder
-	if err := d.Reset(frame); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
-
-// Reset re-points the decoder at another block frame.
-func (d *BlockDecoder) Reset(frame []byte) error {
-	if len(frame) < blockHeaderLen {
-		return fmt.Errorf("row: short block frame (%d bytes)", len(frame))
-	}
-	word := binary.LittleEndian.Uint32(frame)
-	if word&blockFlag == 0 {
-		return fmt.Errorf("row: not a block frame")
-	}
-	if n := int(word &^ blockFlag); n != len(frame)-4 {
-		return fmt.Errorf("row: block frame length %d, have %d bytes", n, len(frame)-4)
-	}
-	if frame[4] == WireProtoCol {
-		if d.col == nil {
-			d.col = &ColBatch{}
-		}
-		rows, err := decodeColTail(frame[4:], d.col)
-		if err != nil {
-			return err
-		}
-		d.payload, d.remaining = nil, rows
-		d.colFrame, d.colPos = true, 0
-		return nil
-	}
-	d.colFrame = false
-	tail, rows, err := parseBlockTail(frame[4:])
+// DecodeBatch decodes one whole block frame (length word included) into
+// dst, which must come out with the given column types, and returns the
+// row count. The frame lands column-major with no row materialization.
+func (BlockDecoder) DecodeBatch(frame []byte, dst *ColBatch, types []Type) (int, error) {
+	rows, err := DecodeColBlock(frame, dst)
 	if err != nil {
-		return err
-	}
-	d.payload, d.remaining = tail, rows
-	return nil
-}
-
-// DecodeBatch decodes one whole block frame into dst, reset to the given
-// column types: a v3 frame lands column-major with no row
-// materialization; a v2 frame transposes its rows. It returns the row
-// count.
-func (d *BlockDecoder) DecodeBatch(frame []byte, dst *ColBatch, types []Type) (int, error) {
-	if len(frame) >= 5 && IsBlockFrame(frame) && frame[4] == WireProtoCol {
-		return DecodeColBlock(frame, dst)
-	}
-	if err := d.Reset(frame); err != nil {
 		return 0, err
 	}
-	dst.Reset(types)
-	for {
-		r, ok, err := d.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return dst.Len(), nil
-		}
-		if len(r) != dst.NumCols() {
-			return 0, fmt.Errorf("row: block row has %d values, batch has %d columns", len(r), dst.NumCols())
-		}
-		dst.AppendRow(r)
+	if err := colTypesMatch(dst, types); err != nil {
+		return 0, err
 	}
+	return rows, nil
 }
 
-// Rows returns how many rows remain undecoded.
-func (d *BlockDecoder) Rows() int { return d.remaining }
-
-// Next decodes the next row; ok is false once the block is exhausted.
-// Rows from a v3 frame own their storage, like their v2 counterparts.
-func (d *BlockDecoder) Next() (r Row, ok bool, err error) {
-	if d.remaining == 0 {
-		if len(d.payload) != 0 {
-			return nil, false, fmt.Errorf("row: %d trailing block bytes", len(d.payload))
-		}
-		return nil, false, nil
-	}
-	if d.colFrame {
-		r = d.col.RowAt(d.colPos, nil)
-		d.colPos++
-		d.remaining--
-		return r, true, nil
-	}
-	r, rest, err := decodeBlockRow(d.payload)
-	if err != nil {
-		return nil, false, err
-	}
-	d.payload = rest
-	d.remaining--
-	return r, true, nil
-}
-
-// ReadRawFrame reads one whole wire frame — v1 single-row or v2 block —
-// off r without decoding it, appended to buf (length word included). It
-// returns io.EOF cleanly at a frame boundary; a frame cut short inside
-// returns io.ErrUnexpectedEOF. The sender's spill replay uses it to re-send
-// spilled bytes frame-aligned, which the credit window requires.
+// ReadRawFrame reads one whole block frame off r without decoding it,
+// appended to buf (length word included). It returns io.EOF cleanly at a
+// frame boundary; a frame cut short inside returns io.ErrUnexpectedEOF. The
+// sender's spill replay uses it to re-send spilled bytes frame-aligned,
+// which the credit window requires.
 func ReadRawFrame(r io.Reader, buf []byte) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
@@ -430,14 +240,9 @@ func ReadRawFrame(r io.Reader, buf []byte) ([]byte, error) {
 		}
 		return nil, io.EOF
 	}
-	word := binary.LittleEndian.Uint32(buf[start:])
-	n := int(word &^ blockFlag)
-	if word&blockFlag != 0 {
-		if n < blockTailLen || n > MaxBlockSize {
-			return nil, fmt.Errorf("row: bad block frame length %d", n)
-		}
-	} else if n > MaxFrameSize {
-		return nil, fmt.Errorf("row: bad frame length %d", n)
+	n, err := blockFrameLen(binary.LittleEndian.Uint32(buf[start:]))
+	if err != nil {
+		return nil, err
 	}
 	body := len(buf)
 	buf = append(buf, make([]byte, n)...)
@@ -445,40 +250,4 @@ func ReadRawFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	return buf, nil
-}
-
-// parseBlockTail validates everything after the length word (version,
-// flags, row count) and returns the row payload and row count.
-func parseBlockTail(tail []byte) ([]byte, int, error) {
-	if len(tail) < blockTailLen {
-		return nil, 0, fmt.Errorf("row: truncated block header")
-	}
-	if v := tail[0]; v != WireProtoBlock {
-		return nil, 0, fmt.Errorf("row: unsupported block version %d", v)
-	}
-	rows := int(binary.LittleEndian.Uint32(tail[2:]))
-	if rows > MaxBlockSize {
-		// Same bound the v3 column decoder applies: a row occupies at
-		// least one payload byte, so a count past the frame byte cap is a
-		// lie — reject it at the header instead of mid-decode.
-		return nil, 0, fmt.Errorf("row: block declares %d rows, exceeding MaxBlockSize", rows)
-	}
-	return tail[blockTailLen:], rows, nil
-}
-
-// decodeBlockRow decodes one length-prefixed row body off the front of
-// payload, returning the rest.
-func decodeBlockRow(payload []byte) (Row, []byte, error) {
-	if len(payload) < 4 {
-		return nil, nil, fmt.Errorf("row: truncated row header in block")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	if n > MaxFrameSize || 4+n > len(payload) {
-		return nil, nil, fmt.Errorf("row: truncated row body in block (%d of %d bytes)", n, len(payload)-4)
-	}
-	r, err := DecodeBinary(payload[4 : 4+n])
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, payload[4+n:], nil
 }

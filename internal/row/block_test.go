@@ -2,11 +2,17 @@ package row
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// blockRowTypes is the shape of the rows blockRows builds.
+var blockRowTypes = []Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString}
 
 func blockRows(n, base int) []Row {
 	out := make([]Row, n)
@@ -22,9 +28,37 @@ func blockRows(n, base int) []Row {
 	return out
 }
 
+// encodeBlock packs blockRows-shaped rows into one wire frame the way the
+// sender does.
+func encodeBlock(rows []Row) []byte {
+	var enc BlockEncoder
+	enc.EnableColumnar(blockRowTypes, true)
+	for _, r := range rows {
+		enc.Append(r)
+	}
+	return enc.Finish()
+}
+
+// v2BlockFrame builds a well-formed frame of the retired v2 format — a
+// block header with version byte 2 over length-prefixed row bodies — from
+// nothing but AppendBinary, so the rejection tests do not depend on an
+// encoder the tree no longer has. (A retired v1 frame is AppendBinary's
+// output as is.)
+func v2BlockFrame(rows []Row) []byte {
+	b := make([]byte, 10)
+	for _, r := range rows {
+		b = AppendBinary(b, r)
+	}
+	binary.LittleEndian.PutUint32(b, blockFlag|uint32(len(b)-4))
+	b[4] = 2
+	binary.LittleEndian.PutUint32(b[6:], uint32(len(rows)))
+	return b
+}
+
 func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 	rows := blockRows(37, 100)
 	var enc BlockEncoder
+	enc.EnableColumnar(blockRowTypes, true)
 	for _, r := range rows {
 		enc.Append(r)
 	}
@@ -32,30 +66,27 @@ func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("encoder rows = %d", enc.Rows())
 	}
 	frame := enc.Finish()
-	if frame == nil || !IsBlockFrame(frame) {
+	if frame == nil || frame[4] != WireProtoCol {
 		t.Fatal("Finish did not produce a block frame")
 	}
-	if enc.Rows() != 0 || enc.Len() != 0 {
+	if enc.Rows() != 0 || enc.RawBytes() != 0 {
 		t.Fatal("encoder not detached after Finish")
 	}
-	dec, err := NewBlockDecoder(frame)
+	dst := NewColBatch(nil)
+	n, err := BlockDecoder{}.DecodeBatch(frame, dst, blockRowTypes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Rows() != len(rows) {
-		t.Fatalf("decoder rows = %d", dec.Rows())
+	if n != len(rows) {
+		t.Fatalf("decoded rows = %d", n)
 	}
-	for i, want := range rows {
-		got, ok, err := dec.Next()
-		if err != nil || !ok {
-			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("row %d = %v, want %v", i, got, want)
+	for i, got := range dst.Rows(nil) {
+		if !got.Equal(rows[i]) {
+			t.Fatalf("row %d = %v, want %v", i, got, rows[i])
 		}
 	}
-	if _, ok, err := dec.Next(); ok || err != nil {
-		t.Fatalf("decoder did not end cleanly: ok=%v err=%v", ok, err)
+	if _, err := (BlockDecoder{}).DecodeBatch(frame, dst, blockRowTypes[:4]); err == nil {
+		t.Fatal("DecodeBatch accepted a frame whose columns disagree with the schema")
 	}
 }
 
@@ -67,86 +98,91 @@ func TestBlockEncoderEmptyFinish(t *testing.T) {
 }
 
 func TestBlockDecoderRejectsCorruptFrames(t *testing.T) {
-	var enc BlockEncoder
-	enc.Append(blockRows(1, 0)[0])
-	frame := enc.Finish()
+	frame := encodeBlock(blockRows(1, 0))
 	cases := map[string][]byte{
-		"short":        frame[:blockHeaderLen-1],
-		"not-a-block":  append([]byte{1, 0, 0, 0}, frame[4:]...),
-		"bad-length":   append(append([]byte{}, frame...), 0xff),
-		"bad-version":  func() []byte { c := append([]byte{}, frame...); c[4] = 9; return c }(),
-		"trailing-row": func() []byte { c := append([]byte{}, frame...); c[3] |= 0; c[8]++; return c }(), // rowCount+1 with no payload
+		"short":       frame[:4+colTailLen-1],
+		"not-a-block": append([]byte{1, 0, 0, 0}, frame[4:]...),
+		"bad-length":  append(append([]byte{}, frame...), 0xff),
+		"bad-version": func() []byte { c := append([]byte{}, frame...); c[4] = 9; return c }(),
+		"extra-row":   func() []byte { c := append([]byte{}, frame...); c[6]++; return c }(), // rowCount+1 with no payload
 	}
+	dst := NewColBatch(nil)
 	for name, c := range cases {
-		dec, err := NewBlockDecoder(c)
-		if err != nil {
-			continue // rejected at header validation — fine
-		}
-		ok := true
-		for ok && err == nil {
-			_, ok, err = dec.Next()
-		}
-		if err == nil {
+		if _, err := (BlockDecoder{}).DecodeBatch(c, dst, blockRowTypes); err == nil {
 			t.Errorf("%s: corrupt frame decoded cleanly", name)
 		}
 	}
 }
 
-// TestReaderDecodesMixedVersionStream interleaves v1 single-row frames and
-// v2 block frames on one stream — what a mixed-version deployment (or a
-// spool written under a different negotiated protocol) produces.
-func TestReaderDecodesMixedVersionStream(t *testing.T) {
-	var wire bytes.Buffer
-	var want []Row
-	// v1 run.
-	v1 := blockRows(5, 0)
-	for _, r := range v1 {
-		wire.Write(AppendBinary(nil, r))
+// TestRetiredWireVersionsRejected pins the one-format contract: a
+// well-formed frame of a retired format (v1 per-row, v2 row block) or of
+// an unknown future version is refused by every decode entry point with
+// an error naming the version — no panic, and nothing credited to the
+// flow-control counter.
+func TestRetiredWireVersionsRejected(t *testing.T) {
+	rows := blockRows(3, 0)
+	v4 := encodeBlock(rows)
+	v4[4] = 4
+	cases := []struct {
+		version int
+		frame   []byte
+	}{
+		{1, AppendBinary(nil, rows[0])},
+		{2, v2BlockFrame(rows)},
+		{2, v2BlockFrame([]Row{{NullOf(TypeInt)}})}, // shorter than a columnar header
+		{4, v4},
 	}
-	want = append(want, v1...)
-	// v2 block.
-	var enc BlockEncoder
-	v2 := blockRows(20, 1000)
-	for _, r := range v2 {
-		enc.Append(r)
-	}
-	wire.Write(enc.Finish())
-	want = append(want, v2...)
-	// v1 again (a sender that fell back mid-stream).
-	tail := blockRows(3, 5000)
-	for _, r := range tail {
-		wire.Write(AppendBinary(nil, r))
-	}
-	want = append(want, tail...)
+	for _, c := range cases {
+		want := fmt.Sprintf("version %d", c.version)
+		check := func(entry string, err error, credited int64) {
+			t.Helper()
+			if err == nil || err == io.EOF {
+				t.Errorf("v%d frame via %s: err = %v, want a rejection", c.version, entry, err)
+			} else if !strings.Contains(err.Error(), want) {
+				t.Errorf("v%d frame via %s: error %q does not name %q", c.version, entry, err, want)
+			}
+			if credited != 0 {
+				t.Errorf("v%d frame via %s: credited %d bytes for a rejected frame", c.version, entry, credited)
+			}
+		}
+		rd := NewReader(bytes.NewReader(c.frame))
+		_, err := rd.Read()
+		check("Reader.Read", err, rd.Bytes())
 
-	wireLen := int64(wire.Len())
-	rd := NewReader(&wire)
-	for i, w := range want {
-		got, err := rd.Read()
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		if !got.Equal(w) {
-			t.Fatalf("row %d = %v, want %v", i, got, w)
-		}
+		rd = NewReader(bytes.NewReader(c.frame))
+		dst := NewColBatch(nil)
+		_, err = rd.ReadColBatch(dst, blockRowTypes)
+		check("Reader.ReadColBatch", err, rd.Bytes())
+
+		_, err = BlockDecoder{}.DecodeBatch(c.frame, dst, blockRowTypes)
+		check("BlockDecoder.DecodeBatch", err, 0)
 	}
-	if _, err := rd.Read(); err != io.EOF {
-		t.Fatalf("end of stream err = %v", err)
+}
+
+// TestReaderRejectsEmptyBlockFrame is the regression test for a remote
+// panic: the four bytes 00 00 00 80 (block flag set, length 0) used to
+// index the version byte of an empty tail. Both read paths must return an
+// error instead.
+func TestReaderRejectsEmptyBlockFrame(t *testing.T) {
+	frame := []byte{0x00, 0x00, 0x00, 0x80}
+	rd := NewReader(bytes.NewReader(frame))
+	if _, err := rd.Read(); err == nil || err == io.EOF {
+		t.Errorf("Read err = %v, want a rejection", err)
 	}
-	if rd.Bytes() != wireLen {
-		t.Fatalf("Bytes() = %d, wire had %d", rd.Bytes(), wireLen)
+	rd = NewReader(bytes.NewReader(frame))
+	if _, err := rd.ReadColBatch(NewColBatch(nil), blockRowTypes); err == nil || err == io.EOF {
+		t.Errorf("ReadColBatch err = %v, want a rejection", err)
+	}
+	if rd.Bytes() != 0 {
+		t.Errorf("credited %d bytes for a rejected frame", rd.Bytes())
 	}
 }
 
 // TestReaderBytesCreditsBlockOnLastRow pins the flow-control contract: a
 // block's wire bytes count only once its last row is served.
 func TestReaderBytesCreditsBlockOnLastRow(t *testing.T) {
-	var enc BlockEncoder
 	rows := blockRows(4, 0)
-	for _, r := range rows {
-		enc.Append(r)
-	}
-	frame := enc.Finish()
+	frame := encodeBlock(rows)
 	rd := NewReader(bytes.NewReader(frame))
 	for i := 0; i < len(rows)-1; i++ {
 		if _, err := rd.Read(); err != nil {
@@ -164,37 +200,42 @@ func TestReaderBytesCreditsBlockOnLastRow(t *testing.T) {
 	}
 }
 
+// TestReaderReadBlockBatches drains a stream a frame at a time: each
+// ReadColBatch call serves exactly one block, however small, and credits
+// it whole.
 func TestReaderReadBlockBatches(t *testing.T) {
 	var wire bytes.Buffer
-	var enc BlockEncoder
 	rows := blockRows(10, 0)
-	for _, r := range rows {
-		enc.Append(r)
-	}
-	wire.Write(enc.Finish())
-	single := blockRows(1, 99)[0]
-	wire.Write(AppendBinary(nil, single))
+	wire.Write(encodeBlock(rows))
+	single := blockRows(1, 99)
+	wire.Write(encodeBlock(single))
+	wireLen := int64(wire.Len())
 
 	rd := NewReader(&wire)
-	batch, err := rd.ReadBlock(nil)
+	dst := NewColBatch(nil)
+	n, err := rd.ReadColBatch(dst, blockRowTypes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != len(rows) {
-		t.Fatalf("first batch = %d rows, want %d", len(batch), len(rows))
+	if n != len(rows) {
+		t.Fatalf("first batch = %d rows, want %d", n, len(rows))
 	}
-	batch, err = rd.ReadBlock(batch[:0])
-	if err != nil || len(batch) != 1 || !batch[0].Equal(single) {
-		t.Fatalf("v1 batch = %v (err %v)", batch, err)
+	n, err = rd.ReadColBatch(dst, blockRowTypes)
+	if err != nil || n != 1 || !dst.RowAt(0, nil).Equal(single[0]) {
+		t.Fatalf("one-row batch = %d rows %v (err %v)", n, dst.Rows(nil), err)
 	}
-	if _, err := rd.ReadBlock(nil); err != io.EOF {
+	if _, err := rd.ReadColBatch(dst, blockRowTypes); err != io.EOF {
 		t.Fatalf("end err = %v", err)
+	}
+	if rd.Bytes() != wireLen {
+		t.Fatalf("Bytes() = %d, wire had %d", rd.Bytes(), wireLen)
 	}
 }
 
 // TestBlocksRoundTripThroughDiskFile writes block frames to a file the way
-// the sender's spill path does (raw frame bytes, one write per block) and
-// re-reads them byte-identical through the frame reader.
+// the sender's spill path does (raw frame bytes, one write per block),
+// re-frames the file with ReadRawFrame like the spill replay, and re-reads
+// the rows through the frame reader.
 func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spill")
 	f, err := os.Create(path)
@@ -204,13 +245,9 @@ func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 	var want []Row
 	var frames [][]byte
 	for b := 0; b < 5; b++ {
-		var enc BlockEncoder
 		rows := blockRows(50+b, b*1000)
-		for _, r := range rows {
-			enc.Append(r)
-		}
 		want = append(want, rows...)
-		frame := enc.Finish()
+		frame := encodeBlock(rows)
 		frames = append(frames, append([]byte(nil), frame...))
 		if _, err := f.Write(frame); err != nil {
 			t.Fatal(err)
@@ -225,6 +262,16 @@ func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 	}
 	if !bytes.Equal(raw, bytes.Join(frames, nil)) {
 		t.Fatal("spill file is not the byte-identical concatenation of the frames")
+	}
+	replay := bytes.NewReader(raw)
+	for i, want := range frames {
+		got, err := ReadRawFrame(replay, nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("raw frame %d differs after disk round-trip (err %v)", i, err)
+		}
+	}
+	if _, err := ReadRawFrame(replay, nil); err != io.EOF {
+		t.Fatalf("raw replay end err = %v", err)
 	}
 	rd := NewReader(bytes.NewReader(raw))
 	for i, w := range want {

@@ -20,7 +20,7 @@ import (
 // (Rows materializes owning copies).
 
 // DefaultBatchSize is how many rows flow through the execution pipeline
-// per batch, and the row budget of one v2 wire block (BlockTargetRows):
+// per batch, and the row budget of one wire block (BlockTargetRows):
 // vector capacity and wire framing agree by construction. Large enough to
 // amortize per-batch overhead, small enough that a full pipeline holds
 // O(batch × depth) rows instead of O(dataset).

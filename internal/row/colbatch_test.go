@@ -210,9 +210,9 @@ func TestVectorKeyByteIdentity(t *testing.T) {
 	}
 }
 
-// AppendBatchRow must produce frames byte-identical to Append of the
-// materialized row, so the sender's columnar fast path cannot change the
-// wire format.
+// AppendBatchRow must produce frames (and a RawBytes price) byte-identical
+// to Append of the materialized row, so which of the sender's staging paths
+// a row takes cannot change what goes on the wire.
 func TestBlockEncoderAppendBatchRowByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool}
@@ -223,14 +223,19 @@ func TestBlockEncoderAppendBatchRowByteIdentity(t *testing.T) {
 	}
 
 	var rowEnc, colEnc BlockEncoder
+	rowEnc.EnableColumnar(types, true)
+	colEnc.EnableColumnar(types, true)
 	for p, r := range rows {
 		rowEnc.Append(r)
 		colEnc.AppendBatchRow(b, p)
 	}
+	if rowEnc.RawBytes() != colEnc.RawBytes() {
+		t.Fatalf("RawBytes differ: %d staged by row, %d staged off the batch", rowEnc.RawBytes(), colEnc.RawBytes())
+	}
 	want := rowEnc.Finish()
 	got := colEnc.Finish()
 	if !bytes.Equal(got, want) {
-		t.Fatalf("columnar block frame differs from row frame: %d vs %d bytes", len(got), len(want))
+		t.Fatalf("frame staged off the batch differs from the frame staged by row: %d vs %d bytes", len(got), len(want))
 	}
 	RecycleBlockBuffer(want)
 	RecycleBlockBuffer(got)

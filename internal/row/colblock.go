@@ -7,18 +7,24 @@ import (
 	"math/bits"
 )
 
-// Columnar block frames (wire protocol v3). Where a v2 block ships rows —
-// each one re-tagged value by value — a v3 frame ships a whole ColBatch
-// column-major: per-column typed vectors with their null bitmaps, the
-// selection vector applied at encode time, and a lightweight encoding
-// chosen per column per block. The receiving side decodes straight into a
-// pooled ColBatch, so the transfer path runs column-at-a-time end to end
-// and rows are materialized only for v1/v2 peers and UDF shims.
+// Columnar block frames are the streaming transfer's one wire format. A
+// frame ships a whole ColBatch column-major: per-column typed vectors with
+// their null bitmaps, the selection vector applied at encode time, and a
+// lightweight encoding chosen per column per block. The receiving side
+// decodes straight into a pooled ColBatch, so the transfer path runs
+// column-at-a-time end to end and rows are materialized only for
+// row-at-a-time consumers and UDF shims.
 //
-// v3 frame layout (all little-endian; shares the v1/v2 length word):
+// The version byte is 3 for historical reasons: v1 (a frame per row) and v2
+// (blocks of row-encoded rows) are retired, and a frame announcing either —
+// or any other version — is rejected by every decoder with an error naming
+// it.
 //
-//	uint32  blockFlag | n   (top bit marks a block frame; low 31 bits are
-//	                         the byte count that follows this word)
+// Frame layout (all little-endian):
+//
+//	uint32  blockFlag | n   (top bit always set; low 31 bits are the byte
+//	                         count that follows this word — a zero word is
+//	                         the end-of-stream marker, see WriteEOS)
 //	uint8   version         (WireProtoCol)
 //	uint8   flags           (bit 0: per-column compression was disabled)
 //	uint32  row count
@@ -57,10 +63,11 @@ import (
 // rest before any vector is sized.
 
 const (
-	// WireProtoCol is the columnar block-frame wire format (v3).
+	// WireProtoCol is the version byte of the columnar block frame — the
+	// only version any decoder accepts.
 	WireProtoCol = 3
 
-	// colTailLen is the fixed v3 header after the length word:
+	// colTailLen is the fixed frame header after the length word:
 	// version(1) + flags(1) + rowCount(4) + checksum(4) + colCount(2).
 	colTailLen = 12
 
@@ -97,7 +104,7 @@ func uvarintLen(x uint64) int {
 	return (bits.Len64(x|1) + 6) / 7
 }
 
-// AppendColBlock appends one v3 columnar frame carrying b's live rows
+// AppendColBlock appends one columnar frame carrying b's live rows
 // (selection applied) to dst — length word included — and returns dst.
 // With compress false every column uses its raw encoding (the ablation
 // grid's uncompressed arm). Zero live rows append nothing.
@@ -329,39 +336,55 @@ func appendDict(dst []byte, v *Vector, b *ColBatch, rows int, entries [][]byte, 
 	return dst
 }
 
-// DecodeColBlock decodes one whole v3 frame (length word included) into
-// dst, resetting it, and returns the row count. The typical wire path
-// goes through Reader.ReadColBatch instead, which skips the re-validation
-// of the length word.
+// DecodeColBlock decodes one whole frame (length word included) into dst,
+// resetting it, and returns the row count. The typical wire path goes
+// through Reader.ReadColBatch instead, which has already consumed the
+// length word.
 func DecodeColBlock(frame []byte, dst *ColBatch) (int, error) {
-	if len(frame) < 4+colTailLen {
-		return 0, fmt.Errorf("row: short columnar frame (%d bytes)", len(frame))
+	if len(frame) < 4 {
+		return 0, fmt.Errorf("row: short block frame (%d bytes)", len(frame))
 	}
-	word := binary.LittleEndian.Uint32(frame)
-	if word&blockFlag == 0 {
-		return 0, fmt.Errorf("row: not a block frame")
+	n, err := blockFrameLen(binary.LittleEndian.Uint32(frame))
+	if err != nil {
+		return 0, err
 	}
-	if n := int(word &^ blockFlag); n != len(frame)-4 {
-		return 0, fmt.Errorf("row: columnar frame length %d, have %d bytes", n, len(frame)-4)
+	if n != len(frame)-4 {
+		return 0, fmt.Errorf("row: block frame length %d, have %d bytes", n, len(frame)-4)
 	}
 	return decodeColTail(frame[4:], dst)
 }
 
-// decodeColTail decodes everything after a v3 frame's length word into
-// dst, resetting it, and returns the row count. Corruption — truncation,
-// bit flips, lying lengths — yields an error, never a panic, and the
-// checksum plus per-encoding size checks run before any vector is sized,
-// so a hostile frame cannot force large allocations.
-func decodeColTail(tail []byte, dst *ColBatch) (int, error) {
-	if len(tail) < colTailLen {
-		return 0, fmt.Errorf("row: truncated columnar header")
+// colHeaderRows validates the fixed header of a frame tail (everything
+// after the length word) — version byte, header length, row-count bound —
+// and returns the row count. The version is checked first so that a frame
+// of a retired format is named as such even when it is shorter than a
+// columnar header.
+func colHeaderRows(tail []byte) (int, error) {
+	if len(tail) == 0 {
+		return 0, fmt.Errorf("row: empty block frame")
 	}
 	if v := tail[0]; v != WireProtoCol {
-		return 0, fmt.Errorf("row: unsupported columnar block version %d", v)
+		return 0, fmt.Errorf("row: unsupported block frame version %d; only v%d is accepted", v, WireProtoCol)
+	}
+	if len(tail) < colTailLen {
+		return 0, fmt.Errorf("row: truncated columnar header")
 	}
 	rows := int(binary.LittleEndian.Uint32(tail[2:]))
 	if rows > MaxBlockSize {
 		return 0, fmt.Errorf("row: columnar frame claims %d rows", rows)
+	}
+	return rows, nil
+}
+
+// decodeColTail decodes everything after a frame's length word into dst,
+// resetting it, and returns the row count. Corruption — truncation, bit
+// flips, lying lengths — yields an error, never a panic, and the checksum
+// plus per-encoding size checks run before any vector is sized, so a
+// hostile frame cannot force large allocations.
+func decodeColTail(tail []byte, dst *ColBatch) (int, error) {
+	rows, err := colHeaderRows(tail)
+	if err != nil {
+		return 0, err
 	}
 	if want, got := binary.LittleEndian.Uint32(tail[6:]), fnv1a32(tail[10:]); want != got {
 		return 0, fmt.Errorf("row: columnar frame checksum mismatch (header %08x, payload %08x)", want, got)

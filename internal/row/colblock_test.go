@@ -2,7 +2,6 @@ package row
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -48,9 +47,10 @@ func genColBatch(rnd *rand.Rand, n int, nullFrac float64, ndv int, withSel bool)
 }
 
 // TestColBlockRoundTripMatchesV2 is the value-identity property: for
-// NULL-heavy and selection-heavy batches, encode→decode through the v3
-// columnar frame yields exactly the rows the v2 row encoding yields —
-// compressed and uncompressed.
+// NULL-heavy and selection-heavy batches, encode→decode through the
+// columnar frame yields exactly the source batch's live rows — compressed
+// and uncompressed. (The name records its origin: the reference used to be
+// a decode of the v2 row-block encoding of the same rows.)
 func TestColBlockRoundTripMatchesV2(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
@@ -60,29 +60,7 @@ func TestColBlockRoundTripMatchesV2(t *testing.T) {
 		withSel := trial%4 < 2
 		compress := trial%2 == 0
 		b := genColBatch(rnd, n, nullFrac, ndv, withSel)
-
-		// v2 reference: row-encode the live rows, decode back.
-		var v2enc BlockEncoder
-		for si := 0; si < b.Len(); si++ {
-			v2enc.AppendBatchRow(b, b.SelPos(si))
-		}
-		var want []Row
-		if frame := v2enc.Finish(); frame != nil {
-			dec, err := NewBlockDecoder(frame)
-			if err != nil {
-				t.Fatalf("trial %d: v2 decode: %v", trial, err)
-			}
-			for {
-				r, ok, err := dec.Next()
-				if err != nil {
-					t.Fatalf("trial %d: v2 next: %v", trial, err)
-				}
-				if !ok {
-					break
-				}
-				want = append(want, r)
-			}
-		}
+		want := b.Rows(nil)
 
 		frame := AppendColBlock(nil, b, compress)
 		if b.Len() == 0 {
@@ -94,15 +72,15 @@ func TestColBlockRoundTripMatchesV2(t *testing.T) {
 		got := NewColBatch(nil)
 		rows, err := DecodeColBlock(frame, got)
 		if err != nil {
-			t.Fatalf("trial %d: v3 decode: %v", trial, err)
+			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
 		if rows != len(want) {
-			t.Fatalf("trial %d: v3 rows = %d, v2 = %d", trial, rows, len(want))
+			t.Fatalf("trial %d: decoded rows = %d, source = %d", trial, rows, len(want))
 		}
 		gotRows := got.Rows(nil)
 		for i := range want {
 			if !gotRows[i].Equal(want[i]) {
-				t.Fatalf("trial %d row %d (compress=%v sel=%v): v3 %v, v2 %v",
+				t.Fatalf("trial %d row %d (compress=%v sel=%v): decoded %v, source %v",
 					trial, i, compress, withSel, gotRows[i], want[i])
 			}
 		}
@@ -111,21 +89,20 @@ func TestColBlockRoundTripMatchesV2(t *testing.T) {
 
 // TestColBlockEncodingSelection pins the per-column encoding choices: a
 // clustered BIGINT column goes frame-of-reference, a low-NDV VARCHAR
-// column goes dictionary, and both beat the v2 row encoding by a wide
+// column goes dictionary, and both beat the binary row encoding by a wide
 // margin; high-entropy columns fall back to raw and still round-trip.
 func TestColBlockEncodingSelection(t *testing.T) {
 	b := NewColBatch([]Type{TypeInt, TypeString})
 	for i := 0; i < 1024; i++ {
 		b.AppendRow(Row{Int(int64(5_000_000 + i)), String_([]string{"alpha", "beta", "gamma"}[i%3])})
 	}
-	var v2enc BlockEncoder
-	for i := 0; i < b.Len(); i++ {
-		v2enc.AppendBatchRow(b, i)
-	}
-	v2 := v2enc.Finish()
+	var enc BlockEncoder
+	enc.EnableColumnar([]Type{TypeInt, TypeString}, true)
+	enc.AppendBatch(b)
+	rowEncoded := enc.RawBytes()
 	v3 := AppendColBlock(nil, b, true)
-	if len(v3)*2 > len(v2) {
-		t.Errorf("compressible block: v3 = %d bytes vs v2 = %d; want at least 2x smaller", len(v3), len(v2))
+	if len(v3)*2 > rowEncoded {
+		t.Errorf("compressible block: frame = %d bytes vs row-encoded = %d; want at least 2x smaller", len(v3), rowEncoded)
 	}
 	raw := AppendColBlock(nil, b, false)
 	if len(raw) <= len(v3) {
@@ -163,7 +140,7 @@ func TestColBlockEncodingSelection(t *testing.T) {
 // TestBlockEncoderColumnarMode drives the encoder the way the sender
 // does — EnableColumnar, then a mix of AppendBatch, AppendBatchRow and
 // row Append — and checks Finish emits a decodable v3 frame, the encoder
-// detaches, and RawBytes tracks the v2-equivalent size.
+// detaches, and RawBytes tracks the row-encoded size.
 func TestBlockEncoderColumnarMode(t *testing.T) {
 	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool}
 	rnd := rand.New(rand.NewSource(3))
@@ -179,15 +156,20 @@ func TestBlockEncoderColumnarMode(t *testing.T) {
 	if enc.Rows() != wantRows {
 		t.Fatalf("staged rows = %d, want %d", enc.Rows(), wantRows)
 	}
-	raw := enc.RawBytes()
-	if raw <= 0 || enc.Len() != raw {
-		t.Fatalf("RawBytes = %d, Len = %d", raw, enc.Len())
+	// RawBytes is the size of the same rows as one block of AppendBinary
+	// bodies.
+	wantRaw := rowBlockHeaderLen
+	for _, r := range append(b.Rows(nil), b.RowAt(0, nil), extra) {
+		wantRaw += len(AppendBinary(nil, r))
+	}
+	if raw := enc.RawBytes(); raw != wantRaw {
+		t.Fatalf("RawBytes = %d, row encoding of the staged rows = %d", raw, wantRaw)
 	}
 	frame := enc.Finish()
-	if frame == nil || !IsBlockFrame(frame) || frame[4] != WireProtoCol {
+	if frame == nil || frame[4] != WireProtoCol {
 		t.Fatal("Finish did not produce a v3 frame")
 	}
-	if enc.Rows() != 0 || enc.Len() != 0 {
+	if enc.Rows() != 0 || enc.RawBytes() != 0 {
 		t.Fatal("encoder not detached after Finish")
 	}
 	got := NewColBatch(nil)
@@ -217,85 +199,12 @@ func TestBlockEncoderColumnarMode(t *testing.T) {
 	}
 }
 
-// TestReaderMixedStreamWithV3 interleaves all three frame versions on one
-// stream: the row path serves every row in order, credits each frame's
-// wire bytes only when its last row is served, and ReadColBatch consumes
-// whatever frame comes next.
-func TestReaderMixedStreamWithV3(t *testing.T) {
-	var wire bytes.Buffer
-	var want []Row
-	v1 := blockRows(3, 0)
-	for _, r := range v1 {
-		wire.Write(AppendBinary(nil, r))
-	}
-	want = append(want, v1...)
-	var v2enc BlockEncoder
-	v2 := blockRows(10, 100)
-	for _, r := range v2 {
-		v2enc.Append(r)
-	}
-	wire.Write(v2enc.Finish())
-	want = append(want, v2...)
-	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString}
-	cb := NewColBatch(types)
-	for _, r := range blockRows(20, 500) {
-		cb.AppendRow(r)
-		want = append(want, r)
-	}
-	wire.Write(AppendColBlock(nil, cb, true))
-
-	wireLen := int64(wire.Len())
-	rd := NewReader(bytes.NewReader(wire.Bytes()))
-	for i, w := range want {
-		got, err := rd.Read()
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		if !got.Equal(w) {
-			t.Fatalf("row %d = %v, want %v", i, got, w)
-		}
-	}
-	if _, err := rd.Read(); err != io.EOF {
-		t.Fatalf("end err = %v", err)
-	}
-	if rd.Bytes() != wireLen {
-		t.Fatalf("Bytes() = %d, wire had %d", rd.Bytes(), wireLen)
-	}
-
-	// Same stream through ReadColBatch: v1/v2 frames transpose, the v3
-	// frame lands zero-pivot; every frame is fully credited.
-	rd = NewReader(bytes.NewReader(wire.Bytes()))
-	dst := NewColBatch(types)
-	var got []Row
-	for {
-		_, err := rd.ReadColBatch(dst, types)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = dst.Rows(got)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ReadColBatch rows = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("ReadColBatch row %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if rd.Bytes() != wireLen {
-		t.Fatalf("ReadColBatch Bytes() = %d, wire had %d", rd.Bytes(), wireLen)
-	}
-}
-
 // TestReaderV3PartialThenBatch pins the resume-skip interaction: after the
 // row path has served part of a v3 frame (the duplicate-prefix skip of
 // the resume handshake), ReadColBatch returns exactly the remaining rows
 // and the frame's bytes are credited once, in full.
 func TestReaderV3PartialThenBatch(t *testing.T) {
-	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString}
+	types := blockRowTypes
 	cb := NewColBatch(types)
 	rows := blockRows(10, 0)
 	for _, r := range rows {
@@ -368,19 +277,16 @@ func TestDecodeColBlockRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzBlockFrame hammers the frame decoders — the v3 columnar parser and
-// the version-dispatching stream reader — with arbitrary bytes: they must
-// return errors on garbage, never panic, and never allocate beyond the
-// frame's own size (the per-encoding size checks run before any vector
-// is grown). Seeds cover valid v2 and v3 frames so mutations explore the
-// interesting neighborhoods.
+// FuzzBlockFrame hammers the frame decoders — the columnar parser and the
+// stream reader — with arbitrary bytes: they must return errors on
+// garbage, never panic, and never allocate beyond the frame's own size
+// (the per-encoding size checks run before any vector is grown). Seeds
+// cover valid frames, frames of the retired v1/v2 formats (which must be
+// rejected, not decoded) and the empty block frame that once panicked
+// nextFrame, so mutations explore the interesting neighborhoods.
 func FuzzBlockFrame(f *testing.F) {
-	var v2enc BlockEncoder
-	for _, r := range blockRows(8, 0) {
-		v2enc.Append(r)
-	}
-	f.Add(v2enc.Finish())
-	cb := NewColBatch([]Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString})
+	f.Add(v2BlockFrame(blockRows(8, 0)))
+	cb := NewColBatch(blockRowTypes)
 	for _, r := range blockRows(8, 0) {
 		cb.AppendRow(r)
 	}
@@ -389,6 +295,7 @@ func FuzzBlockFrame(f *testing.F) {
 	f.Add(AppendColBlock(nil, cb, false))
 	f.Add(v3[:len(v3)-3])
 	f.Add(AppendBinary(nil, blockRows(1, 0)[0]))
+	f.Add([]byte{0x00, 0x00, 0x00, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := NewColBatch(nil)
 		_, _ = DecodeColBlock(data, dst)
@@ -404,9 +311,8 @@ func FuzzBlockFrame(f *testing.F) {
 			}
 		}
 		rd = NewReader(bytes.NewReader(data))
-		types := []Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString}
 		for {
-			if _, err := rd.ReadColBatch(dst, types); err != nil {
+			if _, err := rd.ReadColBatch(dst, blockRowTypes); err != nil {
 				break
 			}
 		}

@@ -4,7 +4,7 @@ import "sqlml/internal/row"
 
 // DefaultBatchSize is how many rows flow through the pipeline per batch —
 // the single sizing constant shared with the wire layer (one pipeline
-// batch fills one v2 block frame; see row.DefaultBatchSize).
+// batch fills one wire block frame; see row.DefaultBatchSize).
 const DefaultBatchSize = row.DefaultBatchSize
 
 // RowBatch is the unit of data flowing between pipelined operators.

@@ -1,115 +1,13 @@
 package stream
 
 import (
-	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 
 	"sqlml/internal/hadoopfmt"
-	"sqlml/internal/ml"
 	"sqlml/internal/row"
 )
-
-// TestMixedVersionHandshakeReaderPinsV1 covers the wire-format negotiation:
-// one reader that only speaks the v1 per-row protocol pins the whole job to
-// it — the sender falls back to one frame per row, and delivery still
-// completes exactly-once.
-func TestMixedVersionHandshakeReaderPinsV1(t *testing.T) {
-	env := newTransferEnv(t)
-	f := &InputFormat{CoordAddr: env.coordAddr, Job: "jv1reader", Proto: row.WireProtoRow}
-	d, stats := env.runTransfer(t, "jv1reader", 2, 1, 150, f, DefaultSenderConfig())
-	checkExactlyOnce(t, d, 2, 150)
-	for _, s := range stats {
-		if s.FramesSent != s.RowsSent {
-			t.Errorf("v1-pinned job sent %d frames for %d rows; want one frame per row",
-				s.FramesSent, s.RowsSent)
-		}
-	}
-}
-
-// TestMixedVersionHandshakeSenderPinsV1 is the other direction: a sender
-// configured for the v1 protocol ignores the coordinator's block offer, and
-// the (block-capable) reader decodes the per-row stream fine.
-func TestMixedVersionHandshakeSenderPinsV1(t *testing.T) {
-	env := newTransferEnv(t)
-	f := &InputFormat{CoordAddr: env.coordAddr, Job: "jv1sender"}
-	cfg := DefaultSenderConfig()
-	cfg.Proto = row.WireProtoRow
-	d, stats := env.runTransfer(t, "jv1sender", 2, 1, 150, f, cfg)
-	checkExactlyOnce(t, d, 2, 150)
-	for _, s := range stats {
-		if s.FramesSent != s.RowsSent {
-			t.Errorf("v1 sender sent %d frames for %d rows; want one frame per row",
-				s.FramesSent, s.RowsSent)
-		}
-	}
-}
-
-// ingestFingerprint canonicalizes a dataset for cross-run comparison:
-// sorted (label, features) lines, independent of partition order.
-func ingestFingerprint(d *ml.Dataset) string {
-	pts := d.All()
-	lines := make([]string, len(pts))
-	for i, p := range pts {
-		lines[i] = fmt.Sprintf("%v|%v", p.Label, p.Features)
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
-// TestMixedVersionMatrix exercises every sender×reader protocol
-// combination. Each job must pin to min(proto): a v1 peer on either side
-// forces per-row frames, v2×v3 degrades to v2 blocks, and only v3×v3
-// gets columnar compression (raw_bytes > wire_bytes). The ingested
-// dataset must be identical in all nine combos.
-func TestMixedVersionMatrix(t *testing.T) {
-	env := newTransferEnv(t)
-	protos := []int{row.WireProtoRow, row.WireProtoBlock, row.WireProtoCol}
-	var want string
-	for _, sp := range protos {
-		for _, rp := range protos {
-			job := fmt.Sprintf("jmatrix-s%d-r%d", sp, rp)
-			f := &InputFormat{CoordAddr: env.coordAddr, Job: job, Proto: rp}
-			cfg := DefaultSenderConfig()
-			cfg.Proto = sp
-			d, stats := env.runTransfer(t, job, 2, 2, 120, f, cfg)
-			checkExactlyOnce(t, d, 2, 120)
-			fp := ingestFingerprint(d)
-			if want == "" {
-				want = fp
-			} else if fp != want {
-				t.Errorf("sender v%d × reader v%d: ingested dataset differs from the v1×v1 run", sp, rp)
-			}
-			min := sp
-			if rp < min {
-				min = rp
-			}
-			for _, s := range stats {
-				if min == row.WireProtoRow {
-					if s.FramesSent != s.RowsSent {
-						t.Errorf("sender v%d × reader v%d: %d frames for %d rows; a v1 peer must pin to one frame per row",
-							sp, rp, s.FramesSent, s.RowsSent)
-					}
-				} else if s.FramesSent >= s.RowsSent {
-					t.Errorf("sender v%d × reader v%d: %d frames for %d rows; blocks should coalesce",
-						sp, rp, s.FramesSent, s.RowsSent)
-				}
-				if min >= row.WireProtoCol {
-					if s.RawBytes <= s.WireBytes {
-						t.Errorf("sender v%d × reader v%d: raw %d ≤ wire %d; v3 compression absent",
-							sp, rp, s.RawBytes, s.WireBytes)
-					}
-				} else if s.RawBytes != s.WireBytes {
-					t.Errorf("sender v%d × reader v%d: raw %d ≠ wire %d; pre-v3 frames are the raw encoding",
-						sp, rp, s.RawBytes, s.WireBytes)
-				}
-			}
-		}
-	}
-}
 
 // drainSplits consumes every split of f batch-wise without retaining rows,
 // so the receiving side contributes no lasting heap growth.
@@ -134,9 +32,10 @@ func drainSplits(f *InputFormat) error {
 					errs[i] = cerr
 				}
 			}()
-			var buf []row.Row
+			cr := rr.(hadoopfmt.ColBatchRecordReader)
+			cb := row.NewColBatch(nil)
 			for {
-				batch, ok, err := hadoopfmt.ReadBatch(rr, buf[:0])
+				_, ok, err := cr.NextColBatch(cb)
 				if err != nil {
 					errs[i] = err
 					return
@@ -144,7 +43,6 @@ func drainSplits(f *InputFormat) error {
 				if !ok {
 					return
 				}
-				buf = batch
 			}
 		}(i, sp)
 	}

@@ -29,13 +29,13 @@ package stream
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
 	"time"
-
-	"sqlml/internal/row"
 )
 
 // JobSpec is what a launcher receives when all SQL workers of a job have
@@ -74,6 +74,45 @@ type Target struct {
 	Epoch uint32 `json:"epoch,omitempty"`
 }
 
+// maxControlMessage caps one control message. The largest legitimate one is
+// a splits or matches reply — tens of bytes per split — so 1 MiB is three
+// orders of magnitude of headroom, and a peer cannot make the coordinator
+// (or a client awaiting a reply) buffer more than this per connection.
+const maxControlMessage = 1 << 20
+
+// errMessageTooLarge is readMessage's refusal of a line past the cap.
+var errMessageTooLarge = fmt.Errorf("stream: control message exceeds %d bytes", maxControlMessage)
+
+// readMessage reads one control message — one JSON line — off br. Every
+// control-plane read on both sides of the protocol goes through it, which
+// is what bounds the bytes a peer can make this process hold: a line longer
+// than maxControlMessage is refused without reading the rest of it.
+func readMessage(br *bufio.Reader) (message, error) {
+	var line []byte
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if len(line)+len(chunk) > maxControlMessage {
+			return message{}, errMessageTooLarge
+		}
+		if err == nil && line == nil {
+			line = chunk // the common case: the whole message in one buffer
+			break
+		}
+		line = append(line, chunk...)
+		if err == nil || (err == io.EOF && len(line) > 0) {
+			break
+		}
+		if err != bufio.ErrBufferFull {
+			return message{}, err
+		}
+	}
+	var msg message
+	if err := json.Unmarshal(line, &msg); err != nil {
+		return message{}, fmt.Errorf("stream: malformed control message: %w", err)
+	}
+	return msg, nil
+}
+
 // message is the coordinator wire protocol (JSON lines).
 type message struct {
 	Type string `json:"type"`
@@ -96,12 +135,6 @@ type message struct {
 	// register_ml replies (see Target.Epoch).
 	Epoch uint32 `json:"epoch,omitempty"`
 
-	// Proto is the wire-format version the registering peer supports
-	// (row.WireProtoRow or row.WireProtoBlock; absent means the pre-block
-	// v1 protocol). In the matches reply it carries the job's negotiated
-	// version: the minimum over every registered sender and reader.
-	Proto int `json:"proto,omitempty"`
-
 	// splits / matches replies
 	Splits  []SplitInfo `json:"splits,omitempty"`
 	Targets []Target    `json:"targets,omitempty"`
@@ -112,12 +145,6 @@ type message struct {
 type jobState struct {
 	spec     JobSpec
 	launched bool
-
-	// proto is the job's negotiated wire-format version: the minimum
-	// advertised across every register_sql and register_ml seen so far
-	// (0 until the first registration; a peer that sends no version is a
-	// pre-block v1 speaker and pins the job to per-row frames).
-	proto int
 
 	// sqlWaiters[w] is the connection a registered SQL worker w is parked
 	// on, awaiting its matches message.
@@ -335,15 +362,18 @@ func (c *Coordinator) acceptLoop() {
 func (c *Coordinator) handle(conn net.Conn) {
 	//lint:allow errdiscard per-connection teardown in the accept loop; the request outcome was already sent (or the peer is gone)
 	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	br := bufio.NewReader(conn)
 	enc := json.NewEncoder(conn)
-	var msg message
-	if err := dec.Decode(&msg); err != nil {
+	msg, err := readMessage(br)
+	if err != nil {
+		if errors.Is(err, errMessageTooLarge) {
+			c.reply(enc, message{Type: "error", Error: err.Error()})
+		}
 		return
 	}
 	switch msg.Type {
 	case "register_sql":
-		c.handleRegisterSQL(&msg, conn, enc, dec)
+		c.handleRegisterSQL(&msg, conn, enc, br)
 	case "get_splits":
 		c.handleGetSplits(&msg, enc)
 	case "register_ml":
@@ -383,9 +413,9 @@ func (c *Coordinator) job(name string) *jobState {
 }
 
 // handleRegisterSQL implements steps 1-2 and the restart path: the worker
-// parks on this connection until its matches arrive. The decoder keeps the
+// parks on this connection until its matches arrive. Reading on keeps the
 // connection's read side alive so a dropped sender is eventually collected.
-func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.Encoder, dec *json.Decoder) {
+func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.Encoder, br *bufio.Reader) {
 	c.mu.Lock()
 	js := c.job(msg.Job)
 	isRestart := js.launched
@@ -402,7 +432,6 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 	js.dispatched[msg.Worker] = false
 	js.sqlConns[msg.Worker] = conn
 	js.lastBeat[msg.Worker] = time.Now()
-	js.noteProto(msg.Proto)
 	if isRestart {
 		js.restarts++
 		// §6 restart: the worker re-parks for a fresh matches message. ML
@@ -431,8 +460,11 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 	// received its matches and finished, or on its own failure path).
 	// Heartbeat messages arriving on the parked connection renew the
 	// worker's lease; everything else is discarded.
-	var parked message
-	for dec.Decode(&parked) == nil {
+	for {
+		parked, err := readMessage(br)
+		if err != nil {
+			break
+		}
 		if parked.Type != "heartbeat" {
 			continue
 		}
@@ -450,17 +482,6 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 		delete(js.sqlConns, msg.Worker)
 	}
 	c.mu.Unlock()
-}
-
-// noteProto folds one peer's advertised wire-format version into the
-// job's negotiated minimum. Callers hold c.mu.
-func (js *jobState) noteProto(p int) {
-	if p <= 0 {
-		p = row.WireProtoRow // pre-versioning peer
-	}
-	if js.proto == 0 || p < js.proto {
-		js.proto = p
-	}
 }
 
 // handleGetSplits implements step 3: it answers once all SQL workers have
@@ -523,7 +544,6 @@ func (c *Coordinator) handleRegisterML(msg *message, enc *json.Encoder) {
 	js.mlEpochs[msg.Split]++
 	epoch := js.mlEpochs[msg.Split]
 	js.mlRegs[msg.Split] = Target{Split: msg.Split, Listen: msg.Listen, Addr: msg.Addr, Epoch: epoch}
-	js.noteProto(msg.Proto)
 	k := js.spec.SplitsPer
 	worker := msg.Split / k
 	// A fresh ML registration re-arms dispatch for its group (restart).
@@ -579,18 +599,10 @@ func (c *Coordinator) tryDispatch(job string, worker int) {
 		targets = append(targets, t)
 	}
 	js.dispatched[worker] = true
-	proto := js.proto
 	c.mu.Unlock()
 
-	if err := enc.Encode(message{Type: "matches", Targets: targets, Proto: proto}); err != nil {
+	if err := enc.Encode(message{Type: "matches", Targets: targets}); err != nil {
 		log.Printf("stream: coordinator: dispatch to sql worker %d failed: %v", worker, err)
 	}
 	c.logf("matched sql worker %d of job %s with %d ml workers", worker, job, len(targets))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

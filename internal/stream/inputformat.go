@@ -45,11 +45,6 @@ type InputFormat struct {
 	// the reader fail abruptly (no ACK), simulating an ML worker crash for
 	// the §6 restart tests.
 	Inject func(split, rowsRead int) bool
-	// Proto caps the wire-format version this reader advertises to the
-	// coordinator (0 means latest). Setting row.WireProtoRow simulates a
-	// pre-block reader: the handshake then pins the whole job to per-row
-	// v1 frames.
-	Proto int
 
 	mu      sync.Mutex
 	fetched bool
@@ -126,8 +121,8 @@ func (f *InputFormat) fetchSplits() (_ row.Schema, _ []SplitInfo, err error) {
 	if err := json.NewEncoder(conn).Encode(message{Type: "get_splits", Job: f.Job}); err != nil {
 		return row.Schema{}, nil, err
 	}
-	var reply message
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&reply); err != nil {
+	reply, err := readMessage(bufio.NewReader(conn))
+	if err != nil {
 		return row.Schema{}, nil, fmt.Errorf("stream: get_splits: %w", err)
 	}
 	if reply.Type != "splits" {
@@ -221,17 +216,13 @@ func (f *InputFormat) registerML(split int, listen, nodeAddr string) (_ uint32, 
 			err = cerr
 		}
 	}()
-	proto := f.Proto
-	if proto <= 0 {
-		proto = row.WireProtoLatest
-	}
 	if err := json.NewEncoder(conn).Encode(message{
-		Type: "register_ml", Job: f.Job, Split: split, Listen: listen, Addr: nodeAddr, Proto: proto,
+		Type: "register_ml", Job: f.Job, Split: split, Listen: listen, Addr: nodeAddr,
 	}); err != nil {
 		return 0, err
 	}
-	var reply message
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&reply); err != nil {
+	reply, err := readMessage(bufio.NewReader(conn))
+	if err != nil {
 		return 0, fmt.Errorf("stream: register_ml: %w", err)
 	}
 	if reply.Type != "ok" {
@@ -270,9 +261,8 @@ type streamReader struct {
 	closed     bool
 }
 
-// Next implements hadoopfmt.RecordReader. The frame reader underneath is
-// block-aware: one wire read stages a whole block, and Next serves rows
-// out of it without further I/O or re-allocation.
+// Next implements hadoopfmt.RecordReader. One wire read stages a whole
+// block, and Next serves rows out of it without further I/O.
 func (r *streamReader) Next() (row.Row, bool, error) {
 	if r.done || r.failed {
 		return nil, false, nil
@@ -300,48 +290,11 @@ func (r *streamReader) Next() (row.Row, bool, error) {
 	}
 }
 
-// NextBatch implements hadoopfmt.BatchRecordReader: it serves one wire
-// frame's rows per call — the whole decoded block, or a single row from a
-// v1 frame — so batch-aware consumers amortize per-row call overhead on
-// top of the amortized I/O.
-func (r *streamReader) NextBatch(buf []row.Row) ([]row.Row, bool, error) {
-	if r.done || r.failed {
-		return nil, false, nil
-	}
-	for {
-		if r.conn == nil {
-			if err := r.connect(); err != nil {
-				return nil, false, r.fail(err)
-			}
-		}
-		batch, err := r.rd.ReadBlock(buf[:0])
-		if err == io.EOF {
-			return nil, false, r.finish()
-		}
-		if err != nil {
-			if rerr := r.reconnect(fmt.Errorf("stream: split %d read: %w", r.split, err)); rerr != nil {
-				return nil, false, r.fail(rerr)
-			}
-			continue
-		}
-		for range batch {
-			// Per-row bookkeeping still runs row-at-a-time: the slow-consumer
-			// delay and the §6 failure injection are per-row contracts, and a
-			// mid-batch injected crash discards the batch exactly like task
-			// re-execution discards partial rows.
-			if err := r.consumed(); err != nil {
-				return nil, false, err
-			}
-		}
-		return batch, true, nil
-	}
-}
-
 // NextColBatch implements hadoopfmt.ColBatchRecordReader: one wire frame
-// per call, materialized straight into dst. A v3 columnar frame lands
-// without ever forming a row — the zero-pivot path the sender's columnar
-// encoder exists for — while v1/v2 frames (mixed-version jobs, resumed
-// streams mid-frame) transpose through rows exactly once, here.
+// per call, decoded straight into dst without ever forming a row — the
+// zero-pivot path the sender's columnar encoder exists for. (A resumed
+// stream's first frame may arrive partly served by the handshake's
+// duplicate skip; its remaining rows are copied over.)
 func (r *streamReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 	if r.done || r.failed {
 		return 0, false, nil

@@ -33,13 +33,6 @@ type SenderConfig struct {
 	// granularity (~1024 rows / ~64 KB).
 	BlockRows  int
 	BlockBytes int
-	// Proto pins the wire-format version this sender offers during the
-	// coordinator handshake: row.WireProtoRow for one-frame-per-row (what
-	// pre-block senders speak), row.WireProtoBlock for multi-row block
-	// frames. 0 means latest. The coordinator negotiates the minimum
-	// across a job's senders and readers, so mixed-version deployments
-	// degrade to v1 instead of breaking.
-	Proto int
 	// SpillWait is how long a full queue may block the producer before it
 	// spills to disk; a fast consumer frees buffer space well within it.
 	SpillWait time.Duration
@@ -72,9 +65,9 @@ type SenderConfig struct {
 	// path under test.
 	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 	// DisableCompression turns off the per-column lightweight encodings of
-	// v3 frames: blocks still ship column-major, but every vector is written
-	// raw. Compression is on by default; the knob exists for the ablation
-	// grid and for debugging wire captures.
+	// the wire frames: blocks still ship column-major, but every vector is
+	// written raw. Compression is on by default; the knob exists for the
+	// ablation grid and for debugging wire captures.
 	DisableCompression bool
 	// DisableReplay turns off the per-slot frame spool that restart
 	// attempts resend from. With a streaming input the spool is the only
@@ -108,18 +101,19 @@ type SenderStats struct {
 	BytesSent    int64
 	SpilledBytes int64
 	Restarts     int
-	// FramesSent counts wire frames; with block framing it is the number
-	// of blocks, so FramesSent ≪ RowsSent is the observable signature of
-	// coalescing (FramesSent == RowsSent means the v1 per-row protocol).
+	// FramesSent counts wire frames, i.e. blocks: FramesSent ≪ RowsSent is
+	// the observable signature of coalescing (FramesSent == RowsSent is
+	// what a BlockRows of 1 degenerates to).
 	FramesSent int64
 	// Reconnects counts per-target reconnections that resumed from the
 	// spool without a §6 group restart: Reconnects > 0 with Restarts == 0
 	// is the signature of partial-failure recovery.
 	Reconnects int
-	// RawBytes is what the delivered rows would have cost in the v2 row
-	// encoding; WireBytes is what the negotiated frames actually cost.
-	// RawBytes/WireBytes is the observable compression ratio — 1.0 on
-	// v1/v2 jobs, above 1.0 when v3's per-column encodings bite.
+	// RawBytes is what the delivered rows would have cost as blocks of
+	// row-encoded rows (row.BlockEncoder.RawBytes); WireBytes is what the
+	// columnar frames actually cost. RawBytes/WireBytes is the observable
+	// compression ratio: above 1.0 when the per-column encodings bite,
+	// slightly below it for data they cannot shrink.
 	RawBytes  int64
 	WireBytes int64
 }
@@ -225,9 +219,9 @@ type SendRequest struct {
 	Config     SenderConfig
 }
 
-// spooledBlock is one §6 replay spool entry: an encoded wire frame (a
-// block, or a single v1 row frame) plus its row count and v2-equivalent
-// raw size, so retry attempts resend and account it without re-decoding.
+// spooledBlock is one §6 replay spool entry: an encoded wire frame plus
+// its row count and row-encoded (raw) size, so retry attempts resend and
+// account it without re-decoding.
 type spooledBlock struct {
 	frame []byte
 	rows  int64
@@ -285,9 +279,6 @@ func Send(req SendRequest) (*SenderStats, error) {
 	if cfg.BlockBytes <= 0 {
 		cfg.BlockBytes = DefaultSenderConfig().BlockBytes
 	}
-	if cfg.Proto <= 0 {
-		cfg.Proto = row.WireProtoLatest
-	}
 	if cfg.ReconnectBudget == 0 {
 		cfg.ReconnectBudget = DefaultSenderConfig().ReconnectBudget
 	}
@@ -338,7 +329,6 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	//lint:allow errdiscard control-connection teardown is best-effort; delivery is confirmed by the data-channel ACK, not this Close
 	defer coord.Close()
 	enc := json.NewEncoder(coord)
-	dec := json.NewDecoder(bufio.NewReader(coord))
 	if err := enc.Encode(message{
 		Type:       "register_sql",
 		Job:        req.Job,
@@ -349,15 +339,14 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 		Command:    req.Command,
 		Args:       req.Args,
 		K:          req.K,
-		Proto:      cfg.Proto,
 	}); err != nil {
 		return false, fmt.Errorf("stream: register: %w", err)
 	}
 	if err := coord.SetReadDeadline(time.Now().Add(cfg.DialTimeout)); err != nil {
 		return false, fmt.Errorf("stream: set coordinator deadline: %w", err)
 	}
-	var reply message
-	if err := dec.Decode(&reply); err != nil {
+	reply, err := readMessage(bufio.NewReader(coord))
+	if err != nil {
 		return false, fmt.Errorf("stream: awaiting matches: %w", err)
 	}
 	if reply.Type != "matches" {
@@ -392,16 +381,6 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	targets := reply.Targets
 	if len(targets) == 0 {
 		return false, fmt.Errorf("stream: empty match set")
-	}
-	// The coordinator replies with the job's negotiated wire protocol: the
-	// minimum across every registered sender and reader, so one v1 peer
-	// pins the whole job to per-row frames.
-	proto := reply.Proto
-	if proto <= 0 {
-		proto = row.WireProtoRow
-	}
-	if proto > cfg.Proto {
-		proto = cfg.Proto
 	}
 
 	// Slot j of this worker is split worker*k + j; rows are assigned
@@ -450,7 +429,7 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 		if src.input != nil && src.spool != nil {
 			// The upstream pipeline is one-shot: drain it into the spool now
 			// so the retry attempt has the rows.
-			if err := src.consumeInput(k, nil, cfg, proto, row.SchemaTypes(req.Schema)); err != nil {
+			if err := src.consumeInput(k, nil, cfg, row.SchemaTypes(req.Schema)); err != nil {
 				return false, &fatalError{err}
 			}
 		}
@@ -460,11 +439,9 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	// Step 8: round-robin the partition across the slots, sending only the
 	// incomplete ones. The first attempt streams the input as it is
 	// produced; retries resend unconfirmed slots from the spool, one
-	// enqueue per block. Spooled frames keep whatever encoding the attempt
-	// that built them negotiated — both framings stay decodable on every
-	// reader, so a renegotiated retry never re-encodes.
+	// enqueue per block, never re-encoding.
 	if src.input != nil {
-		if err := src.consumeInput(k, chans, cfg, proto, row.SchemaTypes(req.Schema)); err != nil {
+		if err := src.consumeInput(k, chans, cfg, row.SchemaTypes(req.Schema)); err != nil {
 			// The pipeline feeding the sender failed: unsent rows are gone,
 			// no restart can recover them.
 			closeAll(chans)
@@ -648,8 +625,8 @@ func getTarget(coordAddr string, timeout time.Duration, job string, split int) (
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return Target{}, err
 	}
-	var reply message
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&reply); err != nil {
+	reply, err := readMessage(bufio.NewReader(conn))
+	if err != nil {
 		return Target{}, fmt.Errorf("stream: get_target: %w", err)
 	}
 	if reply.Type != "target" || len(reply.Targets) != 1 {
@@ -659,143 +636,103 @@ func getTarget(coordAddr string, timeout time.Duration, job string, split int) (
 }
 
 // consumeInput drains the streaming input exactly once, packing each
-// slot's rows into block frames built on pooled buffers (or per-row v1
-// frames when the job negotiated down), spooling each finished block
-// (when replay is enabled) and fanning it out to the live channels (chans
-// is nil when a dial failure means this attempt only spools). A slot's
-// block flushes on the row/byte budget and at end of stream, so channel
-// operations, spool entries, and wire writes are O(blocks), not O(rows).
-// The input is consumed afterwards.
-func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfig, proto int, types []row.Type) error {
+// slot's rows into block frames built on pooled buffers, spooling each
+// finished block (when replay is enabled) and fanning it out to the live
+// channels (chans is nil when a dial failure means this attempt only
+// spools). A slot's block flushes on the row/byte budget and at end of
+// stream, so channel operations, spool entries, and wire writes are
+// O(blocks), not O(rows). The input is consumed afterwards.
+func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfig, types []row.Type) error {
 	in := s.input
 	s.input = nil
-	flush := func(j int, frame []byte, rows, raw int64) error {
+	// Every slot's encoder stages column-major and Finish emits a columnar
+	// frame with per-column encodings, regardless of whether the rows arrive
+	// through a batch cursor or a row iterator — a UDF pipe upstream must
+	// not cost the wire its compression. The flush budget is counted in
+	// row-encoded bytes (RawBytes), so it does not move with how well a
+	// block happens to compress.
+	encoders := make([]row.BlockEncoder, k)
+	for j := range encoders {
+		encoders[j].EnableColumnar(types, !cfg.DisableCompression)
+	}
+	// flush seals slot j's block and hands it on.
+	flush := func(j int) {
+		enc := &encoders[j]
+		rows, raw := int64(enc.Rows()), int64(enc.RawBytes())
+		frame := enc.Finish()
 		if frame == nil {
-			return nil
+			return
 		}
 		if s.spool != nil {
 			s.spool[j] = append(s.spool[j], spooledBlock{frame: frame, rows: rows, raw: raw})
 		}
 		if chans == nil {
-			return nil
+			return
 		}
 		tc := chans[j]
 		if tc == nil || tc.aborted {
 			if s.spool == nil {
 				row.RecycleBlockBuffer(frame)
 			}
-			return nil
+			return
 		}
 		if err := tc.enqueue(frame, rows, raw); err != nil {
 			// Keep streaming the healthy slots; this one retries next
 			// attempt (or fails the transfer when replay is off).
 			tc.abort()
 		}
-		return nil
 	}
-	encoders := make([]row.BlockEncoder, k)
-	if proto >= row.WireProtoCol {
-		// v3: every slot's encoder stages column-major and Finish emits a
-		// columnar frame with per-column encodings, regardless of whether
-		// the rows arrive through a batch cursor or a row iterator — a UDF
-		// pipe upstream must not cost the wire its compression. Len()
-		// reports the v2-equivalent size in this mode, so the flush budget
-		// (and the spill/queue behavior behind it) is unchanged.
-		for j := range encoders {
-			encoders[j].EnableColumnar(types, !cfg.DisableCompression)
+	flushIfFull := func(j int) {
+		if enc := &encoders[j]; enc.Rows() >= cfg.BlockRows || enc.RawBytes() >= cfg.BlockBytes {
+			flush(j)
 		}
-	}
-	colMode := proto >= row.WireProtoCol
-	finish := func(j int) error {
-		enc := &encoders[j]
-		rows, raw := int64(enc.Rows()), int64(enc.Len())
-		frame := enc.Finish()
-		if !colMode && frame != nil {
-			// v1/v2 frames are the raw encoding: ratio 1.0 by definition.
-			raw = int64(len(frame))
-		}
-		return flush(j, frame, rows, raw)
 	}
 	i := 0
-	// Columnar fast path: when the input is a thin cursor over the engine's
-	// columnar pipeline, encode wire frames straight from the batch's
-	// vectors — same round-robin slot assignment, same flush budget, and
-	// AppendBatchRow is value-identical to Append, so the decoded stream
-	// cannot differ from the row path. With one target and v3 frames the
-	// whole batch appends vector-at-a-time: no per-row step at all.
-	if proto >= row.WireProtoBlock {
-		if cb, ok := sqlengine.AsColBatchSource(in); ok {
-			for {
-				b, ok, err := cb.NextColBatch()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				n := b.Len()
-				if k == 1 && proto >= row.WireProtoCol {
-					enc := &encoders[0]
-					enc.AppendBatch(b)
-					i += n
-					if enc.Rows() >= cfg.BlockRows || enc.Len() >= cfg.BlockBytes {
-						if err := finish(0); err != nil {
-							return err
-						}
-					}
-					continue
-				}
-				for si := 0; si < n; si++ {
-					j := i % k
-					i++
-					enc := &encoders[j]
-					enc.AppendBatchRow(b, b.SelPos(si))
-					if enc.Rows() >= cfg.BlockRows || enc.Len() >= cfg.BlockBytes {
-						if err := finish(j); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			for j := range encoders {
-				if err := finish(j); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	for {
-		r, ok, err := in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		j := i % k
-		i++
-		if proto < row.WireProtoBlock {
-			// v1 fallback: one frame per row, exactly the old wire format.
-			f := row.AppendBinary(nil, r)
-			if err := flush(j, f, 1, int64(len(f))); err != nil {
+	if cb, ok := sqlengine.AsColBatchSource(in); ok {
+		// Columnar fast path: the input is a thin cursor over the engine's
+		// columnar pipeline, so stage frames straight from the batch's
+		// vectors — same round-robin slot assignment, same flush budget, and
+		// AppendBatchRow is value-identical to Append, so the decoded stream
+		// cannot differ from the row path. With one target the whole batch
+		// appends vector-at-a-time: no per-row step at all.
+		for {
+			b, ok, err := cb.NextColBatch()
+			if err != nil {
 				return err
 			}
-			continue
+			if !ok {
+				break
+			}
+			if k == 1 {
+				encoders[0].AppendBatch(b)
+				flushIfFull(0)
+				continue
+			}
+			for si, n := 0, b.Len(); si < n; si++ {
+				j := i % k
+				i++
+				encoders[j].AppendBatchRow(b, b.SelPos(si))
+				flushIfFull(j)
+			}
 		}
-		enc := &encoders[j]
-		enc.Append(r)
-		if enc.Rows() >= cfg.BlockRows || enc.Len() >= cfg.BlockBytes {
-			if err := finish(j); err != nil {
+	} else {
+		for {
+			r, ok, err := in.Next()
+			if err != nil {
 				return err
 			}
+			if !ok {
+				break
+			}
+			j := i % k
+			i++
+			encoders[j].Append(r)
+			flushIfFull(j)
 		}
 	}
 	// End of stream: flush every slot's partial block.
 	for j := range encoders {
-		if err := finish(j); err != nil {
-			return err
-		}
+		flush(j)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +152,10 @@ func TestTransferEndToEnd(t *testing.T) {
 		// Block framing coalesces rows into multi-row frames.
 		if s.FramesSent == 0 || s.FramesSent >= s.RowsSent {
 			t.Errorf("block framing inactive: frames=%d rows=%d", s.FramesSent, s.RowsSent)
+		}
+		// The columnar frames undercut the rows' row-encoded size.
+		if s.RawBytes <= s.WireBytes {
+			t.Errorf("per-column encodings absent: raw=%d wire=%d", s.RawBytes, s.WireBytes)
 		}
 	}
 	if totalSent != 800 {
@@ -568,7 +573,13 @@ func TestMessageLogReplayFromCommitted(t *testing.T) {
 
 func TestCoordinatorRejectsUnknownMessage(t *testing.T) {
 	env := newTransferEnv(t)
-	_ = env
+	reply, err := controlExchange(t, env.coordAddr, []byte(`{"type":"bogus"}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Type != "error" || !strings.Contains(reply.Error, "bogus") {
+		t.Fatalf("reply = %+v, want an error naming the message type", reply)
+	}
 }
 
 // TestCoordinatorCrashRecovery exercises §6's "the coordinator service must

@@ -337,7 +337,7 @@ func recodeApplyUDF() *sqlengine.TableUDF {
 				recodeIdx[ctx.InSchema.ColIndex(c)] = strings.ToLower(c)
 			}
 			// Columnar fast path: when the partition input is a thin cursor
-			// over a columnar pipeline (a v3 stream ingest included), rewrite
+			// over a columnar pipeline (a stream ingest included), rewrite
 			// whole batches — passthrough columns copy cell-by-cell without
 			// boxing into Values, and categorical columns probe the map
 			// straight from the vector's byte slab. The emit boundary stays

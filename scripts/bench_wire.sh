@@ -1,7 +1,7 @@
 #!/bin/sh
-# Runs the wire-protocol ablation grid (BenchmarkAblationBlockSize: the v1
-# per-row frames, the v2 block sweep, and the v2-vs-v3 × compression
-# on/off wire-format variants) and dumps the results as JSON.
+# Runs the wire ablation grid (BenchmarkAblationBlockSize: the rows-per-block
+# sweep from one row per frame up to 4096, plus the default block budget
+# with the per-column encodings turned off) and dumps the results as JSON.
 #
 #   scripts/bench_wire.sh [output.json]
 #
