@@ -16,7 +16,7 @@ race:
 lint:
 	scripts/lint.sh
 
-# Inner loop: gofmt + the sqlmlvet suite only (seconds, stdlib-only).
+# Inner loop: gofmt + the sqlmlvet suite + deadexports (seconds, stdlib-only).
 lint-fast:
 	scripts/lint.sh --fast
 

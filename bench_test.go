@@ -288,43 +288,6 @@ func BenchmarkFailureRecovery(b *testing.B) {
 	b.ReportMetric(float64(restarts)/float64(b.N), "restarts/op")
 }
 
-// BenchmarkMessageLogTransfer measures the §8 future-work alternative: the
-// same rows through a Kafka-style message log instead of direct sockets.
-func BenchmarkMessageLogTransfer(b *testing.B) {
-	b.Run("direct-stream", func(b *testing.B) {
-		runTransferBench(b, experiments.DefaultTransfer())
-	})
-	b.Run("message-log", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.MessageLogTransfer(4, 2000); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationRecode compares the paper's join-based recode against
-// the map-side recode_apply UDF.
-func BenchmarkAblationRecode(b *testing.B) {
-	env, err := experiments.Setup(experiments.DefaultScale(), stream.DefaultSenderConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer env.Close()
-	var joinTotal, mapTotal time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j, m, err := experiments.RecodeAblation(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		joinTotal += j
-		mapTotal += m
-	}
-	b.ReportMetric(simMS(joinTotal)/float64(b.N), "sim-ms-join")
-	b.ReportMetric(simMS(mapTotal)/float64(b.N), "sim-ms-mapside")
-}
-
 func runTransferBench(b *testing.B, cfg experiments.TransferConfig) {
 	b.Helper()
 	var total time.Duration

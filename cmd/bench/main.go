@@ -228,13 +228,6 @@ func runAblations(experiments.Scale) error {
 		}
 		report("failure recovery", "1 ML worker crash", rep)
 	}
-	{
-		rep, err := experiments.MessageLogTransfer(4, 2000)
-		if err != nil {
-			return err
-		}
-		report("message log (§8)", "kafka-style", rep)
-	}
 	if err := w.Flush(); err != nil {
 		return err
 	}

@@ -22,7 +22,6 @@ import (
 	"sqlml/internal/core"
 	"sqlml/internal/datagen"
 	"sqlml/internal/row"
-	"sqlml/internal/transform"
 )
 
 func main() {
@@ -42,9 +41,6 @@ func run(users, cartsPer, maxRows int) error {
 		return err
 	}
 	defer env.Close()
-	if err := transform.RegisterScalingUDFs(env.Engine); err != nil {
-		return err
-	}
 	d, err := datagen.Generate(datagen.Config{Users: users, CartsPerUser: cartsPer, Seed: 7})
 	if err != nil {
 		return err

@@ -103,20 +103,6 @@ func run() error {
 	fmt.Printf("SVM abandonment classifier (held-out): %s\n", m)
 	fmt.Printf("held-out AUC: %.3f\n", ml.AUC(test, model.Margin))
 
-	// Persist the model to the DFS, as a production pipeline would, and
-	// prove the loaded copy predicts identically.
-	if err := ml.SaveModel(env.FS, "/models/abandonment-svm", model, env.Topo.Node(1)); err != nil {
-		return err
-	}
-	loaded, err := ml.LoadModel(env.FS, "/models/abandonment-svm", env.Topo.Node(2))
-	if err != nil {
-		return err
-	}
-	reloaded := loaded.(*ml.LinearModel)
-	m2 := ml.EvaluateBinary(test, reloaded.Predict)
-	fmt.Printf("model saved to DFS and reloaded: accuracy %.3f (same: %v)\n",
-		m2.Accuracy(), m2 == m)
-
 	// The same prepared data serves other classifiers without re-running
 	// the pipeline — the use case §5.1 motivates caching with.
 	bayesData := res.Dataset

@@ -30,9 +30,8 @@
 // contract: a *ColBatch returned by NextCol or NextColBatch is recycled by
 // the following call, and so is every view handed out by its accessors.
 // Births from Next-shaped methods returning *ColBatch are tracked like
-// RowBatch ones, and the view accessors — Col, Sel, Bytes, NullWords,
-// StringSlab — keep the alias alive instead of transferring ownership the
-// way Rows (which copies) does.
+// RowBatch ones, and the view accessors — Col, Sel, Bytes — keep the alias
+// alive instead of transferring ownership the way Rows (which copies) does.
 package batchretain
 
 import (
@@ -358,7 +357,7 @@ func (c *checker) aliasOf(e ast.Expr) (*types.Var, token.Pos) {
 		case *ast.CallExpr:
 			// Columnar view accessors hand out slices of the batch's own
 			// storage: b.Col(i) is a vector header over it, b.Sel() the
-			// selection vector, Bytes/NullWords/StringSlab the raw slabs.
+			// selection vector, Bytes the raw payload slab.
 			// Any other call (Rows, ValueAt, Clone, …) copies and breaks
 			// the alias chain.
 			sel, ok := unparen(x.Fun).(*ast.SelectorExpr)
@@ -376,7 +375,7 @@ func (c *checker) aliasOf(e ast.Expr) (*types.Var, token.Pos) {
 // columnar batch's recycled storage rather than an owning copy.
 func isViewAccessor(name string) bool {
 	switch name {
-	case "Col", "Sel", "Bytes", "NullWords", "StringSlab":
+	case "Col", "Sel", "Bytes":
 		return true
 	}
 	return false

@@ -4,15 +4,11 @@
 package batchretain
 
 type Vector struct {
-	Ints  []int64
-	bytes []byte
-	nulls []uint64
+	Ints []int64
 }
 
-func (v *Vector) Bytes(i int) []byte             { return nil }
-func (v *Vector) NullWords() []uint64            { return v.nulls }
-func (v *Vector) StringSlab() ([]byte, []uint32) { return v.bytes, nil }
-func (v *Vector) ValueAt(i int) int64            { return v.Ints[i] }
+func (v *Vector) Bytes(i int) []byte  { return nil }
+func (v *Vector) ValueAt(i int) int64 { return v.Ints[i] }
 
 type ColBatch struct {
 	cols []Vector

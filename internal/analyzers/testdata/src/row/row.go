@@ -21,23 +21,21 @@ type Vector struct {
 	Bools  []bool
 }
 
-func (v *Vector) Len() int                       { return 0 }
-func (v *Vector) Reset(t Type)                   {}
-func (v *Vector) ResetDense(t Type, n int)       {}
-func (v *Vector) AppendInt(x int64)              {}
-func (v *Vector) AppendFloat(x float64)          {}
-func (v *Vector) AppendBool(x bool)              {}
-func (v *Vector) AppendBytes(b []byte)           {}
-func (v *Vector) AppendString(s string)          {}
-func (v *Vector) AppendNull()                    {}
-func (v *Vector) AppendValue(val Value)          {}
-func (v *Vector) SetNull(i int)                  {}
-func (v *Vector) Null(i int) bool                { return false }
-func (v *Vector) NullWords() []uint64            { return nil }
-func (v *Vector) Bytes(i int) []byte             { return nil }
-func (v *Vector) StringAt(i int) string          { return "" }
-func (v *Vector) ValueAt(i int) Value            { return Value{} }
-func (v *Vector) StringSlab() ([]byte, []uint32) { return nil, nil }
+func (v *Vector) Len() int                 { return 0 }
+func (v *Vector) Reset(t Type)             {}
+func (v *Vector) ResetDense(t Type, n int) {}
+func (v *Vector) AppendInt(x int64)        {}
+func (v *Vector) AppendFloat(x float64)    {}
+func (v *Vector) AppendBool(x bool)        {}
+func (v *Vector) AppendBytes(b []byte)     {}
+func (v *Vector) AppendString(s string)    {}
+func (v *Vector) AppendNull()              {}
+func (v *Vector) AppendValue(val Value)    {}
+func (v *Vector) SetNull(i int)            {}
+func (v *Vector) Null(i int) bool          { return false }
+func (v *Vector) Bytes(i int) []byte       { return nil }
+func (v *Vector) StringAt(i int) string    { return "" }
+func (v *Vector) ValueAt(i int) Value      { return Value{} }
 
 // ColBatch mirrors the engine's column-major batch: Len() is the logical
 // (selection-applied) length, FullLen() the physical one.

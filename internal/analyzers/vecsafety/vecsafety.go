@@ -14,7 +14,7 @@
 //
 //   - use after release: once PutColBatch(b) returns a batch to the pool,
 //     any later use of b — or of a view previously obtained from it via
-//     Col/Sel/NullWords/StringSlab — races with the pool's next caller.
+//     Col/Sel/Bytes — races with the pool's next caller.
 //     Deferred releases are fine (they run at function exit); a
 //     reassignment of the variable starts a fresh batch.
 //
@@ -330,7 +330,7 @@ func viewParent(info *types.Info, rhs ast.Expr) *types.Var {
 		return nil
 	}
 	switch sel.Sel.Name {
-	case "Col", "Sel", "NullWords", "StringSlab", "Bytes":
+	case "Col", "Sel", "Bytes":
 	default:
 		return nil
 	}

@@ -9,6 +9,7 @@ import (
 	"sqlml/internal/cluster"
 	"sqlml/internal/datagen"
 	"sqlml/internal/ml"
+	"sqlml/internal/row"
 	"sqlml/internal/transform"
 )
 
@@ -51,16 +52,23 @@ func newTestEnv(t testing.TB, users, cartsPer int, cost *cluster.CostModel) *Env
 // arms fault injection through it) and loads the paper workload.
 func startEnv(t testing.TB, cfg EnvConfig, users, cartsPer int) *Env {
 	t.Helper()
+	d, err := datagen.Generate(datagen.Config{Users: users, CartsPerUser: cartsPer, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startEnvWithData(t, cfg, d)
+}
+
+// startEnvWithData is startEnv over caller-supplied tables, for tests that
+// plant a value the generator never produces.
+func startEnvWithData(t testing.TB, cfg EnvConfig, d *datagen.Dataset) *Env {
+	t.Helper()
 	env, err := NewEnv(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(env.Close)
 
-	d, err := datagen.Generate(datagen.Config{Users: users, CartsPerUser: cartsPer, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
 	usersPath, cartsPath, err := datagen.WriteToDFS(d, env.FS, "/warehouse", env.Topo.Node(1))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +93,28 @@ func datasetFingerprint(d *ml.Dataset) []string {
 }
 
 func TestAllThreeApproachesProduceIdenticalDatasets(t *testing.T) {
-	env := newTestEnv(t, 60, 8, nil)
+	const cartsPer = 8
+	d, err := datagen.Generate(datagen.Config{Users: 60, CartsPerUser: cartsPer, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One USA user has no recorded gender. NULL is not a recode level and
+	// phase 2 is an inner join, so every approach must drop that user's
+	// carts — the naive path included.
+	usa, planted := 0, false
+	for _, u := range d.Users {
+		if u[3].AsString() != "USA" {
+			continue
+		}
+		usa++
+		if !planted {
+			u[2] = row.NullOf(row.TypeString)
+			planted = true
+		}
+	}
+	envCfg := DefaultEnvConfig()
+	envCfg.BlockSize = 16 << 10
+	env := startEnvWithData(t, envCfg, d)
 	cfg := paperConfig()
 
 	results := make(map[Approach]*RunResult)
@@ -94,8 +123,8 @@ func TestAllThreeApproachesProduceIdenticalDatasets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}
-		if res.Rows == 0 {
-			t.Fatalf("%s produced no rows", a)
+		if want := (usa - 1) * cartsPer; res.Rows != want {
+			t.Fatalf("%s produced %d rows, want %d (the NULL-gender user's carts excluded)", a, res.Rows, want)
 		}
 		results[a] = res
 	}

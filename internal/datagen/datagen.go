@@ -28,12 +28,6 @@ type Config struct {
 	Seed         int64
 }
 
-// Default returns a laptop-scale configuration (2 000 users, 100 carts
-// each — the paper's ratio at 1:5000 scale).
-func Default() Config {
-	return Config{Users: 2000, CartsPerUser: 100, Seed: 7}
-}
-
 // UsersSchema is the users table schema from the paper's example.
 func UsersSchema() row.Schema {
 	return row.MustSchema(

@@ -155,9 +155,6 @@ func (fs *FileSystem) NodeDown(nodeID int) bool {
 	return dn.down
 }
 
-// BlockSize returns the configured block size.
-func (fs *FileSystem) BlockSize() int64 { return fs.cfg.BlockSize }
-
 func cleanPath(p string) (string, error) {
 	p = strings.TrimSpace(p)
 	if p == "" || !strings.HasPrefix(p, "/") {

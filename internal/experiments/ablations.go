@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"sqlml/internal/cluster"
-	"sqlml/internal/core"
 	"sqlml/internal/ml"
 	"sqlml/internal/row"
 	"sqlml/internal/stream"
-	"sqlml/internal/transform"
 )
 
 // TransferConfig parameterises one isolated streaming-transfer experiment
@@ -195,97 +193,4 @@ func RunTransfer(cfg TransferConfig) (*TransferReport, error) {
 		report.WireBytes += s.WireBytes
 	}
 	return report, nil
-}
-
-// MessageLogTransfer runs the §8 future-work alternative: the same rows
-// flow through a Kafka-style message log instead of direct sockets.
-func MessageLogTransfer(workers, rowsPerWorker int) (*TransferReport, error) {
-	topo := cluster.NewTopology(workers + 1)
-	cost := CalibratedCost()
-	log := stream.NewMessageLog()
-	if err := log.CreateTopic("t", workers, transferSchema()); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rowsPerWorker; i++ {
-				r := row.Row{row.Int(int64(w*10_000_000 + i)), row.Float(float64(i)), row.Int(int64(i % 2))}
-				if err := log.Append("t", w, r); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-			errs[w] = log.Seal("t", w)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	d, err := ml.Ingest(&stream.LogFormat{Log: log, Topic: "t"}, ml.IngestOptions{
-		LabelCol: "label",
-		Nodes:    topo.Nodes(),
-		Cost:     cost,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if d.NumRows() != workers*rowsPerWorker {
-		return nil, fmt.Errorf("experiments: log delivered %d rows", d.NumRows())
-	}
-	return &TransferReport{
-		Rows:     d.NumRows(),
-		SimTime:  cost.Stats().SimulatedTime,
-		NetBytes: cost.Stats().NetBytes,
-		Wall:     time.Since(start),
-	}, nil
-}
-
-// RecodeAblation compares the paper's join-based recode (phase 2) against
-// the map-side recode_apply UDF on the same prepared table, returning the
-// simulated time of each.
-func RecodeAblation(env *core.Env) (joinSim, mapSideSim time.Duration, err error) {
-	prep, err := env.Engine.Query(PaperQuery)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := env.Engine.RegisterResult("__ablate_prep", prep); err != nil {
-		return 0, 0, err
-	}
-	defer env.Engine.DropTable("__ablate_prep")
-	_, mapTable, err := transform.BuildRecodeMap(env.Engine, "__ablate_prep", []string{"gender", "abandoned"})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer env.Engine.DropTable(mapTable)
-
-	// Recode results are streaming pipelines; drain them so the simulated
-	// cost of actually executing each path is charged.
-	env.Cost.ResetStats()
-	joined, err := transform.Recode(env.Engine, "__ablate_prep", mapTable, []string{"gender", "abandoned"})
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := joined.Materialize(); err != nil {
-		return 0, 0, err
-	}
-	joinSim = env.Cost.Stats().SimulatedTime
-
-	env.Cost.ResetStats()
-	mapped, err := transform.RecodeMapSide(env.Engine, "__ablate_prep", mapTable, []string{"gender", "abandoned"})
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := mapped.Materialize(); err != nil {
-		return 0, 0, err
-	}
-	mapSideSim = env.Cost.Stats().SimulatedTime
-	return joinSim, mapSideSim, nil
 }

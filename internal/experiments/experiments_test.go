@@ -138,21 +138,6 @@ func TestRunTransferBlockFramingContrast(t *testing.T) {
 	}
 }
 
-func TestRecodeAblationBothPathsRun(t *testing.T) {
-	env, err := Setup(SmallScale(), stream.DefaultSenderConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	joinSim, mapSim, err := RecodeAblation(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joinSim <= 0 || mapSim <= 0 {
-		t.Errorf("ablation sims: join=%v mapside=%v", joinSim, mapSim)
-	}
-}
-
 func TestMRStartupDelayScalesWithWorkload(t *testing.T) {
 	small := MRStartupDelay(Scale{Users: 100, CartsPerUser: 10})
 	big := MRStartupDelay(Scale{Users: 1000, CartsPerUser: 100})

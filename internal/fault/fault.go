@@ -13,7 +13,6 @@
 package fault
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -76,22 +75,3 @@ func (r *Rand) Jitter(max time.Duration) time.Duration {
 	}
 	return time.Duration(r.Int63n(int64(max)))
 }
-
-// Plan is one seeded fault schedule. Sub-injectors (connections, DFS,
-// tasks) fork their randomness from it so each consumes an independent
-// stream.
-type Plan struct {
-	Seed int64
-	rnd  *Rand
-}
-
-// NewPlan returns a plan for the seed.
-func NewPlan(seed int64) *Plan {
-	return &Plan{Seed: seed, rnd: NewRand(seed)}
-}
-
-// Rand forks an independent generator off the plan.
-func (p *Plan) Rand() *Rand { return p.rnd.Fork() }
-
-// String identifies the plan in failure messages.
-func (p *Plan) String() string { return fmt.Sprintf("fault.Plan(seed=%d)", p.Seed) }

@@ -149,8 +149,8 @@ func Transform(env *Env, inputPath string, inputSchema row.Schema, spec transfor
 		Name:  "jaql-transform",
 		Input: input,
 		Mapper: mapred.MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
-			out, err := enc.Encode(r)
-			if err != nil {
+			out, ok, err := enc.Encode(r)
+			if err != nil || !ok {
 				return err
 			}
 			return emit("", out)

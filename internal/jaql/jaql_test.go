@@ -81,7 +81,10 @@ func TestTransformEndToEnd(t *testing.T) {
 // same multiset of rows for the same input and spec.
 func TestMatchesInSQLTransform(t *testing.T) {
 	env := newEnv(t)
-	rows := prepRows()
+	// A NULL categorical value is not a level: the In-SQL inner-join recode
+	// excludes the row, and the naive apply job must exclude it too.
+	rows := append(prepRows(),
+		row.Row{row.Int(29), row.NullOf(row.TypeString), row.Float(12.5), row.String_("No")})
 	if _, err := hadoopfmt.WriteTextTable(env.FS, "/x/prep", prepSchema(), rows, env.Topo.Node(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +121,9 @@ func TestMatchesInSQLTransform(t *testing.T) {
 	}
 	if len(jrows) != len(srows) {
 		t.Fatalf("row counts differ: %d vs %d", len(jrows), len(srows))
+	}
+	if len(srows) != len(rows)-1 {
+		t.Fatalf("transformed rows = %d, want %d (NULL-gender row excluded)", len(srows), len(rows)-1)
 	}
 	count := map[string]int{}
 	for _, r := range jrows {

@@ -39,7 +39,6 @@ type linearKind int
 const (
 	kindSVM linearKind = iota
 	kindLogistic
-	kindRegression
 )
 
 // Margin returns w·x + b.
@@ -51,24 +50,17 @@ func (m *LinearModel) Margin(x []float64) float64 {
 	return s
 }
 
-// Predict returns the class (0/1) for classifiers or the predicted value
-// for regression.
+// Predict returns the class (0/1): the margin for an SVM, the probability
+// for logistic regression, compared against Threshold.
 func (m *LinearModel) Predict(x []float64) float64 {
-	margin := m.Margin(x)
-	switch m.kind {
-	case kindSVM:
-		if margin >= m.Threshold {
-			return 1
-		}
-		return 0
-	case kindLogistic:
-		if sigmoid(margin) >= m.Threshold {
-			return 1
-		}
-		return 0
-	default:
-		return margin
+	score := m.Margin(x)
+	if m.kind == kindLogistic {
+		score = sigmoid(score)
 	}
+	if score >= m.Threshold {
+		return 1
+	}
+	return 0
 }
 
 // Probability returns P(label=1 | x) for logistic models.
@@ -132,22 +124,6 @@ func TrainLogisticRegressionWithSGD(d *Dataset, cfg SGDConfig) (*LinearModel, er
 		return nil, err
 	}
 	return &LinearModel{Weights: w, Intercept: b, kind: kindLogistic, Threshold: 0.5}, nil
-}
-
-// TrainLinearRegressionWithSGD trains least-squares linear regression.
-func TrainLinearRegressionWithSGD(d *Dataset, cfg SGDConfig) (*LinearModel, error) {
-	squared := func(w []float64, p LabeledPoint, grad []float64) float64 {
-		diff := dot(w, p.Features) - p.Label
-		for i, x := range p.Features {
-			grad[i] += diff * x
-		}
-		return diff * diff / 2
-	}
-	w, b, err := runSGD(d, cfg, squared)
-	if err != nil {
-		return nil, err
-	}
-	return &LinearModel{Weights: w, Intercept: b, kind: kindRegression}, nil
 }
 
 // runSGD is the distributed driver: per iteration, every partition computes
@@ -287,25 +263,4 @@ func Accuracy(d *Dataset, predict func([]float64) float64) float64 {
 		sum += c
 	}
 	return float64(sum) / float64(total)
-}
-
-// MeanSquaredError evaluates a regressor over a dataset in parallel.
-func MeanSquaredError(d *Dataset, predict func([]float64) float64) float64 {
-	sums := make([]float64, len(d.Parts))
-	forEachPart(len(d.Parts), func(i int) error {
-		for _, p := range d.Parts[i] {
-			diff := predict(p.Features) - p.Label
-			sums[i] += diff * diff
-		}
-		return nil
-	})
-	total := d.NumRows()
-	if total == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range sums {
-		sum += s
-	}
-	return sum / float64(total)
 }

@@ -3,9 +3,6 @@ package ml
 import (
 	"math"
 	"testing"
-
-	"sqlml/internal/cluster"
-	"sqlml/internal/dfs"
 )
 
 func TestEvaluateBinaryConfusionMatrix(t *testing.T) {
@@ -117,98 +114,5 @@ func TestHeldOutEvaluationWorkflow(t *testing.T) {
 	m := EvaluateBinary(test, model.Predict)
 	if m.Accuracy() < 0.9 {
 		t.Errorf("held-out accuracy = %.3f: %s", m.Accuracy(), m)
-	}
-}
-
-func TestModelPersistenceRoundTrips(t *testing.T) {
-	topo := cluster.NewTopology(3)
-	fs := dfs.New(topo, dfs.Config{BlockSize: 4096, Replication: 2})
-	d := syntheticBinary(800, 2, 24)
-
-	svm, err := TrainSVMWithSGD(d, DefaultSGD())
-	if err != nil {
-		t.Fatal(err)
-	}
-	logreg, err := TrainLogisticRegressionWithSGD(d, DefaultSGD())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbData := dummyCoded(500, 2, 25)
-	nb, err := TrainNaiveBayes(nbData, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := TrainDecisionTree(d, DefaultTree())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(path string, model any, sameAs func(any) bool) {
-		t.Helper()
-		if err := SaveModel(fs, path, model, topo.Node(0)); err != nil {
-			t.Fatalf("save %s: %v", path, err)
-		}
-		back, err := LoadModel(fs, path, topo.Node(1))
-		if err != nil {
-			t.Fatalf("load %s: %v", path, err)
-		}
-		if !sameAs(back) {
-			t.Errorf("%s: loaded model predicts differently", path)
-		}
-	}
-	probe := d.All()[:50]
-	check("/models/svm", svm, func(m any) bool {
-		lm := m.(*LinearModel)
-		for _, p := range probe {
-			if lm.Predict(p.Features) != svm.Predict(p.Features) {
-				return false
-			}
-		}
-		return true
-	})
-	check("/models/logreg", logreg, func(m any) bool {
-		lm := m.(*LinearModel)
-		for _, p := range probe {
-			if math.Abs(lm.Probability(p.Features)-logreg.Probability(p.Features)) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	})
-	nbProbe := nbData.All()[:50]
-	check("/models/nb", nb, func(m any) bool {
-		bm := m.(*NaiveBayesModel)
-		for _, p := range nbProbe {
-			if bm.Predict(p.Features) != nb.Predict(p.Features) {
-				return false
-			}
-		}
-		return true
-	})
-	check("/models/tree", tree, func(m any) bool {
-		tm := m.(*DecisionTreeModel)
-		for _, p := range probe {
-			if tm.Predict(p.Features) != tree.Predict(p.Features) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-func TestPersistErrors(t *testing.T) {
-	topo := cluster.NewTopology(1)
-	fs := dfs.New(topo, dfs.Config{})
-	if err := SaveModel(fs, "/m", "not a model", topo.Node(0)); err == nil {
-		t.Error("foreign type accepted")
-	}
-	if _, err := LoadModel(fs, "/missing", topo.Node(0)); err == nil {
-		t.Error("missing file accepted")
-	}
-	if err := fs.WriteFile("/corrupt", []byte("not json"), topo.Node(0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModel(fs, "/corrupt", topo.Node(0)); err == nil {
-		t.Error("corrupt file accepted")
 	}
 }

@@ -97,30 +97,6 @@ func TestLogisticRegressionLearnsAndCalibrates(t *testing.T) {
 	}
 }
 
-func TestLinearRegressionRecoversCoefficients(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	d := &Dataset{Parts: make([][]LabeledPoint, 4), NumFeatures: 2}
-	for i := 0; i < 3000; i++ {
-		x0, x1 := rng.NormFloat64(), rng.NormFloat64()
-		y := 3*x0 - 2*x1 + 1 + 0.01*rng.NormFloat64()
-		d.Parts[i%4] = append(d.Parts[i%4], LabeledPoint{Label: y, Features: []float64{x0, x1}})
-	}
-	cfg := DefaultSGD()
-	cfg.Iterations = 400
-	cfg.StepSize = 0.5
-	cfg.RegParam = 0
-	m, err := TrainLinearRegressionWithSGD(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.Weights[0]-3) > 0.2 || math.Abs(m.Weights[1]+2) > 0.2 || math.Abs(m.Intercept-1) > 0.2 {
-		t.Errorf("coefficients: w=%v b=%v, want [3 -2] 1", m.Weights, m.Intercept)
-	}
-	if mse := MeanSquaredError(d, m.Predict); mse > 0.05 {
-		t.Errorf("MSE = %v", mse)
-	}
-}
-
 func TestSGDConfigValidation(t *testing.T) {
 	d := syntheticBinary(50, 2, 5)
 	bad := []SGDConfig{
@@ -259,46 +235,6 @@ func TestDecisionTreeConstantFeatures(t *testing.T) {
 	}
 	if m.Predict([]float64{1, 1}) != 1 {
 		t.Error("leaf should predict the majority class")
-	}
-}
-
-func TestKMeansFindsWellSeparatedClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	d := &Dataset{Parts: make([][]LabeledPoint, 3), NumFeatures: 2}
-	centers := [][]float64{{0, 0}, {10, 10}, {-10, 10}}
-	for i := 0; i < 900; i++ {
-		c := centers[i%3]
-		p := LabeledPoint{Features: []float64{c[0] + rng.NormFloat64()*0.5, c[1] + rng.NormFloat64()*0.5}}
-		d.Parts[i%3] = append(d.Parts[i%3], p)
-	}
-	m, err := TrainKMeans(d, DefaultKMeans(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every true center must be close to some learned center.
-	for _, c := range centers {
-		best := math.Inf(1)
-		for _, lc := range m.Centers {
-			if dd := sqDist(c, lc); dd < best {
-				best = dd
-			}
-		}
-		if best > 1 {
-			t.Errorf("no learned center near %v (nearest sq dist %v)", c, best)
-		}
-	}
-	if m.Cost > 900*1.0 {
-		t.Errorf("cost = %v", m.Cost)
-	}
-}
-
-func TestKMeansValidation(t *testing.T) {
-	d := syntheticBinary(5, 1, 12)
-	if _, err := TrainKMeans(d, DefaultKMeans(10)); err == nil {
-		t.Error("k > n accepted")
-	}
-	if _, err := TrainKMeans(d, DefaultKMeans(0)); err == nil {
-		t.Error("k = 0 accepted")
 	}
 }
 

@@ -263,15 +263,6 @@ func tableOf(canonical string) string {
 	return canonical[:i]
 }
 
-// ColumnOf returns the bare column name of a canonical "table.column".
-func ColumnOf(canonical string) string {
-	i := strings.IndexByte(canonical, '.')
-	if i < 0 {
-		return canonical
-	}
-	return canonical[i+1:]
-}
-
 // simpleShape matches `col op literal` (or the mirrored literal op col).
 func simpleShape(e sqlengine.Expr, canonical func(*sqlengine.ColRef) (string, error)) (col, op string, lit sqlengine.Expr, ok bool) {
 	b, isBin := e.(*sqlengine.BinOp)

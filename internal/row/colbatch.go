@@ -155,11 +155,6 @@ func (v *Vector) Null(i int) bool {
 	return v.nulls[w]&(1<<(uint(i)&63)) != 0
 }
 
-// NullWords exposes the raw bitmap (one bit per slot, little-endian words)
-// for word-wise kernels; it may be shorter than the vector when no nulls
-// were set past a point.
-func (v *Vector) NullWords() []uint64 { return v.nulls }
-
 // OrNullsFrom ORs o's null bitmap into v's — the null-propagation step of
 // arithmetic kernels, word-wise.
 func (v *Vector) OrNullsFrom(o *Vector) {
@@ -274,11 +269,6 @@ func (v *Vector) Bytes(i int) []byte {
 
 // StringAt returns VARCHAR slot i as a string (allocates a copy).
 func (v *Vector) StringAt(i int) string { return string(v.Bytes(i)) }
-
-// StringSlab returns the concatenated payload bytes and offsets of a
-// VARCHAR vector; boundary shims copy the slab once per batch instead of
-// once per value.
-func (v *Vector) StringSlab() (payload []byte, offs []uint32) { return v.bytes, v.offs }
 
 // ValueAt materializes slot i as a Value (VARCHAR slots allocate).
 func (v *Vector) ValueAt(i int) Value {

@@ -282,9 +282,7 @@ func appendIntFOR(dst []byte, v *Vector, b *ColBatch, rows int, base int64) []by
 // dictPlan scans a VARCHAR column's live slots and decides whether a
 // per-block dictionary beats raw. It returns the distinct values in code
 // order (aliasing the vector's slab; valid for the encode only) and the
-// per-slot codes, the same build-once-look-up-densely shape the transform
-// recode map uses (RecodeMap.IDBytes): map indexing with a string(bytes)
-// key does not allocate.
+// per-slot codes; map indexing with a string(bytes) key does not allocate.
 func dictPlan(v *Vector, b *ColBatch, rows int) (entries [][]byte, ids []uint64, ok bool) {
 	codes := make(map[string]uint64, 16)
 	ids = make([]uint64, rows)

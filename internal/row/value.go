@@ -295,12 +295,3 @@ func (v Value) Coerce(t Type) (Value, error) {
 	}
 	return Value{}, fmt.Errorf("row: cannot coerce %s to %s", v.Kind, t)
 }
-
-// ParseValue parses the text-format field s into a value of type t.
-// An empty string parses as NULL (matching Value.String of a NULL).
-func ParseValue(s string, t Type) (Value, error) {
-	if s == "" {
-		return NullOf(t), nil
-	}
-	return String_(s).Coerce(t)
-}

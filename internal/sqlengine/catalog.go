@@ -88,14 +88,6 @@ func (c *Catalog) Get(name string) (*Table, error) {
 	return t, nil
 }
 
-// Exists reports whether a table is defined.
-func (c *Catalog) Exists(name string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.tables[key(name)]
-	return ok
-}
-
 // Put registers a table, failing if the name is taken.
 func (c *Catalog) Put(t *Table) error {
 	c.mu.Lock()

@@ -85,9 +85,6 @@ func (e *Engine) Parallelism() int { return resolveParallelism(e.parallelism) }
 // WorkerNode returns the node hosting worker i.
 func (e *Engine) WorkerNode(i int) *cluster.Node { return e.workers[i] }
 
-// HeadNode returns the engine's head node.
-func (e *Engine) HeadNode() *cluster.Node { return e.head }
-
 // Topology returns the engine's cluster.
 func (e *Engine) Topology() *cluster.Topology { return e.topo }
 
@@ -269,16 +266,6 @@ func (r *Result) Parts() ([][]row.Row, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.parts, nil
-}
-
-// NumParts returns the partition count (known without materializing).
-func (r *Result) NumParts() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return len(r.parts)
-	}
-	return len(r.stream)
 }
 
 // Close releases an unconsumed streaming pipeline without draining it,

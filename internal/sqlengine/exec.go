@@ -67,15 +67,6 @@ func (e *Engine) QueryStream(sql string) (*Result, error) {
 	return e.ExecSelect(sel)
 }
 
-// MustQuery is Query that panics on error; for tests and examples.
-func (e *Engine) MustQuery(sql string) *Result {
-	res, err := e.Query(sql)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 func (e *Engine) execCreate(s *CreateTableStmt) error {
 	if s.AsSelect != nil {
 		res, err := e.ExecSelect(s.AsSelect)
@@ -786,7 +777,7 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 	}
 
 	// A keyed probe over a pipeline with a columnar core runs column-wise:
-	// key kernels over whole batches, LookupKeys against the same table.
+	// key kernels over whole batches, one hashed lookup per packed key.
 	// Cartesian joins and row-major inputs keep the row probe.
 	var vecKeyFns []vecFn
 	vecOK := len(leftKeys) > 0

@@ -126,23 +126,6 @@ func (t *HashTable) InsertKeys(flat []byte, offs []uint32, out []uint32) []uint3
 	return out
 }
 
-// htAbsent marks a missing key in LookupKeys results.
-const htAbsent = ^uint32(0)
-
-// LookupKeys is the column-at-a-time Lookup over the same packed-key run
-// shape as InsertKeys, appending each key's dense index — or htAbsent — to
-// out.
-func (t *HashTable) LookupKeys(flat []byte, offs []uint32, out []uint32) []uint32 {
-	for i := 0; i+1 < len(offs); i++ {
-		idx, ok := t.Lookup(flat[offs[i]:offs[i+1]])
-		if !ok {
-			idx = htAbsent
-		}
-		out = append(out, idx)
-	}
-	return out
-}
-
 // Lookup returns the dense index of key, if present.
 func (t *HashTable) Lookup(key []byte) (uint32, bool) {
 	return t.LookupHashed(key, hashNonZero(key))

@@ -31,21 +31,6 @@ func (s *SliceIterator) Next() (row.Row, bool, error) {
 	return r, true, nil
 }
 
-// Drain reads an iterator to completion.
-func Drain(it Iterator) ([]row.Row, error) {
-	var out []row.Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, r)
-	}
-}
-
 // UDFContext carries execution-site information into a UDF invocation: the
 // worker's node (for cost charging and streaming), its partition index, and
 // the total number of SQL workers — the paper's UDFs need all three (e.g.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -280,103 +279,5 @@ func TestEpochFencing(t *testing.T) {
 	bad.send(t, message{Type: "get_target", Job: "jepoch", Split: 9})
 	if reply := bad.recv(t); reply.Type != "error" {
 		t.Errorf("get_target for unknown split replied %q, want error", reply.Type)
-	}
-}
-
-// TestMessageLogZombieConsumerFenced: opening a partition bumps its
-// consumer epoch, so a zombie reader from a superseded task attempt has
-// its commits rejected and cannot race or rewind the live replacement.
-func TestMessageLogZombieConsumerFenced(t *testing.T) {
-	l := NewMessageLog()
-	if err := l.CreateTopic("z", 1, streamSchema()); err != nil {
-		t.Fatal(err)
-	}
-	rows := genRows(0, 20)
-	for _, r := range rows {
-		if err := l.Append("z", 0, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Seal("z", 0); err != nil {
-		t.Fatal(err)
-	}
-
-	f := &LogFormat{Log: l, Topic: "z"}
-	splits, err := f.Splits(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zombie, err := f.Open(splits[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, ok, err := zombie.Next(); !ok || err != nil {
-			t.Fatalf("zombie read %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if off, _ := l.Committed("z", 0); off != 5 {
-		t.Fatalf("committed = %d before replacement, want 5", off)
-	}
-
-	// The replacement attempt opens the partition, fencing the zombie.
-	f2 := &LogFormat{Log: l, Topic: "z", StartFromCommitted: true}
-	live, err := f2.Open(splits[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The zombie keeps running for a while: its very next commit must be
-	// rejected, surfacing as a read error, and must not move the offset.
-	if _, ok, err := zombie.Next(); err == nil || ok {
-		t.Fatalf("zombie Next after fencing = (ok=%v, err=%v), want commit-fenced error", ok, err)
-	} else if !strings.Contains(err.Error(), "fenced") {
-		t.Errorf("zombie error does not name fencing: %v", err)
-	}
-	if off, _ := l.Committed("z", 0); off != 5 {
-		t.Errorf("zombie commit moved the offset to %d", off)
-	}
-
-	// The live consumer drains the remaining rows from the committed offset.
-	var got int
-	for {
-		r, ok, err := live.Next()
-		if err != nil {
-			t.Fatalf("live read: %v", err)
-		}
-		if !ok {
-			break
-		}
-		if want := rows[5+got][0].AsInt(); r[0].AsInt() != want {
-			t.Fatalf("live row %d = %v, want id %d", got, r, want)
-		}
-		got++
-	}
-	if got != 15 {
-		t.Errorf("live consumer read %d rows, want 15", got)
-	}
-	if off, _ := l.Committed("z", 0); off != 20 {
-		t.Errorf("final committed = %d, want 20", off)
-	}
-
-	// Direct API: stale epochs are rejected, the current one is accepted.
-	epoch, committed, err := l.OpenConsumer("z", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if committed != 20 {
-		t.Errorf("OpenConsumer committed = %d, want 20", committed)
-	}
-	if err := l.CommitAs("z", 0, epoch-1, 20); err == nil {
-		t.Error("stale-epoch CommitAs accepted")
-	}
-	if err := l.CommitAs("z", 0, epoch, 20); err != nil {
-		t.Errorf("current-epoch CommitAs rejected: %v", err)
-	}
-	if _, _, err := l.OpenConsumer("z", 5); err == nil {
-		t.Error("OpenConsumer accepted an out-of-range partition")
-	}
-	if _, _, err := l.OpenConsumer("nope", 0); err == nil {
-		t.Error("OpenConsumer accepted an unknown topic")
 	}
 }

@@ -27,12 +27,11 @@ type SenderConfig struct {
 	// One frame is one block (~BlockRows rows), so the queue bounds
 	// O(blocks), not O(rows), of sender memory.
 	QueueFrames int
-	// BlockRows and BlockBytes bound one block frame: the sender flushes a
-	// slot's block when it reaches BlockRows rows or BlockBytes encoded
-	// bytes (and at end of stream). They default to the engine's batch
-	// granularity (~1024 rows / ~64 KB).
-	BlockRows  int
-	BlockBytes int
+	// BlockRows bounds one block frame: the sender flushes a slot's block
+	// when it reaches BlockRows rows or row.BlockTargetBytes encoded bytes
+	// (and at end of stream). It defaults to the engine's batch granularity
+	// (~1024 rows).
+	BlockRows int
 	// SpillWait is how long a full queue may block the producer before it
 	// spills to disk; a fast consumer frees buffer space well within it.
 	SpillWait time.Duration
@@ -50,14 +49,6 @@ type SenderConfig struct {
 	// the §6 restart. 0 means the default; negative disables per-target
 	// recovery (every failure escalates, the paper's original behavior).
 	ReconnectBudget int
-	// ReconnectBackoff is the base delay between reconnect attempts; each
-	// attempt doubles it (capped) and adds deterministic jitter.
-	ReconnectBackoff time.Duration
-	// HeartbeatInterval is how often the sender renews its coordinator
-	// lease while streaming, so a coordinator with LeaseDuration armed can
-	// tell a hung worker from a busy one. 0 means the default; negative
-	// disables heartbeats.
-	HeartbeatInterval time.Duration
 	// Dial, when set, replaces net.DialTimeout for data-channel dials to ML
 	// workers — the fault-injection seam. Coordinator control connections
 	// always use the real dialer: faulting those would turn every scripted
@@ -80,18 +71,25 @@ type SenderConfig struct {
 // DefaultSenderConfig mirrors the paper's settings.
 func DefaultSenderConfig() SenderConfig {
 	return SenderConfig{
-		BufferSize:        4 << 10,
-		QueueFrames:       64,
-		BlockRows:         row.BlockTargetRows,
-		BlockBytes:        row.BlockTargetBytes,
-		SpillWait:         5 * time.Millisecond,
-		MaxRestarts:       5,
-		DialTimeout:       10 * time.Second,
-		ReconnectBudget:   4,
-		ReconnectBackoff:  10 * time.Millisecond,
-		HeartbeatInterval: time.Second,
+		BufferSize:      4 << 10,
+		QueueFrames:     64,
+		BlockRows:       row.BlockTargetRows,
+		SpillWait:       5 * time.Millisecond,
+		MaxRestarts:     5,
+		DialTimeout:     10 * time.Second,
+		ReconnectBudget: 4,
 	}
 }
+
+const (
+	// reconnectBackoff is the base delay between reconnect attempts; each
+	// attempt doubles it (capped) and adds deterministic jitter.
+	reconnectBackoff = 10 * time.Millisecond
+	// heartbeatInterval is how often the sender renews its coordinator
+	// lease while streaming, so a coordinator with LeaseDuration armed can
+	// tell a hung worker from a busy one.
+	heartbeatInterval = time.Second
+)
 
 // SenderStats summarises one worker's transfer, and is the output row of
 // the sender UDF.
@@ -276,17 +274,8 @@ func Send(req SendRequest) (*SenderStats, error) {
 	if cfg.BlockRows <= 0 {
 		cfg.BlockRows = DefaultSenderConfig().BlockRows
 	}
-	if cfg.BlockBytes <= 0 {
-		cfg.BlockBytes = DefaultSenderConfig().BlockBytes
-	}
 	if cfg.ReconnectBudget == 0 {
 		cfg.ReconnectBudget = DefaultSenderConfig().ReconnectBudget
-	}
-	if cfg.ReconnectBackoff <= 0 {
-		cfg.ReconnectBackoff = DefaultSenderConfig().ReconnectBackoff
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = DefaultSenderConfig().HeartbeatInterval
 	}
 	src := &sendSource{input: req.Input, replay: !cfg.DisableReplay}
 	if src.input == nil {
@@ -358,26 +347,24 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	// coordinator with leases armed can tell this worker is alive even when
 	// a stalled data connection keeps it silent for a long time. Nothing
 	// else writes to coord once the matches arrived.
-	if cfg.HeartbeatInterval > 0 {
-		hbStop := make(chan struct{})
-		hbDone := make(chan struct{})
-		go func() {
-			defer close(hbDone)
-			tick := time.NewTicker(cfg.HeartbeatInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-hbStop:
+	hbStop := make(chan struct{})
+	hbDone := make(chan struct{})
+	go func() {
+		defer close(hbDone)
+		tick := time.NewTicker(heartbeatInterval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-hbStop:
+				return
+			case <-tick.C:
+				if err := enc.Encode(message{Type: "heartbeat", Job: req.Job, Worker: req.Worker}); err != nil {
 					return
-				case <-tick.C:
-					if err := enc.Encode(message{Type: "heartbeat", Job: req.Job, Worker: req.Worker}); err != nil {
-						return
-					}
 				}
 			}
-		}()
-		defer func() { close(hbStop); <-hbDone }()
-	}
+		}
+	}()
+	defer func() { close(hbStop); <-hbDone }()
 	targets := reply.Targets
 	if len(targets) == 0 {
 		return false, fmt.Errorf("stream: empty match set")
@@ -552,7 +539,7 @@ func slotStats(stats *SenderStats, src *sendSource, j int, tc *targetChannel) {
 func recoverSlot(req SendRequest, cfg SenderConfig, stats *SenderStats, spool []spooledBlock, split int, t Target) error {
 	var lastErr error
 	for attempt := 0; attempt < cfg.ReconnectBudget; attempt++ {
-		time.Sleep(backoffDelay(cfg.ReconnectBackoff, attempt, req.Worker, split))
+		time.Sleep(backoffDelay(reconnectBackoff, attempt, req.Worker, split))
 		if nt, err := getTarget(req.CoordAddr, cfg.DialTimeout, req.Job, split); err == nil {
 			t = nt
 		}
@@ -683,7 +670,7 @@ func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfi
 		}
 	}
 	flushIfFull := func(j int) {
-		if enc := &encoders[j]; enc.Rows() >= cfg.BlockRows || enc.RawBytes() >= cfg.BlockBytes {
+		if enc := &encoders[j]; enc.Rows() >= cfg.BlockRows || enc.RawBytes() >= row.BlockTargetBytes {
 			flush(j)
 		}
 	}

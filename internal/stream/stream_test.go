@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sqlml/internal/cluster"
-	"sqlml/internal/hadoopfmt"
 	"sqlml/internal/ml"
 	"sqlml/internal/row"
 	"sqlml/internal/sqlengine"
@@ -455,119 +454,6 @@ func TestEngineUDFStreamsQueryResult(t *testing.T) {
 	}
 	if model == nil {
 		t.Fatal("nil model")
-	}
-}
-
-func TestMessageLogProduceConsume(t *testing.T) {
-	l := NewMessageLog()
-	if err := l.CreateTopic("t", 2, streamSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CreateTopic("t", 2, streamSchema()); err == nil {
-		t.Error("duplicate topic accepted")
-	}
-	for w := 0; w < 2; w++ {
-		for _, r := range genRows(w, 50) {
-			if err := l.Append("t", w, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := l.Seal("t", w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f := &LogFormat{Log: l, Topic: "t"}
-	got, err := hadoopfmt.ReadAll(f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Errorf("log rows = %d", len(got))
-	}
-	if err := l.Append("t", 0, genRows(0, 1)[0]); err == nil {
-		t.Error("append to sealed partition accepted")
-	}
-}
-
-func TestMessageLogBlocksUntilSealed(t *testing.T) {
-	l := NewMessageLog()
-	if err := l.CreateTopic("b", 1, streamSchema()); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan int, 1)
-	go func() {
-		f := &LogFormat{Log: l, Topic: "b"}
-		rows, err := hadoopfmt.ReadAll(f, nil)
-		if err != nil {
-			done <- -1
-			return
-		}
-		done <- len(rows)
-	}()
-	for _, r := range genRows(0, 10) {
-		l.Append("b", 0, r)
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case n := <-done:
-		t.Fatalf("reader finished before seal with %d rows", n)
-	default:
-	}
-	l.Seal("b", 0)
-	select {
-	case n := <-done:
-		if n != 10 {
-			t.Errorf("rows = %d", n)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("reader did not finish after seal")
-	}
-}
-
-func TestMessageLogReplayFromCommitted(t *testing.T) {
-	l := NewMessageLog()
-	if err := l.CreateTopic("r", 1, streamSchema()); err != nil {
-		t.Fatal(err)
-	}
-	rows := genRows(0, 20)
-	for _, r := range rows {
-		l.Append("r", 0, r)
-	}
-	l.Seal("r", 0)
-
-	// First consumer reads 8 rows, then "crashes".
-	f := &LogFormat{Log: l, Topic: "r"}
-	splits, err := f.Splits(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := f.Open(splits[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, ok, err := rr.Next(); !ok || err != nil {
-			t.Fatal("short read")
-		}
-	}
-	if err := rr.Close(); err != nil {
-		t.Fatalf("close reader: %v", err)
-	}
-	if off, _ := l.Committed("r", 0); off != 8 {
-		t.Fatalf("committed = %d", off)
-	}
-
-	// Replacement consumer resumes from the committed offset.
-	f2 := &LogFormat{Log: l, Topic: "r", StartFromCommitted: true}
-	got, err := hadoopfmt.ReadAll(f2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 12 {
-		t.Fatalf("replayed rows = %d, want 12", len(got))
-	}
-	if got[0][0].AsInt() != rows[8][0].AsInt() {
-		t.Errorf("replay started at %v, want %v", got[0][0], rows[8][0])
 	}
 }
 

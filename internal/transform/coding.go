@@ -328,16 +328,6 @@ func DummyCode(e *sqlengine.Engine, table, spec string) (*sqlengine.Result, erro
 	return e.QueryStream(fmt.Sprintf("SELECT * FROM TABLE(dummy_code(%s, '%s'))", table, spec))
 }
 
-// EffectCode runs the effect_code UDF (streaming).
-func EffectCode(e *sqlengine.Engine, table, spec string) (*sqlengine.Result, error) {
-	return e.QueryStream(fmt.Sprintf("SELECT * FROM TABLE(effect_code(%s, '%s'))", table, spec))
-}
-
-// OrthogonalCode runs the orthogonal_code UDF (streaming).
-func OrthogonalCode(e *sqlengine.Engine, table, spec string) (*sqlengine.Result, error) {
-	return e.QueryStream(fmt.Sprintf("SELECT * FROM TABLE(orthogonal_code(%s, '%s'))", table, spec))
-}
-
 // CodedWidth returns how many derived columns a coding family produces for
 // a categorical column with k levels.
 func CodedWidth(c Coding, k int) (int, error) {

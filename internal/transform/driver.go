@@ -56,7 +56,10 @@ func (s ScalingKind) String() string {
 
 // Spec describes the In-SQL transformation of one prepared table.
 type Spec struct {
-	// RecodeCols are the categorical (VARCHAR) columns to recode.
+	// RecodeCols are the categorical (VARCHAR) columns to recode. NULL is
+	// not a level: it gets no recode ID, and because phase 2 is an inner
+	// join against the map, a row that is NULL in any of these columns is
+	// excluded from the output — on the naive path (Encoder.Encode) too.
 	RecodeCols []string
 	// CodeCols is the subset of RecodeCols to expand after recoding (e.g.
 	// the paper dummy-codes gender but leaves the label recoded only).
@@ -68,9 +71,6 @@ type Spec struct {
 	ScaleCols []string
 	// Scaling selects the scaling family for ScaleCols.
 	Scaling ScalingKind
-	// MapSide uses the recode_apply UDF (map-side broadcast) instead of the
-	// paper's join-based phase 2; an ablation knob.
-	MapSide bool
 }
 
 // Output is the outcome of a full transformation.
@@ -78,8 +78,7 @@ type Output struct {
 	// Result is the transformed relation, partitioned across SQL workers.
 	// Unless the spec scales columns (a two-pass breaker), it is a
 	// STREAMING result — the recode/coding pipeline runs as the caller
-	// consumes it (Batches, or the Materialize shim). Consume it before
-	// dropping MapTable: the map-side recode loads the map lazily.
+	// consumes it (Batches, or the Materialize shim).
 	Result *sqlengine.Result
 	// Map is the recode map used (built fresh, or the cached one passed in).
 	Map *RecodeMap
@@ -126,12 +125,7 @@ func Apply(e *sqlengine.Engine, table string, spec Spec, cachedMap *RecodeMap) (
 		return nil, err
 	}
 
-	var recoded *sqlengine.Result
-	if spec.MapSide {
-		recoded, err = RecodeMapSide(e, table, mapTable, spec.RecodeCols)
-	} else {
-		recoded, err = Recode(e, table, mapTable, spec.RecodeCols)
-	}
+	recoded, err := Recode(e, table, mapTable, spec.RecodeCols)
 	if err != nil {
 		return nil, err
 	}

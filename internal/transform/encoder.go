@@ -7,23 +7,16 @@ import (
 	"sqlml/internal/row"
 )
 
-// RecodedSchema returns the schema of a table after recoding the listed
-// VARCHAR columns to BIGINT codes.
-func RecodedSchema(in row.Schema, cols []string) (row.Schema, error) {
-	return recodedSchema(in, cols)
-}
-
-// Encoder applies a full row-at-a-time transformation (recode + coding)
-// outside the SQL engine. It backs the external Jaql-style transformation
-// tool of the naive baseline, guaranteeing the naive and In-SQL pipelines
-// compute identical outputs.
+// Encoder applies the recode + coding transformation one row at a time,
+// outside the SQL engine. It is the apply step of the naive baseline's
+// Jaql-style tool (package jaql) and the row reference the In-SQL join
+// recode and coding UDFs are compared against.
 type Encoder struct {
 	in         row.Schema
 	out        row.Schema
 	m          *RecodeMap
 	recodeCols map[int]string // input column index → column name
 	plans      map[int]encoderPlan
-	levels     map[int][]row.Row // EncodeBatch level-row cache, per coded column
 }
 
 type encoderPlan struct {
@@ -109,138 +102,37 @@ func NewEncoder(in row.Schema, m *RecodeMap, recodeCols, codeCols []string, codi
 // Schema returns the encoder's output schema.
 func (e *Encoder) Schema() row.Schema { return e.out }
 
-// Encode transforms one input row.
-func (e *Encoder) Encode(r row.Row) (row.Row, error) {
+// Encode transforms one input row. ok is false, with no error, for a row
+// whose value in a recoded column is NULL: phase 2 of the In-SQL recode is
+// an inner join against the map, which has no NULL entry, so such a row is
+// excluded from the transformed table and the naive path must drop it too.
+func (e *Encoder) Encode(r row.Row) (out row.Row, ok bool, err error) {
 	if len(r) != e.in.Len() {
-		return nil, fmt.Errorf("transform: row arity %d, schema arity %d", len(r), e.in.Len())
+		return nil, false, fmt.Errorf("transform: row arity %d, schema arity %d", len(r), e.in.Len())
 	}
-	var out row.Row
 	for i, v := range r {
 		col, isCat := e.recodeCols[i]
 		if !isCat {
 			out = append(out, v)
 			continue
 		}
-		var code row.Value
 		if v.Null {
-			code = row.NullOf(row.TypeInt)
-		} else {
-			id, ok := e.m.ID(col, v.AsString())
-			if !ok {
-				return nil, fmt.Errorf("transform: value %q of column %q not in recode map", v.AsString(), col)
-			}
-			code = row.Int(id)
+			return nil, false, nil
+		}
+		id, known := e.m.ID(col, v.AsString())
+		if !known {
+			return nil, false, fmt.Errorf("transform: value %q of column %q not in recode map", v.AsString(), col)
 		}
 		plan, isCoded := e.plans[i]
 		if !isCoded {
-			out = append(out, code)
+			out = append(out, row.Int(id))
 			continue
 		}
-		if code.Null {
-			for j := 0; j < plan.n; j++ {
-				out = append(out, row.NullOf(plan.t))
-			}
-			continue
-		}
-		vec, err := plan.encode(code.AsInt())
+		vec, err := plan.encode(id)
 		if err != nil {
-			return nil, fmt.Errorf("transform: column %q: %w", col, err)
+			return nil, false, fmt.Errorf("transform: column %q: %w", col, err)
 		}
 		out = append(out, vec...)
 	}
-	return out, nil
-}
-
-// EncodeBatch transforms a whole column-major batch into out, compacting
-// any selection vector: out gets exactly b.Len() rows and no selection.
-// String codes are looked up straight out of the vector slab and the
-// per-level coding rows are cached after the first occurrence, so the hot
-// loop is a map probe plus typed appends. Not safe for concurrent use —
-// the level cache mutates.
-func (e *Encoder) EncodeBatch(b, out *row.ColBatch) error {
-	if b.NumCols() != e.in.Len() {
-		return fmt.Errorf("transform: batch arity %d, schema arity %d", b.NumCols(), e.in.Len())
-	}
-	out.Reset(row.SchemaTypes(e.out))
-	k := b.Len()
-	oc := 0
-	for i := 0; i < b.NumCols(); i++ {
-		col := b.Col(i)
-		cname, isCat := e.recodeCols[i]
-		if !isCat {
-			ov := out.Col(oc)
-			oc++
-			for si := 0; si < k; si++ {
-				ov.AppendFrom(col, b.SelPos(si))
-			}
-			continue
-		}
-		plan, isCoded := e.plans[i]
-		if !isCoded {
-			ov := out.Col(oc)
-			oc++
-			for si := 0; si < k; si++ {
-				p := b.SelPos(si)
-				if col.Null(p) {
-					ov.AppendNull()
-					continue
-				}
-				id, ok := e.m.IDBytes(cname, col.Bytes(p))
-				if !ok {
-					return fmt.Errorf("transform: value %q of column %q not in recode map", col.StringAt(p), cname)
-				}
-				ov.AppendInt(id)
-			}
-			continue
-		}
-		base := oc
-		oc += plan.n
-		for si := 0; si < k; si++ {
-			p := b.SelPos(si)
-			if col.Null(p) {
-				for j := 0; j < plan.n; j++ {
-					out.Col(base + j).AppendNull()
-				}
-				continue
-			}
-			id, ok := e.m.IDBytes(cname, col.Bytes(p))
-			if !ok {
-				return fmt.Errorf("transform: value %q of column %q not in recode map", col.StringAt(p), cname)
-			}
-			lr, err := e.levelRow(i, plan, cname, id)
-			if err != nil {
-				return err
-			}
-			for j := 0; j < plan.n; j++ {
-				out.Col(base + j).AppendValue(lr[j])
-			}
-		}
-	}
-	out.SetFullLen(k)
-	return nil
-}
-
-// levelRow returns the coding row for a recode level, computing and caching
-// it on first use. Levels are small and dense (1..cardinality), so the
-// cache is a slice indexed by level-1.
-func (e *Encoder) levelRow(i int, plan encoderPlan, col string, level int64) (row.Row, error) {
-	cache := e.levels[i]
-	if level >= 1 && int64(len(cache)) >= level && cache[level-1] != nil {
-		return cache[level-1], nil
-	}
-	lr, err := plan.encode(level)
-	if err != nil {
-		return nil, fmt.Errorf("transform: column %q: %w", col, err)
-	}
-	if level >= 1 {
-		for int64(len(cache)) < level {
-			cache = append(cache, nil)
-		}
-		cache[level-1] = lr
-		if e.levels == nil {
-			e.levels = make(map[int][]row.Row)
-		}
-		e.levels[i] = cache
-	}
-	return lr, nil
+	return out, true, nil
 }

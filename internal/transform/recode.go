@@ -73,21 +73,6 @@ func (m *RecodeMap) ID(col, val string) (int64, bool) {
 	return id, ok
 }
 
-// IDBytes is ID for a byte-sliced value: the columnar recode path looks
-// codes up straight out of a vector's payload slab — the string(val) key
-// conversion inside a map index does not allocate.
-func (m *RecodeMap) IDBytes(col string, val []byte) (int64, bool) {
-	codes, ok := m.cols[col]
-	if !ok {
-		codes, ok = m.cols[strings.ToLower(col)]
-		if !ok {
-			return 0, false
-		}
-	}
-	id, ok := codes[string(val)]
-	return id, ok
-}
-
 // Cardinality returns the number of distinct values of a column.
 func (m *RecodeMap) Cardinality(col string) int {
 	codes, ok := m.cols[col]
@@ -151,15 +136,13 @@ func FromRows(rows []row.Row) (*RecodeMap, error) {
 }
 
 // RegisterUDFs installs the transformation table UDFs into an engine's
-// registry: distinct_values, assign_recode_ids, recode_apply, dummy_code,
-// effect_code and orthogonal_code. It must be called once per engine before
-// the drivers in this package (or rewritten queries that reference the
-// UDFs) run.
+// registry: distinct_values, assign_recode_ids, dummy_code, effect_code and
+// orthogonal_code. It must be called once per engine before the drivers in
+// this package (or rewritten queries that reference the UDFs) run.
 func RegisterUDFs(e *sqlengine.Engine) error {
 	udfs := []*sqlengine.TableUDF{
 		distinctValuesUDF(),
 		assignRecodeIDsUDF(),
-		recodeApplyUDF(),
 		codingUDF("dummy_code", dummyCoding),
 		codingUDF("effect_code", effectCoding),
 		codingUDF("orthogonal_code", orthogonalCoding),
@@ -304,178 +287,6 @@ func assignRecodeIDsUDF() *sqlengine.TableUDF {
 	}
 }
 
-// recodeApplyUDF is the map-side alternative to the paper's join-based
-// recode: each worker loads the recode-map table (a broadcast, charged to
-// the cost model) and rewrites its partition in one pass. The ablation
-// benchmarks compare it against the join plan.
-func recodeApplyUDF() *sqlengine.TableUDF {
-	return &sqlengine.TableUDF{
-		Name:         "recode_apply",
-		PerPartition: true,
-		OutSchema: func(in row.Schema, args []row.Value) (row.Schema, error) {
-			if len(args) != 2 {
-				return row.Schema{}, fmt.Errorf("usage: recode_apply(T, 'map_table', 'col1,col2')")
-			}
-			cols, err := splitCols(args[1])
-			if err != nil {
-				return row.Schema{}, err
-			}
-			return recodedSchema(in, cols)
-		},
-		Fn: func(ctx *sqlengine.UDFContext, in sqlengine.Iterator, args []row.Value, emit func(row.Row) error) error {
-			mapTable := args[0].AsString()
-			cols, err := splitCols(args[1])
-			if err != nil {
-				return err
-			}
-			m, err := LoadMapTable(ctx.Engine, mapTable)
-			if err != nil {
-				return err
-			}
-			recodeIdx := make(map[int]string)
-			for _, c := range cols {
-				recodeIdx[ctx.InSchema.ColIndex(c)] = strings.ToLower(c)
-			}
-			// Columnar fast path: when the partition input is a thin cursor
-			// over a columnar pipeline (a stream ingest included), rewrite
-			// whole batches — passthrough columns copy cell-by-cell without
-			// boxing into Values, and categorical columns probe the map
-			// straight from the vector's byte slab. The emit boundary stays
-			// row-at-a-time so the engine's per-row Conforms check still
-			// guards every output row.
-			if cb, ok := sqlengine.AsColBatchSource(in); ok {
-				outTypes := make([]row.Type, ctx.InSchema.Len())
-				for i, c := range ctx.InSchema.Cols {
-					if _, isCat := recodeIdx[i]; isCat {
-						outTypes[i] = row.TypeInt
-					} else {
-						outTypes[i] = c.Type
-					}
-				}
-				out := row.NewColBatch(outTypes)
-				var buf []row.Row
-				for {
-					b, ok, err := cb.NextColBatch()
-					if err != nil {
-						return err
-					}
-					if !ok {
-						return nil
-					}
-					k := b.Len()
-					if k == 0 {
-						continue
-					}
-					out.Reset(outTypes)
-					for i := 0; i < b.NumCols(); i++ {
-						col := b.Col(i)
-						ov := out.Col(i)
-						cname, isCat := recodeIdx[i]
-						if !isCat {
-							for si := 0; si < k; si++ {
-								ov.AppendFrom(col, b.SelPos(si))
-							}
-							continue
-						}
-						for si := 0; si < k; si++ {
-							p := b.SelPos(si)
-							if col.Null(p) {
-								ov.AppendNull()
-								continue
-							}
-							id, ok := m.IDBytes(cname, col.Bytes(p))
-							if !ok {
-								return fmt.Errorf("value %q of column %q missing from recode map %q", col.StringAt(p), cname, mapTable)
-							}
-							ov.AppendInt(id)
-						}
-					}
-					out.SetFullLen(k)
-					buf = out.Rows(buf[:0])
-					for _, r := range buf {
-						if err := emit(r); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			for {
-				r, ok, err := in.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				out := make(row.Row, len(r))
-				for i, v := range r {
-					col, isCat := recodeIdx[i]
-					if !isCat {
-						out[i] = v
-						continue
-					}
-					if v.Null {
-						out[i] = row.NullOf(row.TypeInt)
-						continue
-					}
-					id, ok := m.ID(col, v.AsString())
-					if !ok {
-						return fmt.Errorf("value %q of column %q missing from recode map %q", v.AsString(), col, mapTable)
-					}
-					out[i] = row.Int(id)
-				}
-				if err := emit(out); err != nil {
-					return err
-				}
-			}
-		},
-	}
-}
-
-// recodedSchema replaces the listed VARCHAR columns with BIGINT codes.
-func recodedSchema(in row.Schema, cols []string) (row.Schema, error) {
-	cat := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		if _, ok := in.Col(c); !ok {
-			return row.Schema{}, fmt.Errorf("unknown column %q", c)
-		}
-		cat[strings.ToLower(c)] = true
-	}
-	out := make([]row.Column, in.Len())
-	for i, c := range in.Cols {
-		out[i] = c
-		if cat[strings.ToLower(c.Name)] {
-			if c.Type != row.TypeString {
-				return row.Schema{}, fmt.Errorf("column %q is %s; recoding applies to VARCHAR", c.Name, c.Type)
-			}
-			out[i].Type = row.TypeInt
-		}
-	}
-	return row.NewSchema(out...)
-}
-
-// LoadMapTable reads a recode-map table from the engine catalog into a
-// RecodeMap. Each caller (one per worker when invoked from a per-partition
-// UDF) pays the gather cost, mirroring a distributed-cache broadcast.
-func LoadMapTable(e *sqlengine.Engine, name string) (*RecodeMap, error) {
-	t, err := e.Catalog().Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if !t.Schema.Equal(MapSchema()) {
-		return nil, fmt.Errorf("transform: table %q is not a recode map (schema %s)", name, t.Schema)
-	}
-	res, err := e.Query("SELECT colname, colval, recodeval FROM " + name)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := e.Collect(res)
-	if err != nil {
-		return nil, err
-	}
-	return FromRows(rows)
-}
-
 var tmpCounter atomic.Int64
 
 // tmpName generates a unique temporary table name.
@@ -580,14 +391,5 @@ func Recode(e *sqlengine.Engine, table, mapTable string, cols []string) (*sqleng
 	if err != nil {
 		return nil, err
 	}
-	return e.QueryStream(sql)
-}
-
-// RecodeMapSide applies the map-side recode_apply UDF instead of the join.
-// The result is streaming; mapTable must stay registered until it is
-// consumed (the UDF loads the map when the pipeline runs).
-func RecodeMapSide(e *sqlengine.Engine, table, mapTable string, cols []string) (*sqlengine.Result, error) {
-	sql := fmt.Sprintf("SELECT * FROM TABLE(recode_apply(%s, '%s', '%s'))",
-		table, mapTable, strings.Join(cols, ","))
 	return e.QueryStream(sql)
 }

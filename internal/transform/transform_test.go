@@ -1,7 +1,6 @@
 package transform
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -161,43 +160,6 @@ func TestRecodeMatchesFigure1b(t *testing.T) {
 	for i := range expect {
 		if !rows[i].Equal(expect[i]) {
 			t.Errorf("row %d: got %v want %v", i, rows[i], expect[i])
-		}
-	}
-}
-
-func TestMapSideRecodeMatchesJoinRecode(t *testing.T) {
-	e := newEngine(t)
-	loadFigure1(t, e)
-	_, mapTable, err := BuildRecodeMap(e, "t", []string{"gender", "abandoned"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	join, err := Recode(e, "t", mapTable, []string{"gender", "abandoned"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapside, err := RecodeMapSide(e, "t", mapTable, []string{"gender", "abandoned"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !join.Schema.Equal(mapside.Schema) {
-		t.Fatalf("schemas differ: %s vs %s", join.Schema, mapside.Schema)
-	}
-	a, b := join.Rows(), mapside.Rows()
-	if len(a) != len(b) {
-		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
-	}
-	key := func(r row.Row) string { return fmt.Sprint(r) }
-	am := map[string]int{}
-	for _, r := range a {
-		am[key(r)]++
-	}
-	for _, r := range b {
-		am[key(r)]--
-	}
-	for k, n := range am {
-		if n != 0 {
-			t.Errorf("multiset mismatch at %s (%d)", k, n)
 		}
 	}
 }
@@ -371,21 +333,6 @@ func TestApplyWithCachedMapSkipsPhaseOne(t *testing.T) {
 	}
 }
 
-func TestApplyMapSide(t *testing.T) {
-	e := newEngine(t)
-	loadFigure1(t, e)
-	out, err := Apply(e, "t", Spec{
-		RecodeCols: []string{"gender", "abandoned"},
-		MapSide:    true,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.NumRows() != 3 {
-		t.Errorf("rows = %d", out.Result.NumRows())
-	}
-}
-
 func TestApplyErrors(t *testing.T) {
 	e := newEngine(t)
 	loadFigure1(t, e)
@@ -470,19 +417,20 @@ func TestNullCategoricalValues(t *testing.T) {
 	if m.Cardinality("g") != 2 {
 		t.Errorf("NULL must not be recoded: cardinality = %d", m.Cardinality("g"))
 	}
-	// Map-side recode keeps NULL as NULL.
-	res, err := RecodeMapSide(e, "n", mapTable, []string{"g"})
+	// Phase 2 is an inner join against the map, which has no NULL entry:
+	// the NULL-valued row is excluded from the recoded table.
+	res, err := Recode(e, "n", mapTable, []string{"g"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nulls := 0
-	for _, r := range res.Rows() {
-		if r[0].Null {
-			nulls++
-		}
+	rows := res.Rows()
+	if len(rows) != 2 {
+		t.Fatalf("rows after recode = %d, want 2 (NULL row excluded)", len(rows))
 	}
-	if nulls != 1 {
-		t.Errorf("null rows after map-side recode = %d", nulls)
+	for _, r := range rows {
+		if r[0].Null {
+			t.Errorf("NULL code survived the join recode: %v", r)
+		}
 	}
 }
 

@@ -1,13 +1,15 @@
 #!/bin/sh
 # Reproduces the CI lint job locally in one command:
 #
-#   scripts/lint.sh          # full: gofmt, go vet, sqlmlvet, staticcheck, govulncheck
-#   scripts/lint.sh --fast   # inner loop: gofmt + sqlmlvet only
+#   scripts/lint.sh          # full: gofmt, go vet, sqlmlvet, deadexports, staticcheck, govulncheck
+#   scripts/lint.sh --fast   # inner loop: gofmt + sqlmlvet + deadexports only
 #
 # sqlmlvet is the repository's own vettool (batchretain, errdiscard,
 # lockhygiene, maporder, poolreturn, retrybudget, vecsafety, wiretrust);
 # a stale or reason-less //lint:allow fails the run like any other
-# diagnostic. staticcheck and govulncheck are pinned to the exact
+# diagnostic. deadexports (scripts/deadexports) lists exported names under
+# internal/ that no file in the module references; it prints nothing on a
+# swept tree. staticcheck and govulncheck are pinned to the exact
 # versions CI uses and are skipped with a note when not installed, so the
 # script works in a stdlib-only sandbox; CI always runs them.
 set -eu
@@ -40,6 +42,9 @@ echo "== sqlmlvet (batchretain errdiscard lockhygiene maporder poolreturn retryb
 tool="${TMPDIR:-/tmp}/sqlmlvet"
 go build -o "$tool" ./cmd/sqlmlvet
 go vet -vettool="$tool" ./...
+
+echo "== deadexports (exported names under internal/ nothing references)"
+go run ./scripts/deadexports
 
 if [ "$fast" = 1 ]; then
     echo "lint OK (fast)"
