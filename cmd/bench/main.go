@@ -11,11 +11,17 @@
 //	bench -fig ablations    # transfer ablations (k, buffers, locality, ...)
 //	bench -fig all          # everything
 //	bench -users 2000 -carts-per-user 100   # scale override
+//
+// Every column is simulated time or a byte/frame count except the SVM
+// note's training wall time; wall, CPU and allocation numbers come from
+// benchmark/ only.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 	"time"
@@ -24,42 +30,72 @@ import (
 	"sqlml/internal/stream"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "which experiment to run: 3, 4, svm, ablations, all")
-	users := flag.Int("users", 1000, "users table rows")
-	cartsPer := flag.Int("carts-per-user", 100, "carts per user (the paper's ratio is 100)")
-	seed := flag.Int64("seed", 7, "workload seed")
-	flag.Parse()
+// accepted is what -fig takes: a name from figures, or all.
+const accepted = "3, 4, svm, ablations, all"
 
-	scale := experiments.Scale{Users: *users, CartsPerUser: *cartsPer, Seed: *seed}
-	ok := true
-	run := func(name string, f func(experiments.Scale) error) {
-		if *fig != "all" && *fig != name {
-			return
+// figures lists the experiments in the order -fig all prints them.
+var figures = []struct {
+	name string
+	run  func(experiments.Scale, io.Writer) error
+}{
+	{"3", runFigure3},
+	{"4", runFigure4},
+	{"svm", runSVM},
+	{"ablations", runAblations},
+}
+
+// errUsage marks a bad command line: main exits 2 for it, 1 for an
+// experiment that failed.
+var errUsage = errors.New("usage")
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
 		}
-		if err := f(scale); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %s: %v\n", name, err)
-			ok = false
-		}
-	}
-	run("3", runFigure3)
-	run("4", runFigure4)
-	run("svm", runSVM)
-	run("ablations", runAblations)
-	if !ok {
 		os.Exit(1)
 	}
 }
 
-func newTab() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func run(args []string, stdout io.Writer) error {
+	// ExitOnError: a malformed flag exits 2 inside Parse, as flag.Parse does.
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	fig := fs.String("fig", "all", "which experiment to run: "+accepted)
+	def := experiments.DefaultScale()
+	users := fs.Int("users", def.Users, "users table rows")
+	cartsPer := fs.Int("carts-per-user", def.CartsPerUser, "carts per user (the paper's ratio is 100)")
+	seed := fs.Int64("seed", def.Seed, "workload seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	scale := experiments.Scale{Users: *users, CartsPerUser: *cartsPer, Seed: *seed}
+	ran := false
+	for _, f := range figures {
+		if *fig != "all" && *fig != f.name {
+			continue
+		}
+		ran = true
+		if err := f.run(scale, stdout); err != nil {
+			return fmt.Errorf("%s: %w", f.name, err)
+		}
+	}
+	if !ran {
+		return fmt.Errorf("%w: unknown -fig %q (accepted: %s)", errUsage, *fig, accepted)
+	}
+	return nil
+}
+
+func newTab(out io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 }
 
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
 }
 
-func runFigure3(scale experiments.Scale) error {
+func runFigure3(scale experiments.Scale, out io.Writer) error {
 	env, err := experiments.Setup(scale, stream.DefaultSenderConfig())
 	if err != nil {
 		return err
@@ -69,10 +105,10 @@ func runFigure3(scale experiments.Scale) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 3 — comparison of three approaches of connecting big SQL and big ML")
-	fmt.Printf("(simulated cluster milliseconds; %d users x %d carts each)\n", scale.Users, scale.CartsPerUser)
-	w := newTab()
-	fmt.Fprintln(w, "approach\tstage breakdown (sim-ms)\ttotal sim-ms\twall")
+	fmt.Fprintln(out, "Figure 3 — comparison of three approaches of connecting big SQL and big ML")
+	fmt.Fprintf(out, "(simulated cluster milliseconds; %d users x %d carts each)\n", scale.Users, scale.CartsPerUser)
+	w := newTab(out)
+	fmt.Fprintln(w, "approach\tstage breakdown (sim-ms)\ttotal sim-ms")
 	for _, r := range rows {
 		stages := ""
 		for i, s := range r.Stages {
@@ -81,20 +117,20 @@ func runFigure3(scale experiments.Scale) error {
 			}
 			stages += fmt.Sprintf("%s=%s", s.Stage, ms(s.Sim))
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", r.Approach, stages, ms(r.TotalSim), r.Wall.Round(time.Millisecond))
+		fmt.Fprintf(w, "%s\t%s\t%s\n", r.Approach, stages, ms(r.TotalSim))
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
 	if len(rows) == 3 && rows[1].TotalSim > 0 && rows[2].TotalSim > 0 {
-		fmt.Printf("speedups: naive/insql = %.2fx (paper: 1.7x), insql/insql+stream = %.2fx\n\n",
+		fmt.Fprintf(out, "speedups: naive/insql = %.2fx (paper: 1.7x), insql/insql+stream = %.2fx\n\n",
 			float64(rows[0].TotalSim)/float64(rows[1].TotalSim),
 			float64(rows[1].TotalSim)/float64(rows[2].TotalSim))
 	}
 	return nil
 }
 
-func runFigure4(scale experiments.Scale) error {
+func runFigure4(scale experiments.Scale, out io.Writer) error {
 	for _, onDFS := range []bool{false, true} {
 		env, err := experiments.Setup(scale, stream.DefaultSenderConfig())
 		if err != nil {
@@ -109,17 +145,17 @@ func runFigure4(scale experiments.Scale) error {
 		if onDFS {
 			variant = "actual DFS table (the paper's setting)"
 		}
-		fmt.Printf("Figure 4 — effect of caching (insql+stream pipeline; cache as %s)\n", variant)
-		w := newTab()
-		fmt.Fprintln(w, "tier\tcache hit\ttotal sim-ms\twall")
+		fmt.Fprintf(out, "Figure 4 — effect of caching (insql+stream pipeline; cache as %s)\n", variant)
+		w := newTab(out)
+		fmt.Fprintln(w, "tier\tcache hit\ttotal sim-ms")
 		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", r.Tier, r.Hit, ms(r.TotalSim), r.Wall.Round(time.Millisecond))
+			fmt.Fprintf(w, "%s\t%s\t%s\n", r.Tier, r.Hit, ms(r.TotalSim))
 		}
 		if err := w.Flush(); err != nil {
 			return err
 		}
 		if len(rows) == 3 && rows[1].TotalSim > 0 && rows[2].TotalSim > 0 {
-			fmt.Printf("speedups vs no cache: recode maps = %.2fx (paper: 1.5x), full result = %.2fx (paper: 2.2x)\n\n",
+			fmt.Fprintf(out, "speedups vs no cache: recode maps = %.2fx (paper: 1.5x), full result = %.2fx (paper: 2.2x)\n\n",
 				float64(rows[0].TotalSim)/float64(rows[1].TotalSim),
 				float64(rows[0].TotalSim)/float64(rows[2].TotalSim))
 		}
@@ -127,7 +163,7 @@ func runFigure4(scale experiments.Scale) error {
 	return nil
 }
 
-func runSVM(scale experiments.Scale) error {
+func runSVM(scale experiments.Scale, out io.Writer) error {
 	env, err := experiments.Setup(scale, stream.DefaultSenderConfig())
 	if err != nil {
 		return err
@@ -137,15 +173,15 @@ func runSVM(scale experiments.Scale) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("§7 note — transformed-data ingestion + SVMWithSGD, 10 iterations")
-	fmt.Printf("ingest sim-ms=%s  train wall=%s  train accuracy=%.3f\n\n",
+	fmt.Fprintln(out, "§7 note — transformed-data ingestion + SVMWithSGD, 10 iterations")
+	fmt.Fprintf(out, "ingest sim-ms=%s  train wall=%s  train accuracy=%.3f\n\n",
 		ms(rep.IngestSim), rep.TrainWall.Round(time.Millisecond), rep.Accuracy)
 	return nil
 }
 
-func runAblations(experiments.Scale) error {
-	fmt.Println("Ablations — parallel streaming transfer design choices (§3)")
-	w := newTab()
+func runAblations(_ experiments.Scale, out io.Writer) error {
+	fmt.Fprintln(out, "Ablations — parallel streaming transfer design choices (§3)")
+	w := newTab(out)
 	fmt.Fprintln(w, "experiment\tvariant\tsim-ms\tnet-KB\tspilled-KB\tframes\traw-KB\twire-KB\trestarts")
 	report := func(name, variant string, rep *experiments.TransferReport) {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%.1f\t%.1f\t%d\t%.1f\t%.1f\t%d\n",
@@ -231,6 +267,6 @@ func runAblations(experiments.Scale) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	return nil
 }

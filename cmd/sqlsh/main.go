@@ -7,13 +7,15 @@
 //	sqlml> SELECT country, COUNT(*) FROM users GROUP BY country;
 //	sqlml> SELECT * FROM TABLE(distinct_values(users, 'gender')) LIMIT 5;
 //
-// Statements end with ';' and may span lines. Ctrl-D exits.
+// Statements end with ';' (outside string literals), may span lines or
+// share one, and the last one may leave the ';' off. Ctrl-D exits.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -29,13 +31,13 @@ func main() {
 	cartsPer := flag.Int("carts-per-user", 20, "carts per user")
 	maxRows := flag.Int("max-rows", 40, "result rows to display")
 	flag.Parse()
-	if err := run(*users, *cartsPer, *maxRows); err != nil {
+	if err := run(os.Stdin, os.Stdout, *users, *cartsPer, *maxRows); err != nil {
 		fmt.Fprintf(os.Stderr, "sqlsh: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(users, cartsPer, maxRows int) error {
+func run(in io.Reader, out io.Writer, users, cartsPer, maxRows int) error {
 	env, err := core.NewEnv(core.DefaultEnvConfig())
 	if err != nil {
 		return err
@@ -55,59 +57,78 @@ func run(users, cartsPer, maxRows int) error {
 	if err := env.Engine.RegisterExternalTable("carts", env.FS, cartsPath, datagen.CartsSchema()); err != nil {
 		return err
 	}
-	fmt.Printf("sqlml shell — %d users, %d carts on the simulated DFS; end statements with ';'\n",
+	fmt.Fprintf(out, "sqlml shell — %d users, %d carts on the simulated DFS; end statements with ';'\n",
 		len(d.Users), len(d.Carts))
 
-	scanner := bufio.NewScanner(os.Stdin)
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var pending strings.Builder
+	pending := ""
 	prompt := func() {
-		if pending.Len() == 0 {
-			fmt.Print("sqlml> ")
+		if pending == "" {
+			fmt.Fprint(out, "sqlml> ")
 		} else {
-			fmt.Print("  ...> ")
+			fmt.Fprint(out, "  ...> ")
 		}
 	}
 	prompt()
 	for scanner.Scan() {
-		line := scanner.Text()
-		pending.WriteString(line)
-		pending.WriteByte('\n')
-		if !strings.Contains(line, ";") {
-			prompt()
-			continue
+		stmts, rest := splitStatements(pending + scanner.Text() + "\n")
+		for _, stmt := range stmts {
+			execute(out, env, stmt, maxRows)
 		}
-		stmt := strings.TrimSpace(pending.String())
-		pending.Reset()
-		if stmt == ";" || stmt == "" {
-			prompt()
-			continue
+		pending = rest
+		if strings.TrimSpace(pending) == "" {
+			pending = ""
 		}
-		execute(env, strings.TrimSuffix(stmt, ";"), maxRows)
 		prompt()
 	}
-	fmt.Println()
+	// EOF ends the last statement as a ';' would.
+	execute(out, env, pending, maxRows)
+	fmt.Fprintln(out)
 	return scanner.Err()
 }
 
-func execute(env *core.Env, sql string, maxRows int) {
+// splitStatements cuts src at every ';' outside a single-quoted literal and
+// returns the terminated statements plus the unterminated tail. The doubled
+// quote that escapes a quote inside a literal closes and reopens it, so it
+// needs no case of its own.
+func splitStatements(src string) (stmts []string, rest string) {
+	start, quoted := 0, false
+	for i := 0; i < len(src); i++ {
+		switch {
+		case src[i] == '\'':
+			quoted = !quoted
+		case src[i] == ';' && !quoted:
+			stmts = append(stmts, src[start:i])
+			start = i + 1
+		}
+	}
+	return stmts, src[start:]
+}
+
+// execute runs one statement and prints its result or its error; blank
+// input (";;", a trailing newline) is not a statement.
+func execute(out io.Writer, env *core.Env, sql string, maxRows int) {
+	if strings.TrimSpace(sql) == "" {
+		return
+	}
 	start := time.Now()
 	res, err := env.Engine.Run(sql)
 	elapsed := time.Since(start)
 	if err != nil {
-		fmt.Printf("error: %v\n", err)
+		fmt.Fprintf(out, "error: %v\n", err)
 		return
 	}
 	if res == nil {
-		fmt.Printf("ok (%s)\n", elapsed.Round(time.Microsecond))
+		fmt.Fprintf(out, "ok (%s)\n", elapsed.Round(time.Microsecond))
 		return
 	}
-	printResult(res.Schema, res.Rows(), maxRows)
-	fmt.Printf("%d row(s) in %s\n", res.NumRows(), elapsed.Round(time.Microsecond))
+	printResult(out, res.Schema, res.Rows(), maxRows)
+	fmt.Fprintf(out, "%d row(s) in %s\n", res.NumRows(), elapsed.Round(time.Microsecond))
 }
 
-func printResult(schema row.Schema, rows []row.Row, maxRows int) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printResult(out io.Writer, schema row.Schema, rows []row.Row, maxRows int) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, strings.Join(schema.Names(), "\t"))
 	for i, r := range rows {
 		if i >= maxRows {

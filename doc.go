@@ -8,6 +8,7 @@
 // The public surface lives in the internal packages (this module is a
 // research artifact, not a semver-stable library); see README.md for the
 // architecture map and examples/ for runnable entry points. The root
-// package exists to carry the repository-level benchmarks in bench_test.go,
-// which regenerate every table and figure of the paper's evaluation.
+// package holds no code: cmd/bench regenerates every table and figure of
+// the paper's evaluation in simulated time, and benchmark/ measures wall
+// clock, CPU and allocations.
 package sqlml

@@ -62,7 +62,6 @@ type TransferReport struct {
 	// delivered rows vs the bytes actually framed — the compression ratio.
 	RawBytes  int64
 	WireBytes int64
-	Wall      time.Duration
 }
 
 // transferSchema carries one id and one value column.
@@ -133,7 +132,6 @@ func RunTransfer(cfg TransferConfig) (*TransferReport, error) {
 		senderCfg.SpillWait = cfg.ConsumeDelay / 2
 	}
 
-	start := time.Now()
 	stats := make([]*stream.SenderStats, cfg.Workers)
 	errs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
@@ -183,7 +181,6 @@ func RunTransfer(cfg TransferConfig) (*TransferReport, error) {
 		Rows:     res.d.NumRows(),
 		SimTime:  cost.Stats().SimulatedTime,
 		NetBytes: cost.Stats().NetBytes,
-		Wall:     time.Since(start),
 	}
 	for _, s := range stats {
 		report.FramesSent += s.FramesSent

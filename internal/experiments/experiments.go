@@ -1,8 +1,9 @@
 // Package experiments regenerates the paper's evaluation (§7): Figure 3
 // (three approaches of connecting big SQL with big ML, with per-stage
 // breakdown) and Figure 4 (the effect of caching), plus the ablations
-// DESIGN.md calls out. It is shared by cmd/bench and the root bench_test.go
-// so the printed tables and the testing.B benchmarks agree.
+// DESIGN.md calls out. Every duration it reports is simulated time (the
+// cost model's clock) except SVMReport.TrainWall; cmd/bench prints the
+// tables, and wall/CPU/allocation numbers belong to benchmark/ alone.
 package experiments
 
 import (
@@ -43,7 +44,7 @@ type Scale struct {
 // SmallScale keeps a full figure regeneration under a second of wall time.
 func SmallScale() Scale { return Scale{Users: 300, CartsPerUser: 20, Seed: 7} }
 
-// DefaultScale is the benchmark default: ~100k carts, the paper's 100:1
+// DefaultScale is cmd/bench's default: ~100k carts, the paper's 100:1
 // carts:users ratio at 1:10000 of the paper's table sizes.
 func DefaultScale() Scale { return Scale{Users: 1000, CartsPerUser: 100, Seed: 7} }
 
@@ -132,7 +133,6 @@ type Figure3Row struct {
 	Approach string
 	Stages   []StageTime
 	TotalSim time.Duration
-	Wall     time.Duration
 	Rows     int
 }
 
@@ -150,7 +150,6 @@ func Figure3(env *core.Env) ([]Figure3Row, error) {
 			stages = append(stages, StageTime{Stage: stage, Sim: now - last})
 			last = now
 		}
-		start := time.Now()
 		res, err := core.Run(env, a, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", a, err)
@@ -159,7 +158,6 @@ func Figure3(env *core.Env) ([]Figure3Row, error) {
 			Approach: a.String(),
 			Stages:   stages,
 			TotalSim: env.Cost.Stats().SimulatedTime,
-			Wall:     time.Since(start),
 			Rows:     res.Rows,
 		})
 	}
@@ -171,7 +169,6 @@ type Figure4Row struct {
 	Tier     string
 	Hit      string
 	TotalSim time.Duration
-	Wall     time.Duration
 }
 
 // Figure4 primes the cache with one insql+stream run and then measures the
@@ -190,7 +187,6 @@ func Figure4(env *core.Env, onDFS bool) ([]Figure4Row, error) {
 	for _, tier := range []core.CacheTier{core.CacheOff, core.CacheRecodeMaps, core.CacheFullResult} {
 		cfg.Tier = tier
 		env.Cost.ResetStats()
-		start := time.Now()
 		res, err := core.Run(env, core.InSQLStream, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", tier, err)
@@ -199,7 +195,6 @@ func Figure4(env *core.Env, onDFS bool) ([]Figure4Row, error) {
 			Tier:     tier.String(),
 			Hit:      res.CacheHit.String(),
 			TotalSim: env.Cost.Stats().SimulatedTime,
-			Wall:     time.Since(start),
 		})
 	}
 	return rows, nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -156,6 +157,55 @@ func TestRetiredWireVersionsRejected(t *testing.T) {
 
 		_, err = BlockDecoder{}.DecodeBatch(c.frame, dst, blockRowTypes)
 		check("BlockDecoder.DecodeBatch", err, 0)
+	}
+}
+
+// TestOverLimitLengthWordsRejected: a length word one past its limit — a
+// block frame's (MaxBlockSize) or a schema header's (MaxFrameSize) — is
+// refused by name at every entry point that reads one off a connection,
+// before the buffer it asks for is allocated and with nothing credited.
+// The input ends at the word, so a decoder that trusted it would report a
+// truncated body instead.
+func TestOverLimitLengthWordsRejected(t *testing.T) {
+	var block, schema [4]byte
+	binary.LittleEndian.PutUint32(block[:], blockFlag|uint32(MaxBlockSize+1))
+	binary.LittleEndian.PutUint32(schema[:], uint32(MaxFrameSize+1))
+	for _, c := range []struct {
+		entry string
+		read  func() (credited int64, err error)
+	}{
+		{"Reader.Read", func() (int64, error) {
+			rd := NewReader(bytes.NewReader(block[:]))
+			_, err := rd.Read()
+			return rd.Bytes(), err
+		}},
+		{"Reader.ReadColBatch", func() (int64, error) {
+			rd := NewReader(bytes.NewReader(block[:]))
+			_, err := rd.ReadColBatch(NewColBatch(nil), blockRowTypes)
+			return rd.Bytes(), err
+		}},
+		{"ReadRawFrame", func() (int64, error) {
+			_, err := ReadRawFrame(bytes.NewReader(block[:]), nil)
+			return 0, err
+		}},
+		{"ReadSchema", func() (int64, error) {
+			_, err := ReadSchema(bytes.NewReader(schema[:]))
+			return 0, err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		credited, err := c.read()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Errorf("%s: err = %v, want an over-limit rejection", c.entry, err)
+		}
+		if credited != 0 {
+			t.Errorf("%s: credited %d bytes for a rejected length word", c.entry, credited)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: allocated %d bytes on the word's say-so", c.entry, grew)
+		}
 	}
 }
 

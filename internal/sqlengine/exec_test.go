@@ -824,6 +824,27 @@ func TestShowTablesAndDescribe(t *testing.T) {
 	if names["users"] != 5 || names["carts"] != 5 {
 		t.Errorf("SHOW TABLES = %v", names)
 	}
+	// The listing is sorted. The catalog is a map, whose iteration order
+	// changes from call to call, so five tables listed ten times leave an
+	// unsorted Names no room to pass by luck.
+	for _, name := range []string{"zeta", "alpha", "mid"} {
+		if err := e.LoadTable(name, row.MustSchema(row.Column{Name: "id", Type: row.TypeInt}), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		res, err := e.Run("SHOW TABLES")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var listed []string
+		for _, r := range res.Rows() {
+			listed = append(listed, r[0].AsString())
+		}
+		if got, want := fmt.Sprint(listed), "[alpha carts mid users zeta]"; got != want {
+			t.Fatalf("SHOW TABLES lists %s, want %s", got, want)
+		}
+	}
 	res, err = e.Run("DESCRIBE users")
 	if err != nil {
 		t.Fatal(err)

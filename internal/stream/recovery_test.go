@@ -2,8 +2,11 @@ package stream
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,6 +63,108 @@ func TestBackoffDelayCappedAndDeterministic(t *testing.T) {
 	}
 	if backoffDelay(base, 2, 1, 1) == backoffDelay(base, 2, 1, 2) {
 		t.Error("different splits share identical jitter; schedules would synchronize")
+	}
+}
+
+// TestRecoverSlotExhaustsBudget points the sender's per-target recovery at
+// a target whose dial always fails: it must try exactly ReconnectBudget
+// times, then escalate naming the budget and wrapping the dial error. The
+// dialer reports an attempt past the budget itself, because a recovery loop
+// that lost its bound would never return to be counted.
+func TestRecoverSlotExhaustsBudget(t *testing.T) {
+	coord := NewCoordinator(nil)
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Stop()
+
+	const budget = 3
+	refused := errors.New("ml worker refuses connections")
+	dials := 0 // written by the recovery goroutine, read after it is done
+	over := make(chan struct{}, 1)
+	cfg := DefaultSenderConfig()
+	cfg.ReconnectBudget = budget
+	cfg.Dial = func(string, string, time.Duration) (net.Conn, error) {
+		if dials++; dials == budget+1 {
+			over <- struct{}{}
+		}
+		return nil, refused
+	}
+	req := SendRequest{CoordAddr: addr, Job: "jbudget", Schema: streamSchema()}
+	done := make(chan error, 1)
+	go func() {
+		done <- recoverSlot(req, cfg, &SenderStats{}, nil, 0, Target{Listen: "127.0.0.1:1"})
+	}()
+	select {
+	case <-over:
+		t.Fatalf("recoverSlot dialed %d times with a budget of %d", budget+1, budget)
+	case err = <-done:
+	}
+	if dials != budget {
+		t.Errorf("recoverSlot dialed %d times, want %d", dials, budget)
+	}
+	if want := fmt.Sprintf("reconnect budget (%d) exhausted", budget); err == nil ||
+		!strings.Contains(err.Error(), want) || !errors.Is(err, refused) {
+		t.Errorf("recoverSlot = %v, want %q wrapping the dial error", err, want)
+	}
+}
+
+// TestReaderReconnectExhaustsBudget is the reader-side twin: a sender that
+// connects and hangs up at the resume handshake, every time, must be
+// re-accepted exactly budget times before the reader gives up with the last
+// handshake failure — or, with no budget, at once with the original cause.
+// The peer counts handshakes for the same reason the dialer above counts.
+func TestReaderReconnectExhaustsBudget(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 3
+	r := &streamReader{ln: ln, timeout: 10 * time.Second, bufSize: 4 << 10, budget: budget}
+	defer func() {
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+
+	over := make(chan struct{}, 1)
+	go func() {
+		for n := 1; ; n++ {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return // listener closed: the test is over
+			}
+			var hdr [14]byte
+			_, err = io.ReadFull(conn, hdr[:])
+			_ = conn.Close()
+			if err != nil {
+				return
+			}
+			if n == budget+1 {
+				over <- struct{}{}
+			}
+		}
+	}()
+
+	cause := errors.New("connection reset mid-stream")
+	done := make(chan error, 1)
+	go func() { done <- r.reconnect(cause) }()
+	select {
+	case <-over:
+		t.Fatalf("reader ran %d handshakes with a budget of %d", budget+1, budget)
+	case err = <-done:
+	}
+	if r.reconnects != budget {
+		t.Errorf("reader re-accepted %d times, want %d", r.reconnects, budget)
+	}
+	if err == nil || errors.Is(err, cause) || !strings.Contains(err.Error(), "resume ack") {
+		t.Errorf("reconnect = %v, want the last attempt's handshake failure", err)
+	}
+
+	r.budget, r.reconnects = 0, 0
+	if err := r.reconnect(cause); err != cause || r.reconnects != 0 {
+		t.Errorf("reconnect with no budget = %v after %d attempts, want the cause untouched", err, r.reconnects)
 	}
 }
 
@@ -182,10 +287,12 @@ func (c *coordClient) recv(t *testing.T) message {
 // heartbeating loses its lease — the coordinator severs its parked
 // connection and counts the expiry — while a worker that keeps
 // heartbeating is untouched. This is the hung-not-disconnected detection
-// a pure read-EOF check cannot provide.
+// a pure read-EOF check cannot provide. The lease is an hour, so the
+// coordinator's own ticker never fires; the test presents expireLeases
+// with the instant at which exactly the silent worker's lease has lapsed.
 func TestLeaseExpiryFencesHungWorker(t *testing.T) {
 	coord := NewCoordinator(nil)
-	coord.LeaseDuration = 150 * time.Millisecond
+	coord.LeaseDuration = time.Hour
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -201,13 +308,23 @@ func TestLeaseExpiryFencesHungWorker(t *testing.T) {
 	hung := reg(0)
 	live := reg(1)
 
-	// Renew worker 1's lease well past several expiry windows; worker 0
-	// stays silent.
-	deadline := time.Now().Add(600 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	// Renew worker 1's lease until the coordinator has seen both
+	// registrations and a heartbeat newer than worker 0's registration;
+	// worker 0 stays silent. The socket's own backpressure paces the loop.
+	var hungBeat time.Time
+	for {
 		live.send(t, message{Type: "heartbeat", Job: "jlease", Worker: 1})
-		time.Sleep(30 * time.Millisecond)
+		coord.mu.Lock()
+		js := coord.job("jlease")
+		beat0, ok0 := js.lastBeat[0]
+		beat1, ok1 := js.lastBeat[1]
+		coord.mu.Unlock()
+		if ok0 && ok1 && beat1.After(beat0) {
+			hungBeat = beat0
+			break
+		}
 	}
+	coord.expireLeases(hungBeat.Add(coord.LeaseDuration + time.Nanosecond))
 
 	if got := coord.ExpiredLeases("jlease"); got != 1 {
 		t.Fatalf("expired leases = %d, want 1 (only the silent worker)", got)

@@ -60,12 +60,6 @@ type SenderConfig struct {
 	// written raw. Compression is on by default; the knob exists for the
 	// ablation grid and for debugging wire captures.
 	DisableCompression bool
-	// DisableReplay turns off the per-slot frame spool that restart
-	// attempts resend from. With a streaming input the spool is the only
-	// copy of already-consumed rows, so disabling it trades §6 restarts
-	// for true O(batch) sender memory (a failed transfer then fails the
-	// query).
-	DisableReplay bool
 }
 
 // DefaultSenderConfig mirrors the paper's settings.
@@ -228,18 +222,17 @@ type spooledBlock struct {
 
 // sendSource tracks where an attempt's rows come from. The first attempt
 // consumes the streaming input, encoding rows into block frames once and
-// (unless replay is disabled) spooling the encoded blocks per slot; later
-// attempts resend the unconfirmed slots from the spool — one spool entry
-// and one resend enqueue per block, not per row. The input is consumed
-// exactly once even when targets fail mid-stream.
+// spooling the encoded blocks per slot; later attempts resend the
+// unconfirmed slots from the spool — one spool entry and one resend
+// enqueue per block, not per row. The input is consumed exactly once even
+// when targets fail mid-stream.
 type sendSource struct {
-	input  sqlengine.Iterator // nil once consumed
-	spool  [][]spooledBlock   // [slot][block]; nil until k is known
-	replay bool
+	input sqlengine.Iterator // nil once consumed
+	spool [][]spooledBlock   // [slot][block]; nil until k is known
 }
 
-// fatalError marks a failure no restart can recover from (the streaming
-// input itself failed, or it was consumed with replay disabled).
+// fatalError marks a failure no restart can recover from: the streaming
+// input itself failed.
 type fatalError struct{ err error }
 
 func (f *fatalError) Error() string { return f.err.Error() }
@@ -277,18 +270,14 @@ func Send(req SendRequest) (*SenderStats, error) {
 	if cfg.ReconnectBudget == 0 {
 		cfg.ReconnectBudget = DefaultSenderConfig().ReconnectBudget
 	}
-	src := &sendSource{input: req.Input, replay: !cfg.DisableReplay}
+	src := &sendSource{input: req.Input}
 	if src.input == nil {
 		src.input = &sqlengine.SliceIterator{Rows: req.Rows}
-	}
-	maxRestarts := cfg.MaxRestarts
-	if cfg.DisableReplay {
-		maxRestarts = 0
 	}
 	stats := &SenderStats{Worker: req.Worker}
 	completed := make(map[int]bool)
 	var lastErr error
-	for attempt := 0; attempt <= maxRestarts; attempt++ {
+	for attempt := 0; attempt <= cfg.MaxRestarts; attempt++ {
 		if attempt > 0 {
 			stats.Restarts++
 			// Give failed ML tasks a moment to re-execute and re-register.
@@ -377,7 +366,7 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	for _, t := range targets {
 		bySplit[t.Split] = t
 	}
-	if src.input != nil && src.replay && src.spool == nil {
+	if src.spool == nil {
 		src.spool = make([][]spooledBlock, k)
 	}
 
@@ -399,11 +388,7 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 			dialErr = fmt.Errorf("stream: coordinator match set missing split %d", split)
 			break
 		}
-		var slotSpool []spooledBlock
-		if src.spool != nil {
-			slotSpool = src.spool[j]
-		}
-		tc, idx, err := openChannel(req, cfg, t, slotSpool)
+		tc, idx, err := openChannel(req, cfg, t, src.spool[j])
 		if err != nil {
 			dialErr = err
 			break
@@ -413,7 +398,7 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	}
 	if dialErr != nil {
 		closeAll(chans)
-		if src.input != nil && src.spool != nil {
+		if src.input != nil {
 			// The upstream pipeline is one-shot: drain it into the spool now
 			// so the retry attempt has the rows.
 			if err := src.consumeInput(k, nil, cfg, row.SchemaTypes(req.Schema)); err != nil {
@@ -443,7 +428,7 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 			// consuming (via the handshake) are skipped, so a surviving
 			// reader is not fed duplicates it would have to discard.
 			for _, sb := range src.spool[j][resume[j]:] {
-				if err := tc.enqueue(sb.frame, sb.rows, sb.raw); err != nil {
+				if err := tc.enqueue(sb.frame); err != nil {
 					// Keep streaming the healthy slots; this one retries
 					// next attempt.
 					tc.abort()
@@ -467,7 +452,8 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 			continue
 		}
 		completed[split] = true
-		slotStats(stats, src, j, tc)
+		slotStats(stats, src.spool[j])
+		stats.SpilledBytes += tc.spilledBytes
 	}
 	// Per-target recovery: before escalating to a §6 group restart, redial
 	// each failed slot with capped exponential backoff + jitter and resume
@@ -475,7 +461,7 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	// consumed offset). A single broken connection is thereby absorbed
 	// without touching the healthy slots or re-running any reader; only an
 	// exhausted budget escalates.
-	if firstErr != nil && src.spool != nil && cfg.ReconnectBudget > 0 {
+	if firstErr != nil && cfg.ReconnectBudget > 0 {
 		allRecovered := true
 		for j, tc := range chans {
 			split := req.Worker*k + j
@@ -492,7 +478,7 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 				continue
 			}
 			completed[split] = true
-			slotStats(stats, src, j, nil)
+			slotStats(stats, src.spool[j])
 		}
 		if allRecovered {
 			return true, nil
@@ -504,30 +490,18 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	return true, nil
 }
 
-// slotStats folds one confirmed slot's delivery into the worker stats.
-// With the replay spool on, the spool is the slot's logical content — a
-// resumed channel resends only a suffix, so its own counters undercount the
-// exactly-once delivery; without a spool the channel counters are exact.
-func slotStats(stats *SenderStats, src *sendSource, j int, tc *targetChannel) {
-	if src.spool != nil {
-		for _, sb := range src.spool[j] {
-			stats.RowsSent += sb.rows
-			stats.BytesSent += int64(len(sb.frame))
-			stats.FramesSent++
-			stats.RawBytes += sb.raw
-			stats.WireBytes += int64(len(sb.frame))
-		}
-		if tc != nil {
-			stats.SpilledBytes += tc.spilledBytes
-		}
-		return
+// slotStats folds one confirmed slot's delivery into the worker stats. The
+// spool is the slot's logical content: a resumed channel resends only a
+// suffix, so counting what a channel wrote would undercount the
+// exactly-once delivery.
+func slotStats(stats *SenderStats, spool []spooledBlock) {
+	for _, sb := range spool {
+		stats.RowsSent += sb.rows
+		stats.BytesSent += int64(len(sb.frame))
+		stats.FramesSent++
+		stats.RawBytes += sb.raw
+		stats.WireBytes += int64(len(sb.frame))
 	}
-	stats.RowsSent += tc.rows
-	stats.BytesSent += tc.bytes
-	stats.SpilledBytes += tc.spilledBytes
-	stats.FramesSent += tc.frames
-	stats.RawBytes += tc.rawBytes
-	stats.WireBytes += tc.bytes
 }
 
 // recoverSlot redials one failed target until its slot is delivered and
@@ -551,7 +525,7 @@ func recoverSlot(req SendRequest, cfg SenderConfig, stats *SenderStats, spool []
 		stats.Reconnects++
 		enqueued := true
 		for _, sb := range spool[idx:] {
-			if err := tc.enqueue(sb.frame, sb.rows, sb.raw); err != nil {
+			if err := tc.enqueue(sb.frame); err != nil {
 				tc.abort()
 				lastErr = err
 				enqueued = false
@@ -624,11 +598,11 @@ func getTarget(coordAddr string, timeout time.Duration, job string, split int) (
 
 // consumeInput drains the streaming input exactly once, packing each
 // slot's rows into block frames built on pooled buffers, spooling each
-// finished block (when replay is enabled) and fanning it out to the live
-// channels (chans is nil when a dial failure means this attempt only
-// spools). A slot's block flushes on the row/byte budget and at end of
-// stream, so channel operations, spool entries, and wire writes are
-// O(blocks), not O(rows). The input is consumed afterwards.
+// finished block and fanning it out to the live channels (chans is nil
+// when a dial failure means this attempt only spools). A slot's block
+// flushes on the row/byte budget and at end of stream, so channel
+// operations, spool entries, and wire writes are O(blocks), not O(rows).
+// The input is consumed afterwards.
 func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfig, types []row.Type) error {
 	in := s.input
 	s.input = nil
@@ -650,22 +624,17 @@ func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfi
 		if frame == nil {
 			return
 		}
-		if s.spool != nil {
-			s.spool[j] = append(s.spool[j], spooledBlock{frame: frame, rows: rows, raw: raw})
-		}
+		s.spool[j] = append(s.spool[j], spooledBlock{frame: frame, rows: rows, raw: raw})
 		if chans == nil {
 			return
 		}
 		tc := chans[j]
 		if tc == nil || tc.aborted {
-			if s.spool == nil {
-				row.RecycleBlockBuffer(frame)
-			}
 			return
 		}
-		if err := tc.enqueue(frame, rows, raw); err != nil {
+		if err := tc.enqueue(frame); err != nil {
 			// Keep streaming the healthy slots; this one retries next
-			// attempt (or fails the transfer when replay is off).
+			// attempt.
 			tc.abort()
 		}
 	}
@@ -764,18 +733,7 @@ type targetChannel struct {
 	spill        *os.File
 	spillTimer   *time.Timer
 	spilledBytes int64
-	rows         int64
-	bytes        int64
-	rawBytes     int64
-	frames       int64
 	aborted      bool
-
-	// recycle marks frames as pool-owned: with replay disabled nothing
-	// retains a frame after it leaves the process, so the writer returns
-	// its buffer to the block pool once written (to the socket or the
-	// spill file). With replay enabled the spool owns the frames and they
-	// must never be recycled mid-transfer.
-	recycle bool
 }
 
 // resumeMagic opens the reader→sender resume header on every data
@@ -869,7 +827,6 @@ func openChannel(req SendRequest, cfg SenderConfig, t Target, spool []spooledBlo
 		cfg:     cfg,
 		target:  t,
 		cost:    req.Cost,
-		recycle: cfg.DisableReplay,
 	}
 	tc.fromNode = req.Node
 	if req.Topo != nil {
@@ -915,22 +872,15 @@ func (tc *targetChannel) creditLoop() {
 	}
 }
 
-// enqueue hands one encoded block frame (rows rows) to the writer, taking
-// ownership of the slice (callers must not reuse it). When the queue is
+// enqueue hands one encoded block frame to the writer, which only reads it:
+// the replay spool owns the slice until the slot's ACK. When the queue is
 // full it blocks up to SpillWait for the consumer to catch up, then
 // spills the whole block to disk in one write (the paper's
 // producer/consumer synchronization for slow ML workers, at block
 // granularity).
-func (tc *targetChannel) enqueue(f []byte, rows, raw int64) error {
-	account := func() {
-		tc.rows += rows
-		tc.bytes += int64(len(f))
-		tc.rawBytes += raw
-		tc.frames++
-	}
+func (tc *targetChannel) enqueue(f []byte) error {
 	select {
 	case tc.queue <- f:
-		account()
 		return nil
 	default:
 	}
@@ -945,7 +895,6 @@ func (tc *targetChannel) enqueue(f []byte, rows, raw int64) error {
 		if !tc.spillTimer.Stop() {
 			<-tc.spillTimer.C
 		}
-		account()
 		return nil
 	case <-tc.spillTimer.C:
 	}
@@ -956,28 +905,16 @@ func (tc *targetChannel) enqueue(f []byte, rows, raw int64) error {
 	if tc.spill == nil {
 		sp, err := os.CreateTemp(tc.cfg.SpillDir, "sqlml-spill-*")
 		if err != nil {
-			if tc.recycle {
-				row.RecycleBlockBuffer(f)
-			}
 			return fmt.Errorf("stream: create spill file: %w", err)
 		}
 		tc.spill = sp
 	}
 	if _, err := tc.spill.Write(f); err != nil {
-		if tc.recycle {
-			row.RecycleBlockBuffer(f)
-		}
 		return fmt.Errorf("stream: spill write: %w", err)
 	}
 	tc.spilledBytes += int64(len(f))
-	account()
 	if tc.cost != nil && tc.fromNode != nil {
 		tc.cost.ChargeDiskWrite(tc.fromNode, len(f))
-	}
-	// Spilled frames never reach the writer goroutine; their only other
-	// owner is the replay spool.
-	if tc.recycle {
-		row.RecycleBlockBuffer(f)
 	}
 	return nil
 }
@@ -1027,17 +964,12 @@ func (tc *targetChannel) writeLoop() {
 		return err
 	}
 	for frame := range tc.queue {
-		err := writeChunk(frame)
-		n := len(frame)
-		if tc.recycle {
-			row.RecycleBlockBuffer(frame)
-		}
-		if err != nil {
+		if err := writeChunk(frame); err != nil {
 			tc.done <- err
 			tc.drain()
 			return
 		}
-		pending += n
+		pending += len(frame)
 		if pending >= tc.cfg.BufferSize {
 			if err := tc.w.Flush(); err != nil {
 				tc.done <- err
@@ -1115,13 +1047,10 @@ func (tc *targetChannel) writeLoop() {
 	}
 }
 
-// drain discards queued frames after a write failure, recycling their
-// buffers when nothing else (the replay spool) owns them.
+// drain discards queued frames after a write failure (the replay spool
+// still owns them), so a producer blocked in enqueue is released.
 func (tc *targetChannel) drain() {
-	for f := range tc.queue {
-		if tc.recycle {
-			row.RecycleBlockBuffer(f)
-		}
+	for range tc.queue {
 	}
 }
 

@@ -234,6 +234,65 @@ func TestDummyCodingExactlyOneHot(t *testing.T) {
 	}
 }
 
+// TestDummyCodeUnderSelectionVector runs dummy_code's columnar branch over
+// batches that carry a live selection vector — a streamed WHERE that keeps
+// a scattered third of each batch, which is how the pipeline feeds it —
+// and holds it to the same UDF over the materialised (dense) rows. Reading
+// a pass-through column at the selection index instead of the selected
+// position would emit the rows the filter dropped.
+func TestDummyCodeUnderSelectionVector(t *testing.T) {
+	e := newEngine(t)
+	schema := row.MustSchema(
+		row.Column{Name: "id", Type: row.TypeInt},
+		row.Column{Name: "level", Type: row.TypeInt},
+		row.Column{Name: "x", Type: row.TypeFloat},
+	)
+	src := make([]row.Row, 400)
+	for i := range src {
+		src[i] = row.Row{row.Int(int64(i)), row.Int(int64(1 + i%3)), row.Float(float64(i * 37 % 100))}
+	}
+	if err := e.LoadTable("src", schema, src); err != nil {
+		t.Fatal(err)
+	}
+	const prep = "SELECT id, level, x FROM src WHERE x < 30"
+	coded := func(table string) []row.Row {
+		res, err := DummyCode(e, table, "level:3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := res.Rows()
+		sort.Slice(rows, func(i, j int) bool { return rows[i][0].AsInt() < rows[j][0].AsInt() })
+		return rows
+	}
+
+	stream, err := e.QueryStream(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterResultStream("selected", stream); err != nil {
+		t.Fatal(err)
+	}
+	got := coded("selected")
+
+	dense, err := e.Query(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterResult("dense", dense); err != nil {
+		t.Fatal(err)
+	}
+	want := coded("dense")
+
+	if len(want) != 120 || len(got) != len(want) {
+		t.Fatalf("coded %d streamed and %d dense rows, want 120 of each", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("row %d: streamed %v, dense %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestEffectCodingReferenceLevel(t *testing.T) {
 	n, typ, encode, err := effectCoding(3)
 	if err != nil || n != 2 || typ != row.TypeInt {
