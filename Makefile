@@ -23,4 +23,5 @@ lint-fast:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzKeyCodec$$' -fuzztime 10s ./internal/row
 	go test -run '^$$' -fuzz '^FuzzBlockFrame$$' -fuzztime 10s ./internal/row
+	go test -run '^$$' -fuzz '^FuzzTextScan$$' -fuzztime 10s ./internal/row
 	go test -run '^$$' -fuzz '^FuzzControlMessage$$' -fuzztime 10s ./internal/stream

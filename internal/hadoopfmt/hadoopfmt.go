@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"sqlml/internal/cluster"
 	"sqlml/internal/dfs"
@@ -41,12 +42,12 @@ type RecordReader interface {
 }
 
 // ColBatchRecordReader is an optional extension of RecordReader: readers
-// whose transfer unit is already column-major (the wire frames of the
-// streaming transfer) materialize it straight into a ColBatch, so a
-// columnar consumer ingests without ever constructing a row. NextColBatch
-// resets and fills dst (the reader knows its own schema) and returns the
-// row count; ok is false at the end of the split. Calls interleave freely
-// with Next — each call serves the rest of one transfer unit.
+// that can fill typed vectors directly (the streaming transfer from its
+// column-major wire frames, the DFS text table from its line bytes) do so
+// straight into a ColBatch, so a columnar consumer ingests without ever
+// constructing a row. NextColBatch resets and fills dst (the reader knows
+// its own schema) and returns the row count; ok is false at the end of the
+// split. Calls interleave freely with Next.
 type ColBatchRecordReader interface {
 	RecordReader
 	NextColBatch(dst *row.ColBatch) (n int, ok bool, err error)
@@ -173,71 +174,130 @@ func (f *TextTableFormat) Open(split InputSplit, readerNode *cluster.Node) (Reco
 	if err != nil {
 		return nil, err
 	}
+	br := readBufPool.Get().(*bufio.Reader)
+	br.Reset(rd)
 	lr := &lineRecordReader{
-		r:      bufio.NewReaderSize(rd, 64<<10),
+		r:      br,
 		closer: rd,
 		schema: f.TableSchema,
-		limit:  fsplit.Len,
+		types:  row.SchemaTypes(f.TableSchema),
+		split:  fsplit,
 	}
 	if fsplit.Offset > 0 {
 		// Skip the (partial) first line: it belongs to the previous split.
-		skipped, err := lr.r.ReadString('\n')
-		if err == io.EOF {
-			lr.done = true
-		} else if err != nil {
-			if cerr := rd.Close(); cerr != nil {
+		if _, _, err := lr.nextLine(); err != nil {
+			if cerr := lr.Close(); cerr != nil {
 				err = errors.Join(err, cerr)
 			}
 			return nil, err
 		}
-		lr.consumed += int64(len(skipped))
 	}
 	return lr, nil
 }
 
-// lineRecordReader yields one row per text line. A split owns every line
-// that *starts* strictly inside it (plus the line starting at offset 0 when
-// the split begins the file), so adjacent splits partition lines exactly.
+// readBufPool recycles the 64 KB read buffers: a table is opened once per
+// block-sized split, and a buffer per Open would cost as much as the table.
+var readBufPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+// lineRecordReader reads the text lines of one split, as rows (Next) or
+// straight into a column batch (NextColBatch); the two interleave freely.
+// A split owns every line that *starts* strictly inside it (plus the line
+// starting at offset 0 when the split begins the file), so adjacent splits
+// partition lines exactly.
 type lineRecordReader struct {
-	r        *bufio.Reader
+	r        *bufio.Reader // from readBufPool; nil once closed
 	closer   io.Closer
 	schema   row.Schema
-	limit    int64 // bytes of the split; lines starting beyond it belong to the next split
+	types    []row.Type
+	split    *FileSplit // lines starting beyond its Len belong to the next split
 	consumed int64
+	lineAt   int64  // offset within the split's range of the line nextLine last returned
+	long     []byte // a line longer than the read buffer, pieced together
 	done     bool
 }
 
-// Next implements RecordReader.
-func (l *lineRecordReader) Next() (row.Row, bool, error) {
-	if l.done || l.consumed > l.limit {
+// nextLine frames the next line the split owns, without its newline. The
+// bytes are a view into the read buffer, valid until the following call.
+func (l *lineRecordReader) nextLine() (line []byte, ok bool, err error) {
+	if l.done || l.consumed > l.split.Len {
 		return nil, false, nil
 	}
-	line, err := l.r.ReadString('\n')
+	line, err = l.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		l.long = append(l.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = l.r.ReadSlice('\n')
+			l.long = append(l.long, line...)
+		}
+		line = l.long
+	}
 	if err == io.EOF {
 		l.done = true
-		if line == "" {
+		if len(line) == 0 {
 			return nil, false, nil
 		}
 	} else if err != nil {
 		return nil, false, err
 	}
+	l.lineAt = l.consumed
 	l.consumed += int64(len(line))
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]
 	}
-	r, derr := row.DecodeLine(line, l.schema)
-	if derr != nil {
-		return nil, false, fmt.Errorf("hadoopfmt: %s: %w", l.schema, derr)
+	return line, true, nil
+}
+
+// lineErr says where the line nextLine last returned sits: the split (which
+// names the DFS path) and the byte offset of the line's start in the file.
+func (l *lineRecordReader) lineErr(err error) error {
+	return fmt.Errorf("hadoopfmt: %s: line at byte %d: %w", l.split, l.split.Offset+l.lineAt, err)
+}
+
+// Next implements RecordReader. It is the row face of the reader (the
+// MapReduce and Jaql engines' contract is rows) and, through DecodeLine,
+// the oracle NextColBatch is held to.
+func (l *lineRecordReader) Next() (row.Row, bool, error) {
+	line, ok, err := l.nextLine()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	r, err := row.DecodeLine(string(line), l.schema)
+	if err != nil {
+		return nil, false, l.lineErr(err)
 	}
 	return r, true, nil
 }
 
+// NextColBatch implements ColBatchRecordReader: up to DefaultBatchSize of
+// the split's remaining lines, parsed off the read buffer into dst's typed
+// vectors without a row or a string per line in between.
+func (l *lineRecordReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
+	dst.Reset(l.types)
+	for dst.FullLen() < row.DefaultBatchSize {
+		line, ok, err := l.nextLine()
+		if err != nil {
+			return 0, false, err
+		}
+		if !ok {
+			break
+		}
+		if err := row.DecodeLineInto(dst, line, l.schema); err != nil {
+			return 0, false, l.lineErr(err)
+		}
+	}
+	n := dst.FullLen()
+	return n, n > 0, nil
+}
+
 // Close implements RecordReader.
 func (l *lineRecordReader) Close() error {
-	if l.closer != nil {
-		return l.closer.Close()
+	if l.r == nil {
+		return nil
 	}
-	return nil
+	l.r.Reset(nil)
+	readBufPool.Put(l.r)
+	l.r, l.done = nil, true
+	return l.closer.Close()
 }
 
 // TextTableWriter streams rows into a DFS text table file one at a time,

@@ -139,9 +139,9 @@ func Ingest(f hadoopfmt.InputFormat, opts IngestOptions) (*Dataset, error) {
 }
 
 // readSplit runs one ingest task: open the split, convert every row, and
-// append into out. A columnar reader (the streaming transfer's) skips rows
-// entirely: points are built straight from each wire frame's typed
-// vectors. Every other reader is drained row by row.
+// append into out. A columnar reader (the streaming transfer's, a DFS text
+// table's) skips rows entirely: points are built straight from each
+// batch's typed vectors. Every other reader is drained row by row.
 func readSplit(f hadoopfmt.InputFormat, split hadoopfmt.InputSplit, node *cluster.Node, conv *converter, out *[]LabeledPoint) (err error) {
 	rr, err := f.Open(split, node)
 	if err != nil {

@@ -261,6 +261,32 @@ func (v *Vector) AppendValue(val Value) {
 	}
 }
 
+// truncate shortens a sequentially built vector to its first n slots.
+func (v *Vector) truncate(n int) {
+	if v.n <= n {
+		return
+	}
+	switch v.typ {
+	case TypeInt:
+		v.Ints = v.Ints[:n]
+	case TypeFloat:
+		v.Floats = v.Floats[:n]
+	case TypeBool:
+		v.Bools = v.Bools[:n]
+	case TypeString:
+		v.bytes = v.bytes[:v.offs[n]]
+		v.offs = v.offs[:n+1]
+	}
+	for i := n; v.hasNulls && i < v.n && i>>6 < len(v.nulls); i++ {
+		v.nulls[i>>6] &^= 1 << (uint(i) & 63) // hasNulls may stay set: it is a hint
+	}
+	v.n = n
+}
+
+// PayloadLen returns the total payload bytes of VARCHAR slots [0, n): one
+// offset read, where summing Bytes(i) would slice n times.
+func (v *Vector) PayloadLen(n int) int { return int(v.offs[n]) }
+
 // Bytes returns the raw payload of VARCHAR slot i (zero-copy; aliases the
 // vector's slab, so it obeys the batch validity window).
 func (v *Vector) Bytes(i int) []byte {
@@ -416,15 +442,18 @@ func (b *ColBatch) Rows(dst []Row) []Row {
 }
 
 // RowAt materializes one live row (by ordinal under the selection) into
-// dst, growing it as needed. Unlike Rows, string values alias the batch's
-// slab — the caller must copy anything it keeps past the validity window.
+// dst, growing it as needed. Like Rows, VARCHAR values are owning copies
+// (one allocation per string cell): the row survives the batch being
+// refilled. colProbeIter depends on that — its joined output rows keep the
+// probe row's strings long after the scan has recycled the slab — so a
+// zero-copy view here would hand out dangling rows.
 func (b *ColBatch) RowAt(si int, dst Row) Row {
 	p := b.SelPos(si)
 	return b.PhysicalRow(p, dst)
 }
 
-// PhysicalRow materializes physical row p into dst (string values alias
-// the batch's slab; see RowAt).
+// PhysicalRow materializes physical row p into dst (VARCHAR values are
+// owning copies; see RowAt).
 func (b *ColBatch) PhysicalRow(p int, dst Row) Row {
 	dst = dst[:0]
 	for c := range b.cols {
@@ -441,20 +470,10 @@ func (b *ColBatch) PhysicalRow(p int, dst Row) Row {
 		case TypeBool:
 			dst = append(dst, Bool(col.Bools[p]))
 		default:
-			dst = append(dst, Value{Kind: TypeString, s: unsafeStringView(col.Bytes(p))})
+			dst = append(dst, String_(string(col.Bytes(p))))
 		}
 	}
 	return dst
-}
-
-// unsafeStringView converts bytes to a string without copying. The result
-// aliases b and must not outlive it — callers of PhysicalRow/RowAt own
-// that obligation (the fallback-eval and probe shims consume the row
-// within the batch's validity window).
-func unsafeStringView(b []byte) string {
-	// A plain conversion copies; the shim tolerates that cost for
-	// correctness — revisit only if profiles say so.
-	return string(b)
 }
 
 // FromRows transposes rows[lo:hi] into the batch (after Reset to the

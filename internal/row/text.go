@@ -2,6 +2,7 @@ package row
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -23,21 +24,22 @@ func needsQuoting(s string) bool {
 	return s == "" || strings.ContainsAny(s, ",\"\n\\")
 }
 
-func escapeQuoted(b *strings.Builder, s string) {
-	b.WriteByte('"')
+// appendQuoted appends s as a quoted field: the format's escape rules.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '"':
-			b.WriteString(`""`)
+			dst = append(dst, '"', '"')
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, '\\', '\\')
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, '\\', 'n')
 		default:
-			b.WriteByte(s[i])
+			dst = append(dst, s[i])
 		}
 	}
-	b.WriteByte('"')
+	return append(dst, '"')
 }
 
 // EncodeField renders one value as a text-format field.
@@ -47,9 +49,7 @@ func EncodeField(v Value) string {
 	}
 	s := v.String()
 	if v.Kind == TypeString && needsQuoting(s) {
-		var b strings.Builder
-		escapeQuoted(&b, s)
-		return b.String()
+		return string(appendQuoted(nil, s))
 	}
 	return s
 }
@@ -67,8 +67,9 @@ func EncodeLine(r Row) string {
 }
 
 // AppendLine appends the encoded row plus a trailing newline to dst and
-// returns the extended slice. It avoids intermediate string allocation on
-// the hot write path.
+// returns the extended slice. Numbers and booleans format straight into dst
+// (the same strconv renderings Value.String uses), so a warm buffer makes
+// the hot write path allocation-free.
 func AppendLine(dst []byte, r Row) []byte {
 	for i, v := range r {
 		if i > 0 {
@@ -77,24 +78,17 @@ func AppendLine(dst []byte, r Row) []byte {
 		if v.Null {
 			continue
 		}
-		s := v.String()
-		if v.Kind == TypeString && needsQuoting(s) {
-			dst = append(dst, '"')
-			for j := 0; j < len(s); j++ {
-				switch s[j] {
-				case '"':
-					dst = append(dst, '"', '"')
-				case '\\':
-					dst = append(dst, '\\', '\\')
-				case '\n':
-					dst = append(dst, '\\', 'n')
-				default:
-					dst = append(dst, s[j])
-				}
-			}
-			dst = append(dst, '"')
-		} else {
-			dst = append(dst, s...)
+		switch {
+		case v.Kind == TypeInt:
+			dst = strconv.AppendInt(dst, v.i, 10)
+		case v.Kind == TypeFloat:
+			dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		case v.Kind == TypeBool:
+			dst = strconv.AppendBool(dst, v.b)
+		case v.Kind == TypeString && needsQuoting(v.s):
+			dst = appendQuoted(dst, v.s)
+		default:
+			dst = append(dst, v.String()...)
 		}
 	}
 	return append(dst, '\n')
@@ -191,4 +185,177 @@ func DecodeLine(line string, s Schema) (Row, error) {
 		out[i] = v
 	}
 	return out, nil
+}
+
+// DecodeLineInto is DecodeLine's columnar twin: it parses one text-format
+// line straight off its bytes and appends it as one row of dst, which must
+// be shaped like s. The line is walked once; field bytes are viewed in
+// place and copied exactly once, into a VARCHAR column's slab. It fails
+// exactly when DecodeLine(string(line), s) fails, and a failed call leaves
+// dst at its prior row count with every vector the same length.
+func DecodeLineInto(dst *ColBatch, line []byte, s Schema) error {
+	if err := dst.Conforms(s); err != nil {
+		return err
+	}
+	if err := decodeLineInto(dst, line, s); err != nil {
+		for c := range dst.cols {
+			dst.cols[c].truncate(dst.n) // drop the cells the failed row did append
+		}
+		return err
+	}
+	dst.n++
+	return nil
+}
+
+func decodeLineInto(dst *ColBatch, line []byte, s Schema) error {
+	i := 0
+	for c := 0; ; c++ {
+		if c == len(s.Cols) {
+			return fmt.Errorf("row: line has more than the schema's %d fields: %q", len(s.Cols), line)
+		}
+		col, vec := s.Cols[c], &dst.cols[c]
+		var err error
+		if i < len(line) && line[i] == '"' {
+			// Quoted: find the closing quote, validating escapes on the way.
+			start := i + 1
+			j, escaped := start, false
+		scan:
+			for {
+				switch {
+				case j >= len(line):
+					return fmt.Errorf("row: unterminated quote in line %q", line)
+				case line[j] == '"' && (j+1 >= len(line) || line[j+1] != '"'):
+					break scan
+				case line[j] == '\\' && j+1 >= len(line):
+					return fmt.Errorf("row: dangling escape in line %q", line)
+				case line[j] == '\\' && line[j+1] != '\\' && line[j+1] != 'n':
+					return fmt.Errorf("row: bad escape \\%c in line %q", line[j+1], line)
+				case line[j] == '"' || line[j] == '\\':
+					escaped = true
+					j += 2
+				default:
+					j++
+				}
+			}
+			i = j + 1
+			if i < len(line) && line[i] != ',' {
+				return fmt.Errorf("row: garbage after closing quote in line %q", line)
+			}
+			switch {
+			case !escaped:
+				err = vec.appendField(line[start:j])
+			case col.Type == TypeString:
+				vec.appendUnescaped(line[start:j])
+			default:
+				// An escape decodes to '"', '\\' or '\n', which no number or
+				// boolean spelling contains.
+				err = fmt.Errorf("row: cannot coerce %q to %s", line[start:j], col.Type)
+			}
+		} else {
+			// A byte loop: fields are a few bytes long, where IndexByte's call
+			// costs more than the scan.
+			j := i
+			for j < len(line) && line[j] != ',' {
+				j++
+			}
+			if j == i {
+				vec.AppendNull()
+			} else {
+				err = vec.appendField(line[i:j])
+			}
+			i = j
+		}
+		if err != nil {
+			return fmt.Errorf("row: column %q: %w", col.Name, err)
+		}
+		if i >= len(line) {
+			if c+1 != len(s.Cols) {
+				return fmt.Errorf("row: line has %d fields, schema has %d: %q", c+1, len(s.Cols), line)
+			}
+			return nil
+		}
+		i++ // the separator; a line ending on it has one more, empty, field
+	}
+}
+
+// appendField parses one non-NULL field (already unquoted and free of
+// escapes) as the vector's type and appends it — Coerce's string
+// conversions, without the string.
+func (v *Vector) appendField(f []byte) error {
+	switch v.typ {
+	case TypeInt:
+		x, err := parseInt(f)
+		if err != nil {
+			return fmt.Errorf("row: cannot coerce %q to BIGINT: %w", f, err)
+		}
+		v.AppendInt(x)
+	case TypeFloat:
+		// strconv copies its input into the errors it returns, so this
+		// conversion does not escape and short fields never reach the heap.
+		x, err := strconv.ParseFloat(string(f), 64)
+		if err != nil {
+			return fmt.Errorf("row: cannot coerce %q to DOUBLE: %w", f, err)
+		}
+		v.AppendFloat(x)
+	case TypeBool:
+		var lower [5]byte // the longest spelling
+		n := copy(lower[:], f)
+		for i, c := range lower[:n] {
+			if 'A' <= c && c <= 'Z' {
+				lower[i] = c + 'a' - 'A'
+			}
+		}
+		x, ok := boolSpellings[string(lower[:n])]
+		if !ok || n < len(f) {
+			return fmt.Errorf("row: cannot coerce %s to %s", TypeString, TypeBool)
+		}
+		v.AppendBool(x)
+	default:
+		v.AppendBytes(f)
+	}
+	return nil
+}
+
+// parseInt is strconv.ParseInt(f, 10, 64) with a fast path for an optional
+// '-' and 1–18 digits, which cannot overflow; everything else ('+', longer
+// runs, junk) goes to strconv.
+func parseInt(f []byte) (int64, error) {
+	neg := len(f) > 0 && f[0] == '-'
+	d := f
+	if neg {
+		d = f[1:]
+	}
+	var x int64
+	for _, c := range d {
+		if c < '0' || c > '9' {
+			d = nil
+			break
+		}
+		x = x*10 + int64(c-'0')
+	}
+	if len(d) == 0 || len(d) > 18 {
+		return strconv.ParseInt(string(f), 10, 64)
+	}
+	if neg {
+		x = -x
+	}
+	return x, nil
+}
+
+// appendUnescaped appends a VARCHAR slot from the inside of a quoted field
+// whose escapes ("" \\ \n) have been validated, decoding them straight into
+// the slab.
+func (v *Vector) appendUnescaped(f []byte) {
+	for i := 0; i < len(f); i++ {
+		c := f[i]
+		if c == '"' || c == '\\' {
+			i++
+			if c == '\\' && f[i] == 'n' {
+				c = '\n'
+			}
+		}
+		v.bytes = append(v.bytes, c)
+	}
+	v.offs = append(v.offs, uint32(len(v.bytes)))
+	v.n++
 }

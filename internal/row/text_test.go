@@ -96,6 +96,29 @@ func TestAppendLineMatchesEncodeLine(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+	// Numeric extremes: AppendLine formats numbers itself, so every strconv
+	// rendering Value.String can produce is pinned here.
+	extremes := Row{
+		Float(0), Float(math.Copysign(0, -1)), Float(math.MaxFloat64), Float(-math.MaxFloat64),
+		Float(math.SmallestNonzeroFloat64), Float(1e21), Float(1e20), Float(123.45),
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Int(math.MinInt64), Int(math.MaxInt64), Int(0), Int(-1), Int(100),
+		Bool(true), Bool(false), NullOf(TypeFloat),
+	}
+	if got, want := string(AppendLine(nil, extremes)), EncodeLine(extremes)+"\n"; got != want {
+		t.Errorf("extremes:\n got %q\nwant %q", got, want)
+	}
+}
+
+// The DFS export writes one AppendLine per row into a reused buffer; with
+// the buffer warm that is no allocation at all (it was two per row while
+// numbers went through Value.String).
+func TestAppendLineAllocatesNothingWarm(t *testing.T) {
+	r := Row{Int(37), Int(1), Int(0), Float(123.45), Int(2), String_("yes"), String_("a,b"), Bool(true), NullOf(TypeInt)}
+	buf := AppendLine(nil, r)
+	if n := testing.AllocsPerRun(200, func() { buf = AppendLine(buf[:0], r) }); n != 0 {
+		t.Errorf("AppendLine into a warm buffer: %v allocs per row, want 0", n)
+	}
 }
 
 func TestTextRoundTripProperty(t *testing.T) {

@@ -1,0 +1,238 @@
+package row
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// scanSchemas is the fixed schema set FuzzTextScan selects from: every
+// type, one to six columns, each type in first, middle and last position.
+var scanSchemas = []Schema{
+	MustSchema(Column{"i", TypeInt}),
+	MustSchema(Column{"f", TypeFloat}),
+	MustSchema(Column{"s", TypeString}),
+	MustSchema(Column{"b", TypeBool}),
+	MustSchema(Column{"i", TypeInt}, Column{"s", TypeString}),
+	MustSchema(Column{"s", TypeString}, Column{"f", TypeFloat}, Column{"b", TypeBool}),
+	MustSchema(Column{"id", TypeInt}, Column{"amount", TypeFloat}, Column{"name", TypeString}, Column{"flag", TypeBool}),
+	MustSchema(Column{"b", TypeBool}, Column{"s", TypeString}, Column{"t", TypeString}, Column{"i", TypeInt}, Column{"f", TypeFloat}),
+	MustSchema(Column{"cartid", TypeInt}, Column{"userid", TypeInt}, Column{"amount", TypeFloat},
+		Column{"nitems", TypeInt}, Column{"year", TypeInt}, Column{"abandoned", TypeString}),
+}
+
+// sameCell is exact cell identity: NULL and "" distinct, floats by bit
+// pattern (so -0 != 0 and NaN == NaN).
+func sameCell(a, b Value) bool {
+	if a.Kind != b.Kind || a.Null != b.Null {
+		return false
+	}
+	if a.Null {
+		return true
+	}
+	if a.Kind == TypeFloat {
+		return math.Float64bits(a.f) == math.Float64bits(b.f)
+	}
+	return a.Equal(b)
+}
+
+// checkTextScan holds DecodeLineInto to its oracle on one line: it fails
+// exactly when DecodeLine fails; on success the appended row equals the
+// oracle's cell by cell; on failure the batch is as it was — same row
+// count, every vector that long, the rows before it intact.
+func checkTextScan(t *testing.T, line []byte, s Schema) {
+	t.Helper()
+	prior := make(Row, s.Len())
+	for i, c := range s.Cols {
+		prior[i] = NullOf(c.Type)
+		if i%2 == 0 {
+			switch c.Type {
+			case TypeInt:
+				prior[i] = Int(42)
+			case TypeFloat:
+				prior[i] = Float(-0.5)
+			case TypeString:
+				prior[i] = String_(`p"q`)
+			case TypeBool:
+				prior[i] = Bool(true)
+			}
+		}
+	}
+	b := NewColBatch(SchemaTypes(s))
+	b.AppendRow(prior)
+
+	want, wantErr := DecodeLine(string(line), s)
+	err := DecodeLineInto(b, line, s)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("line %q schema %s: DecodeLineInto err = %v, DecodeLine err = %v", line, s, err, wantErr)
+	}
+	rows := 2
+	if err != nil {
+		rows = 1
+	}
+	if b.FullLen() != rows || b.Len() != rows {
+		t.Fatalf("line %q: batch has %d rows (err %v), want %d", line, b.FullLen(), err, rows)
+	}
+	for c := 0; c < b.NumCols(); c++ {
+		if n := b.Col(c).Len(); n != rows {
+			t.Fatalf("line %q: column %d has %d slots after err %v, want %d", line, c, n, err, rows)
+		}
+	}
+	got := b.Rows(nil)
+	for c := range prior {
+		if !sameCell(got[0][c], prior[c]) {
+			t.Fatalf("line %q: prior row column %d disturbed: %v, want %v", line, c, got[0][c], prior[c])
+		}
+	}
+	if err != nil {
+		// The rolled-back batch must take the next row as if nothing happened.
+		b.AppendRow(prior)
+		if again := b.Rows(nil); !sameCell(again[1][0], prior[0]) || b.Col(b.NumCols()-1).Len() != 2 {
+			t.Fatalf("line %q: batch unusable after rollback: %v", line, again)
+		}
+		return
+	}
+	for c := range want {
+		if !sameCell(got[1][c], want[c]) {
+			t.Fatalf("line %q schema %s column %d: got %#v want %#v", line, s, c, got[1][c], want[c])
+		}
+	}
+}
+
+// textScanSeeds has one input (at least) per branch of the parser; the
+// schema selector indexes scanSchemas.
+var textScanSeeds = []struct {
+	line string
+	sel  byte
+}{
+	{`7,2.5,alice,true`, 6},
+	{`7,2.5,"unterminated,true`, 6},       // unterminated quote
+	{`1,2.5,"x\`, 6},                      // dangling escape
+	{`1,2.5,"a\tb",true`, 6},              // bad escape
+	{`1,2.5,"x"y,true`, 6},                // garbage after closing quote
+	{`1,2.5,x`, 6},                        // field count -1
+	{`1,2.5,x,true,extra`, 6},             // field count +1
+	{`1,2.5,x,true,`, 6},                  // trailing separator
+	{`1,2.5,x,`, 6},                       // trailing separator = NULL last field
+	{`,,,`, 6},                            // all NULL
+	{``, 0},                               // empty line, one column: NULL
+	{``, 4},                               // empty line, two columns
+	{`"say ""hi""",1.5,true`, 5},          // "" inside quotes
+	{`"back\\slash and\nnewline",0,f`, 5}, // \\ and \n
+	{`"",2,no`, 5},                        // empty string, not NULL
+	{`,2,no`, 5},                          // NULL string
+	{`mid"quote\raw,2,no`, 5},             // unquoted field keeps quote and backslash
+	{`"12",x`, 4},                         // quoted number
+	{`"1""2",x`, 4},                       // escape inside a quoted number
+	{`"",x`, 4},                           // quoted empty is not a number
+	{`1234567890123456789`, 0},            // 19 digits: past the fast path
+	{`12345678901234567890`, 0},           // 20 digits: overflows
+	{`999999999999999999`, 0},             // 18 digits: the fast path's edge
+	{`-999999999999999999`, 0},            //
+	{`9223372036854775807`, 0},            // MaxInt64
+	{`9223372036854775808`, 0},            // MaxInt64 + 1
+	{`-9223372036854775808`, 0},           // MinInt64
+	{`-9223372036854775809`, 0},           //
+	{`+5`, 0},                             // explicit plus
+	{`-0`, 0},                             //
+	{`-`, 0},                              // sign alone
+	{` 5`, 0},                             // leading space
+	{`5 `, 0},                             //
+	{`1_000`, 0},                          //
+	{`0x10`, 0},                           //
+	{`1e309`, 1},                          // out of range
+	{`-1e309`, 1},                         //
+	{`0x1p-2`, 1},                         // hex float
+	{`nan`, 1},                            //
+	{`-Inf`, 1},                           //
+	{`-0`, 1},                             // negative zero keeps its sign bit
+	{`4.9e-324`, 1},                       // smallest denormal
+	{`1.7976931348623157e308`, 1},         // MaxFloat64
+	{`1_0.5`, 1},                          //
+	{`.5`, 1},                             //
+	{`5.`, 1},                             //
+	{`1e`, 1},                             //
+	{`TRUE`, 3}, {`yes`, 3}, {`2`, 3},     // boolean spellings, and not one
+	{`False`, 3}, {`T`, 3}, {`f`, 3}, {`0`, 3}, {`1`, 3}, {`NO`, 3},
+	{`truer`, 3}, {`"true"`, 3}, {`"t\\"`, 3}, {"K", 3},
+	{`true,"a,b","",9,1e3`, 7},   // separator inside quotes
+	{`1,2,3.5,4,2014,yes`, 8},    // the carts shape
+	{`1,2,3.5,4,2014,"y,es"`, 8}, //
+	{`1,2,3.5,4,2014,`, 8},       //
+}
+
+func TestDecodeLineIntoSeeds(t *testing.T) {
+	for _, sd := range textScanSeeds {
+		checkTextScan(t, []byte(sd.line), scanSchemas[int(sd.sel)%len(scanSchemas)])
+	}
+}
+
+// TestDecodeLineIntoMatchesDecodeLine drives the two parsers with encoded
+// random rows (NULL-heavy, quoted, escaped) and with byte-level mutations
+// of them, which reach the error branches.
+func TestDecodeLineIntoMatchesDecodeLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const junk = `",\n x0-+.e`
+	for iter := 0; iter < 4000; iter++ {
+		s := scanSchemas[rng.Intn(len(scanSchemas))]
+		r := make(Row, s.Len())
+		for i, c := range s.Cols {
+			r[i] = NullOf(c.Type)
+			for rng.Intn(3) > 0 { // a third stay NULL
+				if v := genValue(rng); v.Kind == c.Type {
+					r[i] = v
+					break
+				}
+			}
+		}
+		line := []byte(EncodeLine(r))
+		checkTextScan(t, line, s)
+		if len(line) > 0 {
+			for m := rng.Intn(3); m >= 0; m-- {
+				line[rng.Intn(len(line))] = junk[rng.Intn(len(junk))]
+			}
+			checkTextScan(t, line[:rng.Intn(len(line)+1)], s)
+			checkTextScan(t, line, s)
+		}
+	}
+}
+
+func TestDecodeLineIntoRejectsMisshapenBatch(t *testing.T) {
+	s := scanSchemas[6]
+	b := NewColBatch([]Type{TypeInt, TypeFloat})
+	if err := DecodeLineInto(b, []byte(`7,2.5,alice,true`), s); err == nil || b.FullLen() != 0 {
+		t.Errorf("batch of another shape: err = %v, rows = %d", err, b.FullLen())
+	}
+}
+
+// The scan's inner loop: an unquoted line into a warm batch allocates
+// nothing — no string per line, no slice per field, no boxed value.
+func TestDecodeLineIntoAllocatesNothingWarm(t *testing.T) {
+	s := scanSchemas[8]
+	line := []byte(`123456,4242,1234.56,3,2014,yes`)
+	types := SchemaTypes(s)
+	b := NewColBatch(types)
+	fill := func() {
+		b.Reset(types)
+		for i := 0; i < DefaultBatchSize; i++ {
+			if err := DecodeLineInto(b, line, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill()
+	if n := testing.AllocsPerRun(20, fill); n != 0 {
+		t.Errorf("%d unquoted lines into a warm batch: %v allocs, want 0", DefaultBatchSize, n)
+	}
+}
+
+// FuzzTextScan holds the columnar text parser to DecodeLine on arbitrary
+// bytes (see checkTextScan for the contract).
+func FuzzTextScan(f *testing.F) {
+	for _, sd := range textScanSeeds {
+		f.Add([]byte(sd.line), sd.sel)
+	}
+	f.Fuzz(func(t *testing.T, line []byte, schemaSel byte) {
+		checkTextScan(t, line, scanSchemas[int(schemaSel)%len(scanSchemas)])
+	})
+}

@@ -248,6 +248,9 @@ func cmpFloat(a, b float64) int {
 	}
 }
 
+// boolSpellings are the strings that coerce to BOOLEAN, case-folded.
+var boolSpellings = map[string]bool{"true": true, "t": true, "1": true, "yes": true, "false": false, "f": false, "0": false, "no": false}
+
 // Coerce converts the value to the target type when a safe conversion
 // exists (numeric widening/narrowing, string parse). It returns an error
 // when no conversion applies.
@@ -284,13 +287,8 @@ func (v Value) Coerce(t Type) (Value, error) {
 	case TypeString:
 		return String_(v.String()), nil
 	case TypeBool:
-		if v.Kind == TypeString {
-			switch strings.ToLower(v.s) {
-			case "true", "t", "1", "yes":
-				return Bool(true), nil
-			case "false", "f", "0", "no":
-				return Bool(false), nil
-			}
+		if b, ok := boolSpellings[strings.ToLower(v.s)]; ok && v.Kind == TypeString {
+			return Bool(b), nil
 		}
 	}
 	return Value{}, fmt.Errorf("row: cannot coerce %s to %s", v.Kind, t)

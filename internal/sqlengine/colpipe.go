@@ -404,6 +404,12 @@ func colBatchBytes(b *row.ColBatch) int {
 		col := b.Col(c)
 		switch col.Type() {
 		case row.TypeString:
+			if b.Sel() == nil && !col.HasNulls() {
+				// Dense: every slot is live and non-NULL, so the payload is
+				// the slab — one offset read, no walk.
+				n += 5*k + col.PayloadLen(k)
+				continue
+			}
 			for si := 0; si < k; si++ {
 				p := b.SelPos(si)
 				if col.Null(p) {

@@ -527,7 +527,8 @@ func (e *Engine) filterParts(qp *queryPool, parts [][]row.Row, pred evalFn) ([][
 // scanTable produces per-partition batch pipelines for a table: managed
 // tables yield zero-copy sub-slice batches; streaming tables hand over
 // their (single-use) pipelines; external tables stream their DFS splits
-// with locality-aware assignment, never materializing a partition.
+// with locality-aware assignment as column batches under a row shim —
+// columnar operators peel the shim off, row consumers read through it.
 func (e *Engine) scanTable(t *Table) ([]BatchIterator, error) {
 	if t.streaming {
 		iters, ok := t.takeStream()
@@ -567,7 +568,7 @@ func (e *Engine) scanTable(t *Table) ([]BatchIterator, error) {
 	}
 	iters := make([]BatchIterator, e.NumWorkers())
 	for i := range iters {
-		iters[i] = &externalScan{assigned: assignments[i], node: e.workers[i]}
+		iters[i] = rowsIter(&externalScan{assigned: assignments[i], node: e.workers[i]})
 	}
 	return iters, nil
 }

@@ -316,69 +316,63 @@ type assignedSplit struct {
 	split hadoopfmt.InputSplit
 }
 
-// externalScan streams a worker's assigned DFS splits batch-at-a-time —
-// an external scan never materializes its partition.
+// externalScan streams a worker's assigned DFS splits as column batches —
+// text bytes parsed straight into one pooled ColBatch it refills per call,
+// so an external scan never materializes its partition, or a row.
 type externalScan struct {
 	assigned []assignedSplit
 	node     *cluster.Node
 	idx      int
-	rr       hadoopfmt.RecordReader
-	done     bool
+	rr       hadoopfmt.ColBatchRecordReader
+	buf      *row.ColBatch
 }
 
-func (s *externalScan) Next() (RowBatch, bool, error) {
-	if s.done {
-		return nil, false, nil
-	}
-	batch := make(RowBatch, 0, DefaultBatchSize)
-	for len(batch) < DefaultBatchSize {
+func (s *externalScan) NextCol() (*row.ColBatch, bool, error) {
+	for s.rr != nil || s.idx < len(s.assigned) {
 		if s.rr == nil {
-			if s.idx >= len(s.assigned) {
-				break
-			}
 			a := s.assigned[s.idx]
 			rr, err := a.fm.Open(a.split, s.node)
 			if err != nil {
-				s.done = true
+				s.Close()
 				return nil, false, err
 			}
-			s.rr = rr
+			// TextTableFormat's reader is columnar by construction.
+			s.rr = rr.(hadoopfmt.ColBatchRecordReader)
 		}
-		r, ok, err := s.rr.Next()
+		if s.buf == nil {
+			s.buf = row.GetColBatch(nil)
+		}
+		_, ok, err := s.rr.NextColBatch(s.buf)
+		if ok {
+			return s.buf, true, nil
+		}
+		// End of split, or the read error the caller needs (teardown is then
+		// best-effort).
+		cerr := s.rr.Close()
+		s.rr = nil
+		s.idx++
+		if err == nil {
+			err = cerr
+		}
 		if err != nil {
-			// The read error is what the caller needs; teardown is best-effort.
-			_ = s.rr.Close()
-			s.rr = nil
-			s.done = true
+			s.Close()
 			return nil, false, err
 		}
-		if !ok {
-			err := s.rr.Close()
-			s.rr = nil
-			s.idx++
-			if err != nil {
-				s.done = true
-				return nil, false, err
-			}
-			continue
-		}
-		batch = append(batch, r)
 	}
-	if len(batch) == 0 {
-		s.done = true
-		return nil, false, nil
-	}
-	return batch, true, nil
+	return nil, false, nil
 }
 
 func (s *externalScan) Close() {
-	s.done = true
+	s.idx = len(s.assigned)
 	if s.rr != nil {
-		// BatchIterator.Close has no error to carry it up.
+		// colIterator.Close has no error to carry it up.
 		_ = s.rr.Close()
 		s.rr = nil
 	}
-	s.idx = len(s.assigned)
+	if s.buf != nil {
+		row.PutColBatch(s.buf)
+		s.buf = nil
+	}
 }
 
 // emptyIters returns n empty partitions.
