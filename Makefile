@@ -25,3 +25,4 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzBlockFrame$$' -fuzztime 10s ./internal/row
 	go test -run '^$$' -fuzz '^FuzzTextScan$$' -fuzztime 10s ./internal/row
 	go test -run '^$$' -fuzz '^FuzzControlMessage$$' -fuzztime 10s ./internal/stream
+	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlengine

@@ -205,7 +205,7 @@ func (c *checker) handleAssign(s *ast.AssignStmt) {
 		if v == nil {
 			// append(acc, b) by reference. Operators legitimately append
 			// batch rows into a scratch slice reset every iteration (the
-			// filterIter pattern); the bug is accumulating into a slice
+			// probeIter.buf pattern); the bug is accumulating into a slice
 			// that survives the Next-calling loop.
 			if _, from2, byRef := c.appendsBatchByRef(rhs); byRef {
 				if c.accumulatesAcrossNext(lhs) {

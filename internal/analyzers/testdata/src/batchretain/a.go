@@ -84,7 +84,7 @@ func drain(it *iter) []Row {
 }
 
 // Good: scratch output reset every iteration — lifetimes nest with the
-// operator's own Next contract (the filterIter pattern).
+// operator's own Next contract (the probeIter.buf pattern).
 type filter struct{ buf RowBatch }
 
 func (f *filter) pull(it *iter) (RowBatch, bool) {

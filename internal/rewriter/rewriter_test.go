@@ -101,6 +101,18 @@ func TestAnalyzeNormalizesAliases(t *testing.T) {
 	}
 }
 
+// Integer and float division select different rows, so their predicates
+// must not canonicalize to one string (a cached age / 2 = 10 answer would
+// otherwise be served for age / 2.0 = 10).
+func TestAnalyzeKeepsFloatLiteralsApart(t *testing.T) {
+	e := newEngine(t)
+	i := analyze(t, e, "SELECT age FROM users WHERE age / 2 = 10")
+	f := analyze(t, e, "SELECT age FROM users WHERE age / 2.0 = 10")
+	if len(i.PredAll) != 1 || len(f.PredAll) != 1 || i.PredAll[0] == f.PredAll[0] {
+		t.Errorf("integer and float division canonicalize alike: %v vs %v", i.PredAll, f.PredAll)
+	}
+}
+
 func TestAnalyzeResolvesUnqualifiedColumns(t *testing.T) {
 	e := newEngine(t)
 	info := analyze(t, e, "SELECT age FROM users WHERE country = 'USA'")

@@ -180,7 +180,7 @@ func (a *aggState) finalize(t row.Type) row.Value {
 type aggSpec struct {
 	kind    aggKind
 	star    bool
-	argFn   evalFn
+	arg     vecFn // the argument's kernel; nil for COUNT(*)
 	argType row.Type
 	outType row.Type
 }
@@ -213,22 +213,17 @@ type outputCol struct {
 // byte-identical at any Parallelism — and identical to the pre-pool
 // engine, whose partials were also per partition.
 func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row.Schema, [][]row.Row, error) {
-	// Compile group keys.
-	keyFns := make([]evalFn, len(sel.GroupBy))
-	keyStrs := make([]string, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		fn, _, err := compile(g, in.sc, e.registry)
-		if err != nil {
-			return row.Schema{}, nil, err
-		}
-		keyFns[i] = fn
-		keyStrs[i] = g.String()
+	// Group keys and aggregate arguments are kernels evaluated column-wise
+	// per batch; keys are encoded cell-by-cell with the vector key codec
+	// and inserted through the column-at-a-time InsertKeys entry point.
+	keyFns, keyTypes, err := vecExprs(sel.GroupBy, in.sc, e.registry)
+	if err != nil {
+		return row.Schema{}, nil, err
 	}
 
 	// Classify select items.
 	var cols []outputCol
 	var specs []*aggSpec
-	var argExprs []Expr // aligned with specs; nil for COUNT(*)
 	for _, item := range sel.Items {
 		if item.Star {
 			return row.Schema{}, nil, fmt.Errorf("sql: * not allowed with GROUP BY / aggregates")
@@ -240,14 +235,14 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 				if len(fc.Args) != 1 {
 					return row.Schema{}, nil, fmt.Errorf("sql: %s takes one argument", strings.ToUpper(fc.Name))
 				}
-				fn, t, err := compile(fc.Args[0], in.sc, e.registry)
+				fn, t, err := compileVec(fc.Args[0], in.sc, e.registry)
 				if err != nil {
 					return row.Schema{}, nil, err
 				}
 				if (kind == aggSum || kind == aggAvg) && !numericType(t) {
 					return row.Schema{}, nil, fmt.Errorf("sql: %s requires a numeric argument", strings.ToUpper(fc.Name))
 				}
-				spec.argFn = fn
+				spec.arg = fn
 				spec.argType = t
 			} else if kind != aggCount {
 				return row.Schema{}, nil, fmt.Errorf("sql: only COUNT may use *")
@@ -261,18 +256,14 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 				spec.outType = spec.argType
 			}
 			specs = append(specs, spec)
-			if fc.Star {
-				argExprs = append(argExprs, nil)
-			} else {
-				argExprs = append(argExprs, fc.Args[0])
-			}
 			cols = append(cols, outputCol{keyIdx: -1, aggIdx: len(specs) - 1, name: outputName(item), typ: spec.outType})
 			continue
 		}
-		// A non-aggregate item must match a GROUP BY expression.
+		// A non-aggregate item must match a GROUP BY expression; it takes
+		// the key's values, so it takes the key's type too.
 		matched := -1
-		for ki, ks := range keyStrs {
-			if item.Expr.String() == ks {
+		for ki, g := range sel.GroupBy {
+			if item.Expr.String() == g.String() {
 				matched = ki
 				break
 			}
@@ -280,11 +271,7 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 		if matched < 0 {
 			return row.Schema{}, nil, fmt.Errorf("sql: %s is neither an aggregate nor in GROUP BY", item.Expr)
 		}
-		_, t, err := compile(item.Expr, in.sc, e.registry)
-		if err != nil {
-			return row.Schema{}, nil, err
-		}
-		cols = append(cols, outputCol{keyIdx: matched, aggIdx: -1, name: outputName(item), typ: t})
+		cols = append(cols, outputCol{keyIdx: matched, aggIdx: -1, name: outputName(item), typ: keyTypes[matched]})
 	}
 
 	type group struct {
@@ -299,165 +286,87 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 		return g
 	}
 
-	// Columnar accumulation kernels: group keys and aggregate arguments are
-	// evaluated column-wise per batch, keys encoded cell-by-cell with the
-	// vector key codec (byte-identical to the row codec, so partials merge
-	// regardless of which path produced them) and inserted through the
-	// column-at-a-time InsertKeys entry point.
-	var vecKeyFns, vecArgFns []vecFn
-	useVec := e.columnar
-	if useVec {
-		for _, g := range sel.GroupBy {
-			fn, _, err := compileVec(g, in.sc, e.registry)
-			if err != nil {
-				useVec = false
-				break
-			}
-			vecKeyFns = append(vecKeyFns, fn)
-		}
-	}
-	if useVec {
-		for _, ex := range argExprs {
-			if ex == nil {
-				vecArgFns = append(vecArgFns, nil)
-				continue
-			}
-			fn, _, err := compileVec(ex, in.sc, e.registry)
-			if err != nil {
-				useVec = false
-				break
-			}
-			vecArgFns = append(vecArgFns, fn)
-		}
-	}
 	inTypes := row.SchemaTypes(in.sc.combined())
 
 	// Streaming partial aggregation per partition: consume the input
 	// pipeline batch-by-batch, accumulating only per-group state. The
-	// arena hash table maps each row's key bytes (encoded into a reused
-	// scratch buffer) to a dense group index; the key values are
+	// arena hash table maps each row's key bytes (packed per batch into a
+	// reused buffer) to a dense group index; the key values are
 	// materialized into a row only when a new group is created.
 	primeIters(in.iters)
 	partials := make([][]*group, len(in.iters))
-	err := qp.forEach(len(in.iters), func(i, _ int) error {
+	err = qp.forEach(len(in.iters), func(i, _ int) error {
 		defer in.iters[i].Close()
+		cit := asColIterator(in.iters[i], inTypes)
+		defer cit.Close()
 		ht := NewHashTable(0)
 		var groups []*group
-		if useVec {
-			cit := asColIterator(in.iters[i], inTypes)
-			defer cit.Close()
-			var ctx vecCtx
-			kvecs := make([]*row.Vector, len(vecKeyFns))
-			avecs := make([]*row.Vector, len(specs))
-			var flat []byte
-			var offs []uint32
-			var idxs []uint32
-			for {
-				if qp.cancelled() {
-					return errQueryCancelled
-				}
-				b, ok, err := cit.NextCol()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				ctx.reclaim()
-				for ki, fn := range vecKeyFns {
-					v, err := fn(&ctx, b, b.Sel())
-					if err != nil {
-						return err
-					}
-					kvecs[ki] = v
-				}
-				for ai, fn := range vecArgFns {
-					if fn == nil {
-						continue
-					}
-					v, err := fn(&ctx, b, b.Sel())
-					if err != nil {
-						return err
-					}
-					avecs[ai] = v
-				}
-				k := b.Len()
-				flat = flat[:0]
-				offs = append(offs[:0], 0)
-				for si := 0; si < k; si++ {
-					p := b.SelPos(si)
-					for _, kv := range kvecs {
-						flat = row.AppendVectorKey(flat, kv, p)
-					}
-					offs = append(offs, uint32(len(flat)))
-				}
-				idxs = ht.InsertKeys(flat, offs, idxs[:0])
-				for si := 0; si < k; si++ {
-					p := b.SelPos(si)
-					var g *group
-					if int(idxs[si]) == len(groups) {
-						gk := make(row.Row, len(kvecs))
-						for ki, kv := range kvecs {
-							gk[ki] = kv.ValueAt(p)
-						}
-						g = newGroup(gk)
-						groups = append(groups, g)
-					} else {
-						g = groups[idxs[si]]
-					}
-					for ai, s := range specs {
-						var v row.Value
-						if !s.star {
-							v = avecs[ai].ValueAt(p)
-						}
-						g.aggs[ai].add(v, s.star)
-					}
-				}
-			}
-			partials[i] = groups
-			return nil
-		}
-		var keyBuf []byte
-		keyVals := make(row.Row, len(keyFns))
-		it := &batchRows{in: in.iters[i]}
+		var ctx vecCtx
+		kvecs := make([]*row.Vector, len(keyFns))
+		avecs := make([]*row.Vector, len(specs))
+		var flat []byte
+		var offs []uint32
+		var idxs []uint32
 		for {
-			if len(it.cur) == it.i && qp.cancelled() {
+			if qp.cancelled() {
 				return errQueryCancelled
 			}
-			r, ok, err := it.Next()
+			b, ok, err := cit.NextCol()
 			if err != nil {
 				return err
 			}
 			if !ok {
 				break
 			}
-			keyBuf = keyBuf[:0]
+			ctx.reclaim()
 			for ki, fn := range keyFns {
-				v, err := fn(r)
+				v, err := fn(&ctx, b, b.Sel())
 				if err != nil {
 					return err
 				}
-				keyVals[ki] = v
-				keyBuf = row.AppendKeyValue(keyBuf, v)
+				kvecs[ki] = v
 			}
-			idx, added := ht.Insert(keyBuf)
-			var g *group
-			if added {
-				g = newGroup(append(row.Row(nil), keyVals...))
-				groups = append(groups, g)
-			} else {
-				g = groups[idx]
-			}
-			for si, s := range specs {
-				var v row.Value
-				if !s.star {
-					var err error
-					v, err = s.argFn(r)
-					if err != nil {
-						return err
-					}
+			for ai, s := range specs {
+				if s.star {
+					continue
 				}
-				g.aggs[si].add(v, s.star)
+				v, err := s.arg(&ctx, b, b.Sel())
+				if err != nil {
+					return err
+				}
+				avecs[ai] = v
+			}
+			k := b.Len()
+			flat = flat[:0]
+			offs = append(offs[:0], 0)
+			for si := 0; si < k; si++ {
+				p := b.SelPos(si)
+				for _, kv := range kvecs {
+					flat = row.AppendVectorKey(flat, kv, p)
+				}
+				offs = append(offs, uint32(len(flat)))
+			}
+			idxs = ht.InsertKeys(flat, offs, idxs[:0])
+			for si := 0; si < k; si++ {
+				p := b.SelPos(si)
+				var g *group
+				if int(idxs[si]) == len(groups) {
+					gk := make(row.Row, len(kvecs))
+					for ki, kv := range kvecs {
+						gk[ki] = kv.ValueAt(p)
+					}
+					g = newGroup(gk)
+					groups = append(groups, g)
+				} else {
+					g = groups[idxs[si]]
+				}
+				for ai, s := range specs {
+					var v row.Value
+					if !s.star {
+						v = avecs[ai].ValueAt(p)
+					}
+					g.aggs[ai].add(v, s.star)
+				}
 			}
 		}
 		partials[i] = groups

@@ -12,6 +12,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"sqlml/internal/row"
@@ -157,8 +158,17 @@ func (l *Lit) String() string {
 	if l.V.Null {
 		return "NULL"
 	}
-	if l.V.Kind == row.TypeString {
+	switch l.V.Kind {
+	case row.TypeString:
 		return "'" + strings.ReplaceAll(l.V.AsString(), "'", "''") + "'"
+	case row.TypeFloat:
+		// Always with a decimal point, so DOUBLE 2.0 never prints as the
+		// BIGINT 2, and never in exponent form, which the lexer cannot read.
+		s := strconv.FormatFloat(l.V.AsFloat(), 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	}
 	return l.V.String()
 }

@@ -14,9 +14,8 @@ func benchEngine(b *testing.B, facts, dims int) *Engine {
 	return benchEngineCfg(b, facts, dims, Config{})
 }
 
-// benchEngineCfg is the configurable loader: the row-vs-columnar pairs
-// toggle Config.DisableColumnar and the morsel-parallelism pairs vary
-// Config.Parallelism over the same data.
+// benchEngineCfg is the configurable loader: the morsel-parallelism pairs
+// vary Config.Parallelism over the same data.
 func benchEngineCfg(b *testing.B, facts, dims int, cfg Config) *Engine {
 	b.Helper()
 	topo := cluster.NewTopology(5)
@@ -94,30 +93,18 @@ func BenchmarkOrderBy(b *testing.B) {
 	runQuery(b, e, "SELECT id, v FROM fact ORDER BY v DESC, id")
 }
 
-// The Filter and Project pairs below measure the columnar tentpole
-// directly: the identical query on the row-at-a-time executor
-// (DisableColumnar) and on the vectorized one. Filter is
-// selection-vector refinement vs. per-row predicate closures; Project is
-// typed arithmetic kernels vs. per-row output allocation.
-
-func benchModes(b *testing.B, sql string) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"Row", true}, {"Columnar", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := benchEngineCfg(b, 50_000, 100, Config{DisableColumnar: mode.disable})
-			runQuery(b, e, sql)
-		})
-	}
-}
+// Filter and Project measure the columnar kernels directly: Filter is
+// selection-vector refinement, Project typed arithmetic kernels over the
+// filtered batch.
 
 func BenchmarkFilter(b *testing.B) {
-	benchModes(b, "SELECT id FROM fact WHERE v > 250.0 AND v < 750.0")
+	e := benchEngine(b, 50_000, 100)
+	runQuery(b, e, "SELECT id FROM fact WHERE v > 250.0 AND v < 750.0")
 }
 
 func BenchmarkProject(b *testing.B) {
-	benchModes(b, "SELECT v * 2.0 - 1.0, id + dimid, v / 4.0 FROM fact WHERE v > 100.0")
+	e := benchEngine(b, 50_000, 100)
+	runQuery(b, e, "SELECT v * 2.0 - 1.0, id + dimid, v / 4.0 FROM fact WHERE v > 100.0")
 }
 
 // The P1/P2 pairs below measure the morsel-driven pool directly: the same

@@ -1,8 +1,6 @@
 package sqlengine
 
 import (
-	"strings"
-
 	"sqlml/internal/cluster"
 	"sqlml/internal/row"
 )
@@ -167,70 +165,19 @@ func (p *colProjectIter) Close() {
 	p.in.Close()
 }
 
-// vecPredicate compiles the columnar twin of a boolean predicate when the
-// engine runs columnar; ok=false keeps the row-at-a-time filter.
-func (e *Engine) vecPredicate(ex Expr, sc *scope) (vecFn, bool) {
-	if !e.columnar {
-		return nil, false
-	}
-	fn, t, err := compileVec(ex, sc, e.registry)
-	if err != nil || t != row.TypeBool {
-		return nil, false
-	}
-	return fn, true
-}
-
-// vecExprs compiles a kernel per expression, or reports false when the
-// engine runs row-at-a-time (compileVec itself never rejects an expression
-// the row compiler accepts — unvectorizable shapes get fallback bodies).
-func (e *Engine) vecExprs(exprs []Expr, sc *scope) ([]vecFn, bool) {
-	if !e.columnar || len(exprs) == 0 {
-		return nil, false
-	}
+// vecExprs compiles a kernel per expression, returning the static types
+// alongside.
+func vecExprs(exprs []Expr, sc *scope, reg *Registry) ([]vecFn, []row.Type, error) {
 	fns := make([]vecFn, len(exprs))
+	types := make([]row.Type, len(exprs))
 	for i, ex := range exprs {
-		fn, _, err := compileVec(ex, sc, e.registry)
+		fn, t, err := compileVec(ex, sc, reg)
 		if err != nil {
-			return nil, false
+			return nil, nil, err
 		}
-		fns[i] = fn
+		fns[i], types[i] = fn, t
 	}
-	return fns, true
-}
-
-// vecSelectList compiles the columnar twin of a select list, mirroring
-// compileSelectList's star expansion with column-passthrough kernels
-// (zero-copy: the output batch adopts the input vector header). The caller
-// has already validated the list via compileSelectList, so resolution
-// errors here only demote to the row path.
-func (e *Engine) vecSelectList(items []SelectItem, sc *scope) ([]vecFn, bool) {
-	if !e.columnar {
-		return nil, false
-	}
-	var fns []vecFn
-	for _, item := range items {
-		if item.Star {
-			q := strings.ToLower(item.StarQualifier)
-			for _, bd := range sc.bindings {
-				if q != "" && bd.name != q {
-					continue
-				}
-				for ci := range bd.schema.Cols {
-					idx := bd.offset + ci
-					fns = append(fns, func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
-						return b.Col(idx), nil
-					})
-				}
-			}
-			continue
-		}
-		fn, _, err := compileVec(item.Expr, sc, e.registry)
-		if err != nil {
-			return nil, false
-		}
-		fns = append(fns, fn)
-	}
-	return fns, true
+	return fns, types, nil
 }
 
 // colProbeIter is the columnar hash-join probe: key kernels run over the

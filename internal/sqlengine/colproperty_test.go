@@ -1,37 +1,25 @@
 package sqlengine
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"sqlml/internal/cluster"
 	"sqlml/internal/row"
 )
 
-// This file holds the columnar pipeline to the row-at-a-time oracle: every
-// query runs twice over identical data and topology — once with
-// DisableColumnar (the reference interpreter) and once on the vectorized
-// path — and the results must agree exactly. The random tables are heavy
-// on NULLs, and the query list is chosen to drive the kernels through
-// their edge cases: three-valued comparisons, short-circuit AND/OR at
-// narrowed positions, division guarded by the left conjunct, CASE arms,
-// IN lists with NULL needles, and filters that leave batches empty or
-// fully selected (the selection-vector extremes).
+// This file holds the query corpus and the random tables the property
+// suites share (reference_test.go, parallel_test.go,
+// external_scan_test.go). The tables are heavy on NULLs, and the queries
+// are chosen to drive the kernels through their edge cases: three-valued
+// comparisons, short-circuit AND/OR at narrowed positions, division
+// guarded by the left conjunct, CASE arms, IN lists with NULL needles, and
+// filters that leave batches empty or fully selected (the selection-vector
+// extremes).
 
-// nullableTables loads one fact table (with ~25% NULLs in every column)
-// and one small join table into an engine built with the given columnar
-// setting, returning the engine.
-func nullableTables(t testing.TB, rng *rand.Rand, workers, nl, nr int, disableColumnar bool) *Engine {
-	t.Helper()
-	return nullableTablesCfg(t, rng, workers, nl, nr, Config{DisableColumnar: disableColumnar})
-}
-
-// nullableTablesCfg is nullableTables with full Config control (the
-// parallelism property tests vary Parallelism alongside the columnar
-// switch). cfg's topology fields are filled in here.
+// nullableTablesCfg loads one fact table t (with ~25% NULLs in every
+// column) and one small join table u into an engine built with cfg, whose
+// topology fields are filled in here.
 func nullableTablesCfg(t testing.TB, rng *rand.Rand, workers, nl, nr int, cfg Config) *Engine {
 	t.Helper()
 	topo := cluster.NewTopology(workers + 1)
@@ -87,42 +75,43 @@ func nullableTablesCfg(t testing.TB, rng *rand.Rand, workers, nl, nr int, cfg Co
 	return e
 }
 
-// columnarOracleQueries is the query corpus both engines run. Ordered
-// queries (ORDER BY) are compared as exact sequences; the rest as sorted
-// multisets.
-var columnarOracleQueries = []struct {
-	sql     string
-	ordered bool
-}{
+// columnarOracleQueries drives the kernels; parallelOracleQueries
+// (parallel_test.go) adds the partial/merge-sensitive shapes.
+var columnarOracleQueries = []string{
 	// Selection-vector extremes: everything filtered, nothing filtered.
-	{"SELECT v FROM t WHERE v < -10000", false},
-	{"SELECT v, cat FROM t WHERE v IS NULL OR v IS NOT NULL", false},
+	"SELECT v FROM t WHERE v < -10000",
+	"SELECT v, cat FROM t WHERE v IS NULL OR v IS NOT NULL",
 	// Short-circuit AND: the division must only run where v <> 0.
-	{"SELECT k FROM t WHERE v <> 0 AND 100 / v > 3", false},
+	"SELECT k FROM t WHERE v <> 0 AND 100 / v > 3",
 	// OR with NULL operands, NOT, IS NULL.
-	{"SELECT v FROM t WHERE NOT (f < 0.0) OR v IS NULL", false},
+	"SELECT v FROM t WHERE NOT (f < 0.0) OR v IS NULL",
 	// Mixed-type comparison and arithmetic with NULL propagation.
-	{"SELECT v + 1, f * 2.0, v - f FROM t WHERE f > v", false},
+	"SELECT v + 1, f * 2.0, v - f FROM t WHERE f > v",
 	// IN over strings, NOT IN with possible NULL needle.
-	{"SELECT cat FROM t WHERE cat IN ('a', 'dd')", false},
-	{"SELECT v FROM t WHERE v NOT IN (1, 2, 3)", false},
+	"SELECT cat FROM t WHERE cat IN ('a', 'dd')",
+	"SELECT v FROM t WHERE v NOT IN (1, 2, 3)",
 	// CASE arms evaluated progressively at narrowed positions.
-	{"SELECT CASE WHEN v > 25 THEN v * 10 WHEN v > 0 THEN v ELSE 0 - 1 END FROM t", false},
-	{"SELECT CASE WHEN v IS NULL THEN 'none' WHEN cat = 'a' THEN 'hit' ELSE cat END FROM t", false},
+	"SELECT CASE WHEN v > 25 THEN v * 10 WHEN v > 0 THEN v ELSE 0 - 1 END FROM t",
+	"SELECT CASE WHEN v IS NULL THEN 'none' WHEN cat = 'a' THEN 'hit' ELSE cat END FROM t",
 	// Projection over a filtered batch (kernels see the selection).
-	{"SELECT v * v, f / 2.0 FROM t WHERE k >= 4", false},
+	"SELECT v * v, f / 2.0 FROM t WHERE k >= 4",
 	// Join with NULL keys on both sides (never match).
-	{"SELECT t.v, u.w FROM t, u WHERE t.k = u.k", false},
-	{"SELECT t.cat, u.w FROM t, u WHERE t.k = u.k AND t.v > 0", false},
+	"SELECT t.v, u.w FROM t, u WHERE t.k = u.k",
+	"SELECT t.cat, u.w FROM t, u WHERE t.k = u.k AND t.v > 0",
 	// Grouped aggregates over every accumulator, NULL-skipping.
-	{"SELECT cat, COUNT(*), SUM(v), MIN(f), MAX(v) FROM t GROUP BY cat", false},
-	{"SELECT k, AVG(f), COUNT(*) FROM t WHERE v IS NOT NULL GROUP BY k", false},
+	"SELECT cat, COUNT(*), SUM(v), MIN(f), MAX(v) FROM t GROUP BY cat",
+	"SELECT k, AVG(f), COUNT(*) FROM t WHERE v IS NOT NULL GROUP BY k",
 	// Global aggregate (empty grouping key) incl. the zero-row case.
-	{"SELECT COUNT(*), SUM(v) FROM t WHERE v < -10000", false},
-	{"SELECT MIN(v), MAX(f) FROM t", false},
+	"SELECT COUNT(*), SUM(v) FROM t WHERE v < -10000",
+	"SELECT MIN(v), MAX(f) FROM t",
 	// Sorts keyed by computed expressions.
-	{"SELECT v FROM t WHERE v IS NOT NULL ORDER BY v DESC LIMIT 11", true},
-	{"SELECT k, f FROM t WHERE f IS NOT NULL AND k IS NOT NULL ORDER BY k, f", true},
+	"SELECT v FROM t WHERE v IS NOT NULL ORDER BY v DESC LIMIT 11",
+	"SELECT k, f FROM t WHERE f IS NOT NULL AND k IS NOT NULL ORDER BY k, f",
+}
+
+// oracleCorpus is every corpus query, kernel shapes first.
+func oracleCorpus() []string {
+	return append(append([]string(nil), columnarOracleQueries...), parallelOracleQueries...)
 }
 
 // runOracle executes sql and flattens the result rows to strings.
@@ -131,68 +120,13 @@ func runOracle(e *Engine, sql string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return rowStrings(res.Rows()), nil
+}
+
+func rowStrings(rows []row.Row) []string {
 	var out []string
-	for _, r := range res.Rows() {
+	for _, r := range rows {
 		out = append(out, r.String())
 	}
-	return out, nil
-}
-
-// TestPropertyColumnarMatchesRowOracle runs the corpus over random
-// NULL-heavy tables on both execution modes and requires identical
-// results (or errors from both modes).
-func TestPropertyColumnarMatchesRowOracle(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		workers := 1 + rng.Intn(4)
-		nl, nr := rng.Intn(80), rng.Intn(30)
-		data := rng.Int63()
-		rowEng := nullableTables(t, rand.New(rand.NewSource(data)), workers, nl, nr, true)
-		colEng := nullableTables(t, rand.New(rand.NewSource(data)), workers, nl, nr, false)
-		for _, q := range columnarOracleQueries {
-			want, werr := runOracle(rowEng, q.sql)
-			got, gerr := runOracle(colEng, q.sql)
-			if (werr != nil) != (gerr != nil) {
-				t.Logf("seed %d: %s: row err=%v, columnar err=%v", seed, q.sql, werr, gerr)
-				return false
-			}
-			if werr != nil {
-				continue
-			}
-			if !q.ordered {
-				sort.Strings(want)
-				sort.Strings(got)
-			}
-			if fmt.Sprint(want) != fmt.Sprint(got) {
-				t.Logf("seed %d: %s:\n row path: %v\n columnar: %v", seed, q.sql, want, got)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestColumnarDisableFlag double-checks the oracle switch actually
-// switches: a columnar engine wires vector operators, a disabled one must
-// not (observed through the engine flag — the plans themselves are
-// internal).
-func TestColumnarDisableFlag(t *testing.T) {
-	topo := cluster.NewTopology(2)
-	on, err := New(topo, nil, Config{HeadNodeID: 0, WorkerNodeIDs: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := New(topo, nil, Config{HeadNodeID: 0, WorkerNodeIDs: []int{1}, DisableColumnar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !on.columnar {
-		t.Error("default engine should run columnar")
-	}
-	if off.columnar {
-		t.Error("DisableColumnar engine still columnar")
-	}
+	return out
 }

@@ -16,19 +16,12 @@ type Config struct {
 	WorkerNodeIDs []int
 	HeadNodeID    int
 
-	// DisableColumnar forces every operator onto the row-at-a-time
-	// pipeline. The columnar engine is on by default; the switch exists so
-	// the two paths can be compared — the property tests hold the columnar
-	// operators to the row path as an oracle, and the benchmarks measure
-	// the same query both ways.
-	DisableColumnar bool
-
 	// Parallelism bounds how many pool workers one query may run
 	// concurrently (morsel dispatch, partition drains, parallel hash
 	// build, sort runs). Zero selects the default, one worker per
 	// available CPU (runtime.GOMAXPROCS). Parallelism: 1 is the
 	// sequential oracle: every parallel schedule must produce output
-	// byte-identical to it, the companion switch to DisableColumnar.
+	// byte-identical to it.
 	Parallelism int
 }
 
@@ -43,7 +36,6 @@ type Engine struct {
 
 	catalog     *Catalog
 	registry    *Registry
-	columnar    bool
 	parallelism int
 }
 
@@ -62,7 +54,6 @@ func New(topo *cluster.Topology, cost *cluster.CostModel, cfg Config) (*Engine, 
 		head:        topo.Node(cfg.HeadNodeID),
 		catalog:     NewCatalog(),
 		registry:    NewRegistry(),
-		columnar:    !cfg.DisableColumnar,
 		parallelism: cfg.Parallelism,
 	}
 	seen := make(map[int]bool)

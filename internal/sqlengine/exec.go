@@ -282,19 +282,8 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 		if err := sc.add(s.name, s.schema); err != nil {
 			return nil, err
 		}
-		pred, _, err := compilePredicate(AndAll(push), sc, e.registry)
-		if err != nil {
+		if err := e.filter(s.iters, AndAll(push), sc); err != nil {
 			return nil, err
-		}
-		if vpred, ok := e.vecPredicate(AndAll(push), sc); ok {
-			types := row.SchemaTypes(s.schema)
-			for j := range s.iters {
-				s.iters[j] = rowsIter(newColFilterIter(asColIterator(s.iters[j], types), vpred))
-			}
-		} else {
-			for j := range s.iters {
-				s.iters[j] = newFilterIter(s.iters[j], pred)
-			}
 		}
 		track(s.iters)
 	}
@@ -374,19 +363,8 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 		}
 	}
 	if len(residual) > 0 {
-		pred, _, err := compilePredicate(AndAll(residual), cur.sc, e.registry)
-		if err != nil {
+		if err := e.filter(cur.iters, AndAll(residual), cur.sc); err != nil {
 			return nil, err
-		}
-		if vpred, ok := e.vecPredicate(AndAll(residual), cur.sc); ok {
-			types := row.SchemaTypes(cur.sc.combined())
-			for j := range cur.iters {
-				cur.iters[j] = rowsIter(newColFilterIter(asColIterator(cur.iters[j], types), vpred))
-			}
-		} else {
-			for j := range cur.iters {
-				cur.iters[j] = newFilterIter(cur.iters[j], pred)
-			}
 		}
 		track(cur.iters)
 	}
@@ -435,7 +413,7 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 		if err := hsc.add("", outSchema); err != nil {
 			return nil, err
 		}
-		pred, _, err := compilePredicate(sel.Having, hsc, e.registry)
+		pred, err := compilePredicate(sel.Having, hsc, e.registry)
 		if err != nil {
 			return nil, err
 		}
@@ -491,16 +469,33 @@ func onlySource(refs map[int]bool, si int) bool {
 	return len(refs) == 1 && refs[si]
 }
 
-// compilePredicate compiles a boolean expression.
-func compilePredicate(ex Expr, sc *scope, reg *Registry) (evalFn, row.Type, error) {
-	fn, t, err := compile(ex, sc, reg)
+// filter wraps every partition pipeline, in place, in a columnar filter
+// on the WHERE predicate ex.
+func (e *Engine) filter(iters []BatchIterator, ex Expr, sc *scope) error {
+	pred, t, err := compileVec(ex, sc, e.registry)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	if t != row.TypeBool {
-		return nil, 0, fmt.Errorf("sql: predicate must be BOOLEAN, got %s", t)
+		return fmt.Errorf("sql: predicate must be BOOLEAN, got %s", t)
 	}
-	return fn, t, nil
+	types := row.SchemaTypes(sc.combined())
+	for j := range iters {
+		iters[j] = rowsIter(newColFilterIter(asColIterator(iters[j], types), pred))
+	}
+	return nil
+}
+
+// compilePredicate compiles a HAVING predicate over aggregate output rows.
+func compilePredicate(ex Expr, sc *scope, reg *Registry) (evalFn, error) {
+	fn, t, err := compile(ex, sc, reg)
+	if err != nil {
+		return nil, err
+	}
+	if t != row.TypeBool {
+		return nil, fmt.Errorf("sql: predicate must be BOOLEAN, got %s", t)
+	}
+	return fn, nil
 }
 
 // filterParts applies a predicate to every materialized partition on the
@@ -780,10 +775,9 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 	// A keyed probe over a pipeline with a columnar core runs column-wise:
 	// key kernels over whole batches, one hashed lookup per packed key.
 	// Cartesian joins and row-major inputs keep the row probe.
-	var vecKeyFns []vecFn
-	vecOK := len(leftKeys) > 0
-	if vecOK {
-		vecKeyFns, vecOK = e.vecExprs(leftKeys, left.sc)
+	vecKeyFns, _, err := vecExprs(leftKeys, left.sc, e.registry)
+	if err != nil {
+		return nil, err
 	}
 
 	outIters := make([]BatchIterator, len(left.iters))
@@ -792,7 +786,7 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 		if i < len(e.workers) {
 			node = e.workers[i]
 		}
-		if vecOK {
+		if len(vecKeyFns) > 0 {
 			if core, ok := unwrapColCore(left.iters[i]); ok {
 				outIters[i] = &colProbeIter{
 					in:     core,
@@ -831,46 +825,44 @@ func compileKeys(keys []Expr, sc *scope, reg *Registry) ([]evalFn, error) {
 }
 
 // execProject compiles the select list into streaming projection
-// operators — columnar kernels assembling output batches from result
-// vectors when the engine runs columnar, per-row closures otherwise.
+// operators: columnar kernels assembling output batches from result
+// vectors.
 func (e *Engine) execProject(items []SelectItem, in *dataset) (row.Schema, []BatchIterator, error) {
 	fns, schema, err := compileSelectList(items, in.sc, e.registry)
 	if err != nil {
 		return row.Schema{}, nil, err
 	}
-	if vfns, ok := e.vecSelectList(items, in.sc); ok {
-		inTypes := row.SchemaTypes(in.sc.combined())
-		outTypes := row.SchemaTypes(schema)
-		outIters := make([]BatchIterator, len(in.iters))
-		for i := range in.iters {
-			outIters[i] = rowsIter(newColProjectIter(asColIterator(in.iters[i], inTypes), vfns, outTypes))
-		}
-		return schema, outIters, nil
-	}
+	inTypes := row.SchemaTypes(in.sc.combined())
+	outTypes := row.SchemaTypes(schema)
 	outIters := make([]BatchIterator, len(in.iters))
 	for i := range in.iters {
-		outIters[i] = newProjectIter(in.iters[i], fns)
+		outIters[i] = rowsIter(newColProjectIter(asColIterator(in.iters[i], inTypes), fns, outTypes))
 	}
 	return schema, outIters, nil
 }
 
-// compileSelectList expands stars and compiles each output column.
-func compileSelectList(items []SelectItem, sc *scope, reg *Registry) ([]evalFn, row.Schema, error) {
-	var fns []evalFn
+// compileSelectList expands stars and compiles each output column into a
+// kernel, returning the kernels and the output schema. A star column is a
+// passthrough kernel (zero-copy: the output batch adopts the input vector
+// header).
+func compileSelectList(items []SelectItem, sc *scope, reg *Registry) ([]vecFn, row.Schema, error) {
+	var fns []vecFn
 	var names []string
 	var types []row.Type
 	for _, item := range items {
 		if item.Star {
 			q := strings.ToLower(item.StarQualifier)
 			matched := false
-			for _, b := range sc.bindings {
-				if q != "" && b.name != q {
+			for _, bd := range sc.bindings {
+				if q != "" && bd.name != q {
 					continue
 				}
 				matched = true
-				for ci, col := range b.schema.Cols {
-					idx := b.offset + ci
-					fns = append(fns, func(r row.Row) (row.Value, error) { return r[idx], nil })
+				for ci, col := range bd.schema.Cols {
+					idx := bd.offset + ci
+					fns = append(fns, func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
+						return b.Col(idx), nil
+					})
 					names = append(names, col.Name)
 					types = append(types, col.Type)
 				}
@@ -880,7 +872,7 @@ func compileSelectList(items []SelectItem, sc *scope, reg *Registry) ([]evalFn, 
 			}
 			continue
 		}
-		fn, t, err := compile(item.Expr, sc, reg)
+		fn, t, err := compileVec(item.Expr, sc, reg)
 		if err != nil {
 			return nil, row.Schema{}, err
 		}
@@ -986,15 +978,19 @@ func (e *Engine) orderBy(qp *queryPool, items []OrderItem, schema row.Schema, it
 
 	// When the tail pipeline has a columnar core, the drain evaluates the
 	// sort keys column-wise per batch (one kernel pass per key instead of
-	// one closure call per row) and sorts the prepared runs.
-	if cores, ok := e.colSortCores(iters); ok {
+	// one closure call per row) and sorts the prepared runs. A tail that
+	// GROUP BY or DISTINCT already materialized has none and drains as rows.
+	if cores, ok := colSortCores(iters); ok {
 		exprs := make([]Expr, len(items))
 		for i, it := range items {
 			exprs[i] = it.Expr
 		}
-		if keyFns, ok := e.vecExprs(exprs, sc); ok {
-			return e.orderByColumnar(qp, specs, keyFns, iters, cores)
+		keyFns, _, err := vecExprs(exprs, sc, e.registry)
+		if err != nil {
+			closeAllIters(iters)
+			return nil, err
 		}
+		return e.orderByColumnar(qp, specs, keyFns, iters, cores)
 	}
 
 	parts, err := qp.drainAll(iters)
@@ -1018,10 +1014,7 @@ func (e *Engine) orderBy(qp *queryPool, items []OrderItem, schema row.Schema, it
 // colSortCores unwraps every partition's columnar core for the ORDER BY
 // drain. All-or-nothing: a single row-major partition keeps the whole sort
 // on the row path, so no partition pays a transpose just to sort.
-func (e *Engine) colSortCores(iters []BatchIterator) ([]colIterator, bool) {
-	if !e.columnar {
-		return nil, false
-	}
+func colSortCores(iters []BatchIterator) ([]colIterator, bool) {
 	cores := make([]colIterator, len(iters))
 	for i := range iters {
 		c, ok := unwrapColCore(iters[i])

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"sqlml/internal/cluster"
@@ -352,6 +353,16 @@ func TestAggregateErrors(t *testing.T) {
 	} {
 		if _, err := e.Query(sql); err == nil {
 			t.Errorf("%s should fail", sql)
+		}
+	}
+	// Float and integer division are different expressions, however the
+	// literal 2.0 prints.
+	for _, sql := range []string{
+		"SELECT age / 2.0 FROM users GROUP BY age / 2",
+		"SELECT age / 2 FROM users GROUP BY age / 2.0",
+	} {
+		if _, err := e.Query(sql); err == nil || !strings.Contains(err.Error(), "neither an aggregate nor in GROUP BY") {
+			t.Errorf("%s: err = %v, want neither an aggregate nor in GROUP BY", sql, err)
 		}
 	}
 }

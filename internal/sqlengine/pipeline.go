@@ -14,102 +14,12 @@ import (
 // early (e.g. LIMIT, or a first-error abort downstream).
 var errPipeClosed = errors.New("sql: pipeline closed")
 
-// filterIter streams a predicate over its input, yielding only batches
-// with at least one surviving row. The returned batch is reused between
-// Next calls (rows themselves are not copied).
-type filterIter struct {
-	in   BatchIterator
-	pred evalFn
-	buf  RowBatch
-	done bool
-}
-
-func newFilterIter(in BatchIterator, pred evalFn) BatchIterator {
-	return &filterIter{in: in, pred: pred}
-}
-
-func (f *filterIter) Next() (RowBatch, bool, error) {
-	if f.done {
-		return nil, false, nil
-	}
-	for {
-		b, ok, err := f.in.Next()
-		if err != nil || !ok {
-			f.done = true
-			return nil, false, err
-		}
-		out := f.buf[:0]
-		for _, r := range b {
-			v, err := f.pred(r)
-			if err != nil {
-				f.done = true
-				return nil, false, err
-			}
-			if !v.Null && v.AsBool() {
-				out = append(out, r)
-			}
-		}
-		f.buf = out
-		if len(out) > 0 {
-			return out, true, nil
-		}
-	}
-}
-
-func (f *filterIter) Close() {
-	f.done = true
-	f.in.Close()
-}
-
-// projectIter evaluates the compiled select list batch-at-a-time.
-type projectIter struct {
-	in   BatchIterator
-	fns  []evalFn
-	buf  RowBatch
-	done bool
-}
-
-func newProjectIter(in BatchIterator, fns []evalFn) BatchIterator {
-	return &projectIter{in: in, fns: fns}
-}
-
-func (p *projectIter) Next() (RowBatch, bool, error) {
-	if p.done {
-		return nil, false, nil
-	}
-	b, ok, err := p.in.Next()
-	if err != nil || !ok {
-		p.done = true
-		return nil, false, err
-	}
-	out := p.buf[:0]
-	for _, r := range b {
-		or := make(row.Row, len(p.fns))
-		for j, fn := range p.fns {
-			v, err := fn(r)
-			if err != nil {
-				p.done = true
-				return nil, false, err
-			}
-			or[j] = v
-		}
-		out = append(out, or)
-	}
-	p.buf = out
-	return out, true, nil
-}
-
-func (p *projectIter) Close() {
-	p.done = true
-	p.in.Close()
-}
-
-// probeIter is the streaming probe side of a hash join: the build side has
-// been drained into a sharded buildTable (or buildAll for a key-less
-// join), probing is one pipelined pass. Each consumed input batch is
-// charged as processing work on the probe worker. Probe keys are encoded
-// into a per-iterator scratch buffer, so probing allocates only for
-// output rows.
+// probeIter is the row-major probe side of a hash join: a cartesian join
+// (buildAll, no keys), or a keyed probe whose input has no columnar core —
+// a second join, probing the first colProbeIter's rows. Probing is one
+// pipelined pass. Each consumed input batch is charged as processing work
+// on the probe worker. Probe keys are encoded into a per-iterator scratch
+// buffer, so probing allocates only for output rows.
 type probeIter struct {
 	in       BatchIterator
 	keyFns   []evalFn    // empty => broadcast nested-loop join

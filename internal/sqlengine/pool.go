@@ -183,10 +183,6 @@ func primeAny(it any) {
 	switch x := it.(type) {
 	case *udfPipe:
 		x.prime()
-	case *filterIter:
-		primeAny(x.in)
-	case *projectIter:
-		primeAny(x.in)
 	case *probeIter:
 		primeAny(x.in)
 	case *chargeIter:
