@@ -408,35 +408,42 @@ func TestPipelineWithScaling(t *testing.T) {
 }
 
 func TestScaledPipelineIdenticalAcrossApproaches(t *testing.T) {
-	env := newTestEnv(t, 50, 6, nil)
-	cfg := paperConfig()
-	cfg.Spec.ScaleCols = []string{"age", "amount"}
-	cfg.Spec.Scaling = transform.ScalingMinMax
+	for _, kind := range []transform.ScalingKind{transform.ScalingMinMax, transform.ScalingStandard} {
+		t.Run(kind.String(), func(t *testing.T) {
+			env := newTestEnv(t, 50, 6, nil)
+			cfg := paperConfig()
+			cfg.Spec.ScaleCols = []string{"age", "amount"}
+			cfg.Spec.Scaling = kind
 
-	results := make(map[Approach]*RunResult)
-	for _, a := range []Approach{Naive, InSQL, InSQLStream} {
-		res, err := Run(env, a, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", a, err)
-		}
-		results[a] = res
-	}
-	base := datasetFingerprint(results[Naive].Dataset)
-	for _, a := range []Approach{InSQL, InSQLStream} {
-		fp := datasetFingerprint(results[a].Dataset)
-		if len(fp) != len(base) {
-			t.Fatalf("%s: %d rows vs naive %d", a, len(fp), len(base))
-		}
-		for i := range fp {
-			if fp[i] != base[i] {
-				t.Fatalf("%s differs from naive at row %d:\n%s\n%s", a, i, fp[i], base[i])
+			results := make(map[Approach]*RunResult)
+			for _, a := range []Approach{Naive, InSQL, InSQLStream} {
+				res, err := Run(env, a, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", a, err)
+				}
+				results[a] = res
 			}
-		}
-	}
-	// Min-max scaled features land in [0,1].
-	for _, p := range results[Naive].Dataset.All() {
-		if p.Features[0] < 0 || p.Features[0] > 1 {
-			t.Fatalf("unscaled age feature %v", p.Features[0])
-		}
+			base := datasetFingerprint(results[Naive].Dataset)
+			for _, a := range []Approach{InSQL, InSQLStream} {
+				fp := datasetFingerprint(results[a].Dataset)
+				if len(fp) != len(base) {
+					t.Fatalf("%s: %d rows vs naive %d", a, len(fp), len(base))
+				}
+				for i := range fp {
+					if fp[i] != base[i] {
+						t.Fatalf("%s differs from naive at row %d:\n%s\n%s", a, i, fp[i], base[i])
+					}
+				}
+			}
+			if kind != transform.ScalingMinMax {
+				return
+			}
+			// Min-max scaled features land in [0,1].
+			for _, p := range results[Naive].Dataset.All() {
+				if p.Features[0] < 0 || p.Features[0] > 1 {
+					t.Fatalf("unscaled age feature %v", p.Features[0])
+				}
+			}
+		})
 	}
 }

@@ -93,9 +93,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	if err := transform.RegisterUDFs(eng); err != nil {
 		return nil, err
 	}
-	if err := transform.RegisterScalingUDFs(eng); err != nil {
-		return nil, err
-	}
 	if err := stream.RegisterSenderUDF(eng, cfg.SenderConfig); err != nil {
 		return nil, err
 	}

@@ -88,6 +88,19 @@ type aggState struct {
 	minV  row.Value
 	maxV  row.Value
 	any   bool
+	// overflow is sticky: a BIGINT sum left the int64 range in add or
+	// merge, and finalize fails the query.
+	overflow bool
+}
+
+// addInt adds x to the BIGINT sum, recording overflow: the wrapped sum's
+// sign differs from the sign both operands share.
+func (a *aggState) addInt(x int64) {
+	s := a.sumI + x
+	if (a.sumI^s)&(x^s) < 0 {
+		a.overflow = true
+	}
+	a.sumI = s
 }
 
 func (a *aggState) add(v row.Value, star bool) {
@@ -105,7 +118,7 @@ func (a *aggState) add(v row.Value, star bool) {
 	case aggSum, aggAvg:
 		a.count++
 		if a.isInt {
-			a.sumI += v.AsInt()
+			a.addInt(v.AsInt())
 		} else {
 			a.sumF += v.AsFloat()
 		}
@@ -126,7 +139,8 @@ func (a *aggState) merge(o *aggState) {
 		a.count += o.count
 	case aggSum, aggAvg:
 		a.count += o.count
-		a.sumI += o.sumI
+		a.addInt(o.sumI)
+		a.overflow = a.overflow || o.overflow
 		a.sumF += o.sumF
 		a.any = a.any || o.any
 	case aggMin:
@@ -142,37 +156,43 @@ func (a *aggState) merge(o *aggState) {
 	}
 }
 
-func (a *aggState) finalize(t row.Type) row.Value {
+func (a *aggState) finalize(t row.Type) (row.Value, error) {
 	switch a.kind {
 	case aggCount:
-		return row.Int(a.count)
+		return row.Int(a.count), nil
 	case aggSum:
+		if a.overflow {
+			return row.Value{}, fmt.Errorf("sql: SUM overflows BIGINT")
+		}
 		if !a.any {
-			return row.NullOf(t)
+			return row.NullOf(t), nil
 		}
 		if a.isInt {
-			return row.Int(a.sumI)
+			return row.Int(a.sumI), nil
 		}
-		return row.Float(a.sumF)
+		return row.Float(a.sumF), nil
 	case aggAvg:
+		if a.overflow {
+			return row.Value{}, fmt.Errorf("sql: AVG overflows BIGINT")
+		}
 		if a.count == 0 {
-			return row.NullOf(row.TypeFloat)
+			return row.NullOf(row.TypeFloat), nil
 		}
 		total := a.sumF
 		if a.isInt {
 			total = float64(a.sumI)
 		}
-		return row.Float(total / float64(a.count))
+		return row.Float(total / float64(a.count)), nil
 	case aggMin:
 		if !a.any {
-			return row.NullOf(t)
+			return row.NullOf(t), nil
 		}
-		return a.minV
+		return a.minV, nil
 	default:
 		if !a.any {
-			return row.NullOf(t)
+			return row.NullOf(t), nil
 		}
-		return a.maxV
+		return a.maxV, nil
 	}
 }
 
@@ -428,7 +448,11 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 			if c.keyIdx >= 0 {
 				r[i] = g.keys[c.keyIdx]
 			} else {
-				r[i] = g.aggs[c.aggIdx].finalize(specs[c.aggIdx].outType)
+				v, err := g.aggs[c.aggIdx].finalize(specs[c.aggIdx].outType)
+				if err != nil {
+					return row.Schema{}, nil, err
+				}
+				r[i] = v
 			}
 		}
 		out = append(out, r)

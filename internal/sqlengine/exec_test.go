@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -363,6 +364,39 @@ func TestAggregateErrors(t *testing.T) {
 	} {
 		if _, err := e.Query(sql); err == nil || !strings.Contains(err.Error(), "neither an aggregate nor in GROUP BY") {
 			t.Errorf("%s: err = %v, want neither an aggregate nor in GROUP BY", sql, err)
+		}
+	}
+}
+
+// TestBigintSumOverflowFails: a BIGINT SUM or AVG that leaves the int64
+// range fails the query instead of wrapping, whether the overflow happens
+// within a partition's partial or in the merge of partials.
+func TestBigintSumOverflowFails(t *testing.T) {
+	e := newTestEngine(t)
+	s := row.MustSchema(row.Column{Name: "v", Type: row.TypeInt}, row.Column{Name: "g", Type: row.TypeInt})
+	rows := []row.Row{
+		{row.Int(math.MaxInt64), row.Int(1)}, {row.Int(1), row.Int(1)},
+		{row.Int(math.MaxInt64), row.Int(2)}, {row.Int(math.MaxInt64), row.Int(2)},
+	}
+	// big_add holds every row in one partition, so the partial overflows;
+	// big_merge holds one row per partition, so the merge does.
+	if err := e.LoadPartitionedTable("big_add", s, [][]row.Row{rows, nil, nil, nil}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadTable("big_merge", s, rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"big_add", "big_merge"} {
+		for _, agg := range []string{"SUM", "AVG"} {
+			for _, sql := range []string{
+				"SELECT g, " + agg + "(v) FROM " + table + " GROUP BY g",
+				"SELECT " + agg + "(v) FROM " + table,
+			} {
+				want := "sql: " + agg + " overflows BIGINT"
+				if _, err := e.Query(sql); err == nil || err.Error() != want {
+					t.Errorf("%s: err = %v, want %q", sql, err, want)
+				}
+			}
 		}
 	}
 }

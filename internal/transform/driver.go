@@ -42,13 +42,13 @@ const (
 	ScalingMinMax
 )
 
-// String returns the scaling's UDF name.
+// String returns the scaling's name.
 func (s ScalingKind) String() string {
 	switch s {
 	case ScalingStandard:
-		return "standardize"
+		return "standard"
 	case ScalingMinMax:
-		return "minmax_scale"
+		return "minmax"
 	default:
 		return "none"
 	}
@@ -66,8 +66,7 @@ type Spec struct {
 	CodeCols []string
 	// Coding selects the expansion family for CodeCols.
 	Coding Coding
-	// ScaleCols are numeric columns to scale after the categorical steps
-	// (the engine must have RegisterScalingUDFs installed).
+	// ScaleCols are numeric columns to scale after the categorical steps.
 	ScaleCols []string
 	// Scaling selects the scaling family for ScaleCols.
 	Scaling ScalingKind
@@ -85,8 +84,6 @@ type Output struct {
 	// MapTable is the catalog name of the materialized map table; it is
 	// left registered so callers can cache it (§5.2) — drop it when done.
 	MapTable string
-	// Stats holds the scaling statistics when the spec scaled columns.
-	Stats StatsMap
 }
 
 // Apply runs the full In-SQL transformation over a catalog table: build (or
@@ -160,23 +157,12 @@ func Apply(e *sqlengine.Engine, table string, spec Spec, cachedMap *RecodeMap) (
 		if err := e.RegisterResult(tmp, out.Result); err != nil {
 			return nil, err
 		}
-		var (
-			scaled *sqlengine.Result
-			stats  StatsMap
-			err    error
-		)
-		switch spec.Scaling {
-		case ScalingStandard:
-			scaled, stats, err = Standardize(e, tmp, spec.ScaleCols)
-		case ScalingMinMax:
-			scaled, stats, err = MinMaxScale(e, tmp, spec.ScaleCols)
-		}
+		scaled, err := scale(e, tmp, spec.ScaleCols, spec.Scaling)
 		e.DropTable(tmp)
 		if err != nil {
 			return nil, err
 		}
 		out.Result = scaled
-		out.Stats = stats
 	}
 	return out, nil
 }

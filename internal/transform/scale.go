@@ -10,12 +10,10 @@ import (
 )
 
 // Feature scaling is the other transformation family ML pipelines need
-// beyond categorical encodings, and it has the same two-phase distributed
-// shape as recoding (§2.1): a parallel pass computing per-partition
-// statistics for all listed columns at once, a global combine (plain SQL
-// aggregation over the UDF output), and a second parallel pass applying
-// the transformation. The UDFs are column_stats, standardize and
-// minmax_scale.
+// beyond categorical encodings. Unlike recode phase 1 it needs no UDF:
+// both passes are plain SQL the engine plans and runs in parallel. The
+// statistics pass is one global aggregate over every scale column, and
+// the apply pass is one projection with the statistics as literals.
 
 // ColumnStats holds one numeric column's global statistics.
 type ColumnStats struct {
@@ -26,337 +24,95 @@ type ColumnStats struct {
 	Max   float64
 }
 
-// StatsMap maps (lower-cased) column names to their statistics.
-type StatsMap map[string]ColumnStats
-
-// StatsSchema is the schema of a materialised statistics table.
-func StatsSchema() row.Schema {
-	return row.MustSchema(
-		row.Column{Name: "colname", Type: row.TypeString},
-		row.Column{Name: "cnt", Type: row.TypeInt},
-		row.Column{Name: "mean", Type: row.TypeFloat},
-		row.Column{Name: "std", Type: row.TypeFloat},
-		row.Column{Name: "minv", Type: row.TypeFloat},
-		row.Column{Name: "maxv", Type: row.TypeFloat},
-	)
-}
-
-// statsFromRows rebuilds a StatsMap from a statistics table's rows.
-func statsFromRows(rows []row.Row) (StatsMap, error) {
-	out := make(StatsMap, len(rows))
-	for _, r := range rows {
-		if len(r) != 6 {
-			return nil, fmt.Errorf("transform: stats row has %d columns", len(r))
-		}
-		out[strings.ToLower(r[0].AsString())] = ColumnStats{
-			Count: r[1].AsInt(),
-			Mean:  r[2].AsFloat(),
-			Std:   r[3].AsFloat(),
-			Min:   r[4].AsFloat(),
-			Max:   r[5].AsFloat(),
-		}
-	}
-	return out, nil
-}
-
-// RegisterScalingUDFs installs column_stats, standardize, and minmax_scale.
-// It is separate from RegisterUDFs so existing engines opt in explicitly.
-func RegisterScalingUDFs(e *sqlengine.Engine) error {
-	for _, u := range []*sqlengine.TableUDF{
-		columnStatsUDF(),
-		scaleUDF("standardize", applyStandardize),
-		scaleUDF("minmax_scale", applyMinMax),
-	} {
-		if err := e.Registry().RegisterTable(u); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// columnStatsUDF is the parallel phase-1 pass: one scan emitting per-column
-// partial statistics (count, sum, sum of squares, min, max) for the local
-// partition. The global combine is ordinary SQL aggregation.
-func columnStatsUDF() *sqlengine.TableUDF {
-	outSchema := row.MustSchema(
-		row.Column{Name: "colname", Type: row.TypeString},
-		row.Column{Name: "cnt", Type: row.TypeInt},
-		row.Column{Name: "sum", Type: row.TypeFloat},
-		row.Column{Name: "sumsq", Type: row.TypeFloat},
-		row.Column{Name: "minv", Type: row.TypeFloat},
-		row.Column{Name: "maxv", Type: row.TypeFloat},
-	)
-	return &sqlengine.TableUDF{
-		Name:         "column_stats",
-		PerPartition: true,
-		OutSchema: func(in row.Schema, args []row.Value) (row.Schema, error) {
-			if len(args) != 1 {
-				return row.Schema{}, fmt.Errorf("usage: column_stats(T, 'col1,col2')")
-			}
-			cols, err := splitCols(args[0])
-			if err != nil {
-				return row.Schema{}, err
-			}
-			for _, c := range cols {
-				col, ok := in.Col(c)
-				if !ok {
-					return row.Schema{}, fmt.Errorf("unknown column %q", c)
-				}
-				if col.Type != row.TypeInt && col.Type != row.TypeFloat {
-					return row.Schema{}, fmt.Errorf("column %q is %s; scaling applies to numeric columns", c, col.Type)
-				}
-			}
-			return outSchema, nil
-		},
-		Fn: func(ctx *sqlengine.UDFContext, in sqlengine.Iterator, args []row.Value, emit func(row.Row) error) error {
-			cols, err := splitCols(args[0])
-			if err != nil {
-				return err
-			}
-			type acc struct {
-				name       string
-				idx        int
-				n          int64
-				sum, sumsq float64
-				min, max   float64
-			}
-			accs := make([]*acc, len(cols))
-			for i, c := range cols {
-				accs[i] = &acc{
-					name: strings.ToLower(c),
-					idx:  ctx.InSchema.ColIndex(c),
-					min:  math.Inf(1),
-					max:  math.Inf(-1),
-				}
-			}
-			for {
-				r, ok, err := in.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				for _, a := range accs {
-					v := r[a.idx]
-					if v.Null {
-						continue
-					}
-					x := v.AsFloat()
-					a.n++
-					a.sum += x
-					a.sumsq += x * x
-					if x < a.min {
-						a.min = x
-					}
-					if x > a.max {
-						a.max = x
-					}
-				}
-			}
-			for _, a := range accs {
-				if a.n == 0 {
-					continue
-				}
-				if err := emit(row.Row{
-					row.String_(a.name), row.Int(a.n),
-					row.Float(a.sum), row.Float(a.sumsq),
-					row.Float(a.min), row.Float(a.max),
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}
-}
-
-type scaleFn func(x float64, s ColumnStats) float64
-
-func applyStandardize(x float64, s ColumnStats) float64 {
-	if s.Std == 0 {
-		return 0
-	}
-	return (x - s.Mean) / s.Std
-}
-
-func applyMinMax(x float64, s ColumnStats) float64 {
-	if s.Max == s.Min {
-		return 0
-	}
-	return (x - s.Min) / (s.Max - s.Min)
-}
-
-// scaleUDF is the parallel phase-2 pass: rewrite the listed columns as
-// DOUBLEs using the statistics table built in phase 1.
-func scaleUDF(name string, fn scaleFn) *sqlengine.TableUDF {
-	return &sqlengine.TableUDF{
-		Name:         name,
-		PerPartition: true,
-		OutSchema: func(in row.Schema, args []row.Value) (row.Schema, error) {
-			if len(args) != 2 {
-				return row.Schema{}, fmt.Errorf("usage: %s(T, 'stats_table', 'col1,col2')", name)
-			}
-			cols, err := splitCols(args[1])
-			if err != nil {
-				return row.Schema{}, err
-			}
-			target := make(map[string]bool, len(cols))
-			for _, c := range cols {
-				col, ok := in.Col(c)
-				if !ok {
-					return row.Schema{}, fmt.Errorf("unknown column %q", c)
-				}
-				if col.Type != row.TypeInt && col.Type != row.TypeFloat {
-					return row.Schema{}, fmt.Errorf("column %q is %s; scaling applies to numeric columns", c, col.Type)
-				}
-				target[strings.ToLower(c)] = true
-			}
-			out := make([]row.Column, in.Len())
-			for i, c := range in.Cols {
-				out[i] = c
-				if target[strings.ToLower(c.Name)] {
-					out[i].Type = row.TypeFloat
-				}
-			}
-			return row.NewSchema(out...)
-		},
-		Fn: func(ctx *sqlengine.UDFContext, in sqlengine.Iterator, args []row.Value, emit func(row.Row) error) error {
-			stats, err := LoadStatsTable(ctx.Engine, args[0].AsString())
-			if err != nil {
-				return err
-			}
-			cols, err := splitCols(args[1])
-			if err != nil {
-				return err
-			}
-			plans := make(map[int]ColumnStats, len(cols))
-			for _, c := range cols {
-				s, ok := stats[strings.ToLower(c)]
-				if !ok {
-					return fmt.Errorf("column %q missing from statistics table", c)
-				}
-				plans[ctx.InSchema.ColIndex(c)] = s
-			}
-			for {
-				r, ok, err := in.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				out := make(row.Row, len(r))
-				for i, v := range r {
-					s, scaled := plans[i]
-					if !scaled {
-						out[i] = v
-						continue
-					}
-					if v.Null {
-						out[i] = row.NullOf(row.TypeFloat)
-						continue
-					}
-					out[i] = row.Float(fn(v.AsFloat(), s))
-				}
-				if err := emit(out); err != nil {
-					return err
-				}
-			}
-		},
-	}
-}
-
-// LoadStatsTable reads a materialised statistics table into a StatsMap.
-func LoadStatsTable(e *sqlengine.Engine, name string) (StatsMap, error) {
-	t, err := e.Catalog().Get(name)
+// scale rewrites cols of a catalog table as DOUBLEs under the given
+// scaling. The result is materialised.
+func scale(e *sqlengine.Engine, table string, cols []string, kind ScalingKind) (*sqlengine.Result, error) {
+	t, err := e.Catalog().Get(table)
 	if err != nil {
 		return nil, err
 	}
-	if !t.Schema.Equal(StatsSchema()) {
-		return nil, fmt.Errorf("transform: table %q is not a statistics table (schema %s)", name, t.Schema)
-	}
-	res, err := e.Query("SELECT colname, cnt, mean, std, minv, maxv FROM " + name)
+	stats, err := scaleStats(e, t.Schema, table, cols)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.Collect(res)
+	sql, err := scaleSQL(t.Schema, table, stats, kind)
 	if err != nil {
 		return nil, err
 	}
-	return statsFromRows(rows)
+	return e.Query(sql)
 }
 
-// BuildStats runs phase 1 over a catalog table: the parallel column_stats
-// UDF followed by a global SQL aggregation, materialised as a statistics
-// table whose name is returned (cacheable like a recode map).
-func BuildStats(e *sqlengine.Engine, table string, cols []string) (StatsMap, string, error) {
+// scaleStats runs the statistics pass: one SELECT of COUNT, SUM, sum of
+// squares, MIN and MAX per column, keyed by lower-cased column name. The
+// "* 1.0" sums BIGINT columns as DOUBLE and keeps c*c from overflowing.
+func scaleStats(e *sqlengine.Engine, schema row.Schema, table string, cols []string) (map[string]ColumnStats, error) {
 	if len(cols) == 0 {
-		return nil, "", fmt.Errorf("transform: no columns listed")
+		return nil, fmt.Errorf("transform: no columns listed")
 	}
-	colArg := strings.Join(cols, ",")
-	partial := tmpName("stats_partial")
-	sql := fmt.Sprintf(
-		"CREATE TABLE %s AS SELECT colname, cnt, sum, sumsq, minv, maxv FROM TABLE(column_stats(%s, '%s'))",
-		partial, table, colArg)
-	if _, err := e.Run(sql); err != nil {
-		return nil, "", err
+	items := make([]string, 0, 5*len(cols))
+	for _, c := range cols {
+		col, ok := schema.Col(c)
+		if !ok {
+			return nil, fmt.Errorf("transform: unknown column %q", c)
+		}
+		if col.Type != row.TypeInt && col.Type != row.TypeFloat {
+			return nil, fmt.Errorf("transform: column %q is %s; scaling applies to numeric columns", c, col.Type)
+		}
+		c = strings.ToLower(c)
+		items = append(items, fmt.Sprintf("COUNT(%[1]s), SUM(%[1]s * 1.0), SUM(%[1]s * 1.0 * %[1]s), MIN(%[1]s), MAX(%[1]s)", c))
 	}
-	defer e.DropTable(partial)
-
-	// Global combine; mean and std derive from the combined moments.
-	combined, err := e.Query(fmt.Sprintf(`
-		SELECT colname, SUM(cnt) AS cnt, SUM(sum) AS total, SUM(sumsq) AS totalsq,
-		       MIN(minv) AS minv, MAX(maxv) AS maxv
-		FROM %s GROUP BY colname`, partial))
+	res, err := e.Query("SELECT " + strings.Join(items, ", ") + " FROM " + table)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	statsRows := make([]row.Row, 0, combined.NumRows())
-	for _, r := range combined.Rows() {
-		n := r[1].AsInt()
-		total := r[2].AsFloat()
-		totalsq := r[3].AsFloat()
-		mean := total / float64(n)
-		variance := totalsq/float64(n) - mean*mean
+	r := res.Rows()[0]
+	stats := make(map[string]ColumnStats, len(cols))
+	for i, c := range cols {
+		v := r[5*i : 5*i+5]
+		n := v[0].AsInt()
+		if n == 0 {
+			return nil, fmt.Errorf("transform: scale column %q has no non-NULL value", c)
+		}
+		mean := v[1].AsFloat() / float64(n)
+		variance := v[2].AsFloat()/float64(n) - mean*mean
 		if variance < 0 {
 			variance = 0 // numeric noise
 		}
-		statsRows = append(statsRows, row.Row{
-			r[0], row.Int(n), row.Float(mean), row.Float(math.Sqrt(variance)), r[4], r[5],
-		})
+		stats[strings.ToLower(c)] = ColumnStats{
+			Count: n, Mean: mean, Std: math.Sqrt(variance),
+			Min: v[3].AsFloat(), Max: v[4].AsFloat(),
+		}
 	}
-	name := tmpName("stats")
-	if err := e.LoadTable(name, StatsSchema(), statsRows); err != nil {
-		return nil, "", err
-	}
-	m, err := statsFromRows(statsRows)
-	if err != nil {
-		return nil, "", err
-	}
-	return m, name, nil
+	return stats, nil
 }
 
-// Standardize z-scores the listed columns of a catalog table (two-phase).
-func Standardize(e *sqlengine.Engine, table string, cols []string) (*sqlengine.Result, StatsMap, error) {
-	return scaleDriver(e, "standardize", table, cols)
-}
-
-// MinMaxScale rescales the listed columns into [0,1] (two-phase).
-func MinMaxScale(e *sqlengine.Engine, table string, cols []string) (*sqlengine.Result, StatsMap, error) {
-	return scaleDriver(e, "minmax_scale", table, cols)
-}
-
-func scaleDriver(e *sqlengine.Engine, udf, table string, cols []string) (*sqlengine.Result, StatsMap, error) {
-	stats, statsTable, err := BuildStats(e, table, cols)
-	if err != nil {
-		return nil, nil, err
+// scaleSQL renders the apply pass: one projection in schema order where a
+// scaled column c becomes (c - offset) / divisor AS c and every other
+// column passes through. A constant column (zero divisor) scales to +0.0,
+// and NULL stays NULL. Non-finite statistics are an error: the lexer has
+// no literal for NaN or Inf.
+func scaleSQL(schema row.Schema, table string, stats map[string]ColumnStats, kind ScalingKind) (string, error) {
+	lit := func(f float64) string { return "(" + (&sqlengine.Lit{V: row.Float(f)}).String() + ")" }
+	selects := make([]string, len(schema.Cols))
+	for i, col := range schema.Cols {
+		name := strings.ToLower(col.Name)
+		s, ok := stats[name]
+		if !ok {
+			selects[i] = name
+			continue
+		}
+		offset, divisor := s.Mean, s.Std
+		if kind == ScalingMinMax {
+			offset, divisor = s.Min, s.Max-s.Min
+		}
+		if math.IsInf(offset, 0) || math.IsNaN(offset) || math.IsInf(divisor, 0) || math.IsNaN(divisor) {
+			return "", fmt.Errorf("transform: scale column %q has non-finite statistics", col.Name)
+		}
+		if divisor == 0 {
+			selects[i] = fmt.Sprintf("CASE WHEN %[1]s IS NOT NULL THEN 0.0 END AS %[1]s", name)
+			continue
+		}
+		selects[i] = fmt.Sprintf("(%[1]s - %[2]s) / %[3]s AS %[1]s", name, lit(offset), lit(divisor))
 	}
-	defer e.DropTable(statsTable)
-	res, err := e.Query(fmt.Sprintf("SELECT * FROM TABLE(%s(%s, '%s', '%s'))",
-		udf, table, statsTable, strings.Join(cols, ",")))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, stats, nil
+	return "SELECT " + strings.Join(selects, ", ") + " FROM " + table, nil
 }

@@ -3,20 +3,12 @@ package transform
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sqlml/internal/row"
 	"sqlml/internal/sqlengine"
 )
-
-func newScalingEngine(t testing.TB) *sqlengine.Engine {
-	t.Helper()
-	e := newEngine(t)
-	if err := RegisterScalingUDFs(e); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
 
 func loadNumeric(t testing.TB, e *sqlengine.Engine, name string, values []float64) {
 	t.Helper()
@@ -34,8 +26,8 @@ func loadNumeric(t testing.TB, e *sqlengine.Engine, name string, values []float6
 	}
 }
 
-func TestBuildStatsMatchesDirectComputation(t *testing.T) {
-	e := newScalingEngine(t)
+func TestScaleStatsMatchDirectComputation(t *testing.T) {
+	e := newEngine(t)
 	rng := rand.New(rand.NewSource(1))
 	values := make([]float64, 500)
 	sum, sumsq := 0.0, 0.0
@@ -49,12 +41,7 @@ func TestBuildStatsMatchesDirectComputation(t *testing.T) {
 		maxV = math.Max(maxV, v)
 	}
 	loadNumeric(t, e, "nums", values)
-	stats, statsTable, err := BuildStats(e, "nums", []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.DropTable(statsTable)
-	s := stats["x"]
+	s := statsOf(t, e, "nums", "x")
 	n := float64(len(values))
 	wantMean := sum / n
 	wantStd := math.Sqrt(sumsq/n - wantMean*wantMean)
@@ -67,30 +54,22 @@ func TestBuildStatsMatchesDirectComputation(t *testing.T) {
 	if s.Min != minV || s.Max != maxV {
 		t.Errorf("min/max = %v/%v, want %v/%v", s.Min, s.Max, minV, maxV)
 	}
-	// The materialised table round-trips.
-	back, err := LoadStatsTable(e, statsTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back["x"].Count != s.Count {
-		t.Error("stats table round trip lost data")
-	}
 }
 
 func TestStandardizeProducesZeroMeanUnitVariance(t *testing.T) {
-	e := newScalingEngine(t)
+	e := newEngine(t)
 	rng := rand.New(rand.NewSource(2))
 	values := make([]float64, 400)
 	for i := range values {
 		values[i] = rng.NormFloat64()*7 - 3
 	}
 	loadNumeric(t, e, "nums", values)
-	res, stats, err := Standardize(e, "nums", []string{"x"})
+	if n := statsOf(t, e, "nums", "x").Count; n != 400 {
+		t.Errorf("stats count = %d", n)
+	}
+	res, err := scale(e, "nums", []string{"x"}, ScalingStandard)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats["x"].Count != 400 {
-		t.Errorf("stats count = %d", stats["x"].Count)
 	}
 	xIdx := res.Schema.ColIndex("x")
 	sum, sumsq := 0.0, 0.0
@@ -113,10 +92,10 @@ func TestStandardizeProducesZeroMeanUnitVariance(t *testing.T) {
 }
 
 func TestMinMaxScaleBounds(t *testing.T) {
-	e := newScalingEngine(t)
+	e := newEngine(t)
 	values := []float64{5, 10, 15, 20, 25}
 	loadNumeric(t, e, "nums", values)
-	res, _, err := MinMaxScale(e, "nums", []string{"x"})
+	res, err := scale(e, "nums", []string{"x"}, ScalingMinMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,43 +118,51 @@ func TestMinMaxScaleBounds(t *testing.T) {
 	}
 }
 
+// TestScaleConstantColumn: a zero-spread column scales to +0.0 (never
+// -0.0, which the %v fingerprints would see) and NULL stays NULL.
 func TestScaleConstantColumn(t *testing.T) {
-	e := newScalingEngine(t)
-	loadNumeric(t, e, "nums", []float64{7, 7, 7})
-	res, _, err := Standardize(e, "nums", []string{"x"})
-	if err != nil {
+	e := newEngine(t)
+	schema := row.MustSchema(row.Column{Name: "x", Type: row.TypeFloat})
+	if err := e.LoadTable("nums", schema, []row.Row{
+		{row.Float(-7)}, {row.NullOf(row.TypeFloat)}, {row.Float(-7)}, {row.Float(-7)},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows() {
-		if v := r[res.Schema.ColIndex("x")].AsFloat(); v != 0 {
-			t.Errorf("constant column standardizes to %v, want 0", v)
+	for _, kind := range []ScalingKind{ScalingStandard, ScalingMinMax} {
+		res, err := scale(e, "nums", []string{"x"}, kind)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	res, _, err = MinMaxScale(e, "nums", []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Rows() {
-		if v := r[res.Schema.ColIndex("x")].AsFloat(); v != 0 {
-			t.Errorf("constant column min-max scales to %v, want 0", v)
+		nulls := 0
+		for _, r := range res.Rows() {
+			if r[0].Null {
+				nulls++
+				continue
+			}
+			if v := r[0].AsFloat(); v != 0 || math.Signbit(v) {
+				t.Errorf("%s: constant column scales to %v, want +0", kind, v)
+			}
+		}
+		if nulls != 1 {
+			t.Errorf("%s: nulls after scaling = %d, want 1", kind, nulls)
 		}
 	}
 }
 
 func TestScalePreservesNulls(t *testing.T) {
-	e := newScalingEngine(t)
+	e := newEngine(t)
 	schema := row.MustSchema(row.Column{Name: "x", Type: row.TypeFloat})
 	if err := e.LoadTable("n", schema, []row.Row{
 		{row.Float(1)}, {row.NullOf(row.TypeFloat)}, {row.Float(3)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := Standardize(e, "n", []string{"x"})
+	if n := statsOf(t, e, "n", "x").Count; n != 2 {
+		t.Errorf("NULLs must not count toward stats: count = %d", n)
+	}
+	res, err := scale(e, "n", []string{"x"}, ScalingStandard)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats["x"].Count != 2 {
-		t.Errorf("NULLs must not count toward stats: count = %d", stats["x"].Count)
 	}
 	nulls := 0
 	for _, r := range res.Rows() {
@@ -189,12 +176,12 @@ func TestScalePreservesNulls(t *testing.T) {
 }
 
 func TestScaleIntegerColumnsBecomeDouble(t *testing.T) {
-	e := newScalingEngine(t)
+	e := newEngine(t)
 	schema := row.MustSchema(row.Column{Name: "age", Type: row.TypeInt})
 	if err := e.LoadTable("ages", schema, []row.Row{{row.Int(20)}, {row.Int(40)}}); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := MinMaxScale(e, "ages", []string{"age"})
+	res, err := scale(e, "ages", []string{"age"}, ScalingMinMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +191,45 @@ func TestScaleIntegerColumnsBecomeDouble(t *testing.T) {
 }
 
 func TestScaleErrors(t *testing.T) {
-	e := newScalingEngine(t)
+	e := newEngine(t)
 	loadFigure1(t, e)
-	if _, _, err := Standardize(e, "t", []string{"gender"}); err == nil {
-		t.Error("scaling a VARCHAR column accepted")
+	for _, cols := range [][]string{{"gender"}, {"nosuch"}, nil} {
+		if _, err := scale(e, "t", cols, ScalingStandard); err == nil {
+			t.Errorf("scaling %v accepted", cols)
+		}
 	}
-	if _, _, err := Standardize(e, "t", []string{"nosuch"}); err == nil {
-		t.Error("unknown column accepted")
+	// A column with no non-NULL value has no statistics; the error names it.
+	schema := row.MustSchema(row.Column{Name: "x", Type: row.TypeFloat}, row.Column{Name: "empty", Type: row.TypeInt})
+	if err := e.LoadTable("n", schema, []row.Row{
+		{row.Float(1), row.NullOf(row.TypeInt)}, {row.Float(2), row.NullOf(row.TypeInt)},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := Standardize(e, "t", nil); err == nil {
-		t.Error("empty column list accepted")
+	if _, err := scale(e, "n", []string{"x", "empty"}, ScalingMinMax); err == nil || !strings.Contains(err.Error(), `"empty"`) {
+		t.Errorf("all-NULL column: err = %v, want one naming \"empty\"", err)
 	}
+	// Squares of ±1e200 overflow the sum of squares to +Inf: the standard
+	// deviation has no SQL literal, so standardizing fails and names the
+	// column, while min-max (finite bounds) still scales.
+	loadNumeric(t, e, "huge", []float64{1e200, -1e200})
+	if _, err := scale(e, "huge", []string{"x"}, ScalingStandard); err == nil || !strings.Contains(err.Error(), `"x"`) {
+		t.Errorf("non-finite std: err = %v, want one naming \"x\"", err)
+	}
+	if _, err := scale(e, "huge", []string{"x"}, ScalingMinMax); err != nil {
+		t.Errorf("min-max over finite bounds: %v", err)
+	}
+}
+
+// statsOf runs the statistics pass over one column of a catalog table.
+func statsOf(t testing.TB, e *sqlengine.Engine, table, col string) ColumnStats {
+	t.Helper()
+	tab, err := e.Catalog().Get(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := scaleStats(e, tab.Schema, table, []string{col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats[col]
 }
