@@ -66,6 +66,11 @@ type Dataset struct {
 	Carts []row.Row
 }
 
+// cartChunkRows is how many cart rows share one backing allocation. A
+// chunk stays live while any of its rows is reachable; one slab for the
+// whole table measured a higher peak RSS than chunks of this size.
+const cartChunkRows = 1024
+
 // Generate produces the synthetic tables deterministically from the seed.
 func Generate(cfg Config) (*Dataset, error) {
 	if cfg.Users <= 0 || cfg.CartsPerUser <= 0 {
@@ -97,6 +102,11 @@ func Generate(cfg Config) (*Dataset, error) {
 			row.String_(c),
 		})
 	}
+	// Cart rows are cut from shared value chunks of cartChunkRows rows —
+	// one allocation per chunk instead of one per row. Each row's capacity
+	// is its length, so appending to one row never writes into the next.
+	width := CartsSchema().Len()
+	var chunk []row.Value
 	cartID := int64(1)
 	for u := 0; u < cfg.Users; u++ {
 		info := users[u]
@@ -114,14 +124,18 @@ func Generate(cfg Config) (*Dataset, error) {
 			if rng.Float64() < 1/(1+math.Exp(-z)) {
 				abandoned = "Yes"
 			}
-			d.Carts = append(d.Carts, row.Row{
-				row.Int(cartID),
-				row.Int(int64(u + 1)),
-				row.Float(round2(amount)),
-				row.Int(int64(nitems)),
-				row.Int(int64(year)),
-				row.String_(abandoned),
-			})
+			if len(chunk) == 0 {
+				chunk = make([]row.Value, cartChunkRows*width)
+			}
+			r := row.Row(chunk[:width:width])
+			chunk = chunk[width:]
+			r[0] = row.Int(cartID)
+			r[1] = row.Int(int64(u + 1))
+			r[2] = row.Float(round2(amount))
+			r[3] = row.Int(int64(nitems))
+			r[4] = row.Int(int64(year))
+			r[5] = row.String_(abandoned)
+			d.Carts = append(d.Carts, r)
 			cartID++
 		}
 	}

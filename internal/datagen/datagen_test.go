@@ -1,11 +1,14 @@
 package datagen
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"sqlml/internal/cluster"
 	"sqlml/internal/dfs"
 	"sqlml/internal/hadoopfmt"
+	"sqlml/internal/row"
 )
 
 func TestGenerateShapeAndDeterminism(t *testing.T) {
@@ -43,6 +46,43 @@ func TestGenerateShapeAndDeterminism(t *testing.T) {
 	}
 	if same == len(d1.Users) {
 		t.Error("different seeds produced identical users")
+	}
+}
+
+// TestGenerateDigest pins the generated data itself: the digest of every
+// row printed "%v|", users then carts. Any change to the RNG call order or
+// to a row's values changes it.
+func TestGenerateDigest(t *testing.T) {
+	d, err := Generate(Config{Users: 300, CartsPerUser: 7, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, rows := range [][]row.Row{d.Users, d.Carts} {
+		for _, r := range rows {
+			fmt.Fprintf(h, "%v|", r)
+		}
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "84838170e79cf2e9b8e64bb13bdb0e2fb14f41e5544988776e82740e449b6190"; got != want {
+		t.Errorf("digest = %s, want %s", got, want)
+	}
+}
+
+// TestCartRowsDoNotAlias: cart rows share backing chunks, so each must be
+// capped at its own width — appending to one row may not write into the
+// next.
+func TestCartRowsDoNotAlias(t *testing.T) {
+	d, err := Generate(Config{Users: 3, CartsPerUser: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cap(d.Carts[0]), CartsSchema().Len(); got != want {
+		t.Fatalf("cap(Carts[0]) = %d, want %d", got, want)
+	}
+	next := append(row.Row(nil), d.Carts[1]...)
+	_ = append(d.Carts[0], row.Int(-1), row.String_("spill"))
+	if !d.Carts[1].Equal(next) {
+		t.Fatalf("appending to Carts[0] changed Carts[1]: %v, was %v", d.Carts[1], next)
 	}
 }
 

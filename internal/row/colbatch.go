@@ -444,9 +444,7 @@ func (b *ColBatch) Rows(dst []Row) []Row {
 // RowAt materializes one live row (by ordinal under the selection) into
 // dst, growing it as needed. Like Rows, VARCHAR values are owning copies
 // (one allocation per string cell): the row survives the batch being
-// refilled. colProbeIter depends on that — its joined output rows keep the
-// probe row's strings long after the scan has recycled the slab — so a
-// zero-copy view here would hand out dangling rows.
+// refilled, where a zero-copy view of the slab would dangle.
 func (b *ColBatch) RowAt(si int, dst Row) Row {
 	p := b.SelPos(si)
 	return b.PhysicalRow(p, dst)

@@ -93,13 +93,10 @@ type aggState struct {
 	overflow bool
 }
 
-// addInt adds x to the BIGINT sum, recording overflow: the wrapped sum's
-// sign differs from the sign both operands share.
+// addInt adds x to the BIGINT sum, recording overflow.
 func (a *aggState) addInt(x int64) {
-	s := a.sumI + x
-	if (a.sumI^s)&(x^s) < 0 {
-		a.overflow = true
-	}
+	s, ok := addInt64(a.sumI, x)
+	a.overflow = a.overflow || !ok
 	a.sumI = s
 }
 

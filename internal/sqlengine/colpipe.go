@@ -180,101 +180,163 @@ func vecExprs(exprs []Expr, sc *scope, reg *Registry) ([]vecFn, []row.Type, erro
 	return fns, types, nil
 }
 
-// colProbeIter is the columnar hash-join probe: key kernels run over the
-// whole batch at its live positions, the per-position norm keys probe the
-// sharded build table, and a probe row is materialized only on a match.
-// It produces row batches — the concat closure makes owning output rows,
-// same as the row probe.
+// colProbeIter is the keyed hash-join probe: key kernels run over the
+// whole input batch at its live positions, the per-position norm keys
+// probe the sharded build table, and the matches are gathered into one
+// pooled output batch — probe-side cells copied typed from the input
+// vectors, build-side cells appended typed from the matched build row.
+// The output owns every cell (string payloads included), so it outlives
+// the input batch. It holds at most DefaultBatchSize rows: a bucket that
+// overflows it resumes on the next NextCol, before the input is pulled
+// again.
 type colProbeIter struct {
 	in     colIterator
 	keyFns []vecFn
 	ctx    vecCtx
 	build  *buildTable // read-only, shared across probe workers
-	concat func(probeRow, buildRow row.Row) row.Row
+	types  []row.Type  // output columns: the probe side's, then the build side's
 	cost   *cluster.CostModel
 	node   *cluster.Node
 
-	kvecs    []*row.Vector
-	keyFlat  []byte
-	keyOffs  []uint32
-	nullKey  []bool
-	probeRow row.Row
-	buf      []row.Row
-	done     bool
+	kvecs   []*row.Vector
+	keyFlat []byte
+	keyOffs []uint32
+	nullKey []bool
+
+	cur     *row.ColBatch // input batch being probed; nil once exhausted
+	si      int           // next live ordinal of cur to probe
+	rest    []row.Row     // matches of physical row restPos not yet emitted
+	restPos int32
+	mPos    []int32   // per gathered match: physical probe row
+	mRows   []row.Row // per gathered match: build row
+	out     *row.ColBatch
+	done    bool
 }
 
-func (p *colProbeIter) Next() (RowBatch, bool, error) {
+func (p *colProbeIter) NextCol() (*row.ColBatch, bool, error) {
 	if p.done {
 		return nil, false, nil
 	}
 	for {
-		b, ok, err := p.in.NextCol()
-		if err != nil || !ok {
-			p.done = true
-			return nil, false, err
-		}
-		// Probing the batch is one pass over it.
-		if p.node != nil {
-			p.cost.ChargeProc(p.node, colBatchBytes(b))
-		}
-		p.ctx.reclaim()
-		p.kvecs = p.kvecs[:0]
-		for _, fn := range p.keyFns {
-			v, err := fn(&p.ctx, b, b.Sel())
-			if err != nil {
+		if p.cur == nil {
+			b, ok, err := p.in.NextCol()
+			if err != nil || !ok {
 				p.done = true
 				return nil, false, err
 			}
-			p.kvecs = append(p.kvecs, v)
-		}
-		// Pack the live rows' norm keys back-to-back; a NULL component never
-		// matches, so those rows pack an empty key and are skipped below.
-		k := b.Len()
-		p.keyFlat = p.keyFlat[:0]
-		p.keyOffs = append(p.keyOffs[:0], 0)
-		p.nullKey = p.nullKey[:0]
-		for si := 0; si < k; si++ {
-			pp := b.SelPos(si)
-			null := false
-			for _, kv := range p.kvecs {
-				if kv.Null(pp) {
-					null = true
-					break
-				}
+			// Probing the batch is one pass over it.
+			if p.node != nil {
+				p.cost.ChargeProc(p.node, colBatchBytes(b))
 			}
-			p.nullKey = append(p.nullKey, null)
-			if !null {
-				for _, kv := range p.kvecs {
-					p.keyFlat = row.AppendNormVectorKey(p.keyFlat, kv, pp)
-				}
+			if err := p.load(b); err != nil {
+				p.done = true
+				return nil, false, err
 			}
-			p.keyOffs = append(p.keyOffs, uint32(len(p.keyFlat)))
 		}
-		out := p.buf[:0]
-		for si := 0; si < k; si++ {
-			if p.nullKey[si] {
+		b := p.cur
+		p.mPos, p.mRows = p.mPos[:0], p.mRows[:0]
+		p.take(p.restPos, p.rest)
+		for k := b.Len(); len(p.rest) == 0 && p.si < k; p.si++ {
+			if p.nullKey[p.si] {
 				continue
 			}
-			bucket := p.build.bucket(p.keyFlat[p.keyOffs[si]:p.keyOffs[si+1]])
-			if len(bucket) == 0 {
-				continue
-			}
-			p.probeRow = b.RowAt(si, p.probeRow)
-			for _, br := range bucket {
-				out = append(out, p.concat(p.probeRow, br))
+			if bucket := p.build.bucket(p.keyFlat[p.keyOffs[p.si]:p.keyOffs[p.si+1]]); len(bucket) > 0 {
+				p.take(int32(b.SelPos(p.si)), bucket)
 			}
 		}
-		p.buf = out
-		if len(out) == 0 {
+		if len(p.rest) == 0 {
+			p.cur = nil // every live row probed: pull the next input batch
+		}
+		if len(p.mPos) == 0 {
 			continue
 		}
-		return RowBatch(out), true, nil
+		p.gather(b)
+		return p.out, true, nil
 	}
+}
+
+// load makes b the batch being probed: it evaluates the key kernels over b
+// and packs each live row's norm key back to back (a NULL component never
+// matches, so such a row packs an empty key and is flagged in nullKey).
+// The probe holds b only until every live row is probed, and pulls no
+// input meanwhile, so b stays inside its validity window.
+func (p *colProbeIter) load(b *row.ColBatch) error {
+	p.cur, p.si = b, 0
+	p.ctx.reclaim()
+	p.kvecs = p.kvecs[:0]
+	for _, fn := range p.keyFns {
+		v, err := fn(&p.ctx, b, b.Sel())
+		if err != nil {
+			return err
+		}
+		p.kvecs = append(p.kvecs, v)
+	}
+	k := b.Len()
+	p.keyFlat = p.keyFlat[:0]
+	p.keyOffs = append(p.keyOffs[:0], 0)
+	p.nullKey = p.nullKey[:0]
+	for si := 0; si < k; si++ {
+		pp := b.SelPos(si)
+		null := false
+		for _, kv := range p.kvecs {
+			if kv.Null(pp) {
+				null = true
+				break
+			}
+		}
+		p.nullKey = append(p.nullKey, null)
+		if !null {
+			for _, kv := range p.kvecs {
+				p.keyFlat = row.AppendNormVectorKey(p.keyFlat, kv, pp)
+			}
+		}
+		p.keyOffs = append(p.keyOffs, uint32(len(p.keyFlat)))
+	}
+	return nil
+}
+
+// take queues the matches of physical probe row pos, as many as the output
+// batch has room for, and keeps the rest for the next NextCol.
+func (p *colProbeIter) take(pos int32, bucket []row.Row) {
+	n := min(len(bucket), row.DefaultBatchSize-len(p.mPos))
+	for _, br := range bucket[:n] {
+		p.mPos = append(p.mPos, pos)
+		p.mRows = append(p.mRows, br)
+	}
+	p.rest, p.restPos = bucket[n:], pos
+}
+
+// gather writes the queued matches into the output batch, column at a time.
+func (p *colProbeIter) gather(b *row.ColBatch) {
+	if p.out == nil {
+		p.out = row.GetColBatch(p.types)
+	} else {
+		p.out.Reset(p.types)
+	}
+	nProbe := b.NumCols()
+	for c := 0; c < nProbe; c++ {
+		src, dst := b.Col(c), p.out.Col(c)
+		for _, pos := range p.mPos {
+			dst.AppendFrom(src, int(pos))
+		}
+	}
+	for c := nProbe; c < len(p.types); c++ {
+		dst := p.out.Col(c)
+		for _, br := range p.mRows {
+			dst.AppendValue(br[c-nProbe])
+		}
+	}
+	p.out.SetFullLen(len(p.mPos))
 }
 
 func (p *colProbeIter) Close() {
 	p.done = true
+	p.cur, p.rest = nil, nil
 	p.in.Close()
+	if p.out != nil {
+		row.PutColBatch(p.out)
+		p.out = nil
+	}
 }
 
 // colToRows is the row-view shim over a columnar chain: each batch's live
@@ -313,12 +375,13 @@ func (a *colToRows) Close() {
 	a.c.Close()
 }
 
-// asColIterator lifts a row iterator into the columnar world: a colToRows
-// shim unwraps to its columnar core (no materialize→re-transpose bounce);
-// anything else gets a transposing scan.
+// asColIterator lifts a row iterator into the columnar world: a chain with
+// a columnar core unwraps to it (no materialize→re-transpose bounce);
+// anything else — a managed table's rows, a table UDF's output — gets a
+// transposing scan.
 func asColIterator(it BatchIterator, types []row.Type) colIterator {
-	if w, ok := it.(*colToRows); ok && len(w.rows) == 0 {
-		return w.c
+	if c, ok := unwrapColCore(it); ok {
+		return c
 	}
 	return &colScanIter{in: it, types: types}
 }

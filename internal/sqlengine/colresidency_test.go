@@ -167,11 +167,11 @@ func TestColFilterProjectUnderVectorRecycling(t *testing.T) {
 	}
 }
 
-// TestColProbeIterUnderVectorRecycling drives the columnar hash-join
-// probe with the poisoning producer, the way hashJoin wires it over an
-// unwrapped columnar core, and checks the exact join output. The probe
-// must materialize its output rows (RowAt + concat copies) before pulling
-// the next batch.
+// TestColProbeIterUnderVectorRecycling drives the hash-join probe with
+// the poisoning producer, the way hashJoin wires it over an unwrapped
+// columnar core, and checks the exact join output. The probe must gather
+// the probe-side cells into its own output batch before pulling the next
+// input batch.
 func TestColProbeIterUnderVectorRecycling(t *testing.T) {
 	table := NewHashTable(0)
 	var buckets [][]row.Row
@@ -204,13 +204,9 @@ func TestColProbeIterUnderVectorRecycling(t *testing.T) {
 			in:     probe,
 			keyFns: []vecFn{colKey},
 			build:  &buildTable{shards: []*HashTable{table}, buckets: [][][]row.Row{buckets}},
-			concat: func(probeRow, buildRow row.Row) row.Row {
-				out := make(row.Row, 0, len(probeRow)+len(buildRow))
-				out = append(out, probeRow...)
-				return append(out, buildRow...)
-			},
+			types:  []row.Type{row.TypeInt, row.TypeInt, row.TypeInt},
 		}
-		got, err := drainBatches(p)
+		got, err := drainBatches(rowsIter(p))
 		if err != nil {
 			t.Fatal(err)
 		}

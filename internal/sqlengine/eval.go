@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"sqlml/internal/row"
@@ -305,19 +306,25 @@ func compileBinOp(x *BinOp, s *scope, reg *Registry) (evalFn, row.Type, error) {
 			}
 			if outType == row.TypeInt {
 				a, b := lv.AsInt(), rv.AsInt()
+				var c int64
+				ok := true
 				switch op {
 				case "+":
-					return row.Int(a + b), nil
+					c, ok = addInt64(a, b)
 				case "-":
-					return row.Int(a - b), nil
+					c, ok = subInt64(a, b)
 				case "*":
-					return row.Int(a * b), nil
+					c, ok = mulInt64(a, b)
 				default:
 					if b == 0 {
 						return row.Value{}, fmt.Errorf("sql: division by zero")
 					}
-					return row.Int(a / b), nil
+					c, ok = divInt64(a, b)
 				}
+				if !ok {
+					return row.Value{}, errIntOverflow(op[0])
+				}
+				return row.Int(c), nil
 			}
 			a, b := lv.AsFloat(), rv.AsFloat()
 			switch op {
@@ -337,6 +344,34 @@ func compileBinOp(x *BinOp, s *scope, reg *Registry) (evalFn, row.Type, error) {
 	}
 	return nil, 0, fmt.Errorf("sql: unknown operator %q", x.Op)
 }
+
+// Checked BIGINT arithmetic: ok is false when the exact result leaves the
+// int64 range, so the query fails instead of wrapping. Unary minus parses
+// as 0 - x, so subInt64 covers it.
+func addInt64(a, b int64) (int64, bool) {
+	c := a + b
+	return c, (a^c)&(b^c) >= 0 // wrapped iff c's sign differs from both operands'
+}
+
+func subInt64(a, b int64) (int64, bool) {
+	c := a - b
+	return c, (a^b)&(a^c) >= 0 // wrapped iff the operands' signs differ and c's differs from a's
+}
+
+func mulInt64(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	c := a * b
+	return c, c/b == a && !(b == -1 && a == math.MinInt64)
+}
+
+func divInt64(a, b int64) (int64, bool) {
+	return a / b, !(b == -1 && a == math.MinInt64)
+}
+
+// errIntOverflow is the error of a BIGINT operator whose result does not fit.
+func errIntOverflow(op byte) error { return fmt.Errorf("sql: BIGINT overflow in %c", op) }
 
 func numericType(t row.Type) bool { return t == row.TypeInt || t == row.TypeFloat }
 

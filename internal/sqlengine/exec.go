@@ -728,7 +728,7 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 	if err != nil {
 		return nil, err
 	}
-	probeKeyFns, err := compileKeys(leftKeys, left.sc, e.registry)
+	probeKeyFns, _, err := vecExprs(leftKeys, left.sc, e.registry)
 	if err != nil {
 		return nil, err
 	}
@@ -766,48 +766,31 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 		}
 	}
 
-	concat := func(probeRow, buildRow row.Row) row.Row {
-		out := make(row.Row, 0, len(probeRow)+len(buildRow))
-		out = append(out, probeRow...)
-		return append(out, buildRow...)
-	}
-
-	// A keyed probe over a pipeline with a columnar core runs column-wise:
-	// key kernels over whole batches, one hashed lookup per packed key.
-	// Cartesian joins and row-major inputs keep the row probe.
-	vecKeyFns, _, err := vecExprs(leftKeys, left.sc, e.registry)
-	if err != nil {
-		return nil, err
-	}
-
+	// A keyed probe runs column-wise whatever its input: key kernels over
+	// whole batches, one hashed lookup per packed key, matches gathered into
+	// column batches. An input with a columnar core (a scan, filter or an
+	// earlier probe) is peeled to it; managed rows are transposed first.
+	// Only the cartesian join keeps the row probe.
+	probeTypes := row.SchemaTypes(left.sc.combined())
+	outTypes := row.SchemaTypes(outScope.combined())
 	outIters := make([]BatchIterator, len(left.iters))
 	for i := range left.iters {
 		var node *cluster.Node
 		if i < len(e.workers) {
 			node = e.workers[i]
 		}
-		if len(vecKeyFns) > 0 {
-			if core, ok := unwrapColCore(left.iters[i]); ok {
-				outIters[i] = &colProbeIter{
-					in:     core,
-					keyFns: vecKeyFns,
-					build:  build,
-					concat: concat,
-					cost:   e.cost,
-					node:   node,
-				}
-				continue
-			}
+		if build == nil {
+			outIters[i] = &probeIter{in: left.iters[i], buildAll: buildAll, cost: e.cost, node: node}
+			continue
 		}
-		outIters[i] = &probeIter{
-			in:       left.iters[i],
-			keyFns:   probeKeyFns,
-			build:    build,
-			buildAll: buildAll,
-			concat:   concat,
-			cost:     e.cost,
-			node:     node,
-		}
+		outIters[i] = rowsIter(&colProbeIter{
+			in:     asColIterator(left.iters[i], probeTypes),
+			keyFns: probeKeyFns,
+			build:  build,
+			types:  outTypes,
+			cost:   e.cost,
+			node:   node,
+		})
 	}
 	return &dataset{sc: outScope, iters: outIters}, nil
 }

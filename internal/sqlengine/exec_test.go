@@ -401,6 +401,49 @@ func TestBigintSumOverflowFails(t *testing.T) {
 	}
 }
 
+// TestBigintArithmeticOverflowFails: BIGINT +, -, *, unary minus and
+// MinInt64 / -1 fail the query when the exact result leaves the int64
+// range — in the projection kernels, in the row evaluator HAVING runs on,
+// and in a constant-folded expression — while results at the range's
+// edges, and NULL operands, still evaluate.
+func TestBigintArithmeticOverflowFails(t *testing.T) {
+	e := newTestEngine(t)
+	s := row.MustSchema(row.Column{Name: "v", Type: row.TypeInt}, row.Column{Name: "w", Type: row.TypeInt})
+	if err := e.LoadTable("big", s, []row.Row{{row.Int(math.MaxInt64), row.Int(math.MinInt64)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadTable("bignull", s, []row.Row{{row.Int(math.MaxInt64), row.NullOf(row.TypeInt)}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ sql, op string }{
+		{"SELECT v + 1 FROM big", "+"},
+		{"SELECT v * 2 FROM big", "*"},
+		{"SELECT w - 1 FROM big", "-"},
+		{"SELECT -w FROM big", "-"},
+		{"SELECT w / -1 FROM big", "/"},
+		{"SELECT v, COUNT(*) FROM big GROUP BY v HAVING v + 1 < 0", "+"},
+		{"SELECT 9223372036854775807 * 2 FROM big", "*"},
+	} {
+		want := "sql: BIGINT overflow in " + c.op
+		if _, err := e.Query(c.sql); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", c.sql, err, want)
+		}
+	}
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT v - 1, w + 1, -v, v * -1, w / 1, w * 1, v + w FROM big",
+			"[(9223372036854775806, -9223372036854775807, -9223372036854775807, -9223372036854775807, -9223372036854775808, -9223372036854775808, -1)]"},
+		{"SELECT v * w, w - v, w / -1, -w FROM bignull", "[(NULL, NULL, NULL, NULL)]"},
+	} {
+		res, err := e.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if got := fmt.Sprint(res.Rows()); got != c.want {
+			t.Errorf("%s = %s, want %s", c.sql, got, c.want)
+		}
+	}
+}
+
 func TestCountNullSkipping(t *testing.T) {
 	e := newTestEngine(t)
 	s := row.MustSchema(row.Column{Name: "v", Type: row.TypeInt})

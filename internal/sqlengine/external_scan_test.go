@@ -186,16 +186,17 @@ func TestPropertyExternalScanMatchesManaged(t *testing.T) {
 	}
 }
 
-// TestExternalProbeRowsOwnTheirStrings is the residency test behind
-// ColBatch.RowAt's ownership rule. The probe side is an external text
-// table with a VARCHAR column, large enough that the scan refills its one
-// pooled batch several times; the probe's output rows are retained across
-// those refills, the way drainBatches retains any operator's rows, and
-// must still read their own strings afterwards. The probe is wired by
-// hand, as hashJoin wires it over the scan's columnar core, because every
-// plan the engine builds today happens to put a copying projection
-// downstream in the same pull — which is exactly why a RowAt that handed
-// out views of the slab would go unnoticed until a plan does not.
+// TestExternalProbeRowsOwnTheirStrings is the residency test behind the
+// probe's gather: its output batch must own the VARCHAR payloads it copied
+// from the scan, not view the scan's slab. The probe side is an external
+// text table with a VARCHAR column, large enough that the scan refills its
+// one pooled batch several times. After every NextCol the test overwrites
+// the scan's batch — what the scan's next refill would do — and then reads
+// the gathered strings. The probe is wired by hand, as hashJoin wires it
+// over the scan's columnar core, because every plan the engine builds
+// today happens to put a copying projection downstream in the same pull —
+// which is exactly why a gather that handed out views of the slab would go
+// unnoticed until a plan does not.
 func TestExternalProbeRowsOwnTheirStrings(t *testing.T) {
 	const n = 3*DefaultBatchSize + 100 // four scan batches from the one split
 	topo := cluster.NewTopology(2)
@@ -247,25 +248,45 @@ func TestExternalProbeRowsOwnTheirStrings(t *testing.T) {
 			buckets = append(buckets, []row.Row{br})
 		}
 	}
+	fschemaTypes := row.SchemaTypes(fschema)
 	probe := &colProbeIter{
 		in:     scan,
 		keyFns: []vecFn{func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) { return b.Col(0), nil }},
 		build:  &buildTable{shards: []*HashTable{table}, buckets: [][][]row.Row{buckets}},
-		concat: func(probeRow, buildRow row.Row) row.Row {
-			return append(append(make(row.Row, 0, len(probeRow)+len(buildRow)), probeRow...), buildRow...)
-		},
+		types:  append(fschemaTypes, row.TypeInt, row.TypeString),
 	}
-	rows, err := drainBatches(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != n {
-		t.Fatalf("joined %d rows, want %d", len(rows), n)
-	}
-	for i, r := range rows {
-		if got, want := r[2].AsString(), name(i); r[1].AsInt() != int64(i) || got != want {
-			t.Fatalf("retained row %d reads (id %v, name %q) after the scan batch was refilled, want name %q", i, r[1], got, want)
+	defer probe.Close()
+	poison := row.Row{row.Int(-1), row.Int(-1), row.String_(strings.Repeat("#", 32))}
+	seen := 0
+	for {
+		out, ok, err := probe.NextCol()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !ok {
+			break
+		}
+		if probe.cur == nil { // the probe is done with the scan's batch
+			sb := scan.(*externalScan).buf
+			sb.Reset(fschemaTypes)
+			for i := 0; i < DefaultBatchSize; i++ {
+				sb.AppendRow(poison)
+			}
+		}
+		for si := 0; si < out.Len(); si++ {
+			p := out.SelPos(si)
+			id := out.Col(1).Ints[p]
+			if got, want := out.Col(2).StringAt(p), name(int(id)); id != int64(seen) || got != want {
+				t.Fatalf("output row %d reads (id %d, name %q) after the scan batch was overwritten, want (id %d, name %q)", seen, id, got, seen, name(seen))
+			}
+			if tag := out.Col(4).StringAt(p); tag != fmt.Sprint("tag", id%3) {
+				t.Fatalf("output row %d: build tag %q, want %q", seen, tag, fmt.Sprint("tag", id%3))
+			}
+			seen++
+		}
+	}
+	if seen != n {
+		t.Fatalf("joined %d rows, want %d", seen, n)
 	}
 }
 

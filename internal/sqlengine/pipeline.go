@@ -14,21 +14,15 @@ import (
 // early (e.g. LIMIT, or a first-error abort downstream).
 var errPipeClosed = errors.New("sql: pipeline closed")
 
-// probeIter is the row-major probe side of a hash join: a cartesian join
-// (buildAll, no keys), or a keyed probe whose input has no columnar core —
-// a second join, probing the first colProbeIter's rows. Probing is one
+// probeIter is the probe side of a cartesian join (no equi-join keys): a
+// broadcast nested loop pairing every input row with every build row, one
 // pipelined pass. Each consumed input batch is charged as processing work
-// on the probe worker. Probe keys are encoded into a per-iterator scratch
-// buffer, so probing allocates only for output rows.
+// on the probe worker.
 type probeIter struct {
 	in       BatchIterator
-	keyFns   []evalFn    // empty => broadcast nested-loop join
-	build    *buildTable // read-only, shared across probe workers
 	buildAll []row.Row
-	concat   func(probeRow, buildRow row.Row) row.Row
 	cost     *cluster.CostModel
 	node     *cluster.Node
-	keyBuf   []byte
 	buf      RowBatch
 	done     bool
 }
@@ -48,23 +42,8 @@ func (p *probeIter) Next() (RowBatch, bool, error) {
 		}
 		out := p.buf[:0]
 		for _, r := range b {
-			if len(p.keyFns) == 0 {
-				for _, br := range p.buildAll {
-					out = append(out, p.concat(r, br))
-				}
-				continue
-			}
-			key, nullKey, err := appendEvalKey(p.keyBuf[:0], p.keyFns, r)
-			p.keyBuf = key
-			if err != nil {
-				p.done = true
-				return nil, false, err
-			}
-			if nullKey {
-				continue
-			}
-			for _, br := range p.build.bucket(key) {
-				out = append(out, p.concat(r, br))
+			for _, br := range p.buildAll {
+				out = append(out, append(append(make(row.Row, 0, len(r)+len(br)), r...), br...))
 			}
 		}
 		p.buf = out

@@ -45,7 +45,7 @@ func registerModGenerator(t *testing.T, e *Engine, name string, n, mod int, emit
 // TestJoinProbeHoldsOnlyBatchResidentRows extends the pipeline residency
 // check to the hash-join probe: the build side (users, 5 rows) is drained
 // as the pipeline-breaker it is, but the probe side — a generator 16×
-// the batch size per partition — must stream through probeIter without
+// the batch size per partition — must stream through the probe without
 // accumulating. Every generated row matches exactly one build row, so
 // join output rows equal probe input rows and emitted−consumed measures
 // the probe-side rows in flight.
@@ -104,7 +104,7 @@ func TestJoinProbeHoldsOnlyBatchResidentRows(t *testing.T) {
 	}
 	// The probe pipeline is one stage deeper than the plain scan→UDF
 	// pipeline, so allow a little more slack; anything near the full
-	// relation means probeIter (or a stage around it) materialized.
+	// relation means the probe (or a stage around it) materialized.
 	bound := int64(e.NumWorkers()) * 6 * DefaultBatchSize
 	if p := peak.Load(); p > bound {
 		t.Errorf("peak in-flight probe rows = %d, want <= %d (O(batch), not O(dataset)=%d)",
@@ -162,58 +162,30 @@ func intRows(vs ...int64) []row.Row {
 	return out
 }
 
-// TestProbeIterUnderBatchRecycling drives probeIter directly with a
-// poisoning recycling producer, the way hashJoin wires it, and checks the
-// exact join output. probeIter itself also reuses its output buffer, so
-// the drain below copies rows out batch by batch — the same spread-append
-// discipline drainBatches uses.
+// TestProbeIterUnderBatchRecycling drives the cartesian probe directly
+// with a poisoning recycling producer, the way hashJoin wires it, and
+// checks the exact join output. probeIter itself also reuses its output
+// buffer, so the drain below copies rows out batch by batch — the same
+// spread-append discipline drainBatches uses.
 func TestProbeIterUnderBatchRecycling(t *testing.T) {
-	// Build side: keys 1..3, one row each carrying key*10 as payload.
-	table := NewHashTable(0)
-	var buckets [][]row.Row
-	var keyBuf []byte
-	keyFn := func(r row.Row) (row.Value, error) { return r[0], nil }
-	for k := int64(1); k <= 3; k++ {
-		br := row.Row{row.Int(k), row.Int(k * 10)}
-		key, nullKey, err := appendEvalKey(keyBuf[:0], []evalFn{keyFn}, br)
-		keyBuf = key
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nullKey {
-			t.Fatal("unexpected null key")
-		}
-		idx, added := table.Insert(key)
-		if added {
-			buckets = append(buckets, nil)
-		}
-		buckets[idx] = append(buckets[idx], br)
-	}
-
-	// Probe side: 2, 5 (no match), 1, 3, 2 in batches of 2, through a
-	// container-recycling producer.
-	probe := newRecyclingBatches(intRows(2, 5, 1, 3, 2), 2)
+	// Probe side: 2, 5, 1 in batches of 2, through a container-recycling
+	// producer; build side: two rows, so every probe row pairs with both.
+	probe := newRecyclingBatches(intRows(2, 5, 1), 2)
 	p := &probeIter{
-		in:     probe,
-		keyFns: []evalFn{keyFn},
-		build:  &buildTable{shards: []*HashTable{table}, buckets: [][][]row.Row{buckets}},
-		concat: func(probeRow, buildRow row.Row) row.Row {
-			out := make(row.Row, 0, len(probeRow)+len(buildRow))
-			out = append(out, probeRow...)
-			return append(out, buildRow...)
-		},
+		in:       probe,
+		buildAll: []row.Row{{row.Int(10)}, {row.Int(20)}},
 	}
 	got, err := drainBatches(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][2]int64{{2, 20}, {1, 10}, {3, 30}, {2, 20}}
+	want := [][2]int64{{2, 10}, {2, 20}, {5, 10}, {5, 20}, {1, 10}, {1, 20}}
 	if len(got) != len(want) {
 		t.Fatalf("join produced %d rows, want %d: %v", len(got), len(want), got)
 	}
 	for i, w := range want {
-		if got[i][0].AsInt() != w[0] || got[i][2].AsInt() != w[1] {
-			t.Errorf("row %d = %v, want (%d, _, %d)", i, got[i], w[0], w[1])
+		if len(got[i]) != 2 || got[i][0].AsInt() != w[0] || got[i][1].AsInt() != w[1] {
+			t.Errorf("row %d = %v, want (%d, %d)", i, got[i], w[0], w[1])
 		}
 	}
 }

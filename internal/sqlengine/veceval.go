@@ -705,9 +705,10 @@ func arithKernel(lf, rf vecFn, lt, rt row.Type, op byte, outType row.Type) vecFn
 			out.OrNullsFrom(rv)
 			return out, nil
 		}
-		// BIGINT arithmetic.
+		// BIGINT arithmetic, checked: an exact result outside int64 fails
+		// the query. A NULL slot's value is arbitrary, so it never fails.
+		anyNull := lv.HasNulls() || rv.HasNulls()
 		if op == '/' {
-			anyNull := lv.HasNulls() || rv.HasNulls()
 			for _, pp := range pos {
 				p := int(pp)
 				if anyNull && (lv.Null(p) || rv.Null(p)) {
@@ -717,25 +718,35 @@ func arithKernel(lf, rf vecFn, lt, rt row.Type, op byte, outType row.Type) vecFn
 				if rv.Ints[p] == 0 {
 					return nil, fmt.Errorf("sql: division by zero")
 				}
-				out.Ints[p] = lv.Ints[p] / rv.Ints[p]
+				var ok bool
+				if out.Ints[p], ok = divInt64(lv.Ints[p], rv.Ints[p]); !ok {
+					return nil, errIntOverflow(op)
+				}
 			}
 			return out, nil
 		}
+		var ok bool
 		switch op {
 		case '+':
 			for _, pp := range pos {
 				p := int(pp)
-				out.Ints[p] = lv.Ints[p] + rv.Ints[p]
+				if out.Ints[p], ok = addInt64(lv.Ints[p], rv.Ints[p]); !ok && !(anyNull && (lv.Null(p) || rv.Null(p))) {
+					return nil, errIntOverflow(op)
+				}
 			}
 		case '-':
 			for _, pp := range pos {
 				p := int(pp)
-				out.Ints[p] = lv.Ints[p] - rv.Ints[p]
+				if out.Ints[p], ok = subInt64(lv.Ints[p], rv.Ints[p]); !ok && !(anyNull && (lv.Null(p) || rv.Null(p))) {
+					return nil, errIntOverflow(op)
+				}
 			}
 		default:
 			for _, pp := range pos {
 				p := int(pp)
-				out.Ints[p] = lv.Ints[p] * rv.Ints[p]
+				if out.Ints[p], ok = mulInt64(lv.Ints[p], rv.Ints[p]); !ok && !(anyNull && (lv.Null(p) || rv.Null(p))) {
+					return nil, errIntOverflow(op)
+				}
 			}
 		}
 		out.OrNullsFrom(lv)
