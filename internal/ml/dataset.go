@@ -116,10 +116,12 @@ func Ingest(f hadoopfmt.InputFormat, opts IngestOptions) (*Dataset, error) {
 		go func(i int) {
 			defer wg.Done()
 			for attempt := 0; ; attempt++ {
-				parts[i] = nil // task re-execution discards partial rows
-				err := readSplit(f, splits[i], nodes[i], conv, &parts[i])
+				// A failed attempt returns no points, so re-execution starts
+				// from an empty partition.
+				part, err := readSplit(f, splits[i], nodes[i], conv)
 				if err == nil {
-					opts.Cost.ChargeProc(nodes[i], 9*len(parts[i])*(conv.numFeatures+1))
+					parts[i] = part
+					opts.Cost.ChargeProc(nodes[i], 9*len(part)*(conv.numFeatures+1))
 					return
 				}
 				if !hadoopfmt.IsRetryable(err) || attempt >= maxTaskRetries {
@@ -139,49 +141,83 @@ func Ingest(f hadoopfmt.InputFormat, opts IngestOptions) (*Dataset, error) {
 }
 
 // readSplit runs one ingest task: open the split, convert every row, and
-// append into out. A columnar reader (the streaming transfer's, a DFS text
-// table's) skips rows entirely: points are built straight from each
-// batch's typed vectors. Every other reader is drained row by row.
-func readSplit(f hadoopfmt.InputFormat, split hadoopfmt.InputSplit, node *cluster.Node, conv *converter, out *[]LabeledPoint) (err error) {
+// return the split's points. A columnar reader (the streaming transfer's, a
+// DFS text table's) skips rows entirely: points are built straight from
+// each batch's typed vectors. Every other reader is drained row by row.
+// Either way points are built in chunks of at most a batch, each with one
+// feature slab, and assembled into one exact-length partition at EOF.
+func readSplit(f hadoopfmt.InputFormat, split hadoopfmt.InputSplit, node *cluster.Node, conv *converter) (part []LabeledPoint, err error) {
 	rr, err := f.Open(split, node)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() {
 		if cerr := rr.Close(); cerr != nil && err == nil {
-			err = cerr
+			part, err = nil, cerr
 		}
 	}()
+	var chunks [][]LabeledPoint
 	if cr, ok := rr.(hadoopfmt.ColBatchRecordReader); ok {
 		cb := row.GetColBatch(nil)
 		defer row.PutColBatch(cb)
 		for {
 			_, ok, err := cr.NextColBatch(cb)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !ok {
-				return nil
+				return assemble(chunks), nil
 			}
-			if err := conv.convertBatch(cb, out); err != nil {
-				return err
+			pts, err := conv.convertBatch(cb)
+			if err != nil {
+				return nil, err
 			}
+			chunks = append(chunks, pts)
 		}
 	}
+	nf := conv.numFeatures
+	var chunk []LabeledPoint
+	var slab []float64
 	for {
 		r, ok, err := rr.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
-			return nil
+			return assemble(append(chunks, chunk)), nil
 		}
-		p, err := conv.convert(r)
+		if len(chunk) == cap(chunk) {
+			if len(chunk) > 0 {
+				chunks = append(chunks, chunk)
+			}
+			chunk = make([]LabeledPoint, 0, row.DefaultBatchSize)
+			slab = make([]float64, row.DefaultBatchSize*nf)
+		}
+		k := len(chunk)
+		p, err := conv.convert(r, slab[k*nf:(k+1)*nf:(k+1)*nf])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		*out = append(*out, p)
+		chunk = append(chunk, p)
 	}
+}
+
+// assemble copies a split's point chunks into one exact-length partition.
+// The feature slices keep pointing into the chunks' slabs, which the
+// dataset owns from here on.
+func assemble(chunks [][]LabeledPoint) []LabeledPoint {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]LabeledPoint, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // placeSplits assigns each split to the least-loaded node among its
@@ -266,49 +302,68 @@ func newConverter(schema row.Schema, opts IngestOptions) (*converter, error) {
 	return &converter{labelIdx: labelIdx, featureIdx: featureIdx, labelTransform: lt, numFeatures: len(featureIdx)}, nil
 }
 
-func (c *converter) convert(r row.Row) (LabeledPoint, error) {
+// convert builds one point from a row, writing its features into dst
+// (len numFeatures), which the point then holds as its Features.
+func (c *converter) convert(r row.Row, dst []float64) (LabeledPoint, error) {
 	lv := r[c.labelIdx]
 	if lv.Null {
 		return LabeledPoint{}, fmt.Errorf("ml: NULL label")
 	}
-	p := LabeledPoint{Label: c.labelTransform(lv.AsFloat()), Features: make([]float64, len(c.featureIdx))}
 	for j, i := range c.featureIdx {
 		v := r[i]
 		if v.Null {
 			return LabeledPoint{}, fmt.Errorf("ml: NULL feature in column %d", i)
 		}
-		p.Features[j] = v.AsFloat()
+		dst[j] = v.AsFloat()
 	}
-	return p, nil
+	return LabeledPoint{Label: c.labelTransform(lv.AsFloat()), Features: dst}, nil
 }
 
-// convertBatch is the columnar half of convert: it builds points straight
-// from a batch's typed vectors, so ingest from the wire frames never
-// pivots through rows. Only the label and feature columns are touched.
-func (c *converter) convertBatch(b *row.ColBatch, out *[]LabeledPoint) error {
-	numAt := func(v *row.Vector, p int) float64 {
-		if v.Type() == row.TypeInt {
-			return float64(v.Ints[p])
-		}
-		return v.Floats[p]
-	}
+// convertBatch is the columnar half of convert: it builds a batch's live
+// points straight from its typed vectors, so ingest from the wire frames
+// never pivots through rows. It allocates the points and one feature slab;
+// point k's features are slab[k*nf:(k+1)*nf] with capacity capped at nf, so
+// appending to one point never writes into the next. The slab is filled a
+// column at a time after one pass over the labels, so a NULL label is
+// reported before a NULL feature in an earlier row.
+func (c *converter) convertBatch(b *row.ColBatch) ([]LabeledPoint, error) {
+	n, nf := b.Len(), c.numFeatures
+	pts := make([]LabeledPoint, n)
+	slab := make([]float64, n*nf)
 	lv := b.Col(c.labelIdx)
-	for si := 0; si < b.Len(); si++ {
+	for si := range pts {
 		p := b.SelPos(si)
 		if lv.Null(p) {
-			return fmt.Errorf("ml: NULL label")
+			return nil, fmt.Errorf("ml: NULL label")
 		}
-		pt := LabeledPoint{Label: c.labelTransform(numAt(lv, p)), Features: make([]float64, len(c.featureIdx))}
-		for j, i := range c.featureIdx {
-			v := b.Col(i)
-			if v.Null(p) {
-				return fmt.Errorf("ml: NULL feature in column %d", i)
-			}
-			pt.Features[j] = numAt(v, p)
+		var l float64
+		if lv.Type() == row.TypeInt {
+			l = float64(lv.Ints[p])
+		} else {
+			l = lv.Floats[p]
 		}
-		*out = append(*out, pt)
+		pts[si] = LabeledPoint{Label: c.labelTransform(l), Features: slab[si*nf : (si+1)*nf : (si+1)*nf]}
 	}
-	return nil
+	for j, i := range c.featureIdx {
+		v := b.Col(i)
+		if v.HasNulls() {
+			for si := 0; si < n; si++ {
+				if v.Null(b.SelPos(si)) {
+					return nil, fmt.Errorf("ml: NULL feature in column %d", i)
+				}
+			}
+		}
+		if v.Type() == row.TypeInt {
+			for si, k := 0, j; si < n; si, k = si+1, k+nf {
+				slab[k] = float64(v.Ints[b.SelPos(si)])
+			}
+		} else {
+			for si, k := 0, j; si < n; si, k = si+1, k+nf {
+				slab[k] = v.Floats[b.SelPos(si)]
+			}
+		}
+	}
+	return pts, nil
 }
 
 // forEachPart runs f over partition indices in parallel, returning the

@@ -144,14 +144,16 @@ func runSGD(d *Dataset, cfg SGDConfig, gf gradFn) (weights []float64, intercept 
 	if cfg.AddIntercept {
 		dim++
 	}
-	// Work on (possibly intercept-extended) copies of the partitions.
+	// Work on (possibly intercept-extended) copies of the partitions, one
+	// dim-wide feature slab per partition.
 	parts := d.Parts
 	if cfg.AddIntercept {
 		parts = make([][]LabeledPoint, len(d.Parts))
 		if err := forEachPart(len(d.Parts), func(i int) error {
 			out := make([]LabeledPoint, len(d.Parts[i]))
+			slab := make([]float64, len(out)*dim)
 			for j, p := range d.Parts[i] {
-				f := make([]float64, dim)
+				f := slab[j*dim : (j+1)*dim : (j+1)*dim]
 				copy(f, p.Features)
 				f[dim-1] = 1
 				out[j] = LabeledPoint{Label: p.Label, Features: f}

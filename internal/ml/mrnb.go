@@ -64,7 +64,8 @@ func TrainNaiveBayesMR(env *MREnv, input hadoopfmt.InputFormat, opts IngestOptio
 		Name:  "naive-bayes-train",
 		Input: input,
 		Mapper: mapred.MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
-			p, err := conv.convert(r)
+			// Map tasks share this closure, so each row gets its own slice.
+			p, err := conv.convert(r, make([]float64, dim))
 			if err != nil {
 				return err
 			}
