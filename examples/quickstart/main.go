@@ -1,6 +1,6 @@
 // Quickstart: the smallest end-to-end use of the library — load two tiny
 // tables into the MPP SQL engine, run the paper's preparation query,
-// transform the result In-SQL (recode + dummy code via table UDFs), and
+// transform the result In-SQL (recode + dummy code in one join query), and
 // train an SVM on the outcome.
 //
 //	go run ./examples/quickstart
@@ -35,8 +35,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The In-SQL transformation UDFs: distinct_values, assign_recode_ids,
-	// dummy_code, ...
+	// Recode phase 1's table UDFs, distinct_values and assign_recode_ids;
+	// the codings need none (they are CASE expressions in the recode join).
 	if err := transform.RegisterUDFs(engine); err != nil {
 		return err
 	}

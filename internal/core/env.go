@@ -4,7 +4,7 @@
 //
 //	naive        SQL → materialise on DFS → Jaql/MapReduce transform →
 //	             materialise on DFS → ML reads DFS
-//	insql        SQL + In-SQL UDF transform (pipelined) → materialise on
+//	insql        SQL + In-SQL transform (pipelined) → materialise on
 //	             DFS → ML reads DFS
 //	insql+stream SQL + In-SQL transform + parallel streaming transfer,
 //	             never touching the DFS

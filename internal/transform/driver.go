@@ -18,15 +18,15 @@ const (
 	CodingOrthogonal
 )
 
-// String returns the coding's UDF name.
+// String returns the coding's name.
 func (c Coding) String() string {
 	switch c {
 	case CodingDummy:
-		return "dummy_code"
+		return "dummy"
 	case CodingEffect:
-		return "effect_code"
+		return "effect"
 	case CodingOrthogonal:
-		return "orthogonal_code"
+		return "orthogonal"
 	default:
 		return "none"
 	}
@@ -76,7 +76,7 @@ type Spec struct {
 type Output struct {
 	// Result is the transformed relation, partitioned across SQL workers.
 	// Unless the spec scales columns (a two-pass breaker), it is a
-	// STREAMING result — the recode/coding pipeline runs as the caller
+	// STREAMING result — the recode/coding query runs as the caller
 	// consumes it (Batches, or the Materialize shim).
 	Result *sqlengine.Result
 	// Map is the recode map used (built fresh, or the cached one passed in).
@@ -87,9 +87,10 @@ type Output struct {
 }
 
 // Apply runs the full In-SQL transformation over a catalog table: build (or
-// reuse) the recode map, recode, then expand the coded columns. A non-nil
-// cachedMap skips phase 1 of recoding entirely — the benefit measured by
-// the paper's "cache recode maps" bar in Figure 4.
+// reuse) the recode map, then recode and expand the coded columns in one
+// join query (RecodeJoinSQL). A non-nil cachedMap skips phase 1 of
+// recoding entirely — the benefit measured by the paper's "cache recode
+// maps" bar in Figure 4.
 func Apply(e *sqlengine.Engine, table string, spec Spec, cachedMap *RecodeMap) (*Output, error) {
 	if len(spec.RecodeCols) == 0 {
 		return nil, fmt.Errorf("transform: spec lists no categorical columns")
@@ -122,34 +123,19 @@ func Apply(e *sqlengine.Engine, table string, spec Spec, cachedMap *RecodeMap) (
 		return nil, err
 	}
 
-	recoded, err := Recode(e, table, mapTable, spec.RecodeCols)
+	t, err := e.Catalog().Get(table)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &Output{Result: recoded, Map: m, MapTable: mapTable}
-	if len(spec.CodeCols) > 0 && spec.Coding != CodingNone {
-		// Expand the coded columns via the coding UDF over a temp
-		// registration of the result. The recode output is still streaming,
-		// so the temp table hands its live pipeline to the coding scan and
-		// recode → coding stays one fused pipeline (no materialization
-		// between the paper's transformation steps).
-		tmp := tmpName("recoded")
-		if err := e.RegisterResultStream(tmp, out.Result); err != nil {
-			return nil, err
-		}
-		specArg, err := SpecArg(m, spec.CodeCols)
-		if err != nil {
-			e.DropTable(tmp)
-			return nil, err
-		}
-		coded, err := e.QueryStream(fmt.Sprintf("SELECT * FROM TABLE(%s(%s, '%s'))", spec.Coding, tmp, specArg))
-		e.DropTable(tmp)
-		if err != nil {
-			return nil, err
-		}
-		out.Result = coded
+	sql, err := RecodeJoinSQL(t.Schema, table, mapTable, spec, m)
+	if err != nil {
+		return nil, err
 	}
+	recoded, err := e.QueryStream(sql)
+	if err != nil {
+		return nil, err
+	}
+	out := &Output{Result: recoded, Map: m, MapTable: mapTable}
 	if len(spec.ScaleCols) > 0 && spec.Scaling != ScalingNone {
 		// Scaling is inherently two passes (statistics, then apply), so it
 		// is a pipeline breaker: materialize the input once here.

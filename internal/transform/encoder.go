@@ -9,8 +9,8 @@ import (
 
 // Encoder applies the recode + coding transformation one row at a time,
 // outside the SQL engine. It is the apply step of the naive baseline's
-// Jaql-style tool (package jaql) and the row reference the In-SQL join
-// recode and coding UDFs are compared against.
+// Jaql-style tool (package jaql) and the row reference Apply's generated
+// recode + coding query is compared against.
 type Encoder struct {
 	in         row.Schema
 	out        row.Schema
@@ -77,7 +77,6 @@ func NewEncoder(in row.Schema, m *RecodeMap, recodeCols, codeCols []string, codi
 
 	var cols []row.Column
 	for i, c := range in.Cols {
-		name := strings.ToLower(c.Name)
 		if plan, ok := e.plans[i]; ok {
 			for j := 1; j <= plan.n; j++ {
 				cols = append(cols, row.Column{Name: fmt.Sprintf("%s_%d", c.Name, j), Type: plan.t})
@@ -88,7 +87,6 @@ func NewEncoder(in row.Schema, m *RecodeMap, recodeCols, codeCols []string, codi
 			cols = append(cols, row.Column{Name: c.Name, Type: row.TypeInt})
 			continue
 		}
-		_ = name
 		cols = append(cols, c)
 	}
 	out, err := row.NewSchema(cols...)
