@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"sqlml/internal/cache"
@@ -288,6 +290,82 @@ func TestCacheServesSubsetQuery(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("cache-served dataset differs from fresh at %d", i)
 		}
+	}
+}
+
+// TestConcurrentCacheServedRuns runs the §5.1 tier from two goroutines at
+// once against one cached table: every run must be a full-result hit, the
+// goroutines must deliver the same datasets, and the cached table must
+// read the same before and after (its sealed chunks are shared by every
+// scan; see sqlengine.TestManagedChunksNeverMutated).
+func TestConcurrentCacheServedRuns(t *testing.T) {
+	env := newTestEnv(t, 400, 30, nil)
+	cfg := paperConfig()
+	cfg.CachePopulate = true
+	if _, err := Run(env, InSQLStream, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var cached string
+	for _, name := range env.Engine.Catalog().Names() {
+		if strings.HasPrefix(name, "__cached_") {
+			cached = name
+		}
+	}
+	if cached == "" {
+		t.Fatalf("no cached table in %v", env.Engine.Catalog().Names())
+	}
+	snapshot := func() []string {
+		res, err := env.Engine.Query("SELECT * FROM " + cached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range res.Rows() {
+			out = append(out, r.String())
+		}
+		return out
+	}
+	before := snapshot()
+
+	served := cfg
+	served.CachePopulate = false
+	served.Tier = CacheFullResult
+	subset := served
+	subset.Query = `
+		SELECT U.age, C.amount, C.abandoned
+		FROM carts C, users U
+		WHERE C.userid=U.userid AND U.country='USA' AND U.gender = 'F'`
+	subset.Spec = transform.Spec{RecodeCols: []string{"abandoned"}}
+	var prints [2][2][]string
+	var wg sync.WaitGroup
+	for g := range prints {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, c := range []PipelineConfig{served, subset} {
+				res, err := Run(env, InSQLStream, c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.CacheHit != cache.FullResultHit {
+					t.Errorf("cache-served run %d answered %s", i, res.CacheHit)
+				}
+				prints[g][i] = datasetFingerprint(res.Dataset)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range prints[0] {
+		if strings.Join(prints[0][i], ";") != strings.Join(prints[1][i], ";") {
+			t.Errorf("run %d: the two goroutines' datasets differ", i)
+		}
+	}
+	if len(prints[0][1]) == 0 || len(prints[0][1]) >= len(prints[0][0]) {
+		t.Errorf("subset run delivered %d rows of the full %d", len(prints[0][1]), len(prints[0][0]))
+	}
+	if after := snapshot(); strings.Join(after, ";") != strings.Join(before, ";") {
+		t.Error("the cached table reads differently after the cache-served runs")
 	}
 }
 

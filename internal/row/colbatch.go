@@ -344,6 +344,54 @@ func (b *ColBatch) Reset(types []Type) {
 	b.sel = nil
 }
 
+// NewColBatchCap returns an empty batch over types whose vectors are sized
+// once for rows slots, and for payload[c] string bytes in each VARCHAR
+// column c: filling it that far grows no backing array. The fixed-width
+// columns of one type share a single allocation, each capped at its own
+// stripe, so an append past rows reallocates that vector alone.
+func NewColBatchCap(types []Type, rows int, payload []int) *ColBatch {
+	var counts [TypeBool + 1]int
+	for _, t := range types {
+		counts[t]++
+	}
+	ints := make([]int64, rows*counts[TypeInt])
+	floats := make([]float64, rows*counts[TypeFloat])
+	bools := make([]bool, rows*counts[TypeBool])
+	offs := make([]uint32, (rows+1)*counts[TypeString])
+	b := &ColBatch{cols: make([]Vector, len(types))}
+	for c, t := range types {
+		v := &b.cols[c]
+		v.typ = t
+		switch t {
+		case TypeInt:
+			v.Ints, ints = ints[:0:rows], ints[rows:]
+		case TypeFloat:
+			v.Floats, floats = floats[:0:rows], floats[rows:]
+		case TypeBool:
+			v.Bools, bools = bools[:0:rows], bools[rows:]
+		case TypeString:
+			v.offs, offs = offs[:1:rows+1], offs[rows+1:]
+			v.bytes = make([]byte, 0, payload[c])
+		}
+	}
+	return b
+}
+
+// ViewOf makes b a read-only view of chunk's rows: b copies chunk's
+// vector headers into a header array of its own, takes chunk's length and
+// clears its selection. The backing arrays stay chunk's, so b must never
+// be reset, appended to or pooled; its selection and headers are b's to
+// set.
+func (b *ColBatch) ViewOf(chunk *ColBatch) {
+	if cap(b.cols) < len(chunk.cols) {
+		b.cols = make([]Vector, len(chunk.cols))
+	}
+	b.cols = b.cols[:len(chunk.cols)]
+	copy(b.cols, chunk.cols)
+	b.n = chunk.n
+	b.sel = nil
+}
+
 // NumCols returns the column count.
 func (b *ColBatch) NumCols() int { return len(b.cols) }
 
@@ -474,8 +522,8 @@ func (b *ColBatch) PhysicalRow(p int, dst Row) Row {
 	return dst
 }
 
-// FromRows transposes rows[lo:hi] into the batch (after Reset to the
-// given types).
+// FromRows resets the batch to the given types and transposes rows into
+// it.
 func (b *ColBatch) FromRows(types []Type, rows []Row) {
 	b.Reset(types)
 	for _, r := range rows {

@@ -19,17 +19,19 @@ type ExternalBacking struct {
 	Path string
 }
 
-// Table is a catalog entry. Managed tables hold their rows partitioned
-// across the engine's workers; external tables are scanned from the DFS;
-// streaming tables (RegisterResultStream) hold a live per-partition batch
-// pipeline that exactly one scan may consume.
+// Table is a catalog entry. A managed table holds each of the engine's
+// worker partitions as sealed column chunks (chunks.go): scans read them
+// through per-scan views, and a write (INSERT) publishes new chunks rather
+// than touching a published one. External tables are scanned from the
+// DFS; streaming tables (RegisterResultStream) hold a live per-partition
+// batch pipeline that exactly one scan may consume.
 type Table struct {
 	Name     string
 	Schema   row.Schema
 	External *ExternalBacking
 
 	mu        sync.RWMutex
-	parts     [][]row.Row
+	parts     [][]*row.ColBatch
 	streaming bool
 	stream    []BatchIterator
 }
@@ -41,17 +43,27 @@ func (t *Table) NumRows() int {
 	defer t.mu.RUnlock()
 	n := 0
 	for _, p := range t.parts {
-		n += len(p)
+		n += chunkLen(p)
 	}
 	return n
 }
 
-// partitions returns the managed partition slices. Callers treat them as
-// read-only.
-func (t *Table) partitions() [][]row.Row {
+// chunks returns the managed partitions. Callers treat them as read-only;
+// a writer replaces the slices rather than writing into them.
+func (t *Table) chunks() [][]*row.ColBatch {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.parts
+}
+
+// partitions pivots the managed partitions to rows.
+func (t *Table) partitions() [][]row.Row {
+	parts := t.chunks()
+	out := make([][]row.Row, len(parts))
+	for i, p := range parts {
+		out[i] = chunkRows(p)
+	}
+	return out
 }
 
 // takeStream hands over a streaming table's one-shot pipeline; the second

@@ -20,7 +20,8 @@ type colIterator interface {
 }
 
 // colScanIter transposes a row iterator's batches into a reused pooled
-// ColBatch — the row→column boundary at the bottom of a columnar chain.
+// ColBatch — the row→column boundary under a columnar operator whose input
+// has no columnar core (a table UDF's output, a breaker's row partitions).
 type colScanIter struct {
 	in    BatchIterator
 	types []row.Type
@@ -342,7 +343,7 @@ func (p *colProbeIter) Close() {
 // colToRows is the row-view shim over a columnar chain: each batch's live
 // rows are materialized as owning copies (flat value backing, one string
 // slab copy per VARCHAR column), so downstream retention — drainBatches,
-// sort runs, result materialization — stays safe while the column vectors
+// sort runs, a table UDF's input — stays safe while the column vectors
 // recycle underneath.
 type colToRows struct {
 	c    colIterator
@@ -376,9 +377,10 @@ func (a *colToRows) Close() {
 }
 
 // asColIterator lifts a row iterator into the columnar world: a chain with
-// a columnar core unwraps to it (no materialize→re-transpose bounce);
-// anything else — a managed table's rows, a table UDF's output — gets a
-// transposing scan.
+// a columnar core — a managed or external table's scan, and every
+// columnar operator over one — unwraps to it (no materialize→re-transpose
+// bounce); anything else — a table UDF's output, a breaker's row
+// partitions — gets a transposing scan.
 func asColIterator(it BatchIterator, types []row.Type) colIterator {
 	if c, ok := unwrapColCore(it); ok {
 		return c

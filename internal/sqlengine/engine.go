@@ -90,7 +90,7 @@ func (e *Engine) Registry() *Registry { return e.registry }
 
 // CreateTable defines an empty managed table.
 func (e *Engine) CreateTable(name string, schema row.Schema) error {
-	t := &Table{Name: name, Schema: schema, parts: make([][]row.Row, e.NumWorkers())}
+	t := &Table{Name: name, Schema: schema, parts: make([][]*row.ColBatch, e.NumWorkers())}
 	return e.catalog.Put(t)
 }
 
@@ -106,14 +106,18 @@ func (e *Engine) LoadTable(name string, schema row.Schema, rows []row.Row) error
 }
 
 // LoadPartitionedTable defines a managed table from pre-partitioned data
-// (len(parts) must equal NumWorkers). The partitions are adopted without
-// copying; callers must not mutate them afterwards.
+// (len(parts) must equal NumWorkers), transposing each partition into
+// sealed column chunks; the caller keeps its rows.
 func (e *Engine) LoadPartitionedTable(name string, schema row.Schema, parts [][]row.Row) error {
+	return e.putChunks(name, schema, rowsToChunks(row.SchemaTypes(schema), parts))
+}
+
+// putChunks defines a managed table adopting sealed chunk partitions.
+func (e *Engine) putChunks(name string, schema row.Schema, parts [][]*row.ColBatch) error {
 	if len(parts) != e.NumWorkers() {
 		return fmt.Errorf("sql: %d partitions for %d workers", len(parts), e.NumWorkers())
 	}
-	t := &Table{Name: name, Schema: schema, parts: parts}
-	return e.catalog.Put(t)
+	return e.catalog.Put(&Table{Name: name, Schema: schema, parts: parts})
 }
 
 // RegisterExternalTable defines a table backed by a DFS text file (or a
@@ -123,16 +127,16 @@ func (e *Engine) RegisterExternalTable(name string, fs *dfs.FileSystem, path str
 	return e.catalog.Put(t)
 }
 
-// RegisterResult defines a managed table adopting a query result's
-// partitions (no copy), materializing the result if it is still
-// streaming. This is how pipelines chain query → table UDF → query
-// without leaving engine memory.
+// RegisterResult defines a managed table adopting a query result's sealed
+// chunks (no copy), materializing the result if it is still streaming.
+// This is how pipelines chain query → table UDF → query without leaving
+// engine memory.
 func (e *Engine) RegisterResult(name string, res *Result) error {
-	parts, err := res.Parts()
+	parts, err := res.chunkParts()
 	if err != nil {
 		return err
 	}
-	return e.LoadPartitionedTable(name, res.Schema, parts)
+	return e.putChunks(name, res.Schema, parts)
 }
 
 // RegisterResultStream defines a table over a streaming result WITHOUT
@@ -165,23 +169,25 @@ func (e *Engine) DropTable(name string) error { return e.catalog.Drop(name) }
 // Result is a query result partitioned across the engine's workers:
 // partition i lives on WorkerNode(i). A result starts out either
 // materialized (pipeline breakers, DDL answers) or streaming — per-worker
-// batch pipelines that run as they are consumed. Materialize is the
-// compatibility shim: it drains a streaming result in parallel, after
-// which the result behaves exactly like the pre-pipelining one.
+// batch pipelines that run as they are consumed. Materialize drains a
+// streaming result in parallel. A materialized result holds sealed column
+// chunks, the managed-table form, so registering it as a table copies
+// nothing and every re-read scans the stored vectors.
 type Result struct {
 	Schema row.Schema
 
 	mu       sync.Mutex
 	stream   []BatchIterator
-	parts    [][]row.Row
+	parts    [][]*row.ColBatch
 	done     bool       // parts is valid
 	consumed bool       // stream handed off or drained
 	pool     *queryPool // the query's worker pool; nil on ad-hoc results
 }
 
-// NewResult wraps materialized partitions as a result.
+// NewResult wraps materialized row partitions as a result, transposing
+// them into sealed chunks once; the caller keeps its rows.
 func NewResult(schema row.Schema, parts [][]row.Row) *Result {
-	return &Result{Schema: schema, parts: parts, done: true, consumed: true}
+	return &Result{Schema: schema, parts: rowsToChunks(row.SchemaTypes(schema), parts), done: true, consumed: true}
 }
 
 // NewStreamingResult wraps per-partition batch pipelines as a result.
@@ -196,8 +202,8 @@ func (r *Result) Streaming() bool {
 	return r.stream != nil
 }
 
-// Materialize drains a streaming result into in-memory partitions on the
-// query's pool (pipelines whose partitions coordinate — like the stream
+// Materialize drains a streaming result into sealed chunks on the query's
+// pool (pipelines whose partitions coordinate — like the stream
 // sender — are primed first, so any pool size drains them). It is
 // idempotent; on a materialized result it is a no-op. The drain runs
 // outside the result lock so a concurrent Close can cancel it mid-flight.
@@ -219,7 +225,7 @@ func (r *Result) Materialize() error {
 	if pool == nil {
 		pool = newQueryPool(0)
 	}
-	parts, err := pool.drainAll(s)
+	parts, err := pool.drainChunks(s, row.SchemaTypes(r.Schema))
 	if err != nil {
 		return err
 	}
@@ -233,12 +239,12 @@ func (r *Result) Materialize() error {
 // Batches returns the per-partition batch pipelines. On a streaming
 // result this hands off the live pipeline — callable once, and the caller
 // owns closing the iterators. On a materialized result it returns fresh
-// zero-copy iterators every call.
+// chunk scans every call.
 func (r *Result) Batches() ([]BatchIterator, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
-		return partIters(r.parts), nil
+		return chunkIters(r.parts), nil
 	}
 	if r.stream == nil {
 		return nil, fmt.Errorf("sql: streaming result already consumed")
@@ -249,8 +255,23 @@ func (r *Result) Batches() ([]BatchIterator, error) {
 	return s, nil
 }
 
-// Parts materializes the result if needed and returns its partitions.
+// Parts materializes the result if needed and returns its partitions
+// pivoted to owning rows, freshly allocated on every call.
 func (r *Result) Parts() ([][]row.Row, error) {
+	chunks, err := r.chunkParts()
+	if err != nil {
+		return nil, err
+	}
+	parts := make([][]row.Row, len(chunks))
+	for i, p := range chunks {
+		parts[i] = chunkRows(p)
+	}
+	return parts, nil
+}
+
+// chunkParts materializes the result if needed and returns its sealed
+// chunks.
+func (r *Result) chunkParts() ([][]*row.ColBatch, error) {
 	if err := r.Materialize(); err != nil {
 		return nil, err
 	}
@@ -279,35 +300,39 @@ func (r *Result) Close() {
 	closeAllIters(s)
 }
 
-// NumRows returns the total row count, materializing first if needed.
-// It panics if draining the pipeline fails; error-aware callers should
-// use Materialize or Parts instead.
+// NumRows returns the total row count, materializing first if needed; it
+// sums chunk lengths and pivots nothing. It panics if draining the
+// pipeline fails; error-aware callers should use Materialize or Parts
+// instead.
 func (r *Result) NumRows() int {
 	n := 0
-	for _, p := range r.mustParts() {
-		n += len(p)
+	for _, p := range r.mustChunks() {
+		n += chunkLen(p)
 	}
 	return n
 }
 
-// Rows flattens the partitions in worker order (materializing first if
-// needed), without charging transfer costs; use Engine.Collect to model
-// fetching results to the head node. Panics if draining fails.
+// Rows pivots the partitions to owning rows in worker order
+// (materializing first if needed), without charging transfer costs; use
+// Engine.Collect to model fetching results to the head node. Panics if
+// draining fails.
 func (r *Result) Rows() []row.Row {
-	parts := r.mustParts()
+	parts := r.mustChunks()
 	n := 0
 	for _, p := range parts {
-		n += len(p)
+		n += chunkLen(p)
 	}
 	out := make([]row.Row, 0, n)
 	for _, p := range parts {
-		out = append(out, p...)
+		for _, c := range p {
+			out = c.Rows(out)
+		}
 	}
 	return out
 }
 
-func (r *Result) mustParts() [][]row.Row {
-	parts, err := r.Parts()
+func (r *Result) mustChunks() [][]*row.ColBatch {
+	parts, err := r.chunkParts()
 	if err != nil {
 		panic(fmt.Sprintf("sqlengine: draining streaming result: %v", err))
 	}
@@ -317,13 +342,13 @@ func (r *Result) mustParts() [][]row.Row {
 // Collect gathers a result to the head node, charging network transfer for
 // remote partitions, and returns the flattened rows.
 func (e *Engine) Collect(r *Result) ([]row.Row, error) {
-	parts, err := r.Parts()
+	parts, err := r.chunkParts()
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range parts {
 		if i < len(e.workers) && e.workers[i] != e.head {
-			e.cost.ChargeNet(e.workers[i], e.head, partBytes(p))
+			e.cost.ChargeNet(e.workers[i], e.head, chunkBytes(p))
 		}
 	}
 	return r.Rows(), nil

@@ -73,11 +73,11 @@ func (e *Engine) execCreate(s *CreateTableStmt) error {
 		if err != nil {
 			return err
 		}
-		parts, err := res.Parts()
+		parts, err := res.chunkParts()
 		if err != nil {
 			return err
 		}
-		return e.LoadPartitionedTable(s.Name, res.Schema, parts)
+		return e.putChunks(s.Name, res.Schema, parts)
 	}
 	schema, err := row.NewSchema(s.Cols...)
 	if err != nil {
@@ -125,21 +125,34 @@ func (e *Engine) execInsert(s *InsertStmt) error {
 	return nil
 }
 
-// appendRows distributes new rows round-robin over partitions.
+// appendRows distributes new rows round-robin over partitions. It
+// publishes new partition slices (appendChunkRows) and writes no published
+// chunk, so a scan already open keeps reading what it started on.
 func (t *Table) appendRows(rows []row.Row, numWorkers int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.parts) == 0 {
-		t.parts = make([][]row.Row, numWorkers)
+	n := len(t.parts)
+	if n == 0 {
+		n = numWorkers
 	}
+	parts := make([][]*row.ColBatch, n)
+	copy(parts, t.parts)
 	base := 0
-	for _, p := range t.parts {
-		base += len(p)
+	for _, p := range parts {
+		base += chunkLen(p)
 	}
+	add := make([][]row.Row, len(parts))
 	for i, r := range rows {
-		w := (base + i) % len(t.parts)
-		t.parts[w] = append(t.parts[w], r)
+		w := (base + i) % len(parts)
+		add[w] = append(add[w], r)
 	}
+	types := row.SchemaTypes(t.Schema)
+	for w, rs := range add {
+		if len(rs) > 0 {
+			parts[w] = appendChunkRows(types, parts[w], rs)
+		}
+	}
+	t.parts = parts
 }
 
 // dataset is an intermediate distributed relation: iters[i] is the pending
@@ -520,10 +533,11 @@ func (e *Engine) filterParts(qp *queryPool, parts [][]row.Row, pred evalFn) ([][
 }
 
 // scanTable produces per-partition batch pipelines for a table: managed
-// tables yield zero-copy sub-slice batches; streaming tables hand over
+// tables yield views of their sealed chunks; streaming tables hand over
 // their (single-use) pipelines; external tables stream their DFS splits
-// with locality-aware assignment as column batches under a row shim —
-// columnar operators peel the shim off, row consumers read through it.
+// with locality-aware assignment as column batches. Managed and external
+// scans sit under a row shim — columnar operators peel it off, row
+// consumers read through it.
 func (e *Engine) scanTable(t *Table) ([]BatchIterator, error) {
 	if t.streaming {
 		iters, ok := t.takeStream()
@@ -533,11 +547,11 @@ func (e *Engine) scanTable(t *Table) ([]BatchIterator, error) {
 		return iters, nil
 	}
 	if t.External == nil {
-		parts := t.partitions()
+		parts := t.chunks()
 		if len(parts) == 0 {
 			return emptyIters(e.NumWorkers()), nil
 		}
-		return partIters(parts), nil
+		return chunkIters(parts), nil
 	}
 	fs := t.External.FS
 	paths := []string{t.External.Path}
@@ -769,8 +783,8 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 	// A keyed probe runs column-wise whatever its input: key kernels over
 	// whole batches, one hashed lookup per packed key, matches gathered into
 	// column batches. An input with a columnar core (a scan, filter or an
-	// earlier probe) is peeled to it; managed rows are transposed first.
-	// Only the cartesian join keeps the row probe.
+	// earlier probe) is peeled to it; row-only input (a table UDF's) is
+	// transposed first. Only the cartesian join keeps the row probe.
 	probeTypes := row.SchemaTypes(left.sc.combined())
 	outTypes := row.SchemaTypes(outScope.combined())
 	outIters := make([]BatchIterator, len(left.iters))

@@ -129,17 +129,24 @@ func (p *queryPool) forEach(n int, f func(task, worker int) error) error {
 	return nil
 }
 
-// drainAll drains every partition pipeline on the pool, materializing the
-// partitions. Pipelines with lazily started producer goroutines are primed
-// first: partitions of a stream-send query register with their coordinator
-// from their own goroutines, so a pool smaller than the partition count
+// drainAll drains every partition pipeline on the pool into row
+// partitions, for the breakers that still work on rows (the hash-join
+// build, the global-UDF gather, the row ORDER BY).
+func (p *queryPool) drainAll(iters []BatchIterator) ([][]row.Row, error) {
+	return drainEach(p, iters, p.drainBatches)
+}
+
+// drainEach runs drain over every partition pipeline on the pool.
+// Pipelines with lazily started producer goroutines are primed first:
+// partitions of a stream-send query register with their coordinator from
+// their own goroutines, so a pool smaller than the partition count
 // (including the Parallelism: 1 oracle) cannot deadlock their barrier.
 // On error (or cancellation) every iterator is closed.
-func (p *queryPool) drainAll(iters []BatchIterator) ([][]row.Row, error) {
+func drainEach[T any](p *queryPool, iters []BatchIterator, drain func(BatchIterator) (T, error)) ([]T, error) {
 	primeIters(iters)
-	parts := make([][]row.Row, len(iters))
+	parts := make([]T, len(iters))
 	err := p.forEach(len(iters), func(i, _ int) error {
-		part, err := p.drainBatches(iters[i])
+		part, err := drain(iters[i])
 		parts[i] = part
 		return err
 	})
@@ -150,8 +157,9 @@ func (p *queryPool) drainAll(iters []BatchIterator) ([][]row.Row, error) {
 	return parts, nil
 }
 
-// drainBatches is drainBatches with a cancellation check at every batch
-// boundary, so a failed sibling partition stops this one within one batch.
+// drainBatches is the package-level drainBatches with a cancellation check
+// at every batch boundary, so a failed sibling partition stops this one
+// within one batch.
 func (p *queryPool) drainBatches(it BatchIterator) ([]row.Row, error) {
 	defer it.Close()
 	var out []row.Row
@@ -167,6 +175,46 @@ func (p *queryPool) drainBatches(it BatchIterator) ([]row.Row, error) {
 			return out, nil
 		}
 		out = append(out, b...)
+	}
+}
+
+// drainChunks is drainAll for a result that is kept: every partition
+// drains into sealed chunks (chunks.go). A pipeline with a columnar core
+// is peeled to it and its batches' live rows are copied typed; a row-only
+// pipeline (a table UDF, the cartesian probe) is transposed once.
+func (p *queryPool) drainChunks(iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
+	return drainEach(p, iters, func(it BatchIterator) ([]*row.ColBatch, error) {
+		return p.drainChunkPart(it, types)
+	})
+}
+
+func (p *queryPool) drainChunkPart(it BatchIterator, types []row.Type) ([]*row.ColBatch, error) {
+	defer it.Close()
+	w := newChunkWriter(types, -1)
+	c, columnar := unwrapColCore(it)
+	for {
+		if p.cancelled() {
+			return nil, errQueryCancelled
+		}
+		var ok bool
+		var err error
+		if columnar {
+			var b *row.ColBatch
+			if b, ok, err = c.NextCol(); ok {
+				w.appendBatch(b)
+			}
+		} else {
+			var b RowBatch
+			if b, ok, err = it.Next(); ok {
+				w.appendRows(b)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return w.finish(), nil
+		}
 	}
 }
 

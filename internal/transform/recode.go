@@ -220,6 +220,37 @@ func distinctValuesUDF() *sqlengine.TableUDF {
 			// allocation-free key path the engine's own DISTINCT uses.
 			seen := sqlengine.NewHashTable(0)
 			var keyBuf []byte
+			if cb, ok := sqlengine.AsColBatchSource(in); ok {
+				// Columnar fast path: the input is a cursor over the
+				// engine's columnar pipeline (a managed table's chunks, a
+				// filter over them), so keys encode straight from the
+				// vectors — AppendVectorKey is byte-identical to
+				// AppendKeyValue over the row's value — and pairs are
+				// emitted in the row path's order.
+				for {
+					b, ok, err := cb.NextColBatch()
+					if err != nil || !ok {
+						return err
+					}
+					for si, n := 0, b.Len(); si < n; si++ {
+						p := b.SelPos(si)
+						for i, ci := range idx {
+							col := b.Col(ci)
+							if col.Null(p) {
+								continue
+							}
+							keyBuf = row.AppendKeyValue(keyBuf[:0], row.Int(int64(i)))
+							keyBuf = row.AppendVectorKey(keyBuf, col, p)
+							if _, added := seen.Insert(keyBuf); !added {
+								continue
+							}
+							if err := emit(row.Row{row.String_(names[i]), col.ValueAt(p)}); err != nil {
+								return err
+							}
+						}
+					}
+				}
+			}
 			for {
 				r, ok, err := in.Next()
 				if err != nil {
