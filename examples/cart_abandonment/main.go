@@ -14,9 +14,9 @@ import (
 	"log"
 	"time"
 
-	"sqlml/internal/cluster"
 	"sqlml/internal/core"
 	"sqlml/internal/datagen"
+	"sqlml/internal/experiments"
 	"sqlml/internal/ml"
 	"sqlml/internal/transform"
 )
@@ -28,12 +28,11 @@ func main() {
 }
 
 func run() error {
-	// Deployment: 5 nodes, DFS with 3-way replication, a cost model that
-	// both sleeps a little (TimeScale) and accumulates simulated time, so
-	// the printed cluster seconds mean something.
+	// Deployment: 5 nodes, DFS with 3-way replication, and the experiments'
+	// calibrated cost model accumulating simulated time, so the printed
+	// cluster seconds mean something.
 	cfg := core.DefaultEnvConfig()
-	cfg.Cost = cluster.DefaultCostModel()
-	cfg.Cost.TimeScale = 0 // accumulate simulated time without sleeping
+	cfg.Cost = experiments.CalibratedCost()
 	env, err := core.NewEnv(cfg)
 	if err != nil {
 		return err

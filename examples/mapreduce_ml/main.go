@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"log"
 
-	"sqlml/internal/cluster"
 	"sqlml/internal/core"
 	"sqlml/internal/datagen"
+	"sqlml/internal/experiments"
 	"sqlml/internal/ml"
 	"sqlml/internal/stream"
 	"sqlml/internal/transform"
@@ -28,8 +28,7 @@ func main() {
 
 func run() error {
 	cfg := core.DefaultEnvConfig()
-	cfg.Cost = cluster.DefaultCostModel()
-	cfg.Cost.TimeScale = 0
+	cfg.Cost = experiments.CalibratedCost()
 	env, err := core.NewEnv(cfg)
 	if err != nil {
 		return err

@@ -22,9 +22,7 @@
 // Copying is the fix and is recognized: `append(acc, b...)` spreads the
 // rows out of the batch (the drainBatches idiom), and any call applied to
 // b (Clone, copyRows, …) transfers ownership to code that is responsible
-// for its own copying. The one legitimate cursor (batchRows, which parks
-// a batch precisely until the next Next) carries a //lint:allow with its
-// reason.
+// for its own copying.
 //
 // The columnar pipeline (internal/sqlengine/colpipe.go) has the same
 // contract: a *ColBatch returned by NextCol or NextColBatch is recycled by

@@ -1,5 +1,5 @@
 // Package cluster models the simulated cluster the experiments run on: a set
-// of named nodes with addresses, plus a cost model that charges (scaled)
+// of named nodes with addresses, plus a cost model that charges simulated
 // time for disk and network traffic.
 //
 // The paper's testbed is a 5-server cluster with 12 SATA disks and a 10 GbE
@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -26,13 +25,6 @@ type Node struct {
 	// are done on this address, mirroring the paper's use of SQL-worker IPs
 	// as split locations.
 	Addr string
-
-	diskMu   sync.Mutex
-	diskFree time.Time // when the simulated disk is next idle
-	nicMu    sync.Mutex
-	nicFree  time.Time
-	cpuMu    sync.Mutex
-	cpuFree  time.Time
 }
 
 // Topology is an immutable set of nodes.
@@ -81,13 +73,12 @@ func (t *Topology) ByAddr(addr string) *Node {
 	return nil
 }
 
-// CostModel charges simulated time for disk and network operations.
+// CostModel charges simulated time for disk, network and processing work.
 //
-// Durations are computed from the simulated rates below and then multiplied
-// by TimeScale before the caller actually sleeps, so benchmarks can replay
-// cluster-scale behaviour in milliseconds while keeping ratios intact.
-// Charges on the same node's disk (or NIC) serialize, modelling device
-// contention between concurrent workers.
+// Each charge converts bytes to a duration at the simulated rates below and
+// adds it to one counter; nothing sleeps and no device is queued. The
+// simulated time is therefore device time summed over every node — the
+// total work of a run, not its elapsed time on the simulated cluster.
 type CostModel struct {
 	DiskReadBps  float64 // simulated disk read bandwidth, bytes/second
 	DiskWriteBps float64 // simulated disk write bandwidth, bytes/second
@@ -98,27 +89,13 @@ type CostModel struct {
 	// (e.g. the recode-map cache avoids one of recoding's two passes), so
 	// engines charge this for every pass: table-UDF inputs, join probes,
 	// and MapReduce task inputs.
-	ProcBps   float64
-	TimeScale float64 // real-time multiplier applied to simulated durations
+	ProcBps float64
 
 	diskReadBytes  atomic.Int64
 	diskWriteBytes atomic.Int64
 	netBytes       atomic.Int64
 	procBytes      atomic.Int64
 	simulatedNanos atomic.Int64
-}
-
-// DefaultCostModel approximates the paper's hardware, heavily time-scaled:
-// ~1.2 GB/s aggregate disk per node (12 SATA disks), 10 GbE network.
-func DefaultCostModel() *CostModel {
-	return &CostModel{
-		DiskReadBps:  1.2e9,
-		DiskWriteBps: 0.9e9,
-		NetBps:       1.25e9, // 10 Gbit/s
-		NetLatency:   200 * time.Microsecond,
-		ProcBps:      0.8e9,
-		TimeScale:    1.0,
-	}
 }
 
 // Stats is a snapshot of accumulated cost counters.
@@ -163,27 +140,11 @@ func (c *CostModel) duration(bytes int, bps float64) time.Duration {
 	return time.Duration(float64(bytes) / bps * float64(time.Second))
 }
 
-// charge serializes d of simulated device time behind the device's queue
-// and sleeps the scaled amount.
-func (c *CostModel) charge(mu *sync.Mutex, free *time.Time, d time.Duration) {
-	if d <= 0 {
-		return
+// charge adds d of simulated device time to the counter.
+func (c *CostModel) charge(d time.Duration) {
+	if d > 0 {
+		c.simulatedNanos.Add(int64(d))
 	}
-	c.simulatedNanos.Add(int64(d))
-	scaled := time.Duration(float64(d) * c.TimeScale)
-	if scaled <= 0 {
-		return
-	}
-	mu.Lock()
-	now := time.Now()
-	start := now
-	if free.After(now) {
-		start = *free
-	}
-	until := start.Add(scaled)
-	*free = until
-	mu.Unlock()
-	time.Sleep(time.Until(until))
 }
 
 // ChargeDiskRead charges a read of n bytes against node's disk.
@@ -192,7 +153,7 @@ func (c *CostModel) ChargeDiskRead(node *Node, n int) {
 		return
 	}
 	c.diskReadBytes.Add(int64(n))
-	c.charge(&node.diskMu, &node.diskFree, c.duration(n, c.DiskReadBps))
+	c.charge(c.duration(n, c.DiskReadBps))
 }
 
 // ChargeDiskWrite charges a write of n bytes against node's disk.
@@ -201,7 +162,7 @@ func (c *CostModel) ChargeDiskWrite(node *Node, n int) {
 		return
 	}
 	c.diskWriteBytes.Add(int64(n))
-	c.charge(&node.diskMu, &node.diskFree, c.duration(n, c.DiskWriteBps))
+	c.charge(c.duration(n, c.DiskWriteBps))
 }
 
 // ChargeNet charges a transfer of n bytes between two nodes. Transfers where
@@ -215,7 +176,7 @@ func (c *CostModel) ChargeNet(from, to *Node, n int) {
 	d := c.NetLatency + c.duration(n, c.NetBps)
 	// Charge the sender's NIC; the receiver's side is assumed symmetric and
 	// charging both would double-count a single wire transfer.
-	c.charge(&from.nicMu, &from.nicFree, d)
+	c.charge(d)
 }
 
 // ChargeProc charges one processing pass over n bytes on node's CPU.
@@ -224,7 +185,7 @@ func (c *CostModel) ChargeProc(node *Node, n int) {
 		return
 	}
 	c.procBytes.Add(int64(n))
-	c.charge(&node.cpuMu, &node.cpuFree, c.duration(n, c.ProcBps))
+	c.charge(c.duration(n, c.ProcBps))
 }
 
 // ChargeDelay charges a fixed simulated duration against node's CPU —
@@ -233,5 +194,5 @@ func (c *CostModel) ChargeDelay(node *Node, d time.Duration) {
 	if c == nil || node == nil || d <= 0 {
 		return
 	}
-	c.charge(&node.cpuMu, &node.cpuFree, d)
+	c.charge(d)
 }

@@ -36,7 +36,7 @@ func TestTopologyPanics(t *testing.T) {
 
 func TestCostModelAccounting(t *testing.T) {
 	top := NewTopology(2)
-	c := &CostModel{DiskReadBps: 1e6, DiskWriteBps: 1e6, NetBps: 1e6, TimeScale: 0}
+	c := &CostModel{DiskReadBps: 1e6, DiskWriteBps: 1e6, NetBps: 1e6}
 	c.ChargeDiskRead(top.Node(0), 100)
 	c.ChargeDiskWrite(top.Node(0), 200)
 	c.ChargeNet(top.Node(0), top.Node(1), 300)
@@ -45,7 +45,7 @@ func TestCostModelAccounting(t *testing.T) {
 		t.Errorf("stats = %+v", s)
 	}
 	if s.SimulatedTime <= 0 {
-		t.Error("simulated time should accumulate even with TimeScale 0")
+		t.Error("simulated time should accumulate")
 	}
 	c.ResetStats()
 	if c.Stats() != (Stats{}) {
@@ -55,8 +55,7 @@ func TestCostModelAccounting(t *testing.T) {
 
 func TestLocalNetworkIsFree(t *testing.T) {
 	top := NewTopology(2)
-	c := DefaultCostModel()
-	c.TimeScale = 0
+	c := &CostModel{NetBps: 1.25e9, NetLatency: 200 * time.Microsecond}
 	c.ChargeNet(top.Node(0), top.Node(0), 1<<20)
 	if c.Stats().NetBytes != 0 {
 		t.Error("node-local transfer must not be charged")
@@ -79,44 +78,9 @@ func TestNilCostModelIsNoop(t *testing.T) {
 	c.ResetStats()
 }
 
-func TestChargeSleepsScaledDuration(t *testing.T) {
-	top := NewTopology(1)
-	// 1 MB at 1 MB/s simulated = 1 s simulated; TimeScale 0.01 => ~10 ms real.
-	c := &CostModel{DiskReadBps: 1e6, TimeScale: 0.01}
-	start := time.Now()
-	c.ChargeDiskRead(top.Node(0), 1_000_000)
-	elapsed := time.Since(start)
-	if elapsed < 8*time.Millisecond {
-		t.Errorf("charge slept only %v, want ~10ms", elapsed)
-	}
-	if got := c.Stats().SimulatedTime; got < 900*time.Millisecond || got > 1100*time.Millisecond {
-		t.Errorf("simulated time %v, want ~1s", got)
-	}
-}
-
-func TestDeviceContentionSerializes(t *testing.T) {
-	top := NewTopology(1)
-	c := &CostModel{DiskWriteBps: 1e6, TimeScale: 0.005} // 1 MB => 5 ms real
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.ChargeDiskWrite(top.Node(0), 1_000_000)
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	// Four concurrent 5 ms charges on one disk must take ~20 ms, not ~5 ms.
-	if elapsed < 15*time.Millisecond {
-		t.Errorf("concurrent charges completed in %v; disk contention not modelled", elapsed)
-	}
-}
-
 func TestConcurrentStatsSafe(t *testing.T) {
 	top := NewTopology(3)
-	c := &CostModel{DiskReadBps: 1e15, NetBps: 1e15, TimeScale: 0}
+	c := &CostModel{DiskReadBps: 1e15, NetBps: 1e15}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -176,7 +176,6 @@ func TestFigure3CostOrdering(t *testing.T) {
 		DiskWriteBps: 150e6,
 		NetBps:       1.25e9,
 		ProcBps:      400e6,
-		TimeScale:    0, // accumulate but do not sleep
 	}
 	env := newTestEnv(t, 80, 10, cost)
 	cfg := paperConfig()
@@ -206,7 +205,6 @@ func TestFigure4CacheTiers(t *testing.T) {
 		DiskWriteBps: 150e6,
 		NetBps:       1.25e9,
 		ProcBps:      400e6,
-		TimeScale:    0,
 	}
 	env := newTestEnv(t, 80, 10, cost)
 	cfg := paperConfig()
@@ -395,7 +393,6 @@ func TestCacheOnDFSVariant(t *testing.T) {
 		DiskWriteBps: 150e6,
 		NetBps:       1.25e9,
 		ProcBps:      400e6,
-		TimeScale:    0,
 	}
 	env := newTestEnv(t, 60, 8, cost)
 	cfg := paperConfig()

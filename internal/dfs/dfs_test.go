@@ -243,7 +243,7 @@ func TestList(t *testing.T) {
 
 func TestCostChargedForReplicatedWriteAndRemoteRead(t *testing.T) {
 	topo := cluster.NewTopology(4)
-	cost := &cluster.CostModel{DiskReadBps: 1e6, DiskWriteBps: 1e6, NetBps: 1e6, TimeScale: 0}
+	cost := &cluster.CostModel{DiskReadBps: 1e6, DiskWriteBps: 1e6, NetBps: 1e6}
 	fs := New(topo, Config{BlockSize: 1024, Replication: 3, Cost: cost})
 	data := bytes.Repeat([]byte("c"), 1000)
 	if err := fs.WriteFile("/cost", data, topo.Node(0)); err != nil {

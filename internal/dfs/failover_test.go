@@ -21,7 +21,7 @@ import (
 func failoverFS(t *testing.T, nodes, replication int, blockSize int64) (*dfs.FileSystem, *cluster.Topology) {
 	t.Helper()
 	topo := cluster.NewTopology(nodes)
-	cost := &cluster.CostModel{DiskReadBps: 1e9, DiskWriteBps: 1e9, NetBps: 1e9, TimeScale: 0}
+	cost := &cluster.CostModel{DiskReadBps: 1e9, DiskWriteBps: 1e9, NetBps: 1e9}
 	return dfs.New(topo, dfs.Config{BlockSize: blockSize, Replication: replication, Cost: cost}), topo
 }
 

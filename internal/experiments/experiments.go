@@ -50,16 +50,13 @@ func DefaultScale() Scale { return Scale{Users: 1000, CartsPerUser: 100, Seed: 7
 
 // CalibratedCost returns the simulated cost model used by all experiments,
 // loosely calibrated to the paper's testbed: 12 SATA disks per node behind
-// a 10 GbE network, row processing at a few hundred MB/s per node, and
-// TimeScale 0 (costs accumulate but nothing sleeps, so benchmarks measure
-// the simulated time, not wall time).
+// a 10 GbE network, and row processing at a few hundred MB/s per node.
 func CalibratedCost() *cluster.CostModel {
 	return &cluster.CostModel{
 		DiskReadBps:  400e6,
 		DiskWriteBps: 300e6,
 		NetBps:       1.25e9,
 		ProcBps:      400e6,
-		TimeScale:    0,
 	}
 }
 

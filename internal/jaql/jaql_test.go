@@ -16,7 +16,7 @@ import (
 func newEnv(t testing.TB) *Env {
 	t.Helper()
 	topo := cluster.NewTopology(5)
-	cost := &cluster.CostModel{DiskReadBps: 1e9, DiskWriteBps: 1e9, NetBps: 1e9, TimeScale: 0}
+	cost := &cluster.CostModel{DiskReadBps: 1e9, DiskWriteBps: 1e9, NetBps: 1e9}
 	fs := dfs.New(topo, dfs.Config{BlockSize: 512, Replication: 2, Cost: cost})
 	return &Env{Topo: topo, FS: fs, Cost: cost, TaskNodes: []int{1, 2, 3, 4}}
 }

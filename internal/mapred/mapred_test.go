@@ -21,7 +21,7 @@ type testCluster struct {
 func newTestCluster(t testing.TB) *testCluster {
 	t.Helper()
 	topo := cluster.NewTopology(5)
-	cost := &cluster.CostModel{DiskReadBps: 1e9, DiskWriteBps: 1e9, NetBps: 1e9, TimeScale: 0}
+	cost := &cluster.CostModel{DiskReadBps: 1e9, DiskWriteBps: 1e9, NetBps: 1e9}
 	fs := dfs.New(topo, dfs.Config{BlockSize: 256, Replication: 2, Cost: cost})
 	return &testCluster{topo: topo, fs: fs, cost: cost}
 }

@@ -45,29 +45,6 @@ func (s *sliceBatches) Next() (RowBatch, bool, error) {
 
 func (s *sliceBatches) Close() { s.i = len(s.rows) }
 
-// batchRows adapts a BatchIterator to the row-at-a-time Iterator consumed
-// by table UDFs. Closing is the owner's job, not the adapter's.
-type batchRows struct {
-	in  BatchIterator
-	cur RowBatch
-	i   int
-}
-
-// Next implements Iterator.
-func (a *batchRows) Next() (row.Row, bool, error) {
-	for a.i >= len(a.cur) {
-		b, ok, err := a.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		//lint:allow batchretain cursor parks the batch only until its own Next exhausts it, which is exactly the validity window the contract grants
-		a.cur, a.i = b, 0
-	}
-	r := a.cur[a.i]
-	a.i++
-	return r, true, nil
-}
-
 // drainBatches pulls an iterator to completion, materializing one
 // partition. The iterator is closed either way.
 func drainBatches(it BatchIterator) ([]row.Row, error) {
@@ -92,10 +69,3 @@ func closeAllIters(iters []BatchIterator) {
 		}
 	}
 }
-
-// errorIterator yields a single error; used when a partition's pipeline
-// cannot even be constructed.
-type errorIterator struct{ err error }
-
-func (e *errorIterator) Next() (RowBatch, bool, error) { return nil, false, e.err }
-func (e *errorIterator) Close()                        {}

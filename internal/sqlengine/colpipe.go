@@ -13,15 +13,18 @@ import (
 // colToRows materializes owning rows at the boundary, so every existing
 // row consumer keeps working unchanged.
 
-// colIterator is the column-major twin of BatchIterator.
-type colIterator interface {
+// ColBatchSource is the column-major twin of BatchIterator: NextCol
+// returns the next batch (ok=false at end of stream), valid until the
+// following NextCol, and Close releases the chain early. It is also the
+// input of a table UDF (TableUDF).
+type ColBatchSource interface {
 	NextCol() (b *row.ColBatch, ok bool, err error)
 	Close()
 }
 
 // colScanIter transposes a row iterator's batches into a reused pooled
 // ColBatch — the row→column boundary under a columnar operator whose input
-// has no columnar core (a table UDF's output, a breaker's row partitions).
+// has no columnar core (a breaker's row partitions, the cartesian probe).
 type colScanIter struct {
 	in    BatchIterator
 	types []row.Type
@@ -54,18 +57,24 @@ func (s *colScanIter) Close() {
 	}
 }
 
+// NewRowSource serves rows as column batches of up to DefaultBatchSize
+// rows, each transposed into one pooled batch that Close returns.
+func NewRowSource(rows []row.Row, types []row.Type) ColBatchSource {
+	return &colScanIter{in: NewSliceBatches(rows), types: types}
+}
+
 // colFilterIter evaluates a boolean kernel over each batch and narrows the
 // selection vector to the surviving positions; no rows move. Batches left
 // with zero live rows are skipped, like the row filter's empty batches.
 type colFilterIter struct {
-	in   colIterator
+	in   ColBatchSource
 	pred vecFn
 	ctx  vecCtx
 	sel  []int32
 	done bool
 }
 
-func newColFilterIter(in colIterator, pred vecFn) *colFilterIter {
+func newColFilterIter(in ColBatchSource, pred vecFn) *colFilterIter {
 	return &colFilterIter{in: in, pred: pred}
 }
 
@@ -119,7 +128,7 @@ func (f *colFilterIter) Close() {
 // batch and assembles the output batch from the result vectors (zero-copy
 // struct-header adoption; the selection vector carries through).
 type colProjectIter struct {
-	in    colIterator
+	in    ColBatchSource
 	fns   []vecFn
 	types []row.Type
 	ctx   vecCtx
@@ -127,7 +136,7 @@ type colProjectIter struct {
 	done  bool
 }
 
-func newColProjectIter(in colIterator, fns []vecFn, types []row.Type) *colProjectIter {
+func newColProjectIter(in ColBatchSource, fns []vecFn, types []row.Type) *colProjectIter {
 	return &colProjectIter{in: in, fns: fns, types: types}
 }
 
@@ -191,7 +200,7 @@ func vecExprs(exprs []Expr, sc *scope, reg *Registry) ([]vecFn, []row.Type, erro
 // overflows it resumes on the next NextCol, before the input is pulled
 // again.
 type colProbeIter struct {
-	in     colIterator
+	in     ColBatchSource
 	keyFns []vecFn
 	ctx    vecCtx
 	build  *buildTable // read-only, shared across probe workers
@@ -343,15 +352,14 @@ func (p *colProbeIter) Close() {
 // colToRows is the row-view shim over a columnar chain: each batch's live
 // rows are materialized as owning copies (flat value backing, one string
 // slab copy per VARCHAR column), so downstream retention — drainBatches,
-// sort runs, a table UDF's input — stays safe while the column vectors
-// recycle underneath.
+// sort runs — stays safe while the column vectors recycle underneath.
 type colToRows struct {
-	c    colIterator
+	c    ColBatchSource
 	rows []row.Row
 	done bool
 }
 
-func rowsIter(c colIterator) BatchIterator { return &colToRows{c: c} }
+func rowsIter(c ColBatchSource) BatchIterator { return &colToRows{c: c} }
 
 func (a *colToRows) Next() (RowBatch, bool, error) {
 	if a.done {
@@ -378,21 +386,20 @@ func (a *colToRows) Close() {
 
 // asColIterator lifts a row iterator into the columnar world: a chain with
 // a columnar core — a managed or external table's scan, and every
-// columnar operator over one — unwraps to it (no materialize→re-transpose
-// bounce); anything else — a table UDF's output, a breaker's row
-// partitions — gets a transposing scan.
-func asColIterator(it BatchIterator, types []row.Type) colIterator {
+// columnar operator over one, a table UDF's pipe — unwraps to it (no
+// materialize→re-transpose bounce); anything else — a breaker's row
+// partitions, the cartesian probe — gets a transposing scan.
+func asColIterator(it BatchIterator, types []row.Type) ColBatchSource {
 	if c, ok := unwrapColCore(it); ok {
 		return c
 	}
 	return &colScanIter{in: it, types: types}
 }
 
-// chargeColIter is chargeIter's columnar twin — cost charging must survive
-// the columnar fast path, so unwrapping a charge wrapper re-wraps its
-// accounting around the columnar core.
+// chargeColIter charges each consumed batch as one processing pass over its
+// bytes — a table UDF's read of its input.
 type chargeColIter struct {
-	c    colIterator
+	c    ColBatchSource
 	cost *cluster.CostModel
 	node *cluster.Node
 }
@@ -440,46 +447,10 @@ func colBatchBytes(b *row.ColBatch) int {
 }
 
 // unwrapColCore finds the columnar core of a row-iterator chain, when one
-// exists and no side effects would be lost: colToRows peels off directly,
-// and a chargeIter re-wraps as chargeColIter so cost accounting continues.
-func unwrapColCore(it BatchIterator) (colIterator, bool) {
-	switch x := it.(type) {
-	case *colToRows:
+// exists: the ColBatchSource under a colToRows shim.
+func unwrapColCore(it BatchIterator) (ColBatchSource, bool) {
+	if x, ok := it.(*colToRows); ok {
 		return x.c, true
-	case *chargeIter:
-		if inner, ok := unwrapColCore(x.in); ok {
-			return &chargeColIter{c: inner, cost: x.cost, node: x.node}, true
-		}
 	}
 	return nil, false
-}
-
-// ColBatchSource yields column-major batches under the batch validity
-// contract. It is the exported face of the columnar pipeline for
-// boundary consumers (the stream sender encodes vector runs straight into
-// wire blocks through it).
-type ColBatchSource interface {
-	NextColBatch() (*row.ColBatch, bool, error)
-	Close()
-}
-
-type colSource struct{ c colIterator }
-
-func (s colSource) NextColBatch() (*row.ColBatch, bool, error) { return s.c.NextCol() }
-func (s colSource) Close()                                     { s.c.Close() }
-
-// AsColBatchSource recognizes a row Iterator that is a thin cursor over a
-// columnar pipeline and returns the columnar view, or false when the
-// iterator has already buffered rows or has no columnar core. Callers
-// that get a source must consume it instead of the row iterator.
-func AsColBatchSource(it Iterator) (ColBatchSource, bool) {
-	a, ok := it.(*batchRows)
-	if !ok || a.i < len(a.cur) {
-		return nil, false
-	}
-	c, ok := unwrapColCore(a.in)
-	if !ok {
-		return nil, false
-	}
-	return colSource{c}, true
 }

@@ -614,7 +614,7 @@ func (e *Engine) pickWorker(locations []string, loads []int64) int {
 // become pipelined operators: the UDF runs in a goroutine per partition,
 // pulling input batches and emitting output batches as the consumer asks
 // for them. Global UDFs are pipeline breakers: gather input to the head,
-// run once, scatter output. Every emitted row is checked against the
+// run once, scatter output. Every emitted batch is checked against the
 // declared output schema so a misbehaving UDF fails loudly.
 func (e *Engine) execTableFunc(qp *queryPool, call *TableFuncCall) (row.Schema, []BatchIterator, error) {
 	udf, ok := e.registry.Table(call.Name)
@@ -655,6 +655,19 @@ func (e *Engine) execTableFunc(qp *queryPool, call *TableFuncCall) (row.Schema, 
 	if inIters == nil {
 		inIters = emptyIters(e.NumWorkers())
 	}
+	inTypes := row.SchemaTypes(inSchema)
+	run := func(ctx *UDFContext, in ColBatchSource, emit func(*row.ColBatch) error) error {
+		checked := func(b *row.ColBatch) error {
+			if err := b.Conforms(outSchema); err != nil {
+				return fmt.Errorf("sql: %s: %w", udf.Name, err)
+			}
+			return emit(b)
+		}
+		if err := udf.Fn(ctx, in, litArgs, checked); err != nil {
+			return fmt.Errorf("sql: %s: %w", udf.Name, err)
+		}
+		return nil
+	}
 
 	if udf.PerPartition {
 		outIters := make([]BatchIterator, len(inIters))
@@ -662,53 +675,45 @@ func (e *Engine) execTableFunc(qp *queryPool, call *TableFuncCall) (row.Schema, 
 			node := e.workers[i]
 			// Consuming the input is one pass over the local partition,
 			// charged batch-by-batch as the UDF pulls.
-			input := &chargeIter{in: inIters[i], cost: e.cost, node: node}
+			input := &chargeColIter{c: asColIterator(inIters[i], inTypes), cost: e.cost, node: node}
 			ctx := &UDFContext{Engine: e, Node: node, Partition: i, NumPartitions: len(inIters), InSchema: inSchema}
-			outIters[i] = newUDFPipe(input, func(in Iterator, emit func(row.Row) error) error {
-				checked := func(r row.Row) error {
-					if err := r.Conforms(outSchema); err != nil {
-						return fmt.Errorf("sql: %s: %w", udf.Name, err)
-					}
-					return emit(r)
-				}
-				if err := udf.Fn(ctx, in, litArgs, checked); err != nil {
-					return fmt.Errorf("sql: %s: %w", udf.Name, err)
-				}
-				return nil
-			})
+			outIters[i] = rowsIter(newUDFPipe(input, func(in ColBatchSource, emit func(*row.ColBatch) error) error {
+				return run(ctx, in, emit)
+			}))
 		}
 		return outSchema, outIters, nil
 	}
 
-	// Global UDF: gather input to the head node, run once, scatter output.
-	inParts, err := qp.drainAll(inIters)
+	// Global UDF: gather input to the head node, run once over the
+	// partitions in order, scatter output row i to worker i mod n.
+	inParts, err := qp.drainChunks(inIters, inTypes)
 	if err != nil {
 		return row.Schema{}, nil, err
 	}
-	var gathered []row.Row
+	var gathered []*row.ColBatch
+	total := 0
 	for i, p := range inParts {
+		n := chunkBytes(p)
 		if i < len(e.workers) && e.workers[i] != e.head {
-			e.cost.ChargeNet(e.workers[i], e.head, partBytes(p))
+			e.cost.ChargeNet(e.workers[i], e.head, n)
 		}
+		total += n
 		gathered = append(gathered, p...)
 	}
-	e.cost.ChargeProc(e.head, partBytes(gathered))
+	e.cost.ChargeProc(e.head, total)
 	ctx := &UDFContext{Engine: e, Node: e.head, Partition: 0, NumPartitions: 1, InSchema: inSchema}
-	var outRows []row.Row
-	emit := func(r row.Row) error {
-		if err := r.Conforms(outSchema); err != nil {
-			return fmt.Errorf("sql: %s: %w", udf.Name, err)
+	outParts := make([][]row.Row, e.NumWorkers())
+	next := 0
+	emit := func(b *row.ColBatch) error {
+		for _, r := range b.Rows(nil) {
+			w := next % len(outParts)
+			outParts[w] = append(outParts[w], r)
+			next++
 		}
-		outRows = append(outRows, r)
 		return nil
 	}
-	if err := udf.Fn(ctx, &SliceIterator{Rows: gathered}, litArgs, emit); err != nil {
-		return row.Schema{}, nil, fmt.Errorf("sql: %s: %w", udf.Name, err)
-	}
-	outParts := make([][]row.Row, e.NumWorkers())
-	for i, r := range outRows {
-		w := i % e.NumWorkers()
-		outParts[w] = append(outParts[w], r)
+	if err := run(ctx, &chunkScan{chunks: gathered}, emit); err != nil {
+		return row.Schema{}, nil, err
 	}
 	for i, p := range outParts {
 		if e.workers[i] != e.head {
@@ -782,9 +787,9 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 
 	// A keyed probe runs column-wise whatever its input: key kernels over
 	// whole batches, one hashed lookup per packed key, matches gathered into
-	// column batches. An input with a columnar core (a scan, filter or an
-	// earlier probe) is peeled to it; row-only input (a table UDF's) is
-	// transposed first. Only the cartesian join keeps the row probe.
+	// column batches. An input with a columnar core (a scan, filter, an
+	// earlier probe or a table UDF) is peeled to it; row-only input (a
+	// breaker's partitions) is transposed first. Only the cartesian join keeps the row probe.
 	probeTypes := row.SchemaTypes(left.sc.combined())
 	outTypes := row.SchemaTypes(outScope.combined())
 	outIters := make([]BatchIterator, len(left.iters))
@@ -1011,8 +1016,8 @@ func (e *Engine) orderBy(qp *queryPool, items []OrderItem, schema row.Schema, it
 // colSortCores unwraps every partition's columnar core for the ORDER BY
 // drain. All-or-nothing: a single row-major partition keeps the whole sort
 // on the row path, so no partition pays a transpose just to sort.
-func colSortCores(iters []BatchIterator) ([]colIterator, bool) {
-	cores := make([]colIterator, len(iters))
+func colSortCores(iters []BatchIterator) ([]ColBatchSource, bool) {
+	cores := make([]ColBatchSource, len(iters))
 	for i := range iters {
 		c, ok := unwrapColCore(iters[i])
 		if !ok {
@@ -1027,7 +1032,7 @@ func colSortCores(iters []BatchIterator) ([]colIterator, bool) {
 // keys kernel-per-key over whole batches and materializing rows and key
 // rows together (both owning), then sorts and merges exactly like the row
 // path. iters are the row shells over the cores, closed per partition.
-func (e *Engine) orderByColumnar(qp *queryPool, specs []orderSpec, keyFns []vecFn, iters []BatchIterator, cores []colIterator) ([][]row.Row, error) {
+func (e *Engine) orderByColumnar(qp *queryPool, specs []orderSpec, keyFns []vecFn, iters []BatchIterator, cores []ColBatchSource) ([][]row.Row, error) {
 	primeIters(iters)
 	parts := make([][]row.Row, len(cores))
 	keys := make([][]row.Row, len(cores))

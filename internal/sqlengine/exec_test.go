@@ -563,20 +563,8 @@ func TestTableUDFPerPartition(t *testing.T) {
 		OutSchema: func(in row.Schema, args []row.Value) (row.Schema, error) {
 			return in.Concat(row.MustSchema(row.Column{Name: "part", Type: row.TypeInt}))
 		},
-		Fn: func(ctx *UDFContext, in Iterator, args []row.Value, emit func(row.Row) error) error {
-			for {
-				r, ok, err := in.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				out := append(r.Clone(), row.Int(int64(ctx.Partition)))
-				if err := emit(out); err != nil {
-					return err
-				}
-			}
+		Fn: func(ctx *UDFContext, in ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
+			return appendColumn(in, emit, func() int64 { return int64(ctx.Partition) })
 		},
 	})
 	if err != nil {
@@ -598,6 +586,33 @@ func TestTableUDFPerPartition(t *testing.T) {
 	}
 }
 
+// appendColumn copies every input batch's live rows into an output batch
+// with one more BIGINT column, filled row by row from next, and emits it.
+func appendColumn(in ColBatchSource, emit func(*row.ColBatch) error, next func() int64) error {
+	out := row.NewColBatch(nil)
+	for {
+		b, ok, err := in.NextCol()
+		if err != nil || !ok {
+			return err
+		}
+		types := make([]row.Type, 0, b.NumCols()+1)
+		for c := 0; c < b.NumCols(); c++ {
+			types = append(types, b.Col(c).Type())
+		}
+		out.Reset(append(types, row.TypeInt))
+		for si := 0; si < b.Len(); si++ {
+			for c := 0; c < b.NumCols(); c++ {
+				out.Col(c).AppendFrom(b.Col(c), b.SelPos(si))
+			}
+			out.Col(b.NumCols()).AppendInt(next())
+		}
+		out.SetFullLen(b.Len())
+		if err := emit(out); err != nil {
+			return err
+		}
+	}
+}
+
 func TestTableUDFGlobal(t *testing.T) {
 	e := newTestEngine(t)
 	loadPaperTables(t, e)
@@ -607,24 +622,12 @@ func TestTableUDFGlobal(t *testing.T) {
 		OutSchema: func(in row.Schema, args []row.Value) (row.Schema, error) {
 			return in.Concat(row.MustSchema(row.Column{Name: "rn", Type: row.TypeInt}))
 		},
-		Fn: func(ctx *UDFContext, in Iterator, args []row.Value, emit func(row.Row) error) error {
+		Fn: func(ctx *UDFContext, in ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
 			if ctx.NumPartitions != 1 {
 				return fmt.Errorf("global UDF saw %d partitions", ctx.NumPartitions)
 			}
 			n := int64(0)
-			for {
-				r, ok, err := in.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				n++
-				if err := emit(append(r.Clone(), row.Int(n))); err != nil {
-					return err
-				}
-			}
+			return appendColumn(in, emit, func() int64 { n++; return n })
 		},
 	})
 	if err != nil {
@@ -652,23 +655,31 @@ func TestUDFWithLiteralArgs(t *testing.T) {
 			}
 			return in, nil
 		},
-		Fn: func(ctx *UDFContext, in Iterator, args []row.Value, emit func(row.Row) error) error {
+		Fn: func(ctx *UDFContext, in ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
 			// Column index is resolved per call; cheap for the test.
 			col := args[0].AsString()
 			thr := args[1].AsInt()
 			idx := usersSchema().ColIndex(col)
+			var sel []int32
 			for {
-				r, ok, err := in.Next()
-				if err != nil {
+				b, ok, err := in.NextCol()
+				if err != nil || !ok {
 					return err
 				}
-				if !ok {
-					return nil
-				}
-				if !r[idx].Null && r[idx].AsInt() > thr {
-					if err := emit(r); err != nil {
-						return err
+				// Emit the input batch itself, narrowed to the passing rows.
+				v := b.Col(idx)
+				sel = sel[:0]
+				for si := 0; si < b.Len(); si++ {
+					if p := b.SelPos(si); !v.Null(p) && v.Ints[p] > thr {
+						sel = append(sel, int32(p))
 					}
+				}
+				if len(sel) == 0 {
+					continue // a nil selection would mean every row
+				}
+				b.SetSel(sel)
+				if err := emit(b); err != nil {
+					return err
 				}
 			}
 		},
@@ -687,7 +698,7 @@ func TestUDFWithLiteralArgs(t *testing.T) {
 
 func TestExternalTableScan(t *testing.T) {
 	topo := cluster.NewTopology(5)
-	cost := &cluster.CostModel{DiskReadBps: 1e6, DiskWriteBps: 1e6, NetBps: 1e6, TimeScale: 0}
+	cost := &cluster.CostModel{DiskReadBps: 1e6, DiskWriteBps: 1e6, NetBps: 1e6}
 	fsys := dfs.New(topo, dfs.Config{BlockSize: 64, Replication: 3, Cost: cost})
 	e, err := New(topo, cost, Config{HeadNodeID: 0, WorkerNodeIDs: []int{1, 2, 3, 4}})
 	if err != nil {
@@ -813,7 +824,7 @@ func TestDivisionByZero(t *testing.T) {
 
 func TestCollectChargesNetwork(t *testing.T) {
 	topo := cluster.NewTopology(5)
-	cost := &cluster.CostModel{NetBps: 1e6, TimeScale: 0}
+	cost := &cluster.CostModel{NetBps: 1e6}
 	e, err := New(topo, cost, Config{HeadNodeID: 0, WorkerNodeIDs: []int{1, 2, 3, 4}})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -154,15 +155,11 @@ func TestPartitionErrorCancelsSiblings(t *testing.T) {
 		Name:         "gen_partial_fail",
 		PerPartition: true,
 		OutSchema:    genSchema,
-		Fn: func(ctx *UDFContext, in Iterator, args []row.Value, emit func(row.Row) error) error {
+		Fn: func(ctx *UDFContext, in ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
 			if ctx.Partition == 2 {
 				return boom
 			}
-			for i := 0; ; i++ {
-				if err := emit(row.Row{row.Int(int64(i))}); err != nil {
-					return err
-				}
-			}
+			return generate(math.MaxInt, func(i int) int64 { return int64(i) }, nil, emit)
 		},
 	})
 	if err != nil {

@@ -58,51 +58,38 @@ func (p *probeIter) Close() {
 	p.in.Close()
 }
 
-// chargeIter charges each consumed batch as one processing pass over its
-// bytes — the streaming equivalent of the old per-partition upfront charge.
-type chargeIter struct {
-	in   BatchIterator
-	cost *cluster.CostModel
-	node *cluster.Node
-}
-
-func (c *chargeIter) Next() (RowBatch, bool, error) {
-	b, ok, err := c.in.Next()
-	if ok {
-		c.cost.ChargeProc(c.node, partBytes(b))
-	}
-	return b, ok, err
-}
-
-func (c *chargeIter) Close() { c.in.Close() }
-
-// udfPipe runs a push-style table UDF as a pull-style batch operator: the
-// UDF executes in its own goroutine, emitted rows are batched onto a
-// channel, and closing the iterator cancels the UDF through its emit
-// function. The goroutine starts lazily on the first Next, so building a
-// plan (or abandoning it) spawns nothing.
+// udfPipe runs a push-style table UDF as a pull-style columnar operator:
+// the UDF executes in its own goroutine and hands each emitted batch to the
+// consumer, zero-copy. emit blocks until the consumer's next NextCol (or
+// Close) releases the batch, so the UDF may refill it as soon as emit
+// returns. Closing the iterator cancels the UDF through its emit function.
+// The goroutine starts lazily on the first NextCol, so building a plan (or
+// abandoning it) spawns nothing.
 type udfPipe struct {
-	input BatchIterator
-	run   func(in Iterator, emit func(row.Row) error) error
+	input ColBatchSource
+	run   func(in ColBatchSource, emit func(*row.ColBatch) error) error
 
 	mu      sync.Mutex
 	started bool
 	closed  bool
+	held    bool // the consumer holds a lent batch; its emit is waiting
 
-	out    chan RowBatch
-	errc   chan error
-	cancel chan struct{}
-	done   chan struct{}
+	out     chan *row.ColBatch
+	release chan struct{}
+	errc    chan error
+	cancel  chan struct{}
+	done    chan struct{}
 }
 
-func newUDFPipe(input BatchIterator, run func(in Iterator, emit func(row.Row) error) error) *udfPipe {
+func newUDFPipe(input ColBatchSource, run func(in ColBatchSource, emit func(*row.ColBatch) error) error) *udfPipe {
 	return &udfPipe{
-		input:  input,
-		run:    run,
-		out:    make(chan RowBatch, 1),
-		errc:   make(chan error, 1),
-		cancel: make(chan struct{}),
-		done:   make(chan struct{}),
+		input:   input,
+		run:     run,
+		out:     make(chan *row.ColBatch),
+		release: make(chan struct{}),
+		errc:    make(chan error, 1),
+		cancel:  make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -111,36 +98,29 @@ func (p *udfPipe) start() {
 		defer close(p.done)
 		defer p.input.Close()
 		defer close(p.out)
-		batch := make(RowBatch, 0, DefaultBatchSize)
-		send := func(b RowBatch) error {
+		emit := func(b *row.ColBatch) error {
+			if b.Len() == 0 {
+				return nil
+			}
 			select {
 			case p.out <- b:
+			case <-p.cancel:
+				return errPipeClosed
+			}
+			select {
+			case <-p.release:
 				return nil
 			case <-p.cancel:
 				return errPipeClosed
 			}
 		}
-		emit := func(r row.Row) error {
-			batch = append(batch, r)
-			if len(batch) >= DefaultBatchSize {
-				if err := send(batch); err != nil {
-					return err
-				}
-				batch = make(RowBatch, 0, DefaultBatchSize)
-			}
-			return nil
-		}
-		err := p.run(&batchRows{in: p.input}, emit)
-		if err == nil && len(batch) > 0 {
-			err = send(batch)
-		}
-		if err != nil && !errors.Is(err, errPipeClosed) {
+		if err := p.run(p.input, emit); err != nil && !errors.Is(err, errPipeClosed) {
 			p.errc <- err
 		}
 	}()
 }
 
-// prime starts the UDF goroutine ahead of the first Next. The pool's
+// prime starts the UDF goroutine ahead of the first NextCol. The pool's
 // bounded drains call this on every partition before claiming drain tasks:
 // UDFs that rendezvous across partitions (the stream sender's coordinator
 // barrier) then make progress from their own goroutines no matter how few
@@ -155,7 +135,7 @@ func (p *udfPipe) prime() {
 	p.start()
 }
 
-func (p *udfPipe) Next() (RowBatch, bool, error) {
+func (p *udfPipe) NextCol() (*row.ColBatch, bool, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -166,8 +146,17 @@ func (p *udfPipe) Next() (RowBatch, bool, error) {
 		p.start()
 	}
 	p.mu.Unlock()
+	if p.held {
+		// Done with the lent batch: hand it back to the waiting emit.
+		p.held = false
+		select {
+		case p.release <- struct{}{}:
+		case <-p.cancel:
+		}
+	}
 	b, ok := <-p.out
 	if ok {
+		p.held = true
 		return b, true, nil
 	}
 	select {
@@ -254,7 +243,7 @@ func (s *externalScan) NextCol() (*row.ColBatch, bool, error) {
 func (s *externalScan) Close() {
 	s.idx = len(s.assigned)
 	if s.rr != nil {
-		// colIterator.Close has no error to carry it up.
+		// ColBatchSource.Close has no error to carry it up.
 		_ = s.rr.Close()
 		s.rr = nil
 	}

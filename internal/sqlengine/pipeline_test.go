@@ -17,9 +17,10 @@ func genSchema(in row.Schema, args []row.Value) (row.Schema, error) {
 }
 
 // TestTableUDFValidatesEveryRow is the regression test for the schema check
-// that used to inspect only the first emitted row: a UDF whose FIRST row
-// conforms but whose SECOND violates the declared schema must still fail,
-// on both the per-partition and the global execution path.
+// that used to inspect only the first emitted row. Output is checked once
+// per batch, by vector type, so a UDF whose FIRST batch conforms but whose
+// SECOND has a VARCHAR vector where the declared schema says BIGINT must
+// still fail, on both the per-partition and the global execution path.
 func TestTableUDFValidatesEveryRow(t *testing.T) {
 	for _, perPart := range []bool{true, false} {
 		name := fmt.Sprintf("bad_second_row_%v", perPart)
@@ -30,22 +31,56 @@ func TestTableUDFValidatesEveryRow(t *testing.T) {
 				Name:         name,
 				PerPartition: perPart,
 				OutSchema:    genSchema,
-				Fn: func(ctx *UDFContext, in Iterator, args []row.Value, emit func(row.Row) error) error {
-					if err := emit(row.Row{row.Int(1)}); err != nil {
+				Fn: func(ctx *UDFContext, in ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
+					if err := emit(oneRowBatch(row.Int(1))); err != nil {
 						return err
 					}
-					// Second row has the wrong type for column v.
-					return emit(row.Row{row.String_("oops")})
+					// The second batch's vector has the wrong type for column v.
+					return emit(oneRowBatch(row.String_("oops")))
 				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, qerr := e.Query(fmt.Sprintf("SELECT v FROM TABLE(%s(users))", name)); qerr == nil {
-				t.Errorf("perPartition=%v: schema violation in second emitted row not caught", perPart)
+				t.Errorf("perPartition=%v: schema violation in second emitted batch not caught", perPart)
 			}
 		})
 	}
+}
+
+// oneRowBatch is a one-column, one-row batch typed by v.
+func oneRowBatch(v row.Value) *row.ColBatch {
+	b := row.NewColBatch([]row.Type{v.Kind})
+	b.AppendRow(row.Row{v})
+	return b
+}
+
+// generate emits v(0), …, v(n-1) as one-column BIGINT batches of up to
+// DefaultBatchSize rows, counting each batch's rows in emitted (may be nil)
+// before emitting it. It refills one ColBatch throughout and poisons every
+// slot as soon as emit hands the batch back, so a consumer that kept a
+// lent batch past its next pull reads poison and produces wrong results.
+func generate(n int, v func(i int) int64, emitted *atomic.Int64, emit func(*row.ColBatch) error) error {
+	types := []row.Type{row.TypeInt}
+	b := row.NewColBatch(types)
+	for i := 0; i < n; {
+		b.Reset(types)
+		for ; i < n && b.FullLen() < DefaultBatchSize; i++ {
+			b.Col(0).AppendInt(v(i))
+			b.SetFullLen(b.FullLen() + 1)
+		}
+		if emitted != nil {
+			emitted.Add(int64(b.FullLen()))
+		}
+		if err := emit(b); err != nil {
+			return err
+		}
+		for j := range b.Col(0).Ints {
+			b.Col(0).Ints[j] = -987654321
+		}
+	}
+	return nil
 }
 
 // registerGenerator installs a per-partition UDF emitting n rows per
@@ -56,16 +91,8 @@ func registerGenerator(t *testing.T, e *Engine, name string, n int, emitted *ato
 		Name:         name,
 		PerPartition: true,
 		OutSchema:    genSchema,
-		Fn: func(ctx *UDFContext, in Iterator, args []row.Value, emit func(row.Row) error) error {
-			for i := 0; i < n; i++ {
-				if emitted != nil {
-					emitted.Add(1)
-				}
-				if err := emit(row.Row{row.Int(int64(i))}); err != nil {
-					return err
-				}
-			}
-			return nil
+		Fn: func(ctx *UDFContext, in ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
+			return generate(n, func(i int) int64 { return int64(i) }, emitted, emit)
 		},
 	})
 	if err != nil {

@@ -131,7 +131,7 @@ func (p *queryPool) forEach(n int, f func(task, worker int) error) error {
 
 // drainAll drains every partition pipeline on the pool into row
 // partitions, for the breakers that still work on rows (the hash-join
-// build, the global-UDF gather, the row ORDER BY).
+// build, the row ORDER BY).
 func (p *queryPool) drainAll(iters []BatchIterator) ([][]row.Row, error) {
 	return drainEach(p, iters, p.drainBatches)
 }
@@ -181,7 +181,7 @@ func (p *queryPool) drainBatches(it BatchIterator) ([]row.Row, error) {
 // drainChunks is drainAll for a result that is kept: every partition
 // drains into sealed chunks (chunks.go). A pipeline with a columnar core
 // is peeled to it and its batches' live rows are copied typed; a row-only
-// pipeline (a table UDF, the cartesian probe) is transposed once.
+// pipeline (the cartesian probe) is transposed once.
 func (p *queryPool) drainChunks(iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
 	return drainEach(p, iters, func(it BatchIterator) ([]*row.ColBatch, error) {
 		return p.drainChunkPart(it, types)
@@ -232,8 +232,6 @@ func primeAny(it any) {
 	case *udfPipe:
 		x.prime()
 	case *probeIter:
-		primeAny(x.in)
-	case *chargeIter:
 		primeAny(x.in)
 	case *colToRows:
 		primeAny(x.c)

@@ -331,7 +331,7 @@ func TestProbeChargeMatchesRowProbe(t *testing.T) {
 			}
 			rows = append(rows, r)
 		}
-		var in colIterator = &colScanIter{in: NewSliceBatches(rows), types: types}
+		var in ColBatchSource = &colScanIter{in: NewSliceBatches(rows), types: types}
 		live := rows
 		if withSel {
 			// Keep the rows whose first VARCHAR is not NULL.

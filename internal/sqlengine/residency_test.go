@@ -25,16 +25,8 @@ func registerModGenerator(t *testing.T, e *Engine, name string, n, mod int, emit
 		Name:         name,
 		PerPartition: true,
 		OutSchema:    genSchema,
-		Fn: func(ctx *UDFContext, in Iterator, args []row.Value, emit func(row.Row) error) error {
-			for i := 0; i < n; i++ {
-				if emitted != nil {
-					emitted.Add(1)
-				}
-				if err := emit(row.Row{row.Int(int64(i%mod + 1))}); err != nil {
-					return err
-				}
-			}
-			return nil
+		Fn: func(ctx *UDFContext, in ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
+			return generate(n, func(i int) int64 { return int64(i%mod + 1) }, emitted, emit)
 		},
 	})
 	if err != nil {
@@ -226,11 +218,11 @@ func TestOrderByUnderBatchRecycling(t *testing.T) {
 }
 
 // TestAggregateAndOrderByOverRecyclingProducer runs GROUP BY and ORDER BY
-// over a table-UDF source end to end. udfPipe — the operator beneath
-// TABLE(...) — reuses its batch container between Next calls, so the
-// streaming grouped-agg merge and the parallel sort both consume from a
-// genuinely recycling producer; exact results prove they copied what they
-// kept.
+// over a table-UDF source end to end. The generator beneath TABLE(...)
+// refills one ColBatch and poisons it each time udfPipe hands it back, so
+// the streaming grouped-agg merge and the parallel sort both consume from
+// a genuinely recycling producer; exact results prove they copied what
+// they kept.
 func TestAggregateAndOrderByOverRecyclingProducer(t *testing.T) {
 	e := newTestEngine(t)
 	loadPaperTables(t, e)

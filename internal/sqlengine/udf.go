@@ -9,28 +9,6 @@ import (
 	"sqlml/internal/row"
 )
 
-// Iterator is the pull-based row stream flowing through table UDFs.
-type Iterator interface {
-	// Next returns the next row; ok is false at the end of the stream.
-	Next() (r row.Row, ok bool, err error)
-}
-
-// SliceIterator iterates an in-memory row slice.
-type SliceIterator struct {
-	Rows []row.Row
-	i    int
-}
-
-// Next implements Iterator.
-func (s *SliceIterator) Next() (row.Row, bool, error) {
-	if s.i >= len(s.Rows) {
-		return nil, false, nil
-	}
-	r := s.Rows[s.i]
-	s.i++
-	return r, true, nil
-}
-
 // UDFContext carries execution-site information into a UDF invocation: the
 // worker's node (for cost charging and streaming), its partition index, and
 // the total number of SQL workers — the paper's UDFs need all three (e.g.
@@ -41,7 +19,7 @@ type UDFContext struct {
 	Node          *cluster.Node
 	Partition     int
 	NumPartitions int
-	// InSchema is the schema of the rows arriving on the input iterator
+	// InSchema is the schema of the batches arriving on the input source
 	// (the zero schema for table functions invoked without a table).
 	InSchema row.Schema
 }
@@ -53,14 +31,24 @@ type UDFContext struct {
 // partition (the paper's "parallel table UDF"); otherwise the input is
 // gathered and the function runs once at the head node (used for steps
 // that need a global view, such as assigning consecutive recode IDs).
+//
+// The contract is batches in, batches out, in the engine's one physical
+// form. Fn pulls its input from in: a batch is valid until the next
+// NextCol and may carry a selection vector, and the engine closes in after
+// Fn returns. Fn emits output batches of the declared output schema; each
+// one is checked against it once, by vector type. A batch passed to emit
+// is lent, not given: emit blocks until the consumer is done with it (its
+// next pull, or Close), and once emit returns the batch belongs to the UDF
+// again, which may refill it. Downstream operators may narrow a lent
+// batch's selection vector, so reset a batch before refilling it.
 type TableUDF struct {
 	Name         string
 	PerPartition bool
 	// OutSchema derives the output schema from the input schema and the
 	// literal arguments. Called at plan time.
 	OutSchema func(in row.Schema, args []row.Value) (row.Schema, error)
-	// Fn consumes the input iterator and emits output rows.
-	Fn func(ctx *UDFContext, in Iterator, args []row.Value, emit func(row.Row) error) error
+	// Fn consumes the input batches and emits output batches.
+	Fn func(ctx *UDFContext, in ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error
 }
 
 // ScalarUDF is a scalar user-defined function usable in any expression.

@@ -131,9 +131,11 @@ func statsSchema() row.Schema {
 //	SELECT * FROM TABLE(stream_send(T, 'coord-addr', 'job', 'command', k))
 //
 // each SQL worker registers with the coordinator, waits for its matched ML
-// workers, and streams its local partition to them round-robin. The UDF
-// emits one summary row per worker.
+// workers, and streams its local partition to them round-robin, staging
+// wire blocks straight from the input batches' vectors. The UDF emits one
+// summary row per worker.
 func RegisterSenderUDF(e *sqlengine.Engine, cfg SenderConfig) error {
+	outTypes := row.SchemaTypes(statsSchema())
 	return e.Registry().RegisterTable(&sqlengine.TableUDF{
 		Name:         "stream_send",
 		PerPartition: true,
@@ -146,7 +148,7 @@ func RegisterSenderUDF(e *sqlengine.Engine, cfg SenderConfig) error {
 			}
 			return statsSchema(), nil
 		},
-		Fn: func(ctx *sqlengine.UDFContext, in sqlengine.Iterator, args []row.Value, emit func(row.Row) error) error {
+		Fn: func(ctx *sqlengine.UDFContext, in sqlengine.ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
 			coordAddr := args[0].AsString()
 			job := args[1].AsString()
 			command := args[2].AsString()
@@ -154,10 +156,10 @@ func RegisterSenderUDF(e *sqlengine.Engine, cfg SenderConfig) error {
 			if len(args) == 4 {
 				k = int(args[3].AsInt())
 			}
-			// The input iterator is handed straight to the sender: rows go
-			// onto the wire as the upstream pipeline produces them, so the
-			// query, transformation, and transfer overlap (the paper's
-			// Figure 2 insql+stream path).
+			// The input is handed straight to the sender: batches go onto
+			// the wire as the upstream pipeline produces them, so the query,
+			// transformation, and transfer overlap (the paper's Figure 2
+			// insql+stream path).
 			stats, err := Send(SendRequest{
 				CoordAddr:  coordAddr,
 				Job:        job,
@@ -175,7 +177,8 @@ func RegisterSenderUDF(e *sqlengine.Engine, cfg SenderConfig) error {
 			if err != nil {
 				return err
 			}
-			return emit(row.Row{
+			out := row.NewColBatchCap(outTypes, 1, nil)
+			out.AppendRow(row.Row{
 				row.Int(int64(stats.Worker)),
 				row.Int(stats.RowsSent),
 				row.Int(stats.BytesSent),
@@ -186,14 +189,17 @@ func RegisterSenderUDF(e *sqlengine.Engine, cfg SenderConfig) error {
 				row.Int(stats.RawBytes),
 				row.Int(stats.WireBytes),
 			})
+			return emit(out)
 		},
 	})
 }
 
 // SendRequest carries everything one SQL worker needs to stream its
-// partition. The partition arrives either as a streaming Input iterator
-// (rows hit the wire as they are produced) or as pre-materialized Rows;
-// Input wins when both are set.
+// partition. The partition arrives either as a streaming Input of column
+// batches (they hit the wire as they are produced) or as pre-materialized
+// Rows, which Send transposes into batches of DefaultBatchSize rows; Input
+// wins when both are set. The sender reads Input to its end but does not
+// close it: that stays with whoever opened it.
 type SendRequest struct {
 	CoordAddr  string
 	Job        string
@@ -206,7 +212,7 @@ type SendRequest struct {
 	Topo       *cluster.Topology
 	Cost       *cluster.CostModel
 	Schema     row.Schema
-	Input      sqlengine.Iterator
+	Input      sqlengine.ColBatchSource
 	Rows       []row.Row
 	Config     SenderConfig
 }
@@ -227,8 +233,8 @@ type spooledBlock struct {
 // enqueue per block, not per row. The input is consumed exactly once even
 // when targets fail mid-stream.
 type sendSource struct {
-	input sqlengine.Iterator // nil once consumed
-	spool [][]spooledBlock   // [slot][block]; nil until k is known
+	input sqlengine.ColBatchSource // nil once consumed
+	spool [][]spooledBlock         // [slot][block]; nil until k is known
 }
 
 // fatalError marks a failure no restart can recover from: the streaming
@@ -272,7 +278,9 @@ func Send(req SendRequest) (*SenderStats, error) {
 	}
 	src := &sendSource{input: req.Input}
 	if src.input == nil {
-		src.input = &sqlengine.SliceIterator{Rows: req.Rows}
+		rows := sqlengine.NewRowSource(req.Rows, row.SchemaTypes(req.Schema))
+		defer rows.Close()
+		src.input = rows
 	}
 	stats := &SenderStats{Worker: req.Worker}
 	completed := make(map[int]bool)
@@ -599,17 +607,16 @@ func getTarget(coordAddr string, timeout time.Duration, job string, split int) (
 // consumeInput drains the streaming input exactly once, packing each
 // slot's rows into block frames built on pooled buffers, spooling each
 // finished block and fanning it out to the live channels (chans is nil
-// when a dial failure means this attempt only spools). A slot's block
-// flushes on the row/byte budget and at end of stream, so channel
-// operations, spool entries, and wire writes are O(blocks), not O(rows).
-// The input is consumed afterwards.
+// when a dial failure means this attempt only spools). Rows are assigned
+// round-robin (row i → slot i mod k) straight off the batches' vectors. A
+// slot's block flushes on the row/byte budget, checked after every row,
+// and at end of stream, so channel operations, spool entries, and wire
+// writes are O(blocks), not O(rows). The input is consumed afterwards.
 func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfig, types []row.Type) error {
 	in := s.input
 	s.input = nil
 	// Every slot's encoder stages column-major and Finish emits a columnar
-	// frame with per-column encodings, regardless of whether the rows arrive
-	// through a batch cursor or a row iterator — a UDF pipe upstream must
-	// not cost the wire its compression. The flush budget is counted in
+	// frame with per-column encodings. The flush budget is counted in
 	// row-encoded bytes (RawBytes), so it does not move with how well a
 	// block happens to compress.
 	encoders := make([]row.BlockEncoder, k)
@@ -638,52 +645,23 @@ func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfi
 			tc.abort()
 		}
 	}
-	flushIfFull := func(j int) {
-		if enc := &encoders[j]; enc.Rows() >= cfg.BlockRows || enc.RawBytes() >= row.BlockTargetBytes {
-			flush(j)
-		}
-	}
 	i := 0
-	if cb, ok := sqlengine.AsColBatchSource(in); ok {
-		// Columnar fast path: the input is a thin cursor over the engine's
-		// columnar pipeline, so stage frames straight from the batch's
-		// vectors — same round-robin slot assignment, same flush budget, and
-		// AppendBatchRow is value-identical to Append, so the decoded stream
-		// cannot differ from the row path. With one target the whole batch
-		// appends vector-at-a-time: no per-row step at all.
-		for {
-			b, ok, err := cb.NextColBatch()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if k == 1 {
-				encoders[0].AppendBatch(b)
-				flushIfFull(0)
-				continue
-			}
-			for si, n := 0, b.Len(); si < n; si++ {
-				j := i % k
-				i++
-				encoders[j].AppendBatchRow(b, b.SelPos(si))
-				flushIfFull(j)
-			}
+	for {
+		b, ok, err := in.NextCol()
+		if err != nil {
+			return err
 		}
-	} else {
-		for {
-			r, ok, err := in.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
+		if !ok {
+			break
+		}
+		for si, n := 0, b.Len(); si < n; si++ {
 			j := i % k
 			i++
-			encoders[j].Append(r)
-			flushIfFull(j)
+			enc := &encoders[j]
+			enc.AppendBatchRow(b, b.SelPos(si))
+			if enc.Rows() >= cfg.BlockRows || enc.RawBytes() >= row.BlockTargetBytes {
+				flush(j)
+			}
 		}
 	}
 	// End of stream: flush every slot's partial block.

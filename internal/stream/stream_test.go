@@ -457,6 +457,67 @@ func TestEngineUDFStreamsQueryResult(t *testing.T) {
 	}
 }
 
+// TestEngineUDFBlockRowsAtOneTarget: with one target per worker (k = 1) the
+// engine's stream_send still flushes a block every BlockRows rows, at
+// exactly the row where the budget is reached, instead of staging whole
+// input batches into one block.
+func TestEngineUDFBlockRowsAtOneTarget(t *testing.T) {
+	topo := cluster.NewTopology(5)
+	eng, err := sqlengine.New(topo, nil, sqlengine.Config{HeadNodeID: 0, WorkerNodeIDs: []int{1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultSenderConfig()
+	cfg.BlockRows = 8
+	if err := RegisterSenderUDF(eng, cfg); err != nil {
+		t.Fatal(err)
+	}
+	schema := row.MustSchema(
+		row.Column{Name: "x", Type: row.TypeFloat},
+		row.Column{Name: "label", Type: row.TypeInt},
+	)
+	const n = 4000
+	rows := make([]row.Row, n)
+	for i := range rows {
+		rows[i] = row.Row{row.Float(float64(i)), row.Int(int64(i % 2))}
+	}
+	if err := eng.LoadTable("prepared", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(nil)
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Stop()
+	ingested := make(chan error, 1)
+	coord.launcher = func(spec JobSpec) {
+		_, err := ml.Ingest(&InputFormat{CoordAddr: addr, Job: spec.Job}, ml.IngestOptions{LabelCol: "label", Nodes: topo.Nodes()})
+		ingested <- err
+	}
+	res, err := eng.Query(fmt.Sprintf(
+		"SELECT rows_sent, frames_sent FROM TABLE(stream_send(prepared, '%s', 'k1job', 'svm', 1))", addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	var sent, frames int64
+	for _, r := range res.Rows() {
+		rs, fs := r[0].AsInt(), r[1].AsInt()
+		if want := (rs + int64(cfg.BlockRows) - 1) / int64(cfg.BlockRows); fs != want {
+			t.Errorf("worker sent %d rows in %d frames, want %d frames of <= %d rows", rs, fs, want, cfg.BlockRows)
+		}
+		sent += rs
+		frames += fs
+	}
+	if sent != n {
+		t.Errorf("rows sent = %d, want %d", sent, n)
+	}
+	t.Logf("%d rows in %d frames", sent, frames)
+}
+
 func TestCoordinatorRejectsUnknownMessage(t *testing.T) {
 	env := newTransferEnv(t)
 	reply, err := controlExchange(t, env.coordAddr, []byte(`{"type":"bogus"}`+"\n"))

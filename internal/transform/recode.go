@@ -203,7 +203,7 @@ func distinctValuesUDF() *sqlengine.TableUDF {
 				row.Column{Name: "colval", Type: row.TypeString},
 			)
 		},
-		Fn: func(ctx *sqlengine.UDFContext, in sqlengine.Iterator, args []row.Value, emit func(row.Row) error) error {
+		Fn: func(ctx *sqlengine.UDFContext, in sqlengine.ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
 			cols, err := splitCols(args[0])
 			if err != nil {
 				return err
@@ -215,68 +215,58 @@ func distinctValuesUDF() *sqlengine.TableUDF {
 				names[i] = strings.ToLower(c)
 			}
 			// The engine's arena hash table de-duplicates (column, value)
-			// pairs: the key is the column's ordinal plus the value,
-			// encoded into one reused scratch buffer — the same
-			// allocation-free key path the engine's own DISTINCT uses.
+			// pairs: the key is the column's ordinal plus the value, packed
+			// straight from the vector into one reused scratch buffer — the
+			// same allocation-free key path the engine's own DISTINCT uses.
 			seen := sqlengine.NewHashTable(0)
 			var keyBuf []byte
-			if cb, ok := sqlengine.AsColBatchSource(in); ok {
-				// Columnar fast path: the input is a cursor over the
-				// engine's columnar pipeline (a managed table's chunks, a
-				// filter over them), so keys encode straight from the
-				// vectors — AppendVectorKey is byte-identical to
-				// AppendKeyValue over the row's value — and pairs are
-				// emitted in the row path's order.
-				for {
-					b, ok, err := cb.NextColBatch()
-					if err != nil || !ok {
-						return err
-					}
-					for si, n := 0, b.Len(); si < n; si++ {
-						p := b.SelPos(si)
-						for i, ci := range idx {
-							col := b.Col(ci)
-							if col.Null(p) {
-								continue
-							}
-							keyBuf = row.AppendKeyValue(keyBuf[:0], row.Int(int64(i)))
-							keyBuf = row.AppendVectorKey(keyBuf, col, p)
-							if _, added := seen.Insert(keyBuf); !added {
-								continue
-							}
-							if err := emit(row.Row{row.String_(names[i]), col.ValueAt(p)}); err != nil {
+			out := row.NewColBatch(pairTypes)
+			flush := func() error {
+				if out.FullLen() == 0 {
+					return nil
+				}
+				err := emit(out)
+				out.Reset(pairTypes)
+				return err
+			}
+			for {
+				b, ok, err := in.NextCol()
+				if err != nil {
+					return err
+				}
+				if !ok {
+					return flush()
+				}
+				for si, n := 0, b.Len(); si < n; si++ {
+					p := b.SelPos(si)
+					for i, ci := range idx {
+						col := b.Col(ci)
+						if col.Null(p) {
+							continue
+						}
+						keyBuf = row.AppendKeyValue(keyBuf[:0], row.Int(int64(i)))
+						keyBuf = row.AppendVectorKey(keyBuf, col, p)
+						if _, added := seen.Insert(keyBuf); !added {
+							continue
+						}
+						out.Col(0).AppendString(names[i])
+						out.Col(1).AppendFrom(col, p)
+						out.SetFullLen(out.FullLen() + 1)
+						if out.FullLen() == sqlengine.DefaultBatchSize {
+							if err := flush(); err != nil {
 								return err
 							}
 						}
 					}
 				}
 			}
-			for {
-				r, ok, err := in.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				for i, ci := range idx {
-					v := r[ci]
-					if v.Null {
-						continue
-					}
-					keyBuf = row.AppendKeyValue(keyBuf[:0], row.Int(int64(i)))
-					keyBuf = row.AppendKeyValue(keyBuf, v)
-					if _, added := seen.Insert(keyBuf); !added {
-						continue
-					}
-					if err := emit(row.Row{row.String_(names[i]), v}); err != nil {
-						return err
-					}
-				}
-			}
 		},
 	}
 }
+
+// pairTypes are the column types of distinct_values' (colname, colval)
+// output.
+var pairTypes = []row.Type{row.TypeString, row.TypeString}
 
 // assignRecodeIDsUDF is the global step of phase 1: it receives the
 // globally-distinct (colname, colval) pairs and emits the recode-map rows
@@ -291,29 +281,31 @@ func assignRecodeIDsUDF() *sqlengine.TableUDF {
 			}
 			return MapSchema(), nil
 		},
-		Fn: func(ctx *sqlengine.UDFContext, in sqlengine.Iterator, args []row.Value, emit func(row.Row) error) error {
+		Fn: func(ctx *sqlengine.UDFContext, in sqlengine.ColBatchSource, args []row.Value, emit func(*row.ColBatch) error) error {
 			byCol := make(map[string][]string)
 			for {
-				r, ok, err := in.Next()
+				b, ok, err := in.NextCol()
 				if err != nil {
 					return err
 				}
 				if !ok {
 					break
 				}
-				col := strings.ToLower(r[0].AsString())
-				byCol[col] = append(byCol[col], r[1].AsString())
+				for si, n := 0, b.Len(); si < n; si++ {
+					p := b.SelPos(si)
+					col := strings.ToLower(b.Col(0).StringAt(p))
+					byCol[col] = append(byCol[col], b.Col(1).StringAt(p))
+				}
 			}
 			m := NewRecodeMap()
 			for col, vals := range byCol {
 				m.AddColumn(col, vals)
 			}
+			out := row.NewColBatch(row.SchemaTypes(MapSchema()))
 			for _, r := range m.Rows() {
-				if err := emit(r); err != nil {
-					return err
-				}
+				out.AppendRow(r)
 			}
-			return nil
+			return emit(out)
 		},
 	}
 }

@@ -21,18 +21,50 @@ func distinctPairs(t *testing.T, e *sqlengine.Engine, table string) []string {
 	return pairSet(res.Rows())
 }
 
-// rowPathPairs runs distinct_values' function over a plain row iterator,
-// which has no columnar core, so it takes the row path.
-func rowPathPairs(t *testing.T, schema row.Schema, rows []row.Row) []string {
+// batchPairs runs distinct_values' function over hand-built batches of
+// rows. Every batch puts a decoy row ahead of each real one and selects
+// only the real ones, so a function that ignores the selection vector
+// emits the decoy's pairs.
+func batchPairs(t *testing.T, schema row.Schema, rows []row.Row) []string {
 	t.Helper()
+	types := row.SchemaTypes(schema)
+	decoy := row.Row{row.Int(-1), row.String_("decoy"), row.String_("decoy")}
+	var in batchList
+	for len(rows) > 0 {
+		n := min(len(rows), sqlengine.DefaultBatchSize/2)
+		b := row.NewColBatch(types)
+		sel := make([]int32, 0, n)
+		for _, r := range rows[:n] {
+			b.AppendRow(decoy)
+			sel = append(sel, int32(b.FullLen()))
+			b.AppendRow(r)
+		}
+		b.SetSel(sel)
+		in = append(in, b)
+		rows = rows[n:]
+	}
 	var out []row.Row
 	ctx := &sqlengine.UDFContext{InSchema: schema}
-	emit := func(r row.Row) error { out = append(out, r); return nil }
-	if err := distinctValuesUDF().Fn(ctx, &sqlengine.SliceIterator{Rows: rows}, []row.Value{row.String_("a,b")}, emit); err != nil {
+	emit := func(b *row.ColBatch) error { out = b.Rows(out); return nil }
+	if err := distinctValuesUDF().Fn(ctx, &in, []row.Value{row.String_("a,b")}, emit); err != nil {
 		t.Fatal(err)
 	}
 	return pairSet(out)
 }
+
+// batchList is a ColBatchSource over batches in hand.
+type batchList []*row.ColBatch
+
+func (l *batchList) NextCol() (*row.ColBatch, bool, error) {
+	if len(*l) == 0 {
+		return nil, false, nil
+	}
+	b := (*l)[0]
+	*l = (*l)[1:]
+	return b, true, nil
+}
+
+func (l *batchList) Close() { *l = nil }
 
 func pairSet(rows []row.Row) []string {
 	seen := make(map[string]bool)
@@ -47,12 +79,12 @@ func pairSet(rows []row.Row) []string {
 	return out
 }
 
-// TestDistinctValuesVectorPathMatchesRowPath: distinct_values emits the
-// same (colname, colval) pairs whether it reads vectors — a managed
-// table's chunks, or a streaming filter over them whose batches carry a
-// live selection vector — or rows, and both equal the pairs computed
-// directly. NULLs are not levels; the empty string is one.
-func TestDistinctValuesVectorPathMatchesRowPath(t *testing.T) {
+// TestDistinctValuesMatchesDirectPairs: distinct_values emits exactly the
+// (colname, colval) pairs computed directly from the rows, whether it reads
+// a managed table's chunks, a streaming filter over them, or hand-built
+// batches — the last two carry a live selection vector. NULLs are not
+// levels; the empty string is one.
+func TestDistinctValuesMatchesDirectPairs(t *testing.T) {
 	e := newEngine(t)
 	schema := row.MustSchema(
 		row.Column{Name: "n", Type: row.TypeInt},
@@ -104,10 +136,10 @@ func TestDistinctValuesVectorPathMatchesRowPath(t *testing.T) {
 		what      string
 		got, want []string
 	}{
-		{"vector path over p", distinctPairs(t, e, "p"), all},
-		{"row path over p", rowPathPairs(t, schema, rows), all},
-		{"vector path over a filter of p", distinctPairs(t, e, "p_filtered"), filtered},
-		{"row path over the filtered rows", rowPathPairs(t, schema, kept), filtered},
+		{"engine over p", distinctPairs(t, e, "p"), all},
+		{"hand-built batches of p", batchPairs(t, schema, rows), all},
+		{"engine over a filter of p", distinctPairs(t, e, "p_filtered"), filtered},
+		{"hand-built batches of the filtered rows", batchPairs(t, schema, kept), filtered},
 	} {
 		if strings.Join(c.got, ";") != strings.Join(c.want, ";") {
 			t.Errorf("%s:\n got  %v\n want %v", c.what, c.got, c.want)
