@@ -95,6 +95,10 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
 }
 
+// simMsMeaning is the Figure 3 and 4 subtitle's statement of what a
+// sim-ms total adds up.
+const simMsMeaning = "sim-ms: simulated device time summed over every node — total work, not elapsed makespan"
+
 func runFigure3(scale experiments.Scale, out io.Writer) error {
 	env, err := experiments.Setup(scale, stream.DefaultSenderConfig())
 	if err != nil {
@@ -106,7 +110,7 @@ func runFigure3(scale experiments.Scale, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out, "Figure 3 — comparison of three approaches of connecting big SQL and big ML")
-	fmt.Fprintf(out, "(simulated cluster milliseconds; %d users x %d carts each)\n", scale.Users, scale.CartsPerUser)
+	fmt.Fprintf(out, "(%s; %d users x %d carts each)\n", simMsMeaning, scale.Users, scale.CartsPerUser)
 	w := newTab(out)
 	fmt.Fprintln(w, "approach\tstage breakdown (sim-ms)\ttotal sim-ms")
 	for _, r := range rows {
@@ -146,6 +150,7 @@ func runFigure4(scale experiments.Scale, out io.Writer) error {
 			variant = "actual DFS table (the paper's setting)"
 		}
 		fmt.Fprintf(out, "Figure 4 — effect of caching (insql+stream pipeline; cache as %s)\n", variant)
+		fmt.Fprintf(out, "(%s; %d users x %d carts each)\n", simMsMeaning, scale.Users, scale.CartsPerUser)
 		w := newTab(out)
 		fmt.Fprintln(w, "tier\tcache hit\ttotal sim-ms")
 		for _, r := range rows {

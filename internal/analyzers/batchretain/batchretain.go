@@ -202,9 +202,9 @@ func (c *checker) handleAssign(s *ast.AssignStmt) {
 		v, from := c.aliasOf(rhs)
 		if v == nil {
 			// append(acc, b) by reference. Operators legitimately append
-			// batch rows into a scratch slice reset every iteration (the
-			// probeIter.buf pattern); the bug is accumulating into a slice
-			// that survives the Next-calling loop.
+			// batch rows into a scratch slice reset every iteration (a row
+			// operator's reused output buffer); the bug is accumulating
+			// into a slice that survives the Next-calling loop.
 			if _, from2, byRef := c.appendsBatchByRef(rhs); byRef {
 				if c.accumulatesAcrossNext(lhs) {
 					c.reportStore(s.Pos(), lhs, nil, from2, true)

@@ -84,7 +84,7 @@ func drain(it *iter) []Row {
 }
 
 // Good: scratch output reset every iteration — lifetimes nest with the
-// operator's own Next contract (the probeIter.buf pattern).
+// operator's own Next contract (a row operator's reused output buffer).
 type filter struct{ buf RowBatch }
 
 func (f *filter) pull(it *iter) (RowBatch, bool) {

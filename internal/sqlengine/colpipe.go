@@ -23,8 +23,8 @@ type ColBatchSource interface {
 }
 
 // colScanIter transposes a row iterator's batches into a reused pooled
-// ColBatch — the row→column boundary under a columnar operator whose input
-// has no columnar core (a breaker's row partitions, the cartesian probe).
+// ColBatch — the row→column boundary under a columnar operator or drain
+// whose input has no columnar core (a breaker's row partitions).
 type colScanIter struct {
 	in    BatchIterator
 	types []row.Type
@@ -190,15 +190,16 @@ func vecExprs(exprs []Expr, sc *scope, reg *Registry) ([]vecFn, []row.Type, erro
 	return fns, types, nil
 }
 
-// colProbeIter is the keyed hash-join probe: key kernels run over the
-// whole input batch at its live positions, the per-position norm keys
-// probe the sharded build table, and the matches are gathered into one
-// pooled output batch — probe-side cells copied typed from the input
-// vectors, build-side cells appended typed from the matched build row.
-// The output owns every cell (string payloads included), so it outlives
-// the input batch. It holds at most DefaultBatchSize rows: a bucket that
-// overflows it resumes on the next NextCol, before the input is pulled
-// again.
+// colProbeIter is the hash-join probe: key kernels run over the whole
+// input batch at its live positions, the per-position norm keys probe the
+// sharded build table, and the matches are gathered into one pooled output
+// batch — probe-side cells copied typed from the input vectors, build-side
+// cells from the matched build chunk's. With no key kernels it is the
+// cartesian join: every key is empty, and so is every build key, so each
+// live row matches the one bucket that holds every build row. The output
+// owns every cell (string payloads included), so it outlives the input
+// batch. It holds at most DefaultBatchSize rows: a bucket that overflows
+// it resumes on the next NextCol, before the input is pulled again.
 type colProbeIter struct {
 	in     ColBatchSource
 	keyFns []vecFn
@@ -208,17 +209,13 @@ type colProbeIter struct {
 	cost   *cluster.CostModel
 	node   *cluster.Node
 
-	kvecs   []*row.Vector
-	keyFlat []byte
-	keyOffs []uint32
-	nullKey []bool
-
+	keys    packedKeys    // norm keys of cur's live rows
 	cur     *row.ColBatch // input batch being probed; nil once exhausted
 	si      int           // next live ordinal of cur to probe
-	rest    []row.Row     // matches of physical row restPos not yet emitted
+	rest    []buildRef    // matches of physical row restPos not yet emitted
 	restPos int32
-	mPos    []int32   // per gathered match: physical probe row
-	mRows   []row.Row // per gathered match: build row
+	mPos    []int32    // per gathered match: physical probe row
+	mRefs   []buildRef // per gathered match: build row
 	out     *row.ColBatch
 	done    bool
 }
@@ -244,13 +241,14 @@ func (p *colProbeIter) NextCol() (*row.ColBatch, bool, error) {
 			}
 		}
 		b := p.cur
-		p.mPos, p.mRows = p.mPos[:0], p.mRows[:0]
+		p.mPos, p.mRefs = p.mPos[:0], p.mRefs[:0]
 		p.take(p.restPos, p.rest)
 		for k := b.Len(); len(p.rest) == 0 && p.si < k; p.si++ {
-			if p.nullKey[p.si] {
+			h := p.keys.hashes[p.si]
+			if h == 0 {
 				continue
 			}
-			if bucket := p.build.bucket(p.keyFlat[p.keyOffs[p.si]:p.keyOffs[p.si+1]]); len(bucket) > 0 {
+			if bucket := p.build.bucket(p.keys.key(p.si), h); len(bucket) > 0 {
 				p.take(int32(b.SelPos(p.si)), bucket)
 			}
 		}
@@ -265,54 +263,22 @@ func (p *colProbeIter) NextCol() (*row.ColBatch, bool, error) {
 	}
 }
 
-// load makes b the batch being probed: it evaluates the key kernels over b
-// and packs each live row's norm key back to back (a NULL component never
-// matches, so such a row packs an empty key and is flagged in nullKey).
+// load makes b the batch being probed and packs its live rows' norm keys.
 // The probe holds b only until every live row is probed, and pulls no
 // input meanwhile, so b stays inside its validity window.
 func (p *colProbeIter) load(b *row.ColBatch) error {
 	p.cur, p.si = b, 0
-	p.ctx.reclaim()
-	p.kvecs = p.kvecs[:0]
-	for _, fn := range p.keyFns {
-		v, err := fn(&p.ctx, b, b.Sel())
-		if err != nil {
-			return err
-		}
-		p.kvecs = append(p.kvecs, v)
-	}
-	k := b.Len()
-	p.keyFlat = p.keyFlat[:0]
-	p.keyOffs = append(p.keyOffs[:0], 0)
-	p.nullKey = p.nullKey[:0]
-	for si := 0; si < k; si++ {
-		pp := b.SelPos(si)
-		null := false
-		for _, kv := range p.kvecs {
-			if kv.Null(pp) {
-				null = true
-				break
-			}
-		}
-		p.nullKey = append(p.nullKey, null)
-		if !null {
-			for _, kv := range p.kvecs {
-				p.keyFlat = row.AppendNormVectorKey(p.keyFlat, kv, pp)
-			}
-		}
-		p.keyOffs = append(p.keyOffs, uint32(len(p.keyFlat)))
-	}
-	return nil
+	return packKeys(&p.ctx, p.keyFns, b, &p.keys)
 }
 
 // take queues the matches of physical probe row pos, as many as the output
 // batch has room for, and keeps the rest for the next NextCol.
-func (p *colProbeIter) take(pos int32, bucket []row.Row) {
+func (p *colProbeIter) take(pos int32, bucket []buildRef) {
 	n := min(len(bucket), row.DefaultBatchSize-len(p.mPos))
-	for _, br := range bucket[:n] {
+	for range n {
 		p.mPos = append(p.mPos, pos)
-		p.mRows = append(p.mRows, br)
 	}
+	p.mRefs = append(p.mRefs, bucket[:n]...)
 	p.rest, p.restPos = bucket[n:], pos
 }
 
@@ -330,10 +296,11 @@ func (p *colProbeIter) gather(b *row.ColBatch) {
 			dst.AppendFrom(src, int(pos))
 		}
 	}
+	chunks := p.build.chunks
 	for c := nProbe; c < len(p.types); c++ {
-		dst := p.out.Col(c)
-		for _, br := range p.mRows {
-			dst.AppendValue(br[c-nProbe])
+		dst, bc := p.out.Col(c), c-nProbe
+		for _, ref := range p.mRefs {
+			dst.AppendFrom(chunks[ref.chunk].Col(bc), int(ref.pos))
 		}
 	}
 	p.out.SetFullLen(len(p.mPos))
@@ -386,9 +353,9 @@ func (a *colToRows) Close() {
 
 // asColIterator lifts a row iterator into the columnar world: a chain with
 // a columnar core — a managed or external table's scan, and every
-// columnar operator over one, a table UDF's pipe — unwraps to it (no
-// materialize→re-transpose bounce); anything else — a breaker's row
-// partitions, the cartesian probe — gets a transposing scan.
+// columnar operator over one, a join probe, a table UDF's pipe — unwraps
+// to it (no materialize→re-transpose bounce); anything else — a breaker's
+// row partitions — gets a transposing scan.
 func asColIterator(it BatchIterator, types []row.Type) ColBatchSource {
 	if c, ok := unwrapColCore(it); ok {
 		return c

@@ -173,37 +173,19 @@ func TestColFilterProjectUnderVectorRecycling(t *testing.T) {
 // the probe-side cells into its own output batch before pulling the next
 // input batch.
 func TestColProbeIterUnderVectorRecycling(t *testing.T) {
-	table := NewHashTable(0)
-	var buckets [][]row.Row
-	var keyBuf []byte
-	keyFn := func(r row.Row) (row.Value, error) { return r[0], nil }
+	var build []row.Row
 	for k := int64(1); k <= 3; k++ {
-		br := row.Row{row.Int(k), row.Int(k * 10)}
-		key, nullKey, err := appendEvalKey(keyBuf[:0], []evalFn{keyFn}, br)
-		keyBuf = key
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nullKey {
-			t.Fatal("unexpected null key")
-		}
-		idx, added := table.Insert(key)
-		if added {
-			buckets = append(buckets, nil)
-		}
-		buckets[idx] = append(buckets[idx], br)
+		build = append(build, row.Row{row.Int(k), row.Int(k * 10)})
 	}
+	bt := buildRows(t, []row.Type{row.TypeInt, row.TypeInt}, build, firstColKey)
 
-	colKey := func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
-		return b.Col(0), nil
-	}
 	for _, junk := range []bool{false, true} {
 		probe := newRecyclingColBatches(
 			[]row.Type{row.TypeInt}, intColRows(2, 5, 1, 3, 2), 2, junk)
 		p := &colProbeIter{
 			in:     probe,
-			keyFns: []vecFn{colKey},
-			build:  &buildTable{shards: []*HashTable{table}, buckets: [][][]row.Row{buckets}},
+			keyFns: []vecFn{firstColKey},
+			build:  bt,
 			types:  []row.Type{row.TypeInt, row.TypeInt, row.TypeInt},
 		}
 		got, err := drainBatches(rowsIter(p))
@@ -217,6 +199,35 @@ func TestColProbeIterUnderVectorRecycling(t *testing.T) {
 		for i, w := range want {
 			if got[i][0].AsInt() != w[0] || got[i][2].AsInt() != w[1] {
 				t.Errorf("junk=%v: row %d = %v, want (%d, _, %d)", junk, i, got[i], w[0], w[1])
+			}
+		}
+	}
+}
+
+// TestKeylessProbeUnderBatchRecycling drives the cartesian join — the
+// probe with no key kernels over a key-less build — with the poisoning
+// producer, the way hashJoin wires it, and checks the exact join output:
+// every probe row pairs with both build rows, in build order.
+func TestKeylessProbeUnderBatchRecycling(t *testing.T) {
+	// Probe side: 2, 5, 1 in batches of 2; build side: two rows.
+	bt := buildRows(t, []row.Type{row.TypeInt}, intRows(10, 20))
+	for _, junk := range []bool{false, true} {
+		p := &colProbeIter{
+			in:    newRecyclingColBatches([]row.Type{row.TypeInt}, intColRows(2, 5, 1), 2, junk),
+			build: bt,
+			types: []row.Type{row.TypeInt, row.TypeInt},
+		}
+		got, err := drainBatches(rowsIter(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := [][2]int64{{2, 10}, {2, 20}, {5, 10}, {5, 20}, {1, 10}, {1, 20}}
+		if len(got) != len(want) {
+			t.Fatalf("junk=%v: join produced %d rows, want %d: %v", junk, len(got), len(want), got)
+		}
+		for i, w := range want {
+			if len(got[i]) != 2 || got[i][0].AsInt() != w[0] || got[i][1].AsInt() != w[1] {
+				t.Errorf("junk=%v: row %d = %v, want (%d, %d)", junk, i, got[i], w[0], w[1])
 			}
 		}
 	}

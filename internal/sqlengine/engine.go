@@ -391,22 +391,3 @@ func hashKey(scratch []byte, r row.Row) ([]byte, uint64) {
 	scratch = row.AppendKey(scratch[:0], r)
 	return scratch, row.Hash64(scratch)
 }
-
-// appendEvalKey evaluates the key expressions over r and appends their
-// canonical encoding to dst (numerics normalized so BIGINT 2 joins DOUBLE
-// 2.0). nullKey reports a NULL component, which never matches. The caller
-// owns dst and reuses it row after row — this replaces evalKey's per-row
-// values slice + string conversion.
-func appendEvalKey(dst []byte, fns []evalFn, r row.Row) (key []byte, nullKey bool, err error) {
-	for _, fn := range fns {
-		v, err := fn(r)
-		if err != nil {
-			return dst, false, err
-		}
-		if v.Null {
-			return dst, true, nil
-		}
-		dst = row.AppendNormKeyValue(dst, v)
-	}
-	return dst, false, nil
-}

@@ -723,13 +723,15 @@ func (e *Engine) execTableFunc(qp *queryPool, call *TableFuncCall) (row.Schema, 
 	return outSchema, partIters(outParts), nil
 }
 
-// hashJoin joins two datasets. The right (newly joined) side is drained and
-// built into a hash table that is broadcast to every probe worker; the left
-// side streams through probe operators — a pipelined broadcast hash join.
-// With no keys it degrades to a broadcast nested-loop (cartesian) join.
-// Output binding order is always left-then-right, matching FROM order.
-// Drain and build both run on the query pool: the drain partition-wise,
-// the build as morsel key scans plus hash-sharded inserts (joinbuild.go).
+// hashJoin joins two datasets. The right (newly joined) side is drained
+// into sealed chunks and built into a hash table that is broadcast to
+// every probe worker; the left side streams through probe operators — a
+// pipelined broadcast hash join. With no keys it is a broadcast
+// nested-loop (cartesian) join: the same probe with one bucket holding
+// every build row. Output binding order is always left-then-right,
+// matching FROM order. Drain and build both run on the query pool: the
+// drain partition-wise, the build as per-chunk key scans plus
+// hash-sharded inserts (joinbuild.go).
 func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKeys []Expr) (*dataset, error) {
 	outScope := newScope()
 	for _, b := range left.sc.bindings {
@@ -743,7 +745,7 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 		}
 	}
 
-	buildKeyFns, err := compileKeys(rightKeys, right.sc, e.registry)
+	buildKeyFns, _, err := vecExprs(rightKeys, right.sc, e.registry)
 	if err != nil {
 		return nil, err
 	}
@@ -753,7 +755,7 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 	}
 
 	// Drain the build side (pipeline breaker).
-	buildParts, err := qp.drainAll(right.iters)
+	buildParts, err := qp.drainChunks(right.iters, row.SchemaTypes(right.sc.combined()))
 	if err != nil {
 		return nil, err
 	}
@@ -761,7 +763,7 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 	// Broadcast: every probe worker receives the full build side. Charge
 	// the network once per (build partition, remote probe worker) pair.
 	for bi, bp := range buildParts {
-		bytes := partBytes(bp)
+		bytes := chunkBytes(bp)
 		for pi := range left.iters {
 			if bi < len(e.workers) && pi < len(e.workers) && e.workers[bi] != e.workers[pi] {
 				e.cost.ChargeNet(e.workers[bi], e.workers[pi], bytes)
@@ -770,26 +772,17 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 	}
 
 	// Build the sharded hash table (shared read-only across probe workers)
-	// on the pool; a key-less (cartesian) join just concatenates the build
-	// rows instead.
-	var build *buildTable
-	var buildAll []row.Row
-	if len(buildKeyFns) == 0 {
-		for _, bp := range buildParts {
-			buildAll = append(buildAll, bp...)
-		}
-	} else {
-		build, err = buildHashTable(qp, buildParts, buildKeyFns)
-		if err != nil {
-			return nil, err
-		}
+	// on the pool.
+	build, err := buildHashTable(qp, buildParts, buildKeyFns)
+	if err != nil {
+		return nil, err
 	}
 
-	// A keyed probe runs column-wise whatever its input: key kernels over
-	// whole batches, one hashed lookup per packed key, matches gathered into
+	// The probe runs column-wise whatever its input: key kernels over whole
+	// batches, one hashed lookup per packed key, matches gathered into
 	// column batches. An input with a columnar core (a scan, filter, an
 	// earlier probe or a table UDF) is peeled to it; row-only input (a
-	// breaker's partitions) is transposed first. Only the cartesian join keeps the row probe.
+	// breaker's partitions) is transposed first.
 	probeTypes := row.SchemaTypes(left.sc.combined())
 	outTypes := row.SchemaTypes(outScope.combined())
 	outIters := make([]BatchIterator, len(left.iters))
@@ -797,10 +790,6 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 		var node *cluster.Node
 		if i < len(e.workers) {
 			node = e.workers[i]
-		}
-		if build == nil {
-			outIters[i] = &probeIter{in: left.iters[i], buildAll: buildAll, cost: e.cost, node: node}
-			continue
 		}
 		outIters[i] = rowsIter(&colProbeIter{
 			in:     asColIterator(left.iters[i], probeTypes),
@@ -812,18 +801,6 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 		})
 	}
 	return &dataset{sc: outScope, iters: outIters}, nil
-}
-
-func compileKeys(keys []Expr, sc *scope, reg *Registry) ([]evalFn, error) {
-	fns := make([]evalFn, len(keys))
-	for i, k := range keys {
-		fn, _, err := compile(k, sc, reg)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
-	}
-	return fns, nil
 }
 
 // execProject compiles the select list into streaming projection

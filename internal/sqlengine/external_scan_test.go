@@ -234,25 +234,17 @@ func TestExternalProbeRowsOwnTheirStrings(t *testing.T) {
 		t.Fatal("the external scan has no columnar core")
 	}
 
-	// Build side: k in 0..2, keyed the way the probe packs its keys.
-	table := NewHashTable(0)
-	var buckets [][]row.Row
-	keyFn := func(r row.Row) (row.Value, error) { return r[0], nil }
+	// Build side: k in 0..2.
+	var build []row.Row
 	for k := int64(0); k < 3; k++ {
-		br := row.Row{row.Int(k), row.String_(fmt.Sprint("tag", k))}
-		key, _, err := appendEvalKey(nil, []evalFn{keyFn}, br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, added := table.Insert(key); added {
-			buckets = append(buckets, []row.Row{br})
-		}
+		build = append(build, row.Row{row.Int(k), row.String_(fmt.Sprint("tag", k))})
 	}
+	bt := buildRows(t, []row.Type{row.TypeInt, row.TypeString}, build, firstColKey)
 	fschemaTypes := row.SchemaTypes(fschema)
 	probe := &colProbeIter{
 		in:     scan,
-		keyFns: []vecFn{func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) { return b.Col(0), nil }},
-		build:  &buildTable{shards: []*HashTable{table}, buckets: [][][]row.Row{buckets}},
+		keyFns: []vecFn{firstColKey},
+		build:  bt,
 		types:  append(fschemaTypes, row.TypeInt, row.TypeString),
 	}
 	defer probe.Close()

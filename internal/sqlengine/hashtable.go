@@ -91,7 +91,7 @@ func (t *HashTable) Insert(key []byte) (idx uint32, added bool) {
 
 // InsertHashed is Insert for callers that already hold key's hashNonZero
 // hash — the parallel hash-join build computes hashes once in its
-// morsel-scan phase and reuses them to route keys to shards and to insert.
+// per-chunk key scan and reuses them to route keys to shards and to insert.
 func (t *HashTable) InsertHashed(key []byte, h uint64) (idx uint32, added bool) {
 	if (t.n+1)*4 > len(t.slots)*3 {
 		t.grow()

@@ -4,27 +4,30 @@ import (
 	"sqlml/internal/row"
 )
 
-// Parallel hash-join build. The build side arrives as materialized
-// partitions; building runs in two pool passes over morsels:
+// Parallel hash-join build. The build side arrives as sealed chunks
+// (drainChunks): at most DefaultBatchSize rows each, packed full in
+// partition-major order. Building runs in two pool passes over them:
 //
-//  1. Key scan — every morsel independently evaluates the build key
-//     expressions, packing its rows' norm-key bytes back to back and
-//     hashing each key once (hash 0 marks a NULL key component, which
-//     never matches). Morsels are claimed from the pool, so one skewed
-//     build partition does not serialize the scan.
+//  1. Key scan — every chunk independently evaluates the build key
+//     kernels and packs its rows' norm keys back to back (packKeys, the
+//     routine the probe packs its keys with), hashing each key once (hash
+//     0 marks a NULL key component, which never matches). Chunks are
+//     claimed from the pool, so one skewed build partition does not
+//     serialize the scan.
 //  2. Sharded insert — the key space is split by the high hash bits into
 //     power-of-two shards, one arena HashTable per shard, and each shard
-//     is built by one pool task scanning the keyed morsels in
-//     partition-major order. Rows of one key always live in one shard, so
-//     shards need no locks, and the in-order scan keeps every bucket's
-//     rows in exactly the global row order a sequential build produces.
+//     is built by one pool task scanning the keyed chunks in order. Rows
+//     of one key always live in one shard, so shards need no locks, and
+//     the in-order scan keeps every bucket's entries in exactly the global
+//     row order a sequential build produces.
 //
-// Both pass boundaries are deterministic functions of the input (morsel
+// Both pass boundaries are deterministic functions of the input (chunk
 // grid, hash routing), never of the schedule, so the probe output is
 // byte-identical at any Parallelism — including the shard layout itself,
 // which depends only on the shard count, and the shard count only on the
 // pool size in a way the probe cannot observe (bucket contents and their
-// order are shard-independent).
+// order are shard-independent). A key-less (cartesian) build packs every
+// row's key empty, so one bucket holds every build row.
 
 // buildShards picks the shard count for a pool of the given size: the
 // smallest power of two covering the workers, capped so tiny tables do
@@ -38,18 +41,23 @@ func buildShards(workers int) (shards int, shift uint) {
 	return s, 64 - bits
 }
 
+// buildRef addresses one build row: a chunk of the build side and a
+// position in it.
+type buildRef struct{ chunk, pos int32 }
+
 // buildTable is the probe-side view of a sharded hash-join build: key
 // lookup routes by the high hash bits to one shard's arena table, whose
 // dense index addresses that shard's bucket of build rows.
 type buildTable struct {
 	shift   uint
 	shards  []*HashTable
-	buckets [][][]row.Row // per shard, per dense index: build rows
+	buckets [][][]buildRef  // per shard, per dense index: build rows
+	chunks  []*row.ColBatch // the build side, partition-major
 }
 
-// bucket returns the build rows matching key, in global build-row order.
-func (bt *buildTable) bucket(key []byte) []row.Row {
-	h := hashNonZero(key)
+// bucket returns the build rows matching key, whose hashNonZero is h, in
+// global build-row order.
+func (bt *buildTable) bucket(key []byte, h uint64) []buildRef {
 	s := 0
 	if len(bt.shards) > 1 {
 		s = int(h >> bt.shift)
@@ -61,44 +69,71 @@ func (bt *buildTable) bucket(key []byte) []row.Row {
 	return bt.buckets[s][idx]
 }
 
-// keyedMorsel is one build morsel after the key scan: the packed norm
-// keys of its rows (key i is flat[offs[i]:offs[i+1]]) and their hashes
-// (0 ⇒ NULL key, skip).
-type keyedMorsel struct {
-	rows   []row.Row
+// packedKeys holds the norm keys of one batch's live rows: key i is
+// flat[offs[i]:offs[i+1]], and hashes[i] its hashNonZero, or 0 when a
+// component is NULL (such a row never matches and packs an empty key).
+type packedKeys struct {
 	flat   []byte
 	offs   []uint32
 	hashes []uint64
+	vecs   []*row.Vector // scratch: the key kernels' results
+}
+
+func (k *packedKeys) key(i int) []byte { return k.flat[k.offs[i]:k.offs[i+1]] }
+
+// packKeys evaluates the key kernels over b's live rows and packs their
+// norm keys into k, reusing its buffers. With no kernels every key is
+// empty, which is how the cartesian join pairs every row with every row.
+func packKeys(ctx *vecCtx, fns []vecFn, b *row.ColBatch, k *packedKeys) error {
+	ctx.reclaim()
+	k.vecs = k.vecs[:0]
+	for _, fn := range fns {
+		v, err := fn(ctx, b, b.Sel())
+		if err != nil {
+			return err
+		}
+		k.vecs = append(k.vecs, v)
+	}
+	n := b.Len()
+	if cap(k.hashes) < n {
+		k.offs, k.hashes = make([]uint32, 0, n+1), make([]uint64, 0, n)
+	}
+	k.flat = k.flat[:0]
+	k.offs = append(k.offs[:0], 0)
+	k.hashes = k.hashes[:0]
+	for si := 0; si < n; si++ {
+		p := b.SelPos(si)
+		start := len(k.flat)
+		null := false
+		for _, kv := range k.vecs {
+			if null = kv.Null(p); null {
+				break
+			}
+			k.flat = row.AppendNormVectorKey(k.flat, kv, p)
+		}
+		var h uint64
+		if null {
+			k.flat = k.flat[:start]
+		} else {
+			h = hashNonZero(k.flat[start:])
+		}
+		k.offs = append(k.offs, uint32(len(k.flat)))
+		k.hashes = append(k.hashes, h)
+	}
+	return nil
 }
 
 // buildHashTable runs the two-pass parallel build over the drained build
 // partitions.
-func buildHashTable(qp *queryPool, parts [][]row.Row, keyFns []evalFn) (*buildTable, error) {
-	morsels := morselize(parts)
-	keyed := make([]keyedMorsel, len(morsels))
-	err := qp.forEach(len(morsels), func(m, _ int) error {
-		rows := morsels[m].rows
-		km := &keyedMorsel{
-			rows:   rows,
-			offs:   make([]uint32, 1, len(rows)+1),
-			hashes: make([]uint64, len(rows)),
-		}
-		for i, r := range rows {
-			start := len(km.flat)
-			flat, nullKey, err := appendEvalKey(km.flat, keyFns, r)
-			if err != nil {
-				return err
-			}
-			if nullKey {
-				km.flat = flat[:start]
-			} else {
-				km.flat = flat
-				km.hashes[i] = hashNonZero(km.flat[start:])
-			}
-			km.offs = append(km.offs, uint32(len(km.flat)))
-		}
-		keyed[m] = *km
-		return nil
+func buildHashTable(qp *queryPool, parts [][]*row.ColBatch, keyFns []vecFn) (*buildTable, error) {
+	var chunks []*row.ColBatch
+	for _, p := range parts {
+		chunks = append(chunks, p...)
+	}
+	keyed := make([]packedKeys, len(chunks))
+	ctxs := make([]vecCtx, qp.n)
+	err := qp.forEach(len(chunks), func(c, w int) error {
+		return packKeys(&ctxs[w], keyFns, chunks[c], &keyed[c])
 	})
 	if err != nil {
 		return nil, err
@@ -108,25 +143,26 @@ func buildHashTable(qp *queryPool, parts [][]row.Row, keyFns []evalFn) (*buildTa
 	bt := &buildTable{
 		shift:   shift,
 		shards:  make([]*HashTable, shards),
-		buckets: make([][][]row.Row, shards),
+		buckets: make([][][]buildRef, shards),
+		chunks:  chunks,
 	}
 	err = qp.forEach(shards, func(s, _ int) error {
 		t := NewHashTable(0)
-		var buckets [][]row.Row
-		for mi := range keyed {
-			km := &keyed[mi]
-			for i, h := range km.hashes {
+		var buckets [][]buildRef
+		for c := range keyed {
+			k := &keyed[c]
+			for i, h := range k.hashes {
 				if h == 0 {
 					continue
 				}
 				if shards > 1 && int(h>>shift) != s {
 					continue
 				}
-				idx, added := t.InsertHashed(km.flat[km.offs[i]:km.offs[i+1]], h)
+				idx, added := t.InsertHashed(k.key(i), h)
 				if added {
 					buckets = append(buckets, nil)
 				}
-				buckets[idx] = append(buckets[idx], km.rows[i])
+				buckets[idx] = append(buckets[idx], buildRef{chunk: int32(c), pos: int32(i)})
 			}
 		}
 		bt.shards[s] = t

@@ -254,27 +254,3 @@ func TestQueryPoolForEach(t *testing.T) {
 		t.Errorf("cancelled pool still ran %d tasks", touched.Load())
 	}
 }
-
-// TestMorselize pins the morsel grid: partition-major order, batch-sized
-// chunks, per-row global sequence numbers.
-func TestMorselize(t *testing.T) {
-	parts := [][]row.Row{
-		intRows(make([]int64, DefaultBatchSize+2)...),
-		nil,
-		intRows(1, 2, 3),
-	}
-	ms := morselize(parts)
-	if len(ms) != 3 {
-		t.Fatalf("%d morsels, want 3", len(ms))
-	}
-	check := func(i, part, nrows int, seq int64) {
-		m := ms[i]
-		if m.part != part || len(m.rows) != nrows || m.seq != seq || m.morselN != i {
-			t.Errorf("morsel %d = part %d/%d rows/seq %d/n %d, want part %d/%d rows/seq %d/n %d",
-				i, m.part, len(m.rows), m.seq, m.morselN, part, nrows, seq, i)
-		}
-	}
-	check(0, 0, DefaultBatchSize, 0)
-	check(1, 0, 2, int64(DefaultBatchSize))
-	check(2, 2, 3, int64(DefaultBatchSize)+2)
-}

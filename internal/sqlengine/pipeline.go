@@ -14,50 +14,6 @@ import (
 // early (e.g. LIMIT, or a first-error abort downstream).
 var errPipeClosed = errors.New("sql: pipeline closed")
 
-// probeIter is the probe side of a cartesian join (no equi-join keys): a
-// broadcast nested loop pairing every input row with every build row, one
-// pipelined pass. Each consumed input batch is charged as processing work
-// on the probe worker.
-type probeIter struct {
-	in       BatchIterator
-	buildAll []row.Row
-	cost     *cluster.CostModel
-	node     *cluster.Node
-	buf      RowBatch
-	done     bool
-}
-
-func (p *probeIter) Next() (RowBatch, bool, error) {
-	if p.done {
-		return nil, false, nil
-	}
-	for {
-		b, ok, err := p.in.Next()
-		if err != nil || !ok {
-			p.done = true
-			return nil, false, err
-		}
-		if p.node != nil {
-			p.cost.ChargeProc(p.node, partBytes(b))
-		}
-		out := p.buf[:0]
-		for _, r := range b {
-			for _, br := range p.buildAll {
-				out = append(out, append(append(make(row.Row, 0, len(r)+len(br)), r...), br...))
-			}
-		}
-		p.buf = out
-		if len(out) > 0 {
-			return out, true, nil
-		}
-	}
-}
-
-func (p *probeIter) Close() {
-	p.done = true
-	p.in.Close()
-}
-
 // udfPipe runs a push-style table UDF as a pull-style columnar operator:
 // the UDF executes in its own goroutine and hands each emitted batch to the
 // consumer, zero-copy. emit blocks until the consumer's next NextCol (or
@@ -253,13 +209,9 @@ func (s *externalScan) Close() {
 	}
 }
 
-// emptyIters returns n empty partitions.
+// emptyIters returns n empty partitions: chunk scans over no chunks.
 func emptyIters(n int) []BatchIterator {
-	iters := make([]BatchIterator, n)
-	for i := range iters {
-		iters[i] = NewSliceBatches(nil)
-	}
-	return iters
+	return chunkIters(make([][]*row.ColBatch, n))
 }
 
 // partIters wraps materialized partitions back into iterators.

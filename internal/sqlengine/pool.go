@@ -12,7 +12,7 @@ import (
 // Morsel-driven intra-query parallelism. Every query gets one queryPool —
 // a bounded set of workers sized by Config.Parallelism — and every
 // CPU-heavy per-partition pass (pipeline drains, aggregation partials,
-// hash-join build morsels, sort runs, DISTINCT passes) runs as tasks
+// hash-join build chunks, sort runs, DISTINCT passes) runs as tasks
 // claimed from it instead of spawning one goroutine per partition. The
 // pool carries the query's cancellation: the first failing task (or an
 // external Result.Close) trips the cancel channel, every other task stops
@@ -130,8 +130,8 @@ func (p *queryPool) forEach(n int, f func(task, worker int) error) error {
 }
 
 // drainAll drains every partition pipeline on the pool into row
-// partitions, for the breakers that still work on rows (the hash-join
-// build, the row ORDER BY).
+// partitions, for the one breaker that still sorts rows (the row ORDER
+// BY).
 func (p *queryPool) drainAll(iters []BatchIterator) ([][]row.Row, error) {
 	return drainEach(p, iters, p.drainBatches)
 }
@@ -178,43 +178,32 @@ func (p *queryPool) drainBatches(it BatchIterator) ([]row.Row, error) {
 	}
 }
 
-// drainChunks is drainAll for a result that is kept: every partition
-// drains into sealed chunks (chunks.go). A pipeline with a columnar core
-// is peeled to it and its batches' live rows are copied typed; a row-only
-// pipeline (the cartesian probe) is transposed once.
+// drainChunks drains every partition pipeline on the pool into sealed
+// chunks (chunks.go), for a result that is kept and for a hash-join build
+// side. Every pipeline is read through asColIterator: one with a columnar
+// core is peeled to it and its batches' live rows are copied typed; a
+// row-only one (a breaker's partitions) is transposed on the way.
 func (p *queryPool) drainChunks(iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
 	return drainEach(p, iters, func(it BatchIterator) ([]*row.ColBatch, error) {
-		return p.drainChunkPart(it, types)
+		return p.drainChunkPart(asColIterator(it, types), types)
 	})
 }
 
-func (p *queryPool) drainChunkPart(it BatchIterator, types []row.Type) ([]*row.ColBatch, error) {
-	defer it.Close()
+func (p *queryPool) drainChunkPart(c ColBatchSource, types []row.Type) ([]*row.ColBatch, error) {
+	defer c.Close()
 	w := newChunkWriter(types, -1)
-	c, columnar := unwrapColCore(it)
 	for {
 		if p.cancelled() {
 			return nil, errQueryCancelled
 		}
-		var ok bool
-		var err error
-		if columnar {
-			var b *row.ColBatch
-			if b, ok, err = c.NextCol(); ok {
-				w.appendBatch(b)
-			}
-		} else {
-			var b RowBatch
-			if b, ok, err = it.Next(); ok {
-				w.appendRows(b)
-			}
-		}
+		b, ok, err := c.NextCol()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return w.finish(), nil
 		}
+		w.appendBatch(b)
 	}
 }
 
@@ -231,8 +220,6 @@ func primeAny(it any) {
 	switch x := it.(type) {
 	case *udfPipe:
 		x.prime()
-	case *probeIter:
-		primeAny(x.in)
 	case *colToRows:
 		primeAny(x.c)
 	case *colScanIter:
@@ -246,34 +233,4 @@ func primeAny(it any) {
 	case *chargeColIter:
 		primeAny(x.c)
 	}
-}
-
-// morsel is one contiguous run of rows of one materialized partition — the
-// unit of work the parallel breakers (hash-join build, ORDER BY sort runs)
-// dispatch over the pool. seq is the global partition-major index of the
-// morsel's first row, so per-morsel results can be recombined in exactly
-// the order a sequential pass over the partitions would have produced.
-type morsel struct {
-	part    int
-	rows    []row.Row
-	seq     int64
-	morselN int // dense morsel index in partition-major order
-}
-
-// morselize splits materialized partitions into DefaultBatchSize-row
-// morsels in partition-major order.
-func morselize(parts [][]row.Row) []morsel {
-	var out []morsel
-	var seq int64
-	for pi, part := range parts {
-		for lo := 0; lo < len(part); lo += DefaultBatchSize {
-			hi := lo + DefaultBatchSize
-			if hi > len(part) {
-				hi = len(part)
-			}
-			out = append(out, morsel{part: pi, rows: part[lo:hi], seq: seq + int64(lo), morselN: len(out)})
-		}
-		seq += int64(len(part))
-	}
-	return out
 }

@@ -153,6 +153,24 @@ func TestProbeFanOutSpansBatches(t *testing.T) {
 	}
 }
 
+// firstColKey is the key kernel of the hand-driven probes and builds:
+// column 0.
+func firstColKey(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
+	return b.Col(0), nil
+}
+
+// buildRows builds a hash table over rows as one build partition, the way
+// hashJoin builds over its drained chunks; no keyFns is the key-less
+// (cartesian) build.
+func buildRows(t *testing.T, types []row.Type, rows []row.Row, keyFns ...vecFn) *buildTable {
+	t.Helper()
+	bt, err := buildHashTable(newQueryPool(1), rowsToChunks(types, [][]row.Row{rows}), keyFns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
+}
+
 // probeChain walks a partition pipeline from its row face down to its
 // leaf, counting columnar probes and row probes on the way.
 func probeChain(it any) (colProbes, rowProbes int) {
@@ -166,9 +184,6 @@ func probeChain(it any) (colProbes, rowProbes int) {
 			it = x.in
 		case *colProbeIter:
 			colProbes++
-			it = x.in
-		case *probeIter:
-			rowProbes++
 			it = x.in
 		default:
 			return colProbes, rowProbes
@@ -267,11 +282,8 @@ func TestProbeNullKeysAndSelection(t *testing.T) {
 		{null, row.String_("null-key")},
 		{row.Int(1), row.String_("uno")},
 	}
-	keyFn := func(r row.Row) (row.Value, error) { return r[0], nil }
-	bt, err := buildHashTable(newQueryPool(1), [][]row.Row{build}, []evalFn{keyFn})
-	if err != nil {
-		t.Fatal(err)
-	}
+	types := []row.Type{row.TypeInt, row.TypeString}
+	bt := buildRows(t, types, build, firstColKey)
 	probeRows := []row.Row{
 		{row.Int(1), row.String_("p1")},
 		{null, row.String_("p-null")},
@@ -279,7 +291,6 @@ func TestProbeNullKeysAndSelection(t *testing.T) {
 		{row.Int(3), row.String_("p3")},
 		{row.Int(1), nullS},
 	}
-	types := []row.Type{row.TypeInt, row.TypeString}
 	want := []string{
 		"(1, 'p1', 1, 'one')", "(1, 'p1', 1, 'uno')",
 		"(2, NULL, 2, NULL)",
@@ -288,7 +299,7 @@ func TestProbeNullKeysAndSelection(t *testing.T) {
 	for _, junk := range []bool{false, true} {
 		p := &colProbeIter{
 			in:     newRecyclingColBatches(types, probeRows, 2, junk),
-			keyFns: []vecFn{func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) { return b.Col(0), nil }},
+			keyFns: []vecFn{firstColKey},
 			build:  bt,
 			types:  append(append([]row.Type(nil), types...), types...),
 		}
@@ -311,11 +322,7 @@ func TestProbeChargeMatchesRowProbe(t *testing.T) {
 	types := []row.Type{row.TypeInt, row.TypeString, row.TypeString, row.TypeFloat}
 	rng := rand.New(rand.NewSource(12))
 	node := cluster.NewTopology(1).Node(0)
-	keyFn := func(r row.Row) (row.Value, error) { return r[0], nil }
-	bt, err := buildHashTable(newQueryPool(1), [][]row.Row{{{row.Int(1)}, {row.Int(2)}}}, []evalFn{keyFn})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bt := buildRows(t, []row.Type{row.TypeInt}, intRows(1, 2), firstColKey)
 	for iter := 0; iter < 200; iter++ {
 		withSel := iter&1 != 0
 		var rows []row.Row
@@ -353,7 +360,7 @@ func TestProbeChargeMatchesRowProbe(t *testing.T) {
 		cost := &cluster.CostModel{ProcBps: 1e9}
 		p := &colProbeIter{
 			in:     in,
-			keyFns: []vecFn{func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) { return b.Col(0), nil }},
+			keyFns: []vecFn{firstColKey},
 			build:  bt,
 			types:  append(append([]row.Type(nil), types...), row.TypeInt),
 			cost:   cost,

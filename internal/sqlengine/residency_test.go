@@ -154,34 +154,6 @@ func intRows(vs ...int64) []row.Row {
 	return out
 }
 
-// TestProbeIterUnderBatchRecycling drives the cartesian probe directly
-// with a poisoning recycling producer, the way hashJoin wires it, and
-// checks the exact join output. probeIter itself also reuses its output
-// buffer, so the drain below copies rows out batch by batch — the same
-// spread-append discipline drainBatches uses.
-func TestProbeIterUnderBatchRecycling(t *testing.T) {
-	// Probe side: 2, 5, 1 in batches of 2, through a container-recycling
-	// producer; build side: two rows, so every probe row pairs with both.
-	probe := newRecyclingBatches(intRows(2, 5, 1), 2)
-	p := &probeIter{
-		in:       probe,
-		buildAll: []row.Row{{row.Int(10)}, {row.Int(20)}},
-	}
-	got, err := drainBatches(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][2]int64{{2, 10}, {2, 20}, {5, 10}, {5, 20}, {1, 10}, {1, 20}}
-	if len(got) != len(want) {
-		t.Fatalf("join produced %d rows, want %d: %v", len(got), len(want), got)
-	}
-	for i, w := range want {
-		if len(got[i]) != 2 || got[i][0].AsInt() != w[0] || got[i][1].AsInt() != w[1] {
-			t.Errorf("row %d = %v, want (%d, %d)", i, got[i], w[0], w[1])
-		}
-	}
-}
-
 // TestOrderByUnderBatchRecycling drains recycling producers the way
 // orderBy does (drainBatches per partition), sorts each run, and merges —
 // checking the exact global order and the cross-partition stability rule
