@@ -291,6 +291,56 @@ func TestCacheServesSubsetQuery(t *testing.T) {
 	}
 }
 
+// TestCacheRefusesInexactMixedImplication caches a query filtered on
+// age < 9007199254740992.0, then runs one filtered on
+// age < 9007199254740993 under CacheFullResult. The literals compare equal
+// as DOUBLEs, but the planted user aged 2^53 passes only the second filter.
+// §5.1's exact cached-predicate check already refuses the full result; the
+// §5.2 tier must refuse the map too, because the cached map lacks the
+// planted user's gender. Served or not, the dataset must equal a fresh
+// run's.
+func TestCacheRefusesInexactMixedImplication(t *testing.T) {
+	d, err := datagen.Generate(datagen.Config{Users: 60, CartsPerUser: 8, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range d.Users {
+		if u[3].AsString() == "USA" {
+			u[1], u[2] = row.Int(1<<53), row.String_("X")
+			break
+		}
+	}
+	envCfg := DefaultEnvConfig()
+	envCfg.BlockSize = 16 << 10
+	env := startEnvWithData(t, envCfg, d)
+
+	cached := paperConfig()
+	cached.Query = paperQuery + " AND U.age < 9007199254740992.0"
+	cached.CachePopulate = true
+	if _, err := Run(env, InSQLStream, cached); err != nil {
+		t.Fatal(err)
+	}
+	next := paperConfig()
+	next.Query = paperQuery + " AND U.age < 9007199254740993"
+	next.Tier = CacheFullResult
+	res, err := Run(env, InSQLStream, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit != cache.Miss {
+		t.Errorf("hit = %s, want a miss", res.CacheHit)
+	}
+	next.Tier = CacheOff
+	fresh, err := Run(env, InSQLStream, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := datasetFingerprint(res.Dataset), datasetFingerprint(fresh.Dataset)
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("cache-served dataset (%d rows) differs from fresh (%d rows)", len(a), len(b))
+	}
+}
+
 // TestConcurrentCacheServedRuns runs the §5.1 tier from two goroutines at
 // once against one cached table: every run must be a full-result hit, the
 // goroutines must deliver the same datasets, and the cached table must

@@ -27,7 +27,7 @@ func Implies(p, q Pred) bool {
 	}
 	pv, pok := litValue(p.Value)
 	qv, qok := litValue(q.Value)
-	if !pok || !qok || pv.Null || qv.Null {
+	if !pok || !qok || pv.Null || qv.Null || !exactMix(pv, qv) {
 		return false
 	}
 
@@ -105,10 +105,32 @@ func litValue(e sqlengine.Expr) (row.Value, bool) {
 
 func cmp(a, b row.Value) int { return a.Compare(b) }
 
+// maxExactInt is 2^53: every BIGINT strictly inside ±maxExactInt converts
+// to DOUBLE exactly.
+const maxExactInt = 1 << 53
+
+// exactMix reports whether a proof may relate literals a and b. The engine
+// compares a BIGINT column with a DOUBLE literal after rounding the column
+// value to DOUBLE, so a BIGINT literal at or beyond ±2^53 stands for a
+// different value on the two sides of a mixed BIGINT/DOUBLE pair: the
+// BIGINT 2^53+1 and the DOUBLE 2^53 compare equal, yet a BIGINT column
+// holding 2^53 is below the first and not below the second. Such pairs
+// prove nothing.
+func exactMix(a, b row.Value) bool {
+	if a.Kind == b.Kind || !a.Numeric() || !b.Numeric() {
+		return true
+	}
+	i := a
+	if b.Kind == row.TypeInt {
+		i = b
+	}
+	return i.Null || (i.AsInt() > -maxExactInt && i.AsInt() < maxExactInt)
+}
+
 // evalCmp evaluates `a op b` for literal values.
 func evalCmp(a row.Value, op string, b row.Value) bool {
 	// Incomparable kinds (e.g. string vs number) prove nothing.
-	if a.Kind != b.Kind && !(a.Numeric() && b.Numeric()) {
+	if (a.Kind != b.Kind && !(a.Numeric() && b.Numeric())) || !exactMix(a, b) {
 		return false
 	}
 	c := cmp(a, b)
@@ -163,7 +185,7 @@ func impliesIn(p, q Pred) bool {
 
 func containsValue(list []row.Value, v row.Value) bool {
 	for _, x := range list {
-		if x.Equal(v) {
+		if exactMix(x, v) && x.Equal(v) {
 			return true
 		}
 	}

@@ -189,6 +189,42 @@ func TestImplies(t *testing.T) {
 	}
 }
 
+// TestImpliesRefusesInexactMixedLiterals pins the BIGINT/DOUBLE rounding
+// hole: BIGINT 2^53+1 and DOUBLE 2^53 compare equal as literals, but on the
+// row age = 2^53 the engine finds age < 9007199254740993 TRUE and
+// age < 9007199254740992.0 FALSE, so no implication may be proved.
+func TestImpliesRefusesInexactMixedLiterals(t *testing.T) {
+	mk := func(op string, v row.Value) Pred {
+		return Pred{Column: "users.age", Op: op, Value: &sqlengine.Lit{V: v}, Simple: true, Raw: "raw-" + op + v.String()}
+	}
+	in := func(vs ...row.Value) Pred {
+		return Pred{Column: "users.age", In: vs, Raw: "raw-in" + row.Row(vs).String()}
+	}
+	const big = 1 << 53
+	cases := []struct {
+		name string
+		p, q Pred
+		want bool
+	}{
+		{"lt", mk("<", row.Int(big+1)), mk("<", row.Float(big)), false},
+		{"gt mirrored", mk(">", row.Int(-big-1)), mk(">", row.Float(-big)), false},
+		// age IN (2^53.0) holds for the BIGINTs 2^53 and 2^53+1 alike.
+		{"in-list to eq", in(row.Float(big)), mk("=", row.Int(big+1)), false},
+		{"in-list subset", in(row.Float(big)), in(row.Int(big + 1)), false},
+		// Inside ±2^53 the mixed proofs stay.
+		{"exact lt", mk("<", row.Int(big-1)), mk("<", row.Float(big-1)), true},
+		{"exact in", in(row.Float(7)), mk("=", row.Int(7)), true},
+	}
+	for _, c := range cases {
+		if got := Implies(c.p, c.q); got != c.want {
+			t.Errorf("%s: Implies = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if ImpliesAll([]Pred{mk("<", row.Int(big+1))}, []Pred{mk("<", row.Float(big))}) {
+		t.Error("ImpliesAll proved age < 2^53+1 implies age < 2^53.0")
+	}
+}
+
 func TestMatchFullResultPaperExample(t *testing.T) {
 	e := newEngine(t)
 	cached := analyze(t, e, paperQuery)

@@ -2,6 +2,7 @@ package row
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -133,6 +134,53 @@ func TestColBlockEncodingSelection(t *testing.T) {
 	for i, r := range got.Rows(nil) {
 		if !r.Equal(want[i]) {
 			t.Fatalf("high-entropy row %d = %v, want %v", i, r, want[i])
+		}
+	}
+}
+
+// TestColBlockIntFOREdges drives the frame-of-reference encoder at the
+// int64 edges, where base + delta must wrap back exactly: each BIGINT
+// column decodes to its source values and re-encodes to the same bytes.
+// The first column byte after the 16-byte frame header is the column
+// type, the next its encoding.
+func TestColBlockIntFOREdges(t *testing.T) {
+	const maxI, minI = int64(math.MaxInt64), int64(math.MinInt64)
+	nearMax, nearMin := make([]Value, 1024), make([]Value, 1024)
+	for i := range nearMax {
+		nearMax[i] = Int(maxI - int64(i*7%1024))
+		nearMin[i] = Int(minI + int64(i*7%1024))
+	}
+	cases := []struct {
+		name string
+		vals []Value
+		enc  byte
+	}{
+		{"near MaxInt64", nearMax, colEncIntFOR},
+		{"near MinInt64", nearMin, colEncIntFOR},
+		// base MinInt64, so MaxInt64's delta is 2^64-1: 10 uvarint bytes,
+		// still under three raw slots.
+		{"MinInt64, MaxInt64, NULL", []Value{Int(minI), Int(maxI), NullOf(TypeInt)}, colEncIntFOR},
+	}
+	for _, c := range cases {
+		b := NewColBatch([]Type{TypeInt})
+		for _, v := range c.vals {
+			b.AppendRow(Row{v})
+		}
+		frame := AppendColBlock(nil, b, true)
+		if got := frame[17]; got != c.enc {
+			t.Errorf("%s: encoding %d, want %d", c.name, got, c.enc)
+		}
+		got := NewColBatch(nil)
+		if n, err := DecodeColBlock(frame, got); err != nil || n != len(c.vals) {
+			t.Fatalf("%s: decoded %d rows of %d: %v", c.name, n, len(c.vals), err)
+		}
+		for i, r := range got.Rows(nil) {
+			if r[0].Null != c.vals[i].Null || (!r[0].Null && r[0].AsInt() != c.vals[i].AsInt()) {
+				t.Fatalf("%s: row %d = %v, want %v", c.name, i, r[0], c.vals[i])
+			}
+		}
+		if again := AppendColBlock(nil, got, true); !bytes.Equal(again, frame) {
+			t.Errorf("%s: re-encoding the decoded batch changed the frame", c.name)
 		}
 	}
 }

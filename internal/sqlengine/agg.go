@@ -153,43 +153,50 @@ func (a *aggState) merge(o *aggState) {
 	}
 }
 
-func (a *aggState) finalize(t row.Type) (row.Value, error) {
+// err is the overflow a BIGINT SUM or AVG left behind, which fails the
+// query.
+func (a *aggState) err() error {
+	switch {
+	case !a.overflow:
+		return nil
+	case a.kind == aggAvg:
+		return fmt.Errorf("sql: AVG overflows BIGINT")
+	default:
+		return fmt.Errorf("sql: SUM overflows BIGINT")
+	}
+}
+
+func (a *aggState) finalize(t row.Type) row.Value {
 	switch a.kind {
 	case aggCount:
-		return row.Int(a.count), nil
+		return row.Int(a.count)
 	case aggSum:
-		if a.overflow {
-			return row.Value{}, fmt.Errorf("sql: SUM overflows BIGINT")
-		}
 		if !a.any {
-			return row.NullOf(t), nil
+			return row.NullOf(t)
 		}
 		if a.isInt {
-			return row.Int(a.sumI), nil
+			return row.Int(a.sumI)
 		}
-		return row.Float(a.sumF), nil
+		return row.Float(a.sumF)
 	case aggAvg:
-		if a.overflow {
-			return row.Value{}, fmt.Errorf("sql: AVG overflows BIGINT")
-		}
 		if a.count == 0 {
-			return row.NullOf(row.TypeFloat), nil
+			return row.NullOf(row.TypeFloat)
 		}
 		total := a.sumF
 		if a.isInt {
 			total = float64(a.sumI)
 		}
-		return row.Float(total / float64(a.count)), nil
+		return row.Float(total / float64(a.count))
 	case aggMin:
 		if !a.any {
-			return row.NullOf(t), nil
+			return row.NullOf(t)
 		}
-		return a.minV, nil
+		return a.minV
 	default:
 		if !a.any {
-			return row.NullOf(t), nil
+			return row.NullOf(t)
 		}
-		return a.maxV, nil
+		return a.maxV
 	}
 }
 
@@ -221,7 +228,8 @@ type outputCol struct {
 // execAggregate evaluates an aggregate query: streaming partial
 // aggregation per partition on the query pool (a pipeline breaker, but
 // one that holds O(groups) memory, never the full input), then a merge at
-// the head node. The merged result occupies partition 0.
+// the head node. The finalised groups are written as sealed chunks at
+// partition 0.
 //
 // Partials stay partition-scoped rather than worker- or morsel-scoped on
 // purpose: SUM/AVG over DOUBLE accumulate in floating point, where
@@ -229,7 +237,7 @@ type outputCol struct {
 // deterministic function of the input for the output to stay
 // byte-identical at any Parallelism — and identical to the pre-pool
 // engine, whose partials were also per partition.
-func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row.Schema, [][]row.Row, error) {
+func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row.Schema, [][]*row.ColBatch, error) {
 	// Group keys and aggregate arguments are kernels evaluated column-wise
 	// per batch; keys are encoded cell-by-cell with the vector key codec
 	// and inserted through the column-at-a-time InsertKeys entry point.
@@ -438,26 +446,28 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 		return row.Schema{}, nil, err
 	}
 
-	var out []row.Row
 	for _, g := range merged {
-		r := make(row.Row, len(cols))
-		for i, c := range cols {
-			if c.keyIdx >= 0 {
-				r[i] = g.keys[c.keyIdx]
-			} else {
-				v, err := g.aggs[c.aggIdx].finalize(specs[c.aggIdx].outType)
-				if err != nil {
+		for _, c := range cols {
+			if c.aggIdx >= 0 {
+				if err := g.aggs[c.aggIdx].err(); err != nil {
 					return row.Schema{}, nil, err
 				}
-				r[i] = v
 			}
 		}
-		out = append(out, r)
 	}
-	parts := make([][]row.Row, len(in.iters))
-	if len(parts) == 0 {
-		parts = make([][]row.Row, e.NumWorkers())
+	w := newChunkWriter(types, len(merged))
+	w.appendCells(len(merged), func(i, c int) row.Value {
+		g, oc := merged[i], cols[c]
+		if oc.keyIdx >= 0 {
+			return g.keys[oc.keyIdx]
+		}
+		return g.aggs[oc.aggIdx].finalize(specs[oc.aggIdx].outType)
+	})
+	n := len(in.iters)
+	if n == 0 {
+		n = e.NumWorkers()
 	}
-	parts[0] = out
+	parts := make([][]*row.ColBatch, n)
+	parts[0] = w.finish()
 	return schema, parts, nil
 }

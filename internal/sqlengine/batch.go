@@ -45,23 +45,6 @@ func (s *sliceBatches) Next() (RowBatch, bool, error) {
 
 func (s *sliceBatches) Close() { s.i = len(s.rows) }
 
-// drainBatches pulls an iterator to completion, materializing one
-// partition. The iterator is closed either way.
-func drainBatches(it BatchIterator) ([]row.Row, error) {
-	defer it.Close()
-	var out []row.Row
-	for {
-		b, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, b...)
-	}
-}
-
 func closeAllIters(iters []BatchIterator) {
 	for _, it := range iters {
 		if it != nil {

@@ -1,0 +1,125 @@
+package sqlengine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"sqlml/internal/cluster"
+	"sqlml/internal/row"
+)
+
+// TestBreakerChargesAndPlacement pins what the breakers charge the cost
+// model and where they leave rows, against figures computed from the input
+// rows alone: DISTINCT's shuffle charges the row bytes of every
+// first-instance row that changes worker, ORDER BY charges every row it
+// gathers to the head, and a global table UDF's output row i lands on
+// worker i mod n.
+func TestBreakerChargesAndPlacement(t *testing.T) {
+	const n = 3
+	topo := cluster.NewTopology(n + 1)
+	cost := &cluster.CostModel{NetBps: 1e9}
+	e, err := New(topo, cost, Config{HeadNodeID: 0, WorkerNodeIDs: []int{1, 2, 3}, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := row.MustSchema(row.Column{Name: "k", Type: row.TypeInt}, row.Column{Name: "cat", Type: row.TypeString})
+	rng := rand.New(rand.NewSource(5))
+	cats := []row.Value{row.String_("a"), row.String_("bb"), row.String_(""), row.NullOf(row.TypeString)}
+	var rows []row.Row
+	parts := make([][]row.Row, n) // LoadTable deals rows round robin
+	for i := range 200 {
+		k := row.Int(int64(rng.Intn(6)))
+		if rng.Intn(5) == 0 {
+			k = row.NullOf(row.TypeInt)
+		}
+		r := row.Row{k, cats[rng.Intn(len(cats))]}
+		rows = append(rows, r)
+		parts[i%n] = append(parts[i%n], r)
+	}
+	if err := e.LoadTable("t", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+
+	// DISTINCT: each partition's first instances, routed by the key hash.
+	want := 0
+	for src, p := range parts {
+		seen := make(map[string]bool)
+		for _, r := range p {
+			key := row.AppendKey(nil, r)
+			if seen[string(key)] {
+				continue
+			}
+			seen[string(key)] = true
+			if dst := int(row.Hash64(key) % n); dst != src {
+				want += rowBytes(r)
+			}
+		}
+	}
+	cost.ResetStats()
+	if _, err := e.Query("SELECT DISTINCT k, cat FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	if got := cost.Stats().NetBytes; got != int64(want) {
+		t.Errorf("DISTINCT shuffle charged %d net bytes, rows that change worker = %d", got, want)
+	}
+
+	// ORDER BY: every partition moves to the head.
+	cost.ResetStats()
+	if _, err := e.Query("SELECT k, cat FROM t ORDER BY k"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cost.Stats().NetBytes, int64(partBytes(rows)); got != want {
+		t.Errorf("ORDER BY charged %d net bytes, partBytes of the input = %d", got, want)
+	}
+
+	// A global UDF emitting each input batch narrowed to the positions p
+	// with p%3 != 1: its output, in partition order, is scattered round
+	// robin.
+	err = e.Registry().RegisterTable(&TableUDF{
+		Name:      "every_other",
+		OutSchema: func(in row.Schema, _ []row.Value) (row.Schema, error) { return in, nil },
+		Fn: func(_ *UDFContext, in ColBatchSource, _ []row.Value, emit func(*row.ColBatch) error) error {
+			for {
+				b, ok, err := in.NextCol()
+				if err != nil || !ok {
+					return err
+				}
+				var sel []int32
+				for p := range b.FullLen() {
+					if p%3 != 1 {
+						sel = append(sel, int32(p))
+					}
+				}
+				b.SetSel(sel)
+				if err := emit(b); err != nil {
+					return err
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Query("SELECT k, cat FROM TABLE(every_other(t))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantParts := make([][]row.Row, n)
+	i := 0
+	for _, p := range parts {
+		for pos, r := range p { // one chunk per partition at this size
+			if pos%3 != 1 {
+				wantParts[i%n] = append(wantParts[i%n], r)
+				i++
+			}
+		}
+	}
+	got, err := res.Parts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(wantParts) {
+		t.Errorf("global UDF output partitions\n got %v\nwant %v", got, wantParts)
+	}
+}

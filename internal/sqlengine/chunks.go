@@ -90,9 +90,9 @@ func (w *chunkWriter) publish() {
 	w.cur = nil
 }
 
-// appendBatch copies b's live rows.
-func (w *chunkWriter) appendBatch(b *row.ColBatch) {
-	for si, k := 0, b.Len(); si < k; {
+// appendBatch copies b's first k live rows.
+func (w *chunkWriter) appendBatch(b *row.ColBatch, k int) {
+	for si := 0; si < k; {
 		n := min(k-si, w.room(k-si, func(c int) int { return vectorBytesPerRow(b.Col(c)) }))
 		w.copyRows(b, si, si+n)
 		w.took(n)
@@ -100,16 +100,36 @@ func (w *chunkWriter) appendBatch(b *row.ColBatch) {
 	}
 }
 
+// appendPositions copies b's physical rows at pos, ascending: b's selection
+// is narrowed to pos for the copy and restored after, so b reads the same
+// to its producer.
+func (w *chunkWriter) appendPositions(b *row.ColBatch, pos []int32) {
+	sel := b.Sel()
+	b.SetSel(pos)
+	w.appendBatch(b, len(pos))
+	b.SetSel(sel)
+}
+
+// appendCells transposes n rows onto the chunks, column at a time: cell(i,
+// c) is row i's value in column c.
+func (w *chunkWriter) appendCells(n int, cell func(i, c int) row.Value) {
+	for i := 0; i < n; {
+		k := min(n-i, w.room(n-i, func(c int) int { return cellBytesPerRow(i, min(n, i+DefaultBatchSize), c, cell) }))
+		for c := range w.types {
+			dst := w.cur.Col(c)
+			for j := i; j < i+k; j++ {
+				dst.AppendValue(cell(j, c))
+			}
+		}
+		w.cur.SetFullLen(w.cur.FullLen() + k)
+		w.took(k)
+		i += k
+	}
+}
+
 // appendRows transposes rows onto the chunks.
 func (w *chunkWriter) appendRows(rows []row.Row) {
-	for i := 0; i < len(rows); {
-		n := min(len(rows)-i, w.room(len(rows)-i, func(c int) int { return rowBytesPerRow(rows[i:], c) }))
-		for _, r := range rows[i : i+n] {
-			w.cur.AppendRow(r)
-		}
-		w.took(n)
-		i += n
-	}
+	w.appendCells(len(rows), func(i, c int) row.Value { return rows[i][c] })
 }
 
 // finish publishes the open chunk and returns the partition.
@@ -127,17 +147,16 @@ func vectorBytesPerRow(v *row.Vector) int {
 	return (v.PayloadLen(n) + n - 1) / n
 }
 
-// rowBytesPerRow is column c's mean string payload over the first
-// DefaultBatchSize rows — exact for a chunk that holds just those rows.
-func rowBytesPerRow(rows []row.Row, c int) int {
-	rows = rows[:min(len(rows), DefaultBatchSize)]
+// cellBytesPerRow is column c's mean string payload over rows [lo, hi) —
+// exact for a chunk that holds just those rows.
+func cellBytesPerRow(lo, hi, c int, cell func(i, c int) row.Value) int {
 	total := 0
-	for _, r := range rows {
-		if v := r[c]; !v.Null && v.Kind == row.TypeString {
+	for i := lo; i < hi; i++ {
+		if v := cell(i, c); !v.Null && v.Kind == row.TypeString {
 			total += len(v.AsString())
 		}
 	}
-	return (total + len(rows) - 1) / len(rows)
+	return (total + hi - lo - 1) / (hi - lo)
 }
 
 // rowsToChunks transposes materialized row partitions into sealed chunks,
@@ -166,7 +185,7 @@ func appendChunkRows(types []row.Type, chunks []*row.ColBatch, rows []row.Row) [
 	}
 	w := newChunkWriter(types, expect)
 	if tail != nil {
-		w.appendBatch(tail)
+		w.appendBatch(tail, tail.Len())
 	}
 	w.appendRows(rows)
 	return append(keep[:len(keep):len(keep)], w.finish()...)

@@ -24,7 +24,9 @@ type ColBatchSource interface {
 
 // colScanIter transposes a row iterator's batches into a reused pooled
 // ColBatch — the row→column boundary under a columnar operator or drain
-// whose input has no columnar core (a breaker's row partitions).
+// whose input has no columnar core: NewRowSource's rows, or a row
+// iterator handed to the engine from outside (every operator and breaker
+// inside it produces column batches).
 type colScanIter struct {
 	in    BatchIterator
 	types []row.Type
@@ -318,8 +320,9 @@ func (p *colProbeIter) Close() {
 
 // colToRows is the row-view shim over a columnar chain: each batch's live
 // rows are materialized as owning copies (flat value backing, one string
-// slab copy per VARCHAR column), so downstream retention — drainBatches,
-// sort runs — stays safe while the column vectors recycle underneath.
+// slab copy per VARCHAR column), so a row consumer that retains them (a
+// reader of Result.Batches) stays safe while the column vectors recycle
+// underneath.
 type colToRows struct {
 	c    ColBatchSource
 	rows []row.Row
@@ -354,8 +357,9 @@ func (a *colToRows) Close() {
 // asColIterator lifts a row iterator into the columnar world: a chain with
 // a columnar core — a managed or external table's scan, and every
 // columnar operator over one, a join probe, a table UDF's pipe — unwraps
-// to it (no materialize→re-transpose bounce); anything else — a breaker's
-// row partitions — gets a transposing scan.
+// to it (no materialize→re-transpose bounce), and so does a breaker's
+// output, which is a scan of sealed chunks; anything else — a row
+// iterator from outside the engine — gets a transposing scan.
 func asColIterator(it BatchIterator, types []row.Type) ColBatchSource {
 	if c, ok := unwrapColCore(it); ok {
 		return c

@@ -233,11 +233,11 @@ func TestKeylessProbeUnderBatchRecycling(t *testing.T) {
 	}
 }
 
-// TestColSortRunsUnderVectorRecycling prepares sort runs the way
-// orderByColumnar does — owning rows via ColBatch.Rows, key rows
-// materialized per batch through Vector.ValueAt (which must copy string
-// payloads out of the recycled slab) — then merges and checks the exact
-// global order, including cross-partition tie-breaking.
+// TestColSortRunsUnderVectorRecycling drains poisoning producers into
+// sealed chunks the way orderBy does — the chunk writer must copy string
+// payloads out of the recycled slab — then sorts by the chunks' key
+// vectors and gathers, checking the exact global order, including
+// cross-partition tie-breaking.
 func TestColSortRunsUnderVectorRecycling(t *testing.T) {
 	strRows := func(pairs ...any) []row.Row {
 		var out []row.Row
@@ -251,34 +251,20 @@ func TestColSortRunsUnderVectorRecycling(t *testing.T) {
 		strRows("bb", 5, "mm", 6, "aa", 7),
 	}
 	types := []row.Type{row.TypeString, row.TypeInt}
-	specs := []orderSpec{{fn: func(r row.Row) (row.Value, error) { return r[0], nil }}}
-
-	runs := make([]*sortedRun, len(parts))
+	qp := newQueryPool(2)
+	chunks := make([][]*row.ColBatch, len(parts))
 	for i, part := range parts {
-		src := newRecyclingColBatches(types, part, 2, true)
-		var rows, keys []row.Row
-		for {
-			b, ok, err := src.NextCol()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			rows = b.Rows(rows)
-			kv := b.Col(0)
-			k := b.Len()
-			flat := make(row.Row, k)
-			for si := 0; si < k; si++ {
-				flat[si] = kv.ValueAt(b.SelPos(si))
-			}
-			for si := 0; si < k; si++ {
-				keys = append(keys, flat[si:si+1])
-			}
+		c, err := qp.drainChunkPart(newRecyclingColBatches(types, part, 2, true), types)
+		if err != nil {
+			t.Fatal(err)
 		}
-		runs[i] = sortRunPrepared(specs, rows, keys)
+		chunks[i] = c
 	}
-	merged := mergeRuns(specs, runs)
+	sorted, err := sortParts(qp, []orderSpec{{}}, []vecFn{colKey(0)}, types, chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := chunkRows(sorted)
 	// Sorted by cat ascending; ties keep partition order, lower partition
 	// first: aa(2) from part 0 before aa(7) from part 1, then the three
 	// mm's as 1, 4 (part 0) then 6 (part 1).

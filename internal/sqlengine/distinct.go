@@ -1,250 +1,140 @@
 package sqlengine
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
+import "sqlml/internal/row"
 
-	"sqlml/internal/row"
-)
+// Parallel DISTINCT: a local pass de-duplicates every partition, then a
+// hash repartition colocates equal rows and de-duplicates each
+// destination as it fills it — every step on the query pool, one task per
+// partition. Both passes key every live position with the vector key
+// codec (row.AppendVectorKey, byte-identical to row.AppendKey over the
+// row) and copy the first instance of each key into sealed chunks in
+// input order, so the output is a function of the input alone,
+// byte-identical at any Parallelism.
 
-// Parallel DISTINCT. Both de-duplication passes (the streaming local pass
-// and the post-shuffle pass) run as per-worker morsel consumers: pool
-// workers claim batches from whichever partition has one ready — so a
-// skewed partition is chewed by every idle worker, not one goroutine —
-// and de-duplicate into per-worker arena tables keyed by (partition,
-// row key). DISTINCT carries no floating-point accumulation, so unlike
-// GROUP BY its partials may be worker-scoped: the merge keeps, for every
-// (partition, key), the instance with the smallest partition-local
-// sequence number, which is exactly the first instance a sequential pass
-// over that partition keeps. Output rows are then ordered by that
-// sequence within each partition — byte-identical at any Parallelism.
-
-// pipeCursor hands out batches of a set of partition pipelines to
-// competing pool workers. Each partition is guarded by its own mutex;
-// claiming copies the batch headers out (row contents are stable, only
-// the producer's batch slice is reused) and stamps the batch with its
-// partition-local row sequence.
-type pipeCursor struct {
-	iters []BatchIterator
-	mus   []sync.Mutex
-	done  []atomic.Bool // set under mus[i]
-	seqs  []int64       // guarded by mus[i]
-	nDone atomic.Int64
-}
-
-func newPipeCursor(iters []BatchIterator) *pipeCursor {
-	return &pipeCursor{
-		iters: iters,
-		mus:   make([]sync.Mutex, len(iters)),
-		done:  make([]atomic.Bool, len(iters)),
-		seqs:  make([]int64, len(iters)),
+// distinct de-duplicates the rows of iters (a pipeline breaker).
+func (e *Engine) distinct(qp *queryPool, iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
+	local, err := dedupParts(qp, iters, types)
+	if err != nil {
+		return nil, err
 	}
+	return e.shuffleDedup(qp, local, types)
 }
 
-// next claims one batch, preferring unlocked partitions (rotating from
-// start so workers spread out) and blocking on a live one only when every
-// other is busy. buf is the caller's reusable batch-header buffer; the
-// returned rows alias its (possibly regrown) backing array. part < 0
-// means every partition is exhausted.
-func (c *pipeCursor) next(start int, buf []row.Row) (part int, seq int64, rows []row.Row, err error) {
-	n := len(c.iters)
-	for c.nDone.Load() < int64(n) {
-		for k := 0; k < n; k++ {
-			i := (start + k) % n
-			if c.done[i].Load() || !c.mus[i].TryLock() {
-				continue
-			}
-			part, seq, rows, ok, err := c.pull(i, buf)
-			if ok || err != nil {
-				return part, seq, rows, err
-			}
-		}
-		// Every live partition is being pulled by someone else right now;
-		// block on the first one still live.
-		for k := 0; k < n; k++ {
-			i := (start + k) % n
-			if c.done[i].Load() {
-				continue
-			}
-			c.mus[i].Lock()
-			part, seq, rows, ok, err := c.pull(i, buf)
-			if ok || err != nil {
-				return part, seq, rows, err
-			}
-			break
+// appendRowKey appends the key encoding of physical row p of b.
+func appendRowKey(dst []byte, b *row.ColBatch, p int) []byte {
+	for c := 0; c < b.NumCols(); c++ {
+		dst = row.AppendVectorKey(dst, b.Col(c), p)
+	}
+	return dst
+}
+
+// firstSeen inserts the key of every live row of b into table and appends
+// the physical positions of the rows it had not seen to keep.
+func firstSeen(table *HashTable, key []byte, b *row.ColBatch, keep []int32) ([]byte, []int32) {
+	for si, k := 0, b.Len(); si < k; si++ {
+		p := b.SelPos(si)
+		key = appendRowKey(key[:0], b, p)
+		if _, added := table.Insert(key); added {
+			keep = append(keep, int32(p))
 		}
 	}
-	return -1, 0, buf, nil
+	return key, keep
 }
 
-// pull advances partition i by one batch; the caller holds mus[i] and
-// pull releases it.
-func (c *pipeCursor) pull(i int, buf []row.Row) (part int, seq int64, rows []row.Row, ok bool, err error) {
-	defer c.mus[i].Unlock()
-	if c.done[i].Load() {
-		return -1, 0, buf, false, nil
-	}
-	b, more, err := c.iters[i].Next()
-	if err != nil || !more {
-		c.done[i].Store(true)
-		c.nDone.Add(1)
-		c.iters[i].Close()
-		return -1, 0, buf, false, err
-	}
-	seq = c.seqs[i]
-	c.seqs[i] += int64(len(b))
-	return i, seq, append(buf[:0], b...), true, nil
-}
-
-// dedupEntry is one distinct (partition, key) instance held by a worker
-// partial: the row and its partition-local sequence number.
-type dedupEntry struct {
-	seq  int64
-	part int32
-	r    row.Row
-}
-
-// appendDedupKey encodes the (partition, row key) compound key.
-func appendDedupKey(dst []byte, part int, r row.Row) []byte {
-	dst = append(dst, byte(part), byte(part>>8), byte(part>>16), byte(part>>24))
-	return row.AppendKey(dst, r)
-}
-
-// dedupPooled de-duplicates every partition independently (first instance
-// wins, input order kept). With at least as many partitions as workers,
-// each pool worker owns whole partitions — no shared cursor, no
-// contention, and the per-partition first-instance scan is trivially
-// schedule-independent. Only when the pool is wider than the partition
-// count do workers race over a shared pipeCursor with per-worker
-// partials, which spreads a skewed partition across idle workers at the
-// cost of per-batch locking. Both paths produce identical output.
-func dedupPooled(qp *queryPool, iters []BatchIterator) ([][]row.Row, error) {
-	nParts := len(iters)
-	if nParts == 0 {
-		return nil, nil
-	}
+// dedupParts de-duplicates every partition independently: the first
+// instance of each row wins, and input order is kept.
+func dedupParts(qp *queryPool, iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
 	primeIters(iters)
-	if nParts >= qp.n {
-		out := make([][]row.Row, nParts)
-		err := qp.forEach(nParts, func(i, _ int) error {
-			defer iters[i].Close()
-			table := NewHashTable(0)
-			var keyBuf []byte
-			var keep []row.Row
-			for {
-				if qp.cancelled() {
-					return errQueryCancelled
-				}
-				b, ok, err := iters[i].Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					out[i] = keep
-					return nil
-				}
-				for _, r := range b {
-					keyBuf = row.AppendKey(keyBuf[:0], r)
-					if _, added := table.Insert(keyBuf); added {
-						keep = append(keep, r)
-					}
-				}
-			}
-		})
-		if err != nil {
-			closeAllIters(iters)
-			return nil, err
-		}
-		return out, nil
-	}
-	cur := newPipeCursor(iters)
-	workers := qp.n
-	type partial struct {
-		table   *HashTable
-		entries []dedupEntry
-	}
-	partials := make([]partial, workers)
-	err := qp.forEach(workers, func(w, _ int) error {
-		p := &partials[w]
-		p.table = NewHashTable(0)
-		var keyBuf []byte
-		buf := make([]row.Row, 0, DefaultBatchSize)
+	out := make([][]*row.ColBatch, len(iters))
+	err := qp.forEach(len(iters), func(i, _ int) error {
+		in := asColIterator(iters[i], types)
+		defer in.Close()
+		table := NewHashTable(0)
+		w := newChunkWriter(types, -1)
+		var key []byte
+		var keep []int32
 		for {
 			if qp.cancelled() {
 				return errQueryCancelled
 			}
-			part, seq, rows, err := cur.next(w, buf)
+			b, ok, err := in.NextCol()
 			if err != nil {
 				return err
 			}
-			if part < 0 {
+			if !ok {
+				out[i] = w.finish()
 				return nil
 			}
-			buf = rows
-			for _, r := range rows {
-				keyBuf = appendDedupKey(keyBuf[:0], part, r)
-				if _, added := p.table.Insert(keyBuf); added {
-					p.entries = append(p.entries, dedupEntry{seq: seq, part: int32(part), r: r})
-				}
-				seq++
-			}
+			key, keep = firstSeen(table, key, b, keep[:0])
+			w.appendPositions(b, keep)
 		}
 	})
 	if err != nil {
 		closeAllIters(iters)
 		return nil, err
 	}
+	return out, nil
+}
 
-	// Merge the worker partials: min-seq wins per (partition, key). Worker
-	// order does not matter — the minimum does.
-	merged := NewHashTable(0)
-	var best []dedupEntry
-	var keyBuf []byte
-	for w := range partials {
-		for _, en := range partials[w].entries {
-			keyBuf = appendDedupKey(keyBuf[:0], int(en.part), en.r)
-			idx, added := merged.Insert(keyBuf)
-			if added {
-				best = append(best, en)
-			} else if en.seq < best[idx].seq {
-				best[idx] = en
+// shuffleDedup moves every row to partition Hash64(key) mod n, so equal
+// rows colocate, and de-duplicates each destination over its rows in
+// source order. Each source partition routes its rows on the pool, then
+// each destination fills on the pool; the network is charged, per source
+// and destination, the chunkBytes of the rows that move.
+func (e *Engine) shuffleDedup(qp *queryPool, parts [][]*row.ColBatch, types []row.Type) ([][]*row.ColBatch, error) {
+	n := len(parts)
+	route := make([][][][]int32, n) // [src][chunk][dst]positions
+	err := qp.forEach(n, func(src, _ int) error {
+		var key []byte
+		route[src] = make([][][]int32, len(parts[src]))
+		for ci, c := range parts[src] {
+			dst := make([][]int32, n)
+			for p := range c.FullLen() {
+				key = appendRowKey(key[:0], c, p)
+				d := row.Hash64(key) % uint64(n)
+				dst[d] = append(dst[d], int32(p))
 			}
+			route[src][ci] = dst
 		}
-	}
-	byPart := make([][]dedupEntry, nParts)
-	for _, en := range best {
-		byPart[en.part] = append(byPart[en.part], en)
-	}
-	out := make([][]row.Row, nParts)
-	err = qp.forEach(nParts, func(i, _ int) error {
-		ens := byPart[i]
-		sort.Slice(ens, func(a, b int) bool { return ens[a].seq < ens[b].seq })
-		rows := make([]row.Row, len(ens))
-		for j, en := range ens {
-			rows[j] = en.r
-		}
-		out[i] = rows
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	out := make([][]*row.ColBatch, n)
+	moved := make([][]int, n) // [dst][src]bytes
+	err = qp.forEach(n, func(d, _ int) error {
+		moved[d] = make([]int, n)
+		table := NewHashTable(0)
+		w := newChunkWriter(types, -1)
+		var key []byte
+		var keep []int32
+		var view row.ColBatch
+		for src := range n {
+			for ci, c := range parts[src] {
+				pos := route[src][ci][d]
+				if len(pos) == 0 {
+					continue
+				}
+				view.ViewOf(c)
+				view.SetSel(pos)
+				moved[d][src] += colBatchBytes(&view)
+				key, keep = firstSeen(table, key, &view, keep[:0])
+				w.appendPositions(&view, keep)
+			}
+		}
+		out[d] = w.finish()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for src := range n {
+		for dst := range n {
+			if b := moved[dst][src]; b > 0 && e.workers[src] != e.workers[dst] {
+				e.cost.ChargeNet(e.workers[src], e.workers[dst], b)
+			}
+		}
+	}
 	return out, nil
-}
-
-// distinct de-duplicates rows (pipeline breaker): a streaming local pass
-// holding only distinct rows, hash repartition so equal rows colocate,
-// then a second local pass over the shuffled partitions — both passes on
-// the query pool.
-func (e *Engine) distinct(qp *queryPool, iters []BatchIterator) ([][]row.Row, error) {
-	local, err := dedupPooled(qp, iters)
-	if err != nil {
-		return nil, err
-	}
-	shuffled, err := e.repartitionByKey(qp, local)
-	if err != nil {
-		return nil, err
-	}
-	return dedupPooled(qp, partIters(shuffled))
 }

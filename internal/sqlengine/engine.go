@@ -187,7 +187,13 @@ type Result struct {
 // NewResult wraps materialized row partitions as a result, transposing
 // them into sealed chunks once; the caller keeps its rows.
 func NewResult(schema row.Schema, parts [][]row.Row) *Result {
-	return &Result{Schema: schema, parts: rowsToChunks(row.SchemaTypes(schema), parts), done: true, consumed: true}
+	return newChunkResult(schema, rowsToChunks(row.SchemaTypes(schema), parts))
+}
+
+// newChunkResult wraps sealed chunk partitions as a materialized result,
+// adopting them.
+func newChunkResult(schema row.Schema, parts [][]*row.ColBatch) *Result {
+	return &Result{Schema: schema, parts: parts, done: true, consumed: true}
 }
 
 // NewStreamingResult wraps per-partition batch pipelines as a result.
@@ -380,14 +386,4 @@ func partBytes(p []row.Row) int {
 		n += rowBytes(r)
 	}
 	return n
-}
-
-// hashKey appends r's canonical key encoding to scratch and returns the
-// grown buffer along with its 64-bit hash. Callers thread the returned
-// buffer back in across rows, so repartitioning hashes without a per-row
-// allocation (the old implementation built a new fnv.New64a and re-encoded
-// every value into a fresh buffer per call).
-func hashKey(scratch []byte, r row.Row) ([]byte, uint64) {
-	scratch = row.AppendKey(scratch[:0], r)
-	return scratch, row.Hash64(scratch)
 }

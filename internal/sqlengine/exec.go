@@ -167,7 +167,8 @@ type dataset struct {
 // operators (scan, filter, project, per-partition table UDFs, hash-join
 // probe) run lazily as the result is consumed; pipeline breakers (join
 // build, aggregation, DISTINCT, ORDER BY, LIMIT, global UDFs) drain their
-// input during this call.
+// input during this call and hand back sealed chunks, which the Result
+// adopts when a breaker ends the plan.
 func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("sql: SELECT requires a FROM clause")
@@ -392,8 +393,8 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 
 	var (
 		outSchema row.Schema
-		outIters  []BatchIterator // set while the tail is still streaming
-		outParts  [][]row.Row     // set once a breaker materializes it
+		outIters  []BatchIterator   // set while the tail is still streaming
+		outParts  [][]*row.ColBatch // set once a breaker materializes it
 		streaming bool
 		err       error
 	)
@@ -407,51 +408,58 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 	if err != nil {
 		return nil, err
 	}
+	outTypes := row.SchemaTypes(outSchema)
 
-	// tailIters hands the current tail to a breaker, whichever form it is in.
+	// tailIters hands the current tail to a breaker as pipelines, and
+	// tailChunks as sealed chunks, whichever form it is in.
 	tailIters := func() []BatchIterator {
 		if streaming {
 			streaming = false
 			return outIters
 		}
-		return partIters(outParts)
+		return chunkIters(outParts)
+	}
+	tailChunks := func() ([][]*row.ColBatch, error) {
+		if streaming {
+			streaming = false
+			return qp.drainChunks(outIters, outTypes)
+		}
+		return outParts, nil
 	}
 
 	if sel.Having != nil {
 		if !hasAgg {
 			return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
 		}
-		// HAVING references the aggregate output columns by name.
+		// HAVING references the aggregate output columns by name, and
+		// filters the aggregate's chunks as they stream on.
 		hsc := newScope()
 		if err := hsc.add("", outSchema); err != nil {
 			return nil, err
 		}
-		pred, err := compilePredicate(sel.Having, hsc, e.registry)
-		if err != nil {
+		outIters = chunkIters(outParts)
+		if err := e.filter(outIters, sel.Having, hsc); err != nil {
 			return nil, err
 		}
-		outParts, err = e.filterParts(qp, outParts, pred)
-		if err != nil {
-			return nil, err
-		}
+		streaming = true
 	}
 
 	if sel.Distinct {
-		outParts, err = e.distinct(qp, tailIters())
+		outParts, err = e.distinct(qp, tailIters(), outTypes)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	if len(sel.OrderBy) > 0 {
-		outParts, err = e.orderBy(qp, sel.OrderBy, outSchema, tailIters())
+		outParts, err = e.orderBy(qp, sel.OrderBy, outSchema, tailChunks)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	if sel.Limit >= 0 {
-		outParts, err = e.limit(tailIters(), sel.Limit)
+		outParts, err = limit(tailIters(), outTypes, sel.Limit)
 		if err != nil {
 			return nil, err
 		}
@@ -460,7 +468,7 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 	if streaming {
 		res = NewStreamingResult(outSchema, outIters)
 	} else {
-		res = NewResult(outSchema, outParts)
+		res = newChunkResult(outSchema, outParts)
 	}
 	res.pool = qp
 	return res, nil
@@ -497,39 +505,6 @@ func (e *Engine) filter(iters []BatchIterator, ex Expr, sc *scope) error {
 		iters[j] = rowsIter(newColFilterIter(asColIterator(iters[j], types), pred))
 	}
 	return nil
-}
-
-// compilePredicate compiles a HAVING predicate over aggregate output rows.
-func compilePredicate(ex Expr, sc *scope, reg *Registry) (evalFn, error) {
-	fn, t, err := compile(ex, sc, reg)
-	if err != nil {
-		return nil, err
-	}
-	if t != row.TypeBool {
-		return nil, fmt.Errorf("sql: predicate must be BOOLEAN, got %s", t)
-	}
-	return fn, nil
-}
-
-// filterParts applies a predicate to every materialized partition on the
-// query pool (used by HAVING, whose input the aggregate already drained).
-func (e *Engine) filterParts(qp *queryPool, parts [][]row.Row, pred evalFn) ([][]row.Row, error) {
-	out := make([][]row.Row, len(parts))
-	err := qp.forEach(len(parts), func(i, _ int) error {
-		var kept []row.Row
-		for _, r := range parts[i] {
-			v, err := pred(r)
-			if err != nil {
-				return err
-			}
-			if !v.Null && v.AsBool() {
-				kept = append(kept, r)
-			}
-		}
-		out[i] = kept
-		return nil
-	})
-	return out, err
 }
 
 // scanTable produces per-partition batch pipelines for a table: managed
@@ -702,25 +677,36 @@ func (e *Engine) execTableFunc(qp *queryPool, call *TableFuncCall) (row.Schema, 
 	}
 	e.cost.ChargeProc(e.head, total)
 	ctx := &UDFContext{Engine: e, Node: e.head, Partition: 0, NumPartitions: 1, InSchema: inSchema}
-	outParts := make([][]row.Row, e.NumWorkers())
+	outTypes := row.SchemaTypes(outSchema)
+	ws := make([]*chunkWriter, e.NumWorkers())
+	for i := range ws {
+		ws[i] = newChunkWriter(outTypes, -1)
+	}
 	next := 0
+	var pos []int32
 	emit := func(b *row.ColBatch) error {
-		for _, r := range b.Rows(nil) {
-			w := next % len(outParts)
-			outParts[w] = append(outParts[w], r)
-			next++
+		k, n := b.Len(), len(ws)
+		for w := range ws {
+			pos = pos[:0]
+			for si := ((w-next)%n + n) % n; si < k; si += n {
+				pos = append(pos, int32(b.SelPos(si)))
+			}
+			ws[w].appendPositions(b, pos)
 		}
+		next += k
 		return nil
 	}
 	if err := run(ctx, &chunkScan{chunks: gathered}, emit); err != nil {
 		return row.Schema{}, nil, err
 	}
-	for i, p := range outParts {
+	outParts := make([][]*row.ColBatch, len(ws))
+	for i, w := range ws {
+		outParts[i] = w.finish()
 		if e.workers[i] != e.head {
-			e.cost.ChargeNet(e.head, e.workers[i], partBytes(p))
+			e.cost.ChargeNet(e.head, e.workers[i], chunkBytes(outParts[i]))
 		}
 	}
-	return outSchema, partIters(outParts), nil
+	return outSchema, chunkIters(outParts), nil
 }
 
 // hashJoin joins two datasets. The right (newly joined) side is drained
@@ -781,8 +767,7 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 	// The probe runs column-wise whatever its input: key kernels over whole
 	// batches, one hashed lookup per packed key, matches gathered into
 	// column batches. An input with a columnar core (a scan, filter, an
-	// earlier probe or a table UDF) is peeled to it; row-only input (a
-	// breaker's partitions) is transposed first.
+	// earlier probe, a table UDF or a breaker's chunks) is peeled to it.
 	probeTypes := row.SchemaTypes(left.sc.combined())
 	outTypes := row.SchemaTypes(outScope.combined())
 	outIters := make([]BatchIterator, len(left.iters))
@@ -896,192 +881,57 @@ func makeOutputSchema(names []string, types []row.Type) (row.Schema, error) {
 	return row.NewSchema(cols...)
 }
 
-// repartitionByKey moves rows so that equal rows colocate (hashing each
-// row's canonical key bytes), charging network for cross-worker movement.
-// The per-source bucketing runs on the query pool.
-func (e *Engine) repartitionByKey(qp *queryPool, parts [][]row.Row) ([][]row.Row, error) {
-	n := len(parts)
-	buckets := make([][][]row.Row, n) // [src][dst]rows
-	err := qp.forEach(n, func(i, _ int) error {
-		b := make([][]row.Row, n)
-		var scratch []byte
-		var h uint64
-		for _, r := range parts[i] {
-			scratch, h = hashKey(scratch, r)
-			d := int(h % uint64(n))
-			b[d] = append(b[d], r)
-		}
-		buckets[i] = b
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]row.Row, n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			rows := buckets[src][dst]
-			if len(rows) == 0 {
-				continue
-			}
-			if e.workers[src] != e.workers[dst] {
-				e.cost.ChargeNet(e.workers[src], e.workers[dst], partBytes(rows))
-			}
-			out[dst] = append(out[dst], rows...)
-		}
-	}
-	return out, nil
-}
-
-// orderBy drains the pipeline (breaker) on the query pool, cuts the
-// partitions into sort chunks that sort as pool tasks (sort keys
-// evaluated once per row, not once per comparison), then merges the runs
-// with stable loser trees — intermediate merges in parallel, one final
-// merge at the head; the merged result occupies partition 0. Tie order is
-// identical to the old gather-then-sort.SliceStable implementation.
-func (e *Engine) orderBy(qp *queryPool, items []OrderItem, schema row.Schema, iters []BatchIterator) ([][]row.Row, error) {
+// orderBy sorts the tail (a pipeline breaker): the sort keys compile
+// against the output columns, tail drains the input into sealed chunks
+// (or hands over the chunks a breaker already made), every partition is
+// charged as moving to the head, and sortParts sorts it all into
+// partition 0.
+func (e *Engine) orderBy(qp *queryPool, items []OrderItem, schema row.Schema, tail func() ([][]*row.ColBatch, error)) ([][]*row.ColBatch, error) {
 	sc := newScope()
 	if err := sc.add("", schema); err != nil {
-		closeAllIters(iters)
 		return nil, err
 	}
 	specs := make([]orderSpec, len(items))
+	exprs := make([]Expr, len(items))
 	for i, it := range items {
-		fn, _, err := compile(it.Expr, sc, e.registry)
-		if err != nil {
-			closeAllIters(iters)
-			return nil, err
-		}
-		specs[i] = orderSpec{fn: fn, desc: it.Desc}
+		specs[i] = orderSpec{desc: it.Desc}
+		exprs[i] = it.Expr
 	}
-
-	// When the tail pipeline has a columnar core, the drain evaluates the
-	// sort keys column-wise per batch (one kernel pass per key instead of
-	// one closure call per row) and sorts the prepared runs. A tail that
-	// GROUP BY or DISTINCT already materialized has none and drains as rows.
-	if cores, ok := colSortCores(iters); ok {
-		exprs := make([]Expr, len(items))
-		for i, it := range items {
-			exprs[i] = it.Expr
-		}
-		keyFns, _, err := vecExprs(exprs, sc, e.registry)
-		if err != nil {
-			closeAllIters(iters)
-			return nil, err
-		}
-		return e.orderByColumnar(qp, specs, keyFns, iters, cores)
+	keyFns, _, err := vecExprs(exprs, sc, e.registry)
+	if err != nil {
+		return nil, err
 	}
-
-	parts, err := qp.drainAll(iters)
+	parts, err := tail()
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range parts {
 		if i < len(e.workers) && e.workers[i] != e.head {
-			e.cost.ChargeNet(e.workers[i], e.head, partBytes(p))
+			e.cost.ChargeNet(e.workers[i], e.head, chunkBytes(p))
 		}
 	}
-	merged, err := sortChunksMerge(qp, specs, chunkForSort(parts, nil, qp.n))
+	sorted, err := sortParts(qp, specs, keyFns, row.SchemaTypes(schema), parts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]row.Row, len(parts))
-	out[0] = merged
+	out := make([][]*row.ColBatch, len(parts))
+	out[0] = sorted
 	return out, nil
 }
 
-// colSortCores unwraps every partition's columnar core for the ORDER BY
-// drain. All-or-nothing: a single row-major partition keeps the whole sort
-// on the row path, so no partition pays a transpose just to sort.
-func colSortCores(iters []BatchIterator) ([]ColBatchSource, bool) {
-	cores := make([]ColBatchSource, len(iters))
-	for i := range iters {
-		c, ok := unwrapColCore(iters[i])
-		if !ok {
-			return nil, false
-		}
-		cores[i] = c
-	}
-	return cores, true
-}
-
-// orderByColumnar drains each partition's columnar core, evaluating sort
-// keys kernel-per-key over whole batches and materializing rows and key
-// rows together (both owning), then sorts and merges exactly like the row
-// path. iters are the row shells over the cores, closed per partition.
-func (e *Engine) orderByColumnar(qp *queryPool, specs []orderSpec, keyFns []vecFn, iters []BatchIterator, cores []ColBatchSource) ([][]row.Row, error) {
+// limit keeps the first n rows (taken in partition order) as sealed
+// chunks, pulling only the batches it needs and closing the rest of the
+// pipeline early — the early-termination path of the batch-iterator model.
+func limit(iters []BatchIterator, types []row.Type, n int) ([][]*row.ColBatch, error) {
 	primeIters(iters)
-	parts := make([][]row.Row, len(cores))
-	keys := make([][]row.Row, len(cores))
-	err := qp.forEach(len(cores), func(i, _ int) error {
-		defer iters[i].Close()
-		var ctx vecCtx
-		kvecs := make([]*row.Vector, len(keyFns))
-		for {
-			if qp.cancelled() {
-				return errQueryCancelled
-			}
-			b, ok, err := cores[i].NextCol()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			ctx.reclaim()
-			for ki, fn := range keyFns {
-				v, err := fn(&ctx, b, b.Sel())
-				if err != nil {
-					return err
-				}
-				kvecs[ki] = v
-			}
-			parts[i] = b.Rows(parts[i])
-			k := b.Len()
-			flat := make(row.Row, k*len(specs))
-			for si := 0; si < k; si++ {
-				p := b.SelPos(si)
-				kr := flat[si*len(specs) : (si+1)*len(specs) : (si+1)*len(specs)]
-				for ki, kv := range kvecs {
-					kr[ki] = kv.ValueAt(p)
-				}
-				keys[i] = append(keys[i], kr)
-			}
-		}
-	})
-	if err != nil {
-		closeAllIters(iters)
-		return nil, err
-	}
-	for i, p := range parts {
-		if i < len(e.workers) && e.workers[i] != e.head {
-			e.cost.ChargeNet(e.workers[i], e.head, partBytes(p))
-		}
-	}
-	merged, err := sortChunksMerge(qp, specs, chunkForSort(parts, keys, qp.n))
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]row.Row, len(parts))
-	out[0] = merged
-	return out, nil
-}
-
-// limit truncates the result to n rows (taken in partition order), pulling
-// only the batches it needs and closing the rest of the pipeline early —
-// the early-termination path of the batch-iterator model.
-func (e *Engine) limit(iters []BatchIterator, n int) ([][]row.Row, error) {
-	primeIters(iters)
-	out := make([][]row.Row, len(iters))
+	out := make([][]*row.ColBatch, len(iters))
 	remaining := n
 	var firstErr error
 	for i, it := range iters {
-		if remaining <= 0 || firstErr != nil {
-			it.Close()
-			continue
-		}
-		for remaining > 0 {
-			b, ok, err := it.Next()
+		c := asColIterator(it, types)
+		w := newChunkWriter(types, -1)
+		for remaining > 0 && firstErr == nil {
+			b, ok, err := c.NextCol()
 			if err != nil {
 				firstErr = err
 				break
@@ -1089,13 +939,12 @@ func (e *Engine) limit(iters []BatchIterator, n int) ([][]row.Row, error) {
 			if !ok {
 				break
 			}
-			if len(b) > remaining {
-				b = b[:remaining]
-			}
-			out[i] = append(out[i], b...)
-			remaining -= len(b)
+			k := min(b.Len(), remaining)
+			w.appendBatch(b, k)
+			remaining -= k
 		}
-		it.Close()
+		c.Close()
+		out[i] = w.finish()
 	}
 	if firstErr != nil {
 		return nil, firstErr

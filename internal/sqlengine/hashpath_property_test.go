@@ -1,7 +1,7 @@
 package sqlengine
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -223,37 +223,73 @@ func TestOrderByStableMergePreservesTieOrder(t *testing.T) {
 	}
 }
 
+// keyedRuns makes run i one chunk whose key column holds runs[i]'s keys,
+// and returns the runs as refs with the comparator over those keys.
+func keyedRuns(runs ...[]int64) (func(a, b sortRef) int, [][]sortRef) {
+	s := &sortKeys{specs: []orderSpec{{}}}
+	refs := make([][]sortRef, len(runs))
+	for i, keys := range runs {
+		v := &row.Vector{}
+		v.Reset(row.TypeInt)
+		for j, k := range keys {
+			v.AppendInt(k)
+			refs[i] = append(refs[i], sortRef{int32(i), int32(j)})
+		}
+		s.keys = append(s.keys, []*row.Vector{v})
+	}
+	return s.compare, refs
+}
+
+// TestCompareCellsMatchesValueCompare holds the sort's vector comparator
+// to Value.Compare over every pair of cells of one type, the edges
+// included: NULL sorts lowest, NaN ties with everything, -0 ties with +0.
+func TestCompareCellsMatchesValueCompare(t *testing.T) {
+	nan := math.NaN()
+	for _, vals := range [][]row.Value{
+		{row.NullOf(row.TypeInt), row.Int(math.MinInt64), row.Int(-1), row.Int(0), row.Int(1), row.Int(math.MaxInt64)},
+		{row.NullOf(row.TypeFloat), row.Float(math.Inf(-1)), row.Float(-1.5), row.Float(math.Copysign(0, -1)), row.Float(0), row.Float(nan), row.Float(2), row.Float(math.Inf(1))},
+		{row.NullOf(row.TypeString), row.String_(""), row.String_("a"), row.String_("ab"), row.String_("b"), row.String_("é")},
+		{row.NullOf(row.TypeBool), row.Bool(false), row.Bool(true)},
+	} {
+		v := &row.Vector{}
+		v.Reset(vals[0].Kind)
+		for _, x := range vals {
+			v.AppendValue(x)
+		}
+		for p, a := range vals {
+			for q, b := range vals {
+				if got, want := compareCells(v, p, v, q), a.Compare(b); got != want {
+					t.Errorf("compareCells(%v, %v) = %d, Value.Compare = %d", a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestMergeRunsEdgeCases exercises the loser tree directly: empty runs,
 // a single run, and run counts around power-of-two boundaries.
 func TestMergeRunsEdgeCases(t *testing.T) {
-	specs := []orderSpec{{desc: false}}
-	mkRun := func(keys ...int64) *sortedRun {
-		r := &sortedRun{}
-		for _, k := range keys {
-			r.rows = append(r.rows, row.Row{row.Int(k)})
-			r.keys = append(r.keys, row.Row{row.Int(k)})
-		}
-		return r
-	}
+	run := func(keys ...int64) []int64 { return keys }
 	for _, tc := range []struct {
 		name string
-		runs []*sortedRun
+		runs [][]int64
 		want []int64
 	}{
-		{"single", []*sortedRun{mkRun(1, 2, 3)}, []int64{1, 2, 3}},
-		{"two", []*sortedRun{mkRun(1, 3), mkRun(2, 4)}, []int64{1, 2, 3, 4}},
-		{"empty-runs", []*sortedRun{mkRun(), mkRun(5), mkRun(), mkRun(1)}, []int64{1, 5}},
-		{"all-empty", []*sortedRun{mkRun(), mkRun(), mkRun()}, nil},
-		{"three", []*sortedRun{mkRun(2, 2), mkRun(1, 2), mkRun(2, 3)}, []int64{1, 2, 2, 2, 2, 3}},
-		{"five", []*sortedRun{mkRun(9), mkRun(1, 8), mkRun(4), mkRun(2, 7), mkRun(3)}, []int64{1, 2, 3, 4, 7, 8, 9}},
+		{"single", [][]int64{run(1, 2, 3)}, []int64{1, 2, 3}},
+		{"two", [][]int64{run(1, 3), run(2, 4)}, []int64{1, 2, 3, 4}},
+		{"empty-runs", [][]int64{run(), run(5), run(), run(1)}, []int64{1, 5}},
+		{"all-empty", [][]int64{run(), run(), run()}, nil},
+		{"three", [][]int64{run(2, 2), run(1, 2), run(2, 3)}, []int64{1, 2, 2, 2, 2, 3}},
+		{"five", [][]int64{run(9), run(1, 8), run(4), run(2, 7), run(3)}, []int64{1, 2, 3, 4, 7, 8, 9}},
 	} {
-		got := mergeRuns(specs, tc.runs)
+		cmp, runs := keyedRuns(tc.runs...)
+		got := mergeRuns(cmp, runs)
 		if len(got) != len(tc.want) {
 			t.Fatalf("%s: got %d rows, want %d", tc.name, len(got), len(tc.want))
 		}
 		for i, r := range got {
-			if r[0].AsInt() != tc.want[i] {
-				t.Fatalf("%s: row %d = %d, want %d (%v)", tc.name, i, r[0].AsInt(), tc.want[i], got)
+			if k := tc.runs[r.chunk][r.pos]; k != tc.want[i] {
+				t.Fatalf("%s: row %d = %d, want %d (%v)", tc.name, i, k, tc.want[i], got)
 			}
 		}
 	}
@@ -261,24 +297,14 @@ func TestMergeRunsEdgeCases(t *testing.T) {
 
 // TestMergeRunsStableAcrossRunIndex: equal keys come out in run order.
 func TestMergeRunsStableAcrossRunIndex(t *testing.T) {
-	specs := []orderSpec{{desc: false}}
-	runs := make([]*sortedRun, 4)
-	for i := range runs {
-		r := &sortedRun{}
-		// every run holds the same keys; payload identifies (run, pos)
-		for j := 0; j < 3; j++ {
-			r.rows = append(r.rows, row.Row{row.Int(int64(j)), row.String_(fmt.Sprintf("r%d-%d", i, j))})
-			r.keys = append(r.keys, row.Row{row.Int(int64(j))})
-		}
-		runs[i] = r
-	}
-	got := mergeRuns(specs, runs)
+	// every run holds the same keys; the ref identifies (run, pos)
+	cmp, runs := keyedRuns([]int64{0, 1, 2}, []int64{0, 1, 2}, []int64{0, 1, 2}, []int64{0, 1, 2})
+	got := mergeRuns(cmp, runs)
 	k := 0
 	for j := 0; j < 3; j++ {
 		for i := 0; i < 4; i++ {
-			want := fmt.Sprintf("r%d-%d", i, j)
-			if got[k][1].AsString() != want {
-				t.Fatalf("pos %d: got %s, want %s", k, got[k][1].AsString(), want)
+			if want := (sortRef{int32(i), int32(j)}); got[k] != want {
+				t.Fatalf("pos %d: got r%d-%d, want r%d-%d", k, got[k].chunk, got[k].pos, i, j)
 			}
 			k++
 		}

@@ -38,6 +38,15 @@ var parallelOracleQueries = []string{
 	"SELECT k, v FROM t ORDER BY k LIMIT 13",
 	"SELECT v + 1, f * 2.0 FROM t WHERE f > v",
 	"SELECT v FROM t LIMIT 7",
+	// Breaker chains. HAVING sees output columns by name; a group whose v
+	// are all NULL has a NULL s, which HAVING drops.
+	"SELECT k, SUM(v) AS s FROM t GROUP BY k HAVING s > 10",
+	"SELECT cat, COUNT(*) AS n, MIN(f) AS lo FROM t GROUP BY cat HAVING cat <> 'b' AND n > 1",
+	"SELECT COUNT(*) AS n, MIN(f) AS lo, MAX(v) AS hi FROM t HAVING n > 5",
+	"SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY s DESC, k LIMIT 4",
+	"SELECT DISTINCT cat, v FROM t ORDER BY cat, v DESC LIMIT 5",
+	// f is NULL-heavy: the NULLs tie and keep their input order.
+	"SELECT k, f FROM t ORDER BY f DESC",
 }
 
 // TestPropertyParallelismOracle runs the corpus (the columnar-oracle

@@ -213,12 +213,3 @@ func (s *externalScan) Close() {
 func emptyIters(n int) []BatchIterator {
 	return chunkIters(make([][]*row.ColBatch, n))
 }
-
-// partIters wraps materialized partitions back into iterators.
-func partIters(parts [][]row.Row) []BatchIterator {
-	iters := make([]BatchIterator, len(parts))
-	for i, p := range parts {
-		iters[i] = NewSliceBatches(p)
-	}
-	return iters
-}

@@ -129,24 +129,20 @@ func (p *queryPool) forEach(n int, f func(task, worker int) error) error {
 	return nil
 }
 
-// drainAll drains every partition pipeline on the pool into row
-// partitions, for the one breaker that still sorts rows (the row ORDER
-// BY).
-func (p *queryPool) drainAll(iters []BatchIterator) ([][]row.Row, error) {
-	return drainEach(p, iters, p.drainBatches)
-}
-
-// drainEach runs drain over every partition pipeline on the pool.
-// Pipelines with lazily started producer goroutines are primed first:
-// partitions of a stream-send query register with their coordinator from
-// their own goroutines, so a pool smaller than the partition count
-// (including the Parallelism: 1 oracle) cannot deadlock their barrier.
-// On error (or cancellation) every iterator is closed.
-func drainEach[T any](p *queryPool, iters []BatchIterator, drain func(BatchIterator) (T, error)) ([]T, error) {
+// drainChunks drains every partition pipeline on the pool into sealed
+// chunks (chunks.go): for a result that is kept, a hash-join build side
+// and an ORDER BY input. Every pipeline is read through asColIterator, so
+// its batches' live rows are copied typed. Pipelines with lazily started
+// producer goroutines are primed first: partitions of a stream-send query
+// register with their coordinator from their own goroutines, so a pool
+// smaller than the partition count (including the Parallelism: 1 oracle)
+// cannot deadlock their barrier. On error (or cancellation) every
+// iterator is closed.
+func (p *queryPool) drainChunks(iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
 	primeIters(iters)
-	parts := make([]T, len(iters))
+	parts := make([][]*row.ColBatch, len(iters))
 	err := p.forEach(len(iters), func(i, _ int) error {
-		part, err := drain(iters[i])
+		part, err := p.drainChunkPart(asColIterator(iters[i], types), types)
 		parts[i] = part
 		return err
 	})
@@ -155,38 +151,6 @@ func drainEach[T any](p *queryPool, iters []BatchIterator, drain func(BatchItera
 		return nil, err
 	}
 	return parts, nil
-}
-
-// drainBatches is the package-level drainBatches with a cancellation check
-// at every batch boundary, so a failed sibling partition stops this one
-// within one batch.
-func (p *queryPool) drainBatches(it BatchIterator) ([]row.Row, error) {
-	defer it.Close()
-	var out []row.Row
-	for {
-		if p.cancelled() {
-			return nil, errQueryCancelled
-		}
-		b, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, b...)
-	}
-}
-
-// drainChunks drains every partition pipeline on the pool into sealed
-// chunks (chunks.go), for a result that is kept and for a hash-join build
-// side. Every pipeline is read through asColIterator: one with a columnar
-// core is peeled to it and its batches' live rows are copied typed; a
-// row-only one (a breaker's partitions) is transposed on the way.
-func (p *queryPool) drainChunks(iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
-	return drainEach(p, iters, func(it BatchIterator) ([]*row.ColBatch, error) {
-		return p.drainChunkPart(asColIterator(it, types), types)
-	})
 }
 
 func (p *queryPool) drainChunkPart(c ColBatchSource, types []row.Type) ([]*row.ColBatch, error) {
@@ -203,7 +167,7 @@ func (p *queryPool) drainChunkPart(c ColBatchSource, types []row.Type) ([]*row.C
 		if !ok {
 			return w.finish(), nil
 		}
-		w.appendBatch(b)
+		w.appendBatch(b, b.Len())
 	}
 }
 

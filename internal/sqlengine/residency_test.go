@@ -154,30 +154,53 @@ func intRows(vs ...int64) []row.Row {
 	return out
 }
 
+// drainBatches pulls an iterator to completion, materializing one
+// partition. The iterator is closed either way.
+func drainBatches(it BatchIterator) ([]row.Row, error) {
+	defer it.Close()
+	var out []row.Row
+	for {
+		b, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		out = append(out, b...)
+	}
+}
+
+// colKey is the sort-key kernel reading column c as it is.
+func colKey(c int) vecFn {
+	return func(_ *vecCtx, b *row.ColBatch, _ []int32) (*row.Vector, error) { return b.Col(c), nil }
+}
+
 // TestOrderByUnderBatchRecycling drains recycling producers the way
-// orderBy does (drainBatches per partition), sorts each run, and merges —
-// checking the exact global order and the cross-partition stability rule
-// (ties break toward the lower partition index).
+// orderBy does (drainChunks over every partition), sorts the chunks by
+// key refs, and gathers — checking the exact global order and the
+// cross-partition stability rule (ties break toward the lower partition
+// index).
 func TestOrderByUnderBatchRecycling(t *testing.T) {
 	parts := [][]row.Row{
 		intRows(3, 1, 7, 3),
 		intRows(2, 3, 9),
 	}
-	specs := []orderSpec{{fn: func(r row.Row) (row.Value, error) { return r[0], nil }}}
-
-	runs := make([]*sortedRun, len(parts))
+	types := []row.Type{row.TypeInt}
+	qp := newQueryPool(2)
+	iters := make([]BatchIterator, len(parts))
 	for i, part := range parts {
-		drained, err := drainBatches(newRecyclingBatches(part, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := sortRun(specs, drained)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = run
+		iters[i] = newRecyclingBatches(part, 2)
 	}
-	merged := mergeRuns(specs, runs)
+	chunks, err := qp.drainChunks(iters, types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := sortParts(qp, []orderSpec{{}}, []vecFn{colKey(0)}, types, chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := chunkRows(sorted)
 	want := []int64{1, 2, 3, 3, 3, 7, 9}
 	if len(merged) != len(want) {
 		t.Fatalf("merged %d rows, want %d", len(merged), len(want))

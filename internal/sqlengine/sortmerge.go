@@ -1,39 +1,42 @@
 package sqlengine
 
-import "sqlml/internal/row"
+import (
+	"bytes"
 
-// Parallel sort-merge ORDER BY: each partition evaluates its sort keys
-// once per row and stable-sorts locally (in parallel, one goroutine per
-// partition like every other per-partition pass), then the head node
-// merges the sorted runs with a stable k-way loser tree. Ties break
-// toward the lower partition index and, within a partition, toward the
-// earlier row — exactly the order the old gather-then-sort.SliceStable
-// implementation produced over the concatenated partitions.
+	"sqlml/internal/row"
+)
 
-// sortedRun is one partition's sorted output: rows and their precomputed
-// sort-key rows, aligned index-for-index, plus the merge cursor.
-type sortedRun struct {
-	rows []row.Row
-	keys []row.Row
-	pos  int
+// Parallel sort-merge ORDER BY over sealed chunks. The sort keys are
+// kernel vectors evaluated once per input chunk; the sort and the merge
+// move (chunk, position) refs, never rows. The input is cut into a grid
+// of sort tasks that stable-sort on the query pool, the runs merge with a
+// stable k-way loser tree, and the merged refs are gathered into sealed
+// chunks at partition 0. Ties break toward the lower partition index and,
+// within a partition, toward the earlier row — the order of a stable sort
+// of the concatenated partitions.
+
+// sortRef addresses one input row: a chunk of the sort input and a
+// physical position in it.
+type sortRef struct{ chunk, pos int32 }
+
+// orderSpec is one ORDER BY item's direction.
+type orderSpec struct{ desc bool }
+
+// sortKeys holds the sort-key vectors of every input chunk, [chunk][key].
+type sortKeys struct {
+	specs []orderSpec
+	keys  [][]*row.Vector
 }
 
-// orderSpec is one ORDER BY item: a compiled key expression and its
-// direction.
-type orderSpec struct {
-	fn   evalFn
-	desc bool
-}
-
-// compareKeyRows orders two precomputed key rows under the ORDER BY
-// directions.
-func compareKeyRows(specs []orderSpec, a, b row.Row) int {
-	for i, s := range specs {
-		c := a[i].Compare(b[i])
+// compare orders two refs under the ORDER BY directions.
+func (s *sortKeys) compare(a, b sortRef) int {
+	ka, kb := s.keys[a.chunk], s.keys[b.chunk]
+	for i, sp := range s.specs {
+		c := compareCells(ka[i], int(a.pos), kb[i], int(b.pos))
 		if c == 0 {
 			continue
 		}
-		if s.desc {
+		if sp.desc {
 			return -c
 		}
 		return c
@@ -41,64 +44,134 @@ func compareKeyRows(specs []orderSpec, a, b row.Row) int {
 	return 0
 }
 
-// sortRun evaluates the sort keys for every row of part (one evaluation
-// per row, not one per comparison) and returns the stably sorted run.
-func sortRun(specs []orderSpec, part []row.Row) (*sortedRun, error) {
-	keys := make([]row.Row, len(part))
-	flat := make(row.Row, len(part)*len(specs)) // one backing array for all key rows
-	for j, r := range part {
-		kr := flat[j*len(specs) : (j+1)*len(specs) : (j+1)*len(specs)]
-		for ki, s := range specs {
-			v, err := s.fn(r)
+// compareCells orders slot p of a against slot q of b, two vectors of one
+// sort key (so of one type), exactly as Value.Compare orders their values:
+// NULL sorts lowest, and a NaN ties with everything.
+func compareCells(a *row.Vector, p int, b *row.Vector, q int) int {
+	an, bn := a.Null(p), b.Null(q)
+	switch {
+	case an && bn:
+		return 0
+	case an:
+		return -1
+	case bn:
+		return 1
+	}
+	switch a.Type() {
+	case row.TypeInt:
+		return cmpOrdered(a.Ints[p], b.Ints[q])
+	case row.TypeFloat:
+		return cmpOrdered(a.Floats[p], b.Floats[q])
+	case row.TypeString:
+		return bytes.Compare(a.Bytes(p), b.Bytes(q))
+	default:
+		return cmpOrdered(boolRank(a.Bools[p]), boolRank(b.Bools[q]))
+	}
+}
+
+// cmpOrdered is -1, 0 or +1 by < and >, so unordered floats compare equal.
+func cmpOrdered[T int64 | float64 | int](x, y T) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
+}
+
+func boolRank(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// sortParts sorts sealed chunk partitions by the ORDER BY key kernels into
+// one partition of sealed chunks.
+func sortParts(qp *queryPool, specs []orderSpec, keyFns []vecFn, types []row.Type, parts [][]*row.ColBatch) ([]*row.ColBatch, error) {
+	var chunks []*row.ColBatch
+	for _, p := range parts {
+		chunks = append(chunks, p...)
+	}
+	// Each chunk's keys are evaluated over a view of it that outlives the
+	// sort, so a passthrough key vector stays valid.
+	s := &sortKeys{specs: specs, keys: make([][]*row.Vector, len(chunks))}
+	err := qp.forEach(len(chunks), func(i, _ int) error {
+		view := new(row.ColBatch)
+		view.ViewOf(chunks[i])
+		var ctx vecCtx
+		keys := make([]*row.Vector, len(keyFns))
+		for k, fn := range keyFns {
+			v, err := fn(&ctx, view, nil)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			kr[ki] = v
+			keys[k] = v
 		}
-		keys[j] = kr
+		s.keys[i] = keys
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return sortRunPrepared(specs, part, keys), nil
+	runs := sortGrid(parts, qp.n)
+	err = qp.forEach(len(runs), func(i, _ int) error {
+		stableSortBy(runs[i], s.compare)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	merged, err := mergeGrid(qp, s.compare, runs)
+	if err != nil {
+		return nil, err
+	}
+	w := newChunkWriter(types, len(merged))
+	for i := 0; i < len(merged); {
+		refs := merged[i:]
+		n := min(len(refs), w.room(len(refs), func(c int) int { return refBytesPerRow(chunks, refs, c) }))
+		for c := range types {
+			dst := w.cur.Col(c)
+			for _, r := range refs[:n] {
+				dst.AppendFrom(chunks[r.chunk].Col(c), int(r.pos))
+			}
+		}
+		w.cur.SetFullLen(w.cur.FullLen() + n)
+		w.took(n)
+		i += n
+	}
+	return w.finish(), nil
 }
 
-// sortRunPrepared stably sorts a partition whose sort-key rows are already
-// evaluated and aligned index-for-index with the rows — the columnar drain
-// computes keys column-wise per batch and hands both slices here.
-func sortRunPrepared(specs []orderSpec, part, keys []row.Row) *sortedRun {
-	ord := make([]int, len(part))
-	for j := range ord {
-		ord[j] = j
+// refBytesPerRow is column c's mean VARCHAR payload over the first
+// DefaultBatchSize refs — exact for a chunk that holds just those rows.
+func refBytesPerRow(chunks []*row.ColBatch, refs []sortRef, c int) int {
+	refs = refs[:min(len(refs), DefaultBatchSize)]
+	total := 0
+	for _, r := range refs {
+		if v := chunks[r.chunk].Col(c); !v.Null(int(r.pos)) {
+			total += len(v.Bytes(int(r.pos)))
+		}
 	}
-	stableSortBy(ord, func(a, b int) int { return compareKeyRows(specs, keys[a], keys[b]) })
-	rows := make([]row.Row, len(part))
-	sortedKeys := make([]row.Row, len(part))
-	for j, o := range ord {
-		rows[j] = part[o]
-		sortedKeys[j] = keys[o]
-	}
-	return &sortedRun{rows: rows, keys: sortedKeys}
+	return (total + len(refs) - 1) / len(refs)
 }
 
-// stableSortBy stably sorts ord under cmp applied to its elements — a
-// bottom-up merge sort (merges prefer the left half on ties, which makes
-// stability structural) with a single scratch slice instead of
-// sort.SliceStable's comparator indirection and block rotations.
-func stableSortBy(ord []int, cmp func(a, b int) int) {
-	n := len(ord)
+// stableSortBy stably sorts refs under cmp — a bottom-up merge sort
+// (merges prefer the left half on ties, which makes stability structural)
+// with a single scratch slice instead of sort.SliceStable's comparator
+// indirection and block rotations.
+func stableSortBy(refs []sortRef, cmp func(a, b sortRef) int) {
+	n := len(refs)
 	if n < 2 {
 		return
 	}
-	buf := make([]int, n)
-	src, dst := ord, buf
+	buf := make([]sortRef, n)
+	src, dst := refs, buf
 	for width := 1; width < n; width *= 2 {
 		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := mid + width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
+			mid := min(lo+width, n)
+			hi := min(mid+width, n)
 			i, j, k := lo, mid, lo
 			for i < mid && j < hi {
 				if cmp(src[i], src[j]) <= 0 {
@@ -115,60 +188,41 @@ func stableSortBy(ord []int, cmp func(a, b int) int) {
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &ord[0] {
-		copy(ord, src)
+	if &src[0] != &refs[0] {
+		copy(refs, src)
 	}
 }
 
-// mergeRuns merges the sorted runs into one slice with a loser tree:
-// k-1 internal nodes each hold the loser of their subtree's match, the
-// root's winner is the next row to emit, and replacing the emitted run's
-// head replays only its leaf-to-root path — O(log k) comparisons per row.
-func mergeRuns(specs []orderSpec, runs []*sortedRun) []row.Row {
-	return mergeRunsInto(specs, runs, false).rows
-}
-
-// mergeRunsKeyed is mergeRuns carrying the sort keys through, so the
-// merged run can feed a further merge level (the parallel intermediate
-// merges of the morsel-run tree).
-func mergeRunsKeyed(specs []orderSpec, runs []*sortedRun) *sortedRun {
-	if len(runs) == 1 {
+// mergeRuns merges the sorted runs with a loser tree: k-1 internal nodes
+// each hold the loser of their subtree's match, the root's winner is the
+// next ref to emit, and replacing the emitted run's head replays only its
+// leaf-to-root path — O(log k) comparisons per ref.
+func mergeRuns(cmp func(a, b sortRef) int, runs [][]sortRef) []sortRef {
+	k := len(runs)
+	if k == 1 {
 		return runs[0]
 	}
-	return mergeRunsInto(specs, runs, true)
-}
-
-func mergeRunsInto(specs []orderSpec, runs []*sortedRun, withKeys bool) *sortedRun {
 	total := 0
 	for _, r := range runs {
-		total += len(r.rows)
+		total += len(r)
 	}
-	out := make([]row.Row, 0, total)
-	var outKeys []row.Row
-	if withKeys {
-		outKeys = make([]row.Row, 0, total)
-	}
-	k := len(runs)
+	out := make([]sortRef, 0, total)
 	if k == 0 {
-		return &sortedRun{}
+		return out
 	}
-	if k == 1 {
-		return &sortedRun{rows: append(out, runs[0].rows...), keys: runs[0].keys}
-	}
+	pos := make([]int, k)
 
 	// beats reports whether run a's head must be emitted before run b's:
 	// exhausted runs lose to everything, equal keys break toward the lower
-	// partition index (stability across partitions).
+	// run index (stability across partitions).
 	beats := func(a, b int) bool {
-		ra, rb := runs[a], runs[b]
-		if ra.pos >= len(ra.rows) {
+		if pos[a] >= len(runs[a]) {
 			return false
 		}
-		if rb.pos >= len(rb.rows) {
+		if pos[b] >= len(runs[b]) {
 			return true
 		}
-		c := compareKeyRows(specs, ra.keys[ra.pos], rb.keys[rb.pos])
-		if c != 0 {
+		if c := cmp(runs[a][pos[a]], runs[b][pos[b]]); c != 0 {
 			return c < 0
 		}
 		return a < b
@@ -194,12 +248,8 @@ func mergeRunsInto(specs []orderSpec, runs []*sortedRun, withKeys bool) *sortedR
 	winner := build(1)
 
 	for range total {
-		r := runs[winner]
-		out = append(out, r.rows[r.pos])
-		if withKeys {
-			outKeys = append(outKeys, r.keys[r.pos])
-		}
-		r.pos++
+		out = append(out, runs[winner][pos[winner]])
+		pos[winner]++
 		// Replay the winner's path: at each ancestor, the stored loser
 		// challenges; the new winner continues up.
 		for node := (k + winner) / 2; node >= 1; node /= 2 {
@@ -208,7 +258,7 @@ func mergeRunsInto(specs []orderSpec, runs []*sortedRun, withKeys bool) *sortedR
 			}
 		}
 	}
-	return &sortedRun{rows: out, keys: outKeys}
+	return out
 }
 
 // sortChunkRows is the finest run granularity of the parallel sort: large
@@ -216,96 +266,65 @@ func mergeRunsInto(specs []orderSpec, runs []*sortedRun, withKeys bool) *sortedR
 // skewed partition still splits into many parallel sort tasks.
 const sortChunkRows = 8 * DefaultBatchSize
 
-// sortChunk is one contiguous slice of one partition, the sort-task unit.
-// keys, when present, are the precomputed sort-key rows aligned
-// index-for-index (the columnar drain hands them in; the row path leaves
-// them nil and sortRun evaluates).
-type sortChunk struct {
-	rows []row.Row
-	keys []row.Row
-}
-
-// chunkForSort cuts the partitions into a chunk grid in partition-major
-// order. The grid may vary with Parallelism without breaking the
-// byte-identity invariant: a stable sort of every chunk followed by a
-// stable merge of consecutive runs equals the stable sort of the whole
-// input — ties always break toward the lower global input position — so
-// ANY grid yields the same output and the choice is pure performance.
-// The chunk size targets ~2 sort tasks per worker for load balancing but
-// never drops below sortChunkRows: balanced partitions at small pool
-// sizes stay one-chunk-per-partition (the shallowest merge tree), while
-// a skewed or single partition still splits across a wide pool.
-func chunkForSort(parts, keys [][]row.Row, workers int) []sortChunk {
+// sortGrid lists the input's refs in partition-major order and cuts every
+// partition into sort tasks. The grid may vary with Parallelism without
+// breaking the byte-identity invariant: a stable sort of every task
+// followed by a stable merge of consecutive runs equals the stable sort
+// of the whole input — ties always break toward the lower global input
+// position — so ANY grid yields the same output and the choice is pure
+// performance. The task size targets ~2 sort tasks per worker for load
+// balancing but never drops below sortChunkRows: balanced partitions at
+// small pool sizes stay one-task-per-partition (the shallowest merge
+// tree), while a skewed or single partition still splits across a wide
+// pool.
+func sortGrid(parts [][]*row.ColBatch, workers int) [][]sortRef {
 	total := 0
 	for _, p := range parts {
-		total += len(p)
+		total += chunkLen(p)
 	}
 	size := total
 	if workers > 0 {
 		size = (total + 2*workers - 1) / (2 * workers)
 	}
-	if size < sortChunkRows {
-		size = sortChunkRows
-	}
-	var chunks []sortChunk
-	for pi, part := range parts {
-		for lo := 0; lo < len(part); lo += size {
-			hi := lo + size
-			if hi > len(part) {
-				hi = len(part)
+	size = max(size, sortChunkRows)
+	refs := make([]sortRef, 0, total)
+	var grid [][]sortRef
+	ci := int32(0)
+	for _, p := range parts {
+		start := len(refs)
+		for _, c := range p {
+			for pos := range c.FullLen() {
+				refs = append(refs, sortRef{ci, int32(pos)})
 			}
-			c := sortChunk{rows: part[lo:hi]}
-			if keys != nil {
-				c.keys = keys[pi][lo:hi]
-			}
-			chunks = append(chunks, c)
+			ci++
+		}
+		for lo := start; lo < len(refs); lo += size {
+			grid = append(grid, refs[lo:min(lo+size, len(refs))])
 		}
 	}
-	return chunks
+	return grid
 }
 
-// sortChunksMerge sorts every chunk as a pool task and merges the runs:
-// consecutive run groups merge in parallel, then one serial merge of the
-// group outputs. Stable merging of consecutive runs is associative — any
-// grouping yields the rows stably ordered by (key, global input index) —
-// so the output is byte-identical at any Parallelism.
-func sortChunksMerge(qp *queryPool, specs []orderSpec, chunks []sortChunk) ([]row.Row, error) {
-	runs := make([]*sortedRun, len(chunks))
-	err := qp.forEach(len(chunks), func(i, _ int) error {
-		c := chunks[i]
-		if c.keys != nil {
-			runs[i] = sortRunPrepared(specs, c.rows, c.keys)
-			return nil
-		}
-		run, err := sortRun(specs, c.rows)
-		runs[i] = run
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(runs) == 0 {
-		return nil, nil
-	}
-	// A grouped pre-merge pass re-copies every row (and key), so it only
-	// pays when the run count is high enough that flattening the final
-	// merge tree beats the extra pass. Few runs: one serial merge.
-	g := qp.n
-	if g > len(runs) {
-		g = len(runs)
-	}
+// mergeGrid merges the sorted runs: consecutive run groups merge in
+// parallel, then one serial merge of the group outputs. Stable merging of
+// consecutive runs is associative — any grouping yields the refs stably
+// ordered by (key, global input index) — so the output is byte-identical
+// at any Parallelism.
+func mergeGrid(qp *queryPool, cmp func(a, b sortRef) int, runs [][]sortRef) ([]sortRef, error) {
+	// A grouped pre-merge pass re-copies every ref, so it only pays when
+	// the run count is high enough that flattening the final merge tree
+	// beats the extra pass. Few runs: one serial merge.
+	g := min(qp.n, len(runs))
 	if g <= 1 || len(runs) <= 2*qp.n {
-		return mergeRuns(specs, runs), nil
+		return mergeRuns(cmp, runs), nil
 	}
-	groups := make([]*sortedRun, g)
-	err = qp.forEach(g, func(i, _ int) error {
-		lo := i * len(runs) / g
-		hi := (i + 1) * len(runs) / g
-		groups[i] = mergeRunsKeyed(specs, runs[lo:hi])
+	groups := make([][]sortRef, g)
+	err := qp.forEach(g, func(i, _ int) error {
+		groups[i] = mergeRuns(cmp, runs[i*len(runs)/g:(i+1)*len(runs)/g])
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return mergeRuns(specs, groups), nil
+	return mergeRuns(cmp, groups), nil
 }
