@@ -1,11 +1,13 @@
-// Package batchretain enforces the Volcano pipeline's batch-reuse
-// contract (internal/sqlengine/batch.go): a RowBatch returned by
-// BatchIterator.Next — and any row or sub-slice aliasing it — is only
-// valid until the following Next call. Producers recycle the batch's
-// backing storage, so a consumer that parks such a slice somewhere
-// longer-lived reads rows that a later batch has overwritten: silently
-// corrupt results, only under load, only when the producer actually
-// recycles.
+// Package batchretain enforces the pipeline's batch-reuse contract, the
+// one stated on ColBatchSource (internal/sqlengine/colpipe.go): a
+// *ColBatch returned by NextCol (or a record reader's NextColBatch) — and
+// every vector, slice or selection aliasing it — is only valid until the
+// following call. Producers recycle the batch's backing storage, so a
+// consumer that parks such a value somewhere longer-lived reads rows that
+// a later batch has overwritten: silently corrupt results, only under
+// load, only when the producer actually recycles. The row view a result
+// hands out (a RowBatch from BatchIterator.Next, internal/sqlengine/batch.go)
+// follows the same rule and is checked the same way.
 //
 // What the pass flags, for a batch-derived value b:
 //
@@ -24,12 +26,10 @@
 // b (Clone, copyRows, …) transfers ownership to code that is responsible
 // for its own copying.
 //
-// The columnar pipeline (internal/sqlengine/colpipe.go) has the same
-// contract: a *ColBatch returned by NextCol or NextColBatch is recycled by
-// the following call, and so is every view handed out by its accessors.
-// Births from Next-shaped methods returning *ColBatch are tracked like
-// RowBatch ones, and the view accessors — Col, Sel, Bytes — keep the alias
-// alive instead of transferring ownership the way Rows (which copies) does.
+// Births from Next-shaped methods returning *ColBatch or RowBatch are
+// tracked alike, and the view accessors — Col, Sel, Bytes — keep the
+// alias alive instead of transferring ownership the way Rows (which
+// copies) does.
 package batchretain
 
 import (

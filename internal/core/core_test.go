@@ -341,6 +341,56 @@ func TestCacheRefusesInexactMixedImplication(t *testing.T) {
 	}
 }
 
+// TestCacheRefusesInexactSameKindImplication caches a query filtered on
+// amount < 9007199254740993, then runs one filtered on
+// amount <= 9007199254740992 under CacheRecodeMaps. Both literals are
+// BIGINT and amount is DOUBLE, so the engine rounds the first to 2^53.0:
+// the planted cart of amount 2^53 passes only the second filter. Its user
+// is the only one of gender "X", so the cached recode map lacks "X", and
+// the §5.2 tier must not serve it. Served or not, the dataset must equal a
+// fresh run's.
+func TestCacheRefusesInexactSameKindImplication(t *testing.T) {
+	d, err := datagen.Generate(datagen.Config{Users: 60, CartsPerUser: 8, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uid := int64(len(d.Users) + 1)
+	d.Users = append(d.Users, row.Row{row.Int(uid), row.Int(40), row.String_("X"), row.String_("USA")})
+	d.Carts = append(d.Carts, row.Row{
+		row.Int(int64(len(d.Carts) + 1)), row.Int(uid), row.Float(1 << 53),
+		row.Int(3), row.Int(2013), row.String_("Yes"),
+	})
+	envCfg := DefaultEnvConfig()
+	envCfg.BlockSize = 16 << 10
+	env := startEnvWithData(t, envCfg, d)
+
+	cached := paperConfig()
+	cached.Query = paperQuery + " AND C.amount < 9007199254740993"
+	cached.CachePopulate = true
+	if _, err := Run(env, InSQLStream, cached); err != nil {
+		t.Fatal(err)
+	}
+	next := paperConfig()
+	next.Query = paperQuery + " AND C.amount <= 9007199254740992"
+	next.Tier = CacheRecodeMaps
+	res, err := Run(env, InSQLStream, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit != cache.Miss {
+		t.Errorf("hit = %s, want a miss", res.CacheHit)
+	}
+	next.Tier = CacheOff
+	fresh, err := Run(env, InSQLStream, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := datasetFingerprint(res.Dataset), datasetFingerprint(fresh.Dataset)
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("cache-served dataset (%d rows) differs from fresh (%d rows)", len(a), len(b))
+	}
+}
+
 // TestConcurrentCacheServedRuns runs the §5.1 tier from two goroutines at
 // once against one cached table: every run must be a full-result hit, the
 // goroutines must deliver the same datasets, and the cached table must

@@ -110,21 +110,20 @@ func cmp(a, b row.Value) int { return a.Compare(b) }
 const maxExactInt = 1 << 53
 
 // exactMix reports whether a proof may relate literals a and b. The engine
-// compares a BIGINT column with a DOUBLE literal after rounding the column
-// value to DOUBLE, so a BIGINT literal at or beyond ±2^53 stands for a
-// different value on the two sides of a mixed BIGINT/DOUBLE pair: the
-// BIGINT 2^53+1 and the DOUBLE 2^53 compare equal, yet a BIGINT column
-// holding 2^53 is below the first and not below the second. Such pairs
-// prove nothing.
-func exactMix(a, b row.Value) bool {
-	if a.Kind == b.Kind || !a.Numeric() || !b.Numeric() {
-		return true
-	}
-	i := a
-	if b.Kind == row.TypeInt {
-		i = b
-	}
-	return i.Null || (i.AsInt() > -maxExactInt && i.AsInt() < maxExactInt)
+// compares a BIGINT with a DOUBLE after rounding the BIGINT to DOUBLE, so a
+// BIGINT literal at or beyond ±2^53 may stand for a different value in the
+// engine than in the proof: the BIGINT 2^53+1 and the DOUBLE 2^53 compare
+// equal, yet a BIGINT column holding 2^53 is below the first and not below
+// the second. A Pred carries no column type, and against a DOUBLE column
+// even two BIGINT literals round — amount <= 2^53 holds for the DOUBLE
+// 2^53 and amount < 2^53+1 does not — so any such literal, whatever the
+// other's kind, proves nothing.
+func exactMix(a, b row.Value) bool { return exactLit(a) && exactLit(b) }
+
+// exactLit reports whether v means the same value as a BIGINT and as a
+// DOUBLE: anything but a BIGINT at or beyond ±2^53.
+func exactLit(v row.Value) bool {
+	return v.Null || v.Kind != row.TypeInt || (v.AsInt() > -maxExactInt && v.AsInt() < maxExactInt)
 }
 
 // evalCmp evaluates `a op b` for literal values.

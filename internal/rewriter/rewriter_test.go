@@ -190,9 +190,12 @@ func TestImplies(t *testing.T) {
 }
 
 // TestImpliesRefusesInexactMixedLiterals pins the BIGINT/DOUBLE rounding
-// hole: BIGINT 2^53+1 and DOUBLE 2^53 compare equal as literals, but on the
+// holes: BIGINT 2^53+1 and DOUBLE 2^53 compare equal as literals, but on the
 // row age = 2^53 the engine finds age < 9007199254740993 TRUE and
-// age < 9007199254740992.0 FALSE, so no implication may be proved.
+// age < 9007199254740992.0 FALSE, so no implication may be proved. A Pred
+// carries no column type, and against a DOUBLE column two BIGINT literals
+// round as well: on amount = 2^53 the engine finds amount <=
+// 9007199254740992 TRUE and amount < 9007199254740993 FALSE.
 func TestImpliesRefusesInexactMixedLiterals(t *testing.T) {
 	mk := func(op string, v row.Value) Pred {
 		return Pred{Column: "users.age", Op: op, Value: &sqlengine.Lit{V: v}, Simple: true, Raw: "raw-" + op + v.String()}
@@ -211,9 +214,15 @@ func TestImpliesRefusesInexactMixedLiterals(t *testing.T) {
 		// age IN (2^53.0) holds for the BIGINTs 2^53 and 2^53+1 alike.
 		{"in-list to eq", in(row.Float(big)), mk("=", row.Int(big+1)), false},
 		{"in-list subset", in(row.Float(big)), in(row.Int(big + 1)), false},
-		// Inside ±2^53 the mixed proofs stay.
+		// Same-kind BIGINT pairs round too, against a DOUBLE column.
+		{"le to lt", mk("<=", row.Int(big)), mk("<", row.Int(big+1)), false},
+		{"ge to gt mirrored", mk(">=", row.Int(-big)), mk(">", row.Int(-big-1)), false},
+		{"in-list to lt", in(row.Int(big)), mk("<", row.Int(big+1)), false},
+		// Inside ±2^53 the proofs stay, mixed or not.
 		{"exact lt", mk("<", row.Int(big-1)), mk("<", row.Float(big-1)), true},
 		{"exact in", in(row.Float(7)), mk("=", row.Int(7)), true},
+		{"exact le to lt", mk("<=", row.Int(big-2)), mk("<", row.Int(big-1)), true},
+		{"exact in-list to lt", in(row.Int(big - 2)), mk("<", row.Int(big-1)), true},
 	}
 	for _, c := range cases {
 		if got := Implies(c.p, c.q); got != c.want {

@@ -447,8 +447,8 @@ func (b *ColBatch) AppendRow(r Row) {
 // Rows materializes the live rows, appended to dst. The returned rows own
 // their storage: values come from one flat backing array per call and
 // string payloads from one immutable copy of each VARCHAR slab, so the
-// rows survive the batch being recycled — this is the row shim at UDF and
-// wire boundaries.
+// rows survive the batch being recycled — this is the row view at the
+// engine's edge (a result's Batches) and at the wire boundary.
 func (b *ColBatch) Rows(dst []Row) []Row {
 	k := b.Len()
 	if k == 0 {

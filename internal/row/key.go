@@ -23,9 +23,11 @@ import (
 // Every value encoding is self-delimiting, which makes the concatenation
 // prefix-free across rows of equal arity: if enc(r1) is a prefix of
 // enc(r2) and len(r1) == len(r2), then r1 == r2 value-by-value. Two rows
-// encode to the same bytes iff they are equal under the grouping/DISTINCT
-// notion of equality (NULLs of one type equal; float payloads compare by
-// bit pattern, exactly as the previous AppendBinary-based keys did).
+// encode to the same bytes iff they are equal under Value.Equal within
+// each kind — the grouping/DISTINCT notion of equality: NULLs of one type
+// are equal, and DOUBLEs follow PostgreSQL, so -0 encodes as +0 and every
+// NaN as one bit pattern. Only keys are canonicalized: stored, wire and
+// text values keep their bits.
 
 const (
 	keyTagNullBase = 0 // 0..3: NULL of Type(tag)
@@ -47,7 +49,7 @@ func AppendKeyValue(dst []byte, v Value) []byte {
 		return binary.LittleEndian.AppendUint64(dst, uint64(v.i))
 	case TypeFloat:
 		dst = append(dst, keyTagFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+		return binary.LittleEndian.AppendUint64(dst, keyFloatBits(v.f))
 	case TypeString:
 		dst = append(dst, keyTagString)
 		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
@@ -59,6 +61,21 @@ func AppendKeyValue(dst []byte, v Value) []byte {
 		}
 		return append(dst, 0)
 	}
+}
+
+// keyNaN is the one bit pattern every NaN key encodes as: math.NaN()'s.
+const keyNaN = 0x7ff8000000000001
+
+// keyFloatBits is the key payload of a DOUBLE: its bits, with -0 as +0 and
+// every NaN as keyNaN.
+func keyFloatBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return keyNaN
+	}
+	return math.Float64bits(f)
 }
 
 // AppendNormKeyValue is AppendKeyValue with numeric normalization folded
@@ -87,7 +104,7 @@ func AppendVectorKey(dst []byte, v *Vector, p int) []byte {
 		return binary.LittleEndian.AppendUint64(dst, uint64(v.Ints[p]))
 	case TypeFloat:
 		dst = append(dst, keyTagFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Floats[p]))
+		return binary.LittleEndian.AppendUint64(dst, keyFloatBits(v.Floats[p]))
 	case TypeString:
 		s := v.Bytes(p)
 		dst = append(dst, keyTagString)

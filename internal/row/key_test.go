@@ -8,10 +8,18 @@ import (
 	"testing/quick"
 )
 
-// randKeyValue draws a value across all four types, NULLs included, from
-// a byte-driven source so both quick.Check and the fuzzer can reuse it.
+// Two NaN payloads, one of them sign-negated: equal under the DOUBLE rule,
+// different bits.
+var (
+	nanA = math.Float64frombits(0x7ff8000000000001)
+	nanB = math.Float64frombits(0xfff8000000000123)
+)
+
+// randKeyValue draws a value across all four types, NULLs, ±0 and two NaN
+// payloads included, from a byte-driven source so both quick.Check and the
+// fuzzer can reuse it.
 func randKeyValue(next func() byte) Value {
-	switch next() % 9 {
+	switch next() % 12 {
 	case 0:
 		return Int(int64(next()) | int64(next())<<8 | int64(next())<<56)
 	case 1:
@@ -28,6 +36,15 @@ func randKeyValue(next func() byte) Value {
 		return String_(string(s))
 	case 5:
 		return Bool(next()%2 == 0)
+	case 6:
+		if next()%2 == 0 {
+			return Float(0)
+		}
+		return Float(math.Copysign(0, -1))
+	case 7:
+		return Float(nanA)
+	case 8:
+		return Float(nanB)
 	default:
 		return NullOf(Type(next() % 4))
 	}
@@ -47,28 +64,15 @@ func byteSource(seed int64) func() byte {
 }
 
 // keyRowsEqual is the grouping/DISTINCT notion of row equality the codec
-// must reproduce: same kind, NULLs of one type equal, floats by bits.
+// must reproduce: Value.Equal within each kind — NULLs of one type equal,
+// DOUBLEs by the PostgreSQL rule (-0 = 0, NaN = NaN).
 func keyRowsEqual(a, b Row) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		va, vb := a[i], b[i]
-		if va.Kind != vb.Kind || va.Null != vb.Null {
+		if a[i].Kind != b[i].Kind || !a[i].Equal(b[i]) {
 			return false
-		}
-		if va.Null {
-			continue
-		}
-		switch va.Kind {
-		case TypeFloat:
-			if math.Float64bits(va.AsFloat()) != math.Float64bits(vb.AsFloat()) {
-				return false
-			}
-		default:
-			if !va.Equal(vb) {
-				return false
-			}
 		}
 	}
 	return true
@@ -141,6 +145,8 @@ func FuzzKeyCodec(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 4, 0, 0})                  // identical string values
 	f.Add([]byte{6, 1, 6, 2, 6, 3, 6, 0})            // NULLs of mixed types
 	f.Add([]byte("floats and ints and bools oh my")) // arbitrary
+	f.Add([]byte{0, 7, 8})                           // two NaN payloads: one key
+	f.Add([]byte{0, 6, 0, 6, 1})                     // +0 and -0: one key
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

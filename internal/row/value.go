@@ -160,6 +160,7 @@ func (v Value) String() string {
 // Equal reports deep equality of two values. NULLs of the same type are
 // equal to each other (this is the grouping/DISTINCT notion of equality,
 // not the SQL three-valued one; predicates handle NULL separately).
+// DOUBLEs follow PostgreSQL: -0 equals 0, and NaN equals NaN.
 func (v Value) Equal(o Value) bool {
 	if v.Kind != o.Kind {
 		// Allow numeric cross-type equality so that joins between BIGINT
@@ -176,7 +177,7 @@ func (v Value) Equal(o Value) bool {
 	case TypeInt:
 		return v.i == o.i
 	case TypeFloat:
-		return v.f == o.f
+		return cmpFloat(v.f, o.f) == 0
 	case TypeString:
 		return v.s == o.s
 	case TypeBool:
@@ -186,7 +187,8 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Compare orders two values: -1 if v<o, 0 if equal, +1 if v>o.
-// NULL sorts before every non-NULL. Cross numeric types compare by value.
+// NULL sorts before every non-NULL. Cross numeric types compare by value,
+// and DOUBLEs by PostgreSQL's total order (cmpFloat).
 // Comparing incomparable kinds (e.g. VARCHAR with BIGINT) orders by Kind so
 // that sorting remains total; predicates reject such comparisons earlier.
 func (v Value) Compare(o Value) int {
@@ -237,15 +239,26 @@ func cmpInt(a, b int64) int {
 	}
 }
 
+// cmpFloat orders DOUBLEs as PostgreSQL does — -0 equals 0, NaN equals
+// NaN, and NaN sorts above every number — so the order is total.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
-	default:
+	case a == b:
 		return 0
 	}
+	// At least one is NaN, the only value unequal to itself.
+	return nanRank(a) - nanRank(b)
+}
+
+func nanRank(f float64) int {
+	if f != f {
+		return 1
+	}
+	return 0
 }
 
 // boolSpellings are the strings that coerce to BOOLEAN, case-folded.

@@ -198,10 +198,6 @@ func TestCompareZeroMeansEqualForComparableKinds(t *testing.T) {
 		if a.Compare(b) != 0 {
 			return true
 		}
-		// NaN floats are the only values where Compare==0 but payloads differ.
-		if a.Kind == TypeFloat && !a.Null && math.IsNaN(a.AsFloat()) {
-			return true
-		}
 		// NULLs of different kinds sort together but are not Equal; they
 		// never meet in practice because columns are homogeneously typed.
 		if a.Null && b.Null && a.Kind != b.Kind {
@@ -239,5 +235,35 @@ func TestRowConforms(t *testing.T) {
 	}
 	if err := (Row{NullOf(TypeInt), NullOf(TypeString)}).Conforms(s); err != nil {
 		t.Errorf("nulls should conform: %v", err)
+	}
+}
+
+// TestDoubleRule pins PostgreSQL's DOUBLE semantics on Value: -0 equals
+// 0, NaN equals NaN whatever its payload, and NaN sorts above +Inf.
+func TestDoubleRule(t *testing.T) {
+	negZero := Float(math.Copysign(0, -1))
+	nan1 := Float(math.Float64frombits(0x7ff8000000000001))
+	nan2 := Float(math.Float64frombits(0xfff8000000000123))
+	for _, c := range []struct {
+		a, b Value
+		cmp  int
+	}{
+		{negZero, Float(0), 0},
+		{negZero, Int(0), 0},
+		{nan1, nan2, 0},
+		{nan1, Float(math.Inf(1)), 1},
+		{Float(math.Inf(-1)), nan2, -1},
+		{Int(math.MaxInt64), nan1, -1},
+		{Float(1), negZero, 1},
+	} {
+		if got := c.a.Compare(c.b); got != c.cmp {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.cmp)
+		}
+		if got := c.b.Compare(c.a); got != -c.cmp {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.cmp)
+		}
+		if got := c.a.Equal(c.b); got != (c.cmp == 0) {
+			t.Errorf("Equal(%v, %v) = %v, want %v", c.a, c.b, got, c.cmp == 0)
+		}
 	}
 }

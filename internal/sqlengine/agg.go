@@ -311,8 +311,6 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 		return g
 	}
 
-	inTypes := row.SchemaTypes(in.sc.combined())
-
 	// Streaming partial aggregation per partition: consume the input
 	// pipeline batch-by-batch, accumulating only per-group state. The
 	// arena hash table maps each row's key bytes (packed per batch into a
@@ -321,8 +319,7 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 	primeIters(in.iters)
 	partials := make([][]*group, len(in.iters))
 	err = qp.forEach(len(in.iters), func(i, _ int) error {
-		defer in.iters[i].Close()
-		cit := asColIterator(in.iters[i], inTypes)
+		cit := in.iters[i]
 		defer cit.Close()
 		ht := NewHashTable(0)
 		var groups []*group

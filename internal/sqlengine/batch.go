@@ -7,12 +7,12 @@ import "sqlml/internal/row"
 // batch fills one wire block frame; see row.DefaultBatchSize).
 const DefaultBatchSize = row.DefaultBatchSize
 
-// RowBatch is the unit of data flowing between pipelined operators.
+// RowBatch is one batch of a result's row view.
 type RowBatch []row.Row
 
-// BatchIterator is the Volcano-style pull interface of one partition's
-// operator pipeline. Next returns the next batch (ok=false at end of
-// stream); a batch is only valid until the following Next call. Close
+// BatchIterator is the row view of one partition of a result, the form
+// Result.Batches hands out. Next returns the next batch (ok=false at end
+// of stream); a batch is only valid until the following Next call. Close
 // releases the pipeline early — it must be safe to call at any point,
 // more than once, and must stop any producer goroutines upstream.
 type BatchIterator interface {
@@ -20,35 +20,38 @@ type BatchIterator interface {
 	Close()
 }
 
-// sliceBatches iterates an in-memory partition as zero-copy sub-slices.
-type sliceBatches struct {
+// colToRows is the row view over one partition's column batches: each
+// batch's live rows are materialized as owning copies (flat value backing,
+// one string slab copy per VARCHAR column), so a reader of Result.Batches
+// that retains them stays safe while the column vectors recycle
+// underneath.
+type colToRows struct {
+	c    ColBatchSource
 	rows []row.Row
-	i    int
+	done bool
 }
 
-// NewSliceBatches returns a BatchIterator over an in-memory row slice,
-// yielding DefaultBatchSize-row sub-slices without copying.
-func NewSliceBatches(rows []row.Row) BatchIterator { return &sliceBatches{rows: rows} }
+func rowsIter(c ColBatchSource) BatchIterator { return &colToRows{c: c} }
 
-func (s *sliceBatches) Next() (RowBatch, bool, error) {
-	if s.i >= len(s.rows) {
+func (a *colToRows) Next() (RowBatch, bool, error) {
+	if a.done {
 		return nil, false, nil
 	}
-	end := s.i + DefaultBatchSize
-	if end > len(s.rows) {
-		end = len(s.rows)
+	for {
+		b, ok, err := a.c.NextCol()
+		if err != nil || !ok {
+			a.done = true
+			return nil, false, err
+		}
+		if b.Len() == 0 {
+			continue
+		}
+		a.rows = b.Rows(a.rows[:0])
+		return RowBatch(a.rows), true, nil
 	}
-	b := RowBatch(s.rows[s.i:end])
-	s.i = end
-	return b, true, nil
 }
 
-func (s *sliceBatches) Close() { s.i = len(s.rows) }
-
-func closeAllIters(iters []BatchIterator) {
-	for _, it := range iters {
-		if it != nil {
-			it.Close()
-		}
-	}
+func (a *colToRows) Close() {
+	a.done = true
+	a.c.Close()
 }

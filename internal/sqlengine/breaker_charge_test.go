@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sqlml/internal/cluster"
+	"sqlml/internal/dfs"
 	"sqlml/internal/row"
 )
 
@@ -121,5 +122,46 @@ func TestBreakerChargesAndPlacement(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(wantParts) {
 		t.Errorf("global UDF output partitions\n got %v\nwant %v", got, wantParts)
+	}
+}
+
+// TestExportToDFSChargesLiveRowBytes pins ExportToDFS's processing charge:
+// one pass over every batch it writes, colBatchBytes of the batch's live
+// rows, so the whole export charges partBytes of the exported rows. The
+// streaming case writes filter batches that carry a selection vector and
+// NULL VARCHARs; no scan or filter charges processing of its own.
+func TestExportToDFSChargesLiveRowBytes(t *testing.T) {
+	topo := cluster.NewTopology(4)
+	cost := &cluster.CostModel{ProcBps: 1e9}
+	e, err := New(topo, cost, Config{HeadNodeID: 0, WorkerNodeIDs: []int{1, 2, 3}, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := dfs.New(topo, dfs.Config{BlockSize: 1 << 16, Replication: 1})
+	schema := row.MustSchema(row.Column{Name: "k", Type: row.TypeInt}, row.Column{Name: "cat", Type: row.TypeString})
+	cats := []row.Value{row.String_("a"), row.String_("bb"), row.String_(""), row.NullOf(row.TypeString)}
+	var rows []row.Row
+	for i := range 3*DefaultBatchSize + 7 {
+		rows = append(rows, row.Row{row.Int(int64(i % 5)), cats[i%len(cats)]})
+	}
+	if err := e.LoadTable("t", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, sql := range []string{"SELECT k, cat FROM t", "SELECT k, cat FROM t WHERE k > 1"} {
+		ref, err := e.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.QueryStream(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost.ResetStats()
+		if err := e.ExportToDFS(res, fsys, fmt.Sprintf("/out/%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cost.Stats().ProcBytes, int64(partBytes(ref.Rows())); got != want {
+			t.Errorf("%s: export charged %d processing bytes, partBytes of the rows = %d", sql, got, want)
+		}
 	}
 }

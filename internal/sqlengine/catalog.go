@@ -33,7 +33,7 @@ type Table struct {
 	mu        sync.RWMutex
 	parts     [][]*row.ColBatch
 	streaming bool
-	stream    []BatchIterator
+	stream    []ColBatchSource
 }
 
 // NumRows returns the managed row count (0 for external tables; their
@@ -68,7 +68,7 @@ func (t *Table) partitions() [][]row.Row {
 
 // takeStream hands over a streaming table's one-shot pipeline; the second
 // caller gets ok=false.
-func (t *Table) takeStream() ([]BatchIterator, bool) {
+func (t *Table) takeStream() ([]ColBatchSource, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.stream

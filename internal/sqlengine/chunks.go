@@ -209,7 +209,7 @@ func chunkLen(chunks []*row.ColBatch) int {
 	return n
 }
 
-// chunkBytes is partBytes over a chunked partition.
+// chunkBytes is colBatchBytes over a chunked partition.
 func chunkBytes(chunks []*row.ColBatch) int {
 	n := 0
 	for _, c := range chunks {
@@ -240,12 +240,11 @@ func (s *chunkScan) NextCol() (*row.ColBatch, bool, error) {
 
 func (s *chunkScan) Close() { s.i = len(s.chunks) }
 
-// chunkIters returns a fresh scan of every partition, under the row shim
-// columnar consumers peel off.
-func chunkIters(parts [][]*row.ColBatch) []BatchIterator {
-	iters := make([]BatchIterator, len(parts))
+// chunkIters returns a fresh scan of every partition.
+func chunkIters(parts [][]*row.ColBatch) []ColBatchSource {
+	iters := make([]ColBatchSource, len(parts))
 	for i, p := range parts {
-		iters[i] = rowsIter(&chunkScan{chunks: p})
+		iters[i] = &chunkScan{chunks: p}
 	}
 	return iters
 }

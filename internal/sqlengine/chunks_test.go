@@ -127,7 +127,7 @@ func TestNewResultPartsRoundTrip(t *testing.T) {
 		t.Errorf("partition of %d rows holds %d chunks, want 3", len(parts[3]), n)
 	}
 	// A fresh scan of the materialized result reads the same rows.
-	iters, err := res.Batches()
+	iters, err := res.sources()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func TestInsertDuringOpenScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Partition 0's scan is one chunk in; the others have not started.
-	first, ok, err := iters[0].Next()
+	first, ok, err := iters[0].NextCol()
 	if err != nil || !ok {
 		t.Fatalf("first batch: ok=%v err=%v", ok, err)
 	}
-	read0 := append([]row.Row(nil), first...)
+	read0 := first.Rows(nil)
 
 	// Enough rows to reach every partition, so each tail chunk (which has
 	// room) is replaced by a grown copy.

@@ -5,64 +5,38 @@ import (
 	"sqlml/internal/row"
 )
 
-// Columnar operator pipeline. Operators exchange *row.ColBatch through
-// NextCol under the same validity contract as row batches: a batch (and
-// every vector aliasing it) is valid only until the following NextCol.
-// Filters refine the batch's selection vector in place — zero copies —
-// and projections assemble output batches from kernel result vectors.
-// colToRows materializes owning rows at the boundary, so every existing
-// row consumer keeps working unchanged.
+// The operator pipeline. Every operator, scan and pipeline breaker pulls
+// its input and hands its output through one interface, ColBatchSource:
+// filters refine a batch's selection vector in place — zero copies — and
+// projections assemble output batches from kernel result vectors. Rows
+// appear only at the edge, in the row view Result.Batches wraps around
+// each partition (batch.go).
 
-// ColBatchSource is the column-major twin of BatchIterator: NextCol
-// returns the next batch (ok=false at end of stream), valid until the
-// following NextCol, and Close releases the chain early. It is also the
+// ColBatchSource is the engine's pull contract. NextCol returns the next
+// batch (ok=false at end of stream); the batch, and every vector, slice or
+// selection aliasing it, is valid only until the following NextCol, so a
+// consumer copies what it keeps (the batchretain analyzer polices this).
+// Close releases the chain early: it must be safe at any point and more
+// than once, and it stops any producer goroutine upstream. It is also the
 // input of a table UDF (TableUDF).
 type ColBatchSource interface {
 	NextCol() (b *row.ColBatch, ok bool, err error)
 	Close()
 }
 
-// colScanIter transposes a row iterator's batches into a reused pooled
-// ColBatch — the row→column boundary under a columnar operator or drain
-// whose input has no columnar core: NewRowSource's rows, or a row
-// iterator handed to the engine from outside (every operator and breaker
-// inside it produces column batches).
-type colScanIter struct {
-	in    BatchIterator
-	types []row.Type
-	buf   *row.ColBatch
-	done  bool
-}
-
-func (s *colScanIter) NextCol() (*row.ColBatch, bool, error) {
-	if s.done {
-		return nil, false, nil
-	}
-	b, ok, err := s.in.Next()
-	if err != nil || !ok {
-		s.done = true
-		return nil, false, err
-	}
-	if s.buf == nil {
-		s.buf = row.GetColBatch(s.types)
-	}
-	s.buf.FromRows(s.types, b)
-	return s.buf, true, nil
-}
-
-func (s *colScanIter) Close() {
-	s.done = true
-	s.in.Close()
-	if s.buf != nil {
-		row.PutColBatch(s.buf)
-		s.buf = nil
-	}
-}
-
 // NewRowSource serves rows as column batches of up to DefaultBatchSize
-// rows, each transposed into one pooled batch that Close returns.
+// rows: a scan of the sealed chunks they transpose into.
 func NewRowSource(rows []row.Row, types []row.Type) ColBatchSource {
-	return &colScanIter{in: NewSliceBatches(rows), types: types}
+	return &chunkScan{chunks: rowsToChunks(types, [][]row.Row{rows})[0]}
+}
+
+// closeAllIters closes every partition pipeline (Close is idempotent).
+func closeAllIters(iters []ColBatchSource) {
+	for _, it := range iters {
+		if it != nil {
+			it.Close()
+		}
+	}
 }
 
 // colFilterIter evaluates a boolean kernel over each batch and narrows the
@@ -318,55 +292,6 @@ func (p *colProbeIter) Close() {
 	}
 }
 
-// colToRows is the row-view shim over a columnar chain: each batch's live
-// rows are materialized as owning copies (flat value backing, one string
-// slab copy per VARCHAR column), so a row consumer that retains them (a
-// reader of Result.Batches) stays safe while the column vectors recycle
-// underneath.
-type colToRows struct {
-	c    ColBatchSource
-	rows []row.Row
-	done bool
-}
-
-func rowsIter(c ColBatchSource) BatchIterator { return &colToRows{c: c} }
-
-func (a *colToRows) Next() (RowBatch, bool, error) {
-	if a.done {
-		return nil, false, nil
-	}
-	for {
-		b, ok, err := a.c.NextCol()
-		if err != nil || !ok {
-			a.done = true
-			return nil, false, err
-		}
-		if b.Len() == 0 {
-			continue
-		}
-		a.rows = b.Rows(a.rows[:0])
-		return RowBatch(a.rows), true, nil
-	}
-}
-
-func (a *colToRows) Close() {
-	a.done = true
-	a.c.Close()
-}
-
-// asColIterator lifts a row iterator into the columnar world: a chain with
-// a columnar core — a managed or external table's scan, and every
-// columnar operator over one, a join probe, a table UDF's pipe — unwraps
-// to it (no materialize→re-transpose bounce), and so does a breaker's
-// output, which is a scan of sealed chunks; anything else — a row
-// iterator from outside the engine — gets a transposing scan.
-func asColIterator(it BatchIterator, types []row.Type) ColBatchSource {
-	if c, ok := unwrapColCore(it); ok {
-		return c
-	}
-	return &colScanIter{in: it, types: types}
-}
-
 // chargeColIter charges each consumed batch as one processing pass over its
 // bytes — a table UDF's read of its input.
 type chargeColIter struct {
@@ -385,8 +310,8 @@ func (c *chargeColIter) NextCol() (*row.ColBatch, bool, error) {
 
 func (c *chargeColIter) Close() { c.c.Close() }
 
-// colBatchBytes estimates the wire bytes of a batch's live rows — the
-// columnar analog of partBytes, using the same per-value estimate.
+// colBatchBytes estimates the wire bytes of a batch's live rows, with
+// rowBytes's per-value estimate.
 func colBatchBytes(b *row.ColBatch) int {
 	k := b.Len()
 	n := k * 4 // frame overhead
@@ -415,13 +340,4 @@ func colBatchBytes(b *row.ColBatch) int {
 		}
 	}
 	return n
-}
-
-// unwrapColCore finds the columnar core of a row-iterator chain, when one
-// exists: the ColBatchSource under a colToRows shim.
-func unwrapColCore(it BatchIterator) (ColBatchSource, bool) {
-	if x, ok := it.(*colToRows); ok {
-		return x.c, true
-	}
-	return nil, false
 }

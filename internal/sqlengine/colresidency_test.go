@@ -139,18 +139,18 @@ func timesTenKernel(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error
 // TestColFilterProjectUnderVectorRecycling pulls a filter→project chain
 // over the poisoning producer, with the producer masking a physical
 // poison row behind the selection vector, and checks the exact surviving
-// values. The row materialization at the end (colToRows) must copy before
-// the chain's next pull recycles the vectors.
+// values. The row materialization at the end must copy before the
+// chain's next pull recycles the vectors.
 func TestColFilterProjectUnderVectorRecycling(t *testing.T) {
 	for _, junk := range []bool{false, true} {
 		src := newRecyclingColBatches(
 			[]row.Type{row.TypeInt},
 			intColRows(1, 2, 3, 4, 5, 6, 7, 8, 9),
 			4, junk)
-		chain := rowsIter(newColProjectIter(
+		chain := newColProjectIter(
 			newColFilterIter(src, oddKernel),
 			[]vecFn{timesTenKernel},
-			[]row.Type{row.TypeInt}))
+			[]row.Type{row.TypeInt})
 		got, err := drainBatches(chain)
 		if err != nil {
 			t.Fatal(err)
@@ -168,8 +168,8 @@ func TestColFilterProjectUnderVectorRecycling(t *testing.T) {
 }
 
 // TestColProbeIterUnderVectorRecycling drives the hash-join probe with
-// the poisoning producer, the way hashJoin wires it over an unwrapped
-// columnar core, and checks the exact join output. The probe must gather
+// the poisoning producer, the way hashJoin wires it over its input
+// pipeline, and checks the exact join output. The probe must gather
 // the probe-side cells into its own output batch before pulling the next
 // input batch.
 func TestColProbeIterUnderVectorRecycling(t *testing.T) {
@@ -188,7 +188,7 @@ func TestColProbeIterUnderVectorRecycling(t *testing.T) {
 			build:  bt,
 			types:  []row.Type{row.TypeInt, row.TypeInt, row.TypeInt},
 		}
-		got, err := drainBatches(rowsIter(p))
+		got, err := drainBatches(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestKeylessProbeUnderBatchRecycling(t *testing.T) {
 			build: bt,
 			types: []row.Type{row.TypeInt, row.TypeInt},
 		}
-		got, err := drainBatches(rowsIter(p))
+		got, err := drainBatches(p)
 		if err != nil {
 			t.Fatal(err)
 		}

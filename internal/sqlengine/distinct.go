@@ -12,7 +12,7 @@ import "sqlml/internal/row"
 // byte-identical at any Parallelism.
 
 // distinct de-duplicates the rows of iters (a pipeline breaker).
-func (e *Engine) distinct(qp *queryPool, iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
+func (e *Engine) distinct(qp *queryPool, iters []ColBatchSource, types []row.Type) ([][]*row.ColBatch, error) {
 	local, err := dedupParts(qp, iters, types)
 	if err != nil {
 		return nil, err
@@ -43,11 +43,11 @@ func firstSeen(table *HashTable, key []byte, b *row.ColBatch, keep []int32) ([]b
 
 // dedupParts de-duplicates every partition independently: the first
 // instance of each row wins, and input order is kept.
-func dedupParts(qp *queryPool, iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
+func dedupParts(qp *queryPool, iters []ColBatchSource, types []row.Type) ([][]*row.ColBatch, error) {
 	primeIters(iters)
 	out := make([][]*row.ColBatch, len(iters))
 	err := qp.forEach(len(iters), func(i, _ int) error {
-		in := asColIterator(iters[i], types)
+		in := iters[i]
 		defer in.Close()
 		table := NewHashTable(0)
 		w := newChunkWriter(types, -1)

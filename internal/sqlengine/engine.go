@@ -147,7 +147,7 @@ func (e *Engine) RegisterResultStream(name string, res *Result) error {
 	if !res.Streaming() {
 		return e.RegisterResult(name, res)
 	}
-	iters, err := res.Batches()
+	iters, err := res.sources()
 	if err != nil {
 		return err
 	}
@@ -169,15 +169,15 @@ func (e *Engine) DropTable(name string) error { return e.catalog.Drop(name) }
 // Result is a query result partitioned across the engine's workers:
 // partition i lives on WorkerNode(i). A result starts out either
 // materialized (pipeline breakers, DDL answers) or streaming — per-worker
-// batch pipelines that run as they are consumed. Materialize drains a
-// streaming result in parallel. A materialized result holds sealed column
-// chunks, the managed-table form, so registering it as a table copies
-// nothing and every re-read scans the stored vectors.
+// column-batch pipelines that run as they are consumed. Materialize
+// drains a streaming result in parallel. A materialized result holds
+// sealed column chunks, the managed-table form, so registering it as a
+// table copies nothing and every re-read scans the stored vectors.
 type Result struct {
 	Schema row.Schema
 
 	mu       sync.Mutex
-	stream   []BatchIterator
+	stream   []ColBatchSource
 	parts    [][]*row.ColBatch
 	done     bool       // parts is valid
 	consumed bool       // stream handed off or drained
@@ -194,11 +194,6 @@ func NewResult(schema row.Schema, parts [][]row.Row) *Result {
 // adopting them.
 func newChunkResult(schema row.Schema, parts [][]*row.ColBatch) *Result {
 	return &Result{Schema: schema, parts: parts, done: true, consumed: true}
-}
-
-// NewStreamingResult wraps per-partition batch pipelines as a result.
-func NewStreamingResult(schema row.Schema, iters []BatchIterator) *Result {
-	return &Result{Schema: schema, stream: iters}
 }
 
 // Streaming reports whether the result still holds an unconsumed pipeline.
@@ -242,11 +237,27 @@ func (r *Result) Materialize() error {
 	return nil
 }
 
-// Batches returns the per-partition batch pipelines. On a streaming
-// result this hands off the live pipeline — callable once, and the caller
-// owns closing the iterators. On a materialized result it returns fresh
-// chunk scans every call.
+// Batches returns the row view of every partition: each pipeline's column
+// batches, materialized as owning rows. On a streaming result this hands
+// off the live pipeline — callable once, and the caller owns closing the
+// iterators. On a materialized result it returns fresh chunk scans every
+// call.
 func (r *Result) Batches() ([]BatchIterator, error) {
+	srcs, err := r.sources()
+	if err != nil {
+		return nil, err
+	}
+	iters := make([]BatchIterator, len(srcs))
+	for i, s := range srcs {
+		iters[i] = rowsIter(s)
+	}
+	return iters, nil
+}
+
+// sources hands out the per-partition pipelines themselves, under the
+// rules of Batches: once for a streaming result, fresh chunk scans every
+// call for a materialized one.
+func (r *Result) sources() ([]ColBatchSource, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
@@ -376,14 +387,6 @@ func rowBytes(r row.Row) int {
 		default:
 			n += 9
 		}
-	}
-	return n
-}
-
-func partBytes(p []row.Row) int {
-	n := 0
-	for _, r := range p {
-		n += rowBytes(r)
 	}
 	return n
 }

@@ -160,7 +160,7 @@ func (t *Table) appendRows(rows []row.Row, numWorkers int) {
 // references against its bindings.
 type dataset struct {
 	sc    *scope
-	iters []BatchIterator
+	iters []ColBatchSource
 }
 
 // ExecSelect plans a SELECT into per-partition batch pipelines. Streaming
@@ -181,13 +181,13 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 
 	// Every iterator ever created is recorded here; if planning fails the
 	// whole set is closed (Close is idempotent, and wrappers cascade).
-	var allIters []BatchIterator
+	var allIters []ColBatchSource
 	defer func() {
 		if retErr != nil {
 			closeAllIters(allIters)
 		}
 	}()
-	track := func(iters []BatchIterator) []BatchIterator {
+	track := func(iters []ColBatchSource) []ColBatchSource {
 		allIters = append(allIters, iters...)
 		return iters
 	}
@@ -196,7 +196,7 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 	type source struct {
 		name   string
 		schema row.Schema
-		iters  []BatchIterator
+		iters  []ColBatchSource
 	}
 	srcs := make([]*source, len(sel.From))
 	seenNames := make(map[string]bool)
@@ -208,7 +208,7 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 		seenNames[name] = true
 		var (
 			schema row.Schema
-			iters  []BatchIterator
+			iters  []ColBatchSource
 			err    error
 		)
 		if item.Func != nil {
@@ -393,7 +393,7 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 
 	var (
 		outSchema row.Schema
-		outIters  []BatchIterator   // set while the tail is still streaming
+		outIters  []ColBatchSource  // set while the tail is still streaming
 		outParts  [][]*row.ColBatch // set once a breaker materializes it
 		streaming bool
 		err       error
@@ -412,7 +412,7 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 
 	// tailIters hands the current tail to a breaker as pipelines, and
 	// tailChunks as sealed chunks, whichever form it is in.
-	tailIters := func() []BatchIterator {
+	tailIters := func() []ColBatchSource {
 		if streaming {
 			streaming = false
 			return outIters
@@ -466,7 +466,7 @@ func (e *Engine) ExecSelect(sel *SelectStmt) (res *Result, retErr error) {
 	}
 
 	if streaming {
-		res = NewStreamingResult(outSchema, outIters)
+		res = &Result{Schema: outSchema, stream: outIters}
 	} else {
 		res = newChunkResult(outSchema, outParts)
 	}
@@ -492,7 +492,7 @@ func onlySource(refs map[int]bool, si int) bool {
 
 // filter wraps every partition pipeline, in place, in a columnar filter
 // on the WHERE predicate ex.
-func (e *Engine) filter(iters []BatchIterator, ex Expr, sc *scope) error {
+func (e *Engine) filter(iters []ColBatchSource, ex Expr, sc *scope) error {
 	pred, t, err := compileVec(ex, sc, e.registry)
 	if err != nil {
 		return err
@@ -500,9 +500,8 @@ func (e *Engine) filter(iters []BatchIterator, ex Expr, sc *scope) error {
 	if t != row.TypeBool {
 		return fmt.Errorf("sql: predicate must be BOOLEAN, got %s", t)
 	}
-	types := row.SchemaTypes(sc.combined())
 	for j := range iters {
-		iters[j] = rowsIter(newColFilterIter(asColIterator(iters[j], types), pred))
+		iters[j] = newColFilterIter(iters[j], pred)
 	}
 	return nil
 }
@@ -510,10 +509,8 @@ func (e *Engine) filter(iters []BatchIterator, ex Expr, sc *scope) error {
 // scanTable produces per-partition batch pipelines for a table: managed
 // tables yield views of their sealed chunks; streaming tables hand over
 // their (single-use) pipelines; external tables stream their DFS splits
-// with locality-aware assignment as column batches. Managed and external
-// scans sit under a row shim — columnar operators peel it off, row
-// consumers read through it.
-func (e *Engine) scanTable(t *Table) ([]BatchIterator, error) {
+// with locality-aware assignment as column batches.
+func (e *Engine) scanTable(t *Table) ([]ColBatchSource, error) {
 	if t.streaming {
 		iters, ok := t.takeStream()
 		if !ok {
@@ -524,7 +521,7 @@ func (e *Engine) scanTable(t *Table) ([]BatchIterator, error) {
 	if t.External == nil {
 		parts := t.chunks()
 		if len(parts) == 0 {
-			return emptyIters(e.NumWorkers()), nil
+			parts = make([][]*row.ColBatch, e.NumWorkers())
 		}
 		return chunkIters(parts), nil
 	}
@@ -550,9 +547,9 @@ func (e *Engine) scanTable(t *Table) ([]BatchIterator, error) {
 			assignments[w] = append(assignments[w], assignedSplit{fm: fm, split: sp})
 		}
 	}
-	iters := make([]BatchIterator, e.NumWorkers())
+	iters := make([]ColBatchSource, e.NumWorkers())
 	for i := range iters {
-		iters[i] = rowsIter(&externalScan{assigned: assignments[i], node: e.workers[i]})
+		iters[i] = &externalScan{assigned: assignments[i], node: e.workers[i]}
 	}
 	return iters, nil
 }
@@ -591,14 +588,14 @@ func (e *Engine) pickWorker(locations []string, loads []int64) int {
 // for them. Global UDFs are pipeline breakers: gather input to the head,
 // run once, scatter output. Every emitted batch is checked against the
 // declared output schema so a misbehaving UDF fails loudly.
-func (e *Engine) execTableFunc(qp *queryPool, call *TableFuncCall) (row.Schema, []BatchIterator, error) {
+func (e *Engine) execTableFunc(qp *queryPool, call *TableFuncCall) (row.Schema, []ColBatchSource, error) {
 	udf, ok := e.registry.Table(call.Name)
 	if !ok {
 		return row.Schema{}, nil, fmt.Errorf("sql: unknown table function %q", call.Name)
 	}
 	var (
 		inSchema row.Schema
-		inIters  []BatchIterator
+		inIters  []ColBatchSource
 		litArgs  []row.Value
 		hasTable bool
 	)
@@ -628,9 +625,8 @@ func (e *Engine) execTableFunc(qp *queryPool, call *TableFuncCall) (row.Schema, 
 		return row.Schema{}, nil, fmt.Errorf("sql: %s: %w", udf.Name, err)
 	}
 	if inIters == nil {
-		inIters = emptyIters(e.NumWorkers())
+		inIters = chunkIters(make([][]*row.ColBatch, e.NumWorkers()))
 	}
-	inTypes := row.SchemaTypes(inSchema)
 	run := func(ctx *UDFContext, in ColBatchSource, emit func(*row.ColBatch) error) error {
 		checked := func(b *row.ColBatch) error {
 			if err := b.Conforms(outSchema); err != nil {
@@ -645,23 +641,23 @@ func (e *Engine) execTableFunc(qp *queryPool, call *TableFuncCall) (row.Schema, 
 	}
 
 	if udf.PerPartition {
-		outIters := make([]BatchIterator, len(inIters))
+		outIters := make([]ColBatchSource, len(inIters))
 		for i := range inIters {
 			node := e.workers[i]
 			// Consuming the input is one pass over the local partition,
 			// charged batch-by-batch as the UDF pulls.
-			input := &chargeColIter{c: asColIterator(inIters[i], inTypes), cost: e.cost, node: node}
+			input := &chargeColIter{c: inIters[i], cost: e.cost, node: node}
 			ctx := &UDFContext{Engine: e, Node: node, Partition: i, NumPartitions: len(inIters), InSchema: inSchema}
-			outIters[i] = rowsIter(newUDFPipe(input, func(in ColBatchSource, emit func(*row.ColBatch) error) error {
+			outIters[i] = newUDFPipe(input, func(in ColBatchSource, emit func(*row.ColBatch) error) error {
 				return run(ctx, in, emit)
-			}))
+			})
 		}
 		return outSchema, outIters, nil
 	}
 
 	// Global UDF: gather input to the head node, run once over the
 	// partitions in order, scatter output row i to worker i mod n.
-	inParts, err := qp.drainChunks(inIters, inTypes)
+	inParts, err := qp.drainChunks(inIters, row.SchemaTypes(inSchema))
 	if err != nil {
 		return row.Schema{}, nil, err
 	}
@@ -764,26 +760,23 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 		return nil, err
 	}
 
-	// The probe runs column-wise whatever its input: key kernels over whole
-	// batches, one hashed lookup per packed key, matches gathered into
-	// column batches. An input with a columnar core (a scan, filter, an
-	// earlier probe, a table UDF or a breaker's chunks) is peeled to it.
-	probeTypes := row.SchemaTypes(left.sc.combined())
+	// The probe runs column-wise: key kernels over whole batches, one
+	// hashed lookup per packed key, matches gathered into column batches.
 	outTypes := row.SchemaTypes(outScope.combined())
-	outIters := make([]BatchIterator, len(left.iters))
+	outIters := make([]ColBatchSource, len(left.iters))
 	for i := range left.iters {
 		var node *cluster.Node
 		if i < len(e.workers) {
 			node = e.workers[i]
 		}
-		outIters[i] = rowsIter(&colProbeIter{
-			in:     asColIterator(left.iters[i], probeTypes),
+		outIters[i] = &colProbeIter{
+			in:     left.iters[i],
 			keyFns: probeKeyFns,
 			build:  build,
 			types:  outTypes,
 			cost:   e.cost,
 			node:   node,
-		})
+		}
 	}
 	return &dataset{sc: outScope, iters: outIters}, nil
 }
@@ -791,16 +784,15 @@ func (e *Engine) hashJoin(qp *queryPool, left, right *dataset, leftKeys, rightKe
 // execProject compiles the select list into streaming projection
 // operators: columnar kernels assembling output batches from result
 // vectors.
-func (e *Engine) execProject(items []SelectItem, in *dataset) (row.Schema, []BatchIterator, error) {
+func (e *Engine) execProject(items []SelectItem, in *dataset) (row.Schema, []ColBatchSource, error) {
 	fns, schema, err := compileSelectList(items, in.sc, e.registry)
 	if err != nil {
 		return row.Schema{}, nil, err
 	}
-	inTypes := row.SchemaTypes(in.sc.combined())
 	outTypes := row.SchemaTypes(schema)
-	outIters := make([]BatchIterator, len(in.iters))
+	outIters := make([]ColBatchSource, len(in.iters))
 	for i := range in.iters {
-		outIters[i] = rowsIter(newColProjectIter(asColIterator(in.iters[i], inTypes), fns, outTypes))
+		outIters[i] = newColProjectIter(in.iters[i], fns, outTypes)
 	}
 	return schema, outIters, nil
 }
@@ -922,13 +914,12 @@ func (e *Engine) orderBy(qp *queryPool, items []OrderItem, schema row.Schema, ta
 // limit keeps the first n rows (taken in partition order) as sealed
 // chunks, pulling only the batches it needs and closing the rest of the
 // pipeline early — the early-termination path of the batch-iterator model.
-func limit(iters []BatchIterator, types []row.Type, n int) ([][]*row.ColBatch, error) {
+func limit(iters []ColBatchSource, types []row.Type, n int) ([][]*row.ColBatch, error) {
 	primeIters(iters)
 	out := make([][]*row.ColBatch, len(iters))
 	remaining := n
 	var firstErr error
-	for i, it := range iters {
-		c := asColIterator(it, types)
+	for i, c := range iters {
 		w := newChunkWriter(types, -1)
 		for remaining > 0 && firstErr == nil {
 			b, ok, err := c.NextCol()
@@ -958,7 +949,7 @@ func limit(iters []BatchIterator, types []row.Type, n int) ([][]*row.ColBatch, e
 // is written batch-by-batch as its pipeline produces rows, so the export
 // overlaps with the query instead of following it.
 func (e *Engine) ExportToDFS(res *Result, fs *dfs.FileSystem, dir string) error {
-	iters, err := res.Batches()
+	iters, err := res.sources()
 	if err != nil {
 		return err
 	}
@@ -972,12 +963,13 @@ func (e *Engine) ExportToDFS(res *Result, fs *dfs.FileSystem, dir string) error 
 		if err != nil {
 			return err
 		}
+		var rows []row.Row
 		for {
 			if qp.cancelled() {
 				w.Abort()
 				return errQueryCancelled
 			}
-			b, ok, berr := iters[i].Next()
+			b, ok, berr := iters[i].NextCol()
 			if berr != nil {
 				w.Abort()
 				return berr
@@ -986,8 +978,9 @@ func (e *Engine) ExportToDFS(res *Result, fs *dfs.FileSystem, dir string) error 
 				break
 			}
 			// Encoding and writing the batch is one pass over it.
-			e.cost.ChargeProc(node, partBytes(b))
-			for _, r := range b {
+			e.cost.ChargeProc(node, colBatchBytes(b))
+			rows = b.Rows(rows[:0])
+			for _, r := range rows {
 				if werr := w.WriteRow(r); werr != nil {
 					return werr
 				}

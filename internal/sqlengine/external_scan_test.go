@@ -18,8 +18,8 @@ import (
 // own P=1 run over managed tables only; here the same kind of NULL-heavy random tables are also written to the
 // DFS as text — 256-byte blocks, so every split straddles a line and the
 // occasional long string leaves splits that own no line start — and
-// scanned as external tables. The columnar text scan, the row shim over
-// it and the columnar probe it enables must change nothing: every query
+// scanned as external tables. The columnar text scan and the operators
+// over it must change nothing: every query
 // answers as it does over the managed copy, at every Parallelism.
 
 // oracleStrings exercises the text format's quoting: separators, quotes,
@@ -193,7 +193,7 @@ func TestPropertyExternalScanMatchesManaged(t *testing.T) {
 // one pooled batch several times. After every NextCol the test overwrites
 // the scan's batch — what the scan's next refill would do — and then reads
 // the gathered strings. The probe is wired by hand, as hashJoin wires it
-// over the scan's columnar core, because every plan the engine builds
+// straight over the scan, because every plan the engine builds
 // today happens to put a copying projection downstream in the same pull —
 // which is exactly why a gather that handed out views of the slab would go
 // unnoticed until a plan does not.
@@ -229,10 +229,7 @@ func TestExternalProbeRowsOwnTheirStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, ok := unwrapColCore(iters[0])
-	if !ok {
-		t.Fatal("the external scan has no columnar core")
-	}
+	scan := iters[0]
 
 	// Build side: k in 0..2.
 	var build []row.Row
@@ -280,6 +277,16 @@ func TestExternalProbeRowsOwnTheirStrings(t *testing.T) {
 	if seen != n {
 		t.Fatalf("joined %d rows, want %d", seen, n)
 	}
+}
+
+// partBytes is the row-side reference for the engine's cost charges:
+// rowBytes summed over a partition's rows.
+func partBytes(p []row.Row) int {
+	n := 0
+	for _, r := range p {
+		n += rowBytes(r)
+	}
+	return n
 }
 
 // TestColBatchBytesMatchesPartBytes pins the columnar cost walk to the

@@ -242,12 +242,15 @@ func keyedRuns(runs ...[]int64) (func(a, b sortRef) int, [][]sortRef) {
 
 // TestCompareCellsMatchesValueCompare holds the sort's vector comparator
 // to Value.Compare over every pair of cells of one type, the edges
-// included: NULL sorts lowest, NaN ties with everything, -0 ties with +0.
+// included: NULL sorts lowest, -0 ties with +0, and NaN — whatever its
+// payload — ties with NaN and sorts above +Inf. Each list is in ascending
+// order, so the expected sign is also pinned by position.
 func TestCompareCellsMatchesValueCompare(t *testing.T) {
-	nan := math.NaN()
+	nanA := math.Float64frombits(0x7ff8000000000001)
+	nanB := math.Float64frombits(0xfff8000000000123)
 	for _, vals := range [][]row.Value{
 		{row.NullOf(row.TypeInt), row.Int(math.MinInt64), row.Int(-1), row.Int(0), row.Int(1), row.Int(math.MaxInt64)},
-		{row.NullOf(row.TypeFloat), row.Float(math.Inf(-1)), row.Float(-1.5), row.Float(math.Copysign(0, -1)), row.Float(0), row.Float(nan), row.Float(2), row.Float(math.Inf(1))},
+		{row.NullOf(row.TypeFloat), row.Float(math.Inf(-1)), row.Float(-1.5), row.Float(math.Copysign(0, -1)), row.Float(0), row.Float(2), row.Float(math.Inf(1)), row.Float(nanA), row.Float(nanB)},
 		{row.NullOf(row.TypeString), row.String_(""), row.String_("a"), row.String_("ab"), row.String_("b"), row.String_("é")},
 		{row.NullOf(row.TypeBool), row.Bool(false), row.Bool(true)},
 	} {
@@ -260,6 +263,15 @@ func TestCompareCellsMatchesValueCompare(t *testing.T) {
 			for q, b := range vals {
 				if got, want := compareCells(v, p, v, q), a.Compare(b); got != want {
 					t.Errorf("compareCells(%v, %v) = %d, Value.Compare = %d", a, b, got, want)
+				}
+				if p < q {
+					want := -1
+					if a.Equal(b) {
+						want = 0
+					}
+					if got := a.Compare(b); got != want {
+						t.Errorf("Value.Compare(%v, %v) = %d, want %d by the list order", a, b, got, want)
+					}
 				}
 			}
 		}

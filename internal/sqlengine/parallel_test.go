@@ -135,12 +135,21 @@ func TestCancelMidQueryTearsDown(t *testing.T) {
 }
 
 // TestCancelledColScanReturnsPooledBatch pins the pooled-ColBatch side of
-// cancellation teardown: closing a columnar scan mid-stream (what
-// closeAllIters does for every partition when the pool cancels) must
-// return its pooled batch rather than strand it.
+// cancellation teardown: closing an external table's scan mid-stream
+// (what closeAllIters does for every partition when the pool cancels)
+// must return its pooled batch rather than strand it.
 func TestCancelledColScanReturnsPooledBatch(t *testing.T) {
-	types := []row.Type{row.TypeInt}
-	s := &colScanIter{in: NewSliceBatches(intRows(1, 2, 3, 4)), types: types}
+	left, right := oracleRows(rand.New(rand.NewSource(3)), 40, 5)
+	e := oracleEngine(t, 1, left, right, true, Config{})
+	tbl, err := e.Catalog().Get("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters, err := e.scanTable(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := iters[0].(*externalScan)
 	if _, ok, err := s.NextCol(); err != nil || !ok {
 		t.Fatalf("NextCol: ok=%v err=%v", ok, err)
 	}

@@ -208,8 +208,3 @@ func (s *externalScan) Close() {
 		s.buf = nil
 	}
 }
-
-// emptyIters returns n empty partitions: chunk scans over no chunks.
-func emptyIters(n int) []BatchIterator {
-	return chunkIters(make([][]*row.ColBatch, n))
-}

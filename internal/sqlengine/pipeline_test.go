@@ -139,7 +139,9 @@ func TestEarlyCloseReleasesPipelineGoroutines(t *testing.T) {
 	if _, ok, err := iters[0].Next(); err != nil || !ok {
 		t.Fatalf("first batch: ok=%v err=%v", ok, err)
 	}
-	closeAllIters(iters)
+	for _, it := range iters {
+		it.Close()
+	}
 	waitGoroutines(t, baseline, "early Close")
 
 	// LIMIT terminates the pipeline after a prefix.

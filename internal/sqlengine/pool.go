@@ -131,18 +131,17 @@ func (p *queryPool) forEach(n int, f func(task, worker int) error) error {
 
 // drainChunks drains every partition pipeline on the pool into sealed
 // chunks (chunks.go): for a result that is kept, a hash-join build side
-// and an ORDER BY input. Every pipeline is read through asColIterator, so
-// its batches' live rows are copied typed. Pipelines with lazily started
+// and an ORDER BY input. Each batch's live rows are copied typed. Pipelines with lazily started
 // producer goroutines are primed first: partitions of a stream-send query
 // register with their coordinator from their own goroutines, so a pool
 // smaller than the partition count (including the Parallelism: 1 oracle)
 // cannot deadlock their barrier. On error (or cancellation) every
 // iterator is closed.
-func (p *queryPool) drainChunks(iters []BatchIterator, types []row.Type) ([][]*row.ColBatch, error) {
+func (p *queryPool) drainChunks(iters []ColBatchSource, types []row.Type) ([][]*row.ColBatch, error) {
 	primeIters(iters)
 	parts := make([][]*row.ColBatch, len(iters))
 	err := p.forEach(len(iters), func(i, _ int) error {
-		part, err := p.drainChunkPart(asColIterator(iters[i], types), types)
+		part, err := p.drainChunkPart(iters[i], types)
 		parts[i] = part
 		return err
 	})
@@ -174,20 +173,16 @@ func (p *queryPool) drainChunkPart(c ColBatchSource, types []row.Type) ([]*row.C
 // primeIters eagerly starts every lazily started producer goroutine
 // reachable from the given pipelines (today: udfPipe). Operators that
 // merely wrap another iterator forward the priming to their input.
-func primeIters(iters []BatchIterator) {
+func primeIters(iters []ColBatchSource) {
 	for _, it := range iters {
 		primeAny(it)
 	}
 }
 
-func primeAny(it any) {
+func primeAny(it ColBatchSource) {
 	switch x := it.(type) {
 	case *udfPipe:
 		x.prime()
-	case *colToRows:
-		primeAny(x.c)
-	case *colScanIter:
-		primeAny(x.in)
 	case *colFilterIter:
 		primeAny(x.in)
 	case *colProjectIter:

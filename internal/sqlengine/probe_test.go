@@ -171,25 +171,22 @@ func buildRows(t *testing.T, types []row.Type, rows []row.Row, keyFns ...vecFn) 
 	return bt
 }
 
-// probeChain walks a partition pipeline from its row face down to its
-// leaf, counting columnar probes and row probes on the way.
-func probeChain(it any) (colProbes, rowProbes int) {
-	for it != nil {
+// probeChain walks a partition pipeline down to its leaf, counting the
+// join probes on the way.
+func probeChain(it ColBatchSource) (probes int) {
+	for {
 		switch x := it.(type) {
-		case *colToRows:
-			it = x.c
 		case *colProjectIter:
 			it = x.in
 		case *colFilterIter:
 			it = x.in
 		case *colProbeIter:
-			colProbes++
+			probes++
 			it = x.in
 		default:
-			return colProbes, rowProbes
+			return probes
 		}
 	}
-	return colProbes, rowProbes
 }
 
 // TestProbeChainedKeyedJoinsOverManagedTable runs the In-SQL recode join's
@@ -244,13 +241,13 @@ func TestProbeChainedKeyedJoinsOverManagedTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		iters, err := res.Batches()
+		iters, err := res.sources()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, it := range iters {
-			if c, r := probeChain(it); c != 2 || r != 0 {
-				t.Fatalf("P=%d partition %d: %d columnar and %d row probes, want 2 and 0", par, i, c, r)
+			if c := probeChain(it); c != 2 {
+				t.Fatalf("P=%d partition %d: %d join probes, want 2", par, i, c)
 			}
 		}
 		res.Close()
@@ -303,7 +300,7 @@ func TestProbeNullKeysAndSelection(t *testing.T) {
 			build:  bt,
 			types:  append(append([]row.Type(nil), types...), types...),
 		}
-		got, err := drainBatches(rowsIter(p))
+		got, err := drainBatches(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +335,7 @@ func TestProbeChargeMatchesRowProbe(t *testing.T) {
 			}
 			rows = append(rows, r)
 		}
-		var in ColBatchSource = &colScanIter{in: NewSliceBatches(rows), types: types}
+		in := NewRowSource(rows, types)
 		live := rows
 		if withSel {
 			// Keep the rows whose first VARCHAR is not NULL.
@@ -366,7 +363,7 @@ func TestProbeChargeMatchesRowProbe(t *testing.T) {
 			cost:   cost,
 			node:   node,
 		}
-		if _, err := drainBatches(rowsIter(p)); err != nil {
+		if _, err := drainBatches(p); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := cost.Stats().ProcBytes, int64(partBytes(live)); got != want {

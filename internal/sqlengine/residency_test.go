@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the dynamic twin of the batchretain analyzer: the static
-// pass forbids retaining a RowBatch past the next Next call, and these
+// pass forbids retaining a batch past the next NextCol call, and these
 // tests prove the PR-4 operators (hash-join probe, grouped-agg merge,
 // parallel ORDER BY) actually honor that contract — both that they stay
 // O(batch)-resident where they stream, and that they survive a producer
@@ -104,47 +104,6 @@ func TestJoinProbeHoldsOnlyBatchResidentRows(t *testing.T) {
 	}
 }
 
-// recyclingBatches is a hostile-but-contract-abiding producer: it reuses
-// one RowBatch container for every Next call and, before refilling it,
-// poisons the slots handed out last time. Any downstream operator that
-// kept a reference to the container (instead of copying rows out before
-// its next pull) reads poison rows and produces wrong results.
-type recyclingBatches struct {
-	rows   []row.Row
-	size   int
-	i      int
-	buf    RowBatch
-	poison row.Row
-}
-
-func newRecyclingBatches(rows []row.Row, batchSize int) *recyclingBatches {
-	return &recyclingBatches{
-		rows:   rows,
-		size:   batchSize,
-		poison: row.Row{row.Int(-987654321)},
-	}
-}
-
-func (rc *recyclingBatches) Next() (RowBatch, bool, error) {
-	for j := range rc.buf {
-		rc.buf[j] = rc.poison
-	}
-	if rc.i >= len(rc.rows) {
-		return nil, false, nil
-	}
-	end := rc.i + rc.size
-	if end > len(rc.rows) {
-		end = len(rc.rows)
-	}
-	out := rc.buf[:0]
-	out = append(out, rc.rows[rc.i:end]...)
-	rc.i = end
-	rc.buf = out
-	return out, true, nil
-}
-
-func (rc *recyclingBatches) Close() { rc.i = len(rc.rows) }
-
 // intRows builds single-column rows from the given values.
 func intRows(vs ...int64) []row.Row {
 	out := make([]row.Row, len(vs))
@@ -154,20 +113,20 @@ func intRows(vs ...int64) []row.Row {
 	return out
 }
 
-// drainBatches pulls an iterator to completion, materializing one
-// partition. The iterator is closed either way.
-func drainBatches(it BatchIterator) ([]row.Row, error) {
+// drainBatches pulls a pipeline to completion, materializing one
+// partition as owning rows. The pipeline is closed either way.
+func drainBatches(it ColBatchSource) ([]row.Row, error) {
 	defer it.Close()
 	var out []row.Row
 	for {
-		b, ok, err := it.Next()
+		b, ok, err := it.NextCol()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		out = append(out, b...)
+		out = b.Rows(out)
 	}
 }
 
@@ -176,11 +135,11 @@ func colKey(c int) vecFn {
 	return func(_ *vecCtx, b *row.ColBatch, _ []int32) (*row.Vector, error) { return b.Col(c), nil }
 }
 
-// TestOrderByUnderBatchRecycling drains recycling producers the way
-// orderBy does (drainChunks over every partition), sorts the chunks by
-// key refs, and gathers — checking the exact global order and the
-// cross-partition stability rule (ties break toward the lower partition
-// index).
+// TestOrderByUnderBatchRecycling drains poisoning producers (with and
+// without a masked poison row) the way orderBy does (drainChunks over
+// every partition), sorts the chunks by key refs, and gathers — checking
+// the exact global order and the cross-partition stability rule (ties
+// break toward the lower partition index).
 func TestOrderByUnderBatchRecycling(t *testing.T) {
 	parts := [][]row.Row{
 		intRows(3, 1, 7, 3),
@@ -188,26 +147,28 @@ func TestOrderByUnderBatchRecycling(t *testing.T) {
 	}
 	types := []row.Type{row.TypeInt}
 	qp := newQueryPool(2)
-	iters := make([]BatchIterator, len(parts))
-	for i, part := range parts {
-		iters[i] = newRecyclingBatches(part, 2)
-	}
-	chunks, err := qp.drainChunks(iters, types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted, err := sortParts(qp, []orderSpec{{}}, []vecFn{colKey(0)}, types, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := chunkRows(sorted)
-	want := []int64{1, 2, 3, 3, 3, 7, 9}
-	if len(merged) != len(want) {
-		t.Fatalf("merged %d rows, want %d", len(merged), len(want))
-	}
-	for i, w := range want {
-		if merged[i][0].AsInt() != w {
-			t.Errorf("merged[%d] = %d, want %d", i, merged[i][0].AsInt(), w)
+	for _, junk := range []bool{false, true} {
+		iters := make([]ColBatchSource, len(parts))
+		for i, part := range parts {
+			iters[i] = newRecyclingColBatches(types, part, 2, junk)
+		}
+		chunks, err := qp.drainChunks(iters, types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted, err := sortParts(qp, []orderSpec{{}}, []vecFn{colKey(0)}, types, chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := chunkRows(sorted)
+		want := []int64{1, 2, 3, 3, 3, 7, 9}
+		if len(merged) != len(want) {
+			t.Fatalf("junk=%v: merged %d rows, want %d", junk, len(merged), len(want))
+		}
+		for i, w := range want {
+			if merged[i][0].AsInt() != w {
+				t.Errorf("junk=%v: merged[%d] = %d, want %d", junk, i, merged[i][0].AsInt(), w)
+			}
 		}
 	}
 }

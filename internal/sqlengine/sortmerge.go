@@ -46,7 +46,8 @@ func (s *sortKeys) compare(a, b sortRef) int {
 
 // compareCells orders slot p of a against slot q of b, two vectors of one
 // sort key (so of one type), exactly as Value.Compare orders their values:
-// NULL sorts lowest, and a NaN ties with everything.
+// NULL sorts lowest, -0 ties with 0, and NaN ties with NaN and sorts above
+// every number.
 func compareCells(a *row.Vector, p int, b *row.Vector, q int) int {
 	an, bn := a.Null(p), b.Null(q)
 	switch {
@@ -69,15 +70,18 @@ func compareCells(a *row.Vector, p int, b *row.Vector, q int) int {
 	}
 }
 
-// cmpOrdered is -1, 0 or +1 by < and >, so unordered floats compare equal.
+// cmpOrdered is -1, 0 or +1 by < and >, with NaN (the only value unequal
+// to itself) equal to NaN and above everything else.
 func cmpOrdered[T int64 | float64 | int](x, y T) int {
 	switch {
 	case x < y:
 		return -1
 	case x > y:
 		return 1
+	case x == y:
+		return 0
 	}
-	return 0
+	return boolRank(x != x) - boolRank(y != y)
 }
 
 func boolRank(b bool) int {

@@ -496,9 +496,9 @@ func cmpCode(op string) int {
 }
 
 // compareKernel: comparisons are two-valued here — a NULL operand yields
-// non-null FALSE, matching the row evaluator. Float ordering mirrors
-// Value.Compare exactly: `<=` is !(a>b) and `>=` is !(a<b), so NaN
-// operands order as "equal" on both paths.
+// non-null FALSE, matching the row evaluator. DOUBLEs compare as
+// Value.Compare orders them (PostgreSQL's rule): -0 equals 0, NaN equals
+// NaN, and NaN is above every number.
 func compareKernel(lf, rf vecFn, lt, rt row.Type, op string) vecFn {
 	code := cmpCode(op)
 	mixedNumeric := lt != rt // comparable() already held, so mixed == numeric pair
@@ -532,17 +532,17 @@ func compareKernel(lf, rf vecFn, lt, rt row.Type, op string) vecFn {
 				var r bool
 				switch code {
 				case cmpEq:
-					r = a == bb
+					r = floatEq(a, bb)
 				case cmpNe:
-					r = a != bb
+					r = !floatEq(a, bb)
 				case cmpLt:
-					r = a < bb
+					r = a < bb || (bb != bb && a == a)
 				case cmpLe:
-					r = !(a > bb)
+					r = a <= bb || bb != bb
 				case cmpGt:
-					r = a > bb
+					r = a > bb || (a != a && bb == bb)
 				default:
-					r = !(a < bb)
+					r = a >= bb || a != a
 				}
 				out.Bools[p] = r
 			}
@@ -822,13 +822,17 @@ func vecCellsEqual(a, b *row.Vector, pp int) bool {
 	case row.TypeInt:
 		return a.Ints[pp] == b.Ints[pp]
 	case row.TypeFloat:
-		return a.Floats[pp] == b.Floats[pp]
+		return floatEq(a.Floats[pp], b.Floats[pp])
 	case row.TypeBool:
 		return a.Bools[pp] == b.Bools[pp]
 	default:
 		return bytes.Equal(a.Bytes(pp), b.Bytes(pp))
 	}
 }
+
+// floatEq is DOUBLE equality under PostgreSQL's rule: IEEE equality (so
+// -0 equals 0), and NaN equals NaN.
+func floatEq(a, b float64) bool { return a == b || (a != a && b != b) }
 
 func cellFloat(v *row.Vector, pp int) float64 {
 	if v.Type() == row.TypeInt {
