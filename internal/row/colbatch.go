@@ -495,12 +495,6 @@ func (b *ColBatch) Rows(dst []Row) []Row {
 // refilled, where a zero-copy view of the slab would dangle.
 func (b *ColBatch) RowAt(si int, dst Row) Row {
 	p := b.SelPos(si)
-	return b.PhysicalRow(p, dst)
-}
-
-// PhysicalRow materializes physical row p into dst (VARCHAR values are
-// owning copies; see RowAt).
-func (b *ColBatch) PhysicalRow(p int, dst Row) Row {
 	dst = dst[:0]
 	for c := range b.cols {
 		col := &b.cols[c]

@@ -111,6 +111,8 @@ func TestBuiltinFunctions(t *testing.T) {
 		{"SQRT(9)", row.Float(3)},
 		{"UPPER('usa')", row.String_("USA")},
 		{"LENGTH('hello')", row.Int(5)},
+		{"LENGTH('héllo')", row.Int(5)},
+		{"SUBSTR('héllo', 1, 2)", row.String_("hé")},
 		{"ABS(-4)", row.Int(4)},
 	}
 	for _, c := range cases {

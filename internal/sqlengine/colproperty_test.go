@@ -33,7 +33,7 @@ func nullableTablesCfg(t testing.TB, rng *rand.Rand, workers, nl, nr int, cfg Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	cats := []string{"a", "b", "c", "dd"}
+	cats := []string{"a", "b", "c", "dd", "é"}
 	maybeNull := func(v row.Value, typ row.Type) row.Value {
 		if rng.Intn(4) == 0 {
 			return row.NullOf(typ)
@@ -107,6 +107,23 @@ var columnarOracleQueries = []string{
 	// Sorts keyed by computed expressions.
 	"SELECT v FROM t WHERE v IS NOT NULL ORDER BY v DESC LIMIT 11",
 	"SELECT k, f FROM t WHERE f IS NOT NULL AND k IS NOT NULL ORDER BY k, f",
+	// Every built-in function over the NULL-heavy columns, its kernel
+	// writing only at the listed positions.
+	"SELECT UPPER(cat), LOWER(UPPER(cat)), LENGTH(cat), TRIM(CONCAT(' ', cat, ' ')) FROM t",
+	"SELECT SUBSTR(cat, 1, 1), SUBSTR(cat, k, 2), CONCAT(cat, v, f) FROM t WHERE v > -20",
+	"SELECT ABS(v), ABS(f), ROUND(f), FLOOR(f), CEIL(v) FROM t",
+	"SELECT COALESCE(v, f), COALESCE(cat, 'none'), COALESCE(v, k, 0), COALESCE(k, 2.5) FROM t",
+	"SELECT LEAST(v, f), GREATEST(k, f), LEAST(k, 3) FROM t WHERE v IS NOT NULL OR f IS NULL",
+	// LN and SQRT fail on their left conjunct's rejects, so they must run
+	// only where it held.
+	"SELECT k FROM t WHERE f > 0.0 AND LN(f) > 1.0",
+	"SELECT SQRT(v), LN(f) FROM t WHERE v >= 0 AND f > 0.0",
+	// A VARCHAR CASE under a selection, one arm a function, no ELSE.
+	"SELECT CASE WHEN f > 0.0 THEN UPPER(cat) WHEN v > 0 THEN SUBSTR(cat, 2, 5) END FROM t WHERE k > 1",
+	// Functions as grouping, join and sort keys.
+	"SELECT UPPER(cat), COUNT(*), SUM(ABS(v)) FROM t GROUP BY UPPER(cat)",
+	"SELECT t.cat, u.w FROM t, u WHERE COALESCE(t.k, 0) = u.k",
+	"SELECT cat, LENGTH(cat) FROM t WHERE cat IS NOT NULL ORDER BY LENGTH(cat) DESC, cat",
 }
 
 // oracleCorpus is every corpus query, kernel shapes first.

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"testing"
 
 	"sqlml/internal/row"
@@ -349,6 +350,75 @@ func TestColGroupKeysSurviveVectorRecycling(t *testing.T) {
 		}
 		if g.sum != w[0] || g.n != w[1] {
 			t.Errorf("group %q = (sum %d, n %d), want (%d, %d)", cat, g.sum, g.n, w[0], w[1])
+		}
+	}
+}
+
+// TestStringCaseUnderBatchRecycling projects a VARCHAR CASE — arms that
+// alias the input column, a literal, a function over the column, and a
+// missing ELSE — over a filter's selection vector, fed by the poisoning
+// producer, and requires exactly the oracle's row-at-a-time answer: the
+// gather must write each live row's cell from the arm that claimed it, in
+// position order, before the next pull recycles the input.
+func TestStringCaseUnderBatchRecycling(t *testing.T) {
+	sel, err := ParseSelect(`SELECT CASE WHEN v > 4 THEN cat WHEN v IS NULL THEN 'none'
+		WHEN v > 1 THEN UPPER(cat) END FROM t WHERE v IS NULL OR v <> 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := []row.Type{row.TypeInt, row.TypeString}
+	sc := newScope()
+	if err := sc.add("t", row.MustSchema(row.Column{Name: "v", Type: row.TypeInt}, row.Column{Name: "cat", Type: row.TypeString})); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	pred, _, err := compileVec(sel.Where, sc, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caseFn, _, err := compileVec(sel.Items[0].Expr, sc, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refPred, _, err := compile(sel.Where, sc, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCase, _, err := compile(sel.Items[0].Expr, sc, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	null := row.NullOf(row.TypeInt)
+	var rows []row.Row
+	for i, v := range []row.Value{row.Int(5), row.Int(2), null, row.Int(3), row.Int(1), row.Int(6), null, row.Int(4), row.Int(2)} {
+		cat := row.String_([]string{"é", "ab", "dd"}[i%3])
+		if i == 4 {
+			cat = row.NullOf(row.TypeString)
+		}
+		rows = append(rows, row.Row{v, cat})
+	}
+	var want []string
+	for _, r := range rows {
+		if keep, err := refPred(r); err != nil || keep.Null || !keep.AsBool() {
+			continue
+		}
+		v, err := refCase(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, row.Row{v}.String())
+	}
+	for _, junk := range []bool{false, true} {
+		chain := newColProjectIter(
+			newColFilterIter(newRecyclingColBatches(types, rows, 4, junk), pred),
+			[]vecFn{caseFn},
+			[]row.Type{row.TypeString})
+		got, err := drainBatches(chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := rowStrings(got); fmt.Sprint(g) != fmt.Sprint(want) {
+			t.Errorf("junk=%v:\n got  %v\n want %v", junk, g, want)
 		}
 	}
 }

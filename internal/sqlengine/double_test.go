@@ -11,8 +11,8 @@ import (
 )
 
 // TestDoubleSemantics holds every path that compares DOUBLEs — the
-// compare kernel, the join's hashed keys, GROUP BY and DISTINCT keys, and
-// the sort — to one rule, PostgreSQL's: -0 = 0, NaN = NaN, and NaN sorts
+// compare kernel, the join's hashed keys, GROUP BY and DISTINCT keys, the
+// sort, and LEAST/GREATEST — to one rule, PostgreSQL's: -0 = 0, NaN = NaN, and NaN sorts
 // above every number. t and u both hold {1, NaN, 0, NaN, -1, -0}, loaded in
 // two input orders, at Parallelism 1 and 4.
 func TestDoubleSemantics(t *testing.T) {
@@ -86,6 +86,8 @@ func TestDoubleSemantics(t *testing.T) {
 				{"x = x keeps NaN", "SELECT id FROM t WHERE x = x", "SELECT id FROM t WHERE x IN (5, x)", bag("SELECT id FROM t")},
 				{"x = 0 keeps -0", "SELECT COUNT(*) FROM t WHERE x = 0", "SELECT COUNT(*) FROM t WHERE x = -0.0", []string{"(2)"}},
 				{"±0 and NaN group once each", "SELECT COUNT(*) FROM t GROUP BY x", "", []string{"(1)", "(1)", "(2)", "(2)"}},
+				{"LEAST passes NaN over", "SELECT LEAST(x, 2.0) FROM t", "SELECT LEAST(2.0, x) FROM t", []string{"(-0)", "(-1)", "(0)", "(1)", "(2)", "(2)"}},
+				{"GREATEST picks NaN", "SELECT GREATEST(x, 2.0) FROM t", "SELECT GREATEST(2.0, x) FROM t", []string{"(2)", "(2)", "(2)", "(2)", "(NaN)", "(NaN)"}},
 			} {
 				got := bag(c.sql)
 				if fmt.Sprint(got) != fmt.Sprint(c.want) {

@@ -105,11 +105,11 @@ func (e *Engine) execInsert(s *InsertStmt) error {
 		}
 		out := make(row.Row, len(exprs))
 		for i, ex := range exprs {
-			fn, _, err := compile(ex, empty, e.registry)
+			fn, _, err := compileVec(ex, empty, e.registry)
 			if err != nil {
 				return err
 			}
-			v, err := fn(nil)
+			v, err := evalConst(fn)
 			if err != nil {
 				return err
 			}

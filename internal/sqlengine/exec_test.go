@@ -401,11 +401,11 @@ func TestBigintSumOverflowFails(t *testing.T) {
 	}
 }
 
-// TestBigintArithmeticOverflowFails: BIGINT +, -, *, unary minus and
-// MinInt64 / -1 fail the query when the exact result leaves the int64
-// range — in the projection kernels, in the row evaluator HAVING runs on,
-// and in a constant-folded expression — while results at the range's
-// edges, and NULL operands, still evaluate.
+// TestBigintArithmeticOverflowFails: BIGINT +, -, *, unary minus,
+// MinInt64 / -1 and ABS(MinInt64) fail the query when the exact result
+// leaves the int64 range — in the projection kernels, in HAVING, and in a
+// constant-folded expression — while results at the range's edges, and
+// NULL operands, still evaluate.
 func TestBigintArithmeticOverflowFails(t *testing.T) {
 	e := newTestEngine(t)
 	s := row.MustSchema(row.Column{Name: "v", Type: row.TypeInt}, row.Column{Name: "w", Type: row.TypeInt})
@@ -415,24 +415,26 @@ func TestBigintArithmeticOverflowFails(t *testing.T) {
 	if err := e.LoadTable("bignull", s, []row.Row{{row.Int(math.MaxInt64), row.NullOf(row.TypeInt)}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ sql, op string }{
-		{"SELECT v + 1 FROM big", "+"},
-		{"SELECT v * 2 FROM big", "*"},
-		{"SELECT w - 1 FROM big", "-"},
-		{"SELECT -w FROM big", "-"},
-		{"SELECT w / -1 FROM big", "/"},
-		{"SELECT v, COUNT(*) FROM big GROUP BY v HAVING v + 1 < 0", "+"},
-		{"SELECT 9223372036854775807 * 2 FROM big", "*"},
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT v + 1 FROM big", "sql: BIGINT overflow in +"},
+		{"SELECT v * 2 FROM big", "sql: BIGINT overflow in *"},
+		{"SELECT w - 1 FROM big", "sql: BIGINT overflow in -"},
+		{"SELECT -w FROM big", "sql: BIGINT overflow in -"},
+		{"SELECT w / -1 FROM big", "sql: BIGINT overflow in /"},
+		{"SELECT v, COUNT(*) FROM big GROUP BY v HAVING v + 1 < 0", "sql: BIGINT overflow in +"},
+		{"SELECT 9223372036854775807 * 2 FROM big", "sql: BIGINT overflow in *"},
+		{"SELECT ABS(w) FROM big", "sql: abs: BIGINT overflow"},
 	} {
-		want := "sql: BIGINT overflow in " + c.op
-		if _, err := e.Query(c.sql); err == nil || err.Error() != want {
-			t.Errorf("%s: err = %v, want %q", c.sql, err, want)
+		if _, err := e.Query(c.sql); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.sql, err, c.want)
 		}
 	}
 	for _, c := range []struct{ sql, want string }{
 		{"SELECT v - 1, w + 1, -v, v * -1, w / 1, w * 1, v + w FROM big",
 			"[(9223372036854775806, -9223372036854775807, -9223372036854775807, -9223372036854775807, -9223372036854775808, -9223372036854775808, -1)]"},
 		{"SELECT v * w, w - v, w / -1, -w FROM bignull", "[(NULL, NULL, NULL, NULL)]"},
+		{"SELECT ABS(w + 1), ABS(v) FROM big", "[(9223372036854775807, 9223372036854775807)]"},
+		{"SELECT ABS(w) FROM bignull", "[(NULL)]"},
 	} {
 		res, err := e.Query(c.sql)
 		if err != nil {
@@ -855,11 +857,15 @@ func TestScalarUDFRegistration(t *testing.T) {
 		ReturnType: func(args []row.Type) (row.Type, error) {
 			return row.TypeInt, nil
 		},
-		Fn: func(args []row.Value) (row.Value, error) {
-			if args[0].Null {
-				return row.NullOf(row.TypeInt), nil
+		Fn: func(args []*row.Vector, pos []int32, out *row.Vector) error {
+			for _, p := range pos {
+				if args[0].Null(int(p)) {
+					out.SetNull(int(p))
+					continue
+				}
+				out.Ints[p] = args[0].Ints[p] * 2
 			}
-			return row.Int(args[0].AsInt() * 2), nil
+			return nil
 		},
 	})
 	if err != nil {
@@ -873,7 +879,7 @@ func TestScalarUDFRegistration(t *testing.T) {
 		t.Errorf("scalar UDF: %v", res.Rows()[0])
 	}
 	// Duplicate registration rejected.
-	if e.Registry().RegisterScalar(&ScalarUDF{Name: "double_it", ReturnType: func([]row.Type) (row.Type, error) { return row.TypeInt, nil }, Fn: func([]row.Value) (row.Value, error) { return row.Int(0), nil }}) == nil {
+	if e.Registry().RegisterScalar(&ScalarUDF{Name: "double_it", ReturnType: func([]row.Type) (row.Type, error) { return row.TypeInt, nil }, Fn: func([]*row.Vector, []int32, *row.Vector) error { return nil }}) == nil {
 		t.Error("duplicate scalar UDF accepted")
 	}
 }

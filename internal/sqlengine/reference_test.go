@@ -8,16 +8,18 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 
 	"sqlml/internal/row"
 )
 
 // referenceQuery is a deliberately naive SELECT evaluator, the oracle the
 // engine is held to. From the engine it shares the parser (ParseSelect),
-// the row-at-a-time expression compiler (compile over a scope) and the
-// catalog's managed partitions, nothing else: no planner, no predicate
-// pushdown, no hash join, no vector kernels, no pool, no partial
-// aggregation and no hash table. It reads every FROM table's partitions
+// the scope, the registry's function type rules and the catalog's managed
+// partitions, nothing else: its expressions run on its own row evaluator
+// (compile, below), and it has no planner, no predicate pushdown, no hash
+// join, no vector kernels, no pool, no partial aggregation and no hash
+// table. It reads every FROM table's partitions
 // in partition order, forms the cross product in FROM order, keeps the
 // rows WHERE is TRUE for, groups them in a Go map with its own
 // accumulators, then applies HAVING, the projection, DISTINCT, a stable
@@ -515,6 +517,470 @@ func sortedForDiff(rows []row.Row, approx map[int]bool) []row.Row {
 		out[i] = rows[j]
 	}
 	return out
+}
+
+// The oracle's own expression evaluator: row at a time, one closure per
+// node, no kernels and no constant folding. From the engine it takes only
+// the scope, the checked BIGINT helpers and, for a function call, the
+// registry's ReturnType; every function body is refScalars' row form, and
+// the result is coerced to the declared type.
+
+// evalFn evaluates a compiled expression against one combined row.
+type evalFn func(r row.Row) (row.Value, error)
+
+// compile type-checks an expression against the scope and returns an
+// evaluator plus the static result type.
+func compile(e Expr, s *scope, reg *Registry) (evalFn, row.Type, error) {
+	switch x := e.(type) {
+	case *Lit:
+		v := x.V
+		return func(row.Row) (row.Value, error) { return v, nil }, v.Kind, nil
+
+	case *ColRef:
+		idx, col, err := s.resolve(x.Qualifier, x.Name)
+		if err != nil {
+			return nil, 0, err
+		}
+		return func(r row.Row) (row.Value, error) { return r[idx], nil }, col.Type, nil
+
+	case *NotExpr:
+		inner, t, err := compile(x.E, s, reg)
+		if err != nil {
+			return nil, 0, err
+		}
+		if t != row.TypeBool {
+			return nil, 0, fmt.Errorf("sql: NOT requires a BOOLEAN operand")
+		}
+		return func(r row.Row) (row.Value, error) {
+			v, err := inner(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			if v.Null {
+				return row.NullOf(row.TypeBool), nil
+			}
+			return row.Bool(!v.AsBool()), nil
+		}, row.TypeBool, nil
+
+	case *IsNullExpr:
+		inner, _, err := compile(x.E, s, reg)
+		if err != nil {
+			return nil, 0, err
+		}
+		neg := x.Negate
+		return func(r row.Row) (row.Value, error) {
+			v, err := inner(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			return row.Bool(v.Null != neg), nil
+		}, row.TypeBool, nil
+
+	case *InListExpr:
+		inner, _, err := compile(x.E, s, reg)
+		if err != nil {
+			return nil, 0, err
+		}
+		elems := make([]evalFn, len(x.List))
+		for i, le := range x.List {
+			fn, _, err := compile(le, s, reg)
+			if err != nil {
+				return nil, 0, err
+			}
+			elems[i] = fn
+		}
+		neg := x.Negate
+		return func(r row.Row) (row.Value, error) {
+			v, err := inner(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			if v.Null {
+				return row.Bool(false), nil
+			}
+			for _, fn := range elems {
+				ev, err := fn(r)
+				if err != nil {
+					return row.Value{}, err
+				}
+				if !ev.Null && v.Equal(ev) {
+					return row.Bool(!neg), nil
+				}
+			}
+			return row.Bool(neg), nil
+		}, row.TypeBool, nil
+
+	case *FuncCall:
+		if isAggregateName(x.Name) {
+			return nil, 0, fmt.Errorf("sql: aggregate %s not allowed here", strings.ToUpper(x.Name))
+		}
+		udf, ok := reg.Scalar(x.Name)
+		if !ok {
+			return nil, 0, fmt.Errorf("sql: unknown function %q", x.Name)
+		}
+		args := make([]evalFn, len(x.Args))
+		types := make([]row.Type, len(x.Args))
+		for i, a := range x.Args {
+			fn, t, err := compile(a, s, reg)
+			if err != nil {
+				return nil, 0, err
+			}
+			args[i] = fn
+			types[i] = t
+		}
+		ret, err := udf.ReturnType(types)
+		if err != nil {
+			return nil, 0, fmt.Errorf("sql: %s: %w", udf.Name, err)
+		}
+		body, ok := refScalars[strings.ToLower(x.Name)]
+		if !ok {
+			return nil, 0, fmt.Errorf("reference: no row body for %s", x.Name)
+		}
+		return func(r row.Row) (row.Value, error) {
+			vals := make([]row.Value, len(args))
+			for i, fn := range args {
+				v, err := fn(r)
+				if err != nil {
+					return row.Value{}, err
+				}
+				vals[i] = v
+			}
+			out, err := body(vals)
+			if err != nil {
+				return row.Value{}, fmt.Errorf("sql: %s: %w", udf.Name, err)
+			}
+			return out.Coerce(ret)
+		}, ret, nil
+
+	case *BinOp:
+		return compileBinOp(x, s, reg)
+
+	case *CaseExpr:
+		return compileCase(x, s, reg)
+	}
+	return nil, 0, fmt.Errorf("sql: cannot compile %T", e)
+}
+
+func compileBinOp(x *BinOp, s *scope, reg *Registry) (evalFn, row.Type, error) {
+	lf, lt, err := compile(x.L, s, reg)
+	if err != nil {
+		return nil, 0, err
+	}
+	rf, rt, err := compile(x.R, s, reg)
+	if err != nil {
+		return nil, 0, err
+	}
+	switch x.Op {
+	case "AND", "OR":
+		if lt != row.TypeBool || rt != row.TypeBool {
+			return nil, 0, fmt.Errorf("sql: %s requires BOOLEAN operands", x.Op)
+		}
+		and := x.Op == "AND"
+		return func(r row.Row) (row.Value, error) {
+			lv, err := lf(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			// Treat NULL as false at connectives (two-valued filter logic).
+			lb := !lv.Null && lv.AsBool()
+			if and && !lb {
+				return row.Bool(false), nil
+			}
+			if !and && lb {
+				return row.Bool(true), nil
+			}
+			rv, err := rf(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			rb := !rv.Null && rv.AsBool()
+			return row.Bool(rb), nil
+		}, row.TypeBool, nil
+
+	case "=", "<>", "<", "<=", ">", ">=":
+		if !comparable(lt, rt) {
+			return nil, 0, fmt.Errorf("sql: cannot compare %s with %s", lt, rt)
+		}
+		op := x.Op
+		return func(r row.Row) (row.Value, error) {
+			lv, err := lf(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			rv, err := rf(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			if lv.Null || rv.Null {
+				return row.Bool(false), nil
+			}
+			switch op {
+			case "=":
+				return row.Bool(lv.Equal(rv)), nil
+			case "<>":
+				return row.Bool(!lv.Equal(rv)), nil
+			}
+			c := lv.Compare(rv)
+			switch op {
+			case "<":
+				return row.Bool(c < 0), nil
+			case "<=":
+				return row.Bool(c <= 0), nil
+			case ">":
+				return row.Bool(c > 0), nil
+			default:
+				return row.Bool(c >= 0), nil
+			}
+		}, row.TypeBool, nil
+
+	case "+", "-", "*", "/":
+		if !numericType(lt) || !numericType(rt) {
+			return nil, 0, fmt.Errorf("sql: %s requires numeric operands", x.Op)
+		}
+		outType := row.TypeInt
+		if lt == row.TypeFloat || rt == row.TypeFloat {
+			outType = row.TypeFloat
+		}
+		op := x.Op
+		return func(r row.Row) (row.Value, error) {
+			lv, err := lf(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			rv, err := rf(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			if lv.Null || rv.Null {
+				return row.NullOf(outType), nil
+			}
+			if outType == row.TypeInt {
+				a, b := lv.AsInt(), rv.AsInt()
+				var c int64
+				ok := true
+				switch op {
+				case "+":
+					c, ok = addInt64(a, b)
+				case "-":
+					c, ok = subInt64(a, b)
+				case "*":
+					c, ok = mulInt64(a, b)
+				default:
+					if b == 0 {
+						return row.Value{}, fmt.Errorf("sql: division by zero")
+					}
+					c, ok = divInt64(a, b)
+				}
+				if !ok {
+					return row.Value{}, errIntOverflow(op[0])
+				}
+				return row.Int(c), nil
+			}
+			a, b := lv.AsFloat(), rv.AsFloat()
+			switch op {
+			case "+":
+				return row.Float(a + b), nil
+			case "-":
+				return row.Float(a - b), nil
+			case "*":
+				return row.Float(a * b), nil
+			default:
+				if b == 0 {
+					return row.Value{}, fmt.Errorf("sql: division by zero")
+				}
+				return row.Float(a / b), nil
+			}
+		}, outType, nil
+	}
+	return nil, 0, fmt.Errorf("sql: unknown operator %q", x.Op)
+}
+
+// compileCase type-checks a searched CASE: all conditions BOOLEAN, all
+// result arms of one common type (numerics unify to DOUBLE).
+func compileCase(x *CaseExpr, s *scope, reg *Registry) (evalFn, row.Type, error) {
+	type arm struct {
+		cond evalFn
+		then evalFn
+		t    row.Type
+	}
+	arms := make([]arm, len(x.Whens))
+	var outType row.Type
+	seen := false
+	unify := func(t row.Type) error {
+		if !seen {
+			outType, seen = t, true
+			return nil
+		}
+		if outType == t {
+			return nil
+		}
+		if numericType(outType) && numericType(t) {
+			outType = row.TypeFloat
+			return nil
+		}
+		return fmt.Errorf("sql: CASE arms mix %s and %s", outType, t)
+	}
+	for i, w := range x.Whens {
+		cond, ct, err := compile(w.Cond, s, reg)
+		if err != nil {
+			return nil, 0, err
+		}
+		if ct != row.TypeBool {
+			return nil, 0, fmt.Errorf("sql: CASE WHEN condition must be BOOLEAN, got %s", ct)
+		}
+		then, tt, err := compile(w.Then, s, reg)
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := unify(tt); err != nil {
+			return nil, 0, err
+		}
+		arms[i] = arm{cond: cond, then: then, t: tt}
+	}
+	var elseFn evalFn
+	if x.Else != nil {
+		fn, t, err := compile(x.Else, s, reg)
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := unify(t); err != nil {
+			return nil, 0, err
+		}
+		elseFn = fn
+	}
+	coerce := func(v row.Value) (row.Value, error) {
+		if v.Null || v.Kind == outType {
+			if v.Null {
+				return row.NullOf(outType), nil
+			}
+			return v, nil
+		}
+		return v.Coerce(outType)
+	}
+	return func(r row.Row) (row.Value, error) {
+		for _, a := range arms {
+			c, err := a.cond(r)
+			if err != nil {
+				return row.Value{}, err
+			}
+			if !c.Null && c.AsBool() {
+				v, err := a.then(r)
+				if err != nil {
+					return row.Value{}, err
+				}
+				return coerce(v)
+			}
+		}
+		if elseFn == nil {
+			return row.NullOf(outType), nil
+		}
+		v, err := elseFn(r)
+		if err != nil {
+			return row.Value{}, err
+		}
+		return coerce(v)
+	}, outType, nil
+}
+
+// refScalars are the oracle's row-form bodies of the built-in scalar
+// functions, written from each function's SQL meaning over row.Values.
+var refScalars = map[string]func(args []row.Value) (row.Value, error){
+	"upper": refString(strings.ToUpper),
+	"lower": refString(strings.ToLower),
+	"trim":  refString(strings.TrimSpace),
+	"length": refStrict(func(a []row.Value) (row.Value, error) {
+		return row.Int(int64(utf8.RuneCountInString(a[0].AsString()))), nil
+	}),
+	"abs": refStrict(func(a []row.Value) (row.Value, error) {
+		if a[0].Kind == row.TypeFloat {
+			return row.Float(math.Abs(a[0].AsFloat())), nil
+		}
+		n := a[0].AsInt()
+		if n == math.MinInt64 {
+			return row.Value{}, fmt.Errorf("BIGINT overflow")
+		}
+		if n < 0 {
+			n = -n
+		}
+		return row.Int(n), nil
+	}),
+	"coalesce": func(a []row.Value) (row.Value, error) {
+		for _, v := range a {
+			if !v.Null {
+				return v, nil
+			}
+		}
+		return a[0], nil
+	},
+	"round": refFloat(math.Round),
+	"floor": refFloat(math.Floor),
+	"ceil":  refFloat(math.Ceil),
+	"sqrt": refStrict(func(a []row.Value) (row.Value, error) {
+		if f := a[0].AsFloat(); f < 0 {
+			return row.Value{}, fmt.Errorf("SQRT of negative value %v", f)
+		}
+		return row.Float(math.Sqrt(a[0].AsFloat())), nil
+	}),
+	"ln": refStrict(func(a []row.Value) (row.Value, error) {
+		if f := a[0].AsFloat(); f <= 0 {
+			return row.Value{}, fmt.Errorf("LN of non-positive value %v", f)
+		}
+		return row.Float(math.Log(a[0].AsFloat())), nil
+	}),
+	"substr": refStrict(func(a []row.Value) (row.Value, error) {
+		chars := []rune(a[0].AsString())
+		from, length := a[1].AsInt()-1, a[2].AsInt()
+		if a[1].AsInt() < 1 {
+			from = 0
+		}
+		if from >= int64(len(chars)) || length <= 0 {
+			return row.String_(""), nil
+		}
+		chars = chars[from:]
+		if length < int64(len(chars)) {
+			chars = chars[:length]
+		}
+		return row.String_(string(chars)), nil
+	}),
+	"concat": refStrict(func(a []row.Value) (row.Value, error) {
+		var b strings.Builder
+		for _, v := range a {
+			b.WriteString(v.String())
+		}
+		return row.String_(b.String()), nil
+	}),
+	"least": refStrict(func(a []row.Value) (row.Value, error) {
+		if a[1].Compare(a[0]) < 0 {
+			return a[1], nil
+		}
+		return a[0], nil
+	}),
+	"greatest": refStrict(func(a []row.Value) (row.Value, error) {
+		if a[1].Compare(a[0]) > 0 {
+			return a[1], nil
+		}
+		return a[0], nil
+	}),
+}
+
+// refStrict makes f NULL-propagating: any NULL argument gives NULL.
+func refStrict(f func([]row.Value) (row.Value, error)) func([]row.Value) (row.Value, error) {
+	return func(a []row.Value) (row.Value, error) {
+		for _, v := range a {
+			if v.Null {
+				return v, nil
+			}
+		}
+		return f(a)
+	}
+}
+
+func refString(f func(string) string) func([]row.Value) (row.Value, error) {
+	return refStrict(func(a []row.Value) (row.Value, error) { return row.String_(f(a[0].AsString())), nil })
+}
+
+func refFloat(f func(float64) float64) func([]row.Value) (row.Value, error) {
+	return refStrict(func(a []row.Value) (row.Value, error) { return row.Float(f(a[0].AsFloat())), nil })
 }
 
 // TestPropertyMatchesReference runs the whole corpus over random

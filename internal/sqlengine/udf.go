@@ -2,7 +2,6 @@ package sqlengine
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"sqlml/internal/cluster"
@@ -56,7 +55,15 @@ type ScalarUDF struct {
 	Name string
 	// ReturnType derives the result type from argument types at plan time.
 	ReturnType func(args []row.Type) (row.Type, error)
-	Fn         func(args []row.Value) (row.Value, error)
+	// Fn is the table-UDF contract's shape over one batch: vectors in, one
+	// vector out. args[i] holds argument i at the positions in pos
+	// (ascending physical row indices; every other slot is unspecified),
+	// and Fn writes out at exactly those positions. out arrives reset to
+	// the return type: pre-sized for positional writes (out.Ints[p],
+	// out.SetNull(p), ...) for BIGINT, DOUBLE and BOOLEAN, and empty for
+	// VARCHAR, which Fn builds in position order — out.PadTo(p), then one
+	// append. Fn must not retain any vector. An error fails the query.
+	Fn func(args []*row.Vector, pos []int32, out *row.Vector) error
 }
 
 // Registry holds the UDFs known to an engine. Safe for concurrent use.
@@ -67,16 +74,13 @@ type Registry struct {
 }
 
 // NewRegistry returns a registry preloaded with the built-in scalar
-// functions (UPPER, LOWER, LENGTH, ABS).
+// functions (builtins.go).
 func NewRegistry() *Registry {
 	r := &Registry{
 		scalars: make(map[string]*ScalarUDF),
 		tables:  make(map[string]*TableUDF),
 	}
 	for _, udf := range builtinScalars() {
-		r.scalars[key(udf.Name)] = udf
-	}
-	for _, udf := range extraBuiltins() {
 		r.scalars[key(udf.Name)] = udf
 	}
 	return r
@@ -126,75 +130,4 @@ func (r *Registry) Table(name string) (*TableUDF, bool) {
 	defer r.mu.RUnlock()
 	u, ok := r.tables[key(name)]
 	return u, ok
-}
-
-func builtinScalars() []*ScalarUDF {
-	stringIn := func(args []row.Type) (row.Type, error) {
-		if len(args) != 1 || args[0] != row.TypeString {
-			return 0, fmt.Errorf("expected one VARCHAR argument")
-		}
-		return row.TypeString, nil
-	}
-	return []*ScalarUDF{
-		{
-			Name:       "upper",
-			ReturnType: stringIn,
-			Fn: func(args []row.Value) (row.Value, error) {
-				if args[0].Null {
-					return row.NullOf(row.TypeString), nil
-				}
-				return row.String_(strings.ToUpper(args[0].AsString())), nil
-			},
-		},
-		{
-			Name:       "lower",
-			ReturnType: stringIn,
-			Fn: func(args []row.Value) (row.Value, error) {
-				if args[0].Null {
-					return row.NullOf(row.TypeString), nil
-				}
-				return row.String_(strings.ToLower(args[0].AsString())), nil
-			},
-		},
-		{
-			Name: "length",
-			ReturnType: func(args []row.Type) (row.Type, error) {
-				if len(args) != 1 || args[0] != row.TypeString {
-					return 0, fmt.Errorf("expected one VARCHAR argument")
-				}
-				return row.TypeInt, nil
-			},
-			Fn: func(args []row.Value) (row.Value, error) {
-				if args[0].Null {
-					return row.NullOf(row.TypeInt), nil
-				}
-				return row.Int(int64(len(args[0].AsString()))), nil
-			},
-		},
-		{
-			Name: "abs",
-			ReturnType: func(args []row.Type) (row.Type, error) {
-				if len(args) != 1 || (args[0] != row.TypeInt && args[0] != row.TypeFloat) {
-					return 0, fmt.Errorf("expected one numeric argument")
-				}
-				return args[0], nil
-			},
-			Fn: func(args []row.Value) (row.Value, error) {
-				v := args[0]
-				if v.Null {
-					return v, nil
-				}
-				if v.Kind == row.TypeInt {
-					if n := v.AsInt(); n < 0 {
-						return row.Int(-n), nil
-					}
-					return v, nil
-				}
-				if f := v.AsFloat(); f < 0 {
-					return row.Float(-f), nil
-				}
-				return v, nil
-			},
-		},
-	}
 }

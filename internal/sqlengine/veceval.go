@@ -3,24 +3,24 @@ package sqlengine
 import (
 	"bytes"
 	"fmt"
+	"strings"
 
 	"sqlml/internal/row"
 )
 
-// Vectorized expression evaluation: compileVec builds a column→column twin
-// of eval.go's compile. A kernel consumes a whole ColBatch and a position
-// list and returns one output vector; the hot loops are typed (no
-// row.Value traffic, no per-row closure calls). Kernels evaluate ONLY at
-// the listed positions — a must for semantics, not just speed: in
-// `WHERE b <> 0 AND a/b > 2` the division must never run on rows the left
-// conjunct filtered out, exactly as the row-at-a-time path short-circuits.
+// Expression evaluation: compileVec is the engine's one expression
+// compiler. It types each node as it recurses and turns it into a kernel,
+// which consumes a whole ColBatch and a position list and returns one
+// output vector; the hot loops are typed (no row.Value traffic, no per-row
+// closure calls). Kernels evaluate ONLY at the listed positions — a must
+// for semantics, not just speed: in `WHERE b <> 0 AND a/b > 2` the
+// division must never run on rows the left conjunct filtered out.
 //
 // Positions are physical row indices into the batch, ascending; nil means
 // every physical row. Output vectors span the batch's full physical length
-// with meaningful slots only at the evaluated positions. Expressions
-// without a native kernel — scalar UDF calls, string-typed CASE — fall
-// back to the row evaluator over a scratch row, so every expression the
-// row path accepts still runs.
+// with meaningful slots only at the evaluated positions. Every expression
+// has a kernel: scalar functions (built-in or registered) run their
+// vector bodies through funcKernel.
 
 // vecFn evaluates a compiled expression over a batch at the given
 // positions. The returned vector belongs to the kernel's vecCtx (or
@@ -33,12 +33,11 @@ type vecFn func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error)
 // validity window. Kernels themselves are stateless — one compiled kernel
 // is shared across per-partition goroutines, each with its own vecCtx.
 type vecCtx struct {
-	vecs    []*row.Vector
-	nv      int
-	poss    []*[]int32
-	np      int
-	idPos   []int32 // cached identity position list 0,1,2,...
-	scratch row.Row // fallback-eval row materialization buffer
+	vecs  []*row.Vector
+	nv    int
+	poss  []*[]int32
+	np    int
+	idPos []int32 // cached identity position list 0,1,2,...
 }
 
 // reclaim recycles every vector and position list handed out since the
@@ -74,48 +73,56 @@ func (c *vecCtx) allPos(n int) []int32 {
 	return c.idPos[:n]
 }
 
-// compileVec compiles e into a vector kernel against the scope's combined
-// schema. Typing and error behavior mirror compile exactly; the row
-// evaluator is compiled alongside both to type-check and to serve as the
-// fallback body.
+// compileVec type-checks e against the scope's combined schema and
+// compiles it into a kernel, returning the static result type.
+//
+// Constant folding: a subtree with no column refs and no function calls
+// is evaluated once, here, by its own kernel (evalConst). If that errors
+// (e.g. 1/0) the kernel is kept, so the error surfaces only when rows
+// flow.
 func compileVec(e Expr, s *scope, reg *Registry) (vecFn, row.Type, error) {
-	rowFn, t, err := compile(e, s, reg)
-	if err != nil {
-		return nil, 0, err
+	if x, ok := e.(*Lit); ok {
+		return constKernel(x.V, x.V.Kind), x.V.Kind, nil
 	}
-	// Constant folding: a subtree with no column refs and no UDF calls
-	// evaluates once at compile time. If it errors (e.g. 1/0) keep the
-	// row-path timing — the error must surface only when rows flow.
-	if exprIsConst(e) {
-		if v, evalErr := rowFn(nil); evalErr == nil {
-			return constKernel(v, t), t, nil
-		}
-		return fallbackKernel(rowFn, t), t, nil
+	fn, t, err := compileNode(e, s, reg)
+	if err != nil || !exprIsConst(e) {
+		return fn, t, err
 	}
+	if v, err := evalConst(fn); err == nil {
+		return constKernel(v, t), t, nil
+	}
+	return fn, t, nil
+}
 
+// compileNode types and compiles one non-literal node over its compiled
+// children.
+func compileNode(e Expr, s *scope, reg *Registry) (vecFn, row.Type, error) {
 	switch x := e.(type) {
 	case *ColRef:
-		idx, _, err := s.resolve(x.Qualifier, x.Name)
+		idx, col, err := s.resolve(x.Qualifier, x.Name)
 		if err != nil {
 			return nil, 0, err
 		}
 		return func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
 			return b.Col(idx), nil
-		}, t, nil
+		}, col.Type, nil
 
 	case *NotExpr:
-		inner, _, err := compileVec(x.E, s, reg)
+		inner, t, err := compileVec(x.E, s, reg)
 		if err != nil {
 			return nil, 0, err
 		}
-		return notKernel(inner), t, nil
+		if t != row.TypeBool {
+			return nil, 0, fmt.Errorf("sql: NOT requires a BOOLEAN operand")
+		}
+		return notKernel(inner), row.TypeBool, nil
 
 	case *IsNullExpr:
 		inner, _, err := compileVec(x.E, s, reg)
 		if err != nil {
 			return nil, 0, err
 		}
-		return isNullKernel(inner, x.Negate), t, nil
+		return isNullKernel(inner, x.Negate), row.TypeBool, nil
 
 	case *InListExpr:
 		inner, _, err := compileVec(x.E, s, reg)
@@ -124,52 +131,85 @@ func compileVec(e Expr, s *scope, reg *Registry) (vecFn, row.Type, error) {
 		}
 		elems := make([]vecFn, len(x.List))
 		for i, le := range x.List {
-			fn, _, err := compileVec(le, s, reg)
+			if elems[i], _, err = compileVec(le, s, reg); err != nil {
+				return nil, 0, err
+			}
+		}
+		return inListKernel(inner, elems, x.Negate), row.TypeBool, nil
+
+	case *FuncCall:
+		if isAggregateName(x.Name) {
+			return nil, 0, fmt.Errorf("sql: aggregate %s not allowed here", strings.ToUpper(x.Name))
+		}
+		udf, ok := reg.Scalar(x.Name)
+		if !ok {
+			return nil, 0, fmt.Errorf("sql: unknown function %q", x.Name)
+		}
+		args := make([]vecFn, len(x.Args))
+		types := make([]row.Type, len(x.Args))
+		for i, a := range x.Args {
+			fn, t, err := compileVec(a, s, reg)
 			if err != nil {
 				return nil, 0, err
 			}
-			elems[i] = fn
+			args[i], types[i] = fn, t
 		}
-		return inListKernel(inner, elems, x.Negate), t, nil
+		ret, err := udf.ReturnType(types)
+		if err != nil {
+			return nil, 0, fmt.Errorf("sql: %s: %w", udf.Name, err)
+		}
+		return funcKernel(udf, args, ret), ret, nil
 
 	case *BinOp:
-		lf, lt, err := compileVec(x.L, s, reg)
-		if err != nil {
-			return nil, 0, err
-		}
-		rf, rt, err := compileVec(x.R, s, reg)
-		if err != nil {
-			return nil, 0, err
-		}
-		switch x.Op {
-		case "AND":
-			return andKernel(lf, rf), t, nil
-		case "OR":
-			return orKernel(lf, rf), t, nil
-		case "=", "<>", "<", "<=", ">", ">=":
-			return compareKernel(lf, rf, lt, rt, x.Op), t, nil
-		default: // + - * /
-			return arithKernel(lf, rf, lt, rt, x.Op[0], t), t, nil
-		}
+		return compileBinOpVec(x, s, reg)
 
 	case *CaseExpr:
-		if t == row.TypeString {
-			// Scatter can't write a sequential string vector out of order;
-			// string-typed CASE stays on the row evaluator.
-			return fallbackKernel(rowFn, t), t, nil
-		}
-		return compileCaseVec(x, s, reg, t)
-
-	case *FuncCall:
-		// Scalar UDFs take row.Values by contract; the per-row fallback is
-		// the designed boundary, not a missing kernel.
-		return fallbackKernel(rowFn, t), t, nil
+		return compileCaseVec(x, s, reg)
 	}
-	return fallbackKernel(rowFn, t), t, nil
+	return nil, 0, fmt.Errorf("sql: cannot compile %T", e)
 }
 
-// exprIsConst reports whether e references no columns and calls no UDFs,
-// making it evaluable at compile time.
+// compileBinOpVec types a binary operator: connectives over BOOLEANs,
+// comparisons over comparable types, arithmetic over numerics (BIGINT
+// unless either side is DOUBLE).
+func compileBinOpVec(x *BinOp, s *scope, reg *Registry) (vecFn, row.Type, error) {
+	lf, lt, err := compileVec(x.L, s, reg)
+	if err != nil {
+		return nil, 0, err
+	}
+	rf, rt, err := compileVec(x.R, s, reg)
+	if err != nil {
+		return nil, 0, err
+	}
+	switch x.Op {
+	case "AND", "OR":
+		if lt != row.TypeBool || rt != row.TypeBool {
+			return nil, 0, fmt.Errorf("sql: %s requires BOOLEAN operands", x.Op)
+		}
+		if x.Op == "AND" {
+			return andKernel(lf, rf), row.TypeBool, nil
+		}
+		return orKernel(lf, rf), row.TypeBool, nil
+	case "=", "<>", "<", "<=", ">", ">=":
+		if !comparable(lt, rt) {
+			return nil, 0, fmt.Errorf("sql: cannot compare %s with %s", lt, rt)
+		}
+		return compareKernel(lf, rf, lt, rt, x.Op), row.TypeBool, nil
+	case "+", "-", "*", "/":
+		if !numericType(lt) || !numericType(rt) {
+			return nil, 0, fmt.Errorf("sql: %s requires numeric operands", x.Op)
+		}
+		t := row.TypeInt
+		if lt == row.TypeFloat || rt == row.TypeFloat {
+			t = row.TypeFloat
+		}
+		return arithKernel(lf, rf, lt, rt, x.Op[0], t), t, nil
+	}
+	return nil, 0, fmt.Errorf("sql: unknown operator %q", x.Op)
+}
+
+// exprIsConst reports whether e references no columns and calls no
+// functions, making it evaluable at compile time.
 func exprIsConst(e Expr) bool {
 	switch x := e.(type) {
 	case *Lit:
@@ -199,6 +239,19 @@ func exprIsConst(e Expr) bool {
 		return x.Else == nil || exprIsConst(x.Else)
 	}
 	return false
+}
+
+// evalConst evaluates a kernel over a one-row, zero-column batch: the
+// value of an expression that reads no columns.
+func evalConst(fn vecFn) (row.Value, error) {
+	var c vecCtx
+	b := row.NewColBatch(nil)
+	b.SetFullLen(1)
+	v, err := fn(&c, b, nil)
+	if err != nil {
+		return row.Value{}, err
+	}
+	return v.ValueAt(0), nil
 }
 
 // constKernel fills a vector with one compile-time value.
@@ -246,92 +299,37 @@ func constKernel(v row.Value, t row.Type) vecFn {
 	}
 }
 
-// fallbackKernel runs the row evaluator position-by-position over a
-// scratch row — the boundary for UDF calls and unvectorized shapes.
-func fallbackKernel(rowFn evalFn, t row.Type) vecFn {
+// funcKernel evaluates a scalar function's arguments at the listed
+// positions and runs its body (ScalarUDF.Fn) over their vectors into an
+// output vector reset to the return type t.
+func funcKernel(udf *ScalarUDF, args []vecFn, t row.Type) vecFn {
 	return func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
-		if pos == nil {
-			pos = c.allPos(b.FullLen())
-		}
-		out := c.get()
 		n := b.FullLen()
-		if t == row.TypeString {
-			out.Reset(t)
-			for _, pp := range pos {
-				p := int(pp)
-				out.PadTo(p)
-				c.scratch = b.PhysicalRow(p, c.scratch)
-				v, err := rowFn(c.scratch)
-				if err != nil {
-					return nil, err
-				}
-				if err := appendFallbackString(out, v); err != nil {
-					return nil, err
-				}
-			}
-			out.PadTo(n)
-			return out, nil
+		if pos == nil {
+			pos = c.allPos(n)
 		}
-		out.ResetDense(t, n)
-		for _, pp := range pos {
-			p := int(pp)
-			c.scratch = b.PhysicalRow(p, c.scratch)
-			v, err := rowFn(c.scratch)
+		vals := make([]*row.Vector, len(args))
+		for i, fn := range args {
+			v, err := fn(c, b, pos)
 			if err != nil {
 				return nil, err
 			}
-			if v.Null {
-				out.SetNull(p)
-				continue
-			}
-			switch t {
-			case row.TypeInt:
-				if v.Kind != row.TypeInt {
-					cv, err := v.Coerce(t)
-					if err != nil {
-						return nil, err
-					}
-					v = cv
-				}
-				out.Ints[p] = v.AsInt()
-			case row.TypeFloat:
-				if !v.Numeric() {
-					cv, err := v.Coerce(t)
-					if err != nil {
-						return nil, err
-					}
-					v = cv
-				}
-				out.Floats[p] = v.AsFloat()
-			case row.TypeBool:
-				if v.Kind != row.TypeBool {
-					cv, err := v.Coerce(t)
-					if err != nil {
-						return nil, err
-					}
-					v = cv
-				}
-				out.Bools[p] = v.AsBool()
-			}
+			vals[i] = v
+		}
+		out := c.get()
+		if t == row.TypeString {
+			out.Reset(t)
+		} else {
+			out.ResetDense(t, n)
+		}
+		if err := udf.Fn(vals, pos, out); err != nil {
+			return nil, fmt.Errorf("sql: %s: %w", udf.Name, err)
+		}
+		if t == row.TypeString {
+			out.PadTo(n)
 		}
 		return out, nil
 	}
-}
-
-func appendFallbackString(out *row.Vector, v row.Value) error {
-	if v.Null {
-		out.AppendNull()
-		return nil
-	}
-	if v.Kind != row.TypeString {
-		cv, err := v.Coerce(row.TypeString)
-		if err != nil {
-			return err
-		}
-		v = cv
-	}
-	out.AppendString(v.AsString())
-	return nil
 }
 
 // notKernel: NOT propagates NULL, else negates.
@@ -388,8 +386,7 @@ func isNullKernel(inner vecFn, neg bool) vecFn {
 // andKernel implements the engine's two-valued AND: NULL counts as false
 // and the result is never NULL. The right operand is evaluated only where
 // the left was true — the vectorized form of short-circuiting, which also
-// keeps right-side runtime errors confined to rows the row path would
-// have reached.
+// keeps right-side runtime errors off the rows the left side rejected.
 func andKernel(lf, rf vecFn) vecFn {
 	return func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
 		lv, err := lf(c, b, pos)
@@ -496,7 +493,7 @@ func cmpCode(op string) int {
 }
 
 // compareKernel: comparisons are two-valued here — a NULL operand yields
-// non-null FALSE, matching the row evaluator. DOUBLEs compare as
+// non-null FALSE. DOUBLEs compare as
 // Value.Compare orders them (PostgreSQL's rule): -0 equals 0, NaN equals
 // NaN, and NaN is above every number.
 func compareKernel(lf, rf vecFn, lt, rt row.Type, op string) vecFn {
@@ -650,7 +647,7 @@ func toFloatVec(c *vecCtx, v *row.Vector, n int, pos []int32) *row.Vector {
 }
 
 // arithKernel: + - * / with NULL propagation (NULL operand → NULL result,
-// checked before division by zero, as the row path does).
+// checked before division by zero).
 func arithKernel(lf, rf vecFn, lt, rt row.Type, op byte, outType row.Type) vecFn {
 	return func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
 		lv, err := lf(c, b, pos)
@@ -756,9 +753,8 @@ func arithKernel(lf, rf vecFn, lt, rt row.Type, op byte, outType row.Type) vecFn
 }
 
 // inListKernel: list elements are evaluated lazily over the still-unmatched
-// positions, preserving the row path's left-to-right short-circuit (an
-// erroring element after a match never runs). A NULL needle yields FALSE
-// even for NOT IN, matching the row evaluator.
+// positions, a left-to-right short-circuit (an erroring element after a
+// match never runs). A NULL needle yields FALSE even for NOT IN.
 func inListKernel(inner vecFn, elems []vecFn, neg bool) vecFn {
 	return func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
 		v, err := inner(c, b, pos)
@@ -841,52 +837,105 @@ func cellFloat(v *row.Vector, pp int) float64 {
 	return v.Floats[pp]
 }
 
-// compileCaseVec vectorizes a searched CASE by progressive position
-// refinement: each arm's condition runs over the rows no prior arm
-// claimed, its result expression runs only over the rows it matched, and
-// the (numeric-unified) results scatter into one dense output.
-func compileCaseVec(x *CaseExpr, s *scope, reg *Registry, outType row.Type) (vecFn, row.Type, error) {
-	type vecArm struct {
-		cond vecFn
-		then vecFn
-		t    row.Type
+// compileCaseVec types a searched CASE — every condition BOOLEAN, every
+// result arm of one common type (numerics unify to DOUBLE) — and
+// vectorizes it by progressive position refinement: each arm's condition
+// runs over the rows no prior arm claimed, and its result expression runs
+// only over the rows it matched. BIGINT, DOUBLE and BOOLEAN results
+// scatter into one dense output as each arm finishes; VARCHAR results,
+// which build sequentially, are gathered in position order from the arm
+// that claimed each row once every arm has run.
+func compileCaseVec(x *CaseExpr, s *scope, reg *Registry) (vecFn, row.Type, error) {
+	var outType row.Type
+	seen := false
+	unify := func(t row.Type) error {
+		switch {
+		case !seen:
+			outType, seen = t, true
+		case outType == t:
+		case numericType(outType) && numericType(t):
+			outType = row.TypeFloat
+		default:
+			return fmt.Errorf("sql: CASE arms mix %s and %s", outType, t)
+		}
+		return nil
 	}
-	arms := make([]vecArm, len(x.Whens))
+	conds := make([]vecFn, len(x.Whens))
+	thens := make([]vecFn, len(x.Whens))
 	for i, w := range x.Whens {
-		cond, _, err := compileVec(w.Cond, s, reg)
+		cond, ct, err := compileVec(w.Cond, s, reg)
 		if err != nil {
 			return nil, 0, err
+		}
+		if ct != row.TypeBool {
+			return nil, 0, fmt.Errorf("sql: CASE WHEN condition must be BOOLEAN, got %s", ct)
 		}
 		then, tt, err := compileVec(w.Then, s, reg)
 		if err != nil {
 			return nil, 0, err
 		}
-		arms[i] = vecArm{cond: cond, then: then, t: tt}
+		if err := unify(tt); err != nil {
+			return nil, 0, err
+		}
+		conds[i], thens[i] = cond, then
 	}
 	var elseFn vecFn
-	var elseT row.Type
 	if x.Else != nil {
 		fn, t, err := compileVec(x.Else, s, reg)
 		if err != nil {
 			return nil, 0, err
 		}
-		elseFn, elseT = fn, t
+		if err := unify(t); err != nil {
+			return nil, 0, err
+		}
+		elseFn = fn
 	}
+	return caseKernel(conds, thens, elseFn, outType), outType, nil
+}
+
+func caseKernel(conds, thens []vecFn, elseFn vecFn, outType row.Type) vecFn {
+	gather := outType == row.TypeString
 	return func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
+		n := b.FullLen()
 		if pos == nil {
-			pos = c.allPos(b.FullLen())
+			pos = c.allPos(n)
 		}
 		out := c.get()
-		out.ResetDense(outType, b.FullLen())
+		// When gathering, srcs[k] is arm k's result (the ELSE's at
+		// len(thens); nil yields NULL) and armOf[p] the arm that claimed p.
+		var srcs []*row.Vector
+		var armOf []int32
+		if gather {
+			srcs = make([]*row.Vector, len(thens)+1)
+			ab := c.getPos()
+			if cap(*ab) < n {
+				*ab = make([]int32, n)
+			}
+			armOf = (*ab)[:n]
+		} else {
+			out.ResetDense(outType, n)
+		}
+		claim := func(k int, v *row.Vector, at []int32) {
+			if gather {
+				srcs[k] = v
+				for _, pp := range at {
+					armOf[pp] = int32(k)
+				}
+				return
+			}
+			for _, pp := range at {
+				putCell(out, v, int(pp))
+			}
+		}
 		pb := c.getPos()
 		remaining := append((*pb)[:0], pos...)
 		*pb = remaining
 		mb := c.getPos()
-		for _, a := range arms {
+		for k, cond := range conds {
 			if len(remaining) == 0 {
 				break
 			}
-			cv, err := a.cond(c, b, remaining)
+			cv, err := cond(c, b, remaining)
 			if err != nil {
 				return nil, err
 			}
@@ -907,50 +956,53 @@ func compileCaseVec(x *CaseExpr, s *scope, reg *Registry, outType row.Type) (vec
 			if len(matched) == 0 {
 				continue
 			}
-			tv, err := a.then(c, b, matched)
+			tv, err := thens[k](c, b, matched)
 			if err != nil {
 				return nil, err
 			}
-			scatterCoerced(out, tv, a.t, outType, matched)
+			claim(k, tv, matched)
 		}
 		if len(remaining) > 0 {
-			if elseFn == nil {
-				for _, pp := range remaining {
-					out.SetNull(int(pp))
-				}
-			} else {
-				ev, err := elseFn(c, b, remaining)
-				if err != nil {
+			var ev *row.Vector // stays nil without an ELSE: NULL
+			if elseFn != nil {
+				var err error
+				if ev, err = elseFn(c, b, remaining); err != nil {
 					return nil, err
 				}
-				scatterCoerced(out, ev, elseT, outType, remaining)
 			}
+			claim(len(thens), ev, remaining)
+		}
+		if gather {
+			out.Reset(outType)
+			for _, pp := range pos {
+				putCell(out, srcs[armOf[pp]], int(pp))
+			}
+			out.PadTo(n)
 		}
 		return out, nil
-	}, outType, nil
+	}
 }
 
-// scatterCoerced writes src's cells into the dense dst at the given
-// positions, widening BIGINT→DOUBLE when the CASE unified numerics.
-func scatterCoerced(dst, src *row.Vector, srcT, dstT row.Type, pos []int32) {
-	snull := src.HasNulls()
-	for _, pp := range pos {
-		p := int(pp)
-		if snull && src.Null(p) {
-			dst.SetNull(p)
-			continue
+// putCell writes src's cell p into out at p, widening BIGINT to DOUBLE
+// when out is DOUBLE; a nil src writes NULL. A VARCHAR out builds
+// sequentially, so it is padded to p and the cell appended: call it in
+// position order.
+func putCell(out, src *row.Vector, p int) {
+	switch {
+	case out.Type() == row.TypeString:
+		out.PadTo(p)
+		if src == nil {
+			out.AppendNull()
+		} else {
+			out.AppendFrom(src, p)
 		}
-		switch dstT {
-		case row.TypeInt:
-			dst.Ints[p] = src.Ints[p]
-		case row.TypeFloat:
-			if srcT == row.TypeInt {
-				dst.Floats[p] = float64(src.Ints[p])
-			} else {
-				dst.Floats[p] = src.Floats[p]
-			}
-		case row.TypeBool:
-			dst.Bools[p] = src.Bools[p]
-		}
+	case src == nil || src.Null(p):
+		out.SetNull(p)
+	case out.Type() == row.TypeFloat:
+		out.Floats[p] = cellFloat(src, p)
+	case out.Type() == row.TypeInt:
+		out.Ints[p] = src.Ints[p]
+	default:
+		out.Bools[p] = src.Bools[p]
 	}
 }
