@@ -123,7 +123,7 @@ func insideNestedLoop(outer *ast.ForStmt, pos token.Pos) bool {
 }
 
 // isDialCall reports whether call invokes a raw connection primitive. A
-// budgeted recovery wrapper (reconnect, recoverSlot) is not one: the
+// budgeted recovery wrapper (a slot's reconnect) is not one: the
 // budget lives inside it.
 func isDialCall(call *ast.CallExpr) bool {
 	name := ""

@@ -79,7 +79,7 @@ func blockFrameLen(word uint32) (int, error) {
 // BlockEncoder packs rows into one block frame. EnableColumnar sets the
 // column types; appends then stage into a column-major ColBatch, and
 // Finish encodes the staged rows as one frame (AppendColBlock) on a pooled
-// buffer and starts the next block. Append rows until Rows()/RawBytes()
+// buffer and starts the next block. Stage rows until Rows()/RawBytes()
 // hit the caller's budget, then Finish to take the frame.
 type BlockEncoder struct {
 	rows     int
@@ -110,47 +110,27 @@ func (e *BlockEncoder) staging() *ColBatch {
 	return e.col
 }
 
-// Append stages one row into the current block.
-func (e *BlockEncoder) Append(r Row) {
-	e.staging().AppendRow(r)
-	e.rawBytes += 4
-	for _, v := range r {
-		e.rawBytes += rowCellSize(v.Kind, v.Null, len(v.s))
-	}
-	e.rows++
-}
-
-// rowCellSize is the cost of one value in the binary row encoding
-// (AppendBinary): the tag byte plus the type's payload. It prices the
-// staged rows so flush budgets and the raw-vs-wire stats are in a
+// vectorCellSize is the cost of slot p of a vector in the binary row
+// encoding (binary.go): the tag byte plus the type's payload. It prices
+// the staged rows so flush budgets and the raw-vs-wire stats are in a
 // currency that does not depend on how well a block compresses.
-func rowCellSize(t Type, null bool, strLen int) int {
-	if null {
+func vectorCellSize(v *Vector, p int) int {
+	switch {
+	case v.Null(p):
 		return 1
-	}
-	switch t {
-	case TypeString:
-		return 5 + strLen
-	case TypeBool:
+	case v.Type() == TypeString:
+		return 5 + len(v.Bytes(p))
+	case v.Type() == TypeBool:
 		return 2
 	default:
 		return 9
 	}
 }
 
-// vectorCellSize is rowCellSize of slot p of a vector.
-func vectorCellSize(v *Vector, p int) int {
-	strLen := 0
-	if v.Type() == TypeString && !v.Null(p) {
-		strLen = len(v.Bytes(p))
-	}
-	return rowCellSize(v.Type(), v.Null(p), strLen)
-}
-
 // AppendBatchRow stages physical row p of a column-major batch into the
-// current block, value-identical to Append of the materialized row but
-// straight off the vectors — the sender's path when a batch fans out over
-// several targets.
+// current block — the sender's path, which fans each batch out over the
+// target slots row by row. It stages exactly what AppendBatch of a batch
+// holding only that row would.
 func (e *BlockEncoder) AppendBatchRow(b *ColBatch, p int) {
 	st := e.staging()
 	e.rawBytes += 4

@@ -29,15 +29,22 @@ func blockRows(n, base int) []Row {
 	return out
 }
 
-// encodeBlock packs blockRows-shaped rows into one wire frame the way the
-// sender does.
+// encodeBlock packs blockRows-shaped rows into one wire frame through the
+// sender's encoder.
 func encodeBlock(rows []Row) []byte {
 	var enc BlockEncoder
 	enc.EnableColumnar(blockRowTypes, true)
-	for _, r := range rows {
-		enc.Append(r)
-	}
+	enc.AppendBatch(colBatchOf(blockRowTypes, rows))
 	return enc.Finish()
+}
+
+// colBatchOf stages rows in a column batch of the given types.
+func colBatchOf(types []Type, rows []Row) *ColBatch {
+	b := NewColBatch(types)
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	return b
 }
 
 // v2BlockFrame builds a well-formed frame of the retired v2 format — a
@@ -60,9 +67,7 @@ func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 	rows := blockRows(37, 100)
 	var enc BlockEncoder
 	enc.EnableColumnar(blockRowTypes, true)
-	for _, r := range rows {
-		enc.Append(r)
-	}
+	enc.AppendBatch(colBatchOf(blockRowTypes, rows))
 	if enc.Rows() != len(rows) {
 		t.Fatalf("encoder rows = %d", enc.Rows())
 	}
@@ -117,7 +122,7 @@ func TestBlockDecoderRejectsCorruptFrames(t *testing.T) {
 
 // TestRetiredWireVersionsRejected pins the one-format contract: a
 // well-formed frame of a retired format (v1 per-row, v2 row block) or of
-// an unknown future version is refused by every decode entry point with
+// an unknown future version is refused by both decode entry points with
 // an error naming the version — no panic, and nothing credited to the
 // flow-control counter.
 func TestRetiredWireVersionsRejected(t *testing.T) {
@@ -147,12 +152,8 @@ func TestRetiredWireVersionsRejected(t *testing.T) {
 			}
 		}
 		rd := NewReader(bytes.NewReader(c.frame))
-		_, err := rd.Read()
-		check("Reader.Read", err, rd.Bytes())
-
-		rd = NewReader(bytes.NewReader(c.frame))
 		dst := NewColBatch(nil)
-		_, err = rd.ReadColBatch(dst, blockRowTypes)
+		_, err := rd.ReadColBatch(dst, blockRowTypes)
 		check("Reader.ReadColBatch", err, rd.Bytes())
 
 		_, err = BlockDecoder{}.DecodeBatch(c.frame, dst, blockRowTypes)
@@ -174,11 +175,6 @@ func TestOverLimitLengthWordsRejected(t *testing.T) {
 		entry string
 		read  func() (credited int64, err error)
 	}{
-		{"Reader.Read", func() (int64, error) {
-			rd := NewReader(bytes.NewReader(block[:]))
-			_, err := rd.Read()
-			return rd.Bytes(), err
-		}},
 		{"Reader.ReadColBatch", func() (int64, error) {
 			rd := NewReader(bytes.NewReader(block[:]))
 			_, err := rd.ReadColBatch(NewColBatch(nil), blockRowTypes)
@@ -211,42 +207,16 @@ func TestOverLimitLengthWordsRejected(t *testing.T) {
 
 // TestReaderRejectsEmptyBlockFrame is the regression test for a remote
 // panic: the four bytes 00 00 00 80 (block flag set, length 0) used to
-// index the version byte of an empty tail. Both read paths must return an
+// index the version byte of an empty tail. The reader must return an
 // error instead.
 func TestReaderRejectsEmptyBlockFrame(t *testing.T) {
 	frame := []byte{0x00, 0x00, 0x00, 0x80}
 	rd := NewReader(bytes.NewReader(frame))
-	if _, err := rd.Read(); err == nil || err == io.EOF {
-		t.Errorf("Read err = %v, want a rejection", err)
-	}
-	rd = NewReader(bytes.NewReader(frame))
 	if _, err := rd.ReadColBatch(NewColBatch(nil), blockRowTypes); err == nil || err == io.EOF {
 		t.Errorf("ReadColBatch err = %v, want a rejection", err)
 	}
 	if rd.Bytes() != 0 {
 		t.Errorf("credited %d bytes for a rejected frame", rd.Bytes())
-	}
-}
-
-// TestReaderBytesCreditsBlockOnLastRow pins the flow-control contract: a
-// block's wire bytes count only once its last row is served.
-func TestReaderBytesCreditsBlockOnLastRow(t *testing.T) {
-	rows := blockRows(4, 0)
-	frame := encodeBlock(rows)
-	rd := NewReader(bytes.NewReader(frame))
-	for i := 0; i < len(rows)-1; i++ {
-		if _, err := rd.Read(); err != nil {
-			t.Fatal(err)
-		}
-		if rd.Bytes() != 0 {
-			t.Fatalf("credited %d bytes after %d of %d rows", rd.Bytes(), i+1, len(rows))
-		}
-	}
-	if _, err := rd.Read(); err != nil {
-		t.Fatal(err)
-	}
-	if rd.Bytes() != int64(len(frame)) {
-		t.Fatalf("Bytes() = %d after last row, want %d", rd.Bytes(), len(frame))
 	}
 }
 
@@ -324,14 +294,25 @@ func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 		t.Fatalf("raw replay end err = %v", err)
 	}
 	rd := NewReader(bytes.NewReader(raw))
-	for i, w := range want {
-		got, err := rd.Read()
-		if err != nil || !got.Equal(w) {
-			t.Fatalf("row %d after disk round-trip = %v (err %v), want %v", i, got, err, w)
+	dst := NewColBatch(nil)
+	var got []Row
+	for {
+		_, err := rd.ReadColBatch(dst, blockRowTypes)
+		if err == io.EOF {
+			break
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = dst.Rows(got)
 	}
-	if _, err := rd.Read(); err != io.EOF {
-		t.Fatalf("end err = %v", err)
+	if len(got) != len(want) {
+		t.Fatalf("read %d rows after disk round-trip, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if !got[i].Equal(w) {
+			t.Fatalf("row %d after disk round-trip = %v, want %v", i, got[i], w)
+		}
 	}
 }
 

@@ -211,7 +211,7 @@ func TestVectorKeyByteIdentity(t *testing.T) {
 }
 
 // AppendBatchRow must produce frames (and a RawBytes price) byte-identical
-// to Append of the materialized row, so which of the sender's staging paths
+// to AppendBatch of the same rows, so which of the encoder's staging paths
 // a row takes cannot change what goes on the wire.
 func TestBlockEncoderAppendBatchRowByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -222,20 +222,20 @@ func TestBlockEncoderAppendBatchRowByteIdentity(t *testing.T) {
 		b.AppendRow(r)
 	}
 
-	var rowEnc, colEnc BlockEncoder
+	var batchEnc, rowEnc BlockEncoder
+	batchEnc.EnableColumnar(types, true)
 	rowEnc.EnableColumnar(types, true)
-	colEnc.EnableColumnar(types, true)
-	for p, r := range rows {
-		rowEnc.Append(r)
-		colEnc.AppendBatchRow(b, p)
+	batchEnc.AppendBatch(b)
+	for p := range rows {
+		rowEnc.AppendBatchRow(b, p)
 	}
-	if rowEnc.RawBytes() != colEnc.RawBytes() {
-		t.Fatalf("RawBytes differ: %d staged by row, %d staged off the batch", rowEnc.RawBytes(), colEnc.RawBytes())
+	if batchEnc.RawBytes() != rowEnc.RawBytes() {
+		t.Fatalf("RawBytes differ: %d staged by batch, %d staged row by row", batchEnc.RawBytes(), rowEnc.RawBytes())
 	}
-	want := rowEnc.Finish()
-	got := colEnc.Finish()
+	want := batchEnc.Finish()
+	got := rowEnc.Finish()
 	if !bytes.Equal(got, want) {
-		t.Fatalf("frame staged off the batch differs from the frame staged by row: %d vs %d bytes", len(got), len(want))
+		t.Fatalf("frame staged row by row differs from the frame staged by batch: %d vs %d bytes", len(got), len(want))
 	}
 	RecycleBlockBuffer(want)
 	RecycleBlockBuffer(got)

@@ -224,10 +224,10 @@ func TestColBlockDoubleEdges(t *testing.T) {
 	}
 }
 
-// TestBlockEncoderColumnarMode drives the encoder the way the sender
-// does — EnableColumnar, then a mix of AppendBatch, AppendBatchRow and
-// row Append — and checks Finish emits a decodable v3 frame, the encoder
-// detaches, and RawBytes tracks the row-encoded size.
+// TestBlockEncoderColumnarMode drives the encoder through both staging
+// entry points — EnableColumnar, then a mix of AppendBatch and
+// AppendBatchRow — and checks Finish emits a decodable v3 frame, the
+// encoder detaches, and RawBytes tracks the row-encoded size.
 func TestBlockEncoderColumnarMode(t *testing.T) {
 	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool}
 	rnd := rand.New(rand.NewSource(3))
@@ -238,7 +238,9 @@ func TestBlockEncoderColumnarMode(t *testing.T) {
 	enc.AppendBatch(b)
 	enc.AppendBatchRow(b, b.SelPos(0))
 	extra := Row{Int(7), NullOf(TypeFloat), String_("vx"), Bool(true)}
-	enc.Append(extra)
+	extraBatch := NewColBatch(types)
+	extraBatch.AppendRow(extra)
+	enc.AppendBatch(extraBatch)
 	wantRows := b.Len() + 2
 	if enc.Rows() != wantRows {
 		t.Fatalf("staged rows = %d, want %d", enc.Rows(), wantRows)
@@ -276,53 +278,13 @@ func TestBlockEncoderColumnarMode(t *testing.T) {
 	}
 
 	// The encoder must be reusable for the next block.
-	enc.Append(extra)
+	enc.AppendBatch(extraBatch)
 	second := enc.Finish()
 	if second == nil || second[4] != WireProtoCol {
 		t.Fatal("second Finish broken")
 	}
 	if _, err := DecodeColBlock(second, got); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReaderV3PartialThenBatch pins the resume-skip interaction: after the
-// row path has served part of a v3 frame (the duplicate-prefix skip of
-// the resume handshake), ReadColBatch returns exactly the remaining rows
-// and the frame's bytes are credited once, in full.
-func TestReaderV3PartialThenBatch(t *testing.T) {
-	types := blockRowTypes
-	cb := NewColBatch(types)
-	rows := blockRows(10, 0)
-	for _, r := range rows {
-		cb.AppendRow(r)
-	}
-	frame := AppendColBlock(nil, cb, true)
-	rd := NewReader(bytes.NewReader(frame))
-	for i := 0; i < 4; i++ {
-		got, err := rd.Read()
-		if err != nil || !got.Equal(rows[i]) {
-			t.Fatalf("skip row %d = %v (err %v)", i, got, err)
-		}
-	}
-	if rd.Bytes() != 0 {
-		t.Fatalf("credited %d bytes mid-frame", rd.Bytes())
-	}
-	dst := NewColBatch(types)
-	n, err := rd.ReadColBatch(dst, types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 6 {
-		t.Fatalf("remaining rows = %d, want 6", n)
-	}
-	for i, r := range dst.Rows(nil) {
-		if !r.Equal(rows[4+i]) {
-			t.Fatalf("remaining row %d = %v, want %v", i, r, rows[4+i])
-		}
-	}
-	if rd.Bytes() != int64(len(frame)) {
-		t.Fatalf("Bytes() = %d, want %d", rd.Bytes(), len(frame))
 	}
 }
 
@@ -392,12 +354,6 @@ func FuzzBlockFrame(f *testing.F) {
 			_, _ = decodeColTail(data[4:], dst)
 		}
 		rd := NewReader(bytes.NewReader(data))
-		for {
-			if _, err := rd.Read(); err != nil {
-				break
-			}
-		}
-		rd = NewReader(bytes.NewReader(data))
 		for {
 			if _, err := rd.ReadColBatch(dst, blockRowTypes); err != nil {
 				break

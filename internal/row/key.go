@@ -9,8 +9,8 @@ import (
 // used by the engine's hash paths (join build/probe, GROUP BY, DISTINCT,
 // repartitioning, and transform's distinct-value discovery).
 //
-// Unlike AppendBinary — the storage encoding, which carries a length
-// prefix per row — the key codec is built for hashing and equality: the
+// Unlike the binary row encoding (binary.go), which carries a length word
+// per row, the key codec is built for hashing and equality: the
 // caller owns the destination buffer and reuses it row after row, so the
 // hot paths encode keys with zero per-row allocation.
 //

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -27,6 +28,10 @@ func sortedFingerprints(rows []row.Row) []string {
 	return out
 }
 
+// oracleKey is the map key of the oracles below: the Go-syntax rendering
+// of the values, exact per kind and independent of the engine's key codec.
+func oracleKey(vals ...row.Value) string { return fmt.Sprintf("%#v", vals) }
+
 func fingerprintsEqual(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -50,13 +55,13 @@ func TestPropertyJoinMatchesMapOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Map-based oracle, the pre-arena implementation verbatim: build
-		// side keyed by the normalized binary key string.
+		// Map-based oracle in the pre-arena implementation's shape: build
+		// side keyed by the numeric-normalized value.
 		normKey := func(v row.Value) string {
 			if v.Kind == row.TypeInt {
 				v = row.Float(v.AsFloat())
 			}
-			return string(row.AppendBinary(nil, row.Row{v}))
+			return oracleKey(v)
 		}
 		table := make(map[string][]row.Row)
 		for _, rr := range right {
@@ -99,7 +104,7 @@ func TestPropertyGroupByMatchesMapOracle(t *testing.T) {
 		}
 		oracle := make(map[string]*acc)
 		for _, r := range left {
-			k := string(row.AppendBinary(nil, row.Row{r[2], r[0]}))
+			k := oracleKey(r[2], r[0])
 			a, ok := oracle[k]
 			if !ok {
 				a = &acc{min: r[1].AsInt(), max: r[1].AsInt()}
@@ -119,7 +124,7 @@ func TestPropertyGroupByMatchesMapOracle(t *testing.T) {
 			return false
 		}
 		for _, r := range res.Rows() {
-			k := string(row.AppendBinary(nil, row.Row{r[0], r[1]}))
+			k := oracleKey(r[0], r[1])
 			a, ok := oracle[k]
 			if !ok {
 				return false
@@ -149,7 +154,7 @@ func TestPropertyDistinctMatchesMapOracle(t *testing.T) {
 		oracle := make(map[string]bool)
 		var want []row.Row
 		for _, r := range left {
-			k := string(row.AppendBinary(nil, row.Row{r[0], r[2]}))
+			k := oracleKey(r[0], r[2])
 			if !oracle[k] {
 				oracle[k] = true
 				want = append(want, row.Row{r[0], r[2]})

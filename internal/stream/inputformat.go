@@ -231,16 +231,18 @@ func (f *InputFormat) registerML(split int, listen, nodeAddr string) (_ uint32, 
 	return reply.Epoch, nil
 }
 
-// streamReader is the receiving end of one split's transfer. A mid-stream
-// connection failure is first absorbed in place: the listener stays open,
-// the reader re-accepts, and the resume handshake (epoch + consumed row
-// count) lets the sender resend only what this reader has not served —
-// rows already handed to the task are skipped on the wire, so delivery
-// stays exactly-once. Only an exhausted reconnect budget (or an injected
-// worker crash) surfaces as hadoopfmt.RetryableError: the consuming task
-// then discards its partial rows and re-opens the split (a fresh listener
-// + registration, bumping the coordinator epoch), which is the ML half of
-// the §6 restart protocol.
+// streamReader is the receiving end of one split's transfer. It moves
+// whole frames only: NextColBatch is its one read loop, and Next is a row
+// view over a held batch filled by it, so the consumed row count the
+// resume handshake reports is always a frame boundary of the sender's
+// spool. A mid-stream connection failure is first absorbed in place: the
+// listener stays open, the reader re-accepts, and the resume handshake
+// (epoch + consumed row count) lets the sender resend exactly the frames
+// this reader has not fetched, so delivery stays exactly-once. Only an
+// exhausted reconnect budget (or an injected worker crash) surfaces as
+// hadoopfmt.RetryableError: the consuming task then discards its partial
+// rows and re-opens the split (a fresh listener + registration, bumping
+// the coordinator epoch), which is the ML half of the §6 restart protocol.
 type streamReader struct {
 	format  *InputFormat
 	split   int
@@ -259,42 +261,39 @@ type streamReader struct {
 	done       bool
 	failed     bool
 	closed     bool
+
+	// held is Next's batch (pooled; returned at Close) and heldPos the next
+	// of its rows to serve.
+	held    *row.ColBatch
+	heldPos int
 }
 
-// Next implements hadoopfmt.RecordReader. One wire read stages a whole
-// block, and Next serves rows out of it without further I/O.
+// Next implements hadoopfmt.RecordReader as a row view: it fetches a whole
+// frame through NextColBatch — the frame's credit, per-row consume delay
+// and injection checks all happen there — and serves its rows from the
+// held batch without further I/O.
 func (r *streamReader) Next() (row.Row, bool, error) {
-	if r.done || r.failed {
-		return nil, false, nil
-	}
-	for {
-		if r.conn == nil {
-			if err := r.connect(); err != nil {
-				return nil, false, r.fail(err)
-			}
+	for r.held == nil || r.heldPos == r.held.Len() {
+		if r.done || r.failed {
+			return nil, false, nil
 		}
-		rw, err := r.rd.Read()
-		if err == io.EOF {
-			return nil, false, r.finish()
+		if r.held == nil {
+			r.held = row.GetColBatch(nil)
 		}
-		if err != nil {
-			if rerr := r.reconnect(fmt.Errorf("stream: split %d read: %w", r.split, err)); rerr != nil {
-				return nil, false, r.fail(rerr)
-			}
-			continue
-		}
-		if err := r.consumed(); err != nil {
+		if _, ok, err := r.NextColBatch(r.held); !ok {
 			return nil, false, err
 		}
-		return rw, true, nil
+		r.heldPos = 0
 	}
+	rw := r.held.RowAt(r.heldPos, nil)
+	r.heldPos++
+	return rw, true, nil
 }
 
 // NextColBatch implements hadoopfmt.ColBatchRecordReader: one wire frame
 // per call, decoded straight into dst without ever forming a row — the
-// zero-pivot path the sender's columnar encoder exists for. (A resumed
-// stream's first frame may arrive partly served by the handshake's
-// duplicate skip; its remaining rows are copied over.)
+// zero-pivot path the sender's columnar encoder exists for. It is the
+// reader's one read loop.
 func (r *streamReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 	if r.done || r.failed {
 		return 0, false, nil
@@ -305,6 +304,15 @@ func (r *streamReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 			return 0, false, r.fail(err)
 		}
 		r.types = row.SchemaTypes(s)
+	}
+	if r.held != nil && r.heldPos < r.held.Len() {
+		// Next began this frame: hand over the rest of it, counted when
+		// it was fetched.
+		dst.Reset(r.types)
+		for ; r.heldPos < r.held.Len(); r.heldPos++ {
+			dst.AppendRow(r.held.RowAt(r.heldPos, nil))
+		}
+		return dst.Len(), true, nil
 	}
 	for {
 		if r.conn == nil {
@@ -322,13 +330,23 @@ func (r *streamReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 			}
 			continue
 		}
+		// Per-row bookkeeping: the slow-consumer delay, credit grants and
+		// the §6 failure injection are per-row contracts, run as the frame
+		// is fetched. A row is counted before it reaches the task, and the
+		// count is what the resume handshake reports — so a failure after
+		// the count must escalate to task re-execution (which discards the
+		// batch, like every partial row) rather than a resume (which would
+		// skip the counted but undelivered rows).
 		for i := 0; i < n; i++ {
-			// Per-row bookkeeping stays row-at-a-time: the slow-consumer
-			// delay and the §6 failure injection are per-row contracts, and
-			// a mid-batch injected crash discards the batch exactly like
-			// task re-execution discards partial rows.
-			if err := r.consumed(); err != nil {
-				return 0, false, err
+			r.rowsRead++
+			if r.format.ConsumeDelay > 0 {
+				time.Sleep(r.format.ConsumeDelay)
+			}
+			if err := r.grantCredits(); err != nil {
+				return 0, false, r.fail(err)
+			}
+			if inject := r.format.Inject; inject != nil && inject(r.split, r.rowsRead) {
+				return 0, false, r.fail(fmt.Errorf("stream: split %d: injected ML worker failure", r.split))
 			}
 		}
 		return n, true, nil
@@ -347,33 +365,13 @@ func (r *streamReader) finish() error {
 	return r.Close()
 }
 
-// consumed runs the per-row bookkeeping: the slow-consumer delay, credit
-// grants, and failure injection. A row is counted here before it is handed
-// to the task, and the count is what the resume handshake reports — so any
-// failure after the count must escalate to task re-execution (which
-// discards everything) rather than a resume (which would skip the counted
-// but undelivered row).
-func (r *streamReader) consumed() error {
-	r.rowsRead++
-	if r.format.ConsumeDelay > 0 {
-		time.Sleep(r.format.ConsumeDelay)
-	}
-	if err := r.grantCredits(); err != nil {
-		return r.fail(err)
-	}
-	if inject := r.format.Inject; inject != nil && inject(r.split, r.rowsRead) {
-		return r.fail(fmt.Errorf("stream: split %d: injected ML worker failure", r.split))
-	}
-	return nil
-}
-
 // grantCredits implements the reader's half of flow control: one credit
 // per consumed receive buffer. Credits flow only after rows have been
 // consumed (including the injected delay), which is what makes a slow ML
 // worker backpressure — and eventually spill — the SQL-side sender. A
-// block frame's bytes enter the reader's consumed counter only once its
-// last row is served, so buffered-but-unconsumed blocks grant nothing.
-// Each credit accounts exactly bufSize bytes (the remainder carries over);
+// block frame's bytes enter the reader's consumed counter only once the
+// frame has been fetched whole, so buffered-but-unfetched blocks grant
+// nothing. Each credit accounts exactly bufSize bytes (the remainder carries over);
 // acknowledging "everything so far" instead would leak phantom in-flight
 // bytes on the sender until its window jammed shut.
 func (r *streamReader) grantCredits() error {
@@ -417,12 +415,11 @@ func (r *streamReader) connect() error {
 	return r.handshake()
 }
 
-// handshake sends the resume header (epoch + rows consumed), reads the
-// sender's start row, and skips the duplicate prefix of a resumed stream:
-// rows this reader already served reappear on the wire only because the
-// sender's spool is frame-aligned, so they are consumed silently — credits
-// still flow for them (the sender's window is per-connection), but the
-// consume delay, the injection hook, and the row count do not run again.
+// handshake sends the resume header (epoch + rows consumed) and reads the
+// sender's start row. Both sides are frame-aligned — this reader counts
+// whole frames, the sender resends whole spool frames — so the only
+// well-formed answer is exactly the consumed count; anything else is a
+// protocol violation.
 func (r *streamReader) handshake() error {
 	r.credited = 0
 	var hdr [14]byte
@@ -443,9 +440,8 @@ func (r *streamReader) handshake() error {
 	if _, err := io.ReadFull(br, ack[:]); err != nil {
 		return fmt.Errorf("stream: split %d resume ack: %w", r.split, err)
 	}
-	startRow := binary.BigEndian.Uint64(ack[:])
-	if startRow > uint64(r.rowsRead) {
-		return fmt.Errorf("stream: split %d: sender resumes at row %d beyond consumed %d", r.split, startRow, r.rowsRead)
+	if startRow := binary.BigEndian.Uint64(ack[:]); startRow != uint64(r.rowsRead) {
+		return fmt.Errorf("stream: split %d: sender resumes at row %d, reader consumed %d", r.split, startRow, r.rowsRead)
 	}
 	if _, err := row.ReadSchema(br); err != nil {
 		return fmt.Errorf("stream: split %d schema: %w", r.split, err)
@@ -455,14 +451,6 @@ func (r *streamReader) handshake() error {
 	}
 	r.rd = row.NewReader(br)
 	r.rd.RequireEOS()
-	for skip := uint64(r.rowsRead) - startRow; skip > 0; skip-- {
-		if _, err := r.rd.Read(); err != nil {
-			return fmt.Errorf("stream: split %d resume skip: %w", r.split, err)
-		}
-		if err := r.grantCredits(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -505,6 +493,8 @@ func (r *streamReader) Close() error {
 		return nil
 	}
 	r.closed = true
+	row.PutColBatch(r.held)
+	r.held = nil
 	var err error
 	if r.conn != nil {
 		err = r.conn.Close()

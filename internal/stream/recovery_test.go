@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"sqlml/internal/cluster"
 	"sqlml/internal/fault"
+	"sqlml/internal/hadoopfmt"
+	"sqlml/internal/row"
 )
 
 func TestResumePoint(t *testing.T) {
@@ -66,8 +70,8 @@ func TestBackoffDelayCappedAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestRecoverSlotExhaustsBudget points the sender's per-target recovery at
-// a target whose dial always fails: it must try exactly ReconnectBudget
+// TestRecoverSlotExhaustsBudget points a slot's reconnect transition at a
+// target whose dial always fails: it must try exactly ReconnectBudget
 // times, then escalate naming the budget and wrapping the dial error. The
 // dialer reports an attempt past the budget itself, because a recovery loop
 // that lost its bound would never return to be counted.
@@ -91,22 +95,24 @@ func TestRecoverSlotExhaustsBudget(t *testing.T) {
 		}
 		return nil, refused
 	}
-	req := SendRequest{CoordAddr: addr, Job: "jbudget", Schema: streamSchema()}
+	s := &sender{req: SendRequest{CoordAddr: addr, Job: "jbudget", Schema: streamSchema()}, cfg: cfg}
+	sl := &slot{target: Target{Listen: "127.0.0.1:1"}}
 	done := make(chan error, 1)
-	go func() {
-		done <- recoverSlot(req, cfg, &SenderStats{}, nil, 0, Target{Listen: "127.0.0.1:1"})
-	}()
+	go func() { done <- sl.reconnect(s) }()
 	select {
 	case <-over:
-		t.Fatalf("recoverSlot dialed %d times with a budget of %d", budget+1, budget)
+		t.Fatalf("reconnect dialed %d times with a budget of %d", budget+1, budget)
 	case err = <-done:
 	}
 	if dials != budget {
-		t.Errorf("recoverSlot dialed %d times, want %d", dials, budget)
+		t.Errorf("reconnect dialed %d times, want %d", dials, budget)
 	}
 	if want := fmt.Sprintf("reconnect budget (%d) exhausted", budget); err == nil ||
 		!strings.Contains(err.Error(), want) || !errors.Is(err, refused) {
-		t.Errorf("recoverSlot = %v, want %q wrapping the dial error", err, want)
+		t.Errorf("reconnect = %v, want %q wrapping the dial error", err, want)
+	}
+	if sl.done || sl.ch != nil || s.stats.Reconnects != 0 {
+		t.Errorf("slot after an exhausted budget: done=%v live channel=%v reconnects=%d", sl.done, sl.ch != nil, s.stats.Reconnects)
 	}
 }
 
@@ -165,6 +171,141 @@ func TestReaderReconnectExhaustsBudget(t *testing.T) {
 	r.budget, r.reconnects = 0, 0
 	if err := r.reconnect(cause); err != cause || r.reconnects != 0 {
 		t.Errorf("reconnect with no budget = %v after %d attempts, want the cause untouched", err, r.reconnects)
+	}
+}
+
+// TestReaderRefusesStartRowBelowConsumed: the reader counts whole frames,
+// so a sender answering the resume handshake with a start row below the
+// consumed count would replay rows the task already has. The reader refuses
+// it as a protocol violation, naming both numbers, instead of skipping the
+// overlap.
+func TestReaderRefusesStartRowBelowConsumed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &streamReader{ln: ln, timeout: 10 * time.Second, bufSize: 4 << 10, rowsRead: 128}
+	defer func() {
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+
+	reported := make(chan uint64, 1)
+	go func() {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		var hdr [14]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			return
+		}
+		reported <- binary.BigEndian.Uint64(hdr[6:])
+		// Resume one 64-row frame early, then a well-formed schema, as a
+		// sender that lost track of the reader's count would, and hang up.
+		var ack [8]byte
+		binary.BigEndian.PutUint64(ack[:], 64)
+		_, _ = conn.Write(ack[:])
+		_ = row.WriteSchema(conn, streamSchema())
+	}()
+
+	err = r.connect()
+	if got := <-reported; got != 128 {
+		t.Fatalf("reader reported %d consumed rows in its resume header, want 128", got)
+	}
+	if err == nil || !strings.Contains(err.Error(), "row 64") || !strings.Contains(err.Error(), "consumed 128") {
+		t.Errorf("connect = %v, want a refusal naming start row 64 and consumed 128", err)
+	}
+}
+
+// TestConnResetRecoversThroughRowView is the reset test for a consumer
+// that drains the split through Next, the row view mapred and row-at-a-time
+// ML consumers use: the view fetches whole frames, so the reader's resume
+// point stays frame-aligned and one reset is absorbed exactly-once with no
+// §6 group restart.
+func TestConnResetRecoversThroughRowView(t *testing.T) {
+	env := newTransferEnv(t)
+	f := &InputFormat{CoordAddr: env.coordAddr, Job: "jrowview", AcceptTimeout: 5 * time.Second}
+	dialer := fault.NewDialer(1, fault.DialerConfig{MaxFaults: 1, Ops: []fault.Op{fault.Reset}, MaxByte: 1 << 10})
+	cfg := DefaultSenderConfig()
+	cfg.Dial = dialer.Dial
+	cfg.BlockRows = 64
+	d, stats := env.runTransfer(t, "jrowview", 2, 2, 400, rowFormat{f}, cfg)
+	if dialer.Injected() != 1 {
+		t.Fatalf("armed %d faults, want 1", dialer.Injected())
+	}
+	checkExactlyOnce(t, d, 2, 400)
+	restarts, reconnects := 0, 0
+	for _, s := range stats {
+		restarts += s.Restarts
+		reconnects += s.Reconnects
+	}
+	if reconnects == 0 {
+		t.Error("injected reset never exercised the reconnect path")
+	}
+	if restarts != 0 || env.coord.Restarts("jrowview") != 0 {
+		t.Errorf("group restarts: sender %d, coordinator %d; want pure per-target recovery", restarts, env.coord.Restarts("jrowview"))
+	}
+}
+
+// rowFormat hides the stream reader's columnar face, so ml.Ingest drains
+// every split through Next.
+type rowFormat struct{ *InputFormat }
+
+func (f rowFormat) Open(split hadoopfmt.InputSplit, node *cluster.Node) (hadoopfmt.RecordReader, error) {
+	rr, err := f.InputFormat.Open(split, node)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ hadoopfmt.RecordReader }{rr}, nil
+}
+
+// TestSpilledBytesCountsEveryChannel: SenderStats.SpilledBytes is every
+// byte the sender spilled — including the spill of a channel that then
+// failed and of the channel its reconnect opened — so it equals what the
+// cost model was charged for spill writes when nothing else writes disk.
+func TestSpilledBytesCountsEveryChannel(t *testing.T) {
+	env := newTransferEnv(t)
+	env.cost = &cluster.CostModel{DiskReadBps: 1e9, DiskWriteBps: 1e9, NetBps: 1e9}
+	f := &InputFormat{
+		CoordAddr:     env.coordAddr,
+		Job:           "jspillreset",
+		ConsumeDelay:  20 * time.Microsecond,
+		AcceptTimeout: 5 * time.Second,
+	}
+	dialer := fault.NewDialer(1, fault.DialerConfig{MaxFaults: 1, Ops: []fault.Op{fault.Reset}, MaxByte: 1 << 10})
+	cfg := DefaultSenderConfig()
+	cfg.Dial = dialer.Dial
+	cfg.QueueFrames = 2
+	cfg.BlockRows = 16
+	cfg.SpillWait = 20 * time.Microsecond
+	cfg.SpillDir = t.TempDir()
+	d, stats := env.runTransfer(t, "jspillreset", 2, 1, 1500, f, cfg)
+	if dialer.Injected() != 1 {
+		t.Fatalf("armed %d faults, want 1", dialer.Injected())
+	}
+	checkExactlyOnce(t, d, 2, 1500)
+	var spilled, sent int64
+	reconnects := 0
+	for _, s := range stats {
+		spilled += s.SpilledBytes
+		sent += s.RowsSent
+		reconnects += s.Reconnects
+	}
+	if reconnects == 0 {
+		t.Error("injected reset never exercised the reconnect path")
+	}
+	if sent != 2*1500 {
+		t.Errorf("rows sent = %d, want %d: a recovered slot's delivery was not counted", sent, 2*1500)
+	}
+	charged := env.cost.Stats().DiskWriteBytes
+	if charged == 0 {
+		t.Fatal("slow consumer did not trigger spilling")
+	}
+	if spilled != charged {
+		t.Errorf("SenderStats.SpilledBytes sums to %d, cost model charged %d spill bytes", spilled, charged)
 	}
 }
 

@@ -24,8 +24,10 @@ type SenderConfig struct {
 	// QueueFrames bounds the in-flight frame queue per target; when it is
 	// full (a slow consumer), frames spill to a local disk file to keep
 	// the producer running — the paper's producer/consumer synchronization.
-	// One frame is one block (~BlockRows rows), so the queue bounds
-	// O(blocks), not O(rows), of sender memory.
+	// One frame is one block (~BlockRows rows), so the queue holds
+	// O(blocks) frames in flight. It does not bound sender memory: the §6
+	// replay spool keeps every frame of the partition until Send returns
+	// (ROADMAP item 6(a)).
 	QueueFrames int
 	// BlockRows bounds one block frame: the sender flushes a slot's block
 	// when it reaches BlockRows rows or row.BlockTargetBytes encoded bytes
@@ -226,15 +228,33 @@ type spooledBlock struct {
 	raw   int64
 }
 
-// sendSource tracks where an attempt's rows come from. The first attempt
-// consumes the streaming input, encoding rows into block frames once and
-// spooling the encoded blocks per slot; later attempts resend the
-// unconfirmed slots from the spool — one spool entry and one resend
-// enqueue per block, not per row. The input is consumed exactly once even
-// when targets fail mid-stream.
-type sendSource struct {
+// slot is the state machine of one target slot: split worker·k + j, the
+// coordinator's registration for it, its replay spool, the channel of the
+// current connection (nil between connections), and whether the reader
+// has acknowledged the split. Its transitions are connect → deliver →
+// finish; a slot whose finish fails reconnects (connect, deliver, finish
+// again within ReconnectBudget) and, once the budget is spent, escalates
+// by returning the error to Send's §6 restart loop.
+type slot struct {
+	split  int
+	target Target
+	spool  []spooledBlock
+	ch     *targetChannel
+	done   bool
+}
+
+// sender is one SQL worker's transfer across §6 restart attempts. The
+// streaming input is consumed exactly once — by the first attempt that
+// connects, or drained into the spools by one that cannot — and the slots
+// carry each split's spool and delivery state from attempt to attempt, so
+// a retry resends only the unacknowledged slots, one enqueue per block,
+// never re-encoding.
+type sender struct {
+	req   SendRequest
+	cfg   SenderConfig
+	stats SenderStats
 	input sqlengine.ColBatchSource // nil once consumed
-	spool [][]spooledBlock         // [slot][block]; nil until k is known
+	slots []*slot                  // nil until the first match set fixes k
 }
 
 // fatalError marks a failure no restart can recover from: the streaming
@@ -276,24 +296,22 @@ func Send(req SendRequest) (*SenderStats, error) {
 	if cfg.ReconnectBudget == 0 {
 		cfg.ReconnectBudget = DefaultSenderConfig().ReconnectBudget
 	}
-	src := &sendSource{input: req.Input}
-	if src.input == nil {
+	s := &sender{req: req, cfg: cfg, stats: SenderStats{Worker: req.Worker}, input: req.Input}
+	if s.input == nil {
 		rows := sqlengine.NewRowSource(req.Rows, row.SchemaTypes(req.Schema))
 		defer rows.Close()
-		src.input = rows
+		s.input = rows
 	}
-	stats := &SenderStats{Worker: req.Worker}
-	completed := make(map[int]bool)
 	var lastErr error
 	for attempt := 0; attempt <= cfg.MaxRestarts; attempt++ {
 		if attempt > 0 {
-			stats.Restarts++
+			s.stats.Restarts++
 			// Give failed ML tasks a moment to re-execute and re-register.
 			sleepMillis(20 * attempt)
 		}
-		done, err := sendOnce(req, cfg, stats, completed, src)
-		if done {
-			return stats, nil
+		err := s.sendOnce()
+		if err == nil {
+			return &s.stats, nil
 		}
 		lastErr = err
 		var fe *fatalError
@@ -301,16 +319,18 @@ func Send(req SendRequest) (*SenderStats, error) {
 			break
 		}
 	}
-	return nil, fmt.Errorf("stream: worker %d: transfer failed after %d restarts: %w", req.Worker, stats.Restarts, lastErr)
+	return nil, fmt.Errorf("stream: worker %d: transfer failed after %d restarts: %w", req.Worker, s.stats.Restarts, lastErr)
 }
 
-// sendOnce performs one attempt: it (re-)registers, awaits matches, and
-// streams the slots not yet confirmed. It reports done when every slot has
-// been delivered and acknowledged.
-func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed map[int]bool, src *sendSource) (done bool, err error) {
+// sendOnce performs one attempt: register and await matches, renew the
+// lease while streaming, connect every slot not yet acknowledged, stream,
+// then finish each slot and reconnect the ones whose channel failed. It
+// returns nil once every slot is done.
+func (s *sender) sendOnce() error {
+	req, cfg := s.req, s.cfg
 	coord, err := net.DialTimeout("tcp", req.CoordAddr, cfg.DialTimeout)
 	if err != nil {
-		return false, fmt.Errorf("stream: dial coordinator: %w", err)
+		return fmt.Errorf("stream: dial coordinator: %w", err)
 	}
 	//lint:allow errdiscard control-connection teardown is best-effort; delivery is confirmed by the data-channel ACK, not this Close
 	defer coord.Close()
@@ -326,17 +346,17 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 		Args:       req.Args,
 		K:          req.K,
 	}); err != nil {
-		return false, fmt.Errorf("stream: register: %w", err)
+		return fmt.Errorf("stream: register: %w", err)
 	}
 	if err := coord.SetReadDeadline(time.Now().Add(cfg.DialTimeout)); err != nil {
-		return false, fmt.Errorf("stream: set coordinator deadline: %w", err)
+		return fmt.Errorf("stream: set coordinator deadline: %w", err)
 	}
 	reply, err := readMessage(bufio.NewReader(coord))
 	if err != nil {
-		return false, fmt.Errorf("stream: awaiting matches: %w", err)
+		return fmt.Errorf("stream: awaiting matches: %w", err)
 	}
 	if reply.Type != "matches" {
-		return false, fmt.Errorf("stream: unexpected coordinator reply %q: %s", reply.Type, reply.Error)
+		return fmt.Errorf("stream: unexpected coordinator reply %q: %s", reply.Type, reply.Error)
 	}
 
 	// Renew the coordinator lease while this attempt streams: the parked
@@ -362,197 +382,243 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 		}
 	}()
 	defer func() { close(hbStop); <-hbDone }()
-	targets := reply.Targets
-	if len(targets) == 0 {
-		return false, fmt.Errorf("stream: empty match set")
+	if len(reply.Targets) == 0 {
+		return fmt.Errorf("stream: empty match set")
 	}
 
-	// Slot j of this worker is split worker*k + j; rows are assigned
-	// round-robin by slot so the mapping is stable across attempts.
+	// Step 7: connect every slot not yet acknowledged. The resume handshake
+	// on each connection reports how many rows the reader already consumed:
+	// 0 from a fresh reader, more from one that survived a §6 restart and
+	// re-accepted.
+	err = s.match(reply.Targets)
+	for _, sl := range s.slots {
+		if err == nil && !sl.done {
+			err = sl.connect(req, cfg)
+		}
+	}
+	if err != nil {
+		s.abortAll()
+		if s.input != nil {
+			// The upstream pipeline is one-shot: drain it into the spool now
+			// so the retry attempt has the rows.
+			if ierr := s.consumeInput(); ierr != nil {
+				return &fatalError{ierr}
+			}
+		}
+		return err
+	}
+
+	// Step 8: stream. The first attempt delivers the input as it is
+	// produced; a retry delivers each slot's spool suffix.
+	if s.input != nil {
+		if err := s.consumeInput(); err != nil {
+			// The pipeline feeding the sender failed: unsent rows are gone,
+			// no restart can recover them.
+			s.abortAll()
+			return &fatalError{err}
+		}
+	} else {
+		for _, sl := range s.slots {
+			sl.deliver()
+		}
+	}
+
+	// Await every channel's ACK before any recovery: the ACK handshake
+	// makes delivery failures deterministic even when the OS buffered the
+	// final bytes, and a healthy slot's reader must not wait out another
+	// slot's backoff for its end of stream.
+	for _, sl := range s.slots {
+		if sl.ch != nil {
+			if ferr := sl.finish(&s.stats); ferr != nil && err == nil {
+				err = ferr
+			}
+		}
+	}
+	if err == nil || cfg.ReconnectBudget <= 0 {
+		return err
+	}
+	// Per-target recovery absorbs a broken connection without touching
+	// the healthy slots or re-running any reader; only an exhausted budget
+	// escalates.
+	err = nil
+	for _, sl := range s.slots {
+		if !sl.done {
+			if rerr := sl.reconnect(s); rerr != nil {
+				err = rerr
+			}
+		}
+	}
+	return err
+}
+
+// match binds an attempt's match set to the slots. Slot j is split
+// worker·k + j in every attempt, so the row → slot assignment is stable.
+func (s *sender) match(targets []Target) error {
 	k := len(targets)
+	if s.slots == nil {
+		s.slots = make([]*slot, k)
+		for j := range s.slots {
+			s.slots[j] = &slot{split: s.req.Worker*k + j}
+		}
+	}
 	bySplit := make(map[int]Target, k)
 	for _, t := range targets {
 		bySplit[t.Split] = t
 	}
-	if src.spool == nil {
-		src.spool = make([][]spooledBlock, k)
-	}
-
-	// Step 7: connect to the ML workers of the still-incomplete slots. The
-	// resume handshake on each connection reports how many rows the reader
-	// already consumed: 0 from a fresh reader, more from one that survived
-	// a §6 restart and re-accepted — resume[j] is the spool index this
-	// attempt resends from (always 0 when the attempt streams the input).
-	chans := make([]*targetChannel, k)
-	resume := make([]int, k)
-	var dialErr error
-	for j := 0; j < k; j++ {
-		split := req.Worker*k + j
-		if completed[split] {
+	for _, sl := range s.slots {
+		if sl.done {
 			continue
 		}
-		t, ok := bySplit[split]
+		t, ok := bySplit[sl.split]
 		if !ok {
-			dialErr = fmt.Errorf("stream: coordinator match set missing split %d", split)
-			break
+			return fmt.Errorf("stream: coordinator match set missing split %d", sl.split)
 		}
-		tc, idx, err := openChannel(req, cfg, t, src.spool[j])
-		if err != nil {
-			dialErr = err
-			break
-		}
-		chans[j] = tc
-		resume[j] = idx
+		sl.target = t
 	}
-	if dialErr != nil {
-		closeAll(chans)
-		if src.input != nil {
-			// The upstream pipeline is one-shot: drain it into the spool now
-			// so the retry attempt has the rows.
-			if err := src.consumeInput(k, nil, cfg, row.SchemaTypes(req.Schema)); err != nil {
-				return false, &fatalError{err}
-			}
-		}
-		return false, dialErr
-	}
-
-	// Step 8: round-robin the partition across the slots, sending only the
-	// incomplete ones. The first attempt streams the input as it is
-	// produced; retries resend unconfirmed slots from the spool, one
-	// enqueue per block, never re-encoding.
-	if src.input != nil {
-		if err := src.consumeInput(k, chans, cfg, row.SchemaTypes(req.Schema)); err != nil {
-			// The pipeline feeding the sender failed: unsent rows are gone,
-			// no restart can recover them.
-			closeAll(chans)
-			return false, &fatalError{err}
-		}
-	} else {
-		for j, tc := range chans {
-			if tc == nil || tc.aborted {
-				continue
-			}
-			// Resend from the resume point: frames the reader confirmed
-			// consuming (via the handshake) are skipped, so a surviving
-			// reader is not fed duplicates it would have to discard.
-			for _, sb := range src.spool[j][resume[j]:] {
-				if err := tc.enqueue(sb.frame); err != nil {
-					// Keep streaming the healthy slots; this one retries
-					// next attempt.
-					tc.abort()
-					break
-				}
-			}
-		}
-	}
-	// Await per-slot completion; the ACK handshake makes delivery failures
-	// deterministic even when the OS buffered the final bytes.
-	var firstErr error
-	for j, tc := range chans {
-		if tc == nil {
-			continue
-		}
-		split := req.Worker*k + j
-		if err := tc.finish(); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		completed[split] = true
-		slotStats(stats, src.spool[j])
-		stats.SpilledBytes += tc.spilledBytes
-	}
-	// Per-target recovery: before escalating to a §6 group restart, redial
-	// each failed slot with capped exponential backoff + jitter and resume
-	// from the frame-aligned spool (the handshake tells the reader's
-	// consumed offset). A single broken connection is thereby absorbed
-	// without touching the healthy slots or re-running any reader; only an
-	// exhausted budget escalates.
-	if firstErr != nil && cfg.ReconnectBudget > 0 {
-		allRecovered := true
-		for j, tc := range chans {
-			split := req.Worker*k + j
-			if completed[split] {
-				continue
-			}
-			if tc == nil {
-				allRecovered = false
-				continue
-			}
-			if err := recoverSlot(req, cfg, stats, src.spool[j], split, bySplit[split]); err != nil {
-				allRecovered = false
-				firstErr = err
-				continue
-			}
-			completed[split] = true
-			slotStats(stats, src.spool[j])
-		}
-		if allRecovered {
-			return true, nil
-		}
-	}
-	if firstErr != nil {
-		return false, firstErr
-	}
-	return true, nil
+	return nil
 }
 
-// slotStats folds one confirmed slot's delivery into the worker stats. The
-// spool is the slot's logical content: a resumed channel resends only a
-// suffix, so counting what a channel wrote would undercount the
-// exactly-once delivery.
-func slotStats(stats *SenderStats, spool []spooledBlock) {
-	for _, sb := range spool {
+// abortAll tears down every live channel without waiting for delivery.
+func (s *sender) abortAll() {
+	for _, sl := range s.slots {
+		if sl.ch != nil {
+			sl.ch.abort(errAborted)
+			_ = sl.finish(&s.stats) // reports the abort cause; folds the channel's spill
+		}
+	}
+}
+
+// connect dials the slot's target and runs the sender side of the resume
+// handshake. The new channel starts at the spool frame holding the first
+// row the reader has not consumed — frame 0 for a fresh reader — and owns
+// the connection.
+func (sl *slot) connect(req SendRequest, cfg SenderConfig) error {
+	t := sl.target
+	dial := cfg.Dial
+	if dial == nil {
+		dial = net.DialTimeout
+	}
+	conn, err := dial("tcp", t.Listen, cfg.DialTimeout)
+	if err != nil {
+		return fmt.Errorf("stream: dial ml worker %s: %w", t.Listen, err)
+	}
+	fail := func(err error) error {
+		if cerr := conn.Close(); cerr != nil {
+			err = errors.Join(err, cerr)
+		}
+		return err
+	}
+	epoch, consumed, err := readResumeHeader(conn, cfg.DialTimeout)
+	if err != nil {
+		return fail(fmt.Errorf("stream: ml worker %s: %w", t.Listen, err))
+	}
+	if t.Epoch != 0 && epoch != t.Epoch {
+		return fail(fmt.Errorf("stream: ml worker %s: %w (reader epoch %d, matched epoch %d)",
+			t.Listen, errStaleEpoch, epoch, t.Epoch))
+	}
+	idx, startRow := resumePoint(sl.spool, consumed)
+	if idx < 0 {
+		return fail(fmt.Errorf("stream: ml worker %s: consumed %d rows beyond the spool", t.Listen, consumed))
+	}
+	tc := &targetChannel{
+		conn:    conn,
+		w:       bufio.NewWriterSize(conn, cfg.BufferSize),
+		queue:   make(chan []byte, cfg.QueueFrames),
+		done:    make(chan error, 1),
+		credits: make(chan int, 1024),
+		acks:    make(chan error, 1),
+		cfg:     cfg,
+		target:  t,
+		cost:    req.Cost,
+		next:    idx,
+	}
+	tc.fromNode = req.Node
+	if req.Topo != nil {
+		tc.toNode = req.Topo.ByAddr(t.Addr)
+	}
+	var ack [8]byte
+	binary.BigEndian.PutUint64(ack[:], startRow)
+	if _, err := tc.w.Write(ack[:]); err != nil {
+		return fail(err)
+	}
+	if err := row.WriteSchema(tc.w, req.Schema); err != nil {
+		return fail(err)
+	}
+	go tc.creditLoop()
+	go func() { tc.done <- tc.run() }()
+	sl.ch = tc
+	return nil
+}
+
+// deliver enqueues the spool frames the live channel has not carried yet:
+// on a fresh connection the suffix from the resume point, then each frame
+// the input appends while it streams. An enqueue failure aborts the
+// channel, and the slot recovers at finish.
+func (sl *slot) deliver() {
+	ch := sl.ch
+	if ch == nil || ch.err != nil {
+		return
+	}
+	for ; ch.next < len(sl.spool); ch.next++ {
+		if err := ch.enqueue(sl.spool[ch.next].frame); err != nil {
+			ch.abort(err)
+			return
+		}
+	}
+}
+
+// finish ends the slot's channel, waiting for the reader's ACK unless the
+// channel was aborted. It is where every channel's spill reaches the
+// stats, whatever the outcome. An ACK marks the slot done and credits its
+// whole spool — the spool is the slot's logical content, and a resumed
+// channel resends only a suffix.
+func (sl *slot) finish(stats *SenderStats) error {
+	ch := sl.ch
+	sl.ch = nil
+	err := ch.finish()
+	stats.SpilledBytes += ch.spilledBytes
+	if err != nil {
+		return err
+	}
+	sl.done = true
+	for _, sb := range sl.spool {
 		stats.RowsSent += sb.rows
 		stats.BytesSent += int64(len(sb.frame))
 		stats.FramesSent++
 		stats.RawBytes += sb.raw
 		stats.WireBytes += int64(len(sb.frame))
 	}
+	return nil
 }
 
-// recoverSlot redials one failed target until its slot is delivered and
-// acknowledged or the reconnect budget runs out. Each attempt re-queries
-// the coordinator for the split's latest registration — a reader that
-// crashed and re-executed has a fresh listener and epoch there — and
-// resumes from the spool frame holding the first row the reader has not
-// consumed.
-func recoverSlot(req SendRequest, cfg SenderConfig, stats *SenderStats, spool []spooledBlock, split int, t Target) error {
+// reconnect redials a failed slot until it is delivered and acknowledged
+// or the reconnect budget runs out. Each attempt backs off, re-queries the
+// coordinator for the split's latest registration — a reader that crashed
+// and re-executed has a fresh listener and epoch there — then connects,
+// delivers and finishes.
+func (sl *slot) reconnect(s *sender) error {
 	var lastErr error
-	for attempt := 0; attempt < cfg.ReconnectBudget; attempt++ {
-		time.Sleep(backoffDelay(reconnectBackoff, attempt, req.Worker, split))
-		if nt, err := getTarget(req.CoordAddr, cfg.DialTimeout, req.Job, split); err == nil {
-			t = nt
+	for attempt := 0; attempt < s.cfg.ReconnectBudget; attempt++ {
+		time.Sleep(backoffDelay(reconnectBackoff, attempt, s.req.Worker, sl.split))
+		if t, err := getTarget(s.req.CoordAddr, s.cfg.DialTimeout, s.req.Job, sl.split); err == nil {
+			sl.target = t
 		}
-		tc, idx, err := openChannel(req, cfg, t, spool)
-		if err != nil {
+		if err := sl.connect(s.req, s.cfg); err != nil {
 			lastErr = err
 			continue
 		}
-		stats.Reconnects++
-		enqueued := true
-		for _, sb := range spool[idx:] {
-			if err := tc.enqueue(sb.frame); err != nil {
-				tc.abort()
-				lastErr = err
-				enqueued = false
-				break
-			}
-		}
-		if !enqueued {
-			continue
-		}
-		if err := tc.finish(); err != nil {
+		s.stats.Reconnects++
+		sl.deliver()
+		if err := sl.finish(&s.stats); err != nil {
 			lastErr = err
 			continue
 		}
 		return nil
 	}
 	if lastErr == nil {
-		lastErr = fmt.Errorf("stream: split %d: no reconnect attempts allowed", split)
+		lastErr = fmt.Errorf("stream: split %d: no reconnect attempts allowed", sl.split)
 	}
-	return fmt.Errorf("stream: split %d: reconnect budget (%d) exhausted: %w", split, cfg.ReconnectBudget, lastErr)
+	return fmt.Errorf("stream: split %d: reconnect budget (%d) exhausted: %w", sl.split, s.cfg.ReconnectBudget, lastErr)
 }
 
 // backoffDelay is the capped exponential backoff between reconnect
@@ -606,22 +672,25 @@ func getTarget(coordAddr string, timeout time.Duration, job string, split int) (
 
 // consumeInput drains the streaming input exactly once, packing each
 // slot's rows into block frames built on pooled buffers, spooling each
-// finished block and fanning it out to the live channels (chans is nil
-// when a dial failure means this attempt only spools). Rows are assigned
-// round-robin (row i → slot i mod k) straight off the batches' vectors. A
-// slot's block flushes on the row/byte budget, checked after every row,
-// and at end of stream, so channel operations, spool entries, and wire
-// writes are O(blocks), not O(rows). The input is consumed afterwards.
-func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfig, types []row.Type) error {
+// finished block and delivering it to the slot's live channel (a slot
+// without one — a dial failure means this attempt only spools — keeps the
+// frame for the retry). Rows are assigned round-robin (row i → slot
+// i mod k) straight off the batches' vectors. A slot's block flushes on
+// the row/byte budget, checked after every row, and at end of stream, so
+// channel operations, spool entries, and wire writes are O(blocks), not
+// O(rows). The input is consumed afterwards.
+func (s *sender) consumeInput() error {
 	in := s.input
 	s.input = nil
+	k := len(s.slots)
 	// Every slot's encoder stages column-major and Finish emits a columnar
 	// frame with per-column encodings. The flush budget is counted in
 	// row-encoded bytes (RawBytes), so it does not move with how well a
 	// block happens to compress.
+	types := row.SchemaTypes(s.req.Schema)
 	encoders := make([]row.BlockEncoder, k)
 	for j := range encoders {
-		encoders[j].EnableColumnar(types, !cfg.DisableCompression)
+		encoders[j].EnableColumnar(types, !s.cfg.DisableCompression)
 	}
 	// flush seals slot j's block and hands it on.
 	flush := func(j int) {
@@ -631,19 +700,9 @@ func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfi
 		if frame == nil {
 			return
 		}
-		s.spool[j] = append(s.spool[j], spooledBlock{frame: frame, rows: rows, raw: raw})
-		if chans == nil {
-			return
-		}
-		tc := chans[j]
-		if tc == nil || tc.aborted {
-			return
-		}
-		if err := tc.enqueue(frame); err != nil {
-			// Keep streaming the healthy slots; this one retries next
-			// attempt.
-			tc.abort()
-		}
+		sl := s.slots[j]
+		sl.spool = append(sl.spool, spooledBlock{frame: frame, rows: rows, raw: raw})
+		sl.deliver()
 	}
 	i := 0
 	for {
@@ -659,7 +718,7 @@ func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfi
 			i++
 			enc := &encoders[j]
 			enc.AppendBatchRow(b, b.SelPos(si))
-			if enc.Rows() >= cfg.BlockRows || enc.RawBytes() >= row.BlockTargetBytes {
+			if enc.Rows() >= s.cfg.BlockRows || enc.RawBytes() >= row.BlockTargetBytes {
 				flush(j)
 			}
 		}
@@ -676,14 +735,6 @@ func nodeAddr(n *cluster.Node) string {
 		return ""
 	}
 	return n.Addr
-}
-
-func closeAll(chans []*targetChannel) {
-	for _, tc := range chans {
-		if tc != nil {
-			tc.abort()
-		}
-	}
 }
 
 // targetChannel is the per-ML-worker send path: a bounded frame queue
@@ -711,7 +762,17 @@ type targetChannel struct {
 	spill        *os.File
 	spillTimer   *time.Timer
 	spilledBytes int64
-	aborted      bool
+
+	// next is the spool index of the next frame to enqueue (the resume
+	// point at connect), and err the cause of an abort (nil while the
+	// channel is live); the producer owns both.
+	next int
+	err  error
+
+	// pending counts bytes written since the last flush, inflight bytes
+	// the reader has not credited yet; the writer goroutine owns both.
+	pending  int
+	inflight int
 }
 
 // resumeMagic opens the reader→sender resume header on every data
@@ -726,6 +787,10 @@ const resumeMagic = 0x534C // "SL"
 // registration generation than the sender's target info; the recovery loop
 // refreshes via get_target and redials.
 var errStaleEpoch = errors.New("stream: stale target epoch")
+
+// errAborted is the abort cause of channels torn down wholesale, when an
+// attempt fails before or while streaming.
+var errAborted = errors.New("stream: channel aborted")
 
 // readResumeHeader reads the reader's resume header off a fresh data
 // connection.
@@ -763,64 +828,6 @@ func resumePoint(spool []spooledBlock, consumed uint64) (int, uint64) {
 		return len(spool), cum
 	}
 	return -1, 0
-}
-
-// openChannel dials one target and runs the sender side of the resume
-// handshake; it returns the live channel plus the spool index to resend
-// from. The channel owns the connection; the caller owns enqueueing.
-func openChannel(req SendRequest, cfg SenderConfig, t Target, spool []spooledBlock) (*targetChannel, int, error) {
-	dial := cfg.Dial
-	if dial == nil {
-		dial = net.DialTimeout
-	}
-	conn, err := dial("tcp", t.Listen, cfg.DialTimeout)
-	if err != nil {
-		return nil, 0, fmt.Errorf("stream: dial ml worker %s: %w", t.Listen, err)
-	}
-	fail := func(err error) (*targetChannel, int, error) {
-		if cerr := conn.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		return nil, 0, err
-	}
-	epoch, consumed, err := readResumeHeader(conn, cfg.DialTimeout)
-	if err != nil {
-		return fail(fmt.Errorf("stream: ml worker %s: %w", t.Listen, err))
-	}
-	if t.Epoch != 0 && epoch != t.Epoch {
-		return fail(fmt.Errorf("stream: ml worker %s: %w (reader epoch %d, matched epoch %d)",
-			t.Listen, errStaleEpoch, epoch, t.Epoch))
-	}
-	idx, startRow := resumePoint(spool, consumed)
-	if idx < 0 {
-		return fail(fmt.Errorf("stream: ml worker %s: consumed %d rows beyond the spool", t.Listen, consumed))
-	}
-	tc := &targetChannel{
-		conn:    conn,
-		w:       bufio.NewWriterSize(conn, cfg.BufferSize),
-		queue:   make(chan []byte, cfg.QueueFrames),
-		done:    make(chan error, 1),
-		credits: make(chan int, 1024),
-		acks:    make(chan error, 1),
-		cfg:     cfg,
-		target:  t,
-		cost:    req.Cost,
-	}
-	tc.fromNode = req.Node
-	if req.Topo != nil {
-		tc.toNode = req.Topo.ByAddr(t.Addr)
-	}
-	var ack [8]byte
-	binary.BigEndian.PutUint64(ack[:], startRow)
-	if _, err := tc.w.Write(ack[:]); err != nil {
-		return fail(err)
-	}
-	if err := row.WriteSchema(tc.w, req.Schema); err != nil {
-		return fail(err)
-	}
-	go tc.creditLoop()
-	go tc.writeLoop()
-	return tc, idx, nil
 }
 
 // creditLoop reads flow-control bytes from the receiver: one credit byte
@@ -897,75 +904,24 @@ func (tc *targetChannel) enqueue(f []byte) error {
 	return nil
 }
 
-// writeLoop drains the queue into the socket under credit-based flow
-// control — the writer keeps at most one send buffer plus one receive
-// buffer of unconsumed bytes in flight, so a slow consumer backpressures
-// the writer (and, through the bounded queue, the producer, whose overflow
-// spills to disk). Network cost is charged per flushed buffer.
-func (tc *targetChannel) writeLoop() {
-	var pending int
-	charge := func() {
-		if pending > 0 && tc.cost != nil && tc.fromNode != nil && tc.toNode != nil {
-			tc.cost.ChargeNet(tc.fromNode, tc.toNode, pending)
-		}
-		pending = 0
-	}
-	window := 2 * tc.cfg.BufferSize
-	inflight := 0
-	writeChunk := func(chunk []byte) error {
-		// Flow control: wait for credits while a full window is in flight.
-		// Everything buffered locally must be flushed first — the reader
-		// can only grant credits for bytes it can actually see. A chunk is
-		// written whole once there is *any* window room (not only when it
-		// fits entirely): a block frame can exceed the window on its own,
-		// and since the receiver credits a block's bytes only after serving
-		// its last row, requiring the whole frame to fit would deadlock.
-		// In-flight bytes stay bounded by one window plus one frame.
-		if inflight >= window {
-			if err := tc.w.Flush(); err != nil {
-				return err
-			}
-			charge()
-		}
-		for inflight >= window {
-			credit, ok := <-tc.credits
-			if !ok {
-				return fmt.Errorf("stream: receiver %s gone", tc.target.Listen)
-			}
-			inflight -= credit
-			if inflight < 0 {
-				inflight = 0
-			}
-		}
-		inflight += len(chunk)
-		_, err := tc.w.Write(chunk)
-		return err
-	}
+// run is the channel's writer: it sends the queued frames, then replays
+// the spill file, then ends the stream and waits for the reader's ACK.
+// Queued and spilled frames alike go through send.
+func (tc *targetChannel) run() error {
 	for frame := range tc.queue {
-		if err := writeChunk(frame); err != nil {
-			tc.done <- err
+		if err := tc.send(frame); err != nil {
 			tc.drain()
-			return
-		}
-		pending += len(frame)
-		if pending >= tc.cfg.BufferSize {
-			if err := tc.w.Flush(); err != nil {
-				tc.done <- err
-				tc.drain()
-				return
-			}
-			charge()
+			return err
 		}
 	}
 	// Replay the spill file, if any — frame-aligned: the flow-control
 	// window assumes every write is a whole frame (a partial frame can
-	// never earn credits, since the reader only credits bytes it has
-	// decoded and served), so the replay re-frames the raw file instead of
-	// streaming fixed-size chunks.
+	// never earn credits, since the reader only credits whole frames), so
+	// the replay re-frames the raw file instead of streaming fixed-size
+	// chunks.
 	if tc.spill != nil {
-		if _, err := tc.spill.Seek(0, 0); err != nil {
-			tc.done <- err
-			return
+		if _, err := tc.spill.Seek(0, io.SeekStart); err != nil {
+			return err
 		}
 		r := bufio.NewReader(tc.spill)
 		var buf []byte
@@ -975,24 +931,14 @@ func (tc *targetChannel) writeLoop() {
 				break
 			}
 			if err != nil {
-				tc.done <- err
-				return
+				return err
 			}
 			buf = frame
 			if tc.cost != nil && tc.fromNode != nil {
 				tc.cost.ChargeDiskRead(tc.fromNode, len(frame))
 			}
-			if werr := writeChunk(frame); werr != nil {
-				tc.done <- werr
-				return
-			}
-			pending += len(frame)
-			if pending >= tc.cfg.BufferSize {
-				if werr := tc.w.Flush(); werr != nil {
-					tc.done <- werr
-					return
-				}
-				charge()
+			if err := tc.send(frame); err != nil {
+				return err
 			}
 		}
 	}
@@ -1000,29 +946,78 @@ func (tc *targetChannel) writeLoop() {
 	// connection that died exactly on a frame boundary for completion and
 	// commit a truncated split.
 	if err := row.WriteEOS(tc.w); err != nil {
-		tc.done <- err
-		return
+		return err
 	}
-	if err := tc.w.Flush(); err != nil {
-		tc.done <- err
-		return
+	if err := tc.flush(); err != nil {
+		return err
 	}
-	charge()
 	// Half-close the write side so the reader observes a clean end of
 	// stream while the connection stays readable for credits and the ACK.
 	if cw, ok := tc.conn.(interface{ CloseWrite() error }); ok {
 		if err := cw.CloseWrite(); err != nil {
-			tc.done <- err
-			return
+			return err
 		}
 	}
 	// The creditLoop delivers the reader's final acknowledgement.
 	select {
 	case err := <-tc.acks:
-		tc.done <- err
+		return err
 	case <-time.After(tc.cfg.DialTimeout):
-		tc.done <- fmt.Errorf("stream: ack timeout from %s", tc.target.Listen)
+		return fmt.Errorf("stream: ack timeout from %s", tc.target.Listen)
 	}
+}
+
+// send writes one frame under credit-based flow control — the writer keeps
+// at most one send buffer plus one receive buffer of unconsumed bytes in
+// flight, so a slow consumer backpressures the writer (and, through the
+// bounded queue, the producer, whose overflow spills to disk) — and
+// flushes once a send buffer's worth is pending.
+func (tc *targetChannel) send(frame []byte) error {
+	// Wait for credits while a full window is in flight. Everything
+	// buffered locally must be flushed first — the reader can only grant
+	// credits for bytes it can actually see. A frame is written whole once
+	// there is *any* window room (not only when it fits entirely): a block
+	// frame can exceed the window on its own, and since the receiver
+	// credits a frame only once it has consumed all of it, requiring the
+	// whole frame to fit would deadlock. In-flight bytes stay bounded by
+	// one window plus one frame.
+	window := 2 * tc.cfg.BufferSize
+	if tc.inflight >= window {
+		if err := tc.flush(); err != nil {
+			return err
+		}
+	}
+	for tc.inflight >= window {
+		credit, ok := <-tc.credits
+		if !ok {
+			return fmt.Errorf("stream: receiver %s gone", tc.target.Listen)
+		}
+		tc.inflight = max(tc.inflight-credit, 0)
+	}
+	tc.inflight += len(frame)
+	if _, err := tc.w.Write(frame); err != nil {
+		return err
+	}
+	tc.pending += len(frame)
+	if tc.pending >= tc.cfg.BufferSize {
+		return tc.flush()
+	}
+	return nil
+}
+
+// flush pushes the buffered bytes to the socket and charges the frames
+// among them to the network as one transfer: ChargeNet pays NetLatency
+// per call, so the flushed buffer, not the frame, is the unit of network
+// cost.
+func (tc *targetChannel) flush() error {
+	if err := tc.w.Flush(); err != nil {
+		return err
+	}
+	if tc.pending > 0 && tc.cost != nil && tc.fromNode != nil && tc.toNode != nil {
+		tc.cost.ChargeNet(tc.fromNode, tc.toNode, tc.pending)
+	}
+	tc.pending = 0
+	return nil
 }
 
 // drain discards queued frames after a write failure (the replay spool
@@ -1032,13 +1027,14 @@ func (tc *targetChannel) drain() {
 	}
 }
 
-// finish closes the queue and waits for the writer's outcome. Teardown
-// errors (connection close, spill close/remove) are joined into the
-// result: a spill file that cannot be closed or removed is a durability
-// leak the caller must hear about, even when delivery itself succeeded.
+// finish closes the queue and waits for the writer's outcome; an aborted
+// channel reports its abort cause at once. Teardown errors (connection
+// close, spill close/remove) are joined into the result: a spill file that
+// cannot be closed or removed is a durability leak the caller must hear
+// about, even when delivery itself succeeded.
 func (tc *targetChannel) finish() error {
-	if tc.aborted {
-		return fmt.Errorf("stream: channel aborted")
+	if tc.err != nil {
+		return tc.err
 	}
 	close(tc.queue)
 	err := <-tc.done
@@ -1048,12 +1044,13 @@ func (tc *targetChannel) finish() error {
 	return err
 }
 
-// abort tears the channel down without waiting for delivery.
-func (tc *targetChannel) abort() {
-	if tc.aborted {
+// abort tears the channel down without waiting for delivery, recording
+// cause for finish to report.
+func (tc *targetChannel) abort(cause error) {
+	if tc.err != nil {
 		return
 	}
-	tc.aborted = true
+	tc.err = cause
 	// Closing the connection first unblocks a writer stuck in Write; the
 	// duplicate Close inside cleanup then reports "use of closed", which
 	// is expected and irrelevant on this already-failed path.

@@ -1,13 +1,17 @@
 package stream
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sqlml/internal/cluster"
+	"sqlml/internal/hadoopfmt"
 	"sqlml/internal/ml"
 	"sqlml/internal/row"
 	"sqlml/internal/sqlengine"
@@ -32,11 +36,13 @@ func genRows(worker, count int) []row.Row {
 }
 
 // transferEnv wires a coordinator, n senders, and an ML-side ingestion.
+// cost, when set, is the senders' cost model.
 type transferEnv struct {
 	topo      *cluster.Topology
 	coord     *Coordinator
 	coordAddr string
 	launched  chan JobSpec
+	cost      *cluster.CostModel
 }
 
 func newTransferEnv(t *testing.T) *transferEnv {
@@ -57,7 +63,7 @@ func newTransferEnv(t *testing.T) *transferEnv {
 
 // runTransfer streams rowsPerWorker rows from n senders and ingests them
 // through fmt (already configured with the coordinator address).
-func (env *transferEnv) runTransfer(t *testing.T, job string, n, k, rowsPerWorker int, f *InputFormat, cfg SenderConfig) (*ml.Dataset, []*SenderStats) {
+func (env *transferEnv) runTransfer(t *testing.T, job string, n, k, rowsPerWorker int, f hadoopfmt.InputFormat, cfg SenderConfig) (*ml.Dataset, []*SenderStats) {
 	t.Helper()
 
 	type ingestResult struct {
@@ -94,6 +100,7 @@ func (env *transferEnv) runTransfer(t *testing.T, job string, n, k, rowsPerWorke
 				K:          k,
 				Node:       env.topo.Node(w + 1),
 				Topo:       env.topo,
+				Cost:       env.cost,
 				Schema:     streamSchema(),
 				Rows:       genRows(w, rowsPerWorker),
 				Config:     cfg,
@@ -263,6 +270,108 @@ func TestSlowConsumerSpillsToDisk(t *testing.T) {
 	}
 	if spilled == 0 {
 		t.Error("slow consumer did not trigger spilling")
+	}
+}
+
+// TestReaderFacesInterleave: Next and NextColBatch interleave freely on a
+// stream reader (the hadoopfmt contract). Next holds a whole frame, so a
+// NextColBatch after it hands over that frame's remaining rows before
+// reading the next one, and no row is lost or served twice.
+func TestReaderFacesInterleave(t *testing.T) {
+	env := newTransferEnv(t)
+	f := &InputFormat{CoordAddr: env.coordAddr, Job: "jfaces", AcceptTimeout: 5 * time.Second}
+	cfg := DefaultSenderConfig()
+	cfg.BlockRows = 64
+	sent := make(chan error, 1)
+	go func() {
+		_, err := Send(SendRequest{
+			CoordAddr: env.coordAddr, Job: "jfaces", Command: "svm",
+			Worker: 0, NumWorkers: 1, K: 1,
+			Node: env.topo.Node(1), Topo: env.topo,
+			Schema: streamSchema(), Rows: genRows(0, 300), Config: cfg,
+		})
+		sent <- err
+	}()
+	<-env.launched
+	splits, err := f.Splits(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := f.Open(splits[0], env.topo.Node(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int64
+	for i := 0; i < 10; i++ {
+		r, ok, err := rr.Next()
+		if err != nil || !ok {
+			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
+		}
+		ids = append(ids, r[0].AsInt())
+	}
+	cr := rr.(hadoopfmt.ColBatchRecordReader)
+	dst := row.NewColBatch(nil)
+	for first := true; ; first = false {
+		n, ok, err := cr.NextColBatch(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if first && n != 64-10 {
+			t.Errorf("first batch after 10 rows of Next = %d rows, want the frame's other %d", n, 64-10)
+		}
+		for _, r := range dst.Rows(nil) {
+			ids = append(ids, r[0].AsInt())
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if id != int64(i) {
+			t.Fatalf("row %d has id %d (%d rows read, want 300 in order)", i, id, len(ids))
+		}
+	}
+	if len(ids) != 300 {
+		t.Fatalf("read %d rows, want 300", len(ids))
+	}
+}
+
+// TestNetChargedPerFlushedBuffer pins the network cost boundary: ChargeNet
+// pays NetLatency per call, so the writer charges once per flushed send
+// buffer, never per frame — including the flush that precedes a credit
+// wait.
+func TestNetChargedPerFlushedBuffer(t *testing.T) {
+	conn, peer := net.Pipe()
+	defer func() { _ = conn.Close(); _ = peer.Close() }()
+	go func() { _, _ = io.Copy(io.Discard, peer) }()
+	topo := cluster.NewTopology(2)
+	cost := &cluster.CostModel{NetLatency: time.Second}
+	tc := &targetChannel{
+		conn:     conn,
+		w:        bufio.NewWriterSize(conn, 4096),
+		cfg:      SenderConfig{BufferSize: 4096},
+		cost:     cost,
+		fromNode: topo.Node(0),
+		toNode:   topo.Node(1),
+		credits:  make(chan int, 1),
+	}
+	tc.credits <- 4096 // one receive buffer consumed: lets the tenth frame into the window
+	frame := make([]byte, 1000)
+	for i := 0; i < 10; i++ {
+		if err := tc.send(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tc.flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Three flushes: the send buffer full at 5 000 pending bytes, the
+	// window (8 192) reached before the tenth frame, and the last frame.
+	if st := cost.Stats(); st.NetBytes != 10000 || st.SimulatedTime != 3*time.Second {
+		t.Errorf("net charged %d bytes over %v of latency, want 10000 bytes over 3 flushes (3s)", st.NetBytes, st.SimulatedTime)
 	}
 }
 
