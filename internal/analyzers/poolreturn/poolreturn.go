@@ -1,15 +1,24 @@
 // Package poolreturn enforces the pooled-buffer discipline around
-// sync.Pool and the repo's block-buffer wrappers (row.NewBlockBuffer /
-// row.RecycleBlockBuffer): a value taken from a pool must, on every path
-// out of the acquiring function, either be returned to the pool, or have
-// its ownership visibly transferred (returned to the caller, stored, sent,
-// or passed to another function). A return or panic that simply abandons
-// the buffer silently degrades the pool to plain allocation under load;
-// returning the same buffer twice poisons the pool with aliased slices.
+// sync.Pool and the repo's pool wrappers (row.NewBlockBuffer /
+// row.RecycleBlockBuffer, row.GetColBatch / row.PutColBatch): a value
+// taken from a pool must, on every path out of the acquiring function,
+// either be returned to the pool, or have its ownership visibly
+// transferred (returned to the caller, stored, sent, or passed to another
+// function). A return or panic that simply abandons the buffer silently
+// degrades the pool to plain allocation under load; returning the same
+// buffer twice poisons the pool with aliased slices.
+//
+// A pooled ColBatch is the one exception to "passed to another function":
+// by the batch contract a callee that takes one (a reader's NextColBatch,
+// a converter) fills or reads it and hands it back, so passing it to a
+// declared function or method is a loan, and the caller still owes the
+// Put. Passing it to a builtin (append), a function value or a goroutine
+// still transfers it.
 //
 // The check is intraprocedural and path-sensitive over the function's
 // statement tree. Ownership transfers end tracking, so the analyzer only
-// reports buffers that are provably dropped.
+// reports buffers that are provably dropped; a pooled value stored into a
+// field is not followed to its owner's Close.
 package poolreturn
 
 import (
@@ -43,6 +52,7 @@ type tracked struct {
 	state   varState
 	acquire token.Pos
 	what    string // e.g. "sync.Pool.Get" or "row.NewBlockBuffer"
+	lent    bool   // a ColBatch: call operands borrow it (see the package doc)
 }
 
 // state maps pooled locals to their status along one execution path.
@@ -196,7 +206,13 @@ func (w *walker) walkStmt(stmt ast.Stmt, states []state) []state {
 		w.escapeExpr(s.Chan, states, false)
 		w.escapeExpr(s.Value, states, true)
 	case *ast.GoStmt:
-		w.escapeExpr(s.Call, states, true)
+		// A goroutine owns whatever it is handed, lent or not.
+		ast.Inspect(s.Call, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				w.escapeIdent(id, states, false)
+			}
+			return true
+		})
 	case *ast.LabeledStmt:
 		return w.walkStmt(s.Stmt, states)
 	case *ast.DeclStmt:
@@ -269,7 +285,7 @@ func (w *walker) handleAssign(s *ast.AssignStmt, states []state) {
 			if id, ok := s.Lhs[i].(*ast.Ident); ok {
 				if v, ok := objOf(w.pass.TypesInfo, id).(*types.Var); ok {
 					for _, st := range states {
-						st[v] = tracked{state: held, acquire: rhs.Pos(), what: what}
+						st[v] = tracked{state: held, acquire: rhs.Pos(), what: what, lent: what == "row.GetColBatch"}
 					}
 					continue
 				}
@@ -401,6 +417,7 @@ func (w *walker) escapeExpr(e ast.Expr, states []state, directUse bool) {
 	if e == nil {
 		return
 	}
+	loaned := make(map[*ast.Ident]bool) // call operands that only borrow
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
@@ -411,57 +428,70 @@ func (w *walker) escapeExpr(e ast.Expr, states []state, directUse bool) {
 			if isBuiltin(w.pass.TypesInfo, x, "len") || isBuiltin(w.pass.TypesInfo, x, "cap") {
 				return false
 			}
-			for _, a := range x.Args {
-				w.escapeIdent(a, states)
-			}
+			// Operands of a declared function or method borrow a lent batch.
+			borrow := fn != nil
+			operands := x.Args
 			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-				w.escapeIdent(sel.X, states)
+				operands = append(operands[:len(operands):len(operands)], sel.X)
+			}
+			for _, a := range operands {
+				if id := w.escapeIdent(a, states, borrow); id != nil {
+					loaned[id] = true
+				}
 			}
 			return true
 		case *ast.CompositeLit:
 			for _, el := range x.Elts {
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					w.escapeIdent(kv.Value, states)
+					w.escapeIdent(kv.Value, states, false)
 				} else {
-					w.escapeIdent(el, states)
+					w.escapeIdent(el, states, false)
 				}
 			}
 		case *ast.FuncLit:
 			// Closure capture: anything it mentions escapes.
 			ast.Inspect(x.Body, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
-					w.escapeIdent(id, states)
+					w.escapeIdent(id, states, false)
 				}
 				return true
 			})
 			return false
 		case *ast.Ident:
-			if directUse {
-				w.escapeIdent(x, states)
+			if directUse && !loaned[x] {
+				w.escapeIdent(x, states, false)
 			}
 		}
 		return true
 	})
 }
 
-// escapeIdent removes the identifier's variable from tracking if present.
-func (w *walker) escapeIdent(e ast.Expr, states []state) {
+// escapeIdent removes the identifier's variable from tracking if present,
+// unless borrow is set and the variable is a lent batch; then it returns
+// the identifier, which stays tracked.
+func (w *walker) escapeIdent(e ast.Expr, states []state, borrow bool) *ast.Ident {
 	base, ok := sliceBase(e)
 	if !ok {
 		if u, isAddr := unparen(e).(*ast.UnaryExpr); isAddr && u.Op == token.AND {
 			base, ok = sliceBase(u.X)
 		}
 		if !ok {
-			return
+			return nil
 		}
 	}
 	v, ok := objOf(w.pass.TypesInfo, base).(*types.Var)
 	if !ok {
-		return
+		return nil
 	}
+	var kept *ast.Ident
 	for _, st := range states {
+		if borrow && st[v].lent {
+			kept = base
+			continue
+		}
 		delete(st, v)
 	}
+	return kept
 }
 
 // checkExit reports every variable still held (and not covered by a
@@ -556,14 +586,14 @@ func isPoolMethod(fn *types.Func, name string) bool {
 	return ok && named.Obj().Name() == "Pool" && isPkg(named.Obj().Pkg(), "sync")
 }
 
-// isAcquireFunc / isReleaseFunc match the repo's pooled-buffer wrappers
-// (and their fixture stand-ins, keyed by package name).
+// isAcquireFunc / isReleaseFunc match the repo's pool wrappers (and their
+// fixture stand-ins, keyed by package name).
 func isAcquireFunc(fn *types.Func) bool {
-	return fn.Name() == "NewBlockBuffer" && isPkg(fn.Pkg(), "row")
+	return (fn.Name() == "NewBlockBuffer" || fn.Name() == "GetColBatch") && isPkg(fn.Pkg(), "row")
 }
 
 func isReleaseFunc(fn *types.Func) bool {
-	return fn.Name() == "RecycleBlockBuffer" && isPkg(fn.Pkg(), "row")
+	return (fn.Name() == "RecycleBlockBuffer" || fn.Name() == "PutColBatch") && isPkg(fn.Pkg(), "row")
 }
 
 // isPkg matches a package by name, accepting both the real module path

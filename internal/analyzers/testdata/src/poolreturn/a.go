@@ -75,3 +75,69 @@ func allowedLeak(fail bool) []byte {
 	}
 	return buf
 }
+
+// batchReader stands in for a record reader: NextColBatch fills the
+// caller's batch and hands it back.
+type batchReader struct{}
+
+func (batchReader) NextColBatch(dst *row.ColBatch) (int, bool, error) { return 0, false, nil }
+
+func consume(b *row.ColBatch) error { return nil }
+
+// Bad: the batch is only lent to the reader and the converter; nobody
+// returns it to the pool.
+func batchLentNeverPut(rr batchReader) error {
+	cb := row.GetColBatch(nil)
+	for {
+		_, ok, err := rr.NextColBatch(cb)
+		if err != nil {
+			return err // want `cb acquired from row.GetColBatch leaks here`
+		}
+		if !ok {
+			return nil // want `cb acquired from row.GetColBatch leaks here`
+		}
+		if err := consume(cb); err != nil {
+			return err // want `cb acquired from row.GetColBatch leaks here`
+		}
+	}
+} // want `cb acquired from row.GetColBatch leaks here`
+
+// Good: a deferred Put covers every exit, however often the batch is lent.
+func batchDeferPut(rr batchReader) error {
+	cb := row.GetColBatch(nil)
+	defer row.PutColBatch(cb)
+	for {
+		_, ok, err := rr.NextColBatch(cb)
+		if err != nil || !ok {
+			return err
+		}
+		if cb.Len() == 0 {
+			return nil
+		}
+	}
+}
+
+// Good: returning the batch, or appending it to a list, transfers it.
+func batchHandedOn(keep bool, list []*row.ColBatch) ([]*row.ColBatch, *row.ColBatch) {
+	cb := row.GetColBatch(nil)
+	if keep {
+		return list, cb
+	}
+	list = append(list, cb)
+	return list, nil
+}
+
+// Bad: returned to the pool twice.
+func batchDoublePut() {
+	cb := row.GetColBatch(nil)
+	row.PutColBatch(cb)
+	row.PutColBatch(cb) // want `pooled buffer cb returned to the pool twice`
+}
+
+// Not followed: a batch stored into a field is its owner's to return at
+// Close, and a Close that drops it is not seen (the analyzer is
+// intraprocedural).
+type scan struct{ buf *row.ColBatch }
+
+func (s *scan) open()  { s.buf = row.GetColBatch(nil) }
+func (s *scan) Close() { s.buf = nil }

@@ -34,23 +34,26 @@ type InputSplit interface {
 	String() string
 }
 
-// RecordReader iterates the rows of one split.
+// RecordReader iterates the rows of one split. Every reader fills column
+// batches; Next is the row view over the same cursor, for consumers whose
+// contract is one record (MapReduce map tasks, Jaql, ReadAll). Calls
+// interleave freely.
 type RecordReader interface {
 	// Next returns the next row. ok is false at the end of the split.
 	Next() (r row.Row, ok bool, err error)
+	// NextColBatch resets dst to the reader's schema, fills it with the
+	// split's next rows and returns their count. ok is false at the end
+	// of the split.
+	NextColBatch(dst *row.ColBatch) (n int, ok bool, err error)
 	Close() error
 }
 
-// ColBatchRecordReader is an optional extension of RecordReader: readers
-// that can fill typed vectors directly (the streaming transfer from its
-// column-major wire frames, the DFS text table from its line bytes) do so
-// straight into a ColBatch, so a columnar consumer ingests without ever
-// constructing a row. NextColBatch resets and fills dst (the reader knows
-// its own schema) and returns the row count; ok is false at the end of the
-// split. Calls interleave freely with Next.
+// ColBatchRecordReader is RecordReader under the name that code written
+// against its columnar face uses. It adds nothing; it is a distinct
+// interface rather than an alias so that asserting a RecordReader to it
+// is not an assertion to the value's own type.
 type ColBatchRecordReader interface {
 	RecordReader
-	NextColBatch(dst *row.ColBatch) (n int, ok bool, err error)
 }
 
 // InputFormat produces splits and readers over a dataset.
@@ -199,8 +202,9 @@ func (f *TextTableFormat) Open(split InputSplit, readerNode *cluster.Node) (Reco
 // block-sized split, and a buffer per Open would cost as much as the table.
 var readBufPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
 
-// lineRecordReader reads the text lines of one split, as rows (Next) or
-// straight into a column batch (NextColBatch); the two interleave freely.
+// lineRecordReader reads the text lines of one split, straight into a
+// column batch (NextColBatch) or one row at a time (Next); the two
+// interleave freely and both parse through row.DecodeLineInto.
 // A split owns every line that *starts* strictly inside it (plus the line
 // starting at offset 0 when the split begins the file), so adjacent splits
 // partition lines exactly.
@@ -211,8 +215,9 @@ type lineRecordReader struct {
 	types    []row.Type
 	split    *FileSplit // lines starting beyond its Len belong to the next split
 	consumed int64
-	lineAt   int64  // offset within the split's range of the line nextLine last returned
-	long     []byte // a line longer than the read buffer, pieced together
+	lineAt   int64         // offset within the split's range of the line nextLine last returned
+	long     []byte        // a line longer than the read buffer, pieced together
+	one      *row.ColBatch // Next's one-row scratch batch
 	done     bool
 }
 
@@ -253,22 +258,24 @@ func (l *lineRecordReader) lineErr(err error) error {
 	return fmt.Errorf("hadoopfmt: %s: line at byte %d: %w", l.split, l.split.Offset+l.lineAt, err)
 }
 
-// Next implements RecordReader. It is the row face of the reader (the
-// MapReduce and Jaql engines' contract is rows) and, through DecodeLine,
-// the oracle NextColBatch is held to.
+// Next implements RecordReader: one line, decoded into a one-row scratch
+// batch and served as a row.
 func (l *lineRecordReader) Next() (row.Row, bool, error) {
 	line, ok, err := l.nextLine()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	r, err := row.DecodeLine(string(line), l.schema)
-	if err != nil {
+	if l.one == nil {
+		l.one = row.NewColBatch(nil)
+	}
+	l.one.Reset(l.types)
+	if err := row.DecodeLineInto(l.one, line, l.schema); err != nil {
 		return nil, false, l.lineErr(err)
 	}
-	return r, true, nil
+	return l.one.RowAt(0, nil), true, nil
 }
 
-// NextColBatch implements ColBatchRecordReader: up to DefaultBatchSize of
+// NextColBatch implements RecordReader: up to DefaultBatchSize of
 // the split's remaining lines, parsed off the read buffer into dst's typed
 // vectors without a row or a string per line in between.
 func (l *lineRecordReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
@@ -437,7 +444,7 @@ func (s *SliceFormat) Open(split InputSplit, _ *cluster.Node) (RecordReader, err
 	if !ok {
 		return nil, fmt.Errorf("hadoopfmt: SliceFormat cannot open %T", split)
 	}
-	return &sliceReader{rows: ss.rows}, nil
+	return &sliceReader{split: ss, schema: s.RowSchema, types: row.SchemaTypes(s.RowSchema)}, nil
 }
 
 type sliceSplit struct {
@@ -450,18 +457,46 @@ func (s *sliceSplit) Locations() []string { return s.hosts }
 func (s *sliceSplit) Length() int64       { return int64(len(s.rows)) }
 func (s *sliceSplit) String() string      { return fmt.Sprintf("slice@%d(%d rows)", s.id, len(s.rows)) }
 
+// sliceReader serves a split's rows from one cursor, as rows or as column
+// batches. Both faces check each row against the schema first, as
+// TextTableWriter.WriteRow does, so a malformed row is an error naming it
+// rather than a panic in the consumer.
 type sliceReader struct {
-	rows []row.Row
-	i    int
+	split  *sliceSplit
+	schema row.Schema
+	types  []row.Type
+	i      int
+}
+
+// take returns the cursor's row, checked, and advances past it.
+func (r *sliceReader) take() (row.Row, error) {
+	rw := r.split.rows[r.i]
+	if err := rw.Conforms(r.schema); err != nil {
+		return nil, fmt.Errorf("hadoopfmt: %s: row %d: %w", r.split, r.i, err)
+	}
+	r.i++
+	return rw, nil
 }
 
 func (r *sliceReader) Next() (row.Row, bool, error) {
-	if r.i >= len(r.rows) {
+	if r.i >= len(r.split.rows) {
 		return nil, false, nil
 	}
-	out := r.rows[r.i]
-	r.i++
-	return out, true, nil
+	rw, err := r.take()
+	return rw, err == nil, err
+}
+
+func (r *sliceReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
+	dst.Reset(r.types)
+	for dst.FullLen() < row.DefaultBatchSize && r.i < len(r.split.rows) {
+		rw, err := r.take()
+		if err != nil {
+			return 0, false, err
+		}
+		dst.AppendRow(rw)
+	}
+	n := dst.FullLen()
+	return n, n > 0, nil
 }
 
 func (r *sliceReader) Close() error { return nil }

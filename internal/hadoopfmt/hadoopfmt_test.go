@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -251,6 +252,51 @@ func TestSliceFormat(t *testing.T) {
 	}
 	if _, err := (&SliceFormat{}).Splits(4); err != nil {
 		t.Errorf("empty slice format: %v", err)
+	}
+}
+
+// A row that does not conform to SliceFormat's schema is an error naming
+// the row's index in its split, on either face, and not a panic in the
+// consumer that trusts the schema.
+func TestSliceFormatRejectsMalformedRows(t *testing.T) {
+	good := row.Row{row.Int(1), row.String_("a")}
+	for _, tc := range []struct {
+		name string
+		bad  row.Row
+		want string
+	}{
+		{"short row", row.Row{row.Int(2)}, "arity 1"},
+		{"VARCHAR in a BIGINT column", row.Row{row.String_("two"), row.String_("b")}, `column "id" is BIGINT, value is VARCHAR`},
+	} {
+		rows := []row.Row{good, good, good, tc.bad, good}
+		sf := &SliceFormat{Rows: rows, RowSchema: tableSchema()}
+		splits, err := sf.Splits(2) // splits of 3 and 2 rows: the bad row is row 0 of the second
+		if err != nil || len(splits) != 2 {
+			t.Fatalf("splits = %v, err = %v", splits, err)
+		}
+		for _, columnar := range []bool{true, false} {
+			rr, err := sf.Open(splits[1], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if columnar {
+				_, _, err = rr.NextColBatch(row.NewColBatch(nil))
+			} else {
+				_, _, err = rr.Next()
+			}
+			if err == nil {
+				t.Fatalf("%s: columnar=%v: malformed row accepted", tc.name, columnar)
+			}
+			for _, want := range []string{splits[1].String(), "row 0", tc.want} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: columnar=%v: error %q does not name %q", tc.name, columnar, err, want)
+				}
+			}
+		}
+		// ReadAll reads one split, where the bad row is row 3.
+		if _, err := ReadAll(sf, nil); err == nil || !strings.Contains(err.Error(), "row 3") {
+			t.Errorf("%s: ReadAll: err = %v", tc.name, err)
+		}
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 	"sqlml/internal/row"
 )
 
-// The reader has two faces over one line framer: Next (rows, through
-// DecodeLine) and NextColBatch (typed vectors, through DecodeLineInto).
-// These tests hold the faces to each other and to what was written, over
-// every way a split can cut the file.
+// The reader has two faces over one line framer and one decoder
+// (DecodeLineInto): NextColBatch (typed vectors) and Next (one row, through
+// a one-row batch). These tests hold the faces to each other and to what
+// was written, over every way a split can cut the file.
 
 func scanSchema() row.Schema {
 	return row.MustSchema(
@@ -58,7 +58,7 @@ func readSplits(t testing.TB, f *TextTableFormat, splits []InputSplit, columnar 
 		}
 		for {
 			if columnar {
-				n, ok, err := rr.(ColBatchRecordReader).NextColBatch(cb)
+				n, ok, err := rr.NextColBatch(cb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,6 +129,10 @@ func TestPropertyColBatchFaceMatchesRowFace(t *testing.T) {
 	}
 }
 
+// TestNextAndNextColBatchInterleave alternates a few rows of Next with a
+// batch of NextColBatch over one split, on the text table and on
+// SliceFormat: each reader has one cursor, so every row is served once, in
+// order.
 func TestNextAndNextColBatchInterleave(t *testing.T) {
 	topo := cluster.NewTopology(1)
 	fs := dfs.New(topo, dfs.Config{BlockSize: 512, Replication: 1})
@@ -136,49 +140,55 @@ func TestNextAndNextColBatchInterleave(t *testing.T) {
 	if _, err := WriteTextTable(fs, "/t", scanSchema(), rows, topo.Node(0)); err != nil {
 		t.Fatal(err)
 	}
-	f := NewTextTableFormat(fs, "/t", scanSchema())
-	splits, err := f.Splits(1)
-	if err != nil {
-		t.Fatal(err)
+	formats := map[string]InputFormat{
+		"text":  NewTextTableFormat(fs, "/t", scanSchema()),
+		"slice": &SliceFormat{Rows: rows, RowSchema: scanSchema()},
 	}
-	rr, err := f.Open(splits[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := rr.(ColBatchRecordReader)
-	cb := row.NewColBatch(nil)
-	var got []row.Row
-	for turn := 0; ; turn++ {
-		if turn%2 == 0 {
-			// A few rows through the row face, then a batch.
-			stop := false
-			for i := 0; i < 5 && !stop; i++ {
-				r, ok, err := rr.Next()
+	for name, f := range formats {
+		t.Run(name, func(t *testing.T) {
+			splits, err := f.Splits(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr, err := f.Open(splits[0], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb := row.NewColBatch(nil)
+			var got []row.Row
+			for turn := 0; ; turn++ {
+				if turn%2 == 0 {
+					// A few rows through the row face, then a batch.
+					stop := false
+					for i := 0; i < 5 && !stop; i++ {
+						r, ok, err := rr.Next()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if stop = !ok; ok {
+							got = append(got, r)
+						}
+					}
+					if stop {
+						break
+					}
+					continue
+				}
+				_, ok, err := rr.NextColBatch(cb)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if stop = !ok; ok {
-					got = append(got, r)
+				if !ok {
+					break
 				}
+				got = cb.Rows(got)
 			}
-			if stop {
-				break
+			if err := rr.Close(); err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		_, ok, err := cr.NextColBatch(cb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = cb.Rows(got)
+			sameRows(t, name+": interleaved faces", got, rows)
+		})
 	}
-	if err := rr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "interleaved faces", got, rows)
 }
 
 // rawTable writes bytes as they are, for files WriteTextTable cannot make.
@@ -239,7 +249,7 @@ func TestNoTrailingNewlineAndEmptyFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, ok, err := rr.(ColBatchRecordReader).NextColBatch(row.NewColBatch(nil)); n != 0 || ok || err != nil {
+	if n, ok, err := rr.NextColBatch(row.NewColBatch(nil)); n != 0 || ok || err != nil {
 		t.Errorf("empty file: NextColBatch = %d, %v, %v", n, ok, err)
 	}
 	if _, ok, err := rr.Next(); ok || err != nil {
@@ -284,7 +294,7 @@ func TestBlockReadFailureMidSplitSurfaces(t *testing.T) {
 		for served := 0; err == nil; served++ {
 			ok := false
 			if columnar {
-				_, ok, err = rr.(ColBatchRecordReader).NextColBatch(row.NewColBatch(nil))
+				_, ok, err = rr.NextColBatch(row.NewColBatch(nil))
 			} else {
 				_, ok, err = rr.Next()
 			}
@@ -320,7 +330,7 @@ func TestParseErrorsSayWhere(t *testing.T) {
 		for err == nil {
 			ok := false
 			if columnar {
-				_, ok, err = rr.(ColBatchRecordReader).NextColBatch(row.NewColBatch(nil))
+				_, ok, err = rr.NextColBatch(row.NewColBatch(nil))
 			} else {
 				_, ok, err = rr.Next()
 			}
@@ -335,6 +345,47 @@ func TestParseErrorsSayWhere(t *testing.T) {
 		}
 		if err := rr.Close(); err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// Both faces decode through DecodeLineInto, so a malformed line fails the
+// same way on each, down to the error text.
+func TestFacesFailAlike(t *testing.T) {
+	for _, bad := range []string{
+		"5,2.5,b",              // too few fields
+		"5,2.5,b,true,extra",   // too many
+		"5,oops,b,true",        // a bad DOUBLE
+		`5,2.5,"b,true`,        // unterminated quote
+		`5,2.5,"b\t",true`,     // bad escape
+		"5,2.5,b,maybe",        // not a BOOLEAN spelling
+		"99999999999999999999", // one overflowing field
+	} {
+		f := rawTable(t, 1<<10, "1,2.5,a,true\n"+bad+"\n")
+		var errs [2]error
+		for i, columnar := range []bool{true, false} {
+			rr, err := f.Open(&FileSplit{Path: "/raw", Len: 1 << 10}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for err == nil {
+				ok := false
+				if columnar {
+					_, ok, err = rr.NextColBatch(row.NewColBatch(nil))
+				} else {
+					_, ok, err = rr.Next()
+				}
+				if err == nil && !ok {
+					t.Fatalf("%q: columnar=%v read clean", bad, columnar)
+				}
+			}
+			errs[i] = err
+			if err := rr.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+		if errs[0].Error() != errs[1].Error() {
+			t.Errorf("%q: NextColBatch err %q, Next err %q", bad, errs[0], errs[1])
 		}
 	}
 }

@@ -284,6 +284,34 @@ func TestMapErrorPropagates(t *testing.T) {
 	}
 }
 
+// A map task reads SliceFormat through Next, which checks each row against
+// the schema: a malformed row fails the job with its index in the split,
+// where the mapper trusting the schema would otherwise index past a short
+// row or call AsInt on a VARCHAR.
+func TestMapTaskRejectsMalformedSliceRows(t *testing.T) {
+	c := newTestCluster(t)
+	for i, bad := range []row.Row{
+		{row.String_("short")},
+		{row.String_("w"), row.String_("not a count")},
+	} {
+		job := &Job{
+			Name:  fmt.Sprintf("malformed%d", i),
+			Input: &hadoopfmt.SliceFormat{Rows: []row.Row{{row.String_("a"), row.Int(1)}, bad}, RowSchema: countSchema()},
+			Mapper: MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
+				return emit(r[0].AsString(), row.Row{r[0], row.Int(r[1].AsInt() + 1)})
+			}),
+			OutputPath:   fmt.Sprintf("/out/malformed%d", i),
+			OutputSchema: countSchema(),
+			Topo:         c.topo,
+			FS:           c.fs,
+			TaskNodes:    []int{0},
+		}
+		if _, err := Run(job); err == nil || !strings.Contains(err.Error(), "row 1") {
+			t.Errorf("row %v: err = %v, want one naming row 1", bad, err)
+		}
+	}
+}
+
 func TestDirFormatReadsAllParts(t *testing.T) {
 	c := newTestCluster(t)
 	s := countSchema()

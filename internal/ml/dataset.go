@@ -140,12 +140,9 @@ func Ingest(f hadoopfmt.InputFormat, opts IngestOptions) (*Dataset, error) {
 	return &Dataset{Parts: parts, Nodes: nodes, NumFeatures: conv.numFeatures}, nil
 }
 
-// readSplit runs one ingest task: open the split, convert every row, and
-// return the split's points. A columnar reader (the streaming transfer's, a
-// DFS text table's) skips rows entirely: points are built straight from
-// each batch's typed vectors. Every other reader is drained row by row.
-// Either way points are built in chunks of at most a batch, each with one
-// feature slab, and assembled into one exact-length partition at EOF.
+// readSplit runs one ingest task: open the split, build points straight
+// from each column batch's typed vectors (convertBatch), and assemble the
+// split's chunks into one exact-length partition at EOF.
 func readSplit(f hadoopfmt.InputFormat, split hadoopfmt.InputSplit, node *cluster.Node, conv *converter) (part []LabeledPoint, err error) {
 	rr, err := f.Open(split, node)
 	if err != nil {
@@ -156,49 +153,22 @@ func readSplit(f hadoopfmt.InputFormat, split hadoopfmt.InputSplit, node *cluste
 			part, err = nil, cerr
 		}
 	}()
+	cb := row.GetColBatch(nil)
+	defer row.PutColBatch(cb)
 	var chunks [][]LabeledPoint
-	if cr, ok := rr.(hadoopfmt.ColBatchRecordReader); ok {
-		cb := row.GetColBatch(nil)
-		defer row.PutColBatch(cb)
-		for {
-			_, ok, err := cr.NextColBatch(cb)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return assemble(chunks), nil
-			}
-			pts, err := conv.convertBatch(cb)
-			if err != nil {
-				return nil, err
-			}
-			chunks = append(chunks, pts)
-		}
-	}
-	nf := conv.numFeatures
-	var chunk []LabeledPoint
-	var slab []float64
 	for {
-		r, ok, err := rr.Next()
+		_, ok, err := rr.NextColBatch(cb)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return assemble(append(chunks, chunk)), nil
+			return assemble(chunks), nil
 		}
-		if len(chunk) == cap(chunk) {
-			if len(chunk) > 0 {
-				chunks = append(chunks, chunk)
-			}
-			chunk = make([]LabeledPoint, 0, row.DefaultBatchSize)
-			slab = make([]float64, row.DefaultBatchSize*nf)
-		}
-		k := len(chunk)
-		p, err := conv.convert(r, slab[k*nf:(k+1)*nf:(k+1)*nf])
+		pts, err := conv.convertBatch(cb)
 		if err != nil {
 			return nil, err
 		}
-		chunk = append(chunk, p)
+		chunks = append(chunks, pts)
 	}
 }
 
@@ -303,7 +273,8 @@ func newConverter(schema row.Schema, opts IngestOptions) (*converter, error) {
 }
 
 // convert builds one point from a row, writing its features into dst
-// (len numFeatures), which the point then holds as its Features.
+// (len numFeatures), which the point then holds as its Features. It is the
+// MapReduce trainer's (mrnb): a map task's contract is one record.
 func (c *converter) convert(r row.Row, dst []float64) (LabeledPoint, error) {
 	lv := r[c.labelIdx]
 	if lv.Null {
@@ -319,9 +290,8 @@ func (c *converter) convert(r row.Row, dst []float64) (LabeledPoint, error) {
 	return LabeledPoint{Label: c.labelTransform(lv.AsFloat()), Features: dst}, nil
 }
 
-// convertBatch is the columnar half of convert: it builds a batch's live
-// points straight from its typed vectors, so ingest from the wire frames
-// never pivots through rows. It allocates the points and one feature slab;
+// convertBatch builds a batch's live points straight from its typed
+// vectors, so ingest never pivots through rows. It allocates the points and one feature slab;
 // point k's features are slab[k*nf:(k+1)*nf] with capacity capped at nf, so
 // appending to one point never writes into the next. The slab is filled a
 // column at a time after one pass over the labels, so a NULL label is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -20,8 +21,9 @@ type testBatch struct {
 	sel  []int32
 }
 
-// batchFormat is an InputFormat whose readers serve prepared batches
-// through ColBatchRecordReader, one split per entry of splits.
+// batchFormat is an InputFormat whose readers serve prepared batches,
+// selections included, through NextColBatch only; one split per entry of
+// splits.
 type batchFormat struct {
 	schema row.Schema
 	splits [][]testBatch
@@ -155,11 +157,11 @@ func edgeOptions(nodes []*cluster.Node) IngestOptions {
 	}
 }
 
-// TestIngestColumnarFaceMatchesRowFace feeds the same live rows through a
-// ColBatchRecordReader (selection vectors, NULLs in unselected slots, INT
-// and DOUBLE features, a label transform) and through SliceFormat's row
-// reader, and requires identical partitions, both equal to points built
-// by hand.
+// TestIngestColumnarFaceMatchesRowFace feeds the same live rows through
+// batchFormat (selection vectors, NULLs in unselected slots, INT and
+// DOUBLE features, a label transform) and through SliceFormat, whose
+// reader builds dense batches from its rows, and requires identical
+// partitions, both equal to points built by hand.
 func TestIngestColumnarFaceMatchesRowFace(t *testing.T) {
 	topo := cluster.NewTopology(2)
 	splits, live := edgeSplits()
@@ -177,50 +179,76 @@ func TestIngestColumnarFaceMatchesRowFace(t *testing.T) {
 		want[i/8] = append(want[i/8], p)
 	}
 	if !reflect.DeepEqual(col.Parts, want) {
-		t.Errorf("columnar face:\n got %v\nwant %v", col.Parts, want)
+		t.Errorf("batchFormat:\n got %v\nwant %v", col.Parts, want)
 	}
 	if !reflect.DeepEqual(rows.Parts, want) {
-		t.Errorf("row face:\n got %v\nwant %v", rows.Parts, want)
+		t.Errorf("SliceFormat:\n got %v\nwant %v", rows.Parts, want)
 	}
 	if col.NumFeatures != 2 || rows.NumFeatures != 2 {
-		t.Errorf("NumFeatures = %d (columnar), %d (row); want 2", col.NumFeatures, rows.NumFeatures)
+		t.Errorf("NumFeatures = %d (batchFormat), %d (SliceFormat); want 2", col.NumFeatures, rows.NumFeatures)
 	}
 }
 
-// TestIngestNullErrors checks the NULL-label and NULL-feature errors on
-// both faces, and the columnar face's order: labels are checked for the
-// whole batch before any feature column, so a NULL label wins over a NULL
-// feature in an earlier row, where the row face reports the first row's.
+// TestIngestNullErrors checks the NULL-label and NULL-feature errors over
+// SliceFormat and over batchFormat, whose batch hides a row of NULLs
+// behind its selection. Labels are checked for the whole batch before any
+// feature column, so a NULL label wins over a NULL feature in an earlier
+// row on both.
 func TestIngestNullErrors(t *testing.T) {
 	topo := cluster.NewTopology(2)
 	ok := row.Row{row.Int(30), row.Int(1), row.Float(2.5)}
+	masked := row.Row{nullInt, nullInt, nullFloat}
 	cases := []struct {
-		name   string
-		rows   []row.Row
-		colErr string
-		rowErr string
+		name string
+		rows []row.Row
+		err  string
 	}{
-		{"null label", []row.Row{ok, {row.Int(31), nullInt, row.Float(1)}}, "ml: NULL label", "ml: NULL label"},
-		{"null int feature", []row.Row{ok, {nullInt, row.Int(2), row.Float(1)}}, "ml: NULL feature in column 0", "ml: NULL feature in column 0"},
-		{"null double feature", []row.Row{{row.Int(31), row.Int(2), nullFloat}, ok}, "ml: NULL feature in column 2", "ml: NULL feature in column 2"},
-		{"null label after null feature", []row.Row{{nullInt, row.Int(2), row.Float(1)}, {row.Int(31), nullInt, row.Float(1)}}, "ml: NULL label", "ml: NULL feature in column 0"},
+		{"null label", []row.Row{ok, {row.Int(31), nullInt, row.Float(1)}}, "ml: NULL label"},
+		{"null int feature", []row.Row{ok, {nullInt, row.Int(2), row.Float(1)}}, "ml: NULL feature in column 0"},
+		{"null double feature", []row.Row{{row.Int(31), row.Int(2), nullFloat}, ok}, "ml: NULL feature in column 2"},
+		{"null label after null feature", []row.Row{{nullInt, row.Int(2), row.Float(1)}, {row.Int(31), nullInt, row.Float(1)}}, "ml: NULL label"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := edgeOptions(topo.Nodes())
 			opts.NumWorkers = 1
-			f := newBatchFormat(edgeSchema(), [][]testBatch{{{rows: tc.rows}}})
-			if _, err := Ingest(f, opts); err == nil || err.Error() != tc.colErr {
-				t.Errorf("columnar face: err = %v, want %q", err, tc.colErr)
+			sel := testBatch{rows: append([]row.Row{masked}, tc.rows...)}
+			for i := range tc.rows {
+				sel.sel = append(sel.sel, int32(i+1))
+			}
+			f := newBatchFormat(edgeSchema(), [][]testBatch{{sel}})
+			if _, err := Ingest(f, opts); err == nil || err.Error() != tc.err {
+				t.Errorf("batchFormat: err = %v, want %q", err, tc.err)
 			}
 			if n := f.opens.Load(); n != 1 {
-				t.Errorf("columnar face opened the split %d times; a NULL is not retryable", n)
+				t.Errorf("batchFormat opened the split %d times; a NULL is not retryable", n)
 			}
 			sf := &hadoopfmt.SliceFormat{Rows: tc.rows, RowSchema: edgeSchema()}
-			if _, err := Ingest(sf, opts); err == nil || err.Error() != tc.rowErr {
-				t.Errorf("row face: err = %v, want %q", err, tc.rowErr)
+			if _, err := Ingest(sf, opts); err == nil || err.Error() != tc.err {
+				t.Errorf("SliceFormat: err = %v, want %q", err, tc.err)
 			}
 		})
+	}
+}
+
+// A malformed row in a SliceFormat is an ingest error naming the row, not
+// a panic in the split's goroutine.
+func TestIngestSliceFormatRejectsMalformedRows(t *testing.T) {
+	topo := cluster.NewTopology(2)
+	for _, tc := range []struct {
+		name string
+		bad  row.Row
+	}{
+		{"short row", row.Row{row.Int(1)}},
+		{"VARCHAR in a BIGINT column", row.Row{row.Int(1), row.String_("yes"), row.Float(1)}},
+	} {
+		rows := append(manyRows(5), tc.bad)
+		opts := edgeOptions(topo.Nodes())
+		opts.NumWorkers = 1
+		_, err := Ingest(&hadoopfmt.SliceFormat{Rows: rows, RowSchema: edgeSchema()}, opts)
+		if err == nil || !strings.Contains(err.Error(), "row 5") {
+			t.Errorf("%s: err = %v, want one naming row 5", tc.name, err)
+		}
 	}
 }
 
@@ -242,9 +270,10 @@ func batchesOf(rows []row.Row, size int) []testBatch {
 	return out
 }
 
-// TestIngestPointsOwnTheirFeatures checks, on both faces and across chunk
-// boundaries, that every point's feature slice is capped at NumFeatures,
-// so appending to one point never writes into its neighbour's features.
+// TestIngestPointsOwnTheirFeatures checks, over batchFormat ("columnar")
+// and SliceFormat ("row") and across chunk boundaries, that every point's
+// feature slice is capped at NumFeatures, so appending to one point never
+// writes into its neighbour's features.
 func TestIngestPointsOwnTheirFeatures(t *testing.T) {
 	topo := cluster.NewTopology(2)
 	rows := manyRows(2*row.DefaultBatchSize + 300)

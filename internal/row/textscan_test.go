@@ -159,6 +159,39 @@ var textScanSeeds = []struct {
 	{`1,2,3.5,4,2014,yes`, 8},    // the carts shape
 	{`1,2,3.5,4,2014,"y,es"`, 8}, //
 	{`1,2,3.5,4,2014,`, 8},       //
+	// The branch audit's additions: one seed per decoder branch the list
+	// above reached only in combination.
+	{`"a""b"`, 2},   // "" alone
+	{`"a\\b"`, 2},   // \\ alone
+	{`"a\nb"`, 2},   // \n alone
+	{`"ab\`, 2},     // dangling escape as the line's last byte
+	{`"a\"b"`, 2},   // \" is a bad escape
+	{`"a"b`, 2},     // garbage after the last field's closing quote
+	{`"a"`, 2},      // quoted field, alone
+	{`a"b`, 2},      // unquoted field with a quote inside
+	{`7`, 4},        // too few fields, unquoted
+	{`"7"`, 4},      // too few fields, quoted
+	{`7,"x",`, 4},   // too many after a quoted field
+	{`007`, 0},      // BIGINT fast path, leading zeros
+	{`-0012`, 0},    //
+	{`+0012`, 0},    // strconv path with a sign the fast path refuses
+	{`1.5`, 0},      // a DOUBLE spelling is not a BIGINT
+	{`NaN`, 1},      //
+	{`+Inf`, 1},     //
+	{`inf`, 1},      //
+	{`Infinity`, 1}, //
+	{`+0`, 1},       //
+	{`-0.0`, 1},     //
+	{`"1\\5"`, 1},   // an escape inside a quoted DOUBLE
+	{`"2.5"`, 1},    // a quoted DOUBLE
+	{`true`, 3},     // each BOOLEAN spelling in its plain case
+	{`t`, 3},        //
+	{`false`, 3},    //
+	{`no`, 3},       //
+	{`YES`, 3},      //
+	{`falsey`, 3},   // a spelling with bytes past the longest one
+	{`"no"`, 3},     // quoted, no escape
+	{`,`, 3},        // too many: NULL then NULL
 }
 
 func TestDecodeLineIntoSeeds(t *testing.T) {
@@ -226,13 +259,41 @@ func TestDecodeLineIntoAllocatesNothingWarm(t *testing.T) {
 	}
 }
 
+// checkRoundTrip holds AppendLine to DecodeLineInto: a row the decoder
+// accepts, written back by AppendLine, decodes to the same cells, bit for
+// bit, except that every NaN reads back as the one NaN ParseFloat returns.
+func checkRoundTrip(t *testing.T, line []byte, s Schema) {
+	t.Helper()
+	types := SchemaTypes(s)
+	b := NewColBatch(types)
+	if DecodeLineInto(b, line, s) != nil {
+		return
+	}
+	r := b.RowAt(0, nil)
+	enc := AppendLine(nil, r)
+	back := NewColBatch(types)
+	if err := DecodeLineInto(back, enc[:len(enc)-1], s); err != nil {
+		t.Fatalf("line %q: AppendLine wrote %q, which does not decode: %v", line, enc, err)
+	}
+	got := back.RowAt(0, nil)
+	for c := range r {
+		bothNaN := r[c].Kind == TypeFloat && !r[c].Null && !got[c].Null && math.IsNaN(r[c].f) && math.IsNaN(got[c].f)
+		if !bothNaN && !sameCell(got[c], r[c]) {
+			t.Fatalf("line %q via %q column %d: got %#v want %#v", line, enc, c, got[c], r[c])
+		}
+	}
+}
+
 // FuzzTextScan holds the columnar text parser to DecodeLine on arbitrary
-// bytes (see checkTextScan for the contract).
+// bytes (see checkTextScan for the contract), and AppendLine to it on
+// every line it accepts (checkRoundTrip).
 func FuzzTextScan(f *testing.F) {
 	for _, sd := range textScanSeeds {
 		f.Add([]byte(sd.line), sd.sel)
 	}
 	f.Fuzz(func(t *testing.T, line []byte, schemaSel byte) {
-		checkTextScan(t, line, scanSchemas[int(schemaSel)%len(scanSchemas)])
+		s := scanSchemas[int(schemaSel)%len(scanSchemas)]
+		checkTextScan(t, line, s)
+		checkRoundTrip(t, line, s)
 	})
 }

@@ -134,7 +134,7 @@ func (v Value) mustBe(t Type) {
 func (v Value) Numeric() bool { return v.Kind == TypeInt || v.Kind == TypeFloat }
 
 // String renders the value for debugging and for the text table format.
-// NULLs render as an empty string; see EncodeField for the quoted form used
+// NULLs render as an empty string; see AppendLine for the quoted form used
 // on disk.
 func (v Value) String() string {
 	if v.Null {

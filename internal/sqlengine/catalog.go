@@ -56,16 +56,6 @@ func (t *Table) chunks() [][]*row.ColBatch {
 	return t.parts
 }
 
-// partitions pivots the managed partitions to rows.
-func (t *Table) partitions() [][]row.Row {
-	parts := t.chunks()
-	out := make([][]row.Row, len(parts))
-	for i, p := range parts {
-		out[i] = chunkRows(p)
-	}
-	return out
-}
-
 // takeStream hands over a streaming table's one-shot pipeline; the second
 // caller gets ok=false.
 func (t *Table) takeStream() ([]ColBatchSource, bool) {

@@ -157,7 +157,7 @@ type externalScan struct {
 	assigned []assignedSplit
 	node     *cluster.Node
 	idx      int
-	rr       hadoopfmt.ColBatchRecordReader
+	rr       hadoopfmt.RecordReader
 	buf      *row.ColBatch
 }
 
@@ -165,13 +165,11 @@ func (s *externalScan) NextCol() (*row.ColBatch, bool, error) {
 	for s.rr != nil || s.idx < len(s.assigned) {
 		if s.rr == nil {
 			a := s.assigned[s.idx]
-			rr, err := a.fm.Open(a.split, s.node)
-			if err != nil {
+			var err error
+			if s.rr, err = a.fm.Open(a.split, s.node); err != nil {
 				s.Close()
 				return nil, false, err
 			}
-			// TextTableFormat's reader is columnar by construction.
-			s.rr = rr.(hadoopfmt.ColBatchRecordReader)
 		}
 		if s.buf == nil {
 			s.buf = row.GetColBatch(nil)

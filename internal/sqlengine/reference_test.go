@@ -13,6 +13,17 @@ import (
 	"sqlml/internal/row"
 )
 
+// partitions pivots the table's managed partitions to rows, the form the
+// reference evaluator reads.
+func (t *Table) partitions() [][]row.Row {
+	parts := t.chunks()
+	out := make([][]row.Row, len(parts))
+	for i, p := range parts {
+		out[i] = chunkRows(p)
+	}
+	return out
+}
+
 // referenceQuery is a deliberately naive SELECT evaluator, the oracle the
 // engine is held to. From the engine it shares the parser (ParseSelect),
 // the scope, the registry's function type rules and the catalog's managed

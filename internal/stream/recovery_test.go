@@ -8,12 +8,14 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"sqlml/internal/cluster"
 	"sqlml/internal/fault"
 	"sqlml/internal/hadoopfmt"
+	"sqlml/internal/ml"
 	"sqlml/internal/row"
 )
 
@@ -221,18 +223,19 @@ func TestReaderRefusesStartRowBelowConsumed(t *testing.T) {
 }
 
 // TestConnResetRecoversThroughRowView is the reset test for a consumer
-// that drains the split through Next, the row view mapred and row-at-a-time
-// ML consumers use: the view fetches whole frames, so the reader's resume
-// point stays frame-aligned and one reset is absorbed exactly-once with no
-// §6 group restart.
+// that drains every split through Next, the row view mapred map tasks use:
+// the view fetches whole frames, so the reader's resume point stays
+// frame-aligned and one reset is absorbed exactly-once with no §6 group
+// restart.
 func TestConnResetRecoversThroughRowView(t *testing.T) {
 	env := newTransferEnv(t)
+	env.ingest = drainThroughNext
 	f := &InputFormat{CoordAddr: env.coordAddr, Job: "jrowview", AcceptTimeout: 5 * time.Second}
 	dialer := fault.NewDialer(1, fault.DialerConfig{MaxFaults: 1, Ops: []fault.Op{fault.Reset}, MaxByte: 1 << 10})
 	cfg := DefaultSenderConfig()
 	cfg.Dial = dialer.Dial
 	cfg.BlockRows = 64
-	d, stats := env.runTransfer(t, "jrowview", 2, 2, 400, rowFormat{f}, cfg)
+	d, stats := env.runTransfer(t, "jrowview", 2, 2, 400, f, cfg)
 	if dialer.Injected() != 1 {
 		t.Fatalf("armed %d faults, want 1", dialer.Injected())
 	}
@@ -250,16 +253,38 @@ func TestConnResetRecoversThroughRowView(t *testing.T) {
 	}
 }
 
-// rowFormat hides the stream reader's columnar face, so ml.Ingest drains
-// every split through Next.
-type rowFormat struct{ *InputFormat }
-
-func (f rowFormat) Open(split hadoopfmt.InputSplit, node *cluster.Node) (hadoopfmt.RecordReader, error) {
-	rr, err := f.InputFormat.Open(split, node)
+// drainThroughNext reads every split of f concurrently (each split's
+// sender needs its reader connected) through Next alone, one partition per
+// split, with the row's id and x as the features checkExactlyOnce reads.
+func drainThroughNext(f hadoopfmt.InputFormat) (*ml.Dataset, error) {
+	splits, err := f.Splits(0)
 	if err != nil {
 		return nil, err
 	}
-	return struct{ hadoopfmt.RecordReader }{rr}, nil
+	d := &ml.Dataset{Parts: make([][]ml.LabeledPoint, len(splits)), NumFeatures: 2}
+	errs := make([]error, len(splits))
+	var wg sync.WaitGroup
+	for i, sp := range splits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rr, err := f.Open(sp, nil)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for {
+				r, ok, err := rr.Next()
+				if err != nil || !ok {
+					errs[i] = errors.Join(err, rr.Close())
+					return
+				}
+				d.Parts[i] = append(d.Parts[i], ml.LabeledPoint{Label: r[2].AsFloat(), Features: []float64{r[0].AsFloat(), r[1].AsFloat()}})
+			}
+		}()
+	}
+	wg.Wait()
+	return d, errors.Join(errs...)
 }
 
 // TestSpilledBytesCountsEveryChannel: SenderStats.SpilledBytes is every

@@ -36,13 +36,15 @@ func genRows(worker, count int) []row.Row {
 }
 
 // transferEnv wires a coordinator, n senders, and an ML-side ingestion.
-// cost, when set, is the senders' cost model.
+// cost, when set, is the senders' cost model; ingest, when set, replaces
+// ml.Ingest as the receiving side.
 type transferEnv struct {
 	topo      *cluster.Topology
 	coord     *Coordinator
 	coordAddr string
 	launched  chan JobSpec
 	cost      *cluster.CostModel
+	ingest    func(hadoopfmt.InputFormat) (*ml.Dataset, error)
 }
 
 func newTransferEnv(t *testing.T) *transferEnv {
@@ -77,10 +79,16 @@ func (env *transferEnv) runTransfer(t *testing.T, job string, n, k, rowsPerWorke
 			ingestCh <- ingestResult{err: fmt.Errorf("unexpected command %q", spec.Command)}
 			return
 		}
-		d, err := ml.Ingest(f, ml.IngestOptions{
-			LabelCol: "label",
-			Nodes:    env.topo.Nodes(),
-		})
+		var d *ml.Dataset
+		var err error
+		if env.ingest != nil {
+			d, err = env.ingest(f)
+		} else {
+			d, err = ml.Ingest(f, ml.IngestOptions{
+				LabelCol: "label",
+				Nodes:    env.topo.Nodes(),
+			})
+		}
 		ingestCh <- ingestResult{d: d, err: err}
 	}()
 
