@@ -166,34 +166,35 @@ func cleanPath(p string) (string, error) {
 	return p, nil
 }
 
-// Exists reports whether path names a committed file.
-func (fs *FileSystem) Exists(path string) bool {
+// lookup resolves a committed file. Its metadata is never mutated after
+// commit, so callers read it without the namespace lock.
+func (fs *FileSystem) lookup(path string) (string, *fileMeta, error) {
 	p, err := cleanPath(path)
 	if err != nil {
-		return false
+		return "", nil, err
 	}
 	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.files[p]
-	return ok
+	meta, ok := fs.files[p]
+	fs.mu.RUnlock()
+	if !ok {
+		return "", nil, fmt.Errorf("dfs: no such file %q", p)
+	}
+	return p, meta, nil
 }
 
-// Stat returns metadata for a committed file.
+// Exists reports whether path names a committed file.
+func (fs *FileSystem) Exists(path string) bool {
+	_, _, err := fs.lookup(path)
+	return err == nil
+}
+
+// Stat returns metadata for a committed file: its length and its block
+// locations, one hosts slice per block.
 func (fs *FileSystem) Stat(path string) (FileInfo, error) {
-	p, err := cleanPath(path)
+	p, meta, err := fs.lookup(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	meta, ok := fs.files[p]
-	if !ok {
-		return FileInfo{}, fmt.Errorf("dfs: no such file %q", p)
-	}
-	return fs.infoLocked(p, meta), nil
-}
-
-func (fs *FileSystem) infoLocked(p string, meta *fileMeta) FileInfo {
 	info := FileInfo{Path: p, Size: meta.size}
 	var off int64
 	for _, b := range meta.blocks {
@@ -204,7 +205,17 @@ func (fs *FileSystem) infoLocked(p string, meta *fileMeta) FileInfo {
 		info.Blocks = append(info.Blocks, BlockLocation{Offset: off, Length: b.size, Hosts: hosts})
 		off += b.size
 	}
-	return info
+	return info, nil
+}
+
+// Size returns a committed file's length without Stat's block locations,
+// as HDFS's getFileStatus answers apart from getFileBlockLocations.
+func (fs *FileSystem) Size(path string) (int64, error) {
+	_, meta, err := fs.lookup(path)
+	if err != nil {
+		return 0, err
+	}
+	return meta.size, nil
 }
 
 // List returns the committed paths under the given directory prefix, sorted.
@@ -411,18 +422,21 @@ func (w *Writer) seal(data []byte) error {
 	return nil
 }
 
-// Close seals the trailing partial block and commits the file.
+// Close seals the trailing partial block and commits the file. When that
+// seal fails, Close aborts the write — the path is free again and the
+// blocks already sealed are released — and returns the seal error.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
 	if len(w.buf) > 0 {
 		if err := w.seal(w.buf); err != nil {
+			w.Abort()
 			return err
 		}
 		w.buf = nil
 	}
+	w.closed = true
 	fs := w.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -472,27 +486,22 @@ type Reader struct {
 // the reading: local replicas are preferred and remote reads are charged
 // network time.
 func (fs *FileSystem) Open(path string, readerNode *cluster.Node) (*Reader, error) {
-	info, err := fs.Stat(path)
+	size, err := fs.Size(path)
 	if err != nil {
 		return nil, err
 	}
-	return fs.OpenRange(path, 0, info.Size, readerNode)
+	return fs.OpenRange(path, 0, size, readerNode)
 }
 
 // OpenRange returns a reader over [offset, offset+length) of the file.
 func (fs *FileSystem) OpenRange(path string, offset, length int64, readerNode *cluster.Node) (*Reader, error) {
-	p, err := cleanPath(path)
+	_, meta, err := fs.lookup(path)
 	if err != nil {
 		return nil, err
 	}
-	fs.mu.RLock()
-	meta, ok := fs.files[p]
-	fs.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("dfs: no such file %q", p)
-	}
-	if offset < 0 || length < 0 || offset+length > meta.size {
-		return nil, fmt.Errorf("dfs: range [%d,%d) outside file of %d bytes", offset, offset+length, meta.size)
+	// length > size-offset, not offset+length > size: the sum can wrap.
+	if offset < 0 || length < 0 || offset > meta.size || length > meta.size-offset {
+		return nil, fmt.Errorf("dfs: range of %d bytes at %d outside file of %d bytes", length, offset, meta.size)
 	}
 	return &Reader{fs: fs, node: readerNode, blocks: meta.blocks, pos: offset, end: offset + length}, nil
 }
@@ -518,47 +527,41 @@ func (r *Reader) fetchBlock() error {
 // block fetches of one reader invisible to the consumer.
 func (r *Reader) fetchReplica(b blockInfo, start int64) error {
 	hook := r.fs.faultHook()
-	candidates := make([]int, 0, len(b.replicas))
-	if r.node != nil {
-		for _, id := range b.replicas {
-			if id == r.node.ID {
-				candidates = append(candidates, id)
-			}
-		}
-	}
-	for _, id := range b.replicas {
-		if r.node == nil || id != r.node.ID {
-			candidates = append(candidates, id)
-		}
-	}
 	var lastErr error
-	for _, id := range candidates {
-		if r.fs.NodeDown(id) {
-			lastErr = fmt.Errorf("node %d is down", id)
-			continue
-		}
-		if hook != nil {
-			if err := hook.BlockRead(id, b.id); err != nil {
-				lastErr = err
+	// Two passes over the placement list, so no candidate list is built:
+	// pass 0 visits only the reader's own replica, pass 1 the rest.
+	for pass := 0; pass < 2; pass++ {
+		for _, id := range b.replicas {
+			if local := r.node != nil && id == r.node.ID; local != (pass == 0) {
 				continue
 			}
+			if r.fs.NodeDown(id) {
+				lastErr = fmt.Errorf("node %d is down", id)
+				continue
+			}
+			if hook != nil {
+				if err := hook.BlockRead(id, b.id); err != nil {
+					lastErr = err
+					continue
+				}
+			}
+			dn := r.fs.datanodes[id]
+			dn.mu.RLock()
+			data, ok := dn.blocks[b.id]
+			dn.mu.RUnlock()
+			if !ok {
+				lastErr = fmt.Errorf("copy missing on node %d", id)
+				continue
+			}
+			src := r.fs.topo.Node(id)
+			r.fs.cfg.Cost.ChargeDiskRead(src, len(data))
+			if r.node != nil && id != r.node.ID {
+				r.fs.cfg.Cost.ChargeNet(src, r.node, len(data))
+			}
+			r.cur = data
+			r.curStart = start
+			return nil
 		}
-		dn := r.fs.datanodes[id]
-		dn.mu.RLock()
-		data, ok := dn.blocks[b.id]
-		dn.mu.RUnlock()
-		if !ok {
-			lastErr = fmt.Errorf("copy missing on node %d", id)
-			continue
-		}
-		src := r.fs.topo.Node(id)
-		r.fs.cfg.Cost.ChargeDiskRead(src, len(data))
-		if r.node != nil && id != r.node.ID {
-			r.fs.cfg.Cost.ChargeNet(src, r.node, len(data))
-		}
-		r.cur = data
-		r.curStart = start
-		return nil
 	}
 	return fmt.Errorf("dfs: block %d: no readable replica among %d: %w", b.id, len(b.replicas), lastErr)
 }
@@ -612,18 +615,4 @@ func (fs *FileSystem) ReadFile(path string, node *cluster.Node) (_ []byte, err e
 		}
 	}()
 	return io.ReadAll(r)
-}
-
-// TotalUsed returns the number of stored block bytes across all datanodes
-// (replicas counted), for tests and capacity reporting.
-func (fs *FileSystem) TotalUsed() int64 {
-	var total int64
-	for _, dn := range fs.datanodes {
-		dn.mu.RLock()
-		for _, b := range dn.blocks {
-			total += int64(len(b))
-		}
-		dn.mu.RUnlock()
-	}
-	return total
 }

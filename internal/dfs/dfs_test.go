@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -16,6 +18,20 @@ func newTestFS(t *testing.T, nodes int, blockSize int64, replication int) *FileS
 	t.Helper()
 	topo := cluster.NewTopology(nodes)
 	return New(topo, Config{BlockSize: blockSize, Replication: replication})
+}
+
+// TotalUsed returns the number of stored block bytes across all datanodes,
+// replicas counted.
+func (fs *FileSystem) TotalUsed() int64 {
+	var total int64
+	for _, dn := range fs.datanodes {
+		dn.mu.RLock()
+		for _, b := range dn.blocks {
+			total += int64(len(b))
+		}
+		dn.mu.RUnlock()
+	}
+	return total
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -460,5 +476,134 @@ func TestWriterOnFailedNodePlacesRemotely(t *testing.T) {
 		if h == fs.Topology().Node(0).Addr {
 			t.Error("block placed on the writer's failed node")
 		}
+	}
+}
+
+// TestOpenRangeRejectsOverflowingEnd: a range whose end overflows int64
+// is outside the file, not a wrapped empty range read with a nil error.
+func TestOpenRangeRejectsOverflowingEnd(t *testing.T) {
+	fs := newTestFS(t, 2, 16, 1)
+	if err := fs.WriteFile("/o", bytes.Repeat([]byte("v"), 40), fs.Topology().Node(0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int64{{8, math.MaxInt64}, {math.MaxInt64, 1}, {41, 0}} {
+		if rd, err := fs.OpenRange("/o", r[0], r[1], nil); err == nil {
+			got, rerr := io.ReadAll(rd)
+			t.Errorf("OpenRange(%d, %d) accepted; read %d bytes, err %v", r[0], r[1], len(got), rerr)
+		}
+	}
+	// The range ending exactly at EOF, and the empty one there, stay valid.
+	for _, r := range [][2]int64{{8, 32}, {40, 0}} {
+		if _, err := fs.OpenRange("/o", r[0], r[1], nil); err != nil {
+			t.Errorf("OpenRange(%d, %d): %v", r[0], r[1], err)
+		}
+	}
+}
+
+// TestSizeMatchesStat: Size answers Stat's length, and fails as Stat does.
+func TestSizeMatchesStat(t *testing.T) {
+	fs := newTestFS(t, 2, 16, 1)
+	if err := fs.WriteFile("/s", bytes.Repeat([]byte("s"), 50), fs.Topology().Node(0)); err != nil {
+		t.Fatal(err)
+	}
+	size, err := fs.Size("/s")
+	if info, serr := fs.Stat("/s"); err != nil || serr != nil || size != info.Size || size != 50 {
+		t.Errorf("Size = %d, %v; Stat = %d, %v", size, err, info.Size, serr)
+	}
+	for _, p := range []string{"/missing", "relative", "/a//b"} {
+		_, err := fs.Size(p)
+		_, serr := fs.Stat(p)
+		if err == nil || serr == nil || err.Error() != serr.Error() {
+			t.Errorf("Size(%q) error %v, Stat error %v", p, err, serr)
+		}
+	}
+}
+
+// TestReaderDrainAllocsIndependentOfBlocks: draining a file through one
+// Reader into a reused buffer allocates the same whether the file has one
+// block or a thousand — opening needs the size, not the block map, and a
+// block fetch builds no replica list.
+func TestReaderDrainAllocsIndependentOfBlocks(t *testing.T) {
+	const bs = 64
+	fs := newTestFS(t, 4, bs, 3)
+	node := fs.Topology().Node(1)
+	if err := fs.WriteFile("/one", bytes.Repeat([]byte("1"), bs), node); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/many", bytes.Repeat([]byte("m"), 1000*bs), node); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, bs)
+	drain := func(path string, want int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			r, err := fs.Open(path, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for {
+				m, err := r.Read(buf)
+				n += m
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n != want {
+				t.Fatalf("drained %d bytes of %s, want %d", n, path, want)
+			}
+		})
+	}
+	one, many := drain("/one", bs), drain("/many", 1000*bs)
+	if many > one {
+		t.Errorf("draining 1000 blocks allocates %.0f times, 1 block %.0f: want no more", many, one)
+	}
+}
+
+// writeFailsFrom fails every replica store of block ids >= from.
+type writeFailsFrom struct{ from int64 }
+
+func (h writeFailsFrom) BlockRead(int, int64) error { return nil }
+func (h writeFailsFrom) BlockWrite(_ int, blockID int64) error {
+	if blockID >= h.from {
+		return fmt.Errorf("injected store failure of block %d", blockID)
+	}
+	return nil
+}
+
+// TestCloseSealFailureReleasesPath: when the trailing block's seal fails
+// on every replica, Close returns that error and leaves nothing behind —
+// the path is free for Create and unknown to Delete, and the blocks
+// sealed before are released.
+func TestCloseSealFailureReleasesPath(t *testing.T) {
+	fs := newTestFS(t, 3, 16, 2)
+	topo := fs.Topology()
+	before := fs.TotalUsed()
+	fs.SetFaultHook(writeFailsFrom{from: 2})
+	w, err := fs.Create("/f/torn", topo.Node(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(bytes.Repeat([]byte("t"), 40)); err != nil { // seals blocks 0 and 1
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "every pipeline replica failed") {
+		t.Fatalf("Close = %v, want the trailing block's seal error", err)
+	}
+	fs.SetFaultHook(nil)
+	w.Abort() // a no-op after the failed Close, as after any Close
+	if used := fs.TotalUsed(); used != before {
+		t.Errorf("TotalUsed = %d after the failed Close, want %d", used, before)
+	}
+	if fs.Exists("/f/torn") {
+		t.Error("failed Close committed the file")
+	}
+	if err := fs.Delete("/f/torn"); err == nil || strings.Contains(err.Error(), "being written") {
+		t.Errorf("Delete after failed Close = %v, want no such file", err)
+	}
+	if err := fs.WriteFile("/f/torn", bytes.Repeat([]byte("t"), 40), topo.Node(0)); err != nil {
+		t.Errorf("path not reusable after failed Close: %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -195,5 +196,87 @@ func TestAllPipelineReplicasFailingFailsWrite(t *testing.T) {
 	}
 	if fs.Exists("/f/doomed") {
 		t.Error("failed write left a committed file behind")
+	}
+}
+
+// readRecorder fails every block read and records which node was asked.
+type readRecorder struct {
+	mu    sync.Mutex
+	nodes []int
+}
+
+func (h *readRecorder) BlockRead(nodeID int, _ int64) error {
+	h.mu.Lock()
+	h.nodes = append(h.nodes, nodeID)
+	h.mu.Unlock()
+	return fmt.Errorf("injected read failure on node %d", nodeID)
+}
+func (h *readRecorder) BlockWrite(int, int64) error { return nil }
+
+// TestReplicaFallbackOrder pins the order a block fetch tries replicas in:
+// the reader's own replica first, then the others in placement order; a
+// reader holding none tries them all in placement order. When every
+// replica fails, the error names the block, the replica count and the
+// last replica's failure. A local
+// read, even of a replica placed second, charges disk and no network.
+func TestReplicaFallbackOrder(t *testing.T) {
+	topo := cluster.NewTopology(5)
+	cost := &cluster.CostModel{DiskReadBps: 1e9, DiskWriteBps: 1e9, NetBps: 1e9}
+	fs := dfs.New(topo, dfs.Config{BlockSize: 64, Replication: 3, Cost: cost})
+	want := patternData(48) // one block
+	if err := fs.WriteFile("/f/order", want, topo.Node(0)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := fs.Stat("/f/order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byAddr := map[string]int{}
+	for _, n := range topo.Nodes() {
+		byAddr[n.Addr] = n.ID
+	}
+	var placed []int
+	for _, h := range info.Blocks[0].Hosts {
+		placed = append(placed, byAddr[h])
+	}
+	outsider := -1
+	for _, n := range topo.Nodes() {
+		if !slices.Contains(placed, n.ID) {
+			outsider = n.ID
+			break
+		}
+	}
+	if len(placed) != 3 || outsider < 0 {
+		t.Fatalf("placement %v on 5 nodes, want 3 replicas and an outsider", placed)
+	}
+	for _, tc := range []struct {
+		name   string
+		reader int
+		want   []int
+	}{
+		{"local-second", placed[1], []int{placed[1], placed[0], placed[2]}},
+		{"local-first", placed[0], placed},
+		{"non-local", outsider, placed},
+	} {
+		rec := &readRecorder{}
+		fs.SetFaultHook(rec)
+		_, err := fs.ReadFile("/f/order", topo.Node(tc.reader))
+		fs.SetFaultHook(nil)
+		wantErr := fmt.Sprintf("dfs: block 0: no readable replica among 3: injected read failure on node %d", tc.want[2])
+		if err == nil || err.Error() != wantErr {
+			t.Errorf("%s: err = %v, want %s", tc.name, err, wantErr)
+		}
+		if !slices.Equal(rec.nodes, tc.want) {
+			t.Errorf("%s: replicas tried %v, want %v", tc.name, rec.nodes, tc.want)
+		}
+	}
+
+	cost.ResetStats()
+	got, err := fs.ReadFile("/f/order", topo.Node(placed[1]))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("local read: %v", err)
+	}
+	if s := cost.Stats(); s.NetBytes != 0 || s.DiskReadBytes != int64(len(want)) {
+		t.Errorf("local read of the second-placed replica charged %+v, want disk %d and no network", s, len(want))
 	}
 }

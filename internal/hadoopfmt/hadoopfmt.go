@@ -166,14 +166,14 @@ func (f *TextTableFormat) Open(split InputSplit, readerNode *cluster.Node) (Reco
 	if !ok {
 		return nil, fmt.Errorf("hadoopfmt: TextTableFormat cannot open %T", split)
 	}
-	info, err := f.FS.Stat(fsplit.Path)
+	size, err := f.FS.Size(fsplit.Path)
 	if err != nil {
 		return nil, err
 	}
 	// Read from the split start to EOF: the reader must be able to finish
 	// the final line even when it crosses the split boundary (the standard
 	// Hadoop TextInputFormat convention).
-	rd, err := f.FS.OpenRange(fsplit.Path, fsplit.Offset, info.Size-fsplit.Offset, readerNode)
+	rd, err := f.FS.OpenRange(fsplit.Path, fsplit.Offset, size-fsplit.Offset, readerNode)
 	if err != nil {
 		return nil, err
 	}

@@ -321,3 +321,46 @@ func TestOpenRejectsForeignSplitType(t *testing.T) {
 		t.Error("foreign split type accepted")
 	}
 }
+
+// TestOpenAllocsIndependentOfBlocks: opening a split asks the namenode
+// for the file's length only, so Open allocates the same on a one-block
+// file and a thousand-block file, at the file's start and mid-file (where
+// Open also skips the previous split's partial line). The one-alloc slack
+// absorbs sync.Pool dropping a read buffer under -race; the block map of
+// a thousand-block file is a thousand allocations.
+func TestOpenAllocsIndependentOfBlocks(t *testing.T) {
+	const bs = 64
+	topo := cluster.NewTopology(4)
+	fs := dfs.New(topo, dfs.Config{BlockSize: bs, Replication: 3})
+	line := "1234567,abcdef\n" // 16 bytes: four lines a block
+	for _, f := range []struct {
+		path  string
+		lines int
+	}{{"/one", bs / len(line)}, {"/many", 1000 * bs / len(line)}} {
+		if err := fs.WriteFile(f.path, []byte(strings.Repeat(line, f.lines)), topo.Node(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(path string, off int64) float64 {
+		f := NewTextTableFormat(fs, path, tableSchema())
+		split := &FileSplit{Path: path, Offset: off, Len: bs}
+		return testing.AllocsPerRun(100, func() {
+			rr, err := f.Open(split, topo.Node(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rr.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, at := range []struct {
+		name      string
+		one, many int64
+	}{{"start", 0, 0}, {"mid-file", bs / 2, 500*bs + bs/2}} {
+		one, many := open("/one", at.one), open("/many", at.many)
+		if many > one+1 {
+			t.Errorf("%s: Open allocates %.0f times on 1000 blocks, %.0f on 1", at.name, many, one)
+		}
+	}
+}

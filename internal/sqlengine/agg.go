@@ -321,7 +321,7 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 	err = qp.forEach(len(in.iters), func(i, _ int) error {
 		cit := in.iters[i]
 		defer cit.Close()
-		ht := NewHashTable(0)
+		ht := NewHashTable()
 		var groups []*group
 		var ctx vecCtx
 		kvecs := make([]*row.Vector, len(keyFns))
@@ -402,7 +402,7 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 	// Merge at the head node (charge moving the partial states, approximated
 	// by their key bytes plus a fixed accumulator size). Groups come out in
 	// deterministic order: partials in partition order, first-seen within.
-	mergedHT := NewHashTable(0)
+	mergedHT := NewHashTable()
 	var merged []*group
 	var keyBuf []byte
 	for i, groups := range partials {

@@ -300,7 +300,7 @@ func TestColGroupKeysSurviveVectorRecycling(t *testing.T) {
 		sum int64
 		n   int64
 	}
-	ht := NewHashTable(0)
+	ht := NewHashTable()
 	var groups []*grp
 	var flat []byte
 	var offs, idxs []uint32

@@ -49,7 +49,7 @@ func dedupParts(qp *queryPool, iters []ColBatchSource, types []row.Type) ([][]*r
 	err := qp.forEach(len(iters), func(i, _ int) error {
 		in := iters[i]
 		defer in.Close()
-		table := NewHashTable(0)
+		table := NewHashTable()
 		w := newChunkWriter(types, -1)
 		var key []byte
 		var keep []int32
@@ -105,7 +105,7 @@ func (e *Engine) shuffleDedup(qp *queryPool, parts [][]*row.ColBatch, types []ro
 	moved := make([][]int, n) // [dst][src]bytes
 	err = qp.forEach(n, func(d, _ int) error {
 		moved[d] = make([]int, n)
-		table := NewHashTable(0)
+		table := NewHashTable()
 		w := newChunkWriter(types, -1)
 		var key []byte
 		var keep []int32

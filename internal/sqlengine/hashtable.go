@@ -49,17 +49,9 @@ type htSlot struct {
 // get a dedicated chunk of their exact size.
 const htChunkSize = 1 << 16
 
-// NewHashTable returns a table pre-sized for about hint distinct keys
-// (hint <= 0 means small).
-func NewHashTable(hint int) *HashTable {
-	capSlots := 16
-	for capSlots*3 < hint*4 {
-		capSlots <<= 1
-	}
-	return &HashTable{
-		slots: make([]htSlot, capSlots),
-		mask:  uint64(capSlots - 1),
-	}
+// NewHashTable returns an empty table of 16 slots; it grows by doubling.
+func NewHashTable() *HashTable {
+	return &HashTable{slots: make([]htSlot, 16), mask: 15}
 }
 
 // Len returns the number of distinct keys stored.
@@ -68,18 +60,6 @@ func (t *HashTable) Len() int { return t.n }
 // key returns the stored key bytes of a filled slot.
 func (t *HashTable) key(s *htSlot) []byte {
 	return t.chunks[s.chunk][s.off : s.off+uint32(s.klen)]
-}
-
-// Key returns the stored bytes of dense index idx. It is O(slots) and
-// meant for tests and diagnostics, not hot paths.
-func (t *HashTable) Key(idx uint32) []byte {
-	for i := range t.slots {
-		s := &t.slots[i]
-		if s.hash != 0 && s.idx == idx {
-			return t.key(s)
-		}
-	}
-	return nil
 }
 
 // Insert returns the dense index of key, adding it if absent. added
@@ -126,13 +106,8 @@ func (t *HashTable) InsertKeys(flat []byte, offs []uint32, out []uint32) []uint3
 	return out
 }
 
-// Lookup returns the dense index of key, if present.
-func (t *HashTable) Lookup(key []byte) (uint32, bool) {
-	return t.LookupHashed(key, hashNonZero(key))
-}
-
-// LookupHashed is Lookup with a caller-supplied hashNonZero hash, the
-// probe-side twin of InsertHashed.
+// LookupHashed returns the dense index of key, whose hashNonZero is h, if
+// present: the probe-side twin of InsertHashed.
 func (t *HashTable) LookupHashed(key []byte, h uint64) (uint32, bool) {
 	i := h & t.mask
 	for step := uint64(1); ; step++ {

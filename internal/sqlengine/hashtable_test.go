@@ -15,7 +15,7 @@ import (
 func TestHashTableMatchesMapOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ht := NewHashTable(rng.Intn(64))
+		ht := NewHashTable()
 		oracle := make(map[string]uint32)
 		for op := 0; op < 2000; op++ {
 			// Keys from a zipf-ish small space so duplicates are common.
@@ -57,7 +57,7 @@ func TestHashTableMatchesMapOracle(t *testing.T) {
 // TestHashTableLargeKeys: keys larger than the arena chunk get dedicated
 // chunks and survive growth.
 func TestHashTableLargeKeys(t *testing.T) {
-	ht := NewHashTable(0)
+	ht := NewHashTable()
 	big := bytes.Repeat([]byte("x"), htChunkSize+100)
 	idx, added := ht.Insert(big)
 	if !added || idx != 0 {
@@ -80,7 +80,7 @@ func TestHashTableLargeKeys(t *testing.T) {
 // nothing, and the caller's buffer may be reused across inserts (the
 // table copies).
 func TestHashTableInsertNoPerKeyAlloc(t *testing.T) {
-	ht := NewHashTable(4)
+	ht := NewHashTable()
 	buf := []byte("stable-key")
 	ht.Insert(buf)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -96,4 +96,20 @@ func TestHashTableInsertNoPerKeyAlloc(t *testing.T) {
 	if _, ok := ht.Lookup([]byte("stable-key")); !ok {
 		t.Error("table aliased the caller's buffer instead of copying")
 	}
+}
+
+// Lookup returns the dense index of key, if present.
+func (t *HashTable) Lookup(key []byte) (uint32, bool) {
+	return t.LookupHashed(key, hashNonZero(key))
+}
+
+// Key returns the stored bytes of dense index idx, scanning every slot.
+func (t *HashTable) Key(idx uint32) []byte {
+	for i := range t.slots {
+		s := &t.slots[i]
+		if s.hash != 0 && s.idx == idx {
+			return t.key(s)
+		}
+	}
+	return nil
 }

@@ -16,10 +16,12 @@ import (
 //     serialize the scan.
 //  2. Sharded insert — the key space is split by the high hash bits into
 //     power-of-two shards, one arena HashTable per shard, and each shard
-//     is built by one pool task scanning the keyed chunks in order. Rows
-//     of one key always live in one shard, so shards need no locks, and
-//     the in-order scan keeps every bucket's entries in exactly the global
-//     row order a sequential build produces.
+//     is built by one pool task scanning the keyed chunks in order: once
+//     to insert keys and count rows per key, once to place every row in
+//     its key's bucket of the shard's one CSR array. Rows of one key
+//     always live in one shard, so shards need no locks, and the in-order
+//     scans keep every bucket's entries in exactly the global row order a
+//     sequential build produces.
 //
 // Both pass boundaries are deterministic functions of the input (chunk
 // grid, hash routing), never of the schedule, so the probe output is
@@ -47,12 +49,15 @@ type buildRef struct{ chunk, pos int32 }
 
 // buildTable is the probe-side view of a sharded hash-join build: key
 // lookup routes by the high hash bits to one shard's arena table, whose
-// dense index addresses that shard's bucket of build rows.
+// dense index idx addresses that shard's bucket of build rows,
+// refs[s][offs[s][idx]:offs[s][idx+1]] — one array per shard (CSR), not
+// one slice per key.
 type buildTable struct {
-	shift   uint
-	shards  []*HashTable
-	buckets [][][]buildRef  // per shard, per dense index: build rows
-	chunks  []*row.ColBatch // the build side, partition-major
+	shift  uint
+	shards []*HashTable
+	offs   [][]int32
+	refs   [][]buildRef
+	chunks []*row.ColBatch // the build side, partition-major
 }
 
 // bucket returns the build rows matching key, whose hashNonZero is h, in
@@ -66,7 +71,8 @@ func (bt *buildTable) bucket(key []byte, h uint64) []buildRef {
 	if !ok {
 		return nil
 	}
-	return bt.buckets[s][idx]
+	offs := bt.offs[s]
+	return bt.refs[s][offs[idx]:offs[idx+1]]
 }
 
 // packedKeys holds the norm keys of one batch's live rows: key i is
@@ -141,32 +147,55 @@ func buildHashTable(qp *queryPool, parts [][]*row.ColBatch, keyFns []vecFn) (*bu
 
 	shards, shift := buildShards(qp.n)
 	bt := &buildTable{
-		shift:   shift,
-		shards:  make([]*HashTable, shards),
-		buckets: make([][][]buildRef, shards),
-		chunks:  chunks,
+		shift:  shift,
+		shards: make([]*HashTable, shards),
+		offs:   make([][]int32, shards),
+		refs:   make([][]buildRef, shards),
+		chunks: chunks,
 	}
 	err = qp.forEach(shards, func(s, _ int) error {
-		t := NewHashTable(0)
-		var buckets [][]buildRef
+		routed := func(h uint64) bool { return h != 0 && (shards == 1 || int(h>>shift) == s) }
+		// Insert: note each routed row's dense index, count rows per
+		// index in offs[idx+1].
+		t := NewHashTable()
+		var idxs []int32
+		offs := []int32{0}
 		for c := range keyed {
 			k := &keyed[c]
 			for i, h := range k.hashes {
-				if h == 0 {
-					continue
-				}
-				if shards > 1 && int(h>>shift) != s {
+				if !routed(h) {
 					continue
 				}
 				idx, added := t.InsertHashed(k.key(i), h)
 				if added {
-					buckets = append(buckets, nil)
+					offs = append(offs, 0)
 				}
-				buckets[idx] = append(buckets[idx], buildRef{chunk: int32(c), pos: int32(i)})
+				offs[idx+1]++
+				idxs = append(idxs, int32(idx))
 			}
 		}
-		bt.shards[s] = t
-		bt.buckets[s] = buckets
+		// Prefix sums make offs[idx] bucket idx's start; the in-order
+		// fill advances it to bucket idx+1's start, so a shift right by
+		// one restores the starts.
+		for i := 1; i < len(offs); i++ {
+			offs[i] += offs[i-1]
+		}
+		refs := make([]buildRef, len(idxs))
+		j := 0
+		for c := range keyed {
+			for i, h := range keyed[c].hashes {
+				if !routed(h) {
+					continue
+				}
+				idx := idxs[j]
+				j++
+				refs[offs[idx]] = buildRef{chunk: int32(c), pos: int32(i)}
+				offs[idx]++
+			}
+		}
+		copy(offs[1:], offs)
+		offs[0] = 0
+		bt.shards[s], bt.offs[s], bt.refs[s] = t, offs, refs
 		return nil
 	})
 	if err != nil {

@@ -372,3 +372,103 @@ func TestProbeChargeMatchesRowProbe(t *testing.T) {
 		}
 	}
 }
+
+// bucketOrderRows builds t and u for the bucket-order tests: u holds 64
+// keys × 48 rows, key number i%64 at row i, so every key's rows interleave
+// across every partition and chunk; w is the row's global index, so a
+// bucket's order shows in the output. The keys are spread-out values, not
+// 0..63, whose hashes share their high bits. t probes every key twice, and
+// five keys no build row has.
+func bucketOrderRows() (left, right []row.Row) {
+	const keys, perKey = 64, 48
+	key := func(i int) row.Value { return row.Int(int64(uint64(i) * 0x9E3779B97F4A7C15 >> 12)) }
+	for i := 0; i < keys*perKey; i++ {
+		right = append(right, row.Row{key(i % keys), row.Float(float64(i))})
+	}
+	for i := 0; i < 2*(keys+5); i++ {
+		left = append(left, row.Row{key(i % (keys + 5)), row.Int(int64(i)), row.Float(0), row.String_("c")})
+	}
+	return left, right
+}
+
+// TestJoinBucketOrderAcrossShards: with many build rows per key and the
+// keys spread over every shard, each bucket lists its rows in global build
+// order at every pool size, and a join over them gives referenceQuery's
+// exact sequence at Parallelism 1, 2 and 4.
+func TestJoinBucketOrderAcrossShards(t *testing.T) {
+	left, right := bucketOrderRows()
+	types := []row.Type{row.TypeInt, row.TypeFloat}
+	third := len(right) / 3
+	parts := rowsToChunks(types, [][]row.Row{right[:third], right[third : 2*third], right[2*third:]})
+	probe := rowsToChunks(types, [][]row.Row{right[:64]})[0][0] // key numbers 0..63 in order
+	var pk packedKeys
+	if err := packKeys(&vecCtx{}, []vecFn{firstColKey}, probe, &pk); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 4} {
+		bt, err := buildHashTable(newQueryPool(par), parts, []vecFn{firstColKey})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range bt.shards {
+			if len(bt.shards) > 1 && bt.shards[s].Len() == 0 {
+				t.Fatalf("pool %d: shard %d of %d holds no key; the test must spread keys over every shard", par, s, len(bt.shards))
+			}
+		}
+		for k := 0; k < 64; k++ {
+			bucket := bt.bucket(pk.key(k), pk.hashes[k])
+			if len(bucket) != 48 {
+				t.Fatalf("pool %d: key %d: bucket of %d rows, want 48", par, k, len(bucket))
+			}
+			for j, ref := range bucket {
+				if w := bt.chunks[ref.chunk].Col(1).Floats[ref.pos]; w != float64(k+64*j) {
+					t.Fatalf("pool %d: key %d: bucket entry %d is row %v, want %d", par, k, j, w, k+64*j)
+				}
+			}
+		}
+	}
+
+	const sql = "SELECT t.v, u.k, u.w FROM t, u WHERE t.k = u.k"
+	want, err := referenceQuery(oracleEngine(t, 3, left, right, false, Config{Parallelism: 1}), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 4} {
+		res, err := oracleEngine(t, 3, left, right, false, Config{Parallelism: par}).Query(sql)
+		if err != nil {
+			t.Fatalf("P=%d: %v", par, err)
+		}
+		got := res.Rows()
+		if g, w := fmt.Sprint(rowStrings(got)), fmt.Sprint(rowStrings(want)); g != w {
+			t.Fatalf("P=%d: %d rows, reference %d, sequences differ", par, len(got), len(want))
+		}
+	}
+}
+
+// TestJoinBuildAllocsIndependentOfKeys: the build allocates per shard, not
+// per key. Over a fixed 10 000 build rows, 10 000 distinct keys may cost
+// more than 100 only through structures that grow geometrically with the
+// key count — the arena table's slot array (6 more doublings) and key
+// chunks (one more), and each shard's bucket offsets (append growth) —
+// which together add 18; the bound is 24. One bucket slice per key would
+// add 9 900.
+func TestJoinBuildAllocsIndependentOfKeys(t *testing.T) {
+	const rows = 10_000
+	types := []row.Type{row.TypeInt, row.TypeFloat}
+	build := func(keys int) float64 {
+		var rs []row.Row
+		for i := 0; i < rows; i++ {
+			rs = append(rs, row.Row{row.Int(int64(i % keys)), row.Float(float64(i))})
+		}
+		parts := rowsToChunks(types, [][]row.Row{rs})
+		return testing.AllocsPerRun(10, func() {
+			if _, err := buildHashTable(newQueryPool(1), parts, []vecFn{firstColKey}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := build(100), build(rows)
+	if many > few+24 {
+		t.Errorf("build over %d rows allocates %.0f times with %d keys, %.0f with 100: want at most 24 more", rows, many, rows, few)
+	}
+}

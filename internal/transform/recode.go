@@ -218,7 +218,7 @@ func distinctValuesUDF() *sqlengine.TableUDF {
 			// pairs: the key is the column's ordinal plus the value, packed
 			// straight from the vector into one reused scratch buffer — the
 			// same allocation-free key path the engine's own DISTINCT uses.
-			seen := sqlengine.NewHashTable(0)
+			seen := sqlengine.NewHashTable()
 			var keyBuf []byte
 			out := row.NewColBatch(pairTypes)
 			flush := func() error {
