@@ -622,3 +622,29 @@ func TestScaledPipelineIdenticalAcrossApproaches(t *testing.T) {
 		})
 	}
 }
+
+// TestEmptyPrepResultAcrossApproaches: a preparation query that selects no
+// rows yields an empty dataset of the same width under every approach. The
+// DFS approaches must read an output directory of empty part files (insql's
+// export) and one holding only the _SUCCESS marker (naive's map-only
+// transform over no splits) as an empty table, not a missing one.
+func TestEmptyPrepResultAcrossApproaches(t *testing.T) {
+	env := newTestEnv(t, 40, 4, nil)
+	cfg := paperConfig()
+	cfg.Spec.CodeCols = nil
+	cfg.Query = paperQuery + " AND C.amount < 0"
+	for _, a := range []Approach{Naive, InSQL, InSQLStream} {
+		res, err := Run(env, a, cfg)
+		if err != nil {
+			t.Errorf("%s: %v", a, err)
+			continue
+		}
+		if res.Rows != 0 || res.Dataset.NumRows() != 0 {
+			t.Errorf("%s: %d rows (dataset %d), want 0", a, res.Rows, res.Dataset.NumRows())
+		}
+		// Recoded, not coded: age, gender, amount.
+		if res.Dataset.NumFeatures != 3 {
+			t.Errorf("%s: features = %d, want 3", a, res.Dataset.NumFeatures)
+		}
+	}
+}

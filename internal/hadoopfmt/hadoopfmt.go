@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 
 	"sqlml/internal/cluster"
@@ -89,14 +91,16 @@ func (s *FileSplit) String() string {
 	return fmt.Sprintf("%s[%d:+%d]", s.Path, s.Offset, s.Len)
 }
 
-// TextTableFormat reads a text-format table file stored on the DFS.
+// TextTableFormat reads a text-format table stored on the DFS: one file,
+// or a directory of part files.
 type TextTableFormat struct {
 	FS          *dfs.FileSystem
 	Path        string
 	TableSchema row.Schema
 }
 
-// NewTextTableFormat returns a format over one DFS text table.
+// NewTextTableFormat returns a format over one DFS text table; path names
+// a file or a directory of part files.
 func NewTextTableFormat(fs *dfs.FileSystem, path string, schema row.Schema) *TextTableFormat {
 	return &TextTableFormat{FS: fs, Path: path, TableSchema: schema}
 }
@@ -104,12 +108,39 @@ func NewTextTableFormat(fs *dfs.FileSystem, path string, schema row.Schema) *Tex
 // Schema implements InputFormat.
 func (f *TextTableFormat) Schema() (row.Schema, error) { return f.TableSchema, nil }
 
-// Splits implements InputFormat. With numSplits <= 0 it returns one split
-// per DFS block (inheriting the block's replica hosts for locality);
-// otherwise it divides the file into numSplits even byte ranges whose
-// locations are the hosts of the blocks they overlap.
+// Splits implements InputFormat. Over a file, with numSplits <= 0 it
+// returns one split per DFS block (inheriting the block's replica hosts for
+// locality); otherwise it divides the file into numSplits even byte ranges
+// whose locations are the hosts of the blocks they overlap. Over a
+// directory it returns every part file's block splits, whatever numSplits
+// asks, and skips files whose names start with "_" (Hadoop's rule for
+// in-progress attempts and markers such as _SUCCESS); a directory of empty
+// part files has no splits, and a path with no file under it is an error.
 func (f *TextTableFormat) Splits(numSplits int) ([]InputSplit, error) {
-	info, err := f.FS.Stat(f.Path)
+	if f.FS.Exists(f.Path) {
+		return fileSplits(f.FS, f.Path, numSplits)
+	}
+	files := f.FS.List(f.Path)
+	if len(files) == 0 {
+		return nil, fmt.Errorf("hadoopfmt: no file or directory %q", f.Path)
+	}
+	var out []InputSplit
+	for _, p := range files {
+		if strings.HasPrefix(p[strings.LastIndexByte(p, '/')+1:], "_") {
+			continue
+		}
+		splits, err := fileSplits(f.FS, p, 0)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, splits...)
+	}
+	return out, nil
+}
+
+// fileSplits divides one DFS file as Splits describes.
+func fileSplits(fs *dfs.FileSystem, path string, numSplits int) ([]InputSplit, error) {
+	info, err := fs.Stat(path)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +150,7 @@ func (f *TextTableFormat) Splits(numSplits int) ([]InputSplit, error) {
 	if numSplits <= 0 {
 		out := make([]InputSplit, 0, len(info.Blocks))
 		for _, b := range info.Blocks {
-			out = append(out, &FileSplit{Path: f.Path, Offset: b.Offset, Len: b.Length, Hosts: b.Hosts})
+			out = append(out, &FileSplit{Path: path, Offset: b.Offset, Len: b.Length, Hosts: b.Hosts})
 		}
 		return out, nil
 	}
@@ -135,13 +166,44 @@ func (f *TextTableFormat) Splits(numSplits int) ([]InputSplit, error) {
 			length = info.Size - off
 		}
 		out = append(out, &FileSplit{
-			Path:   f.Path,
+			Path:   path,
 			Offset: off,
 			Len:    length,
 			Hosts:  hostsOverlapping(info.Blocks, off, length),
 		})
 	}
 	return out, nil
+}
+
+// Place assigns each split to a node, returning the node's index per
+// split: the least-loaded node among the split's locality hosts, or else the
+// least-loaded node overall. A node's load is the sum of the Length of the
+// splits placed on it so far, and a tie goes to the lowest index. It is the
+// best-effort colocation the paper describes, and every consumer of this
+// seam (the SQL engine's external scan, ml.Ingest, MapReduce map tasks)
+// schedules through it.
+func Place(splits []InputSplit, nodes []*cluster.Node) []int {
+	loads := make([]int64, len(nodes))
+	out := make([]int, len(splits))
+	for i, sp := range splits {
+		best := -1
+		for ni, n := range nodes {
+			if (best < 0 || loads[ni] < loads[best]) && slices.Contains(sp.Locations(), n.Addr) {
+				best = ni
+			}
+		}
+		if best < 0 {
+			best = 0
+			for ni := range nodes {
+				if loads[ni] < loads[best] {
+					best = ni
+				}
+			}
+		}
+		loads[best] += sp.Length()
+		out[i] = best
+	}
+	return out
 }
 
 func hostsOverlapping(blocks []dfs.BlockLocation, off, length int64) []string {

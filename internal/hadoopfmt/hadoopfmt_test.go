@@ -149,17 +149,70 @@ func TestBlockAlignedSplitsCarryLocality(t *testing.T) {
 	}
 }
 
+// TestPlace pins the one split placement every consumer of the seam
+// schedules through.
+func TestPlace(t *testing.T) {
+	topo := cluster.NewTopology(4)
+	addr := func(i int) string { return topo.Node(i).Addr }
+	split := func(n int64, hosts ...string) InputSplit {
+		return &FileSplit{Path: "/p", Len: n, Hosts: hosts}
+	}
+	for _, tc := range []struct {
+		name   string
+		nodes  []int // topology node IDs, in candidate order
+		splits []InputSplit
+		want   []int // indices into nodes
+	}{
+		{"local host beats less-loaded remote", []int{0, 1, 2, 3},
+			[]InputSplit{split(100, addr(1)), split(10, addr(1))}, []int{1, 1}},
+		{"least-loaded local host", []int{0, 1, 2, 3},
+			[]InputSplit{split(100, addr(1), addr(2)), split(50, addr(1), addr(2)), split(10, addr(1), addr(2))}, []int{1, 2, 2}},
+		{"tie goes to lowest index, not host order", []int{0, 1, 2, 3},
+			[]InputSplit{split(5, addr(3), addr(1)), split(5)}, []int{1, 0}},
+		{"no local host: least-loaded overall", []int{0, 1, 2, 3},
+			[]InputSplit{split(100, addr(0)), split(10, "10.9.9.9"), split(10), split(10), split(10)}, []int{0, 1, 2, 3, 1}},
+		{"loads accumulate Length", []int{0, 1, 2, 3},
+			[]InputSplit{split(30, addr(0), addr(1)), split(20, addr(0), addr(1)), split(5, addr(0), addr(1)), split(10, addr(0), addr(1)), split(1, addr(0), addr(1))}, []int{0, 1, 1, 1, 0}},
+		{"zero-length stream splits stay on the first local node", []int{0, 1, 2, 3},
+			[]InputSplit{split(0, addr(2), addr(3)), split(0, addr(2), addr(3)), split(0, addr(2), addr(3))}, []int{2, 2, 2}},
+		{"zero-length splits without hosts all land on index 0", []int{0, 1, 2, 3},
+			[]InputSplit{split(0), split(0)}, []int{0, 0}},
+		{"indices are into nodes, not node IDs", []int{3, 1},
+			[]InputSplit{split(10, addr(1)), split(10, addr(0))}, []int{1, 0}},
+		{"no splits", []int{0}, nil, []int{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := make([]*cluster.Node, len(tc.nodes))
+			for i, id := range tc.nodes {
+				nodes[i] = topo.Node(id)
+			}
+			if got := Place(tc.splits, nodes); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("Place = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestEmptyTableHasNoSplits: an empty file, a directory of empty part
+// files and a directory holding only the _SUCCESS marker are all empty
+// tables; a path with no file under it is an error.
 func TestEmptyTableHasNoSplits(t *testing.T) {
 	topo := cluster.NewTopology(1)
 	fs := dfs.New(topo, dfs.Config{})
-	writeTable(t, fs, "/empty", nil)
-	f := NewTextTableFormat(fs, "/empty", tableSchema())
-	splits, err := f.Splits(4)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []string{"/empty", "/parts/part-00000", "/parts/part-00001", "/parts/_SUCCESS", "/marker/_SUCCESS"} {
+		writeTable(t, fs, p, nil)
 	}
-	if len(splits) != 0 {
-		t.Errorf("empty table produced %d splits", len(splits))
+	for _, path := range []string{"/empty", "/parts", "/marker"} {
+		splits, err := NewTextTableFormat(fs, path, tableSchema()).Splits(4)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(splits) != 0 {
+			t.Errorf("%s: empty table produced %d splits", path, len(splits))
+		}
+	}
+	if _, err := NewTextTableFormat(fs, "/nosuch", tableSchema()).Splits(0); err == nil {
+		t.Error("a path with no file under it was accepted")
 	}
 }
 

@@ -68,7 +68,7 @@ func Transform(env *Env, inputPath string, inputSchema row.Schema, spec transfor
 	if len(spec.RecodeCols) == 0 {
 		return nil, fmt.Errorf("jaql: spec lists no categorical columns")
 	}
-	input := inputFormat(env.FS, inputPath, inputSchema)
+	input := hadoopfmt.NewTextTableFormat(env.FS, inputPath, inputSchema)
 
 	// Job 1: build the recode map. Mappers emit one record per distinct
 	// (column, value) pair seen locally; a single reducer sees the keys in
@@ -258,7 +258,7 @@ func scaleJobs(env *Env, inputPath string, schema row.Schema, spec transform.Spe
 	})
 	statsJob := &mapred.Job{
 		Name:  "jaql-scale-stats",
-		Input: inputFormat(env.FS, inputPath, schema),
+		Input: hadoopfmt.NewTextTableFormat(env.FS, inputPath, schema),
 		Mapper: mapred.MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
 			for i, ci := range idx {
 				v := r[ci]
@@ -317,7 +317,7 @@ func scaleJobs(env *Env, inputPath string, schema row.Schema, spec transform.Spe
 	}
 	applyJob := &mapred.Job{
 		Name:  "jaql-scale-apply",
-		Input: inputFormat(env.FS, inputPath, schema),
+		Input: hadoopfmt.NewTextTableFormat(env.FS, inputPath, schema),
 		Mapper: mapred.MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
 			out := r.Clone()
 			for i, ci := range idx {
@@ -384,13 +384,4 @@ func (r *recodeIDReducer) Reduce(key string, values []row.Row, emit func(row.Row
 	}
 	r.next++
 	return emit(row.Row{row.String_(col), row.String_(val), row.Int(r.next)})
-}
-
-// inputFormat resolves a DFS path that may be a single file or a directory
-// of part files.
-func inputFormat(fs *dfs.FileSystem, path string, schema row.Schema) hadoopfmt.InputFormat {
-	if fs.Exists(path) {
-		return hadoopfmt.NewTextTableFormat(fs, path, schema)
-	}
-	return mapred.DirFormat(fs, path, schema)
 }

@@ -1,7 +1,7 @@
 // Package mapred implements a MapReduce engine over the simulated DFS:
-// locality-aware map task placement over InputSplits, a hash-partitioned
-// shuffle with network cost charging, sorted reduce groups, and text-table
-// output, one part file per reduce (or map) task.
+// locality-aware map task placement over InputSplits (hadoopfmt.Place), a
+// hash-partitioned shuffle with network cost charging, sorted reduce
+// groups, and text-table output, one part file per reduce (or map) task.
 //
 // It stands in for the Hadoop MapReduce deployment of the paper's testbed:
 // the naive pipeline's external transformation tool (internal/jaql) runs on
@@ -13,7 +13,6 @@ package mapred
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -62,7 +61,8 @@ type Job struct {
 	// associative and emit rows the Reducer accepts as values).
 	Combiner Reducer
 
-	// OutputPath is a DFS directory; part files are written beneath it.
+	// OutputPath is a DFS directory; part files are written beneath it,
+	// and an empty _SUCCESS marker once the job commits.
 	OutputPath   string
 	OutputSchema row.Schema
 
@@ -125,7 +125,7 @@ func Run(job *Job) (*Stats, error) {
 	for i, id := range job.TaskNodes {
 		nodes[i] = job.Topo.Node(id)
 	}
-	assignments := assign(splits, nodes)
+	placement := hadoopfmt.Place(splits, nodes)
 	job.Cost.ChargeDelay(nodes[0], job.StartupDelay)
 
 	numReducers := job.NumReducers
@@ -157,7 +157,7 @@ func Run(job *Job) (*Stats, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			node := assignments[i]
+			node := nodes[placement[i]]
 			nb := numReducers
 			if nb == 0 {
 				nb = 1
@@ -241,11 +241,16 @@ func Run(job *Job) (*Stats, error) {
 	stats.InputRows = inputRows.get()
 	stats.MapOutputs = mapOutputs.get()
 
+	// Commit. Every task writes its part file through the attempt-scoped
+	// scratch-then-rename commit; once all have, the job marks its output
+	// directory with Hadoop's empty _SUCCESS file. Directory readers skip
+	// it and an empty write charges nothing; it is what makes a job that
+	// committed no part file (map-only over no splits) an empty table
+	// rather than a missing one.
+	var outputRows atomicCounter
 	if job.Reducer == nil {
-		// Map-only: write one part file per map task from its node,
-		// through the attempt-scoped scratch-then-rename commit.
-		var outputRows atomicCounter
-		err := forEach(len(splits), func(i int) error {
+		// Map-only: one part file per map task, from its node.
+		err = forEach(len(splits), func(i int) error {
 			return runTask(job, &taskRetries, "commit", i, func(attempt int) error {
 				rows := make([]row.Row, 0, len(outputs[i].buckets[0]))
 				for _, p := range outputs[i].buckets[0] {
@@ -260,92 +265,88 @@ func Run(job *Job) (*Stats, error) {
 				return nil
 			})
 		})
-		if err != nil {
-			return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
+	} else {
+		// Shuffle: reducer r (on nodes[r % len]) pulls bucket r of every map
+		// output; remote pulls are charged to the network.
+		reduceNodes := make([]*cluster.Node, numReducers)
+		for r := 0; r < numReducers; r++ {
+			reduceNodes[r] = nodes[r%len(nodes)]
 		}
-		stats.OutputRows = outputRows.get()
-		stats.TaskRetries = taskRetries.get()
-		return stats, nil
-	}
-
-	// Shuffle: reducer r (on nodes[r % len]) pulls bucket r of every map
-	// output; remote pulls are charged to the network.
-	reduceNodes := make([]*cluster.Node, numReducers)
-	for r := 0; r < numReducers; r++ {
-		reduceNodes[r] = nodes[r%len(nodes)]
-	}
-	shuffled := make([][]pair, numReducers)
-	var shuffleBytes int64
-	for r := 0; r < numReducers; r++ {
-		for _, mo := range outputs {
-			b := mo.buckets[r]
-			if len(b) == 0 {
-				continue
-			}
-			if mo.node != reduceNodes[r] {
-				bytes := 0
-				for _, p := range b {
-					bytes += len(p.key) + approxRowBytes(p.value)
+		shuffled := make([][]pair, numReducers)
+		var shuffleBytes int64
+		for r := 0; r < numReducers; r++ {
+			for _, mo := range outputs {
+				b := mo.buckets[r]
+				if len(b) == 0 {
+					continue
 				}
-				job.Cost.ChargeNet(mo.node, reduceNodes[r], bytes)
-				shuffleBytes += int64(bytes)
-			}
-			shuffled[r] = append(shuffled[r], b...)
-		}
-	}
-	stats.ShuffleBytes = shuffleBytes
-
-	// Reduce phase: sort by key, group, reduce, commit part files. Each
-	// attempt re-sorts and re-groups from the (immutable between attempts)
-	// shuffled input and accumulates into attempt-local rows, so a crashed
-	// attempt's re-execution reproduces the identical part file.
-	var outputRows atomicCounter
-	err = forEach(numReducers, func(r int) error {
-		return runTask(job, &taskRetries, "reduce", r, func(attempt int) error {
-			ps := shuffled[r]
-			reduceBytes := 0
-			for _, p := range ps {
-				reduceBytes += len(p.key) + approxRowBytes(p.value)
-			}
-			// A reduce task is one processing pass over its shuffled
-			// input; failed attempts pay too.
-			job.Cost.ChargeProc(reduceNodes[r], reduceBytes)
-			sort.SliceStable(ps, func(i, j int) bool { return ps[i].key < ps[j].key })
-			var rows []row.Row
-			emit := func(out row.Row) error {
-				rows = append(rows, out)
-				return nil
-			}
-			record := 0
-			for i := 0; i < len(ps); {
-				if job.TaskFault != nil {
-					if ferr := job.TaskFault("reduce", r, attempt, record); ferr != nil {
-						return ferr
+				if mo.node != reduceNodes[r] {
+					bytes := 0
+					for _, p := range b {
+						bytes += len(p.key) + approxRowBytes(p.value)
 					}
+					job.Cost.ChargeNet(mo.node, reduceNodes[r], bytes)
+					shuffleBytes += int64(bytes)
 				}
-				j := i
-				for j < len(ps) && ps[j].key == ps[i].key {
-					j++
+				shuffled[r] = append(shuffled[r], b...)
+			}
+		}
+		stats.ShuffleBytes = shuffleBytes
+
+		// Reduce phase: sort by key, group, reduce, commit part files. Each
+		// attempt re-sorts and re-groups from the (immutable between attempts)
+		// shuffled input and accumulates into attempt-local rows, so a crashed
+		// attempt's re-execution reproduces the identical part file.
+		err = forEach(numReducers, func(r int) error {
+			return runTask(job, &taskRetries, "reduce", r, func(attempt int) error {
+				ps := shuffled[r]
+				reduceBytes := 0
+				for _, p := range ps {
+					reduceBytes += len(p.key) + approxRowBytes(p.value)
 				}
-				vals := make([]row.Row, 0, j-i)
-				for _, p := range ps[i:j] {
-					vals = append(vals, p.value)
+				// A reduce task is one processing pass over its shuffled
+				// input; failed attempts pay too.
+				job.Cost.ChargeProc(reduceNodes[r], reduceBytes)
+				sort.SliceStable(ps, func(i, j int) bool { return ps[i].key < ps[j].key })
+				var rows []row.Row
+				emit := func(out row.Row) error {
+					rows = append(rows, out)
+					return nil
 				}
-				if err := job.Reducer.Reduce(ps[i].key, vals, emit); err != nil {
+				record := 0
+				for i := 0; i < len(ps); {
+					if job.TaskFault != nil {
+						if ferr := job.TaskFault("reduce", r, attempt, record); ferr != nil {
+							return ferr
+						}
+					}
+					j := i
+					for j < len(ps) && ps[j].key == ps[i].key {
+						j++
+					}
+					vals := make([]row.Row, 0, j-i)
+					for _, p := range ps[i:j] {
+						vals = append(vals, p.value)
+					}
+					if err := job.Reducer.Reduce(ps[i].key, vals, emit); err != nil {
+						return err
+					}
+					record++
+					i = j
+				}
+				final := fmt.Sprintf("%s/part-r-%05d", job.OutputPath, r)
+				n, err := commitTextTable(job, final, r, attempt, rows, reduceNodes[r])
+				if err != nil {
 					return err
 				}
-				record++
-				i = j
-			}
-			final := fmt.Sprintf("%s/part-r-%05d", job.OutputPath, r)
-			n, err := commitTextTable(job, final, r, attempt, rows, reduceNodes[r])
-			if err != nil {
-				return err
-			}
-			outputRows.add(n)
-			return nil
+				outputRows.add(n)
+				return nil
+			})
 		})
-	})
+	}
+	if err == nil {
+		err = job.FS.WriteFile(job.OutputPath+"/_SUCCESS", nil, nodes[0])
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
 	}
@@ -429,39 +430,6 @@ type pair struct {
 	value row.Row
 }
 
-// assign places each split on the least-loaded node among its locality
-// hosts, falling back to the least-loaded node overall.
-func assign(splits []hadoopfmt.InputSplit, nodes []*cluster.Node) []*cluster.Node {
-	loads := make([]int64, len(nodes))
-	out := make([]*cluster.Node, len(splits))
-	for i, sp := range splits {
-		best := -1
-		for ni, n := range nodes {
-			local := false
-			for _, loc := range sp.Locations() {
-				if n.Addr == loc {
-					local = true
-					break
-				}
-			}
-			if local && (best < 0 || loads[ni] < loads[best]) {
-				best = ni
-			}
-		}
-		if best < 0 {
-			best = 0
-			for ni := range nodes {
-				if loads[ni] < loads[best] {
-					best = ni
-				}
-			}
-		}
-		loads[best] += sp.Length()
-		out[i] = nodes[best]
-	}
-	return out
-}
-
 func hashString(s string) uint64 {
 	// FNV-1a inline to avoid allocation.
 	var h uint64 = 14695981039346656037
@@ -522,55 +490,13 @@ func (c *atomicCounter) get() int64 {
 
 // Output returns an InputFormat reading a finished job's output directory.
 func Output(job *Job) hadoopfmt.InputFormat {
-	return &dirFormat{fs: job.FS, dir: job.OutputPath, schema: job.OutputSchema}
+	return hadoopfmt.NewTextTableFormat(job.FS, job.OutputPath, job.OutputSchema)
 }
 
 // DirFormat returns an InputFormat over every part file under a DFS
 // directory, with block-aligned splits.
 func DirFormat(fs *dfs.FileSystem, dir string, schema row.Schema) hadoopfmt.InputFormat {
-	return &dirFormat{fs: fs, dir: dir, schema: schema}
-}
-
-type dirFormat struct {
-	fs     *dfs.FileSystem
-	dir    string
-	schema row.Schema
-}
-
-func (d *dirFormat) Schema() (row.Schema, error) { return d.schema, nil }
-
-func (d *dirFormat) Splits(numSplits int) ([]hadoopfmt.InputSplit, error) {
-	files := d.fs.List(d.dir)
-	if len(files) == 0 {
-		return nil, fmt.Errorf("mapred: no part files under %q", d.dir)
-	}
-	var out []hadoopfmt.InputSplit
-	for _, f := range files {
-		// Skip in-progress and metadata files (Hadoop's "_" convention):
-		// an uncommitted attempt's scratch output is not job output.
-		if base := f[strings.LastIndexByte(f, '/')+1:]; strings.HasPrefix(base, "_") {
-			continue
-		}
-		fm := hadoopfmt.NewTextTableFormat(d.fs, f, d.schema)
-		splits, err := fm.Splits(0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, splits...)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("mapred: no committed part files under %q", d.dir)
-	}
-	return out, nil
-}
-
-func (d *dirFormat) Open(split hadoopfmt.InputSplit, node *cluster.Node) (hadoopfmt.RecordReader, error) {
-	fsplit, ok := split.(*hadoopfmt.FileSplit)
-	if !ok {
-		return nil, fmt.Errorf("mapred: dirFormat cannot open %T", split)
-	}
-	fm := hadoopfmt.NewTextTableFormat(d.fs, fsplit.Path, d.schema)
-	return fm.Open(split, node)
+	return hadoopfmt.NewTextTableFormat(fs, dir, schema)
 }
 
 // combine groups one bucket by key and runs the combiner per group,

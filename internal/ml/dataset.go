@@ -103,7 +103,10 @@ func Ingest(f hadoopfmt.InputFormat, opts IngestOptions) (*Dataset, error) {
 
 	// Best-effort locality placement, mirroring the paper's colocation of
 	// ML workers with their SQL workers.
-	nodes := placeSplits(splits, opts.Nodes)
+	nodes := make([]*cluster.Node, len(splits))
+	for i, ni := range hadoopfmt.Place(splits, opts.Nodes) {
+		nodes[i] = opts.Nodes[ni]
+	}
 
 	// maxTaskRetries bounds task re-execution on retryable split failures
 	// (the §6 restart protocol: a failed transfer re-runs the whole task).
@@ -186,39 +189,6 @@ func assemble(chunks [][]LabeledPoint) []LabeledPoint {
 	out := make([]LabeledPoint, 0, n)
 	for _, c := range chunks {
 		out = append(out, c...)
-	}
-	return out
-}
-
-// placeSplits assigns each split to the least-loaded node among its
-// locality hosts, falling back to least-loaded overall.
-func placeSplits(splits []hadoopfmt.InputSplit, nodes []*cluster.Node) []*cluster.Node {
-	loads := make([]int64, len(nodes))
-	out := make([]*cluster.Node, len(splits))
-	for i, sp := range splits {
-		best := -1
-		for ni, n := range nodes {
-			local := false
-			for _, loc := range sp.Locations() {
-				if n.Addr == loc {
-					local = true
-					break
-				}
-			}
-			if local && (best < 0 || loads[ni] < loads[best]) {
-				best = ni
-			}
-		}
-		if best < 0 {
-			best = 0
-			for ni := range nodes {
-				if loads[ni] < loads[best] {
-					best = ni
-				}
-			}
-		}
-		loads[best] += sp.Length()
-		out[i] = nodes[best]
 	}
 	return out
 }

@@ -176,12 +176,11 @@ func (e *Engine) DropTable(name string) error { return e.catalog.Drop(name) }
 type Result struct {
 	Schema row.Schema
 
-	mu       sync.Mutex
-	stream   []ColBatchSource
-	parts    [][]*row.ColBatch
-	done     bool       // parts is valid
-	consumed bool       // stream handed off or drained
-	pool     *queryPool // the query's worker pool; nil on ad-hoc results
+	mu     sync.Mutex
+	stream []ColBatchSource
+	parts  [][]*row.ColBatch
+	done   bool       // parts is valid
+	pool   *queryPool // the query's worker pool; nil on ad-hoc results
 }
 
 // NewResult wraps materialized row partitions as a result, transposing
@@ -193,7 +192,7 @@ func NewResult(schema row.Schema, parts [][]row.Row) *Result {
 // newChunkResult wraps sealed chunk partitions as a materialized result,
 // adopting them.
 func newChunkResult(schema row.Schema, parts [][]*row.ColBatch) *Result {
-	return &Result{Schema: schema, parts: parts, done: true, consumed: true}
+	return &Result{Schema: schema, parts: parts, done: true}
 }
 
 // Streaming reports whether the result still holds an unconsumed pipeline.
@@ -220,7 +219,6 @@ func (r *Result) Materialize() error {
 	}
 	s := r.stream
 	r.stream = nil
-	r.consumed = true
 	pool := r.pool
 	r.mu.Unlock()
 	if pool == nil {
@@ -268,7 +266,6 @@ func (r *Result) sources() ([]ColBatchSource, error) {
 	}
 	s := r.stream
 	r.stream = nil
-	r.consumed = true
 	return s, nil
 }
 
@@ -306,9 +303,6 @@ func (r *Result) Close() {
 	r.mu.Lock()
 	s := r.stream
 	r.stream = nil
-	if s != nil {
-		r.consumed = true
-	}
 	pool := r.pool
 	r.mu.Unlock()
 	if pool != nil {
@@ -330,9 +324,8 @@ func (r *Result) NumRows() int {
 }
 
 // Rows pivots the partitions to owning rows in worker order
-// (materializing first if needed), without charging transfer costs; use
-// Engine.Collect to model fetching results to the head node. Panics if
-// draining fails.
+// (materializing first if needed), without charging transfer costs.
+// Panics if draining fails.
 func (r *Result) Rows() []row.Row {
 	parts := r.mustChunks()
 	n := 0
@@ -354,21 +347,6 @@ func (r *Result) mustChunks() [][]*row.ColBatch {
 		panic(fmt.Sprintf("sqlengine: draining streaming result: %v", err))
 	}
 	return parts
-}
-
-// Collect gathers a result to the head node, charging network transfer for
-// remote partitions, and returns the flattened rows.
-func (e *Engine) Collect(r *Result) ([]row.Row, error) {
-	parts, err := r.chunkParts()
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range parts {
-		if i < len(e.workers) && e.workers[i] != e.head {
-			e.cost.ChargeNet(e.workers[i], e.head, chunkBytes(p))
-		}
-	}
-	return r.Rows(), nil
 }
 
 // rowBytes estimates the wire size of a row for cost charging.

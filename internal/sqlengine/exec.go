@@ -508,8 +508,9 @@ func (e *Engine) filter(iters []ColBatchSource, ex Expr, sc *scope) error {
 
 // scanTable produces per-partition batch pipelines for a table: managed
 // tables yield views of their sealed chunks; streaming tables hand over
-// their (single-use) pipelines; external tables stream their DFS splits
-// with locality-aware assignment as column batches.
+// their (single-use) pipelines; external tables (a DFS file or a
+// directory of part files) stream their splits as column batches, each
+// worker reading the splits hadoopfmt.Place assigns it.
 func (e *Engine) scanTable(t *Table) ([]ColBatchSource, error) {
 	if t.streaming {
 		iters, ok := t.takeStream()
@@ -525,61 +526,20 @@ func (e *Engine) scanTable(t *Table) ([]ColBatchSource, error) {
 		}
 		return chunkIters(parts), nil
 	}
-	fs := t.External.FS
-	paths := []string{t.External.Path}
-	if !fs.Exists(t.External.Path) {
-		paths = fs.List(t.External.Path)
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("sql: external table %q: no file or directory %q", t.Name, t.External.Path)
-		}
+	fm := hadoopfmt.NewTextTableFormat(t.External.FS, t.External.Path, t.Schema)
+	splits, err := fm.Splits(0)
+	if err != nil {
+		return nil, fmt.Errorf("sql: external table %q: %w", t.Name, err)
 	}
-	loads := make([]int64, e.NumWorkers())
-	assignments := make([][]assignedSplit, e.NumWorkers())
-	for _, p := range paths {
-		fm := hadoopfmt.NewTextTableFormat(fs, p, t.Schema)
-		splits, err := fm.Splits(0)
-		if err != nil {
-			return nil, err
-		}
-		for _, sp := range splits {
-			w := e.pickWorker(sp.Locations(), loads)
-			loads[w] += sp.Length()
-			assignments[w] = append(assignments[w], assignedSplit{fm: fm, split: sp})
-		}
+	assigned := make([][]hadoopfmt.InputSplit, e.NumWorkers())
+	for i, w := range hadoopfmt.Place(splits, e.workers) {
+		assigned[w] = append(assigned[w], splits[i])
 	}
 	iters := make([]ColBatchSource, e.NumWorkers())
 	for i := range iters {
-		iters[i] = &externalScan{assigned: assignments[i], node: e.workers[i]}
+		iters[i] = &externalScan{fm: fm, splits: assigned[i], node: e.workers[i]}
 	}
 	return iters, nil
-}
-
-// pickWorker chooses the least-loaded worker among those local to the
-// split, falling back to the least-loaded worker overall.
-func (e *Engine) pickWorker(locations []string, loads []int64) int {
-	best := -1
-	for i, w := range e.workers {
-		local := false
-		for _, loc := range locations {
-			if w.Addr == loc {
-				local = true
-				break
-			}
-		}
-		if local && (best < 0 || loads[i] < loads[best]) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	best = 0
-	for i := range e.workers {
-		if loads[i] < loads[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // execTableFunc plans TABLE(f(...)) from a FROM clause. Per-partition UDFs

@@ -770,13 +770,23 @@ func TestExportToDFSAndScanDirectory(t *testing.T) {
 	if err := e.RegisterExternalTable("back", fsys, "/out/users", res.Schema); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := e.Query("SELECT COUNT(*) FROM back")
-	if err != nil {
+	count := func(when string) {
+		t.Helper()
+		res2, err := e.Query("SELECT COUNT(*) FROM back")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res2.Rows()[0][0].AsInt() != 5 {
+			t.Errorf("directory scan count %s = %v, want 5", when, res2.Rows()[0][0])
+		}
+	}
+	count("after export")
+	// An orphaned task-attempt scratch file (a crash between write and
+	// rename) is not table data: names starting with "_" are skipped.
+	if err := fsys.WriteFile("/out/users/_attempt-00000-0", []byte("99,30\n"), topo.Node(1)); err != nil {
 		t.Fatal(err)
 	}
-	if res2.Rows()[0][0].AsInt() != 5 {
-		t.Errorf("directory scan count = %v", res2.Rows()[0][0])
-	}
+	count("with an orphaned _attempt file")
 }
 
 func TestQueryErrors(t *testing.T) {
@@ -821,31 +831,6 @@ func TestDivisionByZero(t *testing.T) {
 	}
 	if _, err := e.Query("SELECT amount / 0 FROM carts"); err == nil {
 		t.Error("float division by zero should error")
-	}
-}
-
-func TestCollectChargesNetwork(t *testing.T) {
-	topo := cluster.NewTopology(5)
-	cost := &cluster.CostModel{NetBps: 1e6}
-	e, err := New(topo, cost, Config{HeadNodeID: 0, WorkerNodeIDs: []int{1, 2, 3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadPaperTables(t, e)
-	res, err := e.Query("SELECT * FROM users")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost.ResetStats()
-	rows, err := e.Collect(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("collected %d rows", len(rows))
-	}
-	if cost.Stats().NetBytes == 0 {
-		t.Error("Collect should charge network transfer to the head node")
 	}
 }
 

@@ -144,29 +144,23 @@ func (p *udfPipe) Close() {
 	<-p.done
 }
 
-// assignedSplit is one external-table split assigned to a worker.
-type assignedSplit struct {
-	fm    *hadoopfmt.TextTableFormat
-	split hadoopfmt.InputSplit
-}
-
 // externalScan streams a worker's assigned DFS splits as column batches —
 // text bytes parsed straight into one pooled ColBatch it refills per call,
 // so an external scan never materializes its partition, or a row.
 type externalScan struct {
-	assigned []assignedSplit
-	node     *cluster.Node
-	idx      int
-	rr       hadoopfmt.RecordReader
-	buf      *row.ColBatch
+	fm     *hadoopfmt.TextTableFormat
+	splits []hadoopfmt.InputSplit
+	node   *cluster.Node
+	idx    int
+	rr     hadoopfmt.RecordReader
+	buf    *row.ColBatch
 }
 
 func (s *externalScan) NextCol() (*row.ColBatch, bool, error) {
-	for s.rr != nil || s.idx < len(s.assigned) {
+	for s.rr != nil || s.idx < len(s.splits) {
 		if s.rr == nil {
-			a := s.assigned[s.idx]
 			var err error
-			if s.rr, err = a.fm.Open(a.split, s.node); err != nil {
+			if s.rr, err = s.fm.Open(s.splits[s.idx], s.node); err != nil {
 				s.Close()
 				return nil, false, err
 			}
@@ -195,7 +189,7 @@ func (s *externalScan) NextCol() (*row.ColBatch, bool, error) {
 }
 
 func (s *externalScan) Close() {
-	s.idx = len(s.assigned)
+	s.idx = len(s.splits)
 	if s.rr != nil {
 		// ColBatchSource.Close has no error to carry it up.
 		_ = s.rr.Close()
