@@ -15,6 +15,7 @@ import (
 	"sqlml/internal/core"
 	"sqlml/internal/datagen"
 	"sqlml/internal/experiments"
+	"sqlml/internal/mapred"
 	"sqlml/internal/ml"
 	"sqlml/internal/stream"
 	"sqlml/internal/transform"
@@ -86,7 +87,7 @@ func run() error {
 	done := make(chan result, 1)
 	go func() {
 		f := &stream.InputFormat{CoordAddr: env.CoordAddr, Job: job}
-		model, err := ml.TrainNaiveBayesMR(&ml.MREnv{
+		model, err := ml.TrainNaiveBayesMR(mapred.Cluster{
 			Topo:      env.Topo,
 			FS:        env.FS,
 			Cost:      env.Cost,

@@ -1,11 +1,11 @@
 // Package retrybudget enforces the recovery discipline the chaos suite
 // relies on: every reconnect/retry loop in the transfer stack must consume
-// a named budget and back off with a cap. The engine's budgets are
-// explicit types threaded through configuration — SenderConfig's
-// ReconnectBudget, InputFormat's ReconnectBudget, mapred's
-// MaxTaskAttempts — and the chaos tests assert that an unrecoverable peer
-// surfaces the last error after the budget drains instead of spinning
-// forever. Two rules:
+// a named budget and back off with a cap. SenderConfig's ReconnectBudget
+// and InputFormat's ReconnectBudget are threaded through configuration;
+// the constant hadoopfmt.MaxTaskAttempts bounds every task re-execution,
+// all of which runs in hadoopfmt.RunTasks. The chaos tests assert that an
+// unrecoverable peer surfaces the last error after the budget drains
+// instead of spinning forever. Two rules:
 //
 //   - unbudgeted reconnect loop: a `for {}` with no condition that calls a
 //     connection primitive (Dial*/Accept*/dial/connect/redial) and retries
@@ -96,7 +96,7 @@ func checkUnbudgetedLoop(pass *framework.Pass, loop *ast.ForStmt) {
 		return true
 	})
 	if dial && retries && !budgeted {
-		pass.Reportf(loop.Pos(), "unbounded reconnect loop: a connection attempt is retried with no named budget; thread a ReconnectBudget/MaxTaskAttempts-style counter through and surface the last error when it is exhausted")
+		pass.Reportf(loop.Pos(), "unbounded reconnect loop: a connection attempt is retried with no named budget; thread a ReconnectBudget-style counter through (task re-execution goes through hadoopfmt.RunTasks and its MaxTaskAttempts) and surface the last error when it is exhausted")
 	}
 }
 

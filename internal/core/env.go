@@ -39,9 +39,6 @@ type EnvConfig struct {
 	// MRStartupDelay is the simulated per-MapReduce-job startup overhead
 	// the naive pipeline's external transformation tool pays.
 	MRStartupDelay time.Duration
-	// MaxTaskAttempts bounds per-task re-execution in the naive pipeline's
-	// MapReduce jobs (0 means the mapred default).
-	MaxTaskAttempts int
 	// TaskFault, when set, is consulted by every MapReduce task in the
 	// naive pipeline — the fault-injection seam for scripted task crashes.
 	TaskFault func(phase string, task, attempt, record int) error
@@ -63,16 +60,14 @@ type Env struct {
 	Coord     *stream.Coordinator
 	CoordAddr string
 	Cache     *cache.Store
-	// WorkerIDs are the node ids hosting SQL workers / MapReduce task slots.
+	// WorkerIDs are the node ids hosting SQL workers and MapReduce tasks.
 	WorkerIDs []int
 	// SenderConfig is the streaming sender configuration in use.
 	SenderConfig stream.SenderConfig
 	// MRStartupDelay is the simulated per-MapReduce-job startup overhead.
 	MRStartupDelay time.Duration
-	// MaxTaskAttempts / TaskFault are forwarded to the naive pipeline's
-	// MapReduce jobs.
-	MaxTaskAttempts int
-	TaskFault       func(phase string, task, attempt, record int) error
+	// TaskFault is forwarded to the naive pipeline's MapReduce jobs.
+	TaskFault func(phase string, task, attempt, record int) error
 }
 
 // NewEnv builds and starts a deployment. Call Close when done.
@@ -97,16 +92,15 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		return nil, err
 	}
 	env := &Env{
-		Topo:            topo,
-		Cost:            cfg.Cost,
-		FS:              fs,
-		Engine:          eng,
-		Cache:           cache.NewStore(),
-		WorkerIDs:       workerIDs,
-		SenderConfig:    cfg.SenderConfig,
-		MRStartupDelay:  cfg.MRStartupDelay,
-		MaxTaskAttempts: cfg.MaxTaskAttempts,
-		TaskFault:       cfg.TaskFault,
+		Topo:           topo,
+		Cost:           cfg.Cost,
+		FS:             fs,
+		Engine:         eng,
+		Cache:          cache.NewStore(),
+		WorkerIDs:      workerIDs,
+		SenderConfig:   cfg.SenderConfig,
+		MRStartupDelay: cfg.MRStartupDelay,
+		TaskFault:      cfg.TaskFault,
 	}
 	env.Coord = stream.NewCoordinator(nil)
 	addr, err := env.Coord.Start("127.0.0.1:0")

@@ -169,14 +169,13 @@ func runNaive(env *Env, cfg PipelineConfig) (*RunResult, error) {
 	prepDone := time.Now()
 	stage(cfg, "prep")
 
-	jres, err := jaql.Transform(&jaql.Env{
-		Topo:            env.Topo,
-		FS:              env.FS,
-		Cost:            env.Cost,
-		TaskNodes:       env.WorkerIDs,
-		JobStartupDelay: env.MRStartupDelay,
-		MaxTaskAttempts: env.MaxTaskAttempts,
-		TaskFault:       env.TaskFault,
+	jres, err := jaql.Transform(mapred.Cluster{
+		Topo:         env.Topo,
+		FS:           env.FS,
+		Cost:         env.Cost,
+		TaskNodes:    env.WorkerIDs,
+		StartupDelay: env.MRStartupDelay,
+		TaskFault:    env.TaskFault,
 	}, prepDir, res.Schema, cfg.Spec, outDir)
 	if err != nil {
 		return nil, err

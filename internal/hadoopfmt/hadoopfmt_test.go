@@ -1,12 +1,17 @@
 package hadoopfmt
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sqlml/internal/cluster"
 	"sqlml/internal/dfs"
@@ -415,5 +420,109 @@ func TestOpenAllocsIndependentOfBlocks(t *testing.T) {
 		if many > one+1 {
 			t.Errorf("%s: Open allocates %.0f times on 1000 blocks, %.0f on 1", at.name, many, one)
 		}
+	}
+}
+
+// TestRunTasks pins the task runner's contract: retryable failures re-run
+// with the next attempt number up to MaxTaskAttempts, other errors come
+// back unchanged after one attempt, the lowest failing task's error wins,
+// and all n tasks run at once.
+func TestRunTasks(t *testing.T) {
+	errLogic := errors.New("logic error")
+	crash := func(i, attempt int) error {
+		return &RetryableError{Err: fmt.Errorf("task %d attempt %d crashed", i, attempt)}
+	}
+	// barrier opens once every task has started; a runner that holds some
+	// tasks back until others finish times out instead of hanging.
+	const wide = 32
+	var started atomic.Int64
+	open := make(chan struct{})
+	barrier := func(i, attempt int) error {
+		if started.Add(1) == wide {
+			close(open)
+		}
+		select {
+		case <-open:
+			return nil
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("task %d: only %d of %d tasks started", i, started.Load(), wide)
+		}
+	}
+	cases := []struct {
+		name  string
+		n     int
+		task  func(i, attempt int) error
+		check func(t *testing.T, err error, attempts [][]int)
+	}{
+		{"retryable re-runs with the next attempt", 1,
+			func(i, attempt int) error {
+				if attempt < 2 {
+					return crash(i, attempt)
+				}
+				return nil
+			},
+			func(t *testing.T, err error, attempts [][]int) {
+				if err != nil || !slices.Equal(attempts[0], []int{0, 1, 2}) {
+					t.Errorf("err %v, attempts %v; want nil after attempts [0 1 2]", err, attempts[0])
+				}
+			}},
+		// The task crashes for twice the budget, so a runner that ignores
+		// the budget fails the check instead of spinning.
+		{"budget exhausted after MaxTaskAttempts", 1,
+			func(i, attempt int) error {
+				if attempt < 2*MaxTaskAttempts {
+					return crash(i, attempt)
+				}
+				return nil
+			},
+			func(t *testing.T, err error, attempts [][]int) {
+				if len(attempts[0]) != MaxTaskAttempts {
+					t.Errorf("%d attempts, want %d", len(attempts[0]), MaxTaskAttempts)
+				}
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("attempt budget (%d) exhausted", MaxTaskAttempts)) {
+					t.Errorf("error does not name the budget: %v", err)
+				}
+				if !IsRetryable(err) {
+					t.Errorf("exhausted-budget error lost its RetryableError: %v", err)
+				}
+			}},
+		{"non-retryable runs once and comes back unchanged", 1,
+			func(int, int) error { return errLogic },
+			func(t *testing.T, err error, attempts [][]int) {
+				if err != errLogic || len(attempts[0]) != 1 {
+					t.Errorf("err %v after %d attempts; want the logic error itself after 1", err, len(attempts[0]))
+				}
+			}},
+		{"lowest failing index wins", 4,
+			func(i, _ int) error {
+				if i%2 == 1 {
+					return fmt.Errorf("task %d: %w", i, errLogic)
+				}
+				return nil
+			},
+			func(t *testing.T, err error, _ [][]int) {
+				if !errors.Is(err, errLogic) || !strings.HasPrefix(err.Error(), "task 1:") {
+					t.Errorf("err %v, want task 1's error", err)
+				}
+			}},
+		{"all tasks run at once", wide, barrier,
+			func(t *testing.T, err error, _ [][]int) {
+				if err != nil {
+					t.Error(err)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			attempts := make([][]int, tc.n)
+			err := RunTasks(tc.n, func(i, attempt int) error {
+				mu.Lock()
+				attempts[i] = append(attempts[i], attempt)
+				mu.Unlock()
+				return tc.task(i, attempt)
+			})
+			tc.check(t, err, attempts)
+		})
 	}
 }

@@ -15,34 +15,12 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
-	"sqlml/internal/cluster"
-	"sqlml/internal/dfs"
 	"sqlml/internal/hadoopfmt"
 	"sqlml/internal/mapred"
 	"sqlml/internal/row"
 	"sqlml/internal/transform"
 )
-
-// Env carries the cluster resources the tool runs on.
-type Env struct {
-	Topo      *cluster.Topology
-	FS        *dfs.FileSystem
-	Cost      *cluster.CostModel
-	TaskNodes []int
-	// SlotsPerNode bounds concurrent tasks per node; the paper's testbed
-	// ran 9 mappers per server.
-	SlotsPerNode int
-	// JobStartupDelay is the fixed simulated overhead charged per MapReduce
-	// job (the naive pipeline pays it twice: recode-map job + transform job).
-	JobStartupDelay time.Duration
-	// MaxTaskAttempts and TaskFault pass through to every MapReduce job the
-	// tool runs: the per-task re-execution budget and the deterministic
-	// fault-injection seam (see mapred.Job).
-	MaxTaskAttempts int
-	TaskFault       func(phase string, task, attempt, record int) error
-}
 
 // Result reports what a Transform run produced.
 type Result struct {
@@ -59,16 +37,13 @@ type Result struct {
 
 // Transform reads the text table(s) under inputPath (a file or a directory
 // of part files), recodes and codes them per spec, and writes the result
-// under outputPath. It runs as two MapReduce jobs, exactly the middle hop
-// of the naive pipeline.
-func Transform(env *Env, inputPath string, inputSchema row.Schema, spec transform.Spec, outputPath string) (*Result, error) {
-	if env == nil || env.FS == nil || env.Topo == nil {
-		return nil, fmt.Errorf("jaql: incomplete environment")
-	}
+// under outputPath. It runs as two MapReduce jobs on mr, exactly the
+// middle hop of the naive pipeline.
+func Transform(mr mapred.Cluster, inputPath string, inputSchema row.Schema, spec transform.Spec, outputPath string) (*Result, error) {
 	if len(spec.RecodeCols) == 0 {
 		return nil, fmt.Errorf("jaql: spec lists no categorical columns")
 	}
-	input := hadoopfmt.NewTextTableFormat(env.FS, inputPath, inputSchema)
+	input := hadoopfmt.NewTextTableFormat(mr.FS, inputPath, inputSchema)
 
 	// Job 1: build the recode map. Mappers emit one record per distinct
 	// (column, value) pair seen locally; a single reducer sees the keys in
@@ -91,8 +66,9 @@ func Transform(env *Env, inputPath string, inputSchema row.Schema, spec transfor
 
 	mapJobOut := outputPath + "__recodemap"
 	mapJob := &mapred.Job{
-		Name:  "jaql-recode-map",
-		Input: input,
+		Cluster: mr,
+		Name:    "jaql-recode-map",
+		Input:   input,
 		Mapper: mapred.MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
 			for i, ci := range catIdx {
 				if r[ci].Null {
@@ -115,23 +91,15 @@ func Transform(env *Env, inputPath string, inputSchema row.Schema, spec transfor
 		}),
 		// One reducer: the ID assignment needs a global sorted view, the
 		// same reason the In-SQL path's assign_recode_ids UDF is global.
-		NumReducers:     1,
-		OutputPath:      mapJobOut,
-		OutputSchema:    transform.MapSchema(),
-		Topo:            env.Topo,
-		FS:              env.FS,
-		Cost:            env.Cost,
-		TaskNodes:       env.TaskNodes,
-		SlotsPerNode:    env.SlotsPerNode,
-		StartupDelay:    env.JobStartupDelay,
-		MaxTaskAttempts: env.MaxTaskAttempts,
-		TaskFault:       env.TaskFault,
+		NumReducers:  1,
+		OutputPath:   mapJobOut,
+		OutputSchema: transform.MapSchema(),
 	}
 	mapStats, err := mapred.Run(mapJob)
 	if err != nil {
 		return nil, fmt.Errorf("jaql: recode-map job: %w", err)
 	}
-	mapRows, err := hadoopfmt.ReadAll(mapred.Output(mapJob), env.Topo.Node(env.TaskNodes[0]))
+	mapRows, err := hadoopfmt.ReadAll(mapred.Output(mapJob), mr.Topo.Node(mr.TaskNodes[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -146,8 +114,9 @@ func Transform(env *Env, inputPath string, inputSchema row.Schema, spec transfor
 		return nil, err
 	}
 	applyJob := &mapred.Job{
-		Name:  "jaql-transform",
-		Input: input,
+		Cluster: mr,
+		Name:    "jaql-transform",
+		Input:   input,
 		Mapper: mapred.MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
 			out, ok, err := enc.Encode(r)
 			if err != nil || !ok {
@@ -155,16 +124,8 @@ func Transform(env *Env, inputPath string, inputSchema row.Schema, spec transfor
 			}
 			return emit("", out)
 		}),
-		OutputPath:      outputPath,
-		OutputSchema:    enc.Schema(),
-		Topo:            env.Topo,
-		FS:              env.FS,
-		Cost:            env.Cost,
-		TaskNodes:       env.TaskNodes,
-		SlotsPerNode:    env.SlotsPerNode,
-		StartupDelay:    env.JobStartupDelay,
-		MaxTaskAttempts: env.MaxTaskAttempts,
-		TaskFault:       env.TaskFault,
+		OutputPath:   outputPath,
+		OutputSchema: enc.Schema(),
 	}
 	applyStats, err := mapred.Run(applyJob)
 	if err != nil {
@@ -181,7 +142,7 @@ func Transform(env *Env, inputPath string, inputSchema row.Schema, spec transfor
 		// Jobs 3 and 4: numeric feature scaling, mirroring the In-SQL
 		// two-phase structure (a statistics pass, then an apply pass).
 		scaledPath := outputPath + "__scaled"
-		if err := scaleJobs(env, res.OutputPath, res.Schema, spec, scaledPath); err != nil {
+		if err := scaleJobs(mr, res.OutputPath, res.Schema, spec, scaledPath); err != nil {
 			return nil, err
 		}
 		res.OutputPath = scaledPath
@@ -214,7 +175,7 @@ func scaledSchema(in row.Schema, cols []string) (row.Schema, error) {
 
 // scaleJobs runs the statistics job (with a combiner collapsing per-task
 // partials) and the map-only apply job.
-func scaleJobs(env *Env, inputPath string, schema row.Schema, spec transform.Spec, outputPath string) error {
+func scaleJobs(mr mapred.Cluster, inputPath string, schema row.Schema, spec transform.Spec, outputPath string) error {
 	idx := make([]int, len(spec.ScaleCols))
 	names := make([]string, len(spec.ScaleCols))
 	for i, c := range spec.ScaleCols {
@@ -257,8 +218,9 @@ func scaleJobs(env *Env, inputPath string, schema row.Schema, spec transform.Spe
 		})
 	})
 	statsJob := &mapred.Job{
-		Name:  "jaql-scale-stats",
-		Input: hadoopfmt.NewTextTableFormat(env.FS, inputPath, schema),
+		Cluster: mr,
+		Name:    "jaql-scale-stats",
+		Input:   hadoopfmt.NewTextTableFormat(mr.FS, inputPath, schema),
 		Mapper: mapred.MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
 			for i, ci := range idx {
 				v := r[ci]
@@ -275,24 +237,16 @@ func scaleJobs(env *Env, inputPath string, schema row.Schema, spec transform.Spe
 			}
 			return nil
 		}),
-		Combiner:        merge,
-		Reducer:         merge,
-		NumReducers:     1,
-		OutputPath:      outputPath + "__stats",
-		OutputSchema:    partialSchema,
-		Topo:            env.Topo,
-		FS:              env.FS,
-		Cost:            env.Cost,
-		TaskNodes:       env.TaskNodes,
-		SlotsPerNode:    env.SlotsPerNode,
-		StartupDelay:    env.JobStartupDelay,
-		MaxTaskAttempts: env.MaxTaskAttempts,
-		TaskFault:       env.TaskFault,
+		Combiner:     merge,
+		Reducer:      merge,
+		NumReducers:  1,
+		OutputPath:   outputPath + "__stats",
+		OutputSchema: partialSchema,
 	}
 	if _, err := mapred.Run(statsJob); err != nil {
 		return fmt.Errorf("jaql: scale stats job: %w", err)
 	}
-	statsRows, err := hadoopfmt.ReadAll(mapred.Output(statsJob), env.Topo.Node(env.TaskNodes[0]))
+	statsRows, err := hadoopfmt.ReadAll(mapred.Output(statsJob), mr.Topo.Node(mr.TaskNodes[0]))
 	if err != nil {
 		return err
 	}
@@ -316,8 +270,9 @@ func scaleJobs(env *Env, inputPath string, schema row.Schema, spec transform.Spe
 		return err
 	}
 	applyJob := &mapred.Job{
-		Name:  "jaql-scale-apply",
-		Input: hadoopfmt.NewTextTableFormat(env.FS, inputPath, schema),
+		Cluster: mr,
+		Name:    "jaql-scale-apply",
+		Input:   hadoopfmt.NewTextTableFormat(mr.FS, inputPath, schema),
 		Mapper: mapred.MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
 			out := r.Clone()
 			for i, ci := range idx {
@@ -346,16 +301,8 @@ func scaleJobs(env *Env, inputPath string, schema row.Schema, spec transform.Spe
 			}
 			return emit("", out)
 		}),
-		OutputPath:      outputPath,
-		OutputSchema:    outSchema,
-		Topo:            env.Topo,
-		FS:              env.FS,
-		Cost:            env.Cost,
-		TaskNodes:       env.TaskNodes,
-		SlotsPerNode:    env.SlotsPerNode,
-		StartupDelay:    env.JobStartupDelay,
-		MaxTaskAttempts: env.MaxTaskAttempts,
-		TaskFault:       env.TaskFault,
+		OutputPath:   outputPath,
+		OutputSchema: outSchema,
 	}
 	if _, err := mapred.Run(applyJob); err != nil {
 		return fmt.Errorf("jaql: scale apply job: %w", err)

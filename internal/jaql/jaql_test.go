@@ -13,12 +13,12 @@ import (
 	"sqlml/internal/transform"
 )
 
-func newEnv(t testing.TB) *Env {
+func newEnv(t testing.TB) mapred.Cluster {
 	t.Helper()
 	topo := cluster.NewTopology(5)
 	cost := &cluster.CostModel{DiskReadBps: 1e9, DiskWriteBps: 1e9, NetBps: 1e9}
 	fs := dfs.New(topo, dfs.Config{BlockSize: 512, Replication: 2, Cost: cost})
-	return &Env{Topo: topo, FS: fs, Cost: cost, TaskNodes: []int{1, 2, 3, 4}}
+	return mapred.Cluster{Topo: topo, FS: fs, Cost: cost, TaskNodes: []int{1, 2, 3, 4}}
 }
 
 func prepSchema() row.Schema {
@@ -153,8 +153,8 @@ func TestTransformErrors(t *testing.T) {
 	if _, err := Transform(env, "/e/prep", prepSchema(), transform.Spec{RecodeCols: []string{"age"}}, "/e/out3"); err == nil {
 		t.Error("numeric recode column accepted")
 	}
-	if _, err := Transform(nil, "/e/prep", prepSchema(), transform.Spec{RecodeCols: []string{"gender"}}, "/e/out4"); err == nil {
-		t.Error("nil env accepted")
+	if _, err := Transform(mapred.Cluster{}, "/e/prep", prepSchema(), transform.Spec{RecodeCols: []string{"gender"}}, "/e/out4"); err == nil {
+		t.Error("empty cluster accepted")
 	}
 }
 
@@ -203,7 +203,7 @@ func TestRecodeIDsAreConsecutivePerColumn(t *testing.T) {
 
 // newSQLEngine builds an In-SQL engine on the env's topology for the
 // cross-system consistency test.
-func newSQLEngine(env *Env) (*sqlengine.Engine, error) {
+func newSQLEngine(env mapred.Cluster) (*sqlengine.Engine, error) {
 	eng, err := sqlengine.New(env.Topo, env.Cost, sqlengine.Config{HeadNodeID: 0, WorkerNodeIDs: []int{1, 2, 3, 4}})
 	if err != nil {
 		return nil, err

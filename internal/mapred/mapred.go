@@ -1,7 +1,9 @@
 // Package mapred implements a MapReduce engine over the simulated DFS:
-// locality-aware map task placement over InputSplits (hadoopfmt.Place), a
-// hash-partitioned shuffle with network cost charging, sorted reduce
-// groups, and text-table output, one part file per reduce (or map) task.
+// locality-aware map task placement over InputSplits (hadoopfmt.Place),
+// every phase's tasks run at once with bounded re-execution
+// (hadoopfmt.RunTasks), a hash-partitioned shuffle with network cost
+// charging, sorted reduce groups, and text-table output, one part file per
+// reduce (or map) task.
 //
 // It stands in for the Hadoop MapReduce deployment of the paper's testbed:
 // the naive pipeline's external transformation tool (internal/jaql) runs on
@@ -13,7 +15,7 @@ package mapred
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"sqlml/internal/cluster"
@@ -48,8 +50,33 @@ func (f ReducerFunc) Reduce(key string, values []row.Row, emit func(row.Row) err
 	return f(key, values, emit)
 }
 
-// Job describes one MapReduce job.
+// Cluster is where a job runs and what it costs there.
+type Cluster struct {
+	// Topo and TaskNodes give the nodes running tasks, FS holds the
+	// output, and Cost is charged for task processing and shuffle traffic.
+	Topo      *cluster.Topology
+	FS        *dfs.FileSystem
+	Cost      *cluster.CostModel
+	TaskNodes []int
+	// StartupDelay is the fixed per-job scheduling/startup overhead charged
+	// to the cost model (Hadoop jobs pay tens of seconds of JVM spin-up and
+	// JobTracker scheduling before any task runs).
+	StartupDelay time.Duration
+	// TaskFault, when set, is consulted before each record of every map
+	// task and each key group of every reduce task — the deterministic
+	// fault-injection seam (internal/fault.TaskFaults.Hook plugs in here).
+	// A non-nil return fails the task attempt at that record.
+	TaskFault func(phase string, task, attempt, record int) error
+}
+
+// Job describes one MapReduce job. Every task runs through
+// hadoopfmt.RunTasks: all of a phase's tasks at once, and a task failing
+// with a hadoopfmt.RetryableError re-executes from scratch — fresh reader,
+// attempt-local output, attempt-scoped part-file scratch path — up to
+// hadoopfmt.MaxTaskAttempts times before the job fails.
 type Job struct {
+	Cluster
+
 	Name   string
 	Input  hadoopfmt.InputFormat
 	Mapper Mapper
@@ -65,33 +92,6 @@ type Job struct {
 	// and an empty _SUCCESS marker once the job commits.
 	OutputPath   string
 	OutputSchema row.Schema
-
-	// Cluster resources: the nodes running task slots, the DFS for output,
-	// and the cost model charged for shuffle traffic.
-	Topo      *cluster.Topology
-	FS        *dfs.FileSystem
-	Cost      *cluster.CostModel
-	TaskNodes []int
-	// SlotsPerNode bounds concurrent tasks per node (the paper's testbed
-	// ran 9 map slots per server). Defaults to 2.
-	SlotsPerNode int
-	// StartupDelay is the fixed per-job scheduling/startup overhead charged
-	// to the cost model (Hadoop jobs pay tens of seconds of JVM spin-up and
-	// JobTracker scheduling before any task runs).
-	StartupDelay time.Duration
-
-	// MaxTaskAttempts bounds per-task execution attempts (Hadoop's
-	// mapreduce.map.maxattempts): a task failing with a
-	// hadoopfmt.RetryableError is re-executed from scratch — fresh reader,
-	// attempt-local output, attempt-scoped part-file scratch path — up to
-	// this many times before the job fails. Non-retryable errors fail the
-	// job immediately. Defaults to 4.
-	MaxTaskAttempts int
-	// TaskFault, when set, is consulted before each record of every map
-	// task and each key group of every reduce task — the deterministic
-	// fault-injection seam (internal/fault.TaskFaults.Hook plugs in here).
-	// A non-nil return fails the task attempt at that record.
-	TaskFault func(phase string, task, attempt, record int) error
 }
 
 // Stats reports job counters.
@@ -136,6 +136,21 @@ func Run(job *Job) (*Stats, error) {
 	}
 	stats.ReduceTasks = numReducers
 
+	// runPhase runs one phase's tasks through hadoopfmt.RunTasks, counting
+	// every re-execution and naming the phase and task in a failure.
+	var taskRetries atomic.Int64
+	runPhase := func(phase string, n int, body func(i, attempt int) error) error {
+		return hadoopfmt.RunTasks(n, func(i, attempt int) error {
+			if attempt > 0 {
+				taskRetries.Add(1)
+			}
+			if err := body(i, attempt); err != nil {
+				return fmt.Errorf("%s task %d: %w", phase, i, err)
+			}
+			return nil
+		})
+	}
+
 	// Map phase. Each task partitions its output by key hash across the
 	// reducers (or keeps it whole for map-only jobs).
 	type mapOutput struct {
@@ -143,103 +158,81 @@ func Run(job *Job) (*Stats, error) {
 		buckets [][]pair // len == numReducers (or 1 for map-only)
 	}
 	outputs := make([]mapOutput, len(splits))
-	slots := job.SlotsPerNode
-	if slots <= 0 {
-		slots = 2
-	}
-	sem := make(chan struct{}, slots*len(nodes))
-	var wg sync.WaitGroup
-	errs := make([]error, len(splits))
-	var inputRows, mapOutputs, taskRetries atomicCounter
-	for i := range splits {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			node := nodes[placement[i]]
-			nb := numReducers
-			if nb == 0 {
-				nb = 1
+	var inputRows, mapOutputs atomic.Int64
+	// Everything an attempt produces — buckets, counters, bytes — is
+	// attempt-local and folded in only when the attempt succeeds, so a
+	// crashed attempt leaves no partial state for its re-execution to
+	// double-count.
+	err = runPhase("map", len(splits), func(i, attempt int) error {
+		node := nodes[placement[i]]
+		buckets := make([][]pair, max(numReducers, 1))
+		var taskIn, taskOut int64
+		emit := func(key string, value row.Row) error {
+			taskOut++
+			b := 0
+			if numReducers > 0 {
+				b = int(hashString(key) % uint64(numReducers))
 			}
-			// Everything an attempt produces — buckets, counters, bytes —
-			// is attempt-local and folded in only when the attempt
-			// succeeds, so a crashed attempt leaves no partial state for
-			// its re-execution to double-count.
-			errs[i] = runTask(job, &taskRetries, "map", i, func(attempt int) error {
-				buckets := make([][]pair, nb)
-				var taskIn, taskOut int64
-				emit := func(key string, value row.Row) error {
-					taskOut++
-					b := 0
-					if numReducers > 0 {
-						b = int(hashString(key) % uint64(numReducers))
+			buckets[b] = append(buckets[b], pair{key: key, value: value})
+			return nil
+		}
+		rr, err := job.Input.Open(splits[i], node)
+		if err != nil {
+			return err
+		}
+		taskBytes := 0
+		attemptErr := func() error {
+			record := 0
+			for {
+				if job.TaskFault != nil {
+					if ferr := job.TaskFault("map", i, attempt, record); ferr != nil {
+						return ferr
 					}
-					buckets[b] = append(buckets[b], pair{key: key, value: value})
-					return nil
 				}
-				rr, err := job.Input.Open(splits[i], node)
+				r, ok, err := rr.Next()
 				if err != nil {
 					return err
 				}
-				taskBytes := 0
-				attemptErr := func() error {
-					record := 0
-					for {
-						if job.TaskFault != nil {
-							if ferr := job.TaskFault("map", i, attempt, record); ferr != nil {
-								return ferr
-							}
-						}
-						r, ok, err := rr.Next()
-						if err != nil {
-							return err
-						}
-						if !ok {
-							return nil
-						}
-						taskIn++
-						record++
-						taskBytes += approxRowBytes(r)
-						if err := job.Mapper.Map(r, emit); err != nil {
-							return err
-						}
-					}
-				}()
-				cerr := rr.Close()
-				// Every attempt pays for the bytes it read, failed ones
-				// included — re-execution cost is why attempts are bounded.
-				job.Cost.ChargeProc(node, taskBytes)
-				if attemptErr != nil {
-					return attemptErr
+				if !ok {
+					return nil
 				}
-				if cerr != nil {
-					return cerr
+				taskIn++
+				record++
+				taskBytes += approxRowBytes(r)
+				if err := job.Mapper.Map(r, emit); err != nil {
+					return err
 				}
-				if job.Combiner != nil && numReducers > 0 {
-					for b := range buckets {
-						combined, err := combine(job.Combiner, buckets[b])
-						if err != nil {
-							return err
-						}
-						buckets[b] = combined
-					}
-				}
-				outputs[i] = mapOutput{node: node, buckets: buckets}
-				inputRows.add(taskIn)
-				mapOutputs.add(taskOut)
-				return nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
+			}
+		}()
+		cerr := rr.Close()
+		// Every attempt pays for the bytes it read, failed ones
+		// included — re-execution cost is why attempts are bounded.
+		job.Cost.ChargeProc(node, taskBytes)
+		if attemptErr != nil {
+			return attemptErr
 		}
+		if cerr != nil {
+			return cerr
+		}
+		if job.Combiner != nil && numReducers > 0 {
+			for b := range buckets {
+				combined, err := combine(job.Combiner, buckets[b])
+				if err != nil {
+					return err
+				}
+				buckets[b] = combined
+			}
+		}
+		outputs[i] = mapOutput{node: node, buckets: buckets}
+		inputRows.Add(taskIn)
+		mapOutputs.Add(taskOut)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
 	}
-	stats.InputRows = inputRows.get()
-	stats.MapOutputs = mapOutputs.get()
+	stats.InputRows = inputRows.Load()
+	stats.MapOutputs = mapOutputs.Load()
 
 	// Commit. Every task writes its part file through the attempt-scoped
 	// scratch-then-rename commit; once all have, the job marks its output
@@ -247,23 +240,21 @@ func Run(job *Job) (*Stats, error) {
 	// it and an empty write charges nothing; it is what makes a job that
 	// committed no part file (map-only over no splits) an empty table
 	// rather than a missing one.
-	var outputRows atomicCounter
+	var outputRows atomic.Int64
 	if job.Reducer == nil {
 		// Map-only: one part file per map task, from its node.
-		err = forEach(len(splits), func(i int) error {
-			return runTask(job, &taskRetries, "commit", i, func(attempt int) error {
-				rows := make([]row.Row, 0, len(outputs[i].buckets[0]))
-				for _, p := range outputs[i].buckets[0] {
-					rows = append(rows, p.value)
-				}
-				final := fmt.Sprintf("%s/part-m-%05d", job.OutputPath, i)
-				n, err := commitTextTable(job, final, i, attempt, rows, outputs[i].node)
-				if err != nil {
-					return err
-				}
-				outputRows.add(n)
-				return nil
-			})
+		err = runPhase("commit", len(splits), func(i, attempt int) error {
+			rows := make([]row.Row, 0, len(outputs[i].buckets[0]))
+			for _, p := range outputs[i].buckets[0] {
+				rows = append(rows, p.value)
+			}
+			final := fmt.Sprintf("%s/part-m-%05d", job.OutputPath, i)
+			n, err := commitTextTable(job, final, i, attempt, rows, outputs[i].node)
+			if err != nil {
+				return err
+			}
+			outputRows.Add(n)
+			return nil
 		})
 	} else {
 		// Shuffle: reducer r (on nodes[r % len]) pulls bucket r of every map
@@ -297,51 +288,49 @@ func Run(job *Job) (*Stats, error) {
 		// attempt re-sorts and re-groups from the (immutable between attempts)
 		// shuffled input and accumulates into attempt-local rows, so a crashed
 		// attempt's re-execution reproduces the identical part file.
-		err = forEach(numReducers, func(r int) error {
-			return runTask(job, &taskRetries, "reduce", r, func(attempt int) error {
-				ps := shuffled[r]
-				reduceBytes := 0
-				for _, p := range ps {
-					reduceBytes += len(p.key) + approxRowBytes(p.value)
+		err = runPhase("reduce", numReducers, func(r, attempt int) error {
+			ps := shuffled[r]
+			reduceBytes := 0
+			for _, p := range ps {
+				reduceBytes += len(p.key) + approxRowBytes(p.value)
+			}
+			// A reduce task is one processing pass over its shuffled
+			// input; failed attempts pay too.
+			job.Cost.ChargeProc(reduceNodes[r], reduceBytes)
+			sort.SliceStable(ps, func(i, j int) bool { return ps[i].key < ps[j].key })
+			var rows []row.Row
+			emit := func(out row.Row) error {
+				rows = append(rows, out)
+				return nil
+			}
+			record := 0
+			for i := 0; i < len(ps); {
+				if job.TaskFault != nil {
+					if ferr := job.TaskFault("reduce", r, attempt, record); ferr != nil {
+						return ferr
+					}
 				}
-				// A reduce task is one processing pass over its shuffled
-				// input; failed attempts pay too.
-				job.Cost.ChargeProc(reduceNodes[r], reduceBytes)
-				sort.SliceStable(ps, func(i, j int) bool { return ps[i].key < ps[j].key })
-				var rows []row.Row
-				emit := func(out row.Row) error {
-					rows = append(rows, out)
-					return nil
+				j := i
+				for j < len(ps) && ps[j].key == ps[i].key {
+					j++
 				}
-				record := 0
-				for i := 0; i < len(ps); {
-					if job.TaskFault != nil {
-						if ferr := job.TaskFault("reduce", r, attempt, record); ferr != nil {
-							return ferr
-						}
-					}
-					j := i
-					for j < len(ps) && ps[j].key == ps[i].key {
-						j++
-					}
-					vals := make([]row.Row, 0, j-i)
-					for _, p := range ps[i:j] {
-						vals = append(vals, p.value)
-					}
-					if err := job.Reducer.Reduce(ps[i].key, vals, emit); err != nil {
-						return err
-					}
-					record++
-					i = j
+				vals := make([]row.Row, 0, j-i)
+				for _, p := range ps[i:j] {
+					vals = append(vals, p.value)
 				}
-				final := fmt.Sprintf("%s/part-r-%05d", job.OutputPath, r)
-				n, err := commitTextTable(job, final, r, attempt, rows, reduceNodes[r])
-				if err != nil {
+				if err := job.Reducer.Reduce(ps[i].key, vals, emit); err != nil {
 					return err
 				}
-				outputRows.add(n)
-				return nil
-			})
+				record++
+				i = j
+			}
+			final := fmt.Sprintf("%s/part-r-%05d", job.OutputPath, r)
+			n, err := commitTextTable(job, final, r, attempt, rows, reduceNodes[r])
+			if err != nil {
+				return err
+			}
+			outputRows.Add(n)
+			return nil
 		})
 	}
 	if err == nil {
@@ -350,38 +339,9 @@ func Run(job *Job) (*Stats, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
 	}
-	stats.OutputRows = outputRows.get()
-	stats.TaskRetries = taskRetries.get()
+	stats.OutputRows = outputRows.Load()
+	stats.TaskRetries = taskRetries.Load()
 	return stats, nil
-}
-
-// defaultTaskAttempts bounds per-task re-execution when the job does not
-// set its own budget (Hadoop's mapreduce.map.maxattempts default).
-const defaultTaskAttempts = 4
-
-// runTask executes one task body with bounded re-execution: an attempt
-// failing with a hadoopfmt.RetryableError is re-run from scratch (the body
-// keeps all of its state attempt-local), anything else fails the job
-// immediately. Attempts are 0-indexed so fault scripts and scratch paths
-// can name them.
-func runTask(job *Job, retries *atomicCounter, phase string, task int, body func(attempt int) error) error {
-	budget := job.MaxTaskAttempts
-	if budget <= 0 {
-		budget = defaultTaskAttempts
-	}
-	for attempt := 0; ; attempt++ {
-		err := body(attempt)
-		if err == nil {
-			return nil
-		}
-		if !hadoopfmt.IsRetryable(err) {
-			return fmt.Errorf("%s task %d: %w", phase, task, err)
-		}
-		if attempt+1 >= budget {
-			return fmt.Errorf("%s task %d: attempt budget (%d) exhausted: %w", phase, task, budget, err)
-		}
-		retries.add(1)
-	}
 }
 
 // commitTextTable writes one part file through an attempt-scoped scratch
@@ -450,42 +410,6 @@ func approxRowBytes(r row.Row) int {
 		}
 	}
 	return n
-}
-
-func forEach(n int, f func(int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type atomicCounter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (c *atomicCounter) add(d int64) {
-	c.mu.Lock()
-	c.n += d
-	c.mu.Unlock()
-}
-
-func (c *atomicCounter) get() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }
 
 // Output returns an InputFormat reading a finished job's output directory.

@@ -69,10 +69,7 @@ func TestWordCount(t *testing.T) {
 		NumReducers:  3,
 		OutputPath:   "/out/wc",
 		OutputSchema: countSchema(),
-		Topo:         c.topo,
-		FS:           c.fs,
-		Cost:         c.cost,
-		TaskNodes:    []int{1, 2, 3, 4},
+		Cluster:      Cluster{Topo: c.topo, FS: c.fs, Cost: c.cost, TaskNodes: []int{1, 2, 3, 4}},
 	}
 	stats, err := Run(job)
 	if err != nil {
@@ -117,10 +114,7 @@ func TestMapOnlyJob(t *testing.T) {
 		}),
 		OutputPath:   "/out/m",
 		OutputSchema: wordsSchema(),
-		Topo:         c.topo,
-		FS:           c.fs,
-		Cost:         c.cost,
-		TaskNodes:    []int{1, 2, 3, 4},
+		Cluster:      Cluster{Topo: c.topo, FS: c.fs, Cost: c.cost, TaskNodes: []int{1, 2, 3, 4}},
 	}
 	stats, err := Run(job)
 	if err != nil {
@@ -170,10 +164,7 @@ func TestReducerSeesSortedGroupedKeys(t *testing.T) {
 		NumReducers:  1, // single reducer sees all keys in sorted order
 		OutputPath:   "/out/g",
 		OutputSchema: countSchema(),
-		Topo:         c.topo,
-		FS:           c.fs,
-		Cost:         c.cost,
-		TaskNodes:    []int{1, 2},
+		Cluster:      Cluster{Topo: c.topo, FS: c.fs, Cost: c.cost, TaskNodes: []int{1, 2}},
 	}
 	if _, err := Run(job); err != nil {
 		t.Fatal(err)
@@ -214,10 +205,7 @@ func TestShuffleChargesNetwork(t *testing.T) {
 		NumReducers:  4,
 		OutputPath:   "/out/s",
 		OutputSchema: countSchema(),
-		Topo:         c.topo,
-		FS:           c.fs,
-		Cost:         c.cost,
-		TaskNodes:    []int{1, 2, 3, 4},
+		Cluster:      Cluster{Topo: c.topo, FS: c.fs, Cost: c.cost, TaskNodes: []int{1, 2, 3, 4}},
 	}
 	stats, err := Run(job)
 	if err != nil {
@@ -240,9 +228,7 @@ func TestJobValidation(t *testing.T) {
 			Mapper:       MapperFunc(func(r row.Row, emit func(string, row.Row) error) error { return emit("", r) }),
 			OutputPath:   "/out/v",
 			OutputSchema: row.MustSchema(row.Column{Name: "a", Type: row.TypeInt}),
-			Topo:         c.topo,
-			FS:           c.fs,
-			TaskNodes:    []int{0},
+			Cluster:      Cluster{Topo: c.topo, FS: c.fs, TaskNodes: []int{0}},
 		}
 	}
 	mutations := []func(*Job){
@@ -275,9 +261,7 @@ func TestMapErrorPropagates(t *testing.T) {
 		}),
 		OutputPath:   "/out/boom",
 		OutputSchema: row.MustSchema(row.Column{Name: "a", Type: row.TypeInt}),
-		Topo:         c.topo,
-		FS:           c.fs,
-		TaskNodes:    []int{0},
+		Cluster:      Cluster{Topo: c.topo, FS: c.fs, TaskNodes: []int{0}},
 	}
 	if _, err := Run(job); err == nil || !strings.Contains(err.Error(), "mapper exploded") {
 		t.Errorf("map error not propagated: %v", err)
@@ -302,9 +286,7 @@ func TestMapTaskRejectsMalformedSliceRows(t *testing.T) {
 			}),
 			OutputPath:   fmt.Sprintf("/out/malformed%d", i),
 			OutputSchema: countSchema(),
-			Topo:         c.topo,
-			FS:           c.fs,
-			TaskNodes:    []int{0},
+			Cluster:      Cluster{Topo: c.topo, FS: c.fs, TaskNodes: []int{0}},
 		}
 		if _, err := Run(job); err == nil || !strings.Contains(err.Error(), "row 1") {
 			t.Errorf("row %v: err = %v, want one naming row 1", bad, err)
@@ -366,10 +348,7 @@ func TestCombinerReducesShuffleWithoutChangingResults(t *testing.T) {
 			NumReducers:  2,
 			OutputPath:   out,
 			OutputSchema: countSchema(),
-			Topo:         c.topo,
-			FS:           c.fs,
-			Cost:         c.cost,
-			TaskNodes:    []int{1, 2, 3, 4},
+			Cluster:      Cluster{Topo: c.topo, FS: c.fs, Cost: c.cost, TaskNodes: []int{1, 2, 3, 4}},
 		}
 		if withCombiner {
 			j.Combiner = sumReducer

@@ -42,10 +42,7 @@ func retryJob(t *testing.T, c *testCluster, out string) *Job {
 		NumReducers:  2,
 		OutputPath:   out,
 		OutputSchema: countSchema(),
-		Topo:         c.topo,
-		FS:           c.fs,
-		Cost:         c.cost,
-		TaskNodes:    []int{1, 2, 3, 4},
+		Cluster:      Cluster{Topo: c.topo, FS: c.fs, Cost: c.cost, TaskNodes: []int{1, 2, 3, 4}},
 	}
 }
 
@@ -141,18 +138,21 @@ func TestMapOnlyCommitIsAttemptScoped(t *testing.T) {
 func TestAttemptBudgetExhausted(t *testing.T) {
 	c := newTestCluster(t)
 	job := retryJob(t, c, "/out/exhaust")
-	job.MaxTaskAttempts = 2
 	faults := fault.NewTaskFaults(fault.TaskConfig{Phase: "map", Task: 0, AtRecord: 0, Attempts: 10})
 	job.TaskFault = faults.Hook
 	_, err := Run(job)
 	if err == nil {
 		t.Fatal("job succeeded despite a task crashing past its attempt budget")
 	}
-	if !strings.Contains(err.Error(), "attempt budget (2) exhausted") {
-		t.Errorf("error does not name the exhausted budget: %v", err)
+	budget := fmt.Sprintf("attempt budget (%d) exhausted", hadoopfmt.MaxTaskAttempts)
+	if !strings.Contains(err.Error(), budget) || !strings.Contains(err.Error(), "map task 0") {
+		t.Errorf("error does not name the exhausted budget and the task: %v", err)
 	}
-	if faults.Crashes() != 2 {
-		t.Errorf("injected %d crashes, want exactly the budget (2)", faults.Crashes())
+	if !hadoopfmt.IsRetryable(err) {
+		t.Errorf("exhausted-budget error no longer unwraps to the RetryableError: %v", err)
+	}
+	if faults.Crashes() != hadoopfmt.MaxTaskAttempts {
+		t.Errorf("injected %d crashes, want exactly the budget (%d)", faults.Crashes(), hadoopfmt.MaxTaskAttempts)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"sqlml/internal/hadoopfmt"
 )
 
 // NaiveBayesModel is a multinomial naive Bayes classifier: the model family
@@ -34,7 +36,7 @@ func TrainNaiveBayes(d *Dataset, lambda float64) (*NaiveBayesModel, error) {
 		sums  []float64
 	}
 	partials := make([]map[float64]*classStats, len(d.Parts))
-	if err := forEachPart(len(d.Parts), func(i int) error {
+	if err := hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 		m := make(map[float64]*classStats)
 		for _, p := range d.Parts[i] {
 			cs := m[p.Label]

@@ -14,7 +14,6 @@ package ml
 
 import (
 	"fmt"
-	"sync"
 
 	"sqlml/internal/cluster"
 	"sqlml/internal/hadoopfmt"
@@ -108,37 +107,22 @@ func Ingest(f hadoopfmt.InputFormat, opts IngestOptions) (*Dataset, error) {
 		nodes[i] = opts.Nodes[ni]
 	}
 
-	// maxTaskRetries bounds task re-execution on retryable split failures
-	// (the §6 restart protocol: a failed transfer re-runs the whole task).
-	const maxTaskRetries = 5
+	// A retryable split failure (the §6 restart protocol: a failed
+	// transfer re-runs the whole task) re-executes the task; a failed
+	// attempt returns no points, so re-execution starts from an empty
+	// partition.
 	parts := make([][]LabeledPoint, len(splits))
-	var wg sync.WaitGroup
-	errs := make([]error, len(splits))
-	for i := range splits {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for attempt := 0; ; attempt++ {
-				// A failed attempt returns no points, so re-execution starts
-				// from an empty partition.
-				part, err := readSplit(f, splits[i], nodes[i], conv)
-				if err == nil {
-					parts[i] = part
-					opts.Cost.ChargeProc(nodes[i], 9*len(part)*(conv.numFeatures+1))
-					return
-				}
-				if !hadoopfmt.IsRetryable(err) || attempt >= maxTaskRetries {
-					errs[i] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = hadoopfmt.RunTasks(len(splits), func(i, _ int) error {
+		part, err := readSplit(f, splits[i], nodes[i], conv)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		parts[i] = part
+		opts.Cost.ChargeProc(nodes[i], 9*len(part)*(conv.numFeatures+1))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Dataset{Parts: parts, Nodes: nodes, NumFeatures: conv.numFeatures}, nil
 }
@@ -304,25 +288,4 @@ func (c *converter) convertBatch(b *row.ColBatch) ([]LabeledPoint, error) {
 		}
 	}
 	return pts, nil
-}
-
-// forEachPart runs f over partition indices in parallel, returning the
-// first error.
-func forEachPart(n int, f func(int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -27,11 +27,13 @@ type testBatch struct {
 type batchFormat struct {
 	schema row.Schema
 	splits [][]testBatch
-	// failAfter, when > 0, makes every split's first reader fail with a
-	// retryable error after serving that many batches.
-	failAfter int
-	opens     atomic.Int64
-	attempts  []atomic.Int64
+	// failAfter, when > 0, makes every split's first reader — or its first
+	// failReaders readers, when that is set — fail with a retryable error
+	// after serving that many batches.
+	failAfter   int
+	failReaders int
+	opens       atomic.Int64
+	attempts    []atomic.Int64
 }
 
 func newBatchFormat(schema row.Schema, splits [][]testBatch) *batchFormat {
@@ -58,7 +60,7 @@ func (f *batchFormat) Open(split hadoopfmt.InputSplit, _ *cluster.Node) (hadoopf
 	i := int(split.(batchSplit))
 	f.opens.Add(1)
 	r := &batchReader{types: row.SchemaTypes(f.schema), batches: f.splits[i]}
-	if f.attempts[i].Add(1) == 1 && f.failAfter > 0 {
+	if n := f.attempts[i].Add(1); f.failAfter > 0 && n <= int64(max(f.failReaders, 1)) {
 		r.failAfter = f.failAfter
 	}
 	return r, nil
@@ -335,6 +337,30 @@ func TestIngestRetryDiscardsPartialSplit(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Parts, clean.Parts) {
 		t.Error("dataset after a retried split differs from the fault-free one")
+	}
+}
+
+// TestIngestRetryBudget: a split whose readers keep failing retryably
+// fails Ingest after exactly hadoopfmt.MaxTaskAttempts opens, with the
+// budget named and the RetryableError still reachable. The readers fail
+// for twice the budget, so a runner that ignores it fails here instead of
+// spinning.
+func TestIngestRetryBudget(t *testing.T) {
+	topo := cluster.NewTopology(2)
+	f := newBatchFormat(edgeSchema(), [][]testBatch{batchesOf(manyRows(100), 10)})
+	f.failAfter, f.failReaders = 2, 2*hadoopfmt.MaxTaskAttempts
+	_, err := Ingest(f, edgeOptions(topo.Nodes()))
+	if err == nil {
+		t.Fatal("Ingest succeeded past the attempt budget")
+	}
+	if n := f.opens.Load(); n != hadoopfmt.MaxTaskAttempts {
+		t.Errorf("%d opens, want the attempt budget (%d)", n, hadoopfmt.MaxTaskAttempts)
+	}
+	if budget := fmt.Sprintf("attempt budget (%d) exhausted", hadoopfmt.MaxTaskAttempts); !strings.Contains(err.Error(), budget) {
+		t.Errorf("error does not name the exhausted budget: %v", err)
+	}
+	if !hadoopfmt.IsRetryable(err) {
+		t.Errorf("exhausted-budget error no longer unwraps to the RetryableError: %v", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"sqlml/internal/hadoopfmt"
 )
 
 // SGDConfig configures the distributed mini-batch gradient descent shared
@@ -149,7 +151,7 @@ func runSGD(d *Dataset, cfg SGDConfig, gf gradFn) (weights []float64, intercept 
 	parts := d.Parts
 	if cfg.AddIntercept {
 		parts = make([][]LabeledPoint, len(d.Parts))
-		if err := forEachPart(len(d.Parts), func(i int) error {
+		if err := hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 			out := make([]LabeledPoint, len(d.Parts[i]))
 			slab := make([]float64, len(out)*dim)
 			for j, p := range d.Parts[i] {
@@ -177,7 +179,7 @@ func runSGD(d *Dataset, cfg SGDConfig, gf gradFn) (weights []float64, intercept 
 	}
 
 	for iter := 1; iter <= cfg.Iterations; iter++ {
-		if err := forEachPart(len(parts), func(i int) error {
+		if err := hadoopfmt.RunTasks(len(parts), func(i, _ int) error {
 			g := grads[i]
 			for j := range g {
 				g[j] = 0
@@ -248,7 +250,7 @@ func checkBinaryLabels(d *Dataset) error {
 // Accuracy evaluates a classifier over a dataset in parallel.
 func Accuracy(d *Dataset, predict func([]float64) float64) float64 {
 	correct := make([]int, len(d.Parts))
-	forEachPart(len(d.Parts), func(i int) error {
+	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 		for _, p := range d.Parts[i] {
 			if predict(p.Features) == p.Label {
 				correct[i]++

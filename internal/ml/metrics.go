@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"sqlml/internal/hadoopfmt"
 )
 
 // BinaryMetrics summarises a binary classifier's quality on a dataset.
@@ -18,7 +20,7 @@ type BinaryMetrics struct {
 // dataset, in parallel across partitions.
 func EvaluateBinary(d *Dataset, predict func([]float64) float64) BinaryMetrics {
 	partial := make([]BinaryMetrics, len(d.Parts))
-	forEachPart(len(d.Parts), func(i int) error {
+	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 		m := &partial[i]
 		for _, p := range d.Parts[i] {
 			pos := predict(p.Features) >= 0.5
@@ -146,7 +148,7 @@ func TrainTestSplit(d *Dataset, testFraction float64, seed int64) (train, test *
 	}
 	train = &Dataset{Parts: make([][]LabeledPoint, len(d.Parts)), Nodes: d.Nodes, NumFeatures: d.NumFeatures}
 	test = &Dataset{Parts: make([][]LabeledPoint, len(d.Parts)), Nodes: d.Nodes, NumFeatures: d.NumFeatures}
-	forEachPart(len(d.Parts), func(i int) error {
+	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 		rng := rand.New(rand.NewSource(seed + int64(i)*104729))
 		for _, p := range d.Parts[i] {
 			if rng.Float64() < testFraction {

@@ -8,6 +8,7 @@ import (
 	"sqlml/internal/cluster"
 	"sqlml/internal/dfs"
 	"sqlml/internal/hadoopfmt"
+	"sqlml/internal/mapred"
 	"sqlml/internal/row"
 )
 
@@ -337,7 +338,7 @@ func TestIngestHonorsLocality(t *testing.T) {
 func TestTrainNaiveBayesMRMatchesInMemory(t *testing.T) {
 	topo := cluster.NewTopology(4)
 	fs := newFS(topo)
-	env := &MREnv{Topo: topo, FS: fs, TaskNodes: []int{0, 1, 2, 3}}
+	env := mapred.Cluster{Topo: topo, FS: fs, TaskNodes: []int{0, 1, 2, 3}}
 
 	// Build rows equivalent to a dummy-coded dataset.
 	schema := row.MustSchema(

@@ -6,20 +6,10 @@ import (
 	"sort"
 	"strconv"
 
-	"sqlml/internal/cluster"
-	"sqlml/internal/dfs"
 	"sqlml/internal/hadoopfmt"
 	"sqlml/internal/mapred"
 	"sqlml/internal/row"
 )
-
-// MREnv is the cluster environment a MapReduce-trained model runs on.
-type MREnv struct {
-	Topo      *cluster.Topology
-	FS        *dfs.FileSystem
-	Cost      *cluster.CostModel
-	TaskNodes []int
-}
 
 // TrainNaiveBayesMR trains multinomial naive Bayes as a MapReduce job —
 // the repository's Mahout analog. It consumes ANY InputFormat (a DFS table
@@ -27,13 +17,10 @@ type MREnv struct {
 // genericity claim: an ML system whose only coupling to the SQL side is
 // the InputFormat seam.
 //
-// The job emits one record per (class) key from each mapper with partial
-// counts and feature sums; reducers merge them; the model is assembled
-// from the job output (materialised under workPath on the DFS).
-func TrainNaiveBayesMR(env *MREnv, input hadoopfmt.InputFormat, opts IngestOptions, lambda float64, workPath string) (*NaiveBayesModel, error) {
-	if env == nil || env.FS == nil || env.Topo == nil {
-		return nil, fmt.Errorf("ml: incomplete MapReduce environment")
-	}
+// The job runs on mr and emits one record per (class) key from each mapper
+// with partial counts and feature sums; reducers merge them; the model is
+// assembled from the job output (materialised under workPath on the DFS).
+func TrainNaiveBayesMR(mr mapred.Cluster, input hadoopfmt.InputFormat, opts IngestOptions, lambda float64, workPath string) (*NaiveBayesModel, error) {
 	if lambda <= 0 {
 		return nil, fmt.Errorf("ml: smoothing lambda must be positive")
 	}
@@ -61,8 +48,9 @@ func TrainNaiveBayesMR(env *MREnv, input hadoopfmt.InputFormat, opts IngestOptio
 	}
 
 	job := &mapred.Job{
-		Name:  "naive-bayes-train",
-		Input: input,
+		Cluster: mr,
+		Name:    "naive-bayes-train",
+		Input:   input,
 		Mapper: mapred.MapperFunc(func(r row.Row, emit func(string, row.Row) error) error {
 			// Map tasks share this closure, so each row gets its own slice.
 			p, err := conv.convert(r, make([]float64, dim))
@@ -96,19 +84,15 @@ func TrainNaiveBayesMR(env *MREnv, input hadoopfmt.InputFormat, opts IngestOptio
 			}
 			return emit(out)
 		}),
-		NumReducers:  len(env.TaskNodes),
+		NumReducers:  len(mr.TaskNodes),
 		OutputPath:   workPath,
 		OutputSchema: outSchema,
-		Topo:         env.Topo,
-		FS:           env.FS,
-		Cost:         env.Cost,
-		TaskNodes:    env.TaskNodes,
 	}
 	if _, err := mapred.Run(job); err != nil {
 		return nil, err
 	}
 
-	stats, err := hadoopfmt.ReadAll(mapred.Output(job), env.Topo.Node(env.TaskNodes[0]))
+	stats, err := hadoopfmt.ReadAll(mapred.Output(job), mr.Topo.Node(mr.TaskNodes[0]))
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package ml
 import (
 	"fmt"
 	"math"
+
+	"sqlml/internal/hadoopfmt"
 )
 
 // TreeConfig configures decision-tree training.
@@ -70,7 +72,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 
 	// Class index assignment (distributed label discovery).
 	labelSets := make([]map[float64]bool, len(d.Parts))
-	forEachPart(len(d.Parts), func(i int) error {
+	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 		s := make(map[float64]bool)
 		for _, p := range d.Parts[i] {
 			s[p.Label] = true
@@ -102,7 +104,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 	}
 	partMins := make([][]float64, len(d.Parts))
 	partMaxs := make([][]float64, len(d.Parts))
-	forEachPart(len(d.Parts), func(i int) error {
+	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 		mn := make([]float64, dim)
 		mx := make([]float64, dim)
 		for j := range mn {
@@ -147,7 +149,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 	root := &TreeNode{}
 	open := []*TreeNode{root}
 	assign := make([][]*TreeNode, len(d.Parts))
-	forEachPart(len(d.Parts), func(i int) error {
+	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 		a := make([]*TreeNode, len(d.Parts[i]))
 		for k := range a {
 			a[k] = root
@@ -169,7 +171,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 			totals [][]int64
 		}
 		partStats := make([]*levelStats, len(d.Parts))
-		forEachPart(len(d.Parts), func(i int) error {
+		hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 			ls := &levelStats{
 				hist:   make([][][]int64, len(open)),
 				totals: make([][]int64, len(open)),
@@ -268,7 +270,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 		}
 
 		// Route points into the children.
-		forEachPart(len(d.Parts), func(i int) error {
+		hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
 			for k, p := range d.Parts[i] {
 				node := assign[i][k]
 				if node == nil || !split[node] {

@@ -14,14 +14,15 @@ import (
 //     0 marks a NULL key component, which never matches). Chunks are
 //     claimed from the pool, so one skewed build partition does not
 //     serialize the scan.
-//  2. Sharded insert — the key space is split by the high hash bits into
-//     power-of-two shards, one arena HashTable per shard, and each shard
-//     is built by one pool task scanning the keyed chunks in order: once
-//     to insert keys and count rows per key, once to place every row in
-//     its key's bucket of the shard's one CSR array. Rows of one key
-//     always live in one shard, so shards need no locks, and the in-order
-//     scans keep every bucket's entries in exactly the global row order a
-//     sequential build produces.
+//  2. Sharded insert — the key space is split by the high bits of the
+//     finalized hash (shardOf) into power-of-two shards, one arena
+//     HashTable per shard, and each shard is built by one pool task
+//     scanning the keyed chunks in order: once to insert keys and count
+//     rows per key, once to place every row in its key's bucket of the
+//     shard's one CSR array. Rows of one key always live in one shard,
+//     so shards need no locks, and the in-order scans keep every
+//     bucket's entries in exactly the global row order a sequential
+//     build produces.
 //
 // Both pass boundaries are deterministic functions of the input (chunk
 // grid, hash routing), never of the schedule, so the probe output is
@@ -43,12 +44,25 @@ func buildShards(workers int) (shards int, shift uint) {
 	return s, 64 - bits
 }
 
+// shardOf routes a key hash to its shard by the high bits of the hash
+// after murmur3's fmix64 finalizer. FNV-1a's own top bits mix poorly over
+// short keys (the integers 0..63 all land in one shard of two); slot
+// probing inside a shard keeps the raw hash.
+func shardOf(h uint64, shift uint) int {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int(h >> shift)
+}
+
 // buildRef addresses one build row: a chunk of the build side and a
 // position in it.
 type buildRef struct{ chunk, pos int32 }
 
 // buildTable is the probe-side view of a sharded hash-join build: key
-// lookup routes by the high hash bits to one shard's arena table, whose
+// lookup routes by shardOf to one shard's arena table, whose
 // dense index idx addresses that shard's bucket of build rows,
 // refs[s][offs[s][idx]:offs[s][idx+1]] — one array per shard (CSR), not
 // one slice per key.
@@ -65,7 +79,7 @@ type buildTable struct {
 func (bt *buildTable) bucket(key []byte, h uint64) []buildRef {
 	s := 0
 	if len(bt.shards) > 1 {
-		s = int(h >> bt.shift)
+		s = shardOf(h, bt.shift)
 	}
 	idx, ok := bt.shards[s].LookupHashed(key, h)
 	if !ok {
@@ -154,7 +168,7 @@ func buildHashTable(qp *queryPool, parts [][]*row.ColBatch, keyFns []vecFn) (*bu
 		chunks: chunks,
 	}
 	err = qp.forEach(shards, func(s, _ int) error {
-		routed := func(h uint64) bool { return h != 0 && (shards == 1 || int(h>>shift) == s) }
+		routed := func(h uint64) bool { return h != 0 && (shards == 1 || shardOf(h, shift) == s) }
 		// Insert: note each routed row's dense index, count rows per
 		// index in offs[idx+1].
 		t := NewHashTable()

@@ -445,6 +445,38 @@ func TestJoinBucketOrderAcrossShards(t *testing.T) {
 	}
 }
 
+// TestJoinShardRoutingBalanced: a short run of small integer keys spreads
+// over the join build's shards — no shard holds more than 1.5 times its
+// fair share of keys 0..63 at two or four shards — so a small build side
+// does not run on one worker.
+func TestJoinShardRoutingBalanced(t *testing.T) {
+	types := []row.Type{row.TypeInt, row.TypeFloat}
+	var rows []row.Row
+	for k := 0; k < 64; k++ {
+		rows = append(rows, row.Row{row.Int(int64(k)), row.Float(float64(k))})
+	}
+	parts := rowsToChunks(types, [][]row.Row{rows})
+	for _, par := range []int{2, 4} {
+		bt, err := buildHashTable(newQueryPool(par), parts, []vecFn{firstColKey})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bt.shards) != par {
+			t.Fatalf("pool %d: %d shards, want %d", par, len(bt.shards), par)
+		}
+		counts := make([]int, len(bt.shards))
+		for s, sh := range bt.shards {
+			counts[s] = sh.Len()
+		}
+		limit := 3 * len(rows) / (2 * len(bt.shards))
+		for s, n := range counts {
+			if n > limit {
+				t.Errorf("pool %d: shard %d holds %d of %d keys, above 1.5× its fair share (%d); counts %v", par, s, n, len(rows), limit, counts)
+			}
+		}
+	}
+}
+
 // TestJoinBuildAllocsIndependentOfKeys: the build allocates per shard, not
 // per key. Over a fixed 10 000 build rows, 10 000 distinct keys may cost
 // more than 100 only through structures that grow geometrically with the

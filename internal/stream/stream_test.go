@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"sqlml/internal/cluster"
+	"sqlml/internal/dfs"
 	"sqlml/internal/hadoopfmt"
+	"sqlml/internal/mapred"
 	"sqlml/internal/ml"
 	"sqlml/internal/row"
 	"sqlml/internal/sqlengine"
@@ -184,6 +186,64 @@ func TestTransferSplitFactorK(t *testing.T) {
 	checkExactlyOnce(t, d, 2, 99)
 	if len(d.Parts) != 6 {
 		t.Errorf("partitions = %d, want 6 (m = n*k = 2*3)", len(d.Parts))
+	}
+}
+
+// TestMapReduceOverStreamWithMoreSplitsThanSlots: a MapReduce job reading
+// the stream opens all M = N·k splits at once, however few its task nodes.
+// The coordinator matches a SQL worker only after all k of its readers
+// have registered, so a job that queued map tasks behind running ones
+// would leave its running readers waiting for a match that never comes.
+// Here 18 splits run on 4 task nodes.
+func TestMapReduceOverStreamWithMoreSplitsThanSlots(t *testing.T) {
+	env := newTransferEnv(t)
+	const n, k, rowsPerWorker = 2, 9, 200
+	fs := dfs.New(env.topo, dfs.Config{BlockSize: 4096, Replication: 2})
+	f := &InputFormat{CoordAddr: env.coordAddr, Job: "mr-wide", AcceptTimeout: 2 * time.Second}
+	type trainResult struct {
+		model *ml.NaiveBayesModel
+		err   error
+	}
+	trained := make(chan trainResult, 1)
+	go func() {
+		m, err := ml.TrainNaiveBayesMR(mapred.Cluster{Topo: env.topo, FS: fs, TaskNodes: []int{1, 2, 3, 4}},
+			f, ml.IngestOptions{LabelCol: "label"}, 1, "/models/nb")
+		trained <- trainResult{m, err}
+	}()
+
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			_, errs[w] = Send(SendRequest{
+				CoordAddr:  env.coordAddr,
+				Job:        "mr-wide",
+				Command:    "naive-bayes",
+				Worker:     w,
+				NumWorkers: n,
+				K:          k,
+				Node:       env.topo.Node(w + 1),
+				Topo:       env.topo,
+				Schema:     streamSchema(),
+				Rows:       genRows(w, rowsPerWorker),
+				Config:     DefaultSenderConfig(),
+			})
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("sender %d: %v", w, err)
+		}
+	}
+	res := <-trained
+	if res.err != nil {
+		t.Fatalf("MapReduce training: %v", res.err)
+	}
+	if len(res.model.Labels) != 2 {
+		t.Errorf("model has classes %v, want both labels 0 and 1", res.model.Labels)
 	}
 }
 
