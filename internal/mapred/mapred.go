@@ -171,7 +171,7 @@ func Run(job *Job) (*Stats, error) {
 			taskOut++
 			b := 0
 			if numReducers > 0 {
-				b = int(hashString(key) % uint64(numReducers))
+				b = reducerOf(key, numReducers)
 			}
 			buckets[b] = append(buckets[b], pair{key: key, value: value})
 			return nil
@@ -390,14 +390,10 @@ type pair struct {
 	value row.Row
 }
 
-func hashString(s string) uint64 {
-	// FNV-1a inline to avoid allocation.
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// reducerOf assigns a map output key to one of n reducers by its FNV-1a
+// hash. row.Hash64 inlines here, so the key's bytes are read in place.
+func reducerOf(key string, n int) int {
+	return int(row.Hash64([]byte(key)) % uint64(n))
 }
 
 func approxRowBytes(r row.Row) int {

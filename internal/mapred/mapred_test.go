@@ -390,3 +390,29 @@ func TestCombinerReducesShuffleWithoutChangingResults(t *testing.T) {
 		}
 	}
 }
+
+// TestReducerOfIsFNV1aWithoutAllocating: reducer assignment is FNV-1a of
+// the key modulo the reducer count — the hash part files were always cut
+// by — and hashing a map output key, however long, allocates nothing.
+func TestReducerOfIsFNV1aWithoutAllocating(t *testing.T) {
+	fnv1a := func(s string) uint64 {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+		return h
+	}
+	long := strings.Repeat("abandoned-cart-", 20)
+	for _, key := range []string{"", "a", "USA", "carts|42", long} {
+		for _, n := range []int{1, 3, 7} {
+			if got, want := reducerOf(key, n), int(fnv1a(key)%uint64(n)); got != want {
+				t.Errorf("reducerOf(%q, %d) = %d, want %d", key, n, got, want)
+			}
+		}
+	}
+	sum := 0
+	if a := testing.AllocsPerRun(100, func() { sum += reducerOf(long, 7) }); a != 0 {
+		t.Errorf("reducerOf allocates %v times per call, want 0", a)
+	}
+}

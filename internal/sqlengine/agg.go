@@ -202,6 +202,7 @@ func (a *aggState) finalize(t row.Type) row.Value {
 
 // aggSpec is one aggregate column of the output.
 type aggSpec struct {
+	call    *FuncCall // the call as written
 	kind    aggKind
 	star    bool
 	arg     vecFn // the argument's kernel; nil for COUNT(*)
@@ -221,14 +222,26 @@ func (s *aggSpec) newState() *aggState {
 type outputCol struct {
 	keyIdx int
 	aggIdx int
-	name   string
-	typ    row.Type
 }
 
-// execAggregate evaluates an aggregate query: streaming partial
-// aggregation per partition on the query pool (a pipeline breaker, but
-// one that holds O(groups) memory, never the full input), then a merge at
-// the head node. The finalised groups are written as sealed chunks at
+// group is one group's key values and accumulators.
+type group struct {
+	keys row.Row
+	aggs []*aggState
+}
+
+func newGroup(specs []*aggSpec, keys row.Row) *group {
+	g := &group{keys: keys, aggs: make([]*aggState, len(specs))}
+	for i, s := range specs {
+		g.aggs[i] = s.newState()
+	}
+	return g
+}
+
+// aggregate evaluates a planned aggregate node over iters: streaming
+// partial aggregation per partition on the query pool (a pipeline breaker,
+// but one that holds O(groups) memory, never the full input), then a merge
+// at the head node. The finalised groups are written as sealed chunks at
 // partition 0.
 //
 // Partials stay partition-scoped rather than worker- or morsel-scoped on
@@ -237,166 +250,17 @@ type outputCol struct {
 // deterministic function of the input for the output to stay
 // byte-identical at any Parallelism — and identical to the pre-pool
 // engine, whose partials were also per partition.
-func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row.Schema, [][]*row.ColBatch, error) {
-	// Group keys and aggregate arguments are kernels evaluated column-wise
-	// per batch; keys are encoded cell-by-cell with the vector key codec
-	// and inserted through the column-at-a-time InsertKeys entry point.
-	keyFns, keyTypes, err := vecExprs(sel.GroupBy, in.sc, e.registry)
-	if err != nil {
-		return row.Schema{}, nil, err
-	}
-
-	// Classify select items.
-	var cols []outputCol
-	var specs []*aggSpec
-	for _, item := range sel.Items {
-		if item.Star {
-			return row.Schema{}, nil, fmt.Errorf("sql: * not allowed with GROUP BY / aggregates")
+func (e *Engine) aggregate(qp *queryPool, n *planNode, iters []ColBatchSource) ([][]*row.ColBatch, error) {
+	partials := make([]*aggPartial, len(iters))
+	err := qp.drain(iters, func(i int) (partSink, error) {
+		partials[i] = &aggPartial{
+			n: n, ht: NewHashTable(),
+			kvecs: make([]*row.Vector, len(n.fns)), avecs: make([]*row.Vector, len(n.aggs)),
 		}
-		if fc, ok := item.Expr.(*FuncCall); ok && isAggregateName(fc.Name) {
-			kind, _ := aggKindOf(fc.Name)
-			spec := &aggSpec{kind: kind, star: fc.Star}
-			if !fc.Star {
-				if len(fc.Args) != 1 {
-					return row.Schema{}, nil, fmt.Errorf("sql: %s takes one argument", strings.ToUpper(fc.Name))
-				}
-				fn, t, err := compileVec(fc.Args[0], in.sc, e.registry)
-				if err != nil {
-					return row.Schema{}, nil, err
-				}
-				if (kind == aggSum || kind == aggAvg) && !numericType(t) {
-					return row.Schema{}, nil, fmt.Errorf("sql: %s requires a numeric argument", strings.ToUpper(fc.Name))
-				}
-				spec.arg = fn
-				spec.argType = t
-			} else if kind != aggCount {
-				return row.Schema{}, nil, fmt.Errorf("sql: only COUNT may use *")
-			}
-			switch kind {
-			case aggCount:
-				spec.outType = row.TypeInt
-			case aggAvg:
-				spec.outType = row.TypeFloat
-			default:
-				spec.outType = spec.argType
-			}
-			specs = append(specs, spec)
-			cols = append(cols, outputCol{keyIdx: -1, aggIdx: len(specs) - 1, name: outputName(item), typ: spec.outType})
-			continue
-		}
-		// A non-aggregate item must match a GROUP BY expression; it takes
-		// the key's values, so it takes the key's type too.
-		matched := -1
-		for ki, g := range sel.GroupBy {
-			if item.Expr.String() == g.String() {
-				matched = ki
-				break
-			}
-		}
-		if matched < 0 {
-			return row.Schema{}, nil, fmt.Errorf("sql: %s is neither an aggregate nor in GROUP BY", item.Expr)
-		}
-		cols = append(cols, outputCol{keyIdx: matched, aggIdx: -1, name: outputName(item), typ: keyTypes[matched]})
-	}
-
-	type group struct {
-		keys row.Row
-		aggs []*aggState
-	}
-	newGroup := func(keys row.Row) *group {
-		g := &group{keys: keys, aggs: make([]*aggState, len(specs))}
-		for i, s := range specs {
-			g.aggs[i] = s.newState()
-		}
-		return g
-	}
-
-	// Streaming partial aggregation per partition: consume the input
-	// pipeline batch-by-batch, accumulating only per-group state. The
-	// arena hash table maps each row's key bytes (packed per batch into a
-	// reused buffer) to a dense group index; the key values are
-	// materialized into a row only when a new group is created.
-	primeIters(in.iters)
-	partials := make([][]*group, len(in.iters))
-	err = qp.forEach(len(in.iters), func(i, _ int) error {
-		cit := in.iters[i]
-		defer cit.Close()
-		ht := NewHashTable()
-		var groups []*group
-		var ctx vecCtx
-		kvecs := make([]*row.Vector, len(keyFns))
-		avecs := make([]*row.Vector, len(specs))
-		var flat []byte
-		var offs []uint32
-		var idxs []uint32
-		for {
-			if qp.cancelled() {
-				return errQueryCancelled
-			}
-			b, ok, err := cit.NextCol()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			ctx.reclaim()
-			for ki, fn := range keyFns {
-				v, err := fn(&ctx, b, b.Sel())
-				if err != nil {
-					return err
-				}
-				kvecs[ki] = v
-			}
-			for ai, s := range specs {
-				if s.star {
-					continue
-				}
-				v, err := s.arg(&ctx, b, b.Sel())
-				if err != nil {
-					return err
-				}
-				avecs[ai] = v
-			}
-			k := b.Len()
-			flat = flat[:0]
-			offs = append(offs[:0], 0)
-			for si := 0; si < k; si++ {
-				p := b.SelPos(si)
-				for _, kv := range kvecs {
-					flat = row.AppendVectorKey(flat, kv, p)
-				}
-				offs = append(offs, uint32(len(flat)))
-			}
-			idxs = ht.InsertKeys(flat, offs, idxs[:0])
-			for si := 0; si < k; si++ {
-				p := b.SelPos(si)
-				var g *group
-				if int(idxs[si]) == len(groups) {
-					gk := make(row.Row, len(kvecs))
-					for ki, kv := range kvecs {
-						gk[ki] = kv.ValueAt(p)
-					}
-					g = newGroup(gk)
-					groups = append(groups, g)
-				} else {
-					g = groups[idxs[si]]
-				}
-				for ai, s := range specs {
-					var v row.Value
-					if !s.star {
-						v = avecs[ai].ValueAt(p)
-					}
-					g.aggs[ai].add(v, s.star)
-				}
-			}
-		}
-		partials[i] = groups
-		return nil
+		return partials[i], nil
 	})
 	if err != nil {
-		closeAllIters(in.iters)
-		return row.Schema{}, nil, err
+		return nil, err
 	}
 
 	// Merge at the head node (charge moving the partial states, approximated
@@ -405,15 +269,15 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 	mergedHT := NewHashTable()
 	var merged []*group
 	var keyBuf []byte
-	for i, groups := range partials {
-		if e.workers[i] != e.head && len(groups) > 0 {
+	for i, p := range partials {
+		if e.workers[i] != e.head && len(p.groups) > 0 {
 			bytes := 0
-			for _, g := range groups {
-				bytes += rowBytes(g.keys) + 24*len(specs)
+			for _, g := range p.groups {
+				bytes += rowBytes(g.keys) + 24*len(n.aggs)
 			}
 			e.cost.ChargeNet(e.workers[i], e.head, bytes)
 		}
-		for _, g := range groups {
+		for _, g := range p.groups {
 			keyBuf = row.AppendKey(keyBuf[:0], g.keys)
 			idx, added := mergedHT.Insert(keyBuf)
 			if added {
@@ -421,50 +285,110 @@ func (e *Engine) execAggregate(qp *queryPool, sel *SelectStmt, in *dataset) (row
 				continue
 			}
 			mg := merged[idx]
-			for si := range specs {
+			for si := range n.aggs {
 				mg.aggs[si].merge(g.aggs[si])
 			}
 		}
 	}
 
 	// A global aggregate (no GROUP BY) over zero rows yields one row.
-	if len(sel.GroupBy) == 0 && len(merged) == 0 {
-		merged = append(merged, newGroup(row.Row{}))
-	}
-
-	names := make([]string, len(cols))
-	types := make([]row.Type, len(cols))
-	for i, c := range cols {
-		names[i] = c.name
-		types[i] = c.typ
-	}
-	schema, err := makeOutputSchema(names, types)
-	if err != nil {
-		return row.Schema{}, nil, err
+	if len(n.exprs) == 0 && len(merged) == 0 {
+		merged = append(merged, newGroup(n.aggs, row.Row{}))
 	}
 
 	for _, g := range merged {
-		for _, c := range cols {
+		for _, c := range n.cols {
 			if c.aggIdx >= 0 {
 				if err := g.aggs[c.aggIdx].err(); err != nil {
-					return row.Schema{}, nil, err
+					return nil, err
 				}
 			}
 		}
 	}
-	w := newChunkWriter(types, len(merged))
+	w := newChunkWriter(row.SchemaTypes(n.schema), len(merged))
 	w.appendCells(len(merged), func(i, c int) row.Value {
-		g, oc := merged[i], cols[c]
+		g, oc := merged[i], n.cols[c]
 		if oc.keyIdx >= 0 {
 			return g.keys[oc.keyIdx]
 		}
-		return g.aggs[oc.aggIdx].finalize(specs[oc.aggIdx].outType)
+		return g.aggs[oc.aggIdx].finalize(n.aggs[oc.aggIdx].outType)
 	})
-	n := len(in.iters)
-	if n == 0 {
-		n = e.NumWorkers()
-	}
-	parts := make([][]*row.ColBatch, n)
+	parts := make([][]*row.ColBatch, len(iters))
 	parts[0] = w.finish()
-	return schema, parts, nil
+	return parts, nil
 }
+
+// aggPartial is one partition's partial aggregation: it consumes the
+// input batch by batch, accumulating only per-group state. Group keys and
+// aggregate arguments are kernels evaluated column-wise per batch; the
+// arena hash table maps each row's key bytes (encoded cell-by-cell with the
+// vector key codec and packed per batch into a reused buffer) to a dense
+// group index, and the key values are materialized into a row only when a
+// new group is created.
+type aggPartial struct {
+	n      *planNode
+	ht     *HashTable
+	groups []*group
+	ctx    vecCtx
+	kvecs  []*row.Vector
+	avecs  []*row.Vector
+	flat   []byte
+	offs   []uint32
+	idxs   []uint32
+}
+
+func (a *aggPartial) add(b *row.ColBatch) error {
+	a.ctx.reclaim()
+	for ki, fn := range a.n.fns {
+		v, err := fn(&a.ctx, b, b.Sel())
+		if err != nil {
+			return err
+		}
+		a.kvecs[ki] = v
+	}
+	for ai, s := range a.n.aggs {
+		if s.star {
+			continue
+		}
+		v, err := s.arg(&a.ctx, b, b.Sel())
+		if err != nil {
+			return err
+		}
+		a.avecs[ai] = v
+	}
+	k := b.Len()
+	a.flat = a.flat[:0]
+	a.offs = append(a.offs[:0], 0)
+	for si := 0; si < k; si++ {
+		p := b.SelPos(si)
+		for _, kv := range a.kvecs {
+			a.flat = row.AppendVectorKey(a.flat, kv, p)
+		}
+		a.offs = append(a.offs, uint32(len(a.flat)))
+	}
+	a.idxs = a.ht.InsertKeys(a.flat, a.offs, a.idxs[:0])
+	for si := 0; si < k; si++ {
+		p := b.SelPos(si)
+		var g *group
+		if int(a.idxs[si]) == len(a.groups) {
+			gk := make(row.Row, len(a.kvecs))
+			for ki, kv := range a.kvecs {
+				gk[ki] = kv.ValueAt(p)
+			}
+			g = newGroup(a.n.aggs, gk)
+			a.groups = append(a.groups, g)
+		} else {
+			g = a.groups[a.idxs[si]]
+		}
+		for ai, s := range a.n.aggs {
+			var v row.Value
+			if !s.star {
+				v = a.avecs[ai].ValueAt(p)
+			}
+			g.aggs[ai].add(v, s.star)
+		}
+	}
+	return nil
+}
+
+func (a *aggPartial) end(err error) error { return err }

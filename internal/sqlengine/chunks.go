@@ -100,6 +100,15 @@ func (w *chunkWriter) appendBatch(b *row.ColBatch, k int) {
 	}
 }
 
+// add copies all of b's live rows: a chunkWriter is the sink of a plain
+// drain (drainChunks).
+func (w *chunkWriter) add(b *row.ColBatch) error {
+	w.appendBatch(b, b.Len())
+	return nil
+}
+
+func (w *chunkWriter) end(err error) error { return err }
+
 // appendPositions copies b's physical rows at pos, ascending: b's selection
 // is narrowed to pos for the copy and restored after, so b reads the same
 // to its producer.

@@ -169,7 +169,7 @@ func TestColFilterProjectUnderVectorRecycling(t *testing.T) {
 }
 
 // TestColProbeIterUnderVectorRecycling drives the hash-join probe with
-// the poisoning producer, the way hashJoin wires it over its input
+// the poisoning producer, the way openJoin wires it over its input
 // pipeline, and checks the exact join output. The probe must gather
 // the probe-side cells into its own output batch before pulling the next
 // input batch.
@@ -207,7 +207,7 @@ func TestColProbeIterUnderVectorRecycling(t *testing.T) {
 
 // TestKeylessProbeUnderBatchRecycling drives the cartesian join — the
 // probe with no key kernels over a key-less build — with the poisoning
-// producer, the way hashJoin wires it, and checks the exact join output:
+// producer, the way openJoin wires it, and checks the exact join output:
 // every probe row pairs with both build rows, in build order.
 func TestKeylessProbeUnderBatchRecycling(t *testing.T) {
 	// Probe side: 2, 5, 1 in batches of 2; build side: two rows.
@@ -255,11 +255,11 @@ func TestColSortRunsUnderVectorRecycling(t *testing.T) {
 	qp := newQueryPool(2)
 	chunks := make([][]*row.ColBatch, len(parts))
 	for i, part := range parts {
-		c, err := qp.drainChunkPart(newRecyclingColBatches(types, part, 2, true), types)
+		c, err := qp.drainChunks([]ColBatchSource{newRecyclingColBatches(types, part, 2, true)}, types)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks[i] = c
+		chunks[i] = c[0]
 	}
 	sorted, err := sortParts(qp, []orderSpec{{}}, []vecFn{colKey(0)}, types, chunks)
 	if err != nil {

@@ -11,15 +11,6 @@ import "sqlml/internal/row"
 // input order, so the output is a function of the input alone,
 // byte-identical at any Parallelism.
 
-// distinct de-duplicates the rows of iters (a pipeline breaker).
-func (e *Engine) distinct(qp *queryPool, iters []ColBatchSource, types []row.Type) ([][]*row.ColBatch, error) {
-	local, err := dedupParts(qp, iters, types)
-	if err != nil {
-		return nil, err
-	}
-	return e.shuffleDedup(qp, local, types)
-}
-
 // appendRowKey appends the key encoding of physical row p of b.
 func appendRowKey(dst []byte, b *row.ColBatch, p int) []byte {
 	for c := 0; c < b.NumCols(); c++ {
@@ -44,36 +35,34 @@ func firstSeen(table *HashTable, key []byte, b *row.ColBatch, keep []int32) ([]b
 // dedupParts de-duplicates every partition independently: the first
 // instance of each row wins, and input order is kept.
 func dedupParts(qp *queryPool, iters []ColBatchSource, types []row.Type) ([][]*row.ColBatch, error) {
-	primeIters(iters)
-	out := make([][]*row.ColBatch, len(iters))
-	err := qp.forEach(len(iters), func(i, _ int) error {
-		in := iters[i]
-		defer in.Close()
-		table := NewHashTable()
-		w := newChunkWriter(types, -1)
-		var key []byte
-		var keep []int32
-		for {
-			if qp.cancelled() {
-				return errQueryCancelled
-			}
-			b, ok, err := in.NextCol()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				out[i] = w.finish()
-				return nil
-			}
-			key, keep = firstSeen(table, key, b, keep[:0])
-			w.appendPositions(b, keep)
-		}
+	sinks := make([]*dedupSink, len(iters))
+	err := qp.drain(iters, func(i int) (partSink, error) {
+		sinks[i] = &dedupSink{chunkWriter: newChunkWriter(types, -1), table: NewHashTable()}
+		return sinks[i], nil
 	})
 	if err != nil {
-		closeAllIters(iters)
 		return nil, err
 	}
+	out := make([][]*row.ColBatch, len(sinks))
+	for i, s := range sinks {
+		out[i] = s.finish()
+	}
 	return out, nil
+}
+
+// dedupSink is one partition's local de-duplication pass, copying the
+// rows its table had not seen.
+type dedupSink struct {
+	*chunkWriter
+	table *HashTable
+	key   []byte
+	keep  []int32
+}
+
+func (d *dedupSink) add(b *row.ColBatch) error {
+	d.key, d.keep = firstSeen(d.table, d.key, b, d.keep[:0])
+	d.appendPositions(b, d.keep)
+	return nil
 }
 
 // shuffleDedup moves every row to partition Hash64(key) mod n, so equal

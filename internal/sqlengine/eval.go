@@ -55,28 +55,37 @@ func (s *scope) combined() row.Schema {
 
 // resolve finds the combined-row index of a (qualified) column reference.
 func (s *scope) resolve(qualifier, name string) (int, row.Column, error) {
+	bi, ci, err := s.lookup(qualifier, name)
+	if err != nil {
+		return 0, row.Column{}, err
+	}
+	b := s.bindings[bi]
+	return b.offset + ci, b.schema.Cols[ci], nil
+}
+
+// lookup finds the binding of a (qualified) column reference and the
+// column's index within it.
+func (s *scope) lookup(qualifier, name string) (bi, ci int, err error) {
 	qualifier = strings.ToLower(qualifier)
-	found := -1
-	var col row.Column
-	for _, b := range s.bindings {
+	bi = -1
+	for i, b := range s.bindings {
 		if qualifier != "" && b.name != qualifier {
 			continue
 		}
-		if i := b.schema.ColIndex(name); i >= 0 {
-			if found >= 0 {
-				return 0, row.Column{}, fmt.Errorf("sql: ambiguous column %q", name)
+		if c := b.schema.ColIndex(name); c >= 0 {
+			if bi >= 0 {
+				return 0, 0, fmt.Errorf("sql: ambiguous column %q", name)
 			}
-			found = b.offset + i
-			col = b.schema.Cols[i]
+			bi, ci = i, c
 		}
 	}
-	if found < 0 {
+	if bi < 0 {
 		if qualifier != "" {
-			return 0, row.Column{}, fmt.Errorf("sql: unknown column %s.%s", qualifier, name)
+			return 0, 0, fmt.Errorf("sql: unknown column %s.%s", qualifier, name)
 		}
-		return 0, row.Column{}, fmt.Errorf("sql: unknown column %q", name)
+		return 0, 0, fmt.Errorf("sql: unknown column %q", name)
 	}
-	return found, col, nil
+	return bi, ci, nil
 }
 
 // Checked BIGINT arithmetic: ok is false when the exact result leaves the

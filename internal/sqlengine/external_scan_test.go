@@ -192,7 +192,7 @@ func TestPropertyExternalScanMatchesManaged(t *testing.T) {
 // text table with a VARCHAR column, large enough that the scan refills its
 // one pooled batch several times. After every NextCol the test overwrites
 // the scan's batch — what the scan's next refill would do — and then reads
-// the gathered strings. The probe is wired by hand, as hashJoin wires it
+// the gathered strings. The probe is wired by hand, as openJoin wires it
 // straight over the scan, because every plan the engine builds
 // today happens to put a copying projection downstream in the same pull —
 // which is exactly why a gather that handed out views of the slab would go

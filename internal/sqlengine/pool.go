@@ -129,45 +129,68 @@ func (p *queryPool) forEach(n int, f func(task, worker int) error) error {
 	return nil
 }
 
-// drainChunks drains every partition pipeline on the pool into sealed
-// chunks (chunks.go): for a result that is kept, a hash-join build side
-// and an ORDER BY input. Each batch's live rows are copied typed. Pipelines with lazily started
+// partSink consumes one partition for drain: add takes its batches in
+// order, and end is called once with what stopped the partition (nil at
+// its end of stream) and returns the partition's error.
+type partSink interface {
+	add(b *row.ColBatch) error
+	end(err error) error
+}
+
+// drain is the one partition drain under every pipeline breaker, result
+// materialization and export: one pool task per partition feeds each batch
+// of iters[i] to the sink open(i) returns, stops at the query's
+// cancellation, and closes the pipeline. Pipelines with lazily started
 // producer goroutines are primed first: partitions of a stream-send query
 // register with their coordinator from their own goroutines, so a pool
 // smaller than the partition count (including the Parallelism: 1 oracle)
-// cannot deadlock their barrier. On error (or cancellation) every
-// iterator is closed.
-func (p *queryPool) drainChunks(iters []ColBatchSource, types []row.Type) ([][]*row.ColBatch, error) {
+// cannot deadlock their barrier. On error or cancellation every pipeline
+// is closed, those of tasks the cancelled pool never ran included.
+func (p *queryPool) drain(iters []ColBatchSource, open func(i int) (partSink, error)) error {
 	primeIters(iters)
-	parts := make([][]*row.ColBatch, len(iters))
 	err := p.forEach(len(iters), func(i, _ int) error {
-		part, err := p.drainChunkPart(iters[i], types)
-		parts[i] = part
-		return err
+		in := iters[i]
+		defer in.Close()
+		s, err := open(i)
+		if err != nil {
+			return err
+		}
+		for {
+			if p.cancelled() {
+				return s.end(errQueryCancelled)
+			}
+			b, ok, err := in.NextCol()
+			if err != nil || !ok {
+				return s.end(err)
+			}
+			if err := s.add(b); err != nil {
+				return s.end(err)
+			}
+		}
 	})
 	if err != nil {
 		closeAllIters(iters)
-		return nil, err
 	}
-	return parts, nil
+	return err
 }
 
-func (p *queryPool) drainChunkPart(c ColBatchSource, types []row.Type) ([]*row.ColBatch, error) {
-	defer c.Close()
-	w := newChunkWriter(types, -1)
-	for {
-		if p.cancelled() {
-			return nil, errQueryCancelled
-		}
-		b, ok, err := c.NextCol()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return w.finish(), nil
-		}
-		w.appendBatch(b, b.Len())
+// drainChunks drains every partition pipeline into sealed chunks
+// (chunks.go), copying each batch's live rows typed: for a result that is
+// kept, a hash-join build side and an ORDER BY input.
+func (p *queryPool) drainChunks(iters []ColBatchSource, types []row.Type) ([][]*row.ColBatch, error) {
+	ws := make([]*chunkWriter, len(iters))
+	err := p.drain(iters, func(i int) (partSink, error) {
+		ws[i] = newChunkWriter(types, -1)
+		return ws[i], nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	parts := make([][]*row.ColBatch, len(ws))
+	for i, w := range ws {
+		parts[i] = w.finish()
+	}
+	return parts, nil
 }
 
 // primeIters eagerly starts every lazily started producer goroutine

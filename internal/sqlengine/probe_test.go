@@ -160,7 +160,7 @@ func firstColKey(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
 }
 
 // buildRows builds a hash table over rows as one build partition, the way
-// hashJoin builds over its drained chunks; no keyFns is the key-less
+// joinTable builds over its drained chunks; no keyFns is the key-less
 // (cartesian) build.
 func buildRows(t *testing.T, types []row.Type, rows []row.Row, keyFns ...vecFn) *buildTable {
 	t.Helper()

@@ -153,12 +153,10 @@ type jobState struct {
 
 	// mlRegs[split] is the latest ML registration for the split
 	// (last-writer-wins: stale listeners fail the sender's dial and
-	// trigger another restart round).
+	// trigger another restart round). Its Epoch counts the split's
+	// register_ml calls: the current value is the live epoch, older
+	// values are fenced.
 	mlRegs map[int]Target
-
-	// mlEpochs[split] counts register_ml calls for the split; the current
-	// value is the live epoch, older values are fenced.
-	mlEpochs map[int]uint32
 
 	// dispatched[w] reports whether worker w's current wait got matches.
 	dispatched map[int]bool
@@ -402,7 +400,6 @@ func (c *Coordinator) job(name string) *jobState {
 			sqlWaiters: make(map[int]*json.Encoder),
 			sqlAddrs:   make(map[int]string),
 			mlRegs:     make(map[int]Target),
-			mlEpochs:   make(map[int]uint32),
 			dispatched: make(map[int]bool),
 			sqlConns:   make(map[int]net.Conn),
 			lastBeat:   make(map[int]time.Time),
@@ -541,8 +538,7 @@ func (c *Coordinator) handleRegisterML(msg *message, enc *json.Encoder) {
 		return
 	}
 	c.mu.Lock()
-	js.mlEpochs[msg.Split]++
-	epoch := js.mlEpochs[msg.Split]
+	epoch := js.mlRegs[msg.Split].Epoch + 1
 	js.mlRegs[msg.Split] = Target{Split: msg.Split, Listen: msg.Listen, Addr: msg.Addr, Epoch: epoch}
 	k := js.spec.SplitsPer
 	worker := msg.Split / k

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,6 +332,109 @@ func TestSpilledBytesCountsEveryChannel(t *testing.T) {
 	}
 	if spilled != charged {
 		t.Errorf("SenderStats.SpilledBytes sums to %d, cost model charged %d spill bytes", spilled, charged)
+	}
+}
+
+// pacedSource serves rows as batches of per rows and pauses once, after
+// its first after batches: a producer that stops long enough for a slow
+// consumer to empty the sender's queue.
+type pacedSource struct {
+	rows       []row.Row
+	per, after int
+	pause      time.Duration
+	served     int
+	b          *row.ColBatch
+}
+
+func (p *pacedSource) NextCol() (*row.ColBatch, bool, error) {
+	if len(p.rows) == 0 {
+		return nil, false, nil
+	}
+	if p.served == p.after {
+		time.Sleep(p.pause)
+	}
+	p.served++
+	types := row.SchemaTypes(streamSchema())
+	if p.b == nil {
+		p.b = row.NewColBatch(types)
+	}
+	p.b.Reset(types)
+	k := min(p.per, len(p.rows))
+	for _, r := range p.rows[:k] {
+		p.b.AppendRow(r)
+	}
+	p.rows = p.rows[k:]
+	return p.b, true, nil
+}
+
+func (p *pacedSource) Close() { p.rows = nil }
+
+// TestSpillKeepsSpoolOrderAcrossReconnect: once a channel has spilled, its
+// later frames follow the spilled ones to the reader. The producer spills
+// behind a slow consumer, pauses until the queue has drained, then
+// produces again; a reset on the first data connection then resumes from
+// the reader's consumed-row count, which is a spool offset only if the
+// reader saw the spool in order. Every split must arrive in id order,
+// every row exactly once.
+func TestSpillKeepsSpoolOrderAcrossReconnect(t *testing.T) {
+	const rows = 3000
+	for _, at := range []int64{8000, 12000, 16000, 20000} {
+		t.Run(fmt.Sprintf("reset_at_%d", at), func(t *testing.T) {
+			t.Parallel() // each run is a paced sleep, not CPU
+			env := newTransferEnv(t)
+			job := fmt.Sprintf("jspillorder-%d", at)
+			f := &InputFormat{CoordAddr: env.coordAddr, Job: job, ConsumeDelay: 50 * time.Microsecond, AcceptTimeout: 5 * time.Second}
+			cfg := DefaultSenderConfig()
+			cfg.QueueFrames = 2
+			cfg.BlockRows = 16
+			cfg.SpillWait = 20 * time.Microsecond
+			cfg.SpillDir = t.TempDir()
+			var dials atomic.Int32
+			cfg.Dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+				c, err := net.DialTimeout(network, addr, timeout)
+				if err != nil || dials.Add(1) > 1 {
+					return c, err
+				}
+				return fault.WrapConn(c, fault.ConnFault{Op: fault.Reset, AtByte: at}), nil
+			}
+			ingested := make(chan *ml.Dataset, 1)
+			go func() {
+				<-env.launched
+				d, err := ml.Ingest(f, ml.IngestOptions{LabelCol: "label", Nodes: env.topo.Nodes()})
+				if err != nil {
+					t.Errorf("ingest: %v", err)
+				}
+				ingested <- d
+			}()
+			stats, err := Send(SendRequest{
+				CoordAddr: env.coordAddr, Job: job, Command: "svm",
+				Worker: 0, NumWorkers: 1, K: 1,
+				Node: env.topo.Node(1), Topo: env.topo, Schema: streamSchema(),
+				Input:  &pacedSource{rows: genRows(0, rows), per: 16, after: 60, pause: 300 * time.Millisecond},
+				Config: cfg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := <-ingested
+			if d == nil {
+				t.FailNow()
+			}
+			if stats.SpilledBytes == 0 {
+				t.Error("slow consumer did not trigger spilling")
+			}
+			if stats.Reconnects == 0 {
+				t.Error("injected reset never exercised the reconnect path")
+			}
+			for split, part := range d.Parts {
+				for i := 1; i < len(part); i++ {
+					if part[i].Features[0] <= part[i-1].Features[0] {
+						t.Fatalf("split %d: id %v arrived after %v", split, part[i].Features[0], part[i-1].Features[0])
+					}
+				}
+			}
+			checkExactlyOnce(t, d, 1, rows)
+		})
 	}
 }
 

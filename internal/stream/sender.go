@@ -862,38 +862,42 @@ func (tc *targetChannel) creditLoop() {
 // full it blocks up to SpillWait for the consumer to catch up, then
 // spills the whole block to disk in one write (the paper's
 // producer/consumer synchronization for slow ML workers, at block
-// granularity).
+// granularity). Once the channel has spilled, every later frame is
+// spilled too: the writer replays the spill file only after the queue, so
+// a frame queued behind a spilled one would reach the reader ahead of it,
+// and the reader's consumed-row count would no longer be a spool prefix
+// for a reconnect to resume from.
 func (tc *targetChannel) enqueue(f []byte) error {
-	select {
-	case tc.queue <- f:
-		return nil
-	default:
-	}
-	// Queue full: give the consumer SpillWait to drain before spilling.
-	if tc.spillTimer == nil {
-		tc.spillTimer = time.NewTimer(tc.cfg.SpillWait)
-	} else {
-		tc.spillTimer.Reset(tc.cfg.SpillWait)
-	}
-	select {
-	case tc.queue <- f:
-		if !tc.spillTimer.Stop() {
-			<-tc.spillTimer.C
-		}
-		return nil
-	case <-tc.spillTimer.C:
-	}
-	// Queue full: spill. The writer drains the spill file after the
-	// in-memory queue closes, preserving at-least-once delivery. The frame
-	// goes to disk byte-identical — the file is a concatenation of wire
-	// frames, replayed as raw bytes.
 	if tc.spill == nil {
+		select {
+		case tc.queue <- f:
+			return nil
+		default:
+		}
+		// Queue full: give the consumer SpillWait to drain before spilling.
+		if tc.spillTimer == nil {
+			tc.spillTimer = time.NewTimer(tc.cfg.SpillWait)
+		} else {
+			tc.spillTimer.Reset(tc.cfg.SpillWait)
+		}
+		select {
+		case tc.queue <- f:
+			if !tc.spillTimer.Stop() {
+				<-tc.spillTimer.C
+			}
+			return nil
+		case <-tc.spillTimer.C:
+		}
 		sp, err := os.CreateTemp(tc.cfg.SpillDir, "sqlml-spill-*")
 		if err != nil {
 			return fmt.Errorf("stream: create spill file: %w", err)
 		}
 		tc.spill = sp
 	}
+	// Spill. The writer drains the spill file after the in-memory queue
+	// closes, preserving at-least-once delivery. The frame goes to disk
+	// byte-identical — the file is a concatenation of wire frames,
+	// replayed as raw bytes.
 	if _, err := tc.spill.Write(f); err != nil {
 		return fmt.Errorf("stream: spill write: %w", err)
 	}
