@@ -153,13 +153,12 @@ func (e *BlockEncoder) AppendBatch(b *ColBatch) {
 	}
 	st := e.staging()
 	e.rawBytes += 4 * rows
+	pos := b.LivePos()
 	for c := 0; c < b.NumCols(); c++ {
 		src := b.Col(c)
-		dstV := st.Col(c)
-		for si := 0; si < rows; si++ {
-			p := b.SelPos(si)
-			dstV.AppendFrom(src, p)
-			e.rawBytes += vectorCellSize(src, p)
+		st.Col(c).AppendGather(src, pos)
+		for _, p := range pos {
+			e.rawBytes += vectorCellSize(src, int(p))
 		}
 	}
 	st.SetFullLen(st.FullLen() + rows)

@@ -2,6 +2,7 @@ package row
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -239,6 +240,128 @@ func (v *Vector) AppendFrom(src *Vector, p int) {
 	}
 }
 
+// AppendGather appends src's slots at pos, in order, exactly as AppendFrom
+// of each would: one type switch for the whole list, one tight loop per
+// type, and for VARCHAR one slab grow sized from src's offsets. src is a
+// vector of v's type.
+func (v *Vector) AppendGather(src *Vector, pos []int32) {
+	base := v.n
+	v.n += len(pos)
+	switch v.typ {
+	case TypeInt:
+		v.Ints = gatherInto(v.Ints, src.Ints, pos)
+	case TypeFloat:
+		v.Floats = gatherInto(v.Floats, src.Floats, pos)
+	case TypeBool:
+		v.Bools = gatherInto(v.Bools, src.Bools, pos)
+	case TypeString:
+		total := 0
+		for _, p := range pos {
+			total += int(src.offs[p+1] - src.offs[p])
+		}
+		v.bytes = slices.Grow(v.bytes, total)
+		v.offs = slices.Grow(v.offs, len(pos))
+		for i, p := range pos {
+			if src.Null(int(p)) {
+				v.SetNull(base + i)
+			} else {
+				v.bytes = append(v.bytes, src.bytes[src.offs[p]:src.offs[p+1]]...)
+			}
+			v.offs = append(v.offs, uint32(len(v.bytes)))
+		}
+		return
+	}
+	if src.hasNulls {
+		for i, p := range pos {
+			if src.Null(int(p)) {
+				v.nullSlot(base + i)
+			}
+		}
+	}
+}
+
+// gatherInto appends src[p] for every p in pos to dst, grown once.
+func gatherInto[T int64 | float64 | bool](dst, src []T, pos []int32) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(pos))[:n+len(pos)]
+	out := dst[n:]
+	for i, p := range pos {
+		out[i] = src[p]
+	}
+	return dst
+}
+
+// nullSlot makes fixed-width slot i NULL as AppendNull would have written
+// it, its value zeroed.
+func (v *Vector) nullSlot(i int) {
+	switch v.typ {
+	case TypeInt:
+		v.Ints[i] = 0
+	case TypeFloat:
+		v.Floats[i] = 0
+	case TypeBool:
+		v.Bools[i] = false
+	}
+	v.SetNull(i)
+}
+
+// ChunkRef addresses one row of a list of chunks: the chunk's index and a
+// physical position in it.
+type ChunkRef struct{ Chunk, Pos int32 }
+
+// AppendGatherRefs appends column col of the rows refs address in chunks,
+// in order — the several-chunk AppendGather, exactly as AppendFrom of each
+// would.
+func (v *Vector) AppendGatherRefs(chunks []*ColBatch, col int, refs []ChunkRef) {
+	base := v.n
+	v.n += len(refs)
+	switch v.typ {
+	case TypeInt:
+		v.Ints = slices.Grow(v.Ints, len(refs))
+		for i, r := range refs {
+			s := &chunks[r.Chunk].cols[col]
+			v.Ints = append(v.Ints, s.Ints[r.Pos])
+			if s.Null(int(r.Pos)) {
+				v.nullSlot(base + i)
+			}
+		}
+	case TypeFloat:
+		v.Floats = slices.Grow(v.Floats, len(refs))
+		for i, r := range refs {
+			s := &chunks[r.Chunk].cols[col]
+			v.Floats = append(v.Floats, s.Floats[r.Pos])
+			if s.Null(int(r.Pos)) {
+				v.nullSlot(base + i)
+			}
+		}
+	case TypeBool:
+		v.Bools = slices.Grow(v.Bools, len(refs))
+		for i, r := range refs {
+			s := &chunks[r.Chunk].cols[col]
+			v.Bools = append(v.Bools, s.Bools[r.Pos])
+			if s.Null(int(r.Pos)) {
+				v.nullSlot(base + i)
+			}
+		}
+	case TypeString:
+		total := 0
+		for _, r := range refs {
+			s := &chunks[r.Chunk].cols[col]
+			total += int(s.offs[r.Pos+1] - s.offs[r.Pos])
+		}
+		v.bytes = slices.Grow(v.bytes, total)
+		v.offs = slices.Grow(v.offs, len(refs))
+		for i, r := range refs {
+			if s := &chunks[r.Chunk].cols[col]; s.Null(int(r.Pos)) {
+				v.SetNull(base + i)
+			} else {
+				v.bytes = append(v.bytes, s.bytes[s.offs[r.Pos]:s.offs[r.Pos+1]]...)
+			}
+			v.offs = append(v.offs, uint32(len(v.bytes)))
+		}
+	}
+}
+
 // AppendValue appends one Value slot (the row→column transposition step).
 func (v *Vector) AppendValue(val Value) {
 	if val.Null {
@@ -427,6 +550,34 @@ func (b *ColBatch) SetSel(sel []int32) { b.sel = sel }
 
 // ClearSel removes the selection (all physical rows live again).
 func (b *ColBatch) ClearSel() { b.sel = nil }
+
+// identity lists 0..DefaultBatchSize-1, the positions of a batch of up to
+// DefaultBatchSize rows with no selection; it is never written.
+var identity = func() []int32 {
+	pos := make([]int32, DefaultBatchSize)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	return pos
+}()
+
+// LivePos returns the physical positions of the live rows, ascending: the
+// selection, or 0..FullLen()-1. The list aliases the batch or is shared
+// and read-only; only a batch of more than DefaultBatchSize rows with no
+// selection allocates it.
+func (b *ColBatch) LivePos() []int32 {
+	switch {
+	case b.sel != nil:
+		return b.sel
+	case b.n <= len(identity):
+		return identity[:b.n]
+	}
+	pos := make([]int32, b.n)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	return pos
+}
 
 // SelPos maps live-row ordinal si to its physical row index.
 func (b *ColBatch) SelPos(si int) int {

@@ -259,7 +259,8 @@ func (e *Engine) openJoin(qp *queryPool, n *planNode) (built, error) {
 		if i < len(e.workers) {
 			node = e.workers[i]
 		}
-		probe[i] = &colProbeIter{in: in, keyFns: n.fns, build: table, types: outTypes, cost: e.cost, node: node}
+		probe[i] = &colProbeIter{in: in, keyFns: n.fns, build: table, types: outTypes,
+			probeCols: n.probeCols, buildCols: n.buildCols, cost: e.cost, node: node}
 	}
 	return built{iters: probe}, nil
 }

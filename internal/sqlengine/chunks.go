@@ -65,13 +65,11 @@ func (w *chunkWriter) room(pending int, perRow func(c int) int) int {
 }
 
 // copyRows appends b's live rows [lo, hi) to the open chunk, which has room
-// for them, cell by typed cell.
+// for them, a column at a time.
 func (w *chunkWriter) copyRows(b *row.ColBatch, lo, hi int) {
+	pos := b.LivePos()[lo:hi]
 	for c := range w.types {
-		src, dst := b.Col(c), w.cur.Col(c)
-		for i := lo; i < hi; i++ {
-			dst.AppendFrom(src, b.SelPos(i))
-		}
+		w.cur.Col(c).AppendGather(b.Col(c), pos)
 	}
 	w.cur.SetFullLen(w.cur.FullLen() + hi - lo)
 }

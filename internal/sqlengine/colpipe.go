@@ -169,10 +169,11 @@ func vecExprs(exprs []Expr, sc *scope, reg *Registry) ([]vecFn, []row.Type, erro
 // colProbeIter is the hash-join probe: key kernels run over the whole
 // input batch at its live positions, the per-position norm keys probe the
 // sharded build table, and the matches are gathered into one pooled output
-// batch — probe-side cells copied typed from the input vectors, build-side
-// cells from the matched build chunk's. With no key kernels it is the
-// cartesian join: every key is empty, and so is every build key, so each
-// live row matches the one bucket that holds every build row. The output
+// batch — the kept probe-side columns copied typed from the input vectors,
+// the kept build-side columns from the matched build chunks'. With no key
+// kernels it is the cartesian join: every key is empty, and so is every
+// build key, so each live row matches the one bucket that holds every
+// build row. The output
 // owns every cell (string payloads included), so it outlives the input
 // batch. It holds at most DefaultBatchSize rows: a bucket that overflows
 // it resumes on the next NextCol, before the input is pulled again.
@@ -194,6 +195,10 @@ type colProbeIter struct {
 	mRefs   []buildRef // per gathered match: build row
 	out     *row.ColBatch
 	done    bool
+
+	// The input and build columns the output keeps, ascending (the join
+	// node's probeCols and buildCols).
+	probeCols, buildCols []int
 }
 
 func (p *colProbeIter) NextCol() (*row.ColBatch, bool, error) {
@@ -258,26 +263,19 @@ func (p *colProbeIter) take(pos int32, bucket []buildRef) {
 	p.rest, p.restPos = bucket[n:], pos
 }
 
-// gather writes the queued matches into the output batch, column at a time.
+// gather writes the kept columns of the queued matches into the output
+// batch, a column at a time.
 func (p *colProbeIter) gather(b *row.ColBatch) {
 	if p.out == nil {
 		p.out = row.GetColBatch(p.types)
 	} else {
 		p.out.Reset(p.types)
 	}
-	nProbe := b.NumCols()
-	for c := 0; c < nProbe; c++ {
-		src, dst := b.Col(c), p.out.Col(c)
-		for _, pos := range p.mPos {
-			dst.AppendFrom(src, int(pos))
-		}
+	for i, c := range p.probeCols {
+		p.out.Col(i).AppendGather(b.Col(c), p.mPos)
 	}
-	chunks := p.build.chunks
-	for c := nProbe; c < len(p.types); c++ {
-		dst, bc := p.out.Col(c), c-nProbe
-		for _, ref := range p.mRefs {
-			dst.AppendFrom(chunks[ref.chunk].Col(bc), int(ref.pos))
-		}
+	for i, c := range p.buildCols {
+		p.out.Col(len(p.probeCols)+i).AppendGatherRefs(p.build.chunks, c, p.mRefs)
 	}
 	p.out.SetFullLen(len(p.mPos))
 }

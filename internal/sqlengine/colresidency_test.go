@@ -188,6 +188,8 @@ func TestColProbeIterUnderVectorRecycling(t *testing.T) {
 			keyFns: []vecFn{firstColKey},
 			build:  bt,
 			types:  []row.Type{row.TypeInt, row.TypeInt, row.TypeInt},
+
+			probeCols: identityCols(1), buildCols: identityCols(2),
 		}
 		got, err := drainBatches(p)
 		if err != nil {
@@ -217,6 +219,8 @@ func TestKeylessProbeUnderBatchRecycling(t *testing.T) {
 			in:    newRecyclingColBatches([]row.Type{row.TypeInt}, intColRows(2, 5, 1), 2, junk),
 			build: bt,
 			types: []row.Type{row.TypeInt, row.TypeInt},
+
+			probeCols: identityCols(1), buildCols: identityCols(1),
 		}
 		got, err := drainBatches(p)
 		if err != nil {

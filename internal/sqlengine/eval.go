@@ -88,6 +88,25 @@ func (s *scope) lookup(qualifier, name string) (bi, ci int, err error) {
 	return bi, ci, nil
 }
 
+// columnsOf calls visit with the binding and column index of every column
+// reference in exprs, in walk order, and stops at the first that does not
+// resolve.
+func (s *scope) columnsOf(visit func(bi, ci int), exprs ...Expr) error {
+	var err error
+	find := func(sub Expr) {
+		if cr, ok := sub.(*ColRef); ok && err == nil {
+			var bi, ci int
+			if bi, ci, err = s.lookup(cr.Qualifier, cr.Name); err == nil {
+				visit(bi, ci)
+			}
+		}
+	}
+	for _, ex := range exprs {
+		walkExpr(ex, find)
+	}
+	return err
+}
+
 // Checked BIGINT arithmetic: ok is false when the exact result leaves the
 // int64 range, so the query fails instead of wrapping. Unary minus parses
 // as 0 - x, so subInt64 covers it.

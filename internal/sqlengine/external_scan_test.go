@@ -243,6 +243,8 @@ func TestExternalProbeRowsOwnTheirStrings(t *testing.T) {
 		keyFns: []vecFn{firstColKey},
 		build:  bt,
 		types:  append(fschemaTypes, row.TypeInt, row.TypeString),
+
+		probeCols: identityCols(len(fschemaTypes)), buildCols: identityCols(2),
 	}
 	defer probe.Close()
 	poison := row.Row{row.Int(-1), row.Int(-1), row.String_(strings.Repeat("#", 32))}

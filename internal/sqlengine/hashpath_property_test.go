@@ -238,7 +238,7 @@ func keyedRuns(runs ...[]int64) (func(a, b sortRef) int, [][]sortRef) {
 		v.Reset(row.TypeInt)
 		for j, k := range keys {
 			v.AppendInt(k)
-			refs[i] = append(refs[i], sortRef{int32(i), int32(j)})
+			refs[i] = append(refs[i], sortRef{Chunk: int32(i), Pos: int32(j)})
 		}
 		s.keys = append(s.keys, []*row.Vector{v})
 	}
@@ -305,7 +305,7 @@ func TestMergeRunsEdgeCases(t *testing.T) {
 			t.Fatalf("%s: got %d rows, want %d", tc.name, len(got), len(tc.want))
 		}
 		for i, r := range got {
-			if k := tc.runs[r.chunk][r.pos]; k != tc.want[i] {
+			if k := tc.runs[r.Chunk][r.Pos]; k != tc.want[i] {
 				t.Fatalf("%s: row %d = %d, want %d (%v)", tc.name, i, k, tc.want[i], got)
 			}
 		}
@@ -320,8 +320,8 @@ func TestMergeRunsStableAcrossRunIndex(t *testing.T) {
 	k := 0
 	for j := 0; j < 3; j++ {
 		for i := 0; i < 4; i++ {
-			if want := (sortRef{int32(i), int32(j)}); got[k] != want {
-				t.Fatalf("pos %d: got r%d-%d, want r%d-%d", k, got[k].chunk, got[k].pos, i, j)
+			if want := (sortRef{Chunk: int32(i), Pos: int32(j)}); got[k] != want {
+				t.Fatalf("pos %d: got r%d-%d, want r%d-%d", k, got[k].Chunk, got[k].Pos, i, j)
 			}
 			k++
 		}

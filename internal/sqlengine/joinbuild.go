@@ -59,7 +59,7 @@ func shardOf(h uint64, shift uint) int {
 
 // buildRef addresses one build row: a chunk of the build side and a
 // position in it.
-type buildRef struct{ chunk, pos int32 }
+type buildRef = row.ChunkRef
 
 // buildTable is the probe-side view of a sharded hash-join build: key
 // lookup routes by shardOf to one shard's arena table, whose
@@ -203,7 +203,7 @@ func buildHashTable(qp *queryPool, parts [][]*row.ColBatch, keyFns []vecFn) (*bu
 				}
 				idx := idxs[j]
 				j++
-				refs[offs[idx]] = buildRef{chunk: int32(c), pos: int32(i)}
+				refs[offs[idx]] = buildRef{Chunk: int32(c), Pos: int32(i)}
 				offs[idx]++
 			}
 		}

@@ -52,6 +52,10 @@ type planNode struct {
 	rightExprs []Expr
 	rightFns   []vecFn
 
+	// join: the columns of in's output and of right's that the output
+	// keeps, ascending — those some node above the join reads.
+	probeCols, buildCols []int
+
 	aggs  []*aggSpec  // aggregate: one per aggregate call
 	cols  []outputCol // aggregate: one per output column
 	specs []orderSpec // order: one per key
@@ -73,7 +77,10 @@ func outputScope(schema row.Schema) *scope {
 // left-deep in FROM order. A WHERE conjunct over one source filters that
 // source (a constant one filters source 0), an equality between the
 // sources joined so far and the next one is a key of that join, and every
-// other conjunct filters the joined rows.
+// other conjunct filters the joined rows. A join keeps only the columns
+// read above it: by the select list, the GROUP BY keys and aggregate
+// arguments, the conjuncts over the joined rows, and the keys of later
+// joins.
 func (e *Engine) plan(sel *SelectStmt) (*planNode, error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("sql: SELECT requires a FROM clause")
@@ -95,13 +102,7 @@ func (e *Engine) plan(sel *SelectStmt) (*planNode, error) {
 	// span is the range of FROM sources ex reads: lo > hi when it reads none.
 	span := func(ex Expr) (lo, hi int, err error) {
 		lo, hi = len(srcs), -1
-		walkExpr(ex, func(sub Expr) {
-			if cr, ok := sub.(*ColRef); ok && err == nil {
-				var si int
-				si, _, err = all.lookup(cr.Qualifier, cr.Name)
-				lo, hi = min(lo, si), max(hi, si)
-			}
-		})
+		err = all.columnsOf(func(si, _ int) { lo, hi = min(lo, si), max(hi, si) }, ex)
 		return lo, hi, err
 	}
 
@@ -136,11 +137,11 @@ func (e *Engine) plan(sel *SelectStmt) (*planNode, error) {
 		}
 	}
 
-	cur := srcs[0]
+	// A key of join next equates an operand over the sources joined so far
+	// with one over source next alone.
+	probeKeys := make([][]Expr, len(srcs))
+	buildKeys := make([][]Expr, len(srcs))
 	for next := 1; next < len(srcs); next++ {
-		// A key equates an operand over the sources joined so far with one
-		// over source next alone.
-		var probeKeys, buildKeys []Expr
 		for _, c := range conjs {
 			b, ok := c.ex.(*BinOp)
 			if c.used || !ok || b.Op != "=" || c.hi != next {
@@ -156,19 +157,14 @@ func (e *Engine) plan(sel *SelectStmt) (*planNode, error) {
 			}
 			switch {
 			case lh >= 0 && lh < next && rl == next:
-				probeKeys, buildKeys = append(probeKeys, b.L), append(buildKeys, b.R)
+				probeKeys[next], buildKeys[next] = append(probeKeys[next], b.L), append(buildKeys[next], b.R)
 			case rh >= 0 && rh < next && ll == next:
-				probeKeys, buildKeys = append(probeKeys, b.R), append(buildKeys, b.L)
+				probeKeys[next], buildKeys[next] = append(probeKeys[next], b.R), append(buildKeys[next], b.L)
 			default:
 				continue
 			}
 			c.used = true
 		}
-		j, err := e.planJoin(cur, srcs[next], probeKeys, buildKeys)
-		if err != nil {
-			return nil, err
-		}
-		cur = j
 	}
 
 	var residual []Expr
@@ -177,16 +173,38 @@ func (e *Engine) plan(sel *SelectStmt) (*planNode, error) {
 			residual = append(residual, c.ex)
 		}
 	}
+	hasAgg := len(sel.GroupBy) > 0 || slices.ContainsFunc(sel.Items, func(it SelectItem) bool {
+		return it.Expr != nil && exprHasAggregate(it.Expr)
+	})
+
+	cur := srcs[0]
+	if len(srcs) > 1 {
+		lastRead, err := lastReads(sel, hasAgg, all, residual, probeKeys)
+		if err != nil {
+			return nil, err
+		}
+		// cols[si] lists the columns of source si that cur's output holds,
+		// by index in the source's schema.
+		cols := perSource(all)
+		for _, c := range cols {
+			for ci := range c {
+				c[ci] = ci
+			}
+		}
+		for next := 1; next < len(srcs); next++ {
+			keep := func(si, ci int) bool { return lastRead[si][ci] > next }
+			if cur, err = e.planJoin(cur, srcs[next], probeKeys[next], buildKeys[next], cols, keep); err != nil {
+				return nil, err
+			}
+		}
+	}
+
 	var err error
 	if len(residual) > 0 {
 		if cur, err = e.planFilter(nodeFilter, cur, AndAll(residual)); err != nil {
 			return nil, err
 		}
 	}
-
-	hasAgg := len(sel.GroupBy) > 0 || slices.ContainsFunc(sel.Items, func(it SelectItem) bool {
-		return it.Expr != nil && exprHasAggregate(it.Expr)
-	})
 	if hasAgg {
 		cur, err = e.planAggregate(sel, cur)
 	} else {
@@ -222,6 +240,69 @@ func (e *Engine) plan(sel *SelectStmt) (*planNode, error) {
 		cur.limit = sel.Limit
 	}
 	return cur, nil
+}
+
+// lastReads resolves over the FROM scope all every column reference a
+// node above the joins compiles, and returns lastRead[si][ci]: the last
+// join whose probe keys read column ci of source si; len(all.bindings)
+// when a node above every join reads it — a residual conjunct, the select
+// list, a GROUP BY key or an aggregate argument; 0 when nothing above a
+// join reads it. A star reads every column of its bindings. Join j keeps
+// the columns whose lastRead exceeds j.
+func lastReads(sel *SelectStmt, hasAgg bool, all *scope, residual []Expr, probeKeys [][]Expr) ([][]int, error) {
+	lastRead := perSource(all)
+	read := func(stage int, exprs ...Expr) error {
+		if len(exprs) == 0 {
+			return nil
+		}
+		return all.columnsOf(func(si, ci int) { lastRead[si][ci] = max(lastRead[si][ci], stage) }, exprs...)
+	}
+	for j, keys := range probeKeys {
+		if err := read(j, keys...); err != nil {
+			return nil, err
+		}
+	}
+	// Above every join: the residual conjuncts and what the select list's
+	// node compiles — planAggregate compiles the GROUP BY keys and each
+	// aggregate's one argument (every other item must repeat a key).
+	top := len(all.bindings)
+	above := append(make([]Expr, 0, len(residual)+len(sel.GroupBy)+len(sel.Items)), residual...)
+	if hasAgg {
+		above = append(above, sel.GroupBy...)
+	}
+	for _, item := range sel.Items {
+		switch fc, isCall := item.Expr.(*FuncCall); {
+		case item.Star:
+			q := strings.ToLower(item.StarQualifier)
+			for si, bd := range all.bindings {
+				if q == "" || bd.name == q {
+					for ci := range lastRead[si] {
+						lastRead[si][ci] = top
+					}
+				}
+			}
+		case !hasAgg:
+			above = append(above, item.Expr)
+		case isCall && isAggregateName(fc.Name) && len(fc.Args) == 1:
+			above = append(above, fc.Args[0])
+		}
+	}
+	if err := read(top, above...); err != nil {
+		return nil, err
+	}
+	return lastRead, nil
+}
+
+// perSource returns one zeroed list per binding of all, an entry per
+// column, over one backing array.
+func perSource(all *scope) [][]int {
+	flat := make([]int, all.width())
+	lists := make([][]int, len(all.bindings))
+	for si, bd := range all.bindings {
+		n := bd.schema.Len()
+		lists[si], flat = flat[:n:n], flat[n:]
+	}
+	return lists
 }
 
 // planSource resolves one FROM item, a catalog table or a table function
@@ -283,10 +364,14 @@ func (e *Engine) planFilter(kind nodeKind, in *planNode, ex Expr) (*planNode, er
 	return n, nil
 }
 
-// planJoin joins right, one FROM source, onto left: the build keys compile
-// over right, the probe keys over left, and the output binds left's
-// sources then right's, in FROM order.
-func (e *Engine) planJoin(left, right *planNode, probeKeys, buildKeys []Expr) (*planNode, error) {
+// planJoin joins right, the next FROM source, onto left, the sources
+// joined so far: the build keys compile over right, the probe keys over
+// left, and the output binds left's sources then right's, in FROM order,
+// each narrowed to the columns keep(source, column) accepts. cols[s] lists
+// by index in source s's schema the columns of s that left holds (that
+// right holds, for right's source); planJoin narrows it to those the
+// output holds.
+func (e *Engine) planJoin(left, right *planNode, probeKeys, buildKeys []Expr, cols [][]int, keep func(si, ci int) bool) (*planNode, error) {
 	rightFns, _, err := vecExprs(buildKeys, right.sc, e.registry)
 	if err != nil {
 		return nil, err
@@ -295,13 +380,39 @@ func (e *Engine) planJoin(left, right *planNode, probeKeys, buildKeys []Expr) (*
 	if err != nil {
 		return nil, err
 	}
-	rb := right.sc.bindings[0]
-	rb.offset = left.sc.width()
-	sc := &scope{bindings: append(slices.Clip(left.sc.bindings), rb)}
-	return &planNode{
-		kind: nodeJoin, in: left, right: right, schema: sc.combined(), sc: sc,
+	last := len(left.sc.bindings)
+	n := &planNode{
+		kind: nodeJoin, in: left, right: right, sc: &scope{bindings: make([]binding, last+1)},
 		exprs: probeKeys, fns: fns, rightExprs: buildKeys, rightFns: rightFns,
-	}, nil
+		probeCols: make([]int, 0, left.sc.width()), buildCols: make([]int, 0, right.sc.width()),
+	}
+	width := 0
+	for si := range n.sc.bindings {
+		bd := right.sc.bindings[0]
+		if si < last {
+			bd = left.sc.bindings[si]
+		}
+		nb := &n.sc.bindings[si]
+		nb.name, nb.offset = bd.name, width
+		nb.schema.Cols = make([]row.Column, 0, len(cols[si]))
+		kept := cols[si][:0] // narrowed in place: the write never passes k
+		for k, ci := range cols[si] {
+			if !keep(si, ci) {
+				continue
+			}
+			nb.schema.Cols = append(nb.schema.Cols, bd.schema.Cols[k])
+			kept = append(kept, ci)
+			if si < last {
+				n.probeCols = append(n.probeCols, bd.offset+k)
+			} else {
+				n.buildCols = append(n.buildCols, k)
+			}
+		}
+		cols[si] = kept
+		width += len(kept)
+	}
+	n.schema = n.sc.combined()
+	return n, nil
 }
 
 // planProject compiles the select list over in into one kernel per output

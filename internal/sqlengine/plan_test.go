@@ -49,14 +49,14 @@ func nodeLine(n *planNode) string {
 	case nodeHaving:
 		return "having " + list(n.exprs)
 	case nodeJoin:
-		if len(n.exprs) == 0 {
-			return "join cartesian"
+		keys := []string{"cartesian"}
+		if len(n.exprs) > 0 {
+			keys = make([]string, len(n.exprs))
+			for i := range n.exprs {
+				keys[i] = n.exprs[i].String() + " = " + n.rightExprs[i].String()
+			}
 		}
-		keys := make([]string, len(n.exprs))
-		for i := range n.exprs {
-			keys[i] = n.exprs[i].String() + " = " + n.rightExprs[i].String()
-		}
-		return "join " + strings.Join(keys, ", ")
+		return "join " + strings.Join(keys, ", ") + " keep " + keptColumns(n)
 	case nodeProject:
 		return "project " + list(n.exprs)
 	case nodeAggregate:
@@ -89,11 +89,45 @@ func nodeLine(n *planNode) string {
 	return fmt.Sprintf("kind %d", n.kind)
 }
 
+// keptColumns lists the columns a join keeps, by binding: the probe
+// side's, then "|", then the build side's; "-" stands for none.
+func keptColumns(n *planNode) string {
+	var kept [2][]string
+	last := len(n.sc.bindings) - 1
+	for bi, bd := range n.sc.bindings {
+		side := 0
+		if bi == last {
+			side = 1
+		}
+		for _, col := range bd.schema.Cols {
+			kept[side] = append(kept[side], bd.name+"."+col.Name)
+		}
+	}
+	for side := range kept {
+		if len(kept[side]) == 0 {
+			kept[side] = []string{"-"}
+		}
+	}
+	return strings.Join(kept[0], ", ") + " | " + strings.Join(kept[1], ", ")
+}
+
 // TestPlanGolden pins the plan of every oracle corpus query: where each
 // WHERE conjunct lands (on its source, as a join key, or above the
 // joins), what each node computes, and the node order.
 func TestPlanGolden(t *testing.T) {
 	e := nullableTablesCfg(t, rand.New(rand.NewSource(1)), 2, 0, 0, Config{})
+	// The paper pipeline's tables: its two sources, the preparation
+	// query's output and the recode map.
+	for name, cols := range map[string][]row.Column{
+		"users":     {{Name: "userid", Type: row.TypeInt}, {Name: "age", Type: row.TypeInt}, {Name: "gender", Type: row.TypeString}, {Name: "country", Type: row.TypeString}},
+		"carts":     {{Name: "cartid", Type: row.TypeInt}, {Name: "userid", Type: row.TypeInt}, {Name: "amount", Type: row.TypeFloat}, {Name: "nitems", Type: row.TypeInt}, {Name: "year", Type: row.TypeInt}, {Name: "abandoned", Type: row.TypeString}},
+		"prep":      {{Name: "age", Type: row.TypeInt}, {Name: "gender", Type: row.TypeString}, {Name: "amount", Type: row.TypeFloat}, {Name: "abandoned", Type: row.TypeString}},
+		"recodemap": {{Name: "colname", Type: row.TypeString}, {Name: "colval", Type: row.TypeString}, {Name: "recodeval", Type: row.TypeInt}},
+	} {
+		if err := e.CreateTable(name, row.MustSchema(cols...)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	pinned := make(map[string]bool)
 	for _, g := range planGolden {
 		pinned[g.sql] = true
@@ -205,7 +239,9 @@ func TestExportErrorTearsDown(t *testing.T) {
 // that reach the placement rules the corpus does not: a key written
 // build-side first, a constant conjunct, a key-less join, a residual
 // conjunct over both sides, and a third source keyed on an expression
-// over the first two.
+// over the first two; then the paper pipeline's preparation query and
+// the recode SELECT transform.RecodeJoinSQL writes for it. Every join
+// lists the columns it keeps, probe side | build side.
 var planGolden = []struct{ sql, plan string }{
 	{"SELECT v FROM t WHERE v < -10000", `project v
   filter (v < -10000)
@@ -246,12 +282,12 @@ var planGolden = []struct{ sql, plan string }{
     scan t
 `},
 	{"SELECT t.v, u.w FROM t, u WHERE t.k = u.k", `project t.v, u.w
-  join t.k = u.k
+  join t.k = u.k keep t.v | u.w
     scan t
     scan u
 `},
 	{"SELECT t.cat, u.w FROM t, u WHERE t.k = u.k AND t.v > 0", `project t.cat, u.w
-  join t.k = u.k
+  join t.k = u.k keep t.cat | u.w
     filter (t.v > 0)
       scan t
     scan u
@@ -314,7 +350,7 @@ var planGolden = []struct{ sql, plan string }{
   scan t
 `},
 	{"SELECT t.cat, u.w FROM t, u WHERE COALESCE(t.k, 0) = u.k", `project t.cat, u.w
-  join COALESCE(t.k, 0) = u.k
+  join COALESCE(t.k, 0) = u.k keep t.cat | u.w
     scan t
     scan u
 `},
@@ -343,13 +379,13 @@ var planGolden = []struct{ sql, plan string }{
       scan t
 `},
 	{"SELECT t.v, u.w FROM t, u WHERE t.k = u.k", `project t.v, u.w
-  join t.k = u.k
+  join t.k = u.k keep t.v | u.w
     scan t
     scan u
 `},
 	{"SELECT t.cat, u.w FROM t, u WHERE t.k = u.k AND t.v > 0 ORDER BY w DESC", `order w DESC
   project t.cat, u.w
-    join t.k = u.k
+    join t.k = u.k keep t.cat | u.w
       filter (t.v > 0)
         scan t
       scan u
@@ -400,28 +436,43 @@ var planGolden = []struct{ sql, plan string }{
     scan t
 `},
 	{"SELECT t.v FROM t, u WHERE u.k = t.k AND 1 = 1", `project t.v
-  join t.k = u.k
+  join t.k = u.k keep t.v | -
     filter (1 = 1)
       scan t
     scan u
 `},
 	{"SELECT * FROM t, u", `project t.k, t.v, t.f, t.cat, u.k, u.w
-  join cartesian
+  join cartesian keep t.k, t.v, t.f, t.cat | u.k, u.w
     scan t
     scan u
 `},
 	{"SELECT t.v FROM t, u WHERE t.k = u.k AND t.v > u.w", `project t.v
   filter (t.v > u.w)
-    join t.k = u.k
+    join t.k = u.k keep t.v | u.w
       scan t
       scan u
 `},
 	{"SELECT a.v, c.cat FROM t a, u b, t c WHERE a.k = b.k AND c.k = a.k + b.k AND c.v IS NULL", `project a.v, c.cat
-  join (a.k + b.k) = c.k
-    join a.k = b.k
+  join (a.k + b.k) = c.k keep a.v | c.cat
+    join a.k = b.k keep a.k, a.v | b.k
       scan t
       scan u
     filter (c.v IS NULL)
       scan t
+`},
+	{"SELECT U.age, U.gender, C.amount, C.abandoned FROM carts C, users U WHERE C.userid=U.userid AND U.country='USA'", `project u.age, u.gender, c.amount, c.abandoned
+  join c.userid = u.userid keep c.amount, c.abandoned | u.age, u.gender
+    scan carts
+    filter (u.country = 'USA')
+      scan users
+`},
+	{"SELECT __t.age AS age, CASE WHEN __m1.recodeval = 1 THEN 1 ELSE 0 END AS gender_1, CASE WHEN __m1.recodeval = 2 THEN 1 ELSE 0 END AS gender_2, __t.amount AS amount, __m2.recodeval AS abandoned FROM prep AS __t, recodemap AS __m1, recodemap AS __m2 WHERE __m1.colname = 'gender' AND __t.gender = __m1.colval AND __m2.colname = 'abandoned' AND __t.abandoned = __m2.colval", `project __t.age, CASE WHEN (__m1.recodeval = 1) THEN 1 ELSE 0 END, CASE WHEN (__m1.recodeval = 2) THEN 1 ELSE 0 END, __t.amount, __m2.recodeval
+  join __t.abandoned = __m2.colval keep __t.age, __t.amount, __m1.recodeval | __m2.recodeval
+    join __t.gender = __m1.colval keep __t.age, __t.amount, __t.abandoned | __m1.recodeval
+      scan prep
+      filter (__m1.colname = 'gender')
+        scan recodemap
+    filter (__m2.colname = 'abandoned')
+      scan recodemap
 `},
 }

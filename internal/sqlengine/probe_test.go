@@ -159,6 +159,16 @@ func firstColKey(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
 	return b.Col(0), nil
 }
 
+// identityCols is 0..n-1: a probe's probeCols or buildCols when its output
+// keeps every column of that side.
+func identityCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
 // buildRows builds a hash table over rows as one build partition, the way
 // joinTable builds over its drained chunks; no keyFns is the key-less
 // (cartesian) build.
@@ -299,6 +309,8 @@ func TestProbeNullKeysAndSelection(t *testing.T) {
 			keyFns: []vecFn{firstColKey},
 			build:  bt,
 			types:  append(append([]row.Type(nil), types...), types...),
+
+			probeCols: identityCols(len(types)), buildCols: identityCols(len(types)),
 		}
 		got, err := drainBatches(p)
 		if err != nil {
@@ -362,6 +374,8 @@ func TestProbeChargeMatchesRowProbe(t *testing.T) {
 			types:  append(append([]row.Type(nil), types...), row.TypeInt),
 			cost:   cost,
 			node:   node,
+
+			probeCols: identityCols(len(types)), buildCols: identityCols(1),
 		}
 		if _, err := drainBatches(p); err != nil {
 			t.Fatal(err)
@@ -421,7 +435,7 @@ func TestJoinBucketOrderAcrossShards(t *testing.T) {
 				t.Fatalf("pool %d: key %d: bucket of %d rows, want 48", par, k, len(bucket))
 			}
 			for j, ref := range bucket {
-				if w := bt.chunks[ref.chunk].Col(1).Floats[ref.pos]; w != float64(k+64*j) {
+				if w := bt.chunks[ref.Chunk].Col(1).Floats[ref.Pos]; w != float64(k+64*j) {
 					t.Fatalf("pool %d: key %d: bucket entry %d is row %v, want %d", par, k, j, w, k+64*j)
 				}
 			}

@@ -17,7 +17,7 @@ import (
 
 // sortRef addresses one input row: a chunk of the sort input and a
 // physical position in it.
-type sortRef struct{ chunk, pos int32 }
+type sortRef = row.ChunkRef
 
 // orderSpec is one ORDER BY item's direction.
 type orderSpec struct{ desc bool }
@@ -30,9 +30,9 @@ type sortKeys struct {
 
 // compare orders two refs under the ORDER BY directions.
 func (s *sortKeys) compare(a, b sortRef) int {
-	ka, kb := s.keys[a.chunk], s.keys[b.chunk]
+	ka, kb := s.keys[a.Chunk], s.keys[b.Chunk]
 	for i, sp := range s.specs {
-		c := compareCells(ka[i], int(a.pos), kb[i], int(b.pos))
+		c := compareCells(ka[i], int(a.Pos), kb[i], int(b.Pos))
 		if c == 0 {
 			continue
 		}
@@ -136,10 +136,7 @@ func sortParts(qp *queryPool, specs []orderSpec, keyFns []vecFn, types []row.Typ
 		refs := merged[i:]
 		n := min(len(refs), w.room(len(refs), func(c int) int { return refBytesPerRow(chunks, refs, c) }))
 		for c := range types {
-			dst := w.cur.Col(c)
-			for _, r := range refs[:n] {
-				dst.AppendFrom(chunks[r.chunk].Col(c), int(r.pos))
-			}
+			w.cur.Col(c).AppendGatherRefs(chunks, c, refs[:n])
 		}
 		w.cur.SetFullLen(w.cur.FullLen() + n)
 		w.took(n)
@@ -154,8 +151,8 @@ func refBytesPerRow(chunks []*row.ColBatch, refs []sortRef, c int) int {
 	refs = refs[:min(len(refs), DefaultBatchSize)]
 	total := 0
 	for _, r := range refs {
-		if v := chunks[r.chunk].Col(c); !v.Null(int(r.pos)) {
-			total += len(v.Bytes(int(r.pos)))
+		if v := chunks[r.Chunk].Col(c); !v.Null(int(r.Pos)) {
+			total += len(v.Bytes(int(r.Pos)))
 		}
 	}
 	return (total + len(refs) - 1) / len(refs)
@@ -298,7 +295,7 @@ func sortGrid(parts [][]*row.ColBatch, workers int) [][]sortRef {
 		start := len(refs)
 		for _, c := range p {
 			for pos := range c.FullLen() {
-				refs = append(refs, sortRef{ci, int32(pos)})
+				refs = append(refs, sortRef{Chunk: ci, Pos: int32(pos)})
 			}
 			ci++
 		}

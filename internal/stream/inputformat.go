@@ -38,8 +38,9 @@ type InputFormat struct {
 	// escalates to task re-execution (hadoopfmt.RetryableError). 0 means
 	// the default; negative disables reader-side recovery.
 	ReconnectBudget int
-	// ConsumeDelay, when positive, sleeps per row — the slow-consumer knob
-	// for the spill ablation.
+	// ConsumeDelay, when positive, is the time consuming each row takes —
+	// the slow-consumer knob for the spill ablation, slept once per fetched
+	// frame for all of its rows.
 	ConsumeDelay time.Duration
 	// Inject, when set, is consulted per received row; returning true makes
 	// the reader fail abruptly (no ACK), simulating an ML worker crash for
@@ -330,18 +331,20 @@ func (r *streamReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 			}
 			continue
 		}
-		// Per-row bookkeeping: the slow-consumer delay, credit grants and
-		// the §6 failure injection are per-row contracts, run as the frame
-		// is fetched. A row is counted before it reaches the task, and the
-		// count is what the resume handshake reports — so a failure after
-		// the count must escalate to task re-execution (which discards the
-		// batch, like every partial row) rather than a resume (which would
-		// skip the counted but undelivered rows).
+		// The slow-consumer delay is per row but slept once per frame, for
+		// all of its rows: a short sleep costs far more than asked for, so
+		// one per row would run the consumer slower than configured. Credit
+		// grants and the §6 failure injection are per-row contracts, run as
+		// the frame is fetched. A row is counted before it reaches the task,
+		// and the count is what the resume handshake reports — so a failure
+		// after the count must escalate to task re-execution (which
+		// discards the batch, like every partial row) rather than a resume
+		// (which would skip the counted but undelivered rows).
+		if r.format.ConsumeDelay > 0 {
+			time.Sleep(time.Duration(n) * r.format.ConsumeDelay)
+		}
 		for i := 0; i < n; i++ {
 			r.rowsRead++
-			if r.format.ConsumeDelay > 0 {
-				time.Sleep(r.format.ConsumeDelay)
-			}
 			if err := r.grantCredits(); err != nil {
 				return 0, false, r.fail(err)
 			}
