@@ -249,7 +249,7 @@ func runAblations(_ experiments.Scale, out io.Writer) error {
 	{
 		cfg := experiments.DefaultTransfer()
 		cfg.ConsumeDelay = 50 * time.Microsecond
-		cfg.QueueFrames = 4
+		cfg.QueueBytes = 1 << 10 // about four 16-row frames
 		cfg.BlockRows = 16
 		cfg.RowsPerWork = 1500
 		rep, err := experiments.RunTransfer(cfg)

@@ -19,7 +19,9 @@ type TransferConfig struct {
 	K           int
 	RowsPerWork int
 	BufferSize  int
-	QueueFrames int
+	// QueueBytes is the sender's per-slot budget of unsent frame bytes in
+	// memory, past which frames spill (0 means the sender default).
+	QueueBytes int
 	// BlockRows caps rows per wire block (0 means the sender default; 1
 	// degenerates to a frame per row) — the block-framing ablation knob.
 	// DisableCompression turns off the frames' per-column encodings
@@ -44,7 +46,6 @@ func DefaultTransfer() TransferConfig {
 		K:           1,
 		RowsPerWork: 2000,
 		BufferSize:  4 << 10,
-		QueueFrames: 64,
 		Colocate:    true,
 		FailSplit:   -1,
 	}
@@ -123,14 +124,10 @@ func RunTransfer(cfg TransferConfig) (*TransferReport, error) {
 
 	senderCfg := stream.DefaultSenderConfig()
 	senderCfg.BufferSize = cfg.BufferSize
-	senderCfg.QueueFrames = cfg.QueueFrames
+	senderCfg.QueueBytes = cfg.QueueBytes
 	senderCfg.BlockRows = cfg.BlockRows
 	senderCfg.DisableCompression = cfg.DisableCompression
 	senderCfg.MaxRestarts = 8
-	if cfg.ConsumeDelay > 0 {
-		// The spill ablation wants the producer to give up quickly.
-		senderCfg.SpillWait = cfg.ConsumeDelay / 2
-	}
 
 	stats := make([]*stream.SenderStats, cfg.Workers)
 	errs := make([]error, cfg.Workers)

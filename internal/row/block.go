@@ -1,16 +1,13 @@
 package row
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 )
 
 // Block frames are the unit of the streaming transfer: one length word, one
-// channel hand-off, one spool entry and one disk write cover
-// ~BlockTargetRows rows. This file holds the sender-side encoder, the
-// pooled frame buffers and the raw-frame reader of the spill replay; the
+// log entry and at most one disk write cover ~BlockTargetRows rows. This
+// file holds the sender-side encoder and the pooled frame buffers; the
 // frame layout and its codec are in colblock.go.
 
 const (
@@ -37,8 +34,8 @@ const MaxBlockSize = 128 << 20
 
 // blockBufPool recycles block buffers across frames. Buffers are handed
 // out by NewBlockBuffer and returned by RecycleBlockBuffer once the frame
-// has left the process (written to a socket or spill file) — callers that
-// retain frames (the §6 replay spool) simply never return them.
+// has been copied or written out; the stream sender's log copies each
+// frame at its exact size and returns the buffer at once.
 var blockBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, BlockTargetBytes+4<<10)
@@ -203,30 +200,4 @@ func (BlockDecoder) DecodeBatch(frame []byte, dst *ColBatch, types []Type) (int,
 		return 0, err
 	}
 	return rows, nil
-}
-
-// ReadRawFrame reads one whole block frame off r without decoding it,
-// appended to buf (length word included). It returns io.EOF cleanly at a
-// frame boundary; a frame cut short inside returns io.ErrUnexpectedEOF. The
-// sender's spill replay uses it to re-send spilled bytes frame-aligned,
-// which the credit window requires.
-func ReadRawFrame(r io.Reader, buf []byte) ([]byte, error) {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	if _, err := io.ReadFull(r, buf[start:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, err
-		}
-		return nil, io.EOF
-	}
-	n, err := blockFrameLen(binary.LittleEndian.Uint32(buf[start:]))
-	if err != nil {
-		return nil, err
-	}
-	body := len(buf)
-	buf = append(buf, make([]byte, n)...)
-	if _, err := io.ReadFull(r, buf[body:]); err != nil {
-		return nil, io.ErrUnexpectedEOF
-	}
-	return buf, nil
 }

@@ -180,10 +180,6 @@ func TestOverLimitLengthWordsRejected(t *testing.T) {
 			_, err := rd.ReadColBatch(NewColBatch(nil), blockRowTypes)
 			return rd.Bytes(), err
 		}},
-		{"ReadRawFrame", func() (int64, error) {
-			_, err := ReadRawFrame(bytes.NewReader(block[:]), nil)
-			return 0, err
-		}},
 		{"ReadSchema", func() (int64, error) {
 			_, err := ReadSchema(bytes.NewReader(schema[:]))
 			return 0, err
@@ -253,9 +249,8 @@ func TestReaderReadBlockBatches(t *testing.T) {
 }
 
 // TestBlocksRoundTripThroughDiskFile writes block frames to a file the way
-// the sender's spill path does (raw frame bytes, one write per block),
-// re-frames the file with ReadRawFrame like the spill replay, and re-reads
-// the rows through the frame reader.
+// the sender's spill path does (raw frame bytes, one write per block) and
+// re-reads the rows through the frame reader.
 func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spill")
 	f, err := os.Create(path)
@@ -282,16 +277,6 @@ func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 	}
 	if !bytes.Equal(raw, bytes.Join(frames, nil)) {
 		t.Fatal("spill file is not the byte-identical concatenation of the frames")
-	}
-	replay := bytes.NewReader(raw)
-	for i, want := range frames {
-		got, err := ReadRawFrame(replay, nil)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("raw frame %d differs after disk round-trip (err %v)", i, err)
-		}
-	}
-	if _, err := ReadRawFrame(replay, nil); err != io.EOF {
-		t.Fatalf("raw replay end err = %v", err)
 	}
 	rd := NewReader(bytes.NewReader(raw))
 	dst := NewColBatch(nil)

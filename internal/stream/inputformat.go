@@ -236,7 +236,7 @@ func (f *InputFormat) registerML(split int, listen, nodeAddr string) (_ uint32, 
 // whole frames only: NextColBatch is its one read loop, and Next is a row
 // view over a held batch filled by it, so the consumed row count the
 // resume handshake reports is always a frame boundary of the sender's
-// spool. A mid-stream connection failure is first absorbed in place: the
+// log. A mid-stream connection failure is first absorbed in place: the
 // listener stays open, the reader re-accepts, and the resume handshake
 // (epoch + consumed row count) lets the sender resend exactly the frames
 // this reader has not fetched, so delivery stays exactly-once. Only an
@@ -420,7 +420,7 @@ func (r *streamReader) connect() error {
 
 // handshake sends the resume header (epoch + rows consumed) and reads the
 // sender's start row. Both sides are frame-aligned — this reader counts
-// whole frames, the sender resends whole spool frames — so the only
+// whole frames, the sender resends whole log frames — so the only
 // well-formed answer is exactly the consumed count; anything else is a
 // protocol violation.
 func (r *streamReader) handshake() error {

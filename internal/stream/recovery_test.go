@@ -21,7 +21,7 @@ import (
 )
 
 func TestResumePoint(t *testing.T) {
-	spool := []spooledBlock{
+	spool := []logEntry{
 		{frame: []byte("a"), rows: 64},
 		{frame: []byte("b"), rows: 64},
 		{frame: []byte("c"), rows: 22},
@@ -304,9 +304,8 @@ func TestSpilledBytesCountsEveryChannel(t *testing.T) {
 	dialer := fault.NewDialer(1, fault.DialerConfig{MaxFaults: 1, Ops: []fault.Op{fault.Reset}, MaxByte: 1 << 10})
 	cfg := DefaultSenderConfig()
 	cfg.Dial = dialer.Dial
-	cfg.QueueFrames = 2
+	cfg.QueueBytes = 512 // about two 16-row frames
 	cfg.BlockRows = 16
-	cfg.SpillWait = 20 * time.Microsecond
 	cfg.SpillDir = t.TempDir()
 	d, stats := env.runTransfer(t, "jspillreset", 2, 1, 1500, f, cfg)
 	if dialer.Injected() != 1 {
@@ -335,13 +334,15 @@ func TestSpilledBytesCountsEveryChannel(t *testing.T) {
 	}
 }
 
-// pacedSource serves rows as batches of per rows and pauses once, after
-// its first after batches: a producer that stops long enough for a slow
-// consumer to empty the sender's queue.
+// pacedSource serves rows as batches of per rows and, once, after its
+// first after batches, pauses and then calls gate (if set), whose error
+// fails the input: a producer that stops long enough for a slow consumer
+// to catch up with the sender's log, or until a test's condition holds.
 type pacedSource struct {
 	rows       []row.Row
 	per, after int
 	pause      time.Duration
+	gate       func() error
 	served     int
 	b          *row.ColBatch
 }
@@ -352,6 +353,11 @@ func (p *pacedSource) NextCol() (*row.ColBatch, bool, error) {
 	}
 	if p.served == p.after {
 		time.Sleep(p.pause)
+		if p.gate != nil {
+			if err := p.gate(); err != nil {
+				return nil, false, err
+			}
+		}
 	}
 	p.served++
 	types := row.SchemaTypes(streamSchema())
@@ -385,9 +391,8 @@ func TestSpillKeepsSpoolOrderAcrossReconnect(t *testing.T) {
 			job := fmt.Sprintf("jspillorder-%d", at)
 			f := &InputFormat{CoordAddr: env.coordAddr, Job: job, ConsumeDelay: 50 * time.Microsecond, AcceptTimeout: 5 * time.Second}
 			cfg := DefaultSenderConfig()
-			cfg.QueueFrames = 2
+			cfg.QueueBytes = 512 // about two 16-row frames
 			cfg.BlockRows = 16
-			cfg.SpillWait = 20 * time.Microsecond
 			cfg.SpillDir = t.TempDir()
 			var dials atomic.Int32
 			cfg.Dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"time"
 
 	"sqlml/internal/cluster"
@@ -21,22 +20,18 @@ type SenderConfig struct {
 	// BufferSize is the per-target send buffer in bytes (the paper's
 	// experiments use 4 KB).
 	BufferSize int
-	// QueueFrames bounds the in-flight frame queue per target; when it is
-	// full (a slow consumer), frames spill to a local disk file to keep
-	// the producer running — the paper's producer/consumer synchronization.
-	// One frame is one block (~BlockRows rows), so the queue holds
-	// O(blocks) frames in flight. It does not bound sender memory: the §6
-	// replay spool keeps every frame of the partition until Send returns
-	// (ROADMAP item 6(a)).
-	QueueFrames int
+	// QueueBytes is the byte budget of each target slot's unsent frames in
+	// memory. A frame that would push them past it goes to the slot's spill
+	// file instead — the paper's producer/consumer synchronization for a
+	// slow ML worker: the producer never waits, and a spill frees memory.
+	// Frames already sent stay in memory until the reader acknowledges the
+	// slot, for the §6 replay.
+	QueueBytes int
 	// BlockRows bounds one block frame: the sender flushes a slot's block
 	// when it reaches BlockRows rows or row.BlockTargetBytes encoded bytes
 	// (and at end of stream). It defaults to the engine's batch granularity
 	// (~1024 rows).
 	BlockRows int
-	// SpillWait is how long a full queue may block the producer before it
-	// spills to disk; a fast consumer frees buffer space well within it.
-	SpillWait time.Duration
 	// SpillDir is where spill files go (defaults to the OS temp dir).
 	SpillDir string
 	// MaxRestarts bounds §6 restart attempts.
@@ -45,7 +40,7 @@ type SenderConfig struct {
 	DialTimeout time.Duration
 	// ReconnectBudget bounds per-target reconnect attempts: when a single
 	// data connection fails mid-stream, the sender redials that target and
-	// resumes from the spill spool (skipping rows the reader already
+	// resumes from the slot's log (skipping rows the reader already
 	// consumed, per the resume handshake) instead of restarting the whole
 	// group. Only when the budget is exhausted does the failure escalate to
 	// the §6 restart. 0 means the default; negative disables per-target
@@ -68,9 +63,8 @@ type SenderConfig struct {
 func DefaultSenderConfig() SenderConfig {
 	return SenderConfig{
 		BufferSize:      4 << 10,
-		QueueFrames:     64,
+		QueueBytes:      64 * row.BlockTargetBytes,
 		BlockRows:       row.BlockTargetRows,
-		SpillWait:       5 * time.Millisecond,
 		MaxRestarts:     5,
 		DialTimeout:     10 * time.Second,
 		ReconnectBudget: 4,
@@ -100,8 +94,8 @@ type SenderStats struct {
 	// what a BlockRows of 1 degenerates to).
 	FramesSent int64
 	// Reconnects counts per-target reconnections that resumed from the
-	// spool without a §6 group restart: Reconnects > 0 with Restarts == 0
-	// is the signature of partial-failure recovery.
+	// slot's log without a §6 group restart: Reconnects > 0 with
+	// Restarts == 0 is the signature of partial-failure recovery.
 	Reconnects int
 	// RawBytes is what the delivered rows would have cost as blocks of
 	// row-encoded rows (row.BlockEncoder.RawBytes); WireBytes is what the
@@ -219,36 +213,26 @@ type SendRequest struct {
 	Config     SenderConfig
 }
 
-// spooledBlock is one §6 replay spool entry: an encoded wire frame plus
-// its row count and row-encoded (raw) size, so retry attempts resend and
-// account it without re-decoding.
-type spooledBlock struct {
-	frame []byte
-	rows  int64
-	raw   int64
-}
-
 // slot is the state machine of one target slot: split worker·k + j, the
-// coordinator's registration for it, its replay spool, the channel of the
+// coordinator's registration for it, its frame log, the channel of the
 // current connection (nil between connections), and whether the reader
-// has acknowledged the split. Its transitions are connect → deliver →
-// finish; a slot whose finish fails reconnects (connect, deliver, finish
-// again within ReconnectBudget) and, once the budget is spent, escalates
-// by returning the error to Send's §6 restart loop.
+// has acknowledged the split. Its transitions are connect → finish; a
+// slot whose finish fails reconnects (connect and finish again within
+// ReconnectBudget) and, once the budget is spent, escalates by returning
+// the error to Send's §6 restart loop.
 type slot struct {
 	split  int
 	target Target
-	spool  []spooledBlock
+	log    frameLog
 	ch     *targetChannel
 	done   bool
 }
 
 // sender is one SQL worker's transfer across §6 restart attempts. The
 // streaming input is consumed exactly once — by the first attempt that
-// connects, or drained into the spools by one that cannot — and the slots
-// carry each split's spool and delivery state from attempt to attempt, so
-// a retry resends only the unacknowledged slots, one enqueue per block,
-// never re-encoding.
+// connects, or drained into the logs by one that cannot — and the slots
+// carry each split's log and delivery state from attempt to attempt, so a
+// retry resends only the unacknowledged slots, never re-encoding.
 type sender struct {
 	req   SendRequest
 	cfg   SenderConfig
@@ -270,7 +254,7 @@ func (f *fatalError) Unwrap() error { return f.err }
 // Failure handling refines §6's restart into per-split resume: rows are
 // assigned to split slots deterministically (row i → slot i mod k), each
 // slot's delivery is confirmed by an end-of-stream ACK, and a retry attempt
-// resends only the unconfirmed slots (from the encoded-frame spool) —
+// resends only the unconfirmed slots (from their encoded-frame logs) —
 // failed ML tasks re-register fresh listeners, completed ones are never
 // re-run, and every row is delivered exactly once.
 func Send(req SendRequest) (*SenderStats, error) {
@@ -278,11 +262,8 @@ func Send(req SendRequest) (*SenderStats, error) {
 	if cfg.BufferSize <= 0 {
 		cfg.BufferSize = DefaultSenderConfig().BufferSize
 	}
-	if cfg.QueueFrames <= 0 {
-		cfg.QueueFrames = DefaultSenderConfig().QueueFrames
-	}
-	if cfg.SpillWait <= 0 {
-		cfg.SpillWait = DefaultSenderConfig().SpillWait
+	if cfg.QueueBytes <= 0 {
+		cfg.QueueBytes = DefaultSenderConfig().QueueBytes
 	}
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = DefaultSenderConfig().MaxRestarts
@@ -302,24 +283,34 @@ func Send(req SendRequest) (*SenderStats, error) {
 		defer rows.Close()
 		s.input = rows
 	}
-	var lastErr error
+	var err error
 	for attempt := 0; attempt <= cfg.MaxRestarts; attempt++ {
 		if attempt > 0 {
 			s.stats.Restarts++
 			// Give failed ML tasks a moment to re-execute and re-register.
 			sleepMillis(20 * attempt)
 		}
-		err := s.sendOnce()
-		if err == nil {
-			return &s.stats, nil
+		if err = s.sendOnce(); err == nil {
+			break
 		}
-		lastErr = err
 		var fe *fatalError
 		if errors.As(err, &fe) {
 			break
 		}
 	}
-	return nil, fmt.Errorf("stream: worker %d: transfer failed after %d restarts: %w", req.Worker, s.stats.Restarts, lastErr)
+	if err != nil {
+		err = fmt.Errorf("stream: worker %d: transfer failed after %d restarts: %w", req.Worker, s.stats.Restarts, err)
+	}
+	// No channel outlives sendOnce: release every log, removing its spill
+	// file whatever the outcome.
+	for _, sl := range s.slots {
+		s.stats.SpilledBytes += sl.log.spilled
+		err = errors.Join(err, sl.log.release())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &s.stats, nil
 }
 
 // sendOnce performs one attempt: register and await matches, renew the
@@ -399,7 +390,7 @@ func (s *sender) sendOnce() error {
 	if err != nil {
 		s.abortAll()
 		if s.input != nil {
-			// The upstream pipeline is one-shot: drain it into the spool now
+			// The upstream pipeline is one-shot: drain it into the logs now
 			// so the retry attempt has the rows.
 			if ierr := s.consumeInput(); ierr != nil {
 				return &fatalError{ierr}
@@ -408,18 +399,15 @@ func (s *sender) sendOnce() error {
 		return err
 	}
 
-	// Step 8: stream. The first attempt delivers the input as it is
-	// produced; a retry delivers each slot's spool suffix.
+	// Step 8: stream. Each channel's writer sends its slot's log from the
+	// resume point on: the first attempt's as the input appends to it, a
+	// retry's as it stands.
 	if s.input != nil {
 		if err := s.consumeInput(); err != nil {
 			// The pipeline feeding the sender failed: unsent rows are gone,
 			// no restart can recover them.
 			s.abortAll()
 			return &fatalError{err}
-		}
-	} else {
-		for _, sl := range s.slots {
-			sl.deliver()
 		}
 	}
 
@@ -458,7 +446,12 @@ func (s *sender) match(targets []Target) error {
 	if s.slots == nil {
 		s.slots = make([]*slot, k)
 		for j := range s.slots {
-			s.slots[j] = &slot{split: s.req.Worker*k + j}
+			s.slots[j] = &slot{split: s.req.Worker*k + j, log: frameLog{
+				budget: s.cfg.QueueBytes,
+				dir:    s.cfg.SpillDir,
+				cost:   s.req.Cost,
+				node:   s.req.Node,
+			}}
 		}
 	}
 	bySplit := make(map[int]Target, k)
@@ -478,20 +471,25 @@ func (s *sender) match(targets []Target) error {
 	return nil
 }
 
-// abortAll tears down every live channel without waiting for delivery.
+// abortAll tears down every live channel without waiting for delivery:
+// closing the connection unblocks a writer stuck in a write or a credit
+// wait, and closing stop one waiting on the log. Delivery already failed
+// or cannot start, so how the connection closes cannot matter.
 func (s *sender) abortAll() {
 	for _, sl := range s.slots {
-		if sl.ch != nil {
-			sl.ch.abort(errAborted)
-			_ = sl.finish(&s.stats) // reports the abort cause; folds the channel's spill
+		if ch := sl.ch; ch != nil {
+			_ = ch.conn.Close()
+			close(ch.stop)
+			<-ch.done
+			sl.ch = nil
 		}
 	}
 }
 
 // connect dials the slot's target and runs the sender side of the resume
-// handshake. The new channel starts at the spool frame holding the first
-// row the reader has not consumed — frame 0 for a fresh reader — and owns
-// the connection.
+// handshake. It moves the log's cursor to the frame holding the first row
+// the reader has not consumed — frame 0 for a fresh reader — and starts
+// the channel's writer there; the channel owns the connection.
 func (sl *slot) connect(req SendRequest, cfg SenderConfig) error {
 	t := sl.target
 	dial := cfg.Dial
@@ -516,21 +514,21 @@ func (sl *slot) connect(req SendRequest, cfg SenderConfig) error {
 		return fail(fmt.Errorf("stream: ml worker %s: %w (reader epoch %d, matched epoch %d)",
 			t.Listen, errStaleEpoch, epoch, t.Epoch))
 	}
-	idx, startRow := resumePoint(sl.spool, consumed)
-	if idx < 0 {
-		return fail(fmt.Errorf("stream: ml worker %s: consumed %d rows beyond the spool", t.Listen, consumed))
+	startRow, ok := sl.log.rewind(consumed)
+	if !ok {
+		return fail(fmt.Errorf("stream: ml worker %s: consumed %d rows beyond the log", t.Listen, consumed))
 	}
 	tc := &targetChannel{
 		conn:    conn,
 		w:       bufio.NewWriterSize(conn, cfg.BufferSize),
-		queue:   make(chan []byte, cfg.QueueFrames),
+		log:     &sl.log,
+		stop:    make(chan struct{}),
 		done:    make(chan error, 1),
 		credits: make(chan int, 1024),
 		acks:    make(chan error, 1),
 		cfg:     cfg,
 		target:  t,
 		cost:    req.Cost,
-		next:    idx,
 	}
 	tc.fromNode = req.Node
 	if req.Topo != nil {
@@ -550,52 +548,30 @@ func (sl *slot) connect(req SendRequest, cfg SenderConfig) error {
 	return nil
 }
 
-// deliver enqueues the spool frames the live channel has not carried yet:
-// on a fresh connection the suffix from the resume point, then each frame
-// the input appends while it streams. An enqueue failure aborts the
-// channel, and the slot recovers at finish.
-func (sl *slot) deliver() {
-	ch := sl.ch
-	if ch == nil || ch.err != nil {
-		return
-	}
-	for ; ch.next < len(sl.spool); ch.next++ {
-		if err := ch.enqueue(sl.spool[ch.next].frame); err != nil {
-			ch.abort(err)
-			return
-		}
-	}
-}
-
-// finish ends the slot's channel, waiting for the reader's ACK unless the
-// channel was aborted. It is where every channel's spill reaches the
-// stats, whatever the outcome. An ACK marks the slot done and credits its
-// whole spool — the spool is the slot's logical content, and a resumed
-// channel resends only a suffix.
+// finish waits for the channel's writer — the reader's ACK or the failure
+// that prevented it — and closes the connection, joining a close failure
+// into the result. An ACK marks the slot done, credits its whole log to the
+// stats and releases the log.
 func (sl *slot) finish(stats *SenderStats) error {
 	ch := sl.ch
 	sl.ch = nil
-	err := ch.finish()
-	stats.SpilledBytes += ch.spilledBytes
-	if err != nil {
+	err := <-ch.done
+	if err = errors.Join(err, ch.conn.Close()); err != nil {
 		return err
 	}
 	sl.done = true
-	for _, sb := range sl.spool {
-		stats.RowsSent += sb.rows
-		stats.BytesSent += int64(len(sb.frame))
-		stats.FramesSent++
-		stats.RawBytes += sb.raw
-		stats.WireBytes += int64(len(sb.frame))
-	}
+	sl.log.credit(stats)
+	// A release failure is kept by the log and reported when Send releases
+	// every log; the slot itself is delivered.
+	_ = sl.log.release()
 	return nil
 }
 
 // reconnect redials a failed slot until it is delivered and acknowledged
 // or the reconnect budget runs out. Each attempt backs off, re-queries the
 // coordinator for the split's latest registration — a reader that crashed
-// and re-executed has a fresh listener and epoch there — then connects,
-// delivers and finishes.
+// and re-executed has a fresh listener and epoch there — then connects and
+// finishes.
 func (sl *slot) reconnect(s *sender) error {
 	var lastErr error
 	for attempt := 0; attempt < s.cfg.ReconnectBudget; attempt++ {
@@ -608,7 +584,6 @@ func (sl *slot) reconnect(s *sender) error {
 			continue
 		}
 		s.stats.Reconnects++
-		sl.deliver()
 		if err := sl.finish(&s.stats); err != nil {
 			lastErr = err
 			continue
@@ -671,14 +646,13 @@ func getTarget(coordAddr string, timeout time.Duration, job string, split int) (
 }
 
 // consumeInput drains the streaming input exactly once, packing each
-// slot's rows into block frames built on pooled buffers, spooling each
-// finished block and delivering it to the slot's live channel (a slot
-// without one — a dial failure means this attempt only spools — keeps the
-// frame for the retry). Rows are assigned round-robin (row i → slot
-// i mod k) straight off the batches' vectors. A slot's block flushes on
-// the row/byte budget, checked after every row, and at end of stream, so
-// channel operations, spool entries, and wire writes are O(blocks), not
-// O(rows). The input is consumed afterwards.
+// slot's rows into block frames built on pooled buffers and appending each
+// finished block to the slot's log, whose live writer (if any — a dial
+// failure means this attempt only logs) sends it. Rows are assigned
+// round-robin (row i → slot i mod k) straight off the batches' vectors. A
+// slot's block flushes on the row/byte budget, checked after every row,
+// and at end of stream, so log entries and wire writes are O(blocks), not
+// O(rows). The input is consumed afterwards, and every log is sealed.
 func (s *sender) consumeInput() error {
 	in := s.input
 	s.input = nil
@@ -692,17 +666,18 @@ func (s *sender) consumeInput() error {
 	for j := range encoders {
 		encoders[j].EnableColumnar(types, !s.cfg.DisableCompression)
 	}
-	// flush seals slot j's block and hands it on.
-	flush := func(j int) {
+	// flush seals slot j's block into its log, which copies it, and
+	// returns the pooled buffer.
+	flush := func(j int) error {
 		enc := &encoders[j]
 		rows, raw := int64(enc.Rows()), int64(enc.RawBytes())
 		frame := enc.Finish()
 		if frame == nil {
-			return
+			return nil
 		}
-		sl := s.slots[j]
-		sl.spool = append(sl.spool, spooledBlock{frame: frame, rows: rows, raw: raw})
-		sl.deliver()
+		err := s.slots[j].log.append(frame, rows, raw)
+		row.RecycleBlockBuffer(frame)
+		return err
 	}
 	i := 0
 	for {
@@ -719,13 +694,18 @@ func (s *sender) consumeInput() error {
 			enc := &encoders[j]
 			enc.AppendBatchRow(b, b.SelPos(si))
 			if enc.Rows() >= s.cfg.BlockRows || enc.RawBytes() >= row.BlockTargetBytes {
-				flush(j)
+				if err := flush(j); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	// End of stream: flush every slot's partial block.
-	for j := range encoders {
-		flush(j)
+	// End of stream: flush every slot's partial block and seal its log.
+	for j, sl := range s.slots {
+		if err := flush(j); err != nil {
+			return err
+		}
+		sl.log.seal()
 	}
 	return nil
 }
@@ -737,13 +717,14 @@ func nodeAddr(n *cluster.Node) string {
 	return n.Addr
 }
 
-// targetChannel is the per-ML-worker send path: a bounded frame queue
-// drained by a writer goroutine into a buffered socket, with overflow
-// spilling to a local disk file.
+// targetChannel is the per-ML-worker send path: a writer goroutine that
+// sends its slot's log through the log's cursor into a buffered socket.
+// Closing stop makes a writer waiting on the log give up.
 type targetChannel struct {
 	conn   net.Conn
 	w      *bufio.Writer
-	queue  chan []byte
+	log    *frameLog
+	stop   chan struct{}
 	done   chan error
 	cfg    SenderConfig
 	target Target
@@ -758,16 +739,6 @@ type targetChannel struct {
 	// connection error that prevented it).
 	credits chan int
 	acks    chan error
-
-	spill        *os.File
-	spillTimer   *time.Timer
-	spilledBytes int64
-
-	// next is the spool index of the next frame to enqueue (the resume
-	// point at connect), and err the cause of an abort (nil while the
-	// channel is live); the producer owns both.
-	next int
-	err  error
 
 	// pending counts bytes written since the last flush, inflight bytes
 	// the reader has not credited yet; the writer goroutine owns both.
@@ -811,25 +782,6 @@ func readResumeHeader(conn net.Conn, timeout time.Duration) (epoch uint32, consu
 	return binary.BigEndian.Uint32(hdr[2:6]), binary.BigEndian.Uint64(hdr[6:14]), nil
 }
 
-// resumePoint locates the resume frame for a reader that has consumed the
-// given row count: the index of the spool frame containing the first
-// unseen row, and that frame's start row. A consumed count past the spool
-// returns index -1 (protocol violation — the reader saw rows this sender
-// never spooled).
-func resumePoint(spool []spooledBlock, consumed uint64) (int, uint64) {
-	var cum uint64
-	for i, sb := range spool {
-		if cum+uint64(sb.rows) > consumed {
-			return i, cum
-		}
-		cum += uint64(sb.rows)
-	}
-	if cum == consumed {
-		return len(spool), cum
-	}
-	return -1, 0
-}
-
 // creditLoop reads flow-control bytes from the receiver: one credit byte
 // per consumed receive buffer, and the final delivery ACK. It closes the
 // credit channel when the connection drops, unblocking a stalled writer.
@@ -857,93 +809,20 @@ func (tc *targetChannel) creditLoop() {
 	}
 }
 
-// enqueue hands one encoded block frame to the writer, which only reads it:
-// the replay spool owns the slice until the slot's ACK. When the queue is
-// full it blocks up to SpillWait for the consumer to catch up, then
-// spills the whole block to disk in one write (the paper's
-// producer/consumer synchronization for slow ML workers, at block
-// granularity). Once the channel has spilled, every later frame is
-// spilled too: the writer replays the spill file only after the queue, so
-// a frame queued behind a spilled one would reach the reader ahead of it,
-// and the reader's consumed-row count would no longer be a spool prefix
-// for a reconnect to resume from.
-func (tc *targetChannel) enqueue(f []byte) error {
-	if tc.spill == nil {
-		select {
-		case tc.queue <- f:
-			return nil
-		default:
-		}
-		// Queue full: give the consumer SpillWait to drain before spilling.
-		if tc.spillTimer == nil {
-			tc.spillTimer = time.NewTimer(tc.cfg.SpillWait)
-		} else {
-			tc.spillTimer.Reset(tc.cfg.SpillWait)
-		}
-		select {
-		case tc.queue <- f:
-			if !tc.spillTimer.Stop() {
-				<-tc.spillTimer.C
-			}
-			return nil
-		case <-tc.spillTimer.C:
-		}
-		sp, err := os.CreateTemp(tc.cfg.SpillDir, "sqlml-spill-*")
-		if err != nil {
-			return fmt.Errorf("stream: create spill file: %w", err)
-		}
-		tc.spill = sp
-	}
-	// Spill. The writer drains the spill file after the in-memory queue
-	// closes, preserving at-least-once delivery. The frame goes to disk
-	// byte-identical — the file is a concatenation of wire frames,
-	// replayed as raw bytes.
-	if _, err := tc.spill.Write(f); err != nil {
-		return fmt.Errorf("stream: spill write: %w", err)
-	}
-	tc.spilledBytes += int64(len(f))
-	if tc.cost != nil && tc.fromNode != nil {
-		tc.cost.ChargeDiskWrite(tc.fromNode, len(f))
-	}
-	return nil
-}
-
-// run is the channel's writer: it sends the queued frames, then replays
-// the spill file, then ends the stream and waits for the reader's ACK.
-// Queued and spilled frames alike go through send.
+// run is the channel's writer: it sends the log's frames from the cursor
+// on, as the producer appends them, and once the sealed log is sent it
+// ends the stream and waits for the reader's ACK.
 func (tc *targetChannel) run() error {
-	for frame := range tc.queue {
+	for {
+		frame, err := tc.log.next(tc.stop)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
 		if err := tc.send(frame); err != nil {
-			tc.drain()
 			return err
-		}
-	}
-	// Replay the spill file, if any — frame-aligned: the flow-control
-	// window assumes every write is a whole frame (a partial frame can
-	// never earn credits, since the reader only credits whole frames), so
-	// the replay re-frames the raw file instead of streaming fixed-size
-	// chunks.
-	if tc.spill != nil {
-		if _, err := tc.spill.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		r := bufio.NewReader(tc.spill)
-		var buf []byte
-		for {
-			frame, err := row.ReadRawFrame(r, buf[:0])
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			buf = frame
-			if tc.cost != nil && tc.fromNode != nil {
-				tc.cost.ChargeDiskRead(tc.fromNode, len(frame))
-			}
-			if err := tc.send(frame); err != nil {
-				return err
-			}
 		}
 	}
 	// The explicit end-of-stream frame: without it a reader could mistake a
@@ -973,9 +852,9 @@ func (tc *targetChannel) run() error {
 
 // send writes one frame under credit-based flow control — the writer keeps
 // at most one send buffer plus one receive buffer of unconsumed bytes in
-// flight, so a slow consumer backpressures the writer (and, through the
-// bounded queue, the producer, whose overflow spills to disk) — and
-// flushes once a send buffer's worth is pending.
+// flight, so a slow consumer backpressures the writer, and the frames it
+// has not reached pile up in the log until they spill — and flushes once a
+// send buffer's worth is pending.
 func (tc *targetChannel) send(frame []byte) error {
 	// Wait for credits while a full window is in flight. Everything
 	// buffered locally must be flushed first — the reader can only grant
@@ -1022,62 +901,6 @@ func (tc *targetChannel) flush() error {
 	}
 	tc.pending = 0
 	return nil
-}
-
-// drain discards queued frames after a write failure (the replay spool
-// still owns them), so a producer blocked in enqueue is released.
-func (tc *targetChannel) drain() {
-	for range tc.queue {
-	}
-}
-
-// finish closes the queue and waits for the writer's outcome; an aborted
-// channel reports its abort cause at once. Teardown errors (connection
-// close, spill close/remove) are joined into the result: a spill file that
-// cannot be closed or removed is a durability leak the caller must hear
-// about, even when delivery itself succeeded.
-func (tc *targetChannel) finish() error {
-	if tc.err != nil {
-		return tc.err
-	}
-	close(tc.queue)
-	err := <-tc.done
-	if cerr := tc.cleanup(); cerr != nil {
-		err = errors.Join(err, cerr)
-	}
-	return err
-}
-
-// abort tears the channel down without waiting for delivery, recording
-// cause for finish to report.
-func (tc *targetChannel) abort(cause error) {
-	if tc.err != nil {
-		return
-	}
-	tc.err = cause
-	// Closing the connection first unblocks a writer stuck in Write; the
-	// duplicate Close inside cleanup then reports "use of closed", which
-	// is expected and irrelevant on this already-failed path.
-	_ = tc.conn.Close()
-	close(tc.queue)
-	<-tc.done
-	_ = tc.cleanup()
-}
-
-// cleanup releases the connection and the spill spool, reporting every
-// failure so callers on the success path can surface them.
-func (tc *targetChannel) cleanup() error {
-	err := tc.conn.Close()
-	if tc.spill != nil {
-		name := tc.spill.Name()
-		if cerr := tc.spill.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		if rerr := os.Remove(name); rerr != nil {
-			err = errors.Join(err, rerr)
-		}
-	}
-	return err
 }
 
 // ackByte is the end-of-stream acknowledgement the ML reader returns;

@@ -319,12 +319,11 @@ func TestSlowConsumerSpillsToDisk(t *testing.T) {
 		ConsumeDelay: 50 * time.Microsecond,
 	}
 	cfg := DefaultSenderConfig()
-	cfg.QueueFrames = 2                   // tiny in-flight window
-	cfg.BlockRows = 16                    // many small blocks, so the queue can fill
-	cfg.SpillWait = 20 * time.Microsecond // far below the consumer's pace
+	cfg.QueueBytes = 512 // about two 16-row frames
+	cfg.BlockRows = 16   // many small blocks, so the budget fills
 	cfg.SpillDir = t.TempDir()
 	// Enough volume to saturate the kernel socket buffers, so backpressure
-	// reaches the sender's queue and the spill path engages.
+	// reaches the sender's log and the spill path engages.
 	d, stats := env.runTransfer(t, "jspill", 2, 1, 1500, f, cfg)
 	// checkExactlyOnce validates content, so spilled blocks round-tripped
 	// through the disk file intact.
