@@ -136,16 +136,24 @@ func decodeLineInto(dst *ColBatch, line []byte, s Schema) error {
 				err = fmt.Errorf("row: cannot coerce %q to %s", line[start:j], col.Type)
 			}
 		} else {
-			// A byte loop: fields are a few bytes long, where IndexByte's call
-			// costs more than the scan.
-			j := i
-			for j < len(line) && line[j] != ',' {
-				j++
+			// Plain BIGINT and DOUBLE spellings parse in the pass that finds
+			// their end; anything else rewinds to a byte loop (fields are
+			// short: IndexByte's call costs more) and appendField.
+			j, ok := i, false
+			switch col.Type {
+			case TypeInt:
+				j, ok = scanInt(vec, line, i)
+			case TypeFloat:
+				j, ok = scanFloat(vec, line, i)
 			}
-			if j == i {
-				vec.AppendNull()
-			} else {
-				err = vec.appendField(line[i:j])
+			if !ok {
+				for j = i; j < len(line) && line[j] != ','; j++ {
+				}
+				if j == i {
+					vec.AppendNull()
+				} else {
+					err = vec.appendField(line[i:j])
+				}
 			}
 			i = j
 		}
@@ -168,7 +176,8 @@ func decodeLineInto(dst *ColBatch, line []byte, s Schema) error {
 func (v *Vector) appendField(f []byte) error {
 	switch v.typ {
 	case TypeInt:
-		x, err := parseInt(f)
+		// As for DOUBLE below, the conversion to string does not escape.
+		x, err := strconv.ParseInt(string(f), 10, 64)
 		if err != nil {
 			return fmt.Errorf("row: cannot coerce %q to BIGINT: %w", f, err)
 		}
@@ -200,30 +209,69 @@ func (v *Vector) appendField(f []byte) error {
 	return nil
 }
 
-// parseInt is strconv.ParseInt(f, 10, 64) with a fast path for an optional
-// '-' and 1–18 digits, which cannot overflow; everything else ('+', longer
-// runs, junk) goes to strconv.
-func parseInt(f []byte) (int64, error) {
-	neg := len(f) > 0 && f[0] == '-'
-	d := f
-	if neg {
-		d = f[1:]
-	}
-	var x int64
-	for _, c := range d {
-		if c < '0' || c > '9' {
-			d = nil
+// scanDigits accumulates the decimal digits at line[j:] onto m and returns
+// the sum and the end of the run; past 19 digits m wraps, so callers bound
+// the run's length.
+func scanDigits(line []byte, j int, m uint64) (uint64, int) {
+	for ; j < len(line); j++ {
+		d := line[j] - '0'
+		if d > 9 {
 			break
 		}
-		x = x*10 + int64(c-'0')
+		m = m*10 + uint64(d)
 	}
-	if len(d) == 0 || len(d) > 18 {
-		return strconv.ParseInt(string(f), 10, 64)
+	return m, j
+}
+
+// scanInt appends the field at line[i:] and returns its end if it is an
+// optional '-' and 1–18 digits (which cannot overflow) ending at ',' or the
+// line's end. Otherwise it appends nothing and reports false.
+func scanInt(v *Vector, line []byte, i int) (int, bool) {
+	j := i
+	if j < len(line) && line[j] == '-' {
+		j++
 	}
-	if neg {
+	m, e := scanDigits(line, j, 0)
+	if e == j || e-j > 18 || e < len(line) && line[e] != ',' {
+		return i, false
+	}
+	x := int64(m)
+	if line[i] == '-' {
 		x = -x
 	}
-	return x, nil
+	v.AppendInt(x)
+	return e, true
+}
+
+// exactPow10 holds the powers of ten a float64 represents exactly that
+// scanFloat divides by.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// scanFloat is scanInt for DOUBLE: [-]digits[.digits] with 1–15 digits in
+// all and no exponent. The value is ±m / 10^frac with m < 2^53 and 10^frac
+// both exact, so the one IEEE division is correctly rounded and gives
+// strconv.ParseFloat's bits (Clinger's fast path).
+func scanFloat(v *Vector, line []byte, i int) (int, bool) {
+	j := i
+	if j < len(line) && line[j] == '-' {
+		j++
+	}
+	m, e := scanDigits(line, j, 0)
+	digits, frac := e-j, 0
+	if e < len(line) && line[e] == '.' {
+		f := e + 1
+		m, e = scanDigits(line, f, m)
+		frac = e - f
+	}
+	if digits+frac == 0 || digits+frac > 15 || e < len(line) && line[e] != ',' {
+		return i, false
+	}
+	x := float64(m) / exactPow10[frac]
+	if line[i] == '-' {
+		x = -x
+	}
+	v.AppendFloat(x)
+	return e, true
 }
 
 // appendUnescaped appends a VARCHAR slot from the inside of a quoted field

@@ -192,6 +192,36 @@ var textScanSeeds = []struct {
 	{`falsey`, 3},   // a spelling with bytes past the longest one
 	{`"no"`, 3},     // quoted, no escape
 	{`,`, 3},        // too many: NULL then NULL
+	// The typed one-pass scan's edges, inside carts-shaped lines: DOUBLE
+	// spellings at and past the exact path's 15 digits, numeric prefixes
+	// followed by junk (the scan must rewind), and BIGINT runs of 18 and 19
+	// digits ended by a separator.
+	{`1,2,123456789.012345,4,2014,yes`, 8},       // 15 digits: exact path
+	{`1,2,999999999999999,4,2014,yes`, 8},        // 15 digits, no point
+	{`1,2,.123456789012345,4,2014,yes`, 8},       // 15 digits, all fraction
+	{`1,2,1234567890.123456,4,2014,yes`, 8},      // 16 digits: strconv
+	{`1,2,967.1563043378493,4,2014,yes`, 8},      // 16 digits, m > 2^53: one division would round twice
+	{`1,2,9007199254740993,4,2014,yes`, 8},       // 2^53+1: strconv rounds
+	{`1,2,007.50,4,2014,yes`, 8},                 //
+	{`1,2,5.,4,2014,yes`, 8},                     //
+	{`1,2,.5,4,2014,yes`, 8},                     //
+	{`1,2,-.5,4,2014,yes`, 8},                    //
+	{`1,2,-0.0,4,2014,yes`, 8},                   //
+	{`1,2,.,4,2014,yes`, 8},                      // a point alone
+	{`1,2,-,4,2014,yes`, 8},                      // a sign alone
+	{`1,2,12x,4,2014,yes`, 8},                    //
+	{`1,2,1.5e3,4,2014,yes`, 8},                  //
+	{`1,2,1.5.2,4,2014,yes`, 8},                  //
+	{`1,2,--1,4,2014,yes`, 8},                    //
+	{`1,2,3.5,12x,2014,yes`, 8},                  // the same in BIGINT columns
+	{`1,2,3.5,1.5,2014,yes`, 8},                  //
+	{`1,2,3.5,--1,2014,yes`, 8},                  //
+	{`1,2,3.5,4,2014x`, 8},                       // junk ends the line
+	{`999999999999999999,2,3.5,4,2014,yes`, 8},   // 18 digits: fast path
+	{`-999999999999999999,2,3.5,4,2014,yes`, 8},  //
+	{`9223372036854775807,2,3.5,4,2014,yes`, 8},  // 19 digits: strconv
+	{`9223372036854775808,2,3.5,4,2014,yes`, 8},  // 19 digits, overflows
+	{`1,-9223372036854775808,3.5,4,2014,yes`, 8}, //
 }
 
 func TestDecodeLineIntoSeeds(t *testing.T) {
@@ -239,23 +269,65 @@ func TestDecodeLineIntoRejectsMisshapenBatch(t *testing.T) {
 }
 
 // The scan's inner loop: an unquoted line into a warm batch allocates
-// nothing — no string per line, no slice per field, no boxed value.
+// nothing — no string per line, no slice per field, no boxed value —
+// whether its numbers take the typed scan or fall back to strconv.
 func TestDecodeLineIntoAllocatesNothingWarm(t *testing.T) {
-	s := scanSchemas[8]
-	line := []byte(`123456,4242,1234.56,3,2014,yes`)
-	types := SchemaTypes(s)
-	b := NewColBatch(types)
-	fill := func() {
-		b.Reset(types)
-		for i := 0; i < DefaultBatchSize; i++ {
-			if err := DecodeLineInto(b, line, s); err != nil {
-				t.Fatal(err)
+	doubles := MustSchema(Column{"id", TypeInt}, Column{"a", TypeFloat}, Column{"b", TypeFloat},
+		Column{"c", TypeFloat}, Column{"d", TypeFloat})
+	for _, tc := range []struct {
+		line string
+		s    Schema
+	}{
+		{`123456,4242,1234.56,3,2014,yes`, scanSchemas[8]},
+		{`7,1234.56,-0.25,007.50,99999.9999`, doubles},   // the typed scan
+		{`7,1e3,2.5E-3,1234567890.123456,-Inf`, doubles}, // strconv
+	} {
+		line, types := []byte(tc.line), SchemaTypes(tc.s)
+		b := NewColBatch(types)
+		fill := func() {
+			b.Reset(types)
+			for i := 0; i < DefaultBatchSize; i++ {
+				if err := DecodeLineInto(b, line, tc.s); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		fill()
+		if n := testing.AllocsPerRun(20, fill); n != 0 {
+			t.Errorf("%d lines %q into a warm batch: %v allocs, want 0", DefaultBatchSize, line, n)
+		}
 	}
-	fill()
-	if n := testing.AllocsPerRun(20, fill); n != 0 {
-		t.Errorf("%d unquoted lines into a warm batch: %v allocs, want 0", DefaultBatchSize, n)
+}
+
+// BenchmarkDecodeLineInto decodes 1 024 carts lines shaped as
+// internal/datagen writes them (sequential cartid, log-normal amount to the
+// cent, 1–12 items, three years, Yes/No) into one warm batch.
+func BenchmarkDecodeLineInto(b *testing.B) {
+	s := scanSchemas[8]
+	rng := rand.New(rand.NewSource(7))
+	lines := make([][]byte, DefaultBatchSize)
+	for i := range lines {
+		abandoned := "No"
+		if rng.Intn(3) == 0 {
+			abandoned = "Yes"
+		}
+		amount := math.Round(math.Exp(rng.NormFloat64()*0.9+4.0)*100) / 100
+		r := Row{Int(int64(i + 1)), Int(int64(1 + i/100)), Float(amount),
+			Int(int64(1 + rng.Intn(12))), Int(int64(2012 + rng.Intn(3))), String_(abandoned)}
+		enc := AppendLine(nil, r)
+		lines[i] = enc[:len(enc)-1]
+	}
+	types := SchemaTypes(s)
+	batch := NewColBatch(types)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		batch.Reset(types)
+		for _, line := range lines {
+			if err := DecodeLineInto(batch, line, s); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

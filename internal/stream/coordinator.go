@@ -147,7 +147,7 @@ type jobState struct {
 	launched bool
 
 	// sqlWaiters[w] is the connection a registered SQL worker w is parked
-	// on, awaiting its matches message.
+	// on, awaiting its matches message; nil once that connection closed.
 	sqlWaiters map[int]*json.Encoder
 	sqlAddrs   map[int]string
 
@@ -473,10 +473,13 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 	}
 
 	// Unpark: forget the connection unless a newer registration (restart)
-	// already replaced it.
+	// already replaced it. The waiter's entry stays, nil, because
+	// len(sqlWaiters) counts the registered workers; a nil waiter is one
+	// tryDispatch skips.
 	c.mu.Lock()
 	if js, ok := c.jobs[msg.Job]; ok && js.sqlConns[msg.Worker] == conn {
 		delete(js.sqlConns, msg.Worker)
+		js.sqlWaiters[msg.Worker] = nil
 	}
 	c.mu.Unlock()
 }

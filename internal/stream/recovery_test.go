@@ -623,6 +623,67 @@ func TestLeaseExpiryFencesHungWorker(t *testing.T) {
 	}
 }
 
+// TestUnparkedSQLWorkerGetsNoMatches: a SQL worker whose parked
+// connection has closed is still counted as registered (get_splits and
+// register_ml keep answering), but a later register_ml completing its group
+// must not dispatch matches onto the dead connection.
+func TestUnparkedSQLWorkerGetsNoMatches(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	coord := NewCoordinator(nil)
+	coord.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Stop()
+
+	parked := func() bool {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		_, ok := coord.job("junpark").sqlConns[0]
+		return ok
+	}
+	waitFor := func(want bool, what string) {
+		for deadline := time.Now().Add(5 * time.Second); parked() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("sql worker never %s", what)
+			}
+		}
+	}
+	sql := dialCoord(t, addr)
+	sql.send(t, message{Type: "register_sql", Job: "junpark", Worker: 0,
+		NumWorkers: 1, Command: "svm", Schema: "id:int", K: 1})
+	waitFor(true, "parked")
+	if err := sql.conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(false, "unparked")
+
+	ml := dialCoord(t, addr)
+	ml.send(t, message{Type: "register_ml", Job: "junpark", Split: 0,
+		Listen: "127.0.0.1:11111", Addr: "node1"})
+	if reply := ml.recv(t); reply.Type != "ok" {
+		t.Fatalf("register_ml reply %q: %s", reply.Type, reply.Error)
+	}
+	// The coordinator closes the connection once the handler, dispatch
+	// attempt included, has returned.
+	if _, err := ml.conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("register_ml connection carried more than its reply")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.Contains(l, "matched sql worker") {
+			t.Errorf("dispatched to an unparked worker: %q", l)
+		}
+	}
+}
+
 // TestEpochFencing: every register_ml bumps the split's epoch, get_target
 // serves the latest registration, and unknown splits are an error (the
 // sender's backoff loop absorbs it rather than parking forever).
