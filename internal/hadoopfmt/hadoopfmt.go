@@ -266,7 +266,8 @@ var readBufPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64
 
 // lineRecordReader reads the text lines of one split, straight into a
 // column batch (NextColBatch) or one row at a time (Next); the two
-// interleave freely and both parse through row.DecodeLineInto.
+// interleave freely and both parse through ColBatch.AppendTextLine into
+// a batch they have just Reset to the schema's types.
 // A split owns every line that *starts* strictly inside it (plus the line
 // starting at offset 0 when the split begins the file), so adjacent splits
 // partition lines exactly.
@@ -331,7 +332,7 @@ func (l *lineRecordReader) Next() (row.Row, bool, error) {
 		l.one = row.NewColBatch(nil)
 	}
 	l.one.Reset(l.types)
-	if err := row.DecodeLineInto(l.one, line, l.schema); err != nil {
+	if err := l.one.AppendTextLine(line, l.schema); err != nil {
 		return nil, false, l.lineErr(err)
 	}
 	return l.one.RowAt(0, nil), true, nil
@@ -342,6 +343,9 @@ func (l *lineRecordReader) Next() (row.Row, bool, error) {
 // vectors without a row or a string per line in between.
 func (l *lineRecordReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 	dst.Reset(l.types)
+	if err := dst.Conforms(l.schema); err != nil {
+		return 0, false, err
+	}
 	for dst.FullLen() < row.DefaultBatchSize {
 		line, ok, err := l.nextLine()
 		if err != nil {
@@ -350,7 +354,7 @@ func (l *lineRecordReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 		if !ok {
 			break
 		}
-		if err := row.DecodeLineInto(dst, line, l.schema); err != nil {
+		if err := dst.AppendTextLine(line, l.schema); err != nil {
 			return 0, false, l.lineErr(err)
 		}
 	}

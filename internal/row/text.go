@@ -81,13 +81,20 @@ func DecodeLineInto(dst *ColBatch, line []byte, s Schema) error {
 	if err := dst.Conforms(s); err != nil {
 		return err
 	}
-	if err := decodeLineInto(dst, line, s); err != nil {
-		for c := range dst.cols {
-			dst.cols[c].truncate(dst.n) // drop the cells the failed row did append
+	return dst.AppendTextLine(line, s)
+}
+
+// AppendTextLine is DecodeLineInto without the shape check, for a reader
+// that has shaped b like s itself: it checks once per batch, not once per
+// line.
+func (b *ColBatch) AppendTextLine(line []byte, s Schema) error {
+	if err := decodeLineInto(b, line, s); err != nil {
+		for c := range b.cols {
+			b.cols[c].truncate(b.n) // drop the cells the failed row did append
 		}
 		return err
 	}
-	dst.n++
+	b.n++
 	return nil
 }
 

@@ -78,6 +78,16 @@ func BenchmarkGroupBy(b *testing.B) {
 	runQuery(b, e, "SELECT cat, dimid, COUNT(*), SUM(v), MIN(v), MAX(v) FROM fact GROUP BY cat, dimid")
 }
 
+// GroupByManyGroups puts about two rows in each group, with the agg_prep
+// workload's five aggregates, so the per-group cost (a new group's key,
+// its state, the merge and the final write) shows, not only the per-row
+// fold.
+func BenchmarkGroupByManyGroups(b *testing.B) {
+	e := benchEngine(b, 50_000, 25_000)
+	runQuery(b, e, `SELECT dimid, COUNT(*), AVG(v), MAX(v), SUM(id),
+		AVG(CASE WHEN cat = 'red' THEN 1.0 ELSE 0.0 END) FROM fact GROUP BY dimid`)
+}
+
 func BenchmarkHashJoin(b *testing.B) {
 	e := benchEngine(b, 50_000, 100)
 	runQuery(b, e, "SELECT f.id, f.v, d.name FROM fact f, dim d WHERE f.dimid = d.id AND f.v > 250")

@@ -165,3 +165,61 @@ func TestExportToDFSChargesLiveRowBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateMergeChargesPartialGroups pins the head merge's charge
+// against figures from the input rows alone: every partition that holds
+// rows moves its partial to the head, at the row bytes of each distinct
+// group key plus 24 bytes per aggregate per group.
+func TestAggregateMergeChargesPartialGroups(t *testing.T) {
+	const n = 3
+	topo := cluster.NewTopology(n + 1)
+	cost := &cluster.CostModel{NetBps: 1e9}
+	e, err := New(topo, cost, Config{HeadNodeID: 0, WorkerNodeIDs: []int{1, 2, 3}, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := row.MustSchema(row.Column{Name: "k", Type: row.TypeInt}, row.Column{Name: "cat", Type: row.TypeString},
+		row.Column{Name: "v", Type: row.TypeFloat})
+	rng := rand.New(rand.NewSource(9))
+	cats := []row.Value{row.String_("a"), row.String_("bb"), row.String_(""), row.NullOf(row.TypeString)}
+	parts := make([][]row.Row, n)
+	for i := range 3000 {
+		k := row.Int(int64(rng.Intn(900)))
+		if rng.Intn(7) == 0 {
+			k = row.NullOf(row.TypeInt)
+		}
+		parts[i%n] = append(parts[i%n], row.Row{k, cats[rng.Intn(len(cats))], row.Float(rng.Float64())})
+	}
+	parts[2] = nil // an empty partition moves nothing
+	if err := e.LoadPartitionedTable("t", schema, parts); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql  string
+		key  func(r row.Row) row.Row
+		aggs int
+	}{
+		{"SELECT cat, k, COUNT(*), MAX(v) FROM t GROUP BY k, cat", func(r row.Row) row.Row { return r[:2] }, 2},
+		{"SELECT cat, MIN(k), AVG(v), SUM(k) FROM t GROUP BY cat", func(r row.Row) row.Row { return r[1:2] }, 3},
+		{"SELECT COUNT(*), SUM(v) FROM t", func(row.Row) row.Row { return nil }, 2},
+	} {
+		want := 0
+		for _, p := range parts {
+			seen := make(map[string]bool)
+			for _, r := range p {
+				key := c.key(r)
+				if enc := string(row.AppendKey(nil, key)); !seen[enc] {
+					seen[enc] = true
+					want += rowBytes(key) + 24*c.aggs
+				}
+			}
+		}
+		cost.ResetStats()
+		if _, err := e.Query(c.sql); err != nil {
+			t.Fatal(err)
+		}
+		if got := cost.Stats().NetBytes; got != int64(want) {
+			t.Errorf("%s: merge charged %d net bytes, partial groups' key bytes + 24 per aggregate = %d", c.sql, got, want)
+		}
+	}
+}

@@ -348,23 +348,3 @@ func (r *Result) mustChunks() [][]*row.ColBatch {
 	}
 	return parts
 }
-
-// rowBytes estimates the wire size of a row for cost charging.
-func rowBytes(r row.Row) int {
-	n := 4 // frame overhead
-	for _, v := range r {
-		switch v.Kind {
-		case row.TypeString:
-			if !v.Null {
-				n += 5 + len(v.AsString())
-			} else {
-				n += 1
-			}
-		case row.TypeBool:
-			n += 2
-		default:
-			n += 9
-		}
-	}
-	return n
-}

@@ -281,6 +281,27 @@ func TestExternalProbeRowsOwnTheirStrings(t *testing.T) {
 	}
 }
 
+// rowBytes is the row-side estimate of a row's wire size that the
+// engine's columnar colBatchBytes is held to.
+func rowBytes(r row.Row) int {
+	n := 4 // frame overhead
+	for _, v := range r {
+		switch v.Kind {
+		case row.TypeString:
+			if !v.Null {
+				n += 5 + len(v.AsString())
+			} else {
+				n += 1
+			}
+		case row.TypeBool:
+			n += 2
+		default:
+			n += 9
+		}
+	}
+	return n
+}
+
 // partBytes is the row-side reference for the engine's cost charges:
 // rowBytes summed over a partition's rows.
 func partBytes(p []row.Row) int {

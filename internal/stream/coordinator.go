@@ -601,7 +601,17 @@ func (c *Coordinator) tryDispatch(job string, worker int) {
 	c.mu.Unlock()
 
 	if err := enc.Encode(message{Type: "matches", Targets: targets}); err != nil {
+		// The worker never got its matches: forget the dead waiter (unless
+		// a re-registration already replaced it) and re-arm dispatch, so
+		// the worker's next register_sql is matched at once.
 		log.Printf("stream: coordinator: dispatch to sql worker %d failed: %v", worker, err)
+		c.mu.Lock()
+		if js.sqlWaiters[worker] == enc {
+			js.sqlWaiters[worker] = nil
+			js.dispatched[worker] = false
+		}
+		c.mu.Unlock()
+		return
 	}
 	c.logf("matched sql worker %d of job %s with %d ml workers", worker, job, len(targets))
 }

@@ -684,6 +684,99 @@ func TestUnparkedSQLWorkerGetsNoMatches(t *testing.T) {
 	}
 }
 
+// failingWriter fails every write, as a connection the peer has reset.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset by peer") }
+
+// TestFailedDispatchRearmsWorker: when the matches message cannot be
+// written to a parked SQL worker, the coordinator logs no match, forgets
+// the dead waiter and re-arms dispatch, so the worker's next register_sql
+// gets its matches without another register_ml.
+func TestFailedDispatchRearmsWorker(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	coord := NewCoordinator(nil)
+	coord.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Stop()
+
+	register := message{Type: "register_sql", Job: "jfail", Worker: 0,
+		NumWorkers: 1, Command: "svm", Schema: "id:int", K: 1}
+	first := dialCoord(t, addr)
+	first.send(t, register)
+	broken := json.NewEncoder(failingWriter{})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		coord.mu.Lock()
+		js := coord.job("jfail")
+		parked := js.sqlWaiters[0] != nil
+		if parked {
+			js.sqlWaiters[0] = broken // the parked connection's writes now fail
+		}
+		coord.mu.Unlock()
+		if parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("sql worker never parked")
+		}
+	}
+
+	ml := dialCoord(t, addr)
+	ml.send(t, message{Type: "register_ml", Job: "jfail", Split: 0,
+		Listen: "127.0.0.1:11111", Addr: "node1"})
+	if reply := ml.recv(t); reply.Type != "ok" {
+		t.Fatalf("register_ml reply %q: %s", reply.Type, reply.Error)
+	}
+	// The coordinator closes the connection once the handler, dispatch
+	// attempt included, has returned.
+	if _, err := ml.conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("register_ml connection carried more than its reply")
+	}
+	mu.Lock()
+	for _, l := range lines {
+		if strings.Contains(l, "matched sql worker") {
+			t.Errorf("failed dispatch logged as a match: %q", l)
+		}
+	}
+	mu.Unlock()
+	coord.mu.Lock()
+	js := coord.job("jfail")
+	waiter, dispatched := js.sqlWaiters[0], js.dispatched[0]
+	coord.mu.Unlock()
+	if waiter != nil || dispatched {
+		t.Errorf("after the failed dispatch: waiter cleared = %t, dispatched = %t; want true, false", waiter == nil, dispatched)
+	}
+
+	// The worker's dead connection closes, and it registers afresh.
+	if err := first.conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		coord.mu.Lock()
+		_, parked := coord.job("jfail").sqlConns[0]
+		coord.mu.Unlock()
+		if !parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("sql worker never unparked")
+		}
+	}
+	sql := dialCoord(t, addr)
+	sql.send(t, register)
+	if reply := sql.recv(t); reply.Type != "matches" || len(reply.Targets) != 1 {
+		t.Fatalf("re-registered sql worker got %q with %d targets, want matches with 1", reply.Type, len(reply.Targets))
+	}
+}
+
 // TestEpochFencing: every register_ml bumps the split's epoch, get_target
 // serves the latest registration, and unknown splits are an error (the
 // sender's backoff loop absorbs it rather than parking forever).
