@@ -1,9 +1,10 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sqlml/internal/hadoopfmt"
 )
@@ -29,28 +30,16 @@ func TrainNaiveBayes(d *Dataset, lambda float64) (*NaiveBayesModel, error) {
 	if lambda <= 0 {
 		return nil, fmt.Errorf("ml: smoothing lambda must be positive")
 	}
-	dim := d.NumFeatures
-
-	type classStats struct {
-		count int64
-		sums  []float64
-	}
-	partials := make([]map[float64]*classStats, len(d.Parts))
+	partials := make([]classes, len(d.Parts))
 	if err := hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
-		m := make(map[float64]*classStats)
+		m := make(classes)
 		for _, p := range d.Parts[i] {
-			cs := m[p.Label]
-			if cs == nil {
-				cs = &classStats{sums: make([]float64, dim)}
-				m[p.Label] = cs
-			}
-			cs.count++
-			for j, x := range p.Features {
+			for _, x := range p.Features {
 				if x < 0 {
 					return fmt.Errorf("ml: multinomial naive Bayes requires non-negative features, found %v", x)
 				}
-				cs.sums[j] += x
 			}
+			m.add(p.Label, 1, p.Features)
 		}
 		partials[i] = m
 		return nil
@@ -58,44 +47,66 @@ func TrainNaiveBayes(d *Dataset, lambda float64) (*NaiveBayesModel, error) {
 		return nil, err
 	}
 
-	merged := make(map[float64]*classStats)
+	merged := make(classes)
 	for _, m := range partials {
 		for label, cs := range m {
-			mc := merged[label]
-			if mc == nil {
-				mc = &classStats{sums: make([]float64, dim)}
-				merged[label] = mc
-			}
-			mc.count += cs.count
-			for j, s := range cs.sums {
-				mc.sums[j] += s
-			}
+			merged.add(label, cs.count, cs.sums)
 		}
 	}
+	return merged.model(lambda), nil
+}
 
-	labels := make([]float64, 0, len(merged))
-	for l := range merged {
-		labels = append(labels, l)
+// classStats is one class's row count and per-feature sums.
+type classStats struct {
+	label float64
+	count int64
+	sums  []float64
+}
+
+// classes maps each class label to its statistics. Both naive Bayes
+// trainers accumulate them, in memory per partition or from the MapReduce
+// job's output, and build the model from them.
+type classes map[float64]*classStats
+
+// add counts count rows of class label whose features sum to sums.
+func (m classes) add(label float64, count int64, sums []float64) {
+	cs := m[label]
+	if cs == nil {
+		cs = &classStats{label: label, sums: make([]float64, len(sums))}
+		m[label] = cs
 	}
-	sort.Float64s(labels)
+	cs.count += count
+	for j, s := range sums {
+		cs.sums[j] += s
+	}
+}
 
-	model := &NaiveBayesModel{Labels: labels}
-	total := float64(d.NumRows())
-	for _, l := range labels {
-		cs := merged[l]
-		model.Priors = append(model.Priors, math.Log(float64(cs.count)/total))
+// model builds the classifier, labels ascending: log priors over the
+// total count and Laplace-smoothed (lambda) log feature probabilities.
+func (m classes) model(lambda float64) *NaiveBayesModel {
+	var total int64
+	sorted := make([]*classStats, 0, len(m))
+	for _, cs := range m {
+		sorted = append(sorted, cs)
+		total += cs.count
+	}
+	slices.SortFunc(sorted, func(a, b *classStats) int { return cmp.Compare(a.label, b.label) })
+	model := &NaiveBayesModel{}
+	for _, cs := range sorted {
+		model.Labels = append(model.Labels, cs.label)
+		model.Priors = append(model.Priors, math.Log(float64(cs.count)/float64(total)))
 		rowSum := 0.0
 		for _, s := range cs.sums {
 			rowSum += s
 		}
-		theta := make([]float64, dim)
-		denom := math.Log(rowSum + lambda*float64(dim))
+		theta := make([]float64, len(cs.sums))
+		denom := math.Log(rowSum + lambda*float64(len(cs.sums)))
 		for j, s := range cs.sums {
 			theta[j] = math.Log(s+lambda) - denom
 		}
 		model.Theta = append(model.Theta, theta)
 	}
-	return model, nil
+	return model
 }
 
 // Predict returns the most likely class label.

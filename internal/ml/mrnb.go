@@ -2,8 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strconv"
 
 	"sqlml/internal/hadoopfmt"
@@ -99,25 +97,13 @@ func TrainNaiveBayesMR(mr mapred.Cluster, input hadoopfmt.InputFormat, opts Inge
 	if len(stats) == 0 {
 		return nil, fmt.Errorf("ml: naive Bayes job produced no class statistics")
 	}
-	sort.Slice(stats, func(i, j int) bool { return stats[i][0].AsFloat() < stats[j][0].AsFloat() })
-	var total int64
+	m := make(classes)
+	sums := make([]float64, dim)
 	for _, s := range stats {
-		total += s[1].AsInt()
-	}
-	model := &NaiveBayesModel{}
-	for _, s := range stats {
-		model.Labels = append(model.Labels, s[0].AsFloat())
-		model.Priors = append(model.Priors, math.Log(float64(s[1].AsInt())/float64(total)))
-		rowSum := 0.0
-		for j := 0; j < dim; j++ {
-			rowSum += s[2+j].AsFloat()
+		for j := range sums {
+			sums[j] = s[2+j].AsFloat()
 		}
-		theta := make([]float64, dim)
-		denom := math.Log(rowSum + lambda*float64(dim))
-		for j := 0; j < dim; j++ {
-			theta[j] = math.Log(s[2+j].AsFloat()+lambda) - denom
-		}
-		model.Theta = append(model.Theta, theta)
+		m.add(s[0].AsFloat(), s[1].AsInt(), sums)
 	}
-	return model, nil
+	return m.model(lambda), nil
 }

@@ -117,26 +117,21 @@ func (w *chunkWriter) appendPositions(b *row.ColBatch, pos []int32) {
 	b.SetSel(sel)
 }
 
-// appendCells transposes n rows onto the chunks, column at a time: cell(i,
-// c) is row i's value in column c.
-func (w *chunkWriter) appendCells(n int, cell func(i, c int) row.Value) {
+// appendRows transposes rows onto the chunks, column at a time.
+func (w *chunkWriter) appendRows(rows []row.Row) {
+	n := len(rows)
 	for i := 0; i < n; {
-		k := min(n-i, w.room(n-i, func(c int) int { return cellBytesPerRow(i, min(n, i+DefaultBatchSize), c, cell) }))
+		k := min(n-i, w.room(n-i, func(c int) int { return cellBytesPerRow(rows[i:min(n, i+DefaultBatchSize)], c) }))
 		for c := range w.types {
 			dst := w.cur.Col(c)
-			for j := i; j < i+k; j++ {
-				dst.AppendValue(cell(j, c))
+			for _, r := range rows[i : i+k] {
+				dst.AppendValue(r[c])
 			}
 		}
 		w.cur.SetFullLen(w.cur.FullLen() + k)
 		w.took(k)
 		i += k
 	}
-}
-
-// appendRows transposes rows onto the chunks.
-func (w *chunkWriter) appendRows(rows []row.Row) {
-	w.appendCells(len(rows), func(i, c int) row.Value { return rows[i][c] })
 }
 
 // finish publishes the open chunk and returns the partition.
@@ -154,16 +149,16 @@ func vectorBytesPerRow(v *row.Vector) int {
 	return (v.PayloadLen(n) + n - 1) / n
 }
 
-// cellBytesPerRow is column c's mean string payload over rows [lo, hi) —
-// exact for a chunk that holds just those rows.
-func cellBytesPerRow(lo, hi, c int, cell func(i, c int) row.Value) int {
+// cellBytesPerRow is column c's mean string payload over rows — exact for
+// a chunk that holds just those rows.
+func cellBytesPerRow(rows []row.Row, c int) int {
 	total := 0
-	for i := lo; i < hi; i++ {
-		if v := cell(i, c); !v.Null && v.Kind == row.TypeString {
+	for _, r := range rows {
+		if v := r[c]; !v.Null && v.Kind == row.TypeString {
 			total += len(v.AsString())
 		}
 	}
-	return (total + hi - lo - 1) / (hi - lo)
+	return (total + len(rows) - 1) / len(rows)
 }
 
 // rowsToChunks transposes materialized row partitions into sealed chunks,

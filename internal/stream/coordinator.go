@@ -141,15 +141,32 @@ type message struct {
 	Error   string      `json:"error,omitempty"`
 }
 
+// sqlWorker is the coordinator's record of one SQL worker's latest
+// registration. A worker stays registered once it has registered; only its
+// parked connection comes and goes, and a re-registration replaces the
+// record.
+type sqlWorker struct {
+	addr string
+
+	// conn is the connection the worker is parked on, nil once it closed
+	// or its lease expired. enc writes to conn and is the worker's one
+	// pending wait for matches: tryDispatch takes it, so each registration
+	// gets at most one matches message.
+	conn net.Conn
+	enc  *json.Encoder
+
+	// lastBeat is when the worker last registered or heartbeat.
+	lastBeat time.Time
+}
+
 // jobState tracks one transfer session.
 type jobState struct {
 	spec     JobSpec
 	launched bool
 
-	// sqlWaiters[w] is the connection a registered SQL worker w is parked
-	// on, awaiting its matches message; nil once that connection closed.
-	sqlWaiters map[int]*json.Encoder
-	sqlAddrs   map[int]string
+	// sql[w] is SQL worker w's record; len(sql) counts the registered
+	// workers.
+	sql map[int]*sqlWorker
 
 	// mlRegs[split] is the latest ML registration for the split
 	// (last-writer-wins: stale listeners fail the sender's dial and
@@ -157,15 +174,6 @@ type jobState struct {
 	// register_ml calls: the current value is the live epoch, older
 	// values are fenced.
 	mlRegs map[int]Target
-
-	// dispatched[w] reports whether worker w's current wait got matches.
-	dispatched map[int]bool
-
-	// sqlConns[w] is the parked connection behind sqlWaiters[w], kept so
-	// lease expiry can sever a hung worker, and lastBeat[w] is when the
-	// worker last registered or heartbeat.
-	sqlConns map[int]net.Conn
-	lastBeat map[int]time.Time
 
 	// restarts counts §6 group restarts: register_sql messages arriving
 	// after the job launched. Per-connection reconnects (the sender's
@@ -197,6 +205,10 @@ type Coordinator struct {
 	closed    bool
 	leaseStop chan struct{}
 
+	// conns holds every accepted connection whose handler has not yet
+	// returned; Stop severs them all.
+	conns map[net.Conn]struct{}
+
 	// Logf, when set, receives protocol trace lines (tests, CLI verbose).
 	Logf func(format string, args ...any)
 }
@@ -204,7 +216,7 @@ type Coordinator struct {
 // NewCoordinator returns an unstarted coordinator. launcher may be nil when
 // ML jobs are started externally (e.g. by the benchmark harness itself).
 func NewCoordinator(launcher Launcher) *Coordinator {
-	return &Coordinator{launcher: launcher, jobs: make(map[string]*jobState)}
+	return &Coordinator{launcher: launcher, jobs: make(map[string]*jobState), conns: make(map[net.Conn]struct{})}
 }
 
 // Start begins listening on addr ("127.0.0.1:0" for an ephemeral port) and
@@ -225,29 +237,24 @@ func (c *Coordinator) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Stop shuts the coordinator down and waits for its connections to finish
-// their current message.
+// Stop shuts the coordinator down: it severs every connection it has
+// accepted and waits for their handlers to return.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	wasClosed := c.closed
 	c.closed = true
-	// Sever parked registration connections: their handlers block reading
-	// heartbeats until the peer closes, and a worker that never will (hung,
-	// or a test driving the protocol by hand) must not wedge shutdown.
-	var parked []net.Conn
-	for _, js := range c.jobs {
-		for _, conn := range js.sqlConns {
-			//lint:allow maporder teardown set: every parked connection is closed, so order never escapes
-			parked = append(parked, conn)
-		}
+	// A parked handler blocks reading heartbeats until its peer closes, and
+	// a peer that never will (hung, replaced by a re-registration, or a
+	// test driving the protocol by hand) must not wedge shutdown. Closing
+	// a socket does not wait on its peer, so it happens under the lock;
+	// acceptLoop closes whatever it accepts from here on.
+	for conn := range c.conns {
+		//lint:allow errdiscard shutdown teardown; the close is the signal and the peer may already be gone
+		conn.Close()
 	}
 	c.mu.Unlock()
 	if !wasClosed && c.leaseStop != nil {
 		close(c.leaseStop)
-	}
-	for _, conn := range parked {
-		//lint:allow errdiscard shutdown teardown; the close is the signal and the peer may already be gone
-		conn.Close()
 	}
 	if c.ln != nil {
 		if err := c.ln.Close(); err != nil {
@@ -318,25 +325,19 @@ func (c *Coordinator) leaseLoop() {
 // next coordinator interaction fails, pushing it onto its restart path, and
 // a fresh register_sql re-admits it with a new lease.
 func (c *Coordinator) expireLeases(now time.Time) {
-	var victims []net.Conn
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for job, js := range c.jobs {
-		for w, conn := range js.sqlConns {
-			if now.Sub(js.lastBeat[w]) <= c.LeaseDuration {
+		for w, sw := range js.sql {
+			if sw.conn == nil || now.Sub(sw.lastBeat) <= c.LeaseDuration {
 				continue
 			}
-			delete(js.sqlConns, w)
-			delete(js.sqlWaiters, w)
 			js.expired++
-			//lint:allow maporder fencing set: every expired connection is closed, so order never escapes
-			victims = append(victims, conn)
+			//lint:allow errdiscard fencing a hung worker; the close itself is the signal and the peer may already be gone
+			sw.conn.Close()
+			sw.unpark()
 			c.logf("lease expired for sql worker %d of job %s", w, job)
 		}
-	}
-	c.mu.Unlock()
-	for _, conn := range victims {
-		//lint:allow errdiscard fencing a hung worker; the close itself is the signal and the peer may already be gone
-		conn.Close()
 	}
 }
 
@@ -347,10 +348,20 @@ func (c *Coordinator) acceptLoop() {
 		if err != nil {
 			return
 		}
+		c.mu.Lock()
+		c.conns[conn] = struct{}{}
+		if c.closed {
+			//lint:allow errdiscard a connection accepted during shutdown; its handler sees the close and returns
+			conn.Close()
+		}
+		c.mu.Unlock()
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
 			c.handle(conn)
+			c.mu.Lock()
+			delete(c.conns, conn)
+			c.mu.Unlock()
 		}()
 	}
 }
@@ -396,14 +407,7 @@ func (c *Coordinator) reply(enc *json.Encoder, msg message) {
 func (c *Coordinator) job(name string) *jobState {
 	js, ok := c.jobs[name]
 	if !ok {
-		js = &jobState{
-			sqlWaiters: make(map[int]*json.Encoder),
-			sqlAddrs:   make(map[int]string),
-			mlRegs:     make(map[int]Target),
-			dispatched: make(map[int]bool),
-			sqlConns:   make(map[int]net.Conn),
-			lastBeat:   make(map[int]time.Time),
-		}
+		js = &jobState{sql: make(map[int]*sqlWorker), mlRegs: make(map[int]Target)}
 		c.jobs[name] = js
 	}
 	return js
@@ -424,11 +428,8 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 		SplitsPer:  max(1, msg.K),
 		Schema:     msg.Schema,
 	}
-	js.sqlWaiters[msg.Worker] = enc
-	js.sqlAddrs[msg.Worker] = msg.Addr
-	js.dispatched[msg.Worker] = false
-	js.sqlConns[msg.Worker] = conn
-	js.lastBeat[msg.Worker] = time.Now()
+	sw := &sqlWorker{addr: msg.Addr, conn: conn, enc: enc, lastBeat: time.Now()}
+	js.sql[msg.Worker] = sw
 	if isRestart {
 		js.restarts++
 		// §6 restart: the worker re-parks for a fresh matches message. ML
@@ -438,7 +439,7 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 		// them and resume at per-split granularity.
 		c.logf("restart: sql worker %d of job %s re-registered", msg.Worker, msg.Job)
 	}
-	allIn := len(js.sqlWaiters) >= js.spec.NumWorkers
+	allIn := len(js.sql) >= js.spec.NumWorkers
 	launch := allIn && !js.launched
 	if launch {
 		js.launched = true
@@ -455,8 +456,10 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 
 	// Park until the connection drops (the sender closes it after it has
 	// received its matches and finished, or on its own failure path).
-	// Heartbeat messages arriving on the parked connection renew the
-	// worker's lease; everything else is discarded.
+	// Heartbeat messages arriving on the parked connection renew this
+	// registration's lease; everything else is discarded. A registration
+	// that a restart replaced has left js.sql, so renewing or unparking
+	// it changes nothing the coordinator reads.
 	for {
 		parked, err := readMessage(br)
 		if err != nil {
@@ -466,22 +469,18 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 			continue
 		}
 		c.mu.Lock()
-		if js, ok := c.jobs[parked.Job]; ok {
-			js.lastBeat[parked.Worker] = time.Now()
-		}
+		sw.lastBeat = time.Now()
 		c.mu.Unlock()
 	}
-
-	// Unpark: forget the connection unless a newer registration (restart)
-	// already replaced it. The waiter's entry stays, nil, because
-	// len(sqlWaiters) counts the registered workers; a nil waiter is one
-	// tryDispatch skips.
 	c.mu.Lock()
-	if js, ok := c.jobs[msg.Job]; ok && js.sqlConns[msg.Worker] == conn {
-		delete(js.sqlConns, msg.Worker)
-		js.sqlWaiters[msg.Worker] = nil
-	}
+	sw.unpark()
 	c.mu.Unlock()
+}
+
+// unpark forgets the worker's parked connection and any wait for matches
+// on it. The worker stays registered.
+func (sw *sqlWorker) unpark() {
+	sw.conn, sw.enc = nil, nil
 }
 
 // handleGetSplits implements step 3: it answers once all SQL workers have
@@ -497,11 +496,15 @@ func (c *Coordinator) handleGetSplits(msg *message, enc *json.Encoder) {
 	k := js.spec.SplitsPer
 	splits := make([]SplitInfo, 0, n*k)
 	for w := 0; w < n; w++ {
+		var loc string
+		if sw := js.sql[w]; sw != nil {
+			loc = sw.addr
+		}
 		for i := 0; i < k; i++ {
 			splits = append(splits, SplitInfo{
 				ID:        w*k + i,
 				SQLWorker: w,
-				Locations: []string{js.sqlAddrs[w]},
+				Locations: []string{loc},
 			})
 		}
 	}
@@ -518,7 +521,7 @@ func (c *Coordinator) waitForRegistration(job string) (*jobState, bool) {
 	for attempt := 0; attempt < 2000; attempt++ {
 		c.mu.Lock()
 		js, ok := c.jobs[job]
-		ready := ok && len(js.sqlWaiters) >= js.spec.NumWorkers && js.spec.NumWorkers > 0
+		ready := ok && len(js.sql) >= js.spec.NumWorkers && js.spec.NumWorkers > 0
 		closed := c.closed
 		c.mu.Unlock()
 		if ready {
@@ -543,10 +546,7 @@ func (c *Coordinator) handleRegisterML(msg *message, enc *json.Encoder) {
 	c.mu.Lock()
 	epoch := js.mlRegs[msg.Split].Epoch + 1
 	js.mlRegs[msg.Split] = Target{Split: msg.Split, Listen: msg.Listen, Addr: msg.Addr, Epoch: epoch}
-	k := js.spec.SplitsPer
-	worker := msg.Split / k
-	// A fresh ML registration re-arms dispatch for its group (restart).
-	js.dispatched[worker] = false
+	worker := msg.Split / js.spec.SplitsPer
 	c.mu.Unlock()
 	c.reply(enc, message{Type: "ok", Epoch: epoch})
 	c.tryDispatch(msg.Job, worker)
@@ -574,20 +574,19 @@ func (c *Coordinator) handleGetTarget(msg *message, enc *json.Encoder) {
 }
 
 // tryDispatch sends the matches message (step 6) to a SQL worker when its
-// entire group of ML workers is registered and the worker is parked.
+// entire group of ML workers is registered and the worker is waiting. It
+// takes the wait before writing, so a registration gets one matches
+// message at most; after a failed write the worker's next register_sql
+// waits afresh and is matched at once.
 func (c *Coordinator) tryDispatch(job string, worker int) {
 	c.mu.Lock()
-	js, ok := c.jobs[job]
-	if !ok {
+	js := c.jobs[job]
+	sw := js.sql[worker]
+	if sw == nil || sw.enc == nil {
 		c.mu.Unlock()
 		return
 	}
 	k := js.spec.SplitsPer
-	enc := js.sqlWaiters[worker]
-	if enc == nil || js.dispatched[worker] {
-		c.mu.Unlock()
-		return
-	}
 	targets := make([]Target, 0, k)
 	for s := worker * k; s < (worker+1)*k; s++ {
 		t, ok := js.mlRegs[s]
@@ -597,20 +596,12 @@ func (c *Coordinator) tryDispatch(job string, worker int) {
 		}
 		targets = append(targets, t)
 	}
-	js.dispatched[worker] = true
+	enc := sw.enc
+	sw.enc = nil
 	c.mu.Unlock()
 
 	if err := enc.Encode(message{Type: "matches", Targets: targets}); err != nil {
-		// The worker never got its matches: forget the dead waiter (unless
-		// a re-registration already replaced it) and re-arm dispatch, so
-		// the worker's next register_sql is matched at once.
 		log.Printf("stream: coordinator: dispatch to sql worker %d failed: %v", worker, err)
-		c.mu.Lock()
-		if js.sqlWaiters[worker] == enc {
-			js.sqlWaiters[worker] = nil
-			js.dispatched[worker] = false
-		}
-		c.mu.Unlock()
 		return
 	}
 	c.logf("matched sql worker %d of job %s with %d ml workers", worker, job, len(targets))

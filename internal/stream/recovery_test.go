@@ -591,11 +591,13 @@ func TestLeaseExpiryFencesHungWorker(t *testing.T) {
 		live.send(t, message{Type: "heartbeat", Job: "jlease", Worker: 1})
 		coord.mu.Lock()
 		js := coord.job("jlease")
-		beat0, ok0 := js.lastBeat[0]
-		beat1, ok1 := js.lastBeat[1]
+		w0, w1 := js.sql[0], js.sql[1]
+		ready := w0 != nil && w1 != nil && w1.lastBeat.After(w0.lastBeat)
+		if ready {
+			hungBeat = w0.lastBeat
+		}
 		coord.mu.Unlock()
-		if ok0 && ok1 && beat1.After(beat0) {
-			hungBeat = beat0
+		if ready {
 			break
 		}
 	}
@@ -645,8 +647,8 @@ func TestUnparkedSQLWorkerGetsNoMatches(t *testing.T) {
 	parked := func() bool {
 		coord.mu.Lock()
 		defer coord.mu.Unlock()
-		_, ok := coord.job("junpark").sqlConns[0]
-		return ok
+		sw := coord.job("junpark").sql[0]
+		return sw != nil && sw.conn != nil
 	}
 	waitFor := func(want bool, what string) {
 		for deadline := time.Now().Add(5 * time.Second); parked() != want; time.Sleep(time.Millisecond) {
@@ -716,9 +718,9 @@ func TestFailedDispatchRearmsWorker(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		coord.mu.Lock()
 		js := coord.job("jfail")
-		parked := js.sqlWaiters[0] != nil
+		parked := js.sql[0] != nil && js.sql[0].enc != nil
 		if parked {
-			js.sqlWaiters[0] = broken // the parked connection's writes now fail
+			js.sql[0].enc = broken // the parked connection's writes now fail
 		}
 		coord.mu.Unlock()
 		if parked {
@@ -749,10 +751,10 @@ func TestFailedDispatchRearmsWorker(t *testing.T) {
 	mu.Unlock()
 	coord.mu.Lock()
 	js := coord.job("jfail")
-	waiter, dispatched := js.sqlWaiters[0], js.dispatched[0]
+	waiter := js.sql[0].enc
 	coord.mu.Unlock()
-	if waiter != nil || dispatched {
-		t.Errorf("after the failed dispatch: waiter cleared = %t, dispatched = %t; want true, false", waiter == nil, dispatched)
+	if waiter != nil {
+		t.Errorf("after the failed dispatch: waiter cleared = %t; want true", waiter == nil)
 	}
 
 	// The worker's dead connection closes, and it registers afresh.
@@ -761,7 +763,7 @@ func TestFailedDispatchRearmsWorker(t *testing.T) {
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		coord.mu.Lock()
-		_, parked := coord.job("jfail").sqlConns[0]
+		parked := coord.job("jfail").sql[0].conn != nil
 		coord.mu.Unlock()
 		if !parked {
 			break
@@ -774,6 +776,106 @@ func TestFailedDispatchRearmsWorker(t *testing.T) {
 	sql.send(t, register)
 	if reply := sql.recv(t); reply.Type != "matches" || len(reply.Targets) != 1 {
 		t.Fatalf("re-registered sql worker got %q with %d targets, want matches with 1", reply.Type, len(reply.Targets))
+	}
+}
+
+// stopWithin runs coord.Stop and reports whether it returned within d. On
+// timeout it closes the given client connections, so a Stop blocked on
+// them returns and the test fails instead of wedging the suite.
+func stopWithin(t *testing.T, coord *Coordinator, d time.Duration, clients ...*coordClient) bool {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		coord.Stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+	}
+	for _, c := range clients {
+		_ = c.conn.Close()
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("Stop still blocked after its peers closed")
+	}
+	return false
+}
+
+// TestStopSeversReplacedParkedConnection: a SQL worker that re-registers on
+// a new connection while its first one stays open leaves two parked
+// connections behind; Stop must sever both rather than wait for the peer
+// holding the replaced one to hang up.
+func TestStopSeversReplacedParkedConnection(t *testing.T) {
+	coord := NewCoordinator(nil)
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	register := message{Type: "register_sql", Job: "jstop", Worker: 0,
+		NumWorkers: 1, Command: "svm", Schema: "id:int", K: 1}
+	first := dialCoord(t, addr)
+	first.send(t, register)
+	second := dialCoord(t, addr)
+	second.send(t, register)
+	// The second registration counts as a restart once the first one
+	// launched the job, which is when both connections are parked.
+	for deadline := time.Now().Add(5 * time.Second); coord.Restarts("jstop") != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			stopWithin(t, coord, time.Second, first, second)
+			t.Fatal("the coordinator never saw the re-registration")
+		}
+	}
+	if !stopWithin(t, coord, 3*time.Second, first, second) {
+		t.Fatal("Stop did not return within 3s with a replaced parked connection open")
+	}
+}
+
+// TestLeaseExpiryKeepsWorkerRegistered: revoking a hung worker's lease
+// severs its parked connection but does not unregister it, so the job's ML
+// side keeps being answered: a register_ml after the expiry gets its ok at
+// once instead of waiting for a registration that is already complete.
+func TestLeaseExpiryKeepsWorkerRegistered(t *testing.T) {
+	launched := make(chan struct{})
+	coord := NewCoordinator(func(JobSpec) { close(launched) })
+	coord.LeaseDuration = time.Hour
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Stop()
+
+	for w := 0; w < 2; w++ {
+		dialCoord(t, addr).send(t, message{Type: "register_sql", Job: "jkeep", Worker: w,
+			NumWorkers: 2, Command: "svm", Schema: "id:int", K: 1})
+	}
+	select {
+	case <-launched:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the job never launched")
+	}
+	// Both registrations are in, so this instant is past worker 0's lease
+	// (and worker 1's: neither heartbeats).
+	coord.expireLeases(time.Now().Add(coord.LeaseDuration + time.Nanosecond))
+	if got := coord.ExpiredLeases("jkeep"); got != 2 {
+		t.Fatalf("expired leases = %d, want 2", got)
+	}
+
+	ml := dialCoord(t, addr)
+	ml.send(t, message{Type: "register_ml", Job: "jkeep", Split: 1,
+		Listen: "127.0.0.1:11111", Addr: "node1"})
+	if err := ml.conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var reply message
+	if err := ml.dec.Decode(&reply); err != nil {
+		t.Fatalf("register_ml after lease expiry: %v", err)
+	}
+	if reply.Type != "ok" {
+		t.Fatalf("register_ml after lease expiry replied %q: %s", reply.Type, reply.Error)
 	}
 }
 
