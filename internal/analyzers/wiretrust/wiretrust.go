@@ -13,7 +13,7 @@
 // and the ByteOrder Uint16/Uint32/Uint64 readers) are tagged as
 // wire-derived, the taint follows assignments, arithmetic, and
 // conversions, and a comparison anywhere on the path (against
-// MaxFrameSize, len(payload), a dictionary cap, …) marks the value
+// MaxBlockSize, len(payload), a dictionary cap, …) marks the value
 // checked. Flagged sinks:
 //
 //   - make(T, n) or make(T, l, c) where a size is wire-derived and
@@ -100,7 +100,7 @@ func checkSize(pass *framework.Pass, fl *framework.Flow, call *ast.CallExpr, siz
 	if wire == nil || fl.Guarded(size) {
 		return
 	}
-	pass.Reportf(call.Pos(), "allocation sized by a wire-decoded value (line %d) with no preceding bound check; a hostile frame chooses this size — compare it against a limit (MaxFrameSize/MaxBlockSize/len of the remaining payload) first", pass.Fset.Position(wire.Pos).Line)
+	pass.Reportf(call.Pos(), "allocation sized by a wire-decoded value (line %d) with no preceding bound check; a hostile frame chooses this size — compare it against a limit (MaxBlockSize/len of the remaining payload) first", pass.Fset.Position(wire.Pos).Line)
 }
 
 // isWireDecode reports whether call decodes an integer off wire bytes:

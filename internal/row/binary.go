@@ -8,9 +8,9 @@ import (
 )
 
 // This file holds the receiving end of the streaming transfer: the frame
-// Reader, the explicit end-of-stream frame and the schema header that
-// precedes the frames on a connection. The frames themselves are the
-// columnar blocks of colblock.go.
+// Reader and the explicit end-of-stream frame. The frames themselves are
+// the columnar blocks of colblock.go; the reader types them from a schema
+// agreed out of band.
 //
 // The binary row encoding — per value a tag byte (0..3 NULL of Type(tag),
 // 4=int 5=float 6=string 7=bool) and its payload (8 bytes for int and
@@ -20,10 +20,6 @@ import (
 // (vectorCellSize), so flush budgets and the raw-vs-wire stats do not move
 // with compressibility. Its encoder, AppendBinary, is that count's oracle
 // in the tests.
-
-// MaxFrameSize bounds a schema header to guard against a corrupt length
-// word.
-const MaxFrameSize = 64 << 20
 
 // Reader decodes the streaming transfer's wire frames from an io.Reader.
 // There is one frame format — the columnar block frame of colblock.go — and
@@ -140,34 +136,4 @@ func (r *Reader) nextFrame() ([]byte, error) {
 		return nil, fmt.Errorf("row: truncated block frame: %w", err)
 	}
 	return tail, nil
-}
-
-// WriteSchema writes a schema header: it precedes the frames on a stream so
-// the receiving side can type its output without out-of-band agreement.
-func WriteSchema(w io.Writer, s Schema) error {
-	enc := []byte(s.String())
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(enc)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(enc)
-	return err
-}
-
-// ReadSchema reads a schema header written by WriteSchema.
-func ReadSchema(r io.Reader) (Schema, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Schema{}, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n > MaxFrameSize {
-		return Schema{}, fmt.Errorf("row: schema header of %d bytes exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Schema{}, err
-	}
-	return ParseSchema(string(buf))
 }

@@ -70,27 +70,9 @@ func TestReaderTruncatedBody(t *testing.T) {
 	}
 }
 
-func TestSchemaHeaderRoundTrip(t *testing.T) {
-	s := MustSchema(Column{"age", TypeInt}, Column{"gender", TypeString})
-	var buf bytes.Buffer
-	if err := WriteSchema(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSchema(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(s) {
-		t.Errorf("schema header round trip: got %v want %v", back, s)
-	}
-}
-
-func TestSchemaThenRowsOnOneStream(t *testing.T) {
+func TestFramesOnOneStream(t *testing.T) {
 	s := MustSchema(Column{"id", TypeInt}, Column{"v", TypeFloat})
 	var buf bytes.Buffer
-	if err := WriteSchema(&buf, s); err != nil {
-		t.Fatal(err)
-	}
 	types := SchemaTypes(s)
 	var enc BlockEncoder
 	enc.EnableColumnar(types, true)
@@ -105,10 +87,6 @@ func TestSchemaThenRowsOnOneStream(t *testing.T) {
 	}
 	buf.Write(enc.Finish())
 
-	got, err := ReadSchema(&buf)
-	if err != nil || !got.Equal(s) {
-		t.Fatalf("schema: %v %v", got, err)
-	}
 	rd := NewReader(&buf)
 	dst := NewColBatch(nil)
 	n := 0

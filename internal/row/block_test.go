@@ -162,15 +162,13 @@ func TestRetiredWireVersionsRejected(t *testing.T) {
 }
 
 // TestOverLimitLengthWordsRejected: a length word one past its limit — a
-// block frame's (MaxBlockSize) or a schema header's (MaxFrameSize) — is
-// refused by name at every entry point that reads one off a connection,
-// before the buffer it asks for is allocated and with nothing credited.
-// The input ends at the word, so a decoder that trusted it would report a
-// truncated body instead.
+// block frame's (MaxBlockSize) — is refused by name at every entry point
+// that reads one off a connection, before the buffer it asks for is
+// allocated and with nothing credited. The input ends at the word, so a
+// decoder that trusted it would report a truncated body instead.
 func TestOverLimitLengthWordsRejected(t *testing.T) {
-	var block, schema [4]byte
+	var block [4]byte
 	binary.LittleEndian.PutUint32(block[:], blockFlag|uint32(MaxBlockSize+1))
-	binary.LittleEndian.PutUint32(schema[:], uint32(MaxFrameSize+1))
 	for _, c := range []struct {
 		entry string
 		read  func() (credited int64, err error)
@@ -179,10 +177,6 @@ func TestOverLimitLengthWordsRejected(t *testing.T) {
 			rd := NewReader(bytes.NewReader(block[:]))
 			_, err := rd.ReadColBatch(NewColBatch(nil), blockRowTypes)
 			return rd.Bytes(), err
-		}},
-		{"ReadSchema", func() (int64, error) {
-			_, err := ReadSchema(bytes.NewReader(schema[:]))
-			return 0, err
 		}},
 	} {
 		var before, after runtime.MemStats

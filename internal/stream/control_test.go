@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -141,4 +143,107 @@ func FuzzControlMessage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRegisterSQLRejectsMalformedWorker: a register_sql whose worker id
+// lies outside [0, NumWorkers), whose worker count is below one, or whose
+// count disagrees with the job's earlier registrations is answered with an
+// error and not recorded, so it neither launches the job nor stands in for
+// a worker that has not registered.
+func TestRegisterSQLRejectsMalformedWorker(t *testing.T) {
+	launched := make(chan JobSpec, 2)
+	coord := NewCoordinator(func(spec JobSpec) { launched <- spec })
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Stop()
+
+	register := func(worker, numWorkers int) *coordClient {
+		c := dialCoord(t, addr)
+		c.send(t, message{Type: "register_sql", Job: "jbad", Worker: worker, NumWorkers: numWorkers,
+			Addr: fmt.Sprintf("node%d", worker), Command: "svm", Schema: "id BIGINT", K: 1})
+		return c
+	}
+	refused := func(c *coordClient, what string) {
+		t.Helper()
+		if err := c.conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		var reply message
+		if err := c.dec.Decode(&reply); err != nil || reply.Type != "error" {
+			t.Fatalf("%s: reply %q (%v), want error", what, reply.Type, err)
+		}
+	}
+	register(0, 2)
+	refused(register(7, 2), "worker 7 of 2")
+	refused(register(1, 0), "worker 1 of 0")
+	refused(register(1, 3), "worker 1 of 3 after workers of 2")
+	select {
+	case <-launched:
+		t.Fatal("the job launched with worker 1 missing")
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	register(1, 2)
+	select {
+	case <-launched:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the job never launched once worker 1 registered")
+	}
+	gs := dialCoord(t, addr)
+	gs.send(t, message{Type: "get_splits", Job: "jbad"})
+	reply := gs.recv(t)
+	if reply.Type != "splits" || len(reply.Splits) != 2 {
+		t.Fatalf("get_splits reply %q with %d splits, want 2 splits", reply.Type, len(reply.Splits))
+	}
+	if s := reply.Splits[1]; s.SQLWorker != 1 || len(s.Locations) != 1 || s.Locations[0] != "node1" {
+		t.Errorf("split 1 = %+v, want worker 1 at node1", s)
+	}
+}
+
+// TestRegistrationWaitFollowsReady: get_splits waits for the job's
+// registration, answers as soon as the last SQL worker registers, and
+// gives up when the coordinator stops.
+func TestRegistrationWaitFollowsReady(t *testing.T) {
+	coord := NewCoordinator(nil)
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Stop() // a no-op once stopWithin has stopped it
+	noReplyWithin := func(c *coordClient, d time.Duration, what string) {
+		t.Helper()
+		if err := c.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
+			t.Fatal(err)
+		}
+		var b [1]byte
+		if _, err := c.conn.Read(b[:]); err == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: read %v within %v, want no reply", what, err, d)
+		}
+	}
+	registerSQL := func(worker int) {
+		dialCoord(t, addr).send(t, message{Type: "register_sql", Job: "jwait", Worker: worker,
+			NumWorkers: 2, Command: "svm", Schema: "id BIGINT", K: 1})
+	}
+
+	registerSQL(0)
+	gs := dialCoord(t, addr)
+	gs.send(t, message{Type: "get_splits", Job: "jwait"})
+	noReplyWithin(gs, 100*time.Millisecond, "get_splits with one of two workers registered")
+	registerSQL(1)
+	if err := gs.conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var reply message
+	if err := gs.dec.Decode(&reply); err != nil || reply.Type != "splits" {
+		t.Fatalf("get_splits after the last register_sql: %q (%v), want splits within 1s", reply.Type, err)
+	}
+
+	never := dialCoord(t, addr)
+	never.send(t, message{Type: "get_splits", Job: "jnever"})
+	noReplyWithin(never, 100*time.Millisecond, "get_splits for a job nobody registers")
+	if !stopWithin(t, coord, time.Second, never) {
+		t.Fatal("a get_splits waiting on a never-registered job held Stop past 1s")
+	}
 }

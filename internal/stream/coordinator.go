@@ -113,6 +113,38 @@ func readMessage(br *bufio.Reader) (message, error) {
 	return msg, nil
 }
 
+// request runs one control exchange with the coordinator at addr: req out,
+// one reply back, which must be of type want. readTimeout, when positive,
+// bounds the wait for the reply; get_splits and register_ml pass 0, as the
+// coordinator holds their reply until the job's SQL workers registered.
+func request(addr string, dialTimeout, readTimeout time.Duration, req message, want string) (_ message, err error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return message{}, fmt.Errorf("stream: dial coordinator: %w", err)
+	}
+	defer func() {
+		if cerr := conn.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
+	if err := json.NewEncoder(conn).Encode(req); err != nil {
+		return message{}, err
+	}
+	if readTimeout > 0 {
+		if err := conn.SetReadDeadline(time.Now().Add(readTimeout)); err != nil {
+			return message{}, err
+		}
+	}
+	reply, err := readMessage(bufio.NewReader(conn))
+	if err != nil {
+		return message{}, fmt.Errorf("stream: %s: %w", req.Type, err)
+	}
+	if reply.Type != want {
+		return message{}, fmt.Errorf("stream: %s failed: %s", req.Type, reply.Error)
+	}
+	return reply, nil
+}
+
 // message is the coordinator wire protocol (JSON lines).
 type message struct {
 	Type string `json:"type"`
@@ -161,8 +193,11 @@ type sqlWorker struct {
 
 // jobState tracks one transfer session.
 type jobState struct {
-	spec     JobSpec
-	launched bool
+	spec JobSpec
+
+	// ready is closed by the register_sql that completes the job's
+	// registration; launch, restart count and registration waits read it.
+	ready chan struct{}
 
 	// sql[w] is SQL worker w's record; len(sql) counts the registered
 	// workers.
@@ -200,9 +235,12 @@ type Coordinator struct {
 	mu   sync.Mutex
 	jobs map[string]*jobState
 
-	ln        net.Listener
-	wg        sync.WaitGroup
-	closed    bool
+	ln     net.Listener
+	wg     sync.WaitGroup
+	closed bool
+
+	// leaseStop is closed by Stop: it ends leaseLoop and every
+	// registration wait.
 	leaseStop chan struct{}
 
 	// conns holds every accepted connection whose handler has not yet
@@ -216,7 +254,8 @@ type Coordinator struct {
 // NewCoordinator returns an unstarted coordinator. launcher may be nil when
 // ML jobs are started externally (e.g. by the benchmark harness itself).
 func NewCoordinator(launcher Launcher) *Coordinator {
-	return &Coordinator{launcher: launcher, jobs: make(map[string]*jobState), conns: make(map[net.Conn]struct{})}
+	return &Coordinator{launcher: launcher, jobs: make(map[string]*jobState),
+		conns: make(map[net.Conn]struct{}), leaseStop: make(chan struct{})}
 }
 
 // Start begins listening on addr ("127.0.0.1:0" for an ephemeral port) and
@@ -230,7 +269,6 @@ func (c *Coordinator) Start(addr string) (string, error) {
 	c.wg.Add(1)
 	go c.acceptLoop()
 	if c.LeaseDuration > 0 {
-		c.leaseStop = make(chan struct{})
 		c.wg.Add(1)
 		go c.leaseLoop()
 	}
@@ -253,7 +291,7 @@ func (c *Coordinator) Stop() {
 		conn.Close()
 	}
 	c.mu.Unlock()
-	if !wasClosed && c.leaseStop != nil {
+	if !wasClosed {
 		close(c.leaseStop)
 	}
 	if c.ln != nil {
@@ -407,10 +445,20 @@ func (c *Coordinator) reply(enc *json.Encoder, msg message) {
 func (c *Coordinator) job(name string) *jobState {
 	js, ok := c.jobs[name]
 	if !ok {
-		js = &jobState{sql: make(map[int]*sqlWorker), mlRegs: make(map[int]Target)}
+		js = &jobState{ready: make(chan struct{}), sql: make(map[int]*sqlWorker), mlRegs: make(map[int]Target)}
 		c.jobs[name] = js
 	}
 	return js
+}
+
+// isReady reports whether the job's registration is complete.
+func (js *jobState) isReady() bool {
+	select {
+	case <-js.ready:
+		return true
+	default:
+		return false
+	}
 }
 
 // handleRegisterSQL implements steps 1-2 and the restart path: the worker
@@ -418,8 +466,18 @@ func (c *Coordinator) job(name string) *jobState {
 // connection's read side alive so a dropped sender is eventually collected.
 func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.Encoder, br *bufio.Reader) {
 	c.mu.Lock()
+	// A worker id outside [0, NumWorkers), or a worker count other than the
+	// job's earlier registrations gave, is refused unrecorded: so ready
+	// closes only once every worker has registered, and never reopens.
+	if js, ok := c.jobs[msg.Job]; msg.Worker < 0 || msg.Worker >= msg.NumWorkers ||
+		ok && js.spec.NumWorkers > 0 && js.spec.NumWorkers != msg.NumWorkers {
+		c.mu.Unlock()
+		c.reply(enc, message{Type: "error", Error: fmt.Sprintf(
+			"register_sql: worker %d of %d does not fit job %s", msg.Worker, msg.NumWorkers, msg.Job)})
+		return
+	}
 	js := c.job(msg.Job)
-	isRestart := js.launched
+	isRestart := js.isReady()
 	js.spec = JobSpec{
 		Job:        msg.Job,
 		Command:    msg.Command,
@@ -439,10 +497,9 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 		// them and resume at per-split granularity.
 		c.logf("restart: sql worker %d of job %s re-registered", msg.Worker, msg.Job)
 	}
-	allIn := len(js.sql) >= js.spec.NumWorkers
-	launch := allIn && !js.launched
+	launch := !isRestart && len(js.sql) >= js.spec.NumWorkers
 	if launch {
-		js.launched = true
+		close(js.ready)
 	}
 	spec := js.spec
 	c.mu.Unlock()
@@ -486,9 +543,8 @@ func (sw *sqlWorker) unpark() {
 // handleGetSplits implements step 3: it answers once all SQL workers have
 // registered, so the split list and schema are complete.
 func (c *Coordinator) handleGetSplits(msg *message, enc *json.Encoder) {
-	js, ok := c.waitForRegistration(msg.Job)
-	if !ok {
-		c.reply(enc, message{Type: "error", Error: "job " + msg.Job + " never registered"})
+	js := c.waitForRegistration(msg.Job, enc)
+	if js == nil {
 		return
 	}
 	c.mu.Lock()
@@ -513,34 +569,39 @@ func (c *Coordinator) handleGetSplits(msg *message, enc *json.Encoder) {
 	c.reply(enc, message{Type: "splits", Schema: schema, Splits: splits})
 }
 
-// waitForRegistration polls for the job's full SQL registration. The
-// blocking is bounded: callers are ML-side and only appear after step 2,
-// so in practice this returns immediately; the retry loop guards the
-// coordinator-restart scenario.
-func (c *Coordinator) waitForRegistration(job string) (*jobState, bool) {
-	for attempt := 0; attempt < 2000; attempt++ {
-		c.mu.Lock()
-		js, ok := c.jobs[job]
-		ready := ok && len(js.sql) >= js.spec.NumWorkers && js.spec.NumWorkers > 0
-		closed := c.closed
-		c.mu.Unlock()
-		if ready {
-			return js, true
-		}
-		if closed {
-			return nil, false
-		}
-		sleepMillis(5)
+// registrationWait bounds how long get_splits and register_ml wait for the
+// job's SQL workers to register.
+const registrationWait = 10 * time.Second
+
+// waitForRegistration returns the job once its ready channel is closed: at
+// once when it is, and otherwise when it closes. get_splits can overtake the
+// last register_sql, and after a coordinator restart the ML side may ask
+// before any SQL worker is back. If Stop or registrationWait comes first,
+// it answers the request with an error and returns nil.
+func (c *Coordinator) waitForRegistration(job string, enc *json.Encoder) *jobState {
+	c.mu.Lock()
+	js := c.job(job)
+	c.mu.Unlock()
+	if js.isReady() {
+		return js
 	}
-	return nil, false
+	timer := time.NewTimer(registrationWait)
+	defer timer.Stop()
+	select {
+	case <-js.ready:
+		return js
+	case <-c.leaseStop:
+	case <-timer.C:
+	}
+	c.reply(enc, message{Type: "error", Error: "job " + job + " never registered"})
+	return nil
 }
 
 // handleRegisterML implements step 4; completing a group triggers steps
 // 5-6 for that group's SQL worker.
 func (c *Coordinator) handleRegisterML(msg *message, enc *json.Encoder) {
-	js, ok := c.waitForRegistration(msg.Job)
-	if !ok {
-		c.reply(enc, message{Type: "error", Error: "job " + msg.Job + " never registered"})
+	js := c.waitForRegistration(msg.Job, enc)
+	if js == nil {
 		return
 	}
 	c.mu.Lock()

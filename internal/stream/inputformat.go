@@ -2,8 +2,8 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -109,25 +109,10 @@ func (f *InputFormat) dialTimeout() time.Duration {
 }
 
 // fetchSplits performs the get_splits exchange with the coordinator.
-func (f *InputFormat) fetchSplits() (_ row.Schema, _ []SplitInfo, err error) {
-	conn, err := net.DialTimeout("tcp", f.CoordAddr, f.dialTimeout())
+func (f *InputFormat) fetchSplits() (row.Schema, []SplitInfo, error) {
+	reply, err := request(f.CoordAddr, f.dialTimeout(), 0, message{Type: "get_splits", Job: f.Job}, "splits")
 	if err != nil {
-		return row.Schema{}, nil, fmt.Errorf("stream: dial coordinator: %w", err)
-	}
-	defer func() {
-		if cerr := conn.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	if err := json.NewEncoder(conn).Encode(message{Type: "get_splits", Job: f.Job}); err != nil {
 		return row.Schema{}, nil, err
-	}
-	reply, err := readMessage(bufio.NewReader(conn))
-	if err != nil {
-		return row.Schema{}, nil, fmt.Errorf("stream: get_splits: %w", err)
-	}
-	if reply.Type != "splits" {
-		return row.Schema{}, nil, fmt.Errorf("stream: get_splits failed: %s", reply.Error)
 	}
 	schema, err := row.ParseSchema(reply.Schema)
 	if err != nil {
@@ -174,7 +159,8 @@ func (f *InputFormat) Open(split hadoopfmt.InputSplit, node *cluster.Node) (hado
 	if node != nil {
 		addr = node.Addr
 	}
-	epoch, err := f.registerML(ssplit.Info.ID, ln.Addr().String(), addr)
+	reg, err := request(f.CoordAddr, f.dialTimeout(), 0, message{Type: "register_ml", Job: f.Job,
+		Split: ssplit.Info.ID, Listen: ln.Addr().String(), Addr: addr}, "ok")
 	if err != nil {
 		if cerr := ln.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
@@ -202,34 +188,9 @@ func (f *InputFormat) Open(split hadoopfmt.InputSplit, node *cluster.Node) (hado
 		ln:      ln,
 		timeout: timeout,
 		bufSize: bufSize,
-		epoch:   epoch,
+		epoch:   reg.Epoch,
 		budget:  budget,
 	}, nil
-}
-
-func (f *InputFormat) registerML(split int, listen, nodeAddr string) (_ uint32, err error) {
-	conn, err := net.DialTimeout("tcp", f.CoordAddr, f.dialTimeout())
-	if err != nil {
-		return 0, fmt.Errorf("stream: dial coordinator: %w", err)
-	}
-	defer func() {
-		if cerr := conn.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	if err := json.NewEncoder(conn).Encode(message{
-		Type: "register_ml", Job: f.Job, Split: split, Listen: listen, Addr: nodeAddr,
-	}); err != nil {
-		return 0, err
-	}
-	reply, err := readMessage(bufio.NewReader(conn))
-	if err != nil {
-		return 0, fmt.Errorf("stream: register_ml: %w", err)
-	}
-	if reply.Type != "ok" {
-		return 0, fmt.Errorf("stream: register_ml failed: %s", reply.Error)
-	}
-	return reply.Epoch, nil
 }
 
 // streamReader is the receiving end of one split's transfer. It moves
@@ -258,6 +219,7 @@ type streamReader struct {
 	types      []row.Type
 	rowsRead   int
 	credited   int64
+	grant      []byte // a run of creditByte, grown to the largest grant
 	reconnects int
 	done       bool
 	failed     bool
@@ -333,21 +295,22 @@ func (r *streamReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 		}
 		// The slow-consumer delay is per row but slept once per frame, for
 		// all of its rows: a short sleep costs far more than asked for, so
-		// one per row would run the consumer slower than configured. Credit
-		// grants and the §6 failure injection are per-row contracts, run as
-		// the frame is fetched. A row is counted before it reaches the task,
-		// and the count is what the resume handshake reports — so a failure
-		// after the count must escalate to task re-execution (which
-		// discards the batch, like every partial row) rather than a resume
-		// (which would skip the counted but undelivered rows).
+		// one per row would run the consumer slower than configured. The
+		// frame's credits follow the delay; the §6 failure injection is a
+		// per-row contract, run as the frame is fetched. A row is counted
+		// before it reaches the task, and the count is what the resume
+		// handshake reports — so a failure after the count must escalate to
+		// task re-execution (which discards the batch, like every partial
+		// row) rather than a resume (which would skip the counted but
+		// undelivered rows).
 		if r.format.ConsumeDelay > 0 {
 			time.Sleep(time.Duration(n) * r.format.ConsumeDelay)
 		}
+		if err := r.grantCredits(); err != nil {
+			return 0, false, r.fail(err)
+		}
 		for i := 0; i < n; i++ {
 			r.rowsRead++
-			if err := r.grantCredits(); err != nil {
-				return 0, false, r.fail(err)
-			}
 			if inject := r.format.Inject; inject != nil && inject(r.split, r.rowsRead) {
 				return 0, false, r.fail(fmt.Errorf("stream: split %d: injected ML worker failure", r.split))
 			}
@@ -369,60 +332,58 @@ func (r *streamReader) finish() error {
 }
 
 // grantCredits implements the reader's half of flow control: one credit
-// per consumed receive buffer. Credits flow only after rows have been
-// consumed (including the injected delay), which is what makes a slow ML
-// worker backpressure — and eventually spill — the SQL-side sender. A
-// block frame's bytes enter the reader's consumed counter only once the
-// frame has been fetched whole, so buffered-but-unfetched blocks grant
-// nothing. Each credit accounts exactly bufSize bytes (the remainder carries over);
+// per consumed receive buffer, run once per fetched frame and written in
+// one Write. Credits flow only after rows have been consumed (including
+// the injected delay), which is what makes a slow ML worker backpressure —
+// and eventually spill — the SQL-side sender. A block frame's bytes enter
+// the reader's consumed counter only once the frame has been fetched
+// whole, so buffered-but-unfetched blocks grant nothing. Each credit
+// accounts exactly bufSize bytes (the remainder carries over);
 // acknowledging "everything so far" instead would leak phantom in-flight
 // bytes on the sender until its window jammed shut.
 func (r *streamReader) grantCredits() error {
-	for consumed := r.rd.Bytes(); consumed-r.credited >= int64(r.bufSize); {
-		r.credited += int64(r.bufSize)
-		if err := r.conn.SetWriteDeadline(time.Now().Add(r.timeout)); err != nil {
-			return fmt.Errorf("stream: credit deadline: %w", err)
-		}
-		if _, err := r.conn.Write([]byte{creditByte}); err != nil {
-			return fmt.Errorf("stream: credit write: %w", err)
-		}
+	due := int((r.rd.Bytes() - r.credited) / int64(r.bufSize))
+	if due == 0 {
+		return nil
+	}
+	r.credited += int64(due) * int64(r.bufSize)
+	if len(r.grant) < due {
+		r.grant = bytes.Repeat([]byte{creditByte}, due)
+	}
+	if err := r.conn.SetWriteDeadline(time.Now().Add(r.timeout)); err != nil {
+		return fmt.Errorf("stream: credit deadline: %w", err)
+	}
+	if _, err := r.conn.Write(r.grant[:due]); err != nil {
+		return fmt.Errorf("stream: credit write: %w", err)
 	}
 	return nil
 }
 
-// connect accepts one data connection and runs the reader side of the
-// resume handshake on it.
+// connect accepts one data connection, waiting at most the reader's
+// timeout, and runs the reader side of the resume handshake on it.
 func (r *streamReader) connect() error {
-	type result struct {
-		conn net.Conn
-		err  error
+	if err := r.ln.(*net.TCPListener).SetDeadline(time.Now().Add(r.timeout)); err != nil {
+		return err
 	}
-	ch := make(chan result, 1)
-	go func() {
-		conn, err := r.ln.Accept()
-		ch <- result{conn, err}
-	}()
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return res.err
-		}
-		r.conn = res.conn
-	case <-time.After(r.timeout):
-		err := fmt.Errorf("stream: split %d: no connection within %v", r.split, r.timeout)
+	conn, err := r.ln.Accept()
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		err = fmt.Errorf("stream: split %d: no connection within %v", r.split, r.timeout)
 		if cerr := r.ln.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
 		}
+	}
+	if err != nil {
 		return err
 	}
+	r.conn = conn
 	return r.handshake()
 }
 
 // handshake sends the resume header (epoch + rows consumed) and reads the
-// sender's start row. Both sides are frame-aligned — this reader counts
-// whole frames, the sender resends whole log frames — so the only
-// well-formed answer is exactly the consumed count; anything else is a
-// protocol violation.
+// sender's start row, after which the connection carries frames. Both
+// sides are frame-aligned — this reader counts whole frames, the sender
+// resends whole log frames — so the only well-formed answer is exactly the
+// consumed count; anything else is a protocol violation.
 func (r *streamReader) handshake() error {
 	r.credited = 0
 	var hdr [14]byte
@@ -445,9 +406,6 @@ func (r *streamReader) handshake() error {
 	}
 	if startRow := binary.BigEndian.Uint64(ack[:]); startRow != uint64(r.rowsRead) {
 		return fmt.Errorf("stream: split %d: sender resumes at row %d, reader consumed %d", r.split, startRow, r.rowsRead)
-	}
-	if _, err := row.ReadSchema(br); err != nil {
-		return fmt.Errorf("stream: split %d schema: %w", r.split, err)
 	}
 	if err := r.conn.SetReadDeadline(time.Time{}); err != nil {
 		return err

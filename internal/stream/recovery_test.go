@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -206,12 +207,11 @@ func TestReaderRefusesStartRowBelowConsumed(t *testing.T) {
 			return
 		}
 		reported <- binary.BigEndian.Uint64(hdr[6:])
-		// Resume one 64-row frame early, then a well-formed schema, as a
-		// sender that lost track of the reader's count would, and hang up.
+		// Resume one 64-row frame early, as a sender that lost track of
+		// the reader's count would, and hang up.
 		var ack [8]byte
 		binary.BigEndian.PutUint64(ack[:], 64)
 		_, _ = conn.Write(ack[:])
-		_ = row.WriteSchema(conn, streamSchema())
 	}()
 
 	err = r.connect()
@@ -221,6 +221,96 @@ func TestReaderRefusesStartRowBelowConsumed(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "row 64") || !strings.Contains(err.Error(), "consumed 128") {
 		t.Errorf("connect = %v, want a refusal naming start row 64 and consumed 128", err)
 	}
+}
+
+// TestCreditsGrantedPerFetchedFrame pins the reader's credit ledger
+// against a raw peer speaking the sender's side of a data connection
+// (start row, then frames): once the reader has fetched frames totalling B
+// bytes, the peer has received exactly ⌊B / bufSize⌋ credit bytes. A frame
+// that has arrived but is not yet fetched grants nothing, and the
+// remainder of one frame's bytes counts toward the next frame's credits.
+func TestCreditsGrantedPerFetchedFrame(t *testing.T) {
+	types := row.SchemaTypes(streamSchema())
+	var enc row.BlockEncoder
+	enc.EnableColumnar(types, true)
+	frames := make([][]byte, 2)
+	for i := range frames {
+		b := row.NewColBatch(types)
+		for _, rw := range genRows(i, 40) {
+			b.AppendRow(rw)
+		}
+		enc.AppendBatch(b)
+		frames[i] = enc.Finish()
+	}
+	f1, f2 := len(frames[0]), len(frames[1])
+	bufSize := f1 * 2 / 3
+	if (f1+f2)/bufSize <= f1/bufSize+f2/bufSize {
+		t.Fatalf("frames of %d and %d bytes with %d-byte buffers carry no remainder", f1, f2, bufSize)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &streamReader{format: &InputFormat{}, ln: ln, timeout: 10 * time.Second, bufSize: bufSize, types: types}
+	defer func() {
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	peer, err := net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = peer.Close() }()
+	connected := make(chan error, 1)
+	go func() { connected <- r.connect() }()
+	if err := peer.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [14]byte
+	if _, err := io.ReadFull(peer, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	var start [8]byte
+	if _, err := peer.Write(append(append(start[:], frames[0]...), frames[1]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-connected; err != nil {
+		t.Fatal(err)
+	}
+
+	// credits reads exactly want credit bytes off the peer and then
+	// checks that no further byte follows.
+	credits := func(want int, after string) {
+		t.Helper()
+		got := make([]byte, want)
+		if err := peer.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(peer, got); err != nil {
+			t.Fatalf("after %s: reading %d credits: %v", after, want, err)
+		}
+		if n := bytes.Count(got, []byte{creditByte}); n != want {
+			t.Fatalf("after %s: %d of %d bytes are credits", after, n, want)
+		}
+		if err := peer.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		var extra [1]byte
+		if n, _ := peer.Read(extra[:]); n != 0 {
+			t.Fatalf("after %s: more than %d credit bytes", after, want)
+		}
+	}
+	dst := row.NewColBatch(nil)
+	if _, ok, err := r.NextColBatch(dst); !ok {
+		t.Fatalf("first frame: %v", err)
+	}
+	credits(f1/bufSize, "the first frame, with the second already arrived")
+	if _, ok, err := r.NextColBatch(dst); !ok {
+		t.Fatalf("second frame: %v", err)
+	}
+	credits((f1+f2)/bufSize-f1/bufSize, "the second frame")
 }
 
 // TestConnResetRecoversThroughRowView is the reset test for a consumer

@@ -288,7 +288,7 @@ func Send(req SendRequest) (*SenderStats, error) {
 		if attempt > 0 {
 			s.stats.Restarts++
 			// Give failed ML tasks a moment to re-execute and re-register.
-			sleepMillis(20 * attempt)
+			time.Sleep(time.Duration(20*attempt) * time.Millisecond)
 		}
 		if err = s.sendOnce(); err == nil {
 			break
@@ -539,9 +539,6 @@ func (sl *slot) connect(req SendRequest, cfg SenderConfig) error {
 	if _, err := tc.w.Write(ack[:]); err != nil {
 		return fail(err)
 	}
-	if err := row.WriteSchema(tc.w, req.Schema); err != nil {
-		return fail(err)
-	}
 	go tc.creditLoop()
 	go func() { tc.done <- tc.run() }()
 	sl.ch = tc
@@ -619,27 +616,12 @@ func backoffDelay(base time.Duration, attempt, worker, split int) time.Duration 
 
 // getTarget asks the coordinator for a split's latest registration (the
 // sender's mid-stream refresh; see handleGetTarget).
-func getTarget(coordAddr string, timeout time.Duration, job string, split int) (_ Target, err error) {
-	conn, err := net.DialTimeout("tcp", coordAddr, timeout)
+func getTarget(coordAddr string, timeout time.Duration, job string, split int) (Target, error) {
+	reply, err := request(coordAddr, timeout, timeout, message{Type: "get_target", Job: job, Split: split}, "target")
 	if err != nil {
-		return Target{}, fmt.Errorf("stream: dial coordinator: %w", err)
-	}
-	defer func() {
-		if cerr := conn.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	if err := json.NewEncoder(conn).Encode(message{Type: "get_target", Job: job, Split: split}); err != nil {
 		return Target{}, err
 	}
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return Target{}, err
-	}
-	reply, err := readMessage(bufio.NewReader(conn))
-	if err != nil {
-		return Target{}, fmt.Errorf("stream: get_target: %w", err)
-	}
-	if reply.Type != "target" || len(reply.Targets) != 1 {
+	if len(reply.Targets) != 1 {
 		return Target{}, fmt.Errorf("stream: get_target failed: %s", reply.Error)
 	}
 	return reply.Targets[0], nil
@@ -749,9 +731,8 @@ type targetChannel struct {
 // resumeMagic opens the reader→sender resume header on every data
 // connection: magic(2) epoch(4) rowsConsumed(8), big-endian. The sender
 // answers with startRow(8) — the first row of the first frame it will
-// (re)send — then the schema, then frames. On a fresh connection both
-// offsets are zero and the handshake degenerates to the original protocol
-// plus 22 bytes.
+// (re)send — then frames. On a fresh connection both offsets are zero and
+// the handshake degenerates to the original protocol plus 22 bytes.
 const resumeMagic = 0x534C // "SL"
 
 // errStaleEpoch marks a handshake against a reader from a different
@@ -909,5 +890,3 @@ const (
 	ackByte    = 0x06
 	creditByte = 0x07
 )
-
-func sleepMillis(n int) { time.Sleep(time.Duration(n) * time.Millisecond) }
