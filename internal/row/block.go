@@ -2,6 +2,7 @@ package row
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -76,14 +77,15 @@ func blockFrameLen(word uint32) (int, error) {
 // BlockEncoder packs rows into one block frame. EnableColumnar sets the
 // column types; appends then stage into a column-major ColBatch, and
 // Finish encodes the staged rows as one frame (AppendColBlock) on a pooled
-// buffer and starts the next block. Stage rows until Rows()/RawBytes()
-// hit the caller's budget, then Finish to take the frame.
+// buffer and starts the next block. AppendRows stages rows up to the
+// caller's Rows()/RawBytes() budget; Finish then takes the frame.
 type BlockEncoder struct {
 	rows     int
 	compress bool
 	colTypes []Type
 	col      *ColBatch
 	rawBytes int
+	prices   []int // AppendBatch's price scratch
 }
 
 // EnableColumnar sets the column types of the frames to build. With
@@ -124,42 +126,63 @@ func vectorCellSize(v *Vector, p int) int {
 	}
 }
 
-// AppendBatchRow stages physical row p of a column-major batch into the
-// current block — the sender's path, which fans each batch out over the
-// target slots row by row. It stages exactly what AppendBatch of a batch
-// holding only that row would.
-func (e *BlockEncoder) AppendBatchRow(b *ColBatch, p int) {
-	st := e.staging()
-	e.rawBytes += 4
-	for c := 0; c < b.NumCols(); c++ {
-		col := b.Col(c)
-		st.Col(c).AppendFrom(col, p)
-		e.rawBytes += vectorCellSize(col, p)
+// PriceRows appends to dst the RawBytes price of each of b's rows at pos —
+// the row's 4-byte length word plus every cell's vectorCellSize — in one
+// pass per column; a fixed-width column with no NULLs adds a constant.
+func PriceRows(dst []int, b *ColBatch, pos []int32) []int {
+	fixed := 4
+	for c := range b.cols {
+		if v := &b.cols[c]; v.typ != TypeString && !v.hasNulls {
+			fixed += vectorCellSize(v, 0)
+		}
 	}
-	st.SetFullLen(st.FullLen() + 1)
-	e.rows++
+	n := len(dst)
+	for range pos {
+		dst = append(dst, fixed)
+	}
+	for c := range b.cols {
+		if v := &b.cols[c]; v.typ == TypeString || v.hasNulls {
+			for i, p := range pos {
+				dst[n+i] += vectorCellSize(v, int(p))
+			}
+		}
+	}
+	return dst
+}
+
+// AppendRows stages b's rows at pos, in order, into the current block
+// until the block holds maxRows rows or maxBytes RawBytes — the row that
+// reaches either is staged — and returns how many it staged. prices holds
+// each row's PriceRows price. It is the encoder's one staging path: one
+// AppendGather per column.
+func (e *BlockEncoder) AppendRows(b *ColBatch, pos []int32, prices []int, maxRows, maxBytes int) int {
+	if len(pos) == 0 {
+		return 0
+	}
+	st := e.staging()
+	m, raw := 0, e.rawBytes
+	for m < len(pos) {
+		raw += prices[m]
+		m++
+		if e.rows+m >= maxRows || raw >= maxBytes {
+			break
+		}
+	}
+	for c := range b.cols {
+		st.cols[c].AppendGather(&b.cols[c], pos[:m])
+	}
+	st.n += m
+	e.rows += m
+	e.rawBytes = raw
+	return m
 }
 
 // AppendBatch stages every live row of a column-major batch into the
-// current block — the sender's zero-pivot path when one target consumes
-// whole batches.
+// current block.
 func (e *BlockEncoder) AppendBatch(b *ColBatch) {
-	rows := b.Len()
-	if rows == 0 {
-		return
-	}
-	st := e.staging()
-	e.rawBytes += 4 * rows
 	pos := b.LivePos()
-	for c := 0; c < b.NumCols(); c++ {
-		src := b.Col(c)
-		st.Col(c).AppendGather(src, pos)
-		for _, p := range pos {
-			e.rawBytes += vectorCellSize(src, int(p))
-		}
-	}
-	st.SetFullLen(st.FullLen() + rows)
-	e.rows += rows
+	e.prices = PriceRows(e.prices[:0], b, pos)
+	e.AppendRows(b, pos, e.prices, math.MaxInt, math.MaxInt)
 }
 
 // Rows returns the number of rows in the current block.

@@ -121,14 +121,17 @@ func TestBlockDecoderRejectsCorruptFrames(t *testing.T) {
 }
 
 // TestRetiredWireVersionsRejected pins the one-format contract: a
-// well-formed frame of a retired format (v1 per-row, v2 row block) or of
-// an unknown future version is refused by both decode entry points with
-// an error naming the version — no panic, and nothing credited to the
-// flow-control counter.
+// well-formed frame of a retired format (v1 per-row, v2 row block, v3 —
+// today's layout under the old FNV-1a checksum) or of an unknown future
+// version is refused by both decode entry points with an error naming the
+// version — no panic, and nothing credited to the flow-control counter.
 func TestRetiredWireVersionsRejected(t *testing.T) {
 	rows := blockRows(3, 0)
-	v4 := encodeBlock(rows)
-	v4[4] = 4
+	withVersion := func(v byte) []byte {
+		f := encodeBlock(rows)
+		f[4] = v
+		return f
+	}
 	cases := []struct {
 		version int
 		frame   []byte
@@ -136,7 +139,8 @@ func TestRetiredWireVersionsRejected(t *testing.T) {
 		{1, AppendBinary(nil, rows[0])},
 		{2, v2BlockFrame(rows)},
 		{2, v2BlockFrame([]Row{{NullOf(TypeInt)}})}, // shorter than a columnar header
-		{4, v4},
+		{3, withVersion(3)},
+		{5, withVersion(5)},
 	}
 	for _, c := range cases {
 		want := fmt.Sprintf("version %d", c.version)

@@ -2,6 +2,7 @@ package row
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -210,10 +211,11 @@ func TestVectorKeyByteIdentity(t *testing.T) {
 	}
 }
 
-// AppendBatchRow must produce frames (and a RawBytes price) byte-identical
-// to AppendBatch of the same rows, so which of the encoder's staging paths
-// a row takes cannot change what goes on the wire.
-func TestBlockEncoderAppendBatchRowByteIdentity(t *testing.T) {
+// Staging a batch's rows one at a time, or in uneven runs, through
+// AppendRows must produce frames (and a RawBytes price) byte-identical to
+// AppendBatch of the same rows, so how the sender cuts a position list
+// cannot change what goes on the wire.
+func TestBlockEncoderAppendRowsByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool}
 	rows := randomColRows(rng, types, 64)
@@ -221,24 +223,37 @@ func TestBlockEncoderAppendBatchRowByteIdentity(t *testing.T) {
 	for _, r := range rows {
 		b.AppendRow(r)
 	}
+	pos := b.LivePos()
+	prices := PriceRows(nil, b, pos)
 
-	var batchEnc, rowEnc BlockEncoder
+	var batchEnc BlockEncoder
 	batchEnc.EnableColumnar(types, true)
-	rowEnc.EnableColumnar(types, true)
 	batchEnc.AppendBatch(b)
-	for p := range rows {
-		rowEnc.AppendBatchRow(b, p)
-	}
-	if batchEnc.RawBytes() != rowEnc.RawBytes() {
-		t.Fatalf("RawBytes differ: %d staged by batch, %d staged row by row", batchEnc.RawBytes(), rowEnc.RawBytes())
-	}
 	want := batchEnc.Finish()
-	got := rowEnc.Finish()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("frame staged row by row differs from the frame staged by batch: %d vs %d bytes", len(got), len(want))
+	defer RecycleBlockBuffer(want)
+	wantRaw := 0
+	for _, p := range prices {
+		wantRaw += p
 	}
-	RecycleBlockBuffer(want)
-	RecycleBlockBuffer(got)
+	for _, run := range []int{1, 2, 3, 7, 64} {
+		var rowEnc BlockEncoder
+		rowEnc.EnableColumnar(types, true)
+		for off := 0; off < len(pos); {
+			end := min(off+run, len(pos))
+			if n := rowEnc.AppendRows(b, pos[off:end], prices[off:end], math.MaxInt, math.MaxInt); n != end-off {
+				t.Fatalf("run %d: staged %d of %d rows with no budget", run, n, end-off)
+			}
+			off = end
+		}
+		if raw := rowEnc.RawBytes(); raw != rowBlockHeaderLen+wantRaw {
+			t.Fatalf("run %d: RawBytes %d, header plus prices %d", run, raw, rowBlockHeaderLen+wantRaw)
+		}
+		got := rowEnc.Finish()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d: frame staged in runs differs from the frame staged by batch: %d vs %d bytes", run, len(got), len(want))
+		}
+		RecycleBlockBuffer(got)
+	}
 }
 
 func TestBlockTargetRowsIsDefaultBatchSize(t *testing.T) {

@@ -3,6 +3,7 @@ package row
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/bits"
 )
@@ -15,9 +16,11 @@ import (
 // column-at-a-time end to end and rows are materialized only for
 // row-at-a-time consumers and UDF shims.
 //
-// The version byte is 3 for historical reasons: v1 (a frame per row) and v2
-// (blocks of row-encoded rows) are retired, and a frame announcing either —
-// or any other version — is rejected by every decoder with an error naming
+// The version byte is 4. v1 (a frame per row) and v2 (blocks of
+// row-encoded rows) are retired; v3 was this layout under an FNV-1a-32
+// checksum, replaced by the far faster CRC-32C, and the version moved with
+// it so that a v3 frame is refused by name, not as a checksum mismatch.
+// Every decoder rejects a frame of any other version with an error naming
 // it.
 //
 // Frame layout (all little-endian):
@@ -28,7 +31,7 @@ import (
 //	uint8   version         (WireProtoCol)
 //	uint8   flags           (bit 0: per-column compression was disabled)
 //	uint32  row count
-//	uint32  checksum        (FNV-1a-32 over everything after this field)
+//	uint32  checksum        (CRC-32C over everything after this field)
 //	uint16  column count
 //	per column:
 //	  uint8   column type
@@ -65,7 +68,7 @@ import (
 const (
 	// WireProtoCol is the version byte of the columnar block frame — the
 	// only version any decoder accepts.
-	WireProtoCol = 3
+	WireProtoCol = 4
 
 	// colTailLen is the fixed frame header after the length word:
 	// version(1) + flags(1) + rowCount(4) + checksum(4) + colCount(2).
@@ -89,15 +92,11 @@ const (
 	colMaxCols = 4096
 )
 
-// fnv1a32 is the FNV-1a hash over b — the frame checksum.
-func fnv1a32(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
+// castagnoli is the CRC-32C table, built once.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// frameChecksum is the CRC-32C of b — the frame checksum.
+func frameChecksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // uvarintLen returns the encoded size of x.
 func uvarintLen(x uint64) int {
@@ -128,7 +127,7 @@ func AppendColBlock(dst []byte, b *ColBatch, compress bool) []byte {
 		dst = appendColVector(dst, b.Col(c), b, rows, compress)
 	}
 	binary.LittleEndian.PutUint32(dst[start:], blockFlag|uint32(len(dst)-start-4))
-	binary.LittleEndian.PutUint32(dst[start+10:], fnv1a32(dst[sumStart:]))
+	binary.LittleEndian.PutUint32(dst[start+10:], frameChecksum(dst[sumStart:]))
 	return dst
 }
 
@@ -384,7 +383,7 @@ func decodeColTail(tail []byte, dst *ColBatch) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if want, got := binary.LittleEndian.Uint32(tail[6:]), fnv1a32(tail[10:]); want != got {
+	if want, got := binary.LittleEndian.Uint32(tail[6:]), frameChecksum(tail[10:]); want != got {
 		return 0, fmt.Errorf("row: columnar frame checksum mismatch (header %08x, payload %08x)", want, got)
 	}
 	nc := int(binary.LittleEndian.Uint16(tail[10:]))
@@ -444,31 +443,35 @@ func decodeColVector(p []byte, v *Vector, rows int) ([]byte, error) {
 		return nil, fmt.Errorf("payload of %d bytes, %d remain", plen, len(p))
 	}
 	payload, rest := p[:plen], p[plen:]
-	v.Reset(typ)
 	nullAt := func(i int) bool {
 		return bitmap != nil && bitmap[i>>3]&(1<<(uint(i)&7)) != 0
 	}
+	// A fixed-width vector is sized once, for rows slots, only after its
+	// payload length has been checked against rows; VARCHAR builds
+	// sequentially.
 	switch {
 	case typ == TypeInt && enc == colEncRaw:
 		if plen != 8*rows {
 			return nil, fmt.Errorf("raw BIGINT payload %d bytes for %d rows", plen, rows)
 		}
-		for i := 0; i < rows; i++ {
-			v.AppendInt(int64(binary.LittleEndian.Uint64(payload[8*i:])))
+		v.ResetDense(typ, rows)
+		for i := range v.Ints {
+			v.Ints[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
 		}
 	case typ == TypeInt && enc == colEncIntFOR:
 		if plen < 8+rows {
 			return nil, fmt.Errorf("FOR payload %d bytes for %d rows", plen, rows)
 		}
+		v.ResetDense(typ, rows)
 		base := binary.LittleEndian.Uint64(payload)
 		q := payload[8:]
-		for i := 0; i < rows; i++ {
+		for i := range v.Ints {
 			d, n := binary.Uvarint(q)
 			if n <= 0 {
 				return nil, fmt.Errorf("bad FOR delta at slot %d", i)
 			}
 			q = q[n:]
-			v.AppendInt(int64(base + d))
+			v.Ints[i] = int64(base + d)
 		}
 		if len(q) != 0 {
 			return nil, fmt.Errorf("%d trailing FOR bytes", len(q))
@@ -477,27 +480,31 @@ func decodeColVector(p []byte, v *Vector, rows int) ([]byte, error) {
 		if plen != 8*rows {
 			return nil, fmt.Errorf("raw DOUBLE payload %d bytes for %d rows", plen, rows)
 		}
-		for i := 0; i < rows; i++ {
-			v.AppendFloat(math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:])))
+		v.ResetDense(typ, rows)
+		for i := range v.Floats {
+			v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 		}
 	case typ == TypeBool && enc == colEncRaw:
 		if plen != rows {
 			return nil, fmt.Errorf("raw BOOLEAN payload %d bytes for %d rows", plen, rows)
 		}
-		for i := 0; i < rows; i++ {
-			v.AppendBool(payload[i] != 0)
+		v.ResetDense(typ, rows)
+		for i := range v.Bools {
+			v.Bools[i] = payload[i] != 0
 		}
 	case typ == TypeBool && enc == colEncBoolPack:
 		if plen != (rows+7)/8 {
 			return nil, fmt.Errorf("bit-packed payload %d bytes for %d rows", plen, rows)
 		}
-		for i := 0; i < rows; i++ {
-			v.AppendBool(payload[i/8]&(1<<(uint(i)&7)) != 0)
+		v.ResetDense(typ, rows)
+		for i := range v.Bools {
+			v.Bools[i] = payload[i/8]&(1<<(uint(i)&7)) != 0
 		}
 	case typ == TypeString && enc == colEncRaw:
 		if plen < rows {
 			return nil, fmt.Errorf("raw VARCHAR payload %d bytes for %d rows", plen, rows)
 		}
+		v.Reset(typ)
 		q := payload
 		for i := 0; i < rows; i++ {
 			n, w := binary.Uvarint(q)
@@ -514,6 +521,7 @@ func decodeColVector(p []byte, v *Vector, rows int) ([]byte, error) {
 		if plen < 1+rows {
 			return nil, fmt.Errorf("dictionary payload %d bytes for %d rows", plen, rows)
 		}
+		v.Reset(typ)
 		q := payload
 		count, w := binary.Uvarint(q)
 		if w <= 0 || count > colDictMaxEntries {

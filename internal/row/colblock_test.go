@@ -2,6 +2,7 @@ package row
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -101,15 +102,15 @@ func TestColBlockEncodingSelection(t *testing.T) {
 	enc.EnableColumnar([]Type{TypeInt, TypeString}, true)
 	enc.AppendBatch(b)
 	rowEncoded := enc.RawBytes()
-	v3 := AppendColBlock(nil, b, true)
-	if len(v3)*2 > rowEncoded {
-		t.Errorf("compressible block: frame = %d bytes vs row-encoded = %d; want at least 2x smaller", len(v3), rowEncoded)
+	packed := AppendColBlock(nil, b, true)
+	if len(packed)*2 > rowEncoded {
+		t.Errorf("compressible block: frame = %d bytes vs row-encoded = %d; want at least 2x smaller", len(packed), rowEncoded)
 	}
 	raw := AppendColBlock(nil, b, false)
-	if len(raw) <= len(v3) {
-		t.Errorf("uncompressed v3 = %d bytes, compressed = %d; the flag did nothing", len(raw), len(v3))
+	if len(raw) <= len(packed) {
+		t.Errorf("uncompressed frame = %d bytes, compressed = %d; the flag did nothing", len(raw), len(packed))
 	}
-	for _, frame := range [][]byte{v3, raw} {
+	for _, frame := range [][]byte{packed, raw} {
 		got := NewColBatch(nil)
 		if _, err := DecodeColBlock(frame, got); err != nil {
 			t.Fatal(err)
@@ -185,7 +186,7 @@ func TestColBlockIntFOREdges(t *testing.T) {
 	}
 }
 
-// TestColBlockDoubleEdges drives DOUBLE columns through the v3 frame at
+// TestColBlockDoubleEdges drives DOUBLE columns through the frame at
 // the float edges — two NaN payloads, ±0, ±Inf, the smallest subnormal,
 // MaxFloat64 and NULL — with compression off and on: every value decodes
 // to its source bits and the decoded batch re-encodes to the same frame.
@@ -225,9 +226,9 @@ func TestColBlockDoubleEdges(t *testing.T) {
 }
 
 // TestBlockEncoderColumnarMode drives the encoder through both staging
-// entry points — EnableColumnar, then a mix of AppendBatch and
-// AppendBatchRow — and checks Finish emits a decodable v3 frame, the
-// encoder detaches, and RawBytes tracks the row-encoded size.
+// entry points — EnableColumnar, then a mix of AppendBatch and AppendRows
+// of one row — and checks Finish emits a decodable frame of the current
+// version, the encoder detaches, and RawBytes tracks the row-encoded size.
 func TestBlockEncoderColumnarMode(t *testing.T) {
 	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool}
 	rnd := rand.New(rand.NewSource(3))
@@ -236,7 +237,10 @@ func TestBlockEncoderColumnarMode(t *testing.T) {
 	var enc BlockEncoder
 	enc.EnableColumnar(types, true)
 	enc.AppendBatch(b)
-	enc.AppendBatchRow(b, b.SelPos(0))
+	first := b.LivePos()[:1]
+	if n := enc.AppendRows(b, first, PriceRows(nil, b, first), math.MaxInt, math.MaxInt); n != 1 {
+		t.Fatalf("AppendRows staged %d rows, want 1", n)
+	}
 	extra := Row{Int(7), NullOf(TypeFloat), String_("vx"), Bool(true)}
 	extraBatch := NewColBatch(types)
 	extraBatch.AppendRow(extra)
@@ -256,7 +260,7 @@ func TestBlockEncoderColumnarMode(t *testing.T) {
 	}
 	frame := enc.Finish()
 	if frame == nil || frame[4] != WireProtoCol {
-		t.Fatal("Finish did not produce a v3 frame")
+		t.Fatal("Finish did not produce a frame of the current version")
 	}
 	if enc.Rows() != 0 || enc.RawBytes() != 0 {
 		t.Fatal("encoder not detached after Finish")
@@ -326,25 +330,86 @@ func TestDecodeColBlockRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// flippedPayloadFrame is a well-formed frame, length word intact, with one
+// bit flipped in its last column's raw DOUBLE payload: the frame still
+// parses, so only the checksum can tell.
+func flippedPayloadFrame() []byte {
+	types := []Type{TypeInt, TypeFloat}
+	var rows []Row
+	for i := 0; i < 8; i++ {
+		rows = append(rows, Row{Int(int64(i)), Float(float64(i) / 3)})
+	}
+	frame := AppendColBlock(nil, colBatchOf(types, rows), true)
+	frame[len(frame)-1] ^= 1
+	return frame
+}
+
+// TestFrameChecksumIsCRC32C pins the frame checksum to CRC-32C by its
+// standard check value.
+func TestFrameChecksumIsCRC32C(t *testing.T) {
+	if got := frameChecksum([]byte("123456789")); got != 0xE3069283 {
+		t.Fatalf("frameChecksum(\"123456789\") = %#08x, want 0xe3069283 (CRC-32C)", got)
+	}
+}
+
+// checksumSink keeps BenchmarkFrameChecksum's call from being optimised
+// away.
+var checksumSink uint32
+
+// BenchmarkFrameChecksum checksums one default-budget frame body.
+func BenchmarkFrameChecksum(b *testing.B) {
+	buf := make([]byte, BlockTargetBytes)
+	rand.New(rand.NewSource(53)).Read(buf)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		checksumSink = frameChecksum(buf)
+	}
+}
+
+// TestFlippedPayloadBitFailsChecksumFirst: the FuzzBlockFrame seed with
+// one flipped payload bit is refused by its checksum, before the
+// destination batch's vectors are touched.
+func TestFlippedPayloadBitFailsChecksumFirst(t *testing.T) {
+	dst := colBatchOf([]Type{TypeInt}, []Row{{Int(1)}, {Int(2)}})
+	_, err := DecodeColBlock(flippedPayloadFrame(), dst)
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("err = %v, want a checksum mismatch", err)
+	}
+	if dst.NumCols() != 1 || dst.Len() != 2 || dst.Col(0).Len() != 2 || dst.Col(0).Ints[1] != 2 {
+		t.Fatalf("a frame refused by its checksum resized the destination: %d cols, %d rows", dst.NumCols(), dst.Len())
+	}
+	// With its checksum recomputed the same bytes decode cleanly: nothing
+	// but the checksum refused them.
+	frame := flippedPayloadFrame()
+	binary.LittleEndian.PutUint32(frame[4+6:], frameChecksum(frame[4+10:]))
+	if n, err := DecodeColBlock(frame, dst); err != nil || n != 8 {
+		t.Fatalf("re-checksummed frame: %d rows, err %v", n, err)
+	}
+}
+
 // FuzzBlockFrame hammers the frame decoders — the columnar parser and the
 // stream reader — with arbitrary bytes: they must return errors on
 // garbage, never panic, and never allocate beyond the frame's own size
 // (the per-encoding size checks run before any vector is grown). Seeds
 // cover valid frames, frames of the retired v1/v2 formats (which must be
-// rejected, not decoded) and the empty block frame that once panicked
-// nextFrame, so mutations explore the interesting neighborhoods.
+// rejected, not decoded), the empty block frame that once panicked
+// nextFrame, and a valid frame with one flipped payload bit, which reaches
+// the checksum-mismatch branch, so mutations explore the interesting
+// neighborhoods.
 func FuzzBlockFrame(f *testing.F) {
 	f.Add(v2BlockFrame(blockRows(8, 0)))
 	cb := NewColBatch(blockRowTypes)
 	for _, r := range blockRows(8, 0) {
 		cb.AppendRow(r)
 	}
-	v3 := AppendColBlock(nil, cb, true)
-	f.Add(v3)
+	valid := AppendColBlock(nil, cb, true)
+	f.Add(valid)
 	f.Add(AppendColBlock(nil, cb, false))
-	f.Add(v3[:len(v3)-3])
+	f.Add(valid[:len(valid)-3])
 	f.Add(AppendBinary(nil, blockRows(1, 0)[0]))
 	f.Add([]byte{0x00, 0x00, 0x00, 0x80})
+	f.Add(flippedPayloadFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := NewColBatch(nil)
 		_, _ = DecodeColBlock(data, dst)

@@ -631,10 +631,12 @@ func getTarget(coordAddr string, timeout time.Duration, job string, split int) (
 // slot's rows into block frames built on pooled buffers and appending each
 // finished block to the slot's log, whose live writer (if any — a dial
 // failure means this attempt only logs) sends it. Rows are assigned
-// round-robin (row i → slot i mod k) straight off the batches' vectors. A
-// slot's block flushes on the row/byte budget, checked after every row,
-// and at end of stream, so log entries and wire writes are O(blocks), not
-// O(rows). The input is consumed afterwards, and every log is sealed.
+// round-robin (row i → slot i mod k) straight off the batches' vectors:
+// each batch's live positions are dealt into k lists once, and each list
+// is staged with one gather per column. A slot's block flushes after the
+// row that reaches the row/byte budget, and at end of stream, so log
+// entries and wire writes are O(blocks), not O(rows). The input is
+// consumed afterwards, and every log is sealed.
 func (s *sender) consumeInput() error {
 	in := s.input
 	s.input = nil
@@ -661,7 +663,11 @@ func (s *sender) consumeInput() error {
 		row.RecycleBlockBuffer(frame)
 		return err
 	}
-	i := 0
+	// lists[j] holds the current batch's positions bound for slot j, and
+	// prices their RawBytes prices; both are reused across batches.
+	lists := make([][]int32, k)
+	var prices []int
+	next := 0 // the slot of the next row: the row counter, mod k
 	for {
 		b, ok, err := in.NextCol()
 		if err != nil {
@@ -670,14 +676,24 @@ func (s *sender) consumeInput() error {
 		if !ok {
 			break
 		}
+		for j := range lists {
+			lists[j] = lists[j][:0]
+		}
 		for si, n := 0, b.Len(); si < n; si++ {
-			j := i % k
-			i++
+			lists[next] = append(lists[next], int32(b.SelPos(si)))
+			if next++; next == k {
+				next = 0
+			}
+		}
+		for j, pos := range lists {
 			enc := &encoders[j]
-			enc.AppendBatchRow(b, b.SelPos(si))
-			if enc.Rows() >= s.cfg.BlockRows || enc.RawBytes() >= row.BlockTargetBytes {
-				if err := flush(j); err != nil {
-					return err
+			prices = row.PriceRows(prices[:0], b, pos)
+			for off := 0; off < len(pos); {
+				off += enc.AppendRows(b, pos[off:], prices[off:], s.cfg.BlockRows, row.BlockTargetBytes)
+				if enc.Rows() >= s.cfg.BlockRows || enc.RawBytes() >= row.BlockTargetBytes {
+					if err := flush(j); err != nil {
+						return err
+					}
 				}
 			}
 		}
