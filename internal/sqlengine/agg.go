@@ -327,8 +327,6 @@ type groupTable struct {
 	aggs []aggState
 	view *row.ColBatch // scratch: the key vectors as a batch, to gather from
 
-	flat  []byte
-	offs  []uint32
 	ids   []uint32
 	fresh []int32
 }
@@ -343,28 +341,27 @@ func newGroupTable(n *planNode) *groupTable {
 }
 
 // insert returns the group id of each row at pos of the key vectors keys
-// (n rows long), packing each key by the vector key codec. Groups seen for
-// the first time get their key cells gathered and their state grown.
+// (n rows long), in one pass: each row's key cells are packed by the
+// vector key codec into one reused buffer and inserted, and a row whose
+// key is new is kept. The new groups get their key cells gathered and
+// their state grown.
 func (t *groupTable) insert(keys []*row.Vector, n int, pos []int32) []uint32 {
-	t.flat = t.flat[:0]
-	t.offs = append(t.offs[:0], 0)
+	t.ids, t.fresh = t.ids[:0], t.fresh[:0]
+	var buf [64]byte
+	key := buf[:0]
 	for _, p := range pos {
+		key = key[:0]
 		for _, kv := range keys {
-			t.flat = row.AppendVectorKey(t.flat, kv, int(p))
+			key = row.AppendVectorKey(key, kv, int(p))
 		}
-		t.offs = append(t.offs, uint32(len(t.flat)))
+		id, added := t.ht.Insert(key)
+		t.ids = append(t.ids, id)
+		if added {
+			t.fresh = append(t.fresh, p)
+		}
 	}
-	next := uint32(t.ht.Len())
-	t.ids = t.ht.InsertKeys(t.flat, t.offs, t.ids[:0])
-	if t.ht.Len() == int(next) {
+	if len(t.fresh) == 0 {
 		return t.ids
-	}
-	t.fresh = t.fresh[:0]
-	for si, g := range t.ids {
-		if g == next {
-			t.fresh = append(t.fresh, pos[si])
-			next++
-		}
 	}
 	for i, kv := range keys {
 		t.view.SetCol(i, kv)

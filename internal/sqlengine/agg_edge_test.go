@@ -169,6 +169,47 @@ func aggEdgeCases() []aggEdgeCase {
 			sql:  "SELECT d, COUNT(*), MAX(s) FROM edge WHERE g = 'zp' GROUP BY d",
 			want: []row.Row{{aggNegZ, I(3), S("d")}},
 		},
+		{
+			// DISTINCT groups by every column: over zero rows it yields no
+			// row, not the global aggregate's empty-key row.
+			sql:  "SELECT DISTINCT g, i FROM edge WHERE g = 'none'",
+			want: nil,
+			ref:  true,
+		},
+		{
+			// -0 (partition 1) and +0 (partitions 1 and 3) are one row,
+			// the first seen. (The reference keeps them apart.)
+			sql:  "SELECT DISTINCT d FROM edge WHERE g = 'zp'",
+			want: []row.Row{{aggNegZ}},
+		},
+		{
+			sql:  "SELECT DISTINCT i, d, s, b FROM edge WHERE g = 'nul'",
+			want: []row.Row{{aggNullI, aggNullF, aggNullS, aggNullB}},
+			ref:  true,
+		},
+		{
+			sql:  "SELECT DISTINCT i, i FROM edge WHERE g = 'ext'",
+			want: []row.Row{{aggMaxI64, aggMaxI64}, {aggMinI64, aggMinI64}, {I(0), I(0)}},
+			ref:  true,
+		},
+		{
+			sql:  "SELECT DISTINCT COUNT(*) FROM edge",
+			want: []row.Row{{I(23)}},
+			ref:  true,
+		},
+		{
+			// First seen within a partition, partitions in order.
+			sql: "SELECT DISTINCT g, b FROM edge",
+			want: []row.Row{
+				{k("nan"), B(true)}, {k("nan"), B(false)}, {k("pz"), B(false)}, {k("ext"), B(true)},
+				{k("nul"), aggNullB}, {k("late"), B(true)},
+				{k("nan"), aggNullB}, {k("zp"), B(true)}, {k("zp"), B(false)}, {k("late"), B(false)},
+				{aggNullS, B(false)},
+				{k("pz"), B(true)}, {k("ext"), B(false)},
+				{k("late"), aggNullB}, {aggNullS, B(true)},
+			},
+			ref: true,
+		},
 	}
 }
 
@@ -210,8 +251,9 @@ func aggDiff(got, want []row.Row) string {
 
 // TestAggregateEdgeCases: COUNT(*), COUNT(x), SUM, AVG, MIN and MAX over
 // BIGINT, DOUBLE, VARCHAR and BOOLEAN, on groups holding NaN, +0 before
-// -0 and -0 before +0, MinInt64/MaxInt64, and only NULLs; groups come out
-// in first-seen order, partitions in order.
+// -0 and -0 before +0, MinInt64/MaxInt64, and only NULLs, and DISTINCT,
+// the same grouping with no aggregates; groups come out in first-seen
+// order, partitions in order.
 func TestAggregateEdgeCases(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		e := aggEdgeEngine(t, par)

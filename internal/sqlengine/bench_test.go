@@ -70,8 +70,9 @@ func runQuery(b *testing.B, e *Engine, sql string) {
 
 // The four hot-path benchmarks below isolate the hash/sort operators the
 // arena hash-table work targets: multi-key grouping, a selective equi-join,
-// a wide DISTINCT (local pass + repartition + final pass), and a full
-// ORDER BY with no LIMIT (per-partition sorts + k-way merge at the head).
+// a wide DISTINCT (a GROUP BY with no aggregates: per-partition partials
+// and the head merge), and a full ORDER BY with no LIMIT (per-partition
+// sorts + k-way merge at the head).
 
 func BenchmarkGroupBy(b *testing.B) {
 	e := benchEngine(b, 50_000, 100)
@@ -86,6 +87,14 @@ func BenchmarkGroupByManyGroups(b *testing.B) {
 	e := benchEngine(b, 50_000, 25_000)
 	runQuery(b, e, `SELECT dimid, COUNT(*), AVG(v), MAX(v), SUM(id),
 		AVG(CASE WHEN cat = 'red' THEN 1.0 ELSE 0.0 END) FROM fact GROUP BY dimid`)
+}
+
+// DistinctManyRows is DISTINCT with every row distinct: each row is a new
+// group in its partial and again in the serial head merge, the cost of
+// DISTINCT sharing GROUP BY's merge rather than a hash repartition.
+func BenchmarkDistinctManyRows(b *testing.B) {
+	e := benchEngine(b, 50_000, 100)
+	runQuery(b, e, "SELECT DISTINCT id, dimid FROM fact")
 }
 
 func BenchmarkHashJoin(b *testing.B) {

@@ -12,10 +12,10 @@ import (
 
 // TestBreakerChargesAndPlacement pins what the breakers charge the cost
 // model and where they leave rows, against figures computed from the input
-// rows alone: DISTINCT's shuffle charges the row bytes of every
-// first-instance row that changes worker, ORDER BY charges every row it
-// gathers to the head, and a global table UDF's output row i lands on
-// worker i mod n.
+// rows alone: DISTINCT's head merge charges the row bytes of each
+// partition's first-instance rows, moved to the head, ORDER BY charges
+// every row it gathers to the head, and a global table UDF's output row i
+// lands on worker i mod n.
 func TestBreakerChargesAndPlacement(t *testing.T) {
 	const n = 3
 	topo := cluster.NewTopology(n + 1)
@@ -42,9 +42,9 @@ func TestBreakerChargesAndPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// DISTINCT: each partition's first instances, routed by the key hash.
+	// DISTINCT: each partition's first instances, merged at the head.
 	want := 0
-	for src, p := range parts {
+	for _, p := range parts {
 		seen := make(map[string]bool)
 		for _, r := range p {
 			key := row.AppendKey(nil, r)
@@ -52,9 +52,7 @@ func TestBreakerChargesAndPlacement(t *testing.T) {
 				continue
 			}
 			seen[string(key)] = true
-			if dst := int(row.Hash64(key) % n); dst != src {
-				want += rowBytes(r)
-			}
+			want += rowBytes(r)
 		}
 	}
 	cost.ResetStats()
@@ -62,7 +60,7 @@ func TestBreakerChargesAndPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := cost.Stats().NetBytes; got != int64(want) {
-		t.Errorf("DISTINCT shuffle charged %d net bytes, rows that change worker = %d", got, want)
+		t.Errorf("DISTINCT merge charged %d net bytes, partitions' first-instance rows = %d", got, want)
 	}
 
 	// ORDER BY: every partition moves to the head.

@@ -11,14 +11,14 @@ import (
 // build runs a planned SELECT (plan.go). Streaming operators (scan,
 // filter, project, per-partition table UDFs, hash-join probe) become
 // per-partition batch pipelines that run lazily as the result is consumed;
-// pipeline breakers (join build, aggregation, DISTINCT, ORDER BY, LIMIT,
-// global UDFs) drain their input during this call and hand back sealed
-// chunks, which the Result adopts when a breaker ends the plan.
+// pipeline breakers (join build, aggregation and so DISTINCT, ORDER BY,
+// LIMIT, global UDFs) drain their input during this call and hand back
+// sealed chunks, which the Result adopts when a breaker ends the plan.
 //
 // One worker pool serves the query: every parallel pass of the plan —
-// breaker drains, partial aggregation, hash build, sort runs, DISTINCT —
-// claims tasks from it, and it carries the query-wide cancellation that
-// the returned Result's Close trips.
+// breaker drains, partial aggregation, hash build, sort runs — claims
+// tasks from it, and it carries the query-wide cancellation that the
+// returned Result's Close trips.
 func (e *Engine) build(root *planNode) (*Result, error) {
 	qp := newQueryPool(e.parallelism)
 	out, err := e.open(qp, root)
@@ -85,11 +85,6 @@ func (e *Engine) open(qp *queryPool, n *planNode) (built, error) {
 		return built{iters: iters}, nil
 	case nodeAggregate:
 		chunks, err = e.aggregate(qp, n, in.sources())
-	case nodeDistinct:
-		types := row.SchemaTypes(n.schema)
-		if chunks, err = dedupParts(qp, in.sources(), types); err == nil {
-			chunks, err = e.shuffleDedup(qp, chunks, types)
-		}
 	case nodeOrder:
 		if chunks, err = in.sealed(qp, row.SchemaTypes(n.schema)); err == nil {
 			chunks, err = e.orderBy(qp, n, chunks)

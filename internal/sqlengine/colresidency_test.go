@@ -286,7 +286,7 @@ func TestColSortRunsUnderVectorRecycling(t *testing.T) {
 }
 
 // TestColGroupKeysSurviveVectorRecycling runs the grouped-agg columnar
-// inner loop — vector key packing, column-at-a-time InsertKeys, group-key
+// inner loop — vector key packing, one Insert per row, group-key
 // materialization via ValueAt — over the poisoning producer. String group
 // keys are the dangerous retention: they must be copied out of the slab
 // the producer recycles.
@@ -306,8 +306,8 @@ func TestColGroupKeysSurviveVectorRecycling(t *testing.T) {
 	}
 	ht := NewHashTable()
 	var groups []*grp
-	var flat []byte
-	var offs, idxs []uint32
+	var key []byte
+	var idxs []uint32
 	for {
 		b, ok, err := src.NextCol()
 		if err != nil {
@@ -318,13 +318,12 @@ func TestColGroupKeysSurviveVectorRecycling(t *testing.T) {
 		}
 		kv, av := b.Col(0), b.Col(1)
 		k := b.Len()
-		flat = flat[:0]
-		offs = append(offs[:0], 0)
+		idxs = idxs[:0]
 		for si := 0; si < k; si++ {
-			flat = row.AppendVectorKey(flat, kv, b.SelPos(si))
-			offs = append(offs, uint32(len(flat)))
+			key = row.AppendVectorKey(key[:0], kv, b.SelPos(si))
+			idx, _ := ht.Insert(key)
+			idxs = append(idxs, idx)
 		}
-		idxs = ht.InsertKeys(flat, offs, idxs[:0])
 		for si := 0; si < k; si++ {
 			p := b.SelPos(si)
 			if int(idxs[si]) == len(groups) {

@@ -7,8 +7,8 @@ import (
 )
 
 // HashTable is the shared hash structure behind every hash path of the
-// engine: join build/probe, GROUP BY partials and their merge, both
-// DISTINCT passes, and transform's distinct-value discovery.
+// engine: join build/probe, GROUP BY (and so DISTINCT) partials and their
+// merge, and transform's distinct-value discovery.
 //
 // It maps variable-length byte keys (produced by the row key codec) to
 // dense uint32 indices in insertion order: the first distinct key gets 0,
@@ -90,20 +90,6 @@ func (t *HashTable) InsertHashed(key []byte, h uint64) (idx uint32, added bool) 
 		}
 		i = (i + step) & t.mask
 	}
-}
-
-// InsertKeys is the column-at-a-time Insert: it inserts a run of packed
-// keys — key i is flat[offs[i]:offs[i+1]], offs carrying one trailing
-// bound — appending each key's dense index to out (reused across batches
-// via out[:0]). Indices come out in insertion order, so a caller keeping a
-// dense payload slice detects a new key by out[i] == len(payloads) at the
-// moment it processes entry i.
-func (t *HashTable) InsertKeys(flat []byte, offs []uint32, out []uint32) []uint32 {
-	for i := 0; i+1 < len(offs); i++ {
-		idx, _ := t.Insert(flat[offs[i]:offs[i+1]])
-		out = append(out, idx)
-	}
-	return out
 }
 
 // LookupHashed returns the dense index of key, whose hashNonZero is h, if

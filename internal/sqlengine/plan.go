@@ -25,9 +25,8 @@ const (
 	nodeFilter                    // a WHERE conjunction over in
 	nodeJoin                      // in probes a hash table built over right; no keys is the cartesian join
 	nodeProject                   // the select list
-	nodeAggregate                 // GROUP BY and the select list's aggregates
+	nodeAggregate                 // GROUP BY and the select list's aggregates, or DISTINCT
 	nodeHaving                    // HAVING over the aggregate's output columns
-	nodeDistinct
 	nodeOrder
 	nodeLimit
 )
@@ -35,7 +34,8 @@ const (
 // planNode is one operator of a planned SELECT; which fields are set
 // depends on kind. exprs are what the kernels fns compute: a filter's
 // predicate, a join's probe keys (rightExprs its build keys), the select
-// list with stars expanded, the GROUP BY keys or the ORDER BY keys.
+// list with stars expanded, the GROUP BY keys (for DISTINCT, the columns
+// of in's output) or the ORDER BY keys.
 type planNode struct {
 	kind   nodeKind
 	in     *planNode
@@ -223,7 +223,7 @@ func (e *Engine) plan(sel *SelectStmt) (*planNode, error) {
 		}
 	}
 	if sel.Distinct {
-		cur = derive(nodeDistinct, cur)
+		cur = planDistinct(cur)
 	}
 	if len(sel.OrderBy) > 0 {
 		n := derive(nodeOrder, cur)
@@ -521,6 +521,21 @@ func (e *Engine) planAggregate(sel *SelectStmt, in *planNode) (*planNode, error)
 	}
 	n.schema, n.sc = schema, outputScope(schema)
 	return n, nil
+}
+
+// planDistinct plans SELECT DISTINCT over in as a GROUP BY of every
+// output column with no aggregates: one identity kernel per column, and
+// column i is key i. Its groups, each key once in first-seen order, are
+// the distinct rows.
+func planDistinct(in *planNode) *planNode {
+	n := derive(nodeAggregate, in)
+	n.keyTypes = row.SchemaTypes(in.schema)
+	for i, col := range in.schema.Cols {
+		n.exprs = append(n.exprs, &ColRef{Name: col.Name})
+		n.fns = append(n.fns, func(_ *vecCtx, b *row.ColBatch, _ []int32) (*row.Vector, error) { return b.Col(i), nil })
+		n.cols = append(n.cols, outputCol{keyIdx: i, aggIdx: -1})
+	}
+	return n
 }
 
 func outputName(item SelectItem) string {

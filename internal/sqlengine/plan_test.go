@@ -72,8 +72,6 @@ func nodeLine(n *planNode) string {
 			return "aggregate " + list(items)
 		}
 		return "aggregate " + list(items) + " by " + list(n.exprs)
-	case nodeDistinct:
-		return "distinct"
 	case nodeOrder:
 		keys := make([]string, len(n.exprs))
 		for i, ex := range n.exprs {
@@ -369,12 +367,12 @@ var planGolden = []struct{ sql, plan string }{
 	{"SELECT SUM(f), MIN(v), MAX(f) FROM t", `aggregate SUM(f), MIN(v), MAX(f)
   scan t
 `},
-	{"SELECT DISTINCT cat, k FROM t", `distinct
+	{"SELECT DISTINCT cat, k FROM t", `aggregate cat, k by cat, k
   project cat, k
     scan t
 `},
 	{"SELECT DISTINCT v FROM t ORDER BY v", `order v
-  distinct
+  aggregate v by v
     project v
       scan t
 `},
@@ -427,7 +425,7 @@ var planGolden = []struct{ sql, plan string }{
 `},
 	{"SELECT DISTINCT cat, v FROM t ORDER BY cat, v DESC LIMIT 5", `limit 5
   order cat, v DESC
-    distinct
+    aggregate cat, v by cat, v
       project cat, v
         scan t
 `},

@@ -12,7 +12,7 @@ import (
 // Morsel-driven intra-query parallelism. Every query gets one queryPool —
 // a bounded set of workers sized by Config.Parallelism — and every
 // CPU-heavy per-partition pass (pipeline drains, aggregation partials,
-// hash-join build chunks, sort runs, DISTINCT passes) runs as tasks
+// DISTINCT's included, hash-join build chunks, sort runs) runs as tasks
 // claimed from it instead of spawning one goroutine per partition. The
 // pool carries the query's cancellation: the first failing task (or an
 // external Result.Close) trips the cancel channel, every other task stops

@@ -25,7 +25,8 @@ type InputFormat struct {
 	CoordAddr string
 	Job       string
 	// ReceiveBufferSize is the per-reader receive buffer (the paper's
-	// experiments use 4 KB).
+	// experiments use 4 KB). It sizes reads only: credits are granted in
+	// the unit the sender names in its start reply, its BufferSize.
 	ReceiveBufferSize int
 	// AcceptTimeout bounds how long a reader waits for its SQL worker.
 	AcceptTimeout time.Duration
@@ -218,6 +219,7 @@ type streamReader struct {
 	rd         *row.Reader
 	types      []row.Type
 	rowsRead   int
+	unit       int64 // bytes per credit, the sender's BufferSize
 	credited   int64
 	grant      []byte // a run of creditByte, grown to the largest grant
 	reconnects int
@@ -332,21 +334,21 @@ func (r *streamReader) finish() error {
 }
 
 // grantCredits implements the reader's half of flow control: one credit
-// per consumed receive buffer, run once per fetched frame and written in
+// per unit of consumed bytes, run once per fetched frame and written in
 // one Write. Credits flow only after rows have been consumed (including
 // the injected delay), which is what makes a slow ML worker backpressure —
 // and eventually spill — the SQL-side sender. A block frame's bytes enter
 // the reader's consumed counter only once the frame has been fetched
 // whole, so buffered-but-unfetched blocks grant nothing. Each credit
-// accounts exactly bufSize bytes (the remainder carries over);
+// accounts exactly unit bytes (the remainder carries over);
 // acknowledging "everything so far" instead would leak phantom in-flight
 // bytes on the sender until its window jammed shut.
 func (r *streamReader) grantCredits() error {
-	due := int((r.rd.Bytes() - r.credited) / int64(r.bufSize))
+	due := int((r.rd.Bytes() - r.credited) / r.unit)
 	if due == 0 {
 		return nil
 	}
-	r.credited += int64(due) * int64(r.bufSize)
+	r.credited += int64(due) * r.unit
 	if len(r.grant) < due {
 		r.grant = bytes.Repeat([]byte{creditByte}, due)
 	}
@@ -380,10 +382,12 @@ func (r *streamReader) connect() error {
 }
 
 // handshake sends the resume header (epoch + rows consumed) and reads the
-// sender's start row, after which the connection carries frames. Both
-// sides are frame-aligned — this reader counts whole frames, the sender
-// resends whole log frames — so the only well-formed answer is exactly the
-// consumed count; anything else is a protocol violation.
+// sender's start row and credit unit, after which the connection carries
+// frames. Both sides are frame-aligned — this reader counts whole frames,
+// the sender resends whole log frames — so the only well-formed start row
+// is exactly the consumed count; anything else is a protocol violation.
+// The unit divides the reader's byte count, so it must be positive, and
+// no send buffer exceeds a block frame's bound.
 func (r *streamReader) handshake() error {
 	r.credited = 0
 	var hdr [14]byte
@@ -400,13 +404,18 @@ func (r *streamReader) handshake() error {
 		return err
 	}
 	br := bufio.NewReaderSize(r.conn, r.bufSize)
-	var ack [8]byte
+	var ack [12]byte
 	if _, err := io.ReadFull(br, ack[:]); err != nil {
 		return fmt.Errorf("stream: split %d resume ack: %w", r.split, err)
 	}
-	if startRow := binary.BigEndian.Uint64(ack[:]); startRow != uint64(r.rowsRead) {
+	if startRow := binary.BigEndian.Uint64(ack[:8]); startRow != uint64(r.rowsRead) {
 		return fmt.Errorf("stream: split %d: sender resumes at row %d, reader consumed %d", r.split, startRow, r.rowsRead)
 	}
+	unit := binary.BigEndian.Uint32(ack[8:])
+	if unit == 0 || unit > row.MaxBlockSize {
+		return fmt.Errorf("stream: split %d: credit unit %d outside [1, %d]", r.split, unit, row.MaxBlockSize)
+	}
+	r.unit = int64(unit)
 	if err := r.conn.SetReadDeadline(time.Time{}); err != nil {
 		return err
 	}

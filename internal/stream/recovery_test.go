@@ -209,8 +209,9 @@ func TestReaderRefusesStartRowBelowConsumed(t *testing.T) {
 		reported <- binary.BigEndian.Uint64(hdr[6:])
 		// Resume one 64-row frame early, as a sender that lost track of
 		// the reader's count would, and hang up.
-		var ack [8]byte
-		binary.BigEndian.PutUint64(ack[:], 64)
+		var ack [12]byte
+		binary.BigEndian.PutUint64(ack[:8], 64)
+		binary.BigEndian.PutUint32(ack[8:], 4<<10)
 		_, _ = conn.Write(ack[:])
 	}()
 
@@ -223,12 +224,46 @@ func TestReaderRefusesStartRowBelowConsumed(t *testing.T) {
 	}
 }
 
+// TestReaderRefusesCreditUnitOutOfRange: the start reply's credit unit
+// divides the reader's byte count, so a peer naming 0, or more than a
+// block frame's bound, is refused at the handshake.
+func TestReaderRefusesCreditUnitOutOfRange(t *testing.T) {
+	for _, unit := range []uint32{0, row.MaxBlockSize + 1} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &streamReader{ln: ln, timeout: 10 * time.Second, bufSize: 4 << 10}
+		go func() {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return
+			}
+			defer func() { _ = conn.Close() }()
+			var hdr [14]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return
+			}
+			var reply [12]byte
+			binary.BigEndian.PutUint32(reply[8:], unit)
+			_, _ = conn.Write(reply[:])
+		}()
+		if err := r.connect(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("credit unit %d", unit)) {
+			t.Errorf("connect with credit unit %d = %v, want a refusal naming it", unit, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestCreditsGrantedPerFetchedFrame pins the reader's credit ledger
 // against a raw peer speaking the sender's side of a data connection
-// (start row, then frames): once the reader has fetched frames totalling B
-// bytes, the peer has received exactly ⌊B / bufSize⌋ credit bytes. A frame
-// that has arrived but is not yet fetched grants nothing, and the
-// remainder of one frame's bytes counts toward the next frame's credits.
+// (start row and credit unit, then frames): once the reader has fetched
+// frames totalling B bytes, the peer has received exactly ⌊B / unit⌋
+// credit bytes. A frame that has arrived but is not yet fetched grants
+// nothing, and the remainder of one frame's bytes counts toward the next
+// frame's credits.
 func TestCreditsGrantedPerFetchedFrame(t *testing.T) {
 	types := row.SchemaTypes(streamSchema())
 	var enc row.BlockEncoder
@@ -272,7 +307,8 @@ func TestCreditsGrantedPerFetchedFrame(t *testing.T) {
 	if _, err := io.ReadFull(peer, hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	var start [8]byte
+	var start [12]byte
+	binary.BigEndian.PutUint32(start[8:], uint32(bufSize))
 	if _, err := peer.Write(append(append(start[:], frames[0]...), frames[1]...)); err != nil {
 		t.Fatal(err)
 	}

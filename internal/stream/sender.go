@@ -534,8 +534,9 @@ func (sl *slot) connect(req SendRequest, cfg SenderConfig) error {
 	if req.Topo != nil {
 		tc.toNode = req.Topo.ByAddr(t.Addr)
 	}
-	var ack [8]byte
-	binary.BigEndian.PutUint64(ack[:], startRow)
+	var ack [12]byte
+	binary.BigEndian.PutUint64(ack[:8], startRow)
+	binary.BigEndian.PutUint32(ack[8:], uint32(cfg.BufferSize))
 	if _, err := tc.w.Write(ack[:]); err != nil {
 		return fail(err)
 	}
@@ -747,8 +748,9 @@ type targetChannel struct {
 // resumeMagic opens the reader→sender resume header on every data
 // connection: magic(2) epoch(4) rowsConsumed(8), big-endian. The sender
 // answers with startRow(8) — the first row of the first frame it will
-// (re)send — then frames. On a fresh connection both offsets are zero and
-// the handshake degenerates to the original protocol plus 22 bytes.
+// (re)send — and its credit unit(4), the BufferSize bytes one credit byte
+// stands for, then frames. On a fresh connection both offsets are zero and
+// the handshake degenerates to the original protocol plus 26 bytes.
 const resumeMagic = 0x534C // "SL"
 
 // errStaleEpoch marks a handshake against a reader from a different
@@ -780,7 +782,7 @@ func readResumeHeader(conn net.Conn, timeout time.Duration) (epoch uint32, consu
 }
 
 // creditLoop reads flow-control bytes from the receiver: one credit byte
-// per consumed receive buffer, and the final delivery ACK. It closes the
+// per BufferSize bytes consumed, and the final delivery ACK. It closes the
 // credit channel when the connection drops, unblocking a stalled writer.
 func (tc *targetChannel) creditLoop() {
 	defer close(tc.credits)

@@ -340,6 +340,60 @@ func TestSlowConsumerSpillsToDisk(t *testing.T) {
 	}
 }
 
+// TestCreditUnitIsTheSenders: the reader grants credits in the unit the
+// sender names in its start reply, so a receive buffer larger or smaller
+// than the sender's send buffer still drains the transfer. Counting in its
+// own buffer size, a reader with the larger buffer granted too few credits
+// and the sender's window stayed shut. Both sides run off the test's
+// goroutine, so a stall fails the test at the deadline instead of hanging.
+func TestCreditUnitIsTheSenders(t *testing.T) {
+	const rows = 20000
+	for _, recv := range []int{16 << 10, 1 << 10} {
+		env := newTransferEnv(t)
+		job := fmt.Sprintf("jcredit%d", recv)
+		f := &InputFormat{CoordAddr: env.coordAddr, Job: job, ReceiveBufferSize: recv}
+		type ingestResult struct {
+			d   *ml.Dataset
+			err error
+		}
+		ingested := make(chan ingestResult, 1)
+		go func() {
+			<-env.launched
+			d, err := ml.Ingest(f, ml.IngestOptions{LabelCol: "label", Nodes: env.topo.Nodes()})
+			ingested <- ingestResult{d, err}
+		}()
+		sent := make(chan error, 1)
+		go func() {
+			_, err := Send(SendRequest{CoordAddr: env.coordAddr, Job: job, Command: "svm", NumWorkers: 1, K: 1,
+				Node: env.topo.Node(1), Topo: env.topo, Schema: streamSchema(), Rows: genRows(0, rows),
+				Config: DefaultSenderConfig()})
+			sent <- err
+		}()
+		deadline := time.After(20 * time.Second)
+		stalled := func() {
+			t.Fatalf("%d-byte receive buffer against a %d-byte send buffer: transfer stalled",
+				recv, DefaultSenderConfig().BufferSize)
+		}
+		select {
+		case err := <-sent:
+			if err != nil {
+				t.Fatalf("send: %v", err)
+			}
+		case <-deadline:
+			stalled()
+		}
+		select {
+		case res := <-ingested:
+			if res.err != nil {
+				t.Fatalf("ingest: %v", res.err)
+			}
+			checkExactlyOnce(t, res.d, 1, rows)
+		case <-deadline:
+			stalled()
+		}
+	}
+}
+
 // TestReaderFacesInterleave: Next and NextColBatch interleave freely on a
 // stream reader (the hadoopfmt contract). Next holds a whole frame, so a
 // NextColBatch after it hands over that frame's remaining rows before
