@@ -331,8 +331,10 @@ type groupTable struct {
 	fresh []int32
 }
 
-func newGroupTable(n *planNode) *groupTable {
-	t := &groupTable{ht: NewHashTable(), keys: newChunkWriter(n.keyTypes, -1),
+// newGroupTable returns an empty group table whose hash table has room for
+// groups keys before it grows.
+func newGroupTable(n *planNode, groups int) *groupTable {
+	t := &groupTable{ht: newHashTableFor(groups), keys: newChunkWriter(n.keyTypes, -1),
 		aggs: make([]aggState, len(n.aggs)), view: row.NewColBatch(n.keyTypes)}
 	for i, s := range n.aggs {
 		t.aggs[i].spec = s
@@ -390,7 +392,7 @@ func (e *Engine) aggregate(qp *queryPool, n *planNode, iters []ColBatchSource) (
 	partials := make([]*aggPartial, len(iters))
 	err := qp.drain(iters, func(i int) (partSink, error) {
 		partials[i] = &aggPartial{
-			n: n, t: newGroupTable(n),
+			n: n, t: newGroupTable(n, 0),
 			kvecs: make([]*row.Vector, len(n.fns)), avecs: make([]*row.Vector, len(n.aggs)),
 		}
 		return partials[i], nil
@@ -402,13 +404,19 @@ func (e *Engine) aggregate(qp *queryPool, n *planNode, iters []ColBatchSource) (
 	// Merge at the head node, charging the move of each partial: its key
 	// chunks plus a fixed accumulator size per group. Each partial's key
 	// chunks are re-inserted in partition order, so groups come out
-	// partials in partition order, first-seen within.
-	m := newGroupTable(n)
+	// partials in partition order, first-seen within. The partials' group
+	// counts sum to at least the merged count, so the merge never grows
+	// its hash table.
+	groups := 0
+	for _, p := range partials {
+		groups += p.t.ht.Len()
+	}
+	m := newGroupTable(n, groups)
 	cols := make([]*row.Vector, len(n.keyTypes))
 	for i, p := range partials {
 		chunks := p.t.keys.finish()
-		if groups := p.t.ht.Len(); e.workers[i] != e.head && groups > 0 {
-			e.cost.ChargeNet(e.workers[i], e.head, chunkBytes(chunks)+24*len(n.aggs)*groups)
+		if g := p.t.ht.Len(); e.workers[i] != e.head && g > 0 {
+			e.cost.ChargeNet(e.workers[i], e.head, chunkBytes(chunks)+24*len(n.aggs)*g)
 		}
 		lo := 0
 		for _, c := range chunks {

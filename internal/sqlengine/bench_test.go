@@ -14,7 +14,7 @@ func benchEngine(b *testing.B, facts, dims int) *Engine {
 	return benchEngineCfg(b, facts, dims, Config{})
 }
 
-// benchEngineCfg is the configurable loader: the morsel-parallelism pairs
+// benchEngineCfg is the configurable loader: the parallelism pairs
 // vary Config.Parallelism over the same data.
 func benchEngineCfg(b *testing.B, facts, dims int, cfg Config) *Engine {
 	b.Helper()
@@ -126,7 +126,7 @@ func BenchmarkProject(b *testing.B) {
 	runQuery(b, e, "SELECT v * 2.0 - 1.0, id + dimid, v / 4.0 FROM fact WHERE v > 100.0")
 }
 
-// The P1/P2 pairs below measure the morsel-driven pool directly: the same
+// The P1/P2 pairs below measure the query pool directly: the same
 // query with the pool pinned to one worker (the sequential oracle) and to
 // two — as far as a 2-vCPU runner can show. Output is byte-identical by
 // construction (the parallelism property tests enforce it); only the wall

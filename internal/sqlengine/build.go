@@ -261,10 +261,10 @@ func (e *Engine) openJoin(qp *queryPool, n *planNode) (built, error) {
 }
 
 // joinTable drains a join's build side (a pipeline breaker), charges its
-// broadcast to the probe workers, and builds the sharded hash table, shared
-// read-only across them. Drain and build both run on the query pool: the
-// drain partition-wise, the build as per-chunk key scans plus hash-sharded
-// inserts (joinbuild.go).
+// broadcast to the probe workers, and builds the hash table, shared
+// read-only across them. The drain runs on the query pool partition-wise,
+// the build as per-chunk key scans there plus one serial insert
+// (joinbuild.go).
 func (e *Engine) joinTable(qp *queryPool, right *planNode, keyFns []vecFn, probeParts int) (*buildTable, error) {
 	out, err := e.open(qp, right)
 	if err != nil {

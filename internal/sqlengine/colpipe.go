@@ -168,7 +168,7 @@ func vecExprs(exprs []Expr, sc *scope, reg *Registry) ([]vecFn, []row.Type, erro
 
 // colProbeIter is the hash-join probe: key kernels run over the whole
 // input batch at its live positions, the per-position norm keys probe the
-// sharded build table, and the matches are gathered into one pooled output
+// build table, and the matches are gathered into one pooled output
 // batch — the kept probe-side columns copied typed from the input vectors,
 // the kept build-side columns from the matched build chunks'. With no key
 // kernels it is the cartesian join: every key is empty, and so is every

@@ -17,8 +17,8 @@ type Config struct {
 	HeadNodeID    int
 
 	// Parallelism bounds how many pool workers one query may run
-	// concurrently (morsel dispatch, partition drains, parallel hash
-	// build, sort runs). Zero selects the default, one worker per
+	// concurrently (partition drains and aggregation partials, the hash
+	// build's key scan, sort runs). Zero selects the default, one worker per
 	// available CPU (runtime.GOMAXPROCS). Parallelism: 1 is the
 	// sequential oracle: every parallel schedule must produce output
 	// byte-identical to it.

@@ -171,29 +171,23 @@ func TestPropertyDistinctMatchesMapOracle(t *testing.T) {
 // keys, the parallel sort-merge emits ties in exactly the order a stable
 // sort of the concatenated partitions produces — the old sequential
 // implementation's contract. Partitions are loaded explicitly so the
-// expected concatenation order is known.
+// expected concatenation order is known: random small ones, and three
+// partitions of 10 000 rows over four keys, whose ties run across
+// partitions and far past any one chunk.
 func TestOrderByStableMergePreservesTieOrder(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		workers := 1 + rng.Intn(5)
-		topo := cluster.NewTopology(workers + 1)
-		ids := make([]int, workers)
+	// tieOrderHolds loads parts (a low-cardinality sort key and a unique
+	// serial, so ties are plentiful and every row is identifiable) one
+	// partition per worker and checks ORDER BY k DESC against a stable
+	// sort of their concatenation.
+	tieOrderHolds := func(parts [][]row.Row) bool {
+		topo := cluster.NewTopology(len(parts) + 1)
+		ids := make([]int, len(parts))
 		for i := range ids {
 			ids[i] = i + 1
 		}
 		e, err := New(topo, nil, Config{HeadNodeID: 0, WorkerNodeIDs: ids})
 		if err != nil {
 			return false
-		}
-		// Low-cardinality sort key + unique serial so ties are plentiful
-		// and every row is identifiable.
-		parts := make([][]row.Row, workers)
-		serial := int64(0)
-		for w := range parts {
-			for i := 0; i < rng.Intn(40); i++ {
-				parts[w] = append(parts[w], row.Row{row.Int(int64(rng.Intn(4))), row.Int(serial)})
-				serial++
-			}
 		}
 		schema := row.MustSchema(
 			row.Column{Name: "k", Type: row.TypeInt},
@@ -223,8 +217,31 @@ func TestOrderByStableMergePreservesTieOrder(t *testing.T) {
 		}
 		return true
 	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		parts := make([][]row.Row, 1+rng.Intn(5))
+		serial := int64(0)
+		for w := range parts {
+			for i := 0; i < rng.Intn(40); i++ {
+				parts[w] = append(parts[w], row.Row{row.Int(int64(rng.Intn(4))), row.Int(serial)})
+				serial++
+			}
+		}
+		return tieOrderHolds(parts)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	large := make([][]row.Row, 3)
+	for w := range large {
+		for i := range 10_000 {
+			large[w] = append(large[w], row.Row{row.Int(int64(rng.Intn(4))), row.Int(int64(w*10_000 + i))})
+		}
+	}
+	if !tieOrderHolds(large) {
+		t.Error("three partitions of 10 000 rows over four keys: ties out of stable order")
 	}
 }
 

@@ -50,8 +50,16 @@ type htSlot struct {
 const htChunkSize = 1 << 16
 
 // NewHashTable returns an empty table of 16 slots; it grows by doubling.
-func NewHashTable() *HashTable {
-	return &HashTable{slots: make([]htSlot, 16), mask: 15}
+func NewHashTable() *HashTable { return newHashTableFor(0) }
+
+// newHashTableFor returns an empty table with room for n keys before its
+// first growth, and at least 16 slots.
+func newHashTableFor(n int) *HashTable {
+	size := 16
+	for size*3 < n*4 {
+		size *= 2
+	}
+	return &HashTable{slots: make([]htSlot, size), mask: uint64(size - 1)}
 }
 
 // Len returns the number of distinct keys stored.
@@ -70,8 +78,8 @@ func (t *HashTable) Insert(key []byte) (idx uint32, added bool) {
 }
 
 // InsertHashed is Insert for callers that already hold key's hashNonZero
-// hash — the parallel hash-join build computes hashes once in its
-// per-chunk key scan and reuses them to route keys to shards and to insert.
+// hash — the hash-join build computes hashes once in its per-chunk key
+// scan and reuses them to insert.
 func (t *HashTable) InsertHashed(key []byte, h uint64) (idx uint32, added bool) {
 	if (t.n+1)*4 > len(t.slots)*3 {
 		t.grow()

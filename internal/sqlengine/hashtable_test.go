@@ -113,3 +113,25 @@ func (t *HashTable) Key(idx uint32) []byte {
 	}
 	return nil
 }
+
+// TestNewHashTableForNeverGrows: n distinct inserts into newHashTableFor(n)
+// keep the slot array it started with, which is the smallest power of two
+// of at least 16 slots that holds them.
+func TestNewHashTableForNeverGrows(t *testing.T) {
+	for _, n := range []int{0, 1, 12, 13, 24, 25, 100, 768, 769, 5000} {
+		ht := newHashTableFor(n)
+		slots := len(ht.slots)
+		if slots < 16 || (slots > 16 && slots/2*3 >= n*4) {
+			t.Errorf("newHashTableFor(%d): %d slots, want the smallest power of two ≥ 16 with room for %d keys", n, slots, n)
+		}
+		first := &ht.slots[0]
+		for i := range n {
+			if _, added := ht.Insert(fmt.Appendf(nil, "key-%d", i)); !added {
+				t.Fatalf("newHashTableFor(%d): key %d not added", n, i)
+			}
+		}
+		if len(ht.slots) != slots || &ht.slots[0] != first {
+			t.Errorf("newHashTableFor(%d): slot array grew from %d to %d slots over %d inserts", n, slots, len(ht.slots), n)
+		}
+	}
+}

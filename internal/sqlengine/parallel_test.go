@@ -13,7 +13,7 @@ import (
 	"sqlml/internal/row"
 )
 
-// This file holds the morsel-parallelism oracle: every query runs on a
+// This file holds the parallelism oracle: every query runs on a
 // Parallelism: 1 engine (one pool worker executes every task in claim
 // order — the sequential reference) and on a Parallelism: N engine over
 // identical data, and the outputs must be byte-identical as ordered
@@ -211,9 +211,8 @@ func stringsContains(s, sub string) bool {
 }
 
 // TestQueryPoolForEach exercises the pool scheduler directly: every task
-// runs exactly once, worker ids stay dense and within the pool size, a
-// task error cancels the remaining queue, and a pre-cancelled pool runs
-// nothing.
+// runs exactly once, a task error cancels the remaining queue, and a
+// pre-cancelled pool runs nothing.
 func TestQueryPoolForEach(t *testing.T) {
 	p := newQueryPool(3)
 	if p.n != 3 {
@@ -221,12 +220,8 @@ func TestQueryPoolForEach(t *testing.T) {
 	}
 	const n = 100
 	var ran [n]atomic.Int32
-	var maxWorker atomic.Int32
-	if err := p.forEach(n, func(task, worker int) error {
+	if err := p.forEach(n, func(task int) error {
 		ran[task].Add(1)
-		if int32(worker) > maxWorker.Load() {
-			maxWorker.Store(int32(worker))
-		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -236,15 +231,12 @@ func TestQueryPoolForEach(t *testing.T) {
 			t.Fatalf("task %d ran %d times", i, ran[i].Load())
 		}
 	}
-	if maxWorker.Load() >= 3 {
-		t.Errorf("worker id %d out of range for pool of 3", maxWorker.Load())
-	}
 
 	// A failing task cancels the rest of the queue; the real error wins.
 	p = newQueryPool(2)
 	boom := errors.New("task boom")
 	var after atomic.Int32
-	err := p.forEach(n, func(task, worker int) error {
+	err := p.forEach(n, func(task int) error {
 		if task == 5 {
 			return boom
 		}
@@ -264,7 +256,7 @@ func TestQueryPoolForEach(t *testing.T) {
 	p = newQueryPool(2)
 	p.Cancel()
 	var touched atomic.Int32
-	err = p.forEach(4, func(task, worker int) error { touched.Add(1); return nil })
+	err = p.forEach(4, func(int) error { touched.Add(1); return nil })
 	if !errors.Is(err, errQueryCancelled) {
 		t.Fatalf("cancelled forEach error = %v, want errQueryCancelled", err)
 	}

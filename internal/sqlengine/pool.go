@@ -9,22 +9,24 @@ import (
 	"sqlml/internal/row"
 )
 
-// Morsel-driven intra-query parallelism. Every query gets one queryPool —
-// a bounded set of workers sized by Config.Parallelism — and every
-// CPU-heavy per-partition pass (pipeline drains, aggregation partials,
-// DISTINCT's included, hash-join build chunks, sort runs) runs as tasks
-// claimed from it instead of spawning one goroutine per partition. The
-// pool carries the query's cancellation: the first failing task (or an
-// external Result.Close) trips the cancel channel, every other task stops
-// at its next batch boundary, and the partition pipelines are closed so
-// producer goroutines and pooled ColBatches are released.
+// Partitioned intra-query parallelism. Every query gets one queryPool — a
+// bounded set of workers sized by Config.Parallelism — and every CPU-heavy
+// pass runs as tasks claimed from it instead of spawning one goroutine per
+// partition: one task per partition (pipeline drains, aggregation
+// partials, sort runs) or per sealed chunk (the hash-join build's key
+// scan). Each pipeline breaker then combines its tasks' results serially:
+// the aggregate's head merge, the join's table insert, the sort's k-way
+// merge. The pool carries the query's cancellation: the first failing task
+// (or an external Result.Close) trips the cancel channel, every other task
+// stops at its next batch boundary, and the partition pipelines are closed
+// so producer goroutines and pooled ColBatches are released.
 //
 // Parallelism: 1 is the sequential oracle — one worker executes every
 // task in index order, so its output is the reference the parallel
 // schedules must reproduce byte-for-byte. The operators keep that
-// guarantee by accumulating into partials whose boundaries are a
-// deterministic function of the input (per partition, per morsel), never
-// of the schedule, and merging them in a deterministic order.
+// guarantee because a task's boundaries are a deterministic function of
+// the input (a partition, a chunk), never of the schedule, and the serial
+// combines read the tasks' results in a fixed order.
 
 // errQueryCancelled is returned by pool tasks that stopped early because
 // the query was cancelled (a sibling partition failed, or the consumer
@@ -68,29 +70,23 @@ func (p *queryPool) cancelled() bool {
 	}
 }
 
-// forEach runs f(task, worker) for task = 0..n-1 across min(n, pool size)
-// workers. Tasks are claimed from a shared counter — morsel dispatch —
-// so a skewed task keeps only one worker busy while the rest drain the
-// remaining queue. worker is a dense id < pool size, for indexing
-// per-worker partial state. The first real task error wins (cancellation
-// aborts of sibling tasks never mask it); if tasks were skipped because
-// the query was cancelled with no task failing, errQueryCancelled is
-// returned.
-func (p *queryPool) forEach(n int, f func(task, worker int) error) error {
+// forEach runs f(task) for task = 0..n-1 across min(n, pool size)
+// workers. Tasks are claimed from a shared counter, so a skewed task keeps
+// only one worker busy while the rest drain the remaining queue. The first
+// real task error wins (cancellation aborts of sibling tasks never mask
+// it); if tasks were skipped because the query was cancelled with no task
+// failing, errQueryCancelled is returned.
+func (p *queryPool) forEach(n int, f func(task int) error) error {
 	if n <= 0 {
 		return nil
-	}
-	workers := p.n
-	if workers > n {
-		workers = n
 	}
 	errs := make([]error, n)
 	var skipped atomic.Bool
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(p.n, n) {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				t := int(next.Add(1)) - 1
@@ -101,12 +97,12 @@ func (p *queryPool) forEach(n int, f func(task, worker int) error) error {
 					skipped.Store(true)
 					return
 				}
-				if err := f(t, w); err != nil {
+				if err := f(t); err != nil {
 					errs[t] = err
 					p.Cancel()
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	var cancelErr error
@@ -148,7 +144,7 @@ type partSink interface {
 // is closed, those of tasks the cancelled pool never ran included.
 func (p *queryPool) drain(iters []ColBatchSource, open func(i int) (partSink, error)) error {
 	primeIters(iters)
-	err := p.forEach(len(iters), func(i, _ int) error {
+	err := p.forEach(len(iters), func(i int) error {
 		in := iters[i]
 		defer in.Close()
 		s, err := open(i)

@@ -6,14 +6,14 @@ import (
 	"sqlml/internal/row"
 )
 
-// Parallel sort-merge ORDER BY over sealed chunks. The sort keys are
-// kernel vectors evaluated once per input chunk; the sort and the merge
-// move (chunk, position) refs, never rows. The input is cut into a grid
-// of sort tasks that stable-sort on the query pool, the runs merge with a
-// stable k-way loser tree, and the merged refs are gathered into sealed
-// chunks at partition 0. Ties break toward the lower partition index and,
-// within a partition, toward the earlier row — the order of a stable sort
-// of the concatenated partitions.
+// Sort-merge ORDER BY over sealed chunks. The sort keys are kernel
+// vectors evaluated once per input chunk; the sort and the merge move
+// (chunk, position) refs, never rows. Each partition is one pool task that
+// evaluates its chunks' keys and stable-sorts its refs into one run; one
+// stable k-way loser tree merges the runs, and the merged refs are
+// gathered into sealed chunks at partition 0. Ties break toward the lower
+// partition index and, within a partition, toward the earlier row — the
+// order of a stable sort of the concatenated partitions.
 
 // sortRef addresses one input row: a chunk of the sort input and a
 // physical position in it.
@@ -95,42 +95,44 @@ func boolRank(b bool) int {
 // one partition of sealed chunks.
 func sortParts(qp *queryPool, specs []orderSpec, keyFns []vecFn, types []row.Type, parts [][]*row.ColBatch) ([]*row.ColBatch, error) {
 	var chunks []*row.ColBatch
-	for _, p := range parts {
+	first := make([]int, len(parts)) // each partition's first chunk index
+	for i, p := range parts {
+		first[i] = len(chunks)
 		chunks = append(chunks, p...)
 	}
-	// Each chunk's keys are evaluated over a view of it that outlives the
-	// sort, so a passthrough key vector stays valid.
 	s := &sortKeys{specs: specs, keys: make([][]*row.Vector, len(chunks))}
-	err := qp.forEach(len(chunks), func(i, _ int) error {
-		view := new(row.ColBatch)
-		view.ViewOf(chunks[i])
+	runs := make([][]sortRef, len(parts))
+	err := qp.forEach(len(parts), func(i int) error {
+		// The context is never reclaimed and each chunk's keys are
+		// evaluated over a view of it that outlives the sort, so every key
+		// vector, a passthrough one included, stays valid.
 		var ctx vecCtx
-		keys := make([]*row.Vector, len(keyFns))
-		for k, fn := range keyFns {
-			v, err := fn(&ctx, view, nil)
-			if err != nil {
-				return err
+		run := make([]sortRef, 0, chunkLen(parts[i]))
+		for j, c := range parts[i] {
+			ci := first[i] + j
+			view := new(row.ColBatch)
+			view.ViewOf(c)
+			keys := make([]*row.Vector, len(keyFns))
+			for k, fn := range keyFns {
+				v, err := fn(&ctx, view, nil)
+				if err != nil {
+					return err
+				}
+				keys[k] = v
 			}
-			keys[k] = v
+			s.keys[ci] = keys
+			for pos := range c.FullLen() {
+				run = append(run, sortRef{Chunk: int32(ci), Pos: int32(pos)})
+			}
 		}
-		s.keys[i] = keys
+		stableSortBy(run, s.compare)
+		runs[i] = run
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	runs := sortGrid(parts, qp.n)
-	err = qp.forEach(len(runs), func(i, _ int) error {
-		stableSortBy(runs[i], s.compare)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged, err := mergeGrid(qp, s.compare, runs)
-	if err != nil {
-		return nil, err
-	}
+	merged := mergeRuns(s.compare, runs)
 	w := newChunkWriter(types, len(merged))
 	for i := 0; i < len(merged); {
 		refs := merged[i:]
@@ -260,72 +262,4 @@ func mergeRuns(cmp func(a, b sortRef) int, runs [][]sortRef) []sortRef {
 		}
 	}
 	return out
-}
-
-// sortChunkRows is the finest run granularity of the parallel sort: large
-// enough that the final merge tree stays shallow, small enough that one
-// skewed partition still splits into many parallel sort tasks.
-const sortChunkRows = 8 * DefaultBatchSize
-
-// sortGrid lists the input's refs in partition-major order and cuts every
-// partition into sort tasks. The grid may vary with Parallelism without
-// breaking the byte-identity invariant: a stable sort of every task
-// followed by a stable merge of consecutive runs equals the stable sort
-// of the whole input — ties always break toward the lower global input
-// position — so ANY grid yields the same output and the choice is pure
-// performance. The task size targets ~2 sort tasks per worker for load
-// balancing but never drops below sortChunkRows: balanced partitions at
-// small pool sizes stay one-task-per-partition (the shallowest merge
-// tree), while a skewed or single partition still splits across a wide
-// pool.
-func sortGrid(parts [][]*row.ColBatch, workers int) [][]sortRef {
-	total := 0
-	for _, p := range parts {
-		total += chunkLen(p)
-	}
-	size := total
-	if workers > 0 {
-		size = (total + 2*workers - 1) / (2 * workers)
-	}
-	size = max(size, sortChunkRows)
-	refs := make([]sortRef, 0, total)
-	var grid [][]sortRef
-	ci := int32(0)
-	for _, p := range parts {
-		start := len(refs)
-		for _, c := range p {
-			for pos := range c.FullLen() {
-				refs = append(refs, sortRef{Chunk: ci, Pos: int32(pos)})
-			}
-			ci++
-		}
-		for lo := start; lo < len(refs); lo += size {
-			grid = append(grid, refs[lo:min(lo+size, len(refs))])
-		}
-	}
-	return grid
-}
-
-// mergeGrid merges the sorted runs: consecutive run groups merge in
-// parallel, then one serial merge of the group outputs. Stable merging of
-// consecutive runs is associative — any grouping yields the refs stably
-// ordered by (key, global input index) — so the output is byte-identical
-// at any Parallelism.
-func mergeGrid(qp *queryPool, cmp func(a, b sortRef) int, runs [][]sortRef) ([]sortRef, error) {
-	// A grouped pre-merge pass re-copies every ref, so it only pays when
-	// the run count is high enough that flattening the final merge tree
-	// beats the extra pass. Few runs: one serial merge.
-	g := min(qp.n, len(runs))
-	if g <= 1 || len(runs) <= 2*qp.n {
-		return mergeRuns(cmp, runs), nil
-	}
-	groups := make([][]sortRef, g)
-	err := qp.forEach(g, func(i, _ int) error {
-		groups[i] = mergeRuns(cmp, runs[i*len(runs)/g:(i+1)*len(runs)/g])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeRuns(cmp, groups), nil
 }
