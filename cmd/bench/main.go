@@ -256,7 +256,7 @@ func runAblations(_ experiments.Scale, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		report("slow consumer", "spill path", rep)
+		report("slow consumer", "spill path †", rep)
 	}
 	{
 		cfg := experiments.DefaultTransfer()
@@ -272,6 +272,8 @@ func runAblations(_ experiments.Scale, out io.Writer) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
+	fmt.Fprintln(out, "† timing-dependent: which frames spill depends on when the consumer falls")
+	fmt.Fprintln(out, "  behind, so spilled-KB and sim-ms vary from run to run.")
 	fmt.Fprintln(out)
 	return nil
 }

@@ -3,7 +3,7 @@
 // a named budget and back off with a cap. SenderConfig's ReconnectBudget
 // and InputFormat's ReconnectBudget are threaded through configuration;
 // the constant hadoopfmt.MaxTaskAttempts bounds every task re-execution,
-// all of which runs in hadoopfmt.RunTasks. The chaos tests assert that an
+// all of which runs in hadoopfmt.WithAttemptBudget. The chaos tests assert that an
 // unrecoverable peer surfaces the last error after the budget drains
 // instead of spinning forever. Two rules:
 //
@@ -96,7 +96,7 @@ func checkUnbudgetedLoop(pass *framework.Pass, loop *ast.ForStmt) {
 		return true
 	})
 	if dial && retries && !budgeted {
-		pass.Reportf(loop.Pos(), "unbounded reconnect loop: a connection attempt is retried with no named budget; thread a ReconnectBudget-style counter through (task re-execution goes through hadoopfmt.RunTasks and its MaxTaskAttempts) and surface the last error when it is exhausted")
+		pass.Reportf(loop.Pos(), "unbounded reconnect loop: a connection attempt is retried with no named budget; thread a ReconnectBudget-style counter through (task re-execution goes through hadoopfmt.WithAttemptBudget and its MaxTaskAttempts) and surface the last error when it is exhausted")
 	}
 }
 

@@ -16,7 +16,7 @@ type pool struct {
 	tasks []func() error
 }
 
-// Good: the queryPool.forEach shape — every worker signals wg.Done, the
+// Good: the hadoopfmt.RunTasks shape — every worker signals wg.Done, the
 // launcher joins after the loop, no lock anywhere near the claim path.
 func (p *pool) goodForEach(workers int) {
 	var wg sync.WaitGroup

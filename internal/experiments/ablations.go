@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"sqlml/internal/cluster"
+	"sqlml/internal/hadoopfmt"
 	"sqlml/internal/ml"
 	"sqlml/internal/row"
 	"sqlml/internal/stream"
@@ -129,42 +131,37 @@ func RunTransfer(cfg TransferConfig) (*TransferReport, error) {
 	senderCfg.DisableCompression = cfg.DisableCompression
 	senderCfg.MaxRestarts = 8
 
+	// Every sender at once: the coordinator matches a job only when all of
+	// its SQL workers have registered.
 	stats := make([]*stream.SenderStats, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rows := make([]row.Row, cfg.RowsPerWork)
-			for i := range rows {
-				rows[i] = row.Row{
-					row.Int(int64(w*10_000_000 + i)),
-					row.Float(float64(i)),
-					row.Int(int64(i % 2)),
-				}
+	err = hadoopfmt.RunTasks(context.Background(), nil, cfg.Workers, cfg.Workers, func(w int) error {
+		rows := make([]row.Row, cfg.RowsPerWork)
+		for i := range rows {
+			rows[i] = row.Row{
+				row.Int(int64(w*10_000_000 + i)),
+				row.Float(float64(i)),
+				row.Int(int64(i % 2)),
 			}
-			stats[w], errs[w] = stream.Send(stream.SendRequest{
-				CoordAddr:  addr,
-				Job:        inFmt.Job,
-				Command:    "bench",
-				Worker:     w,
-				NumWorkers: cfg.Workers,
-				K:          cfg.K,
-				Node:       topo.Node(w + 1),
-				Topo:       topo,
-				Cost:       cost,
-				Schema:     transferSchema(),
-				Rows:       rows,
-				Config:     senderCfg,
-			})
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
+		var err error
+		stats[w], err = stream.Send(stream.SendRequest{
+			CoordAddr:  addr,
+			Job:        inFmt.Job,
+			Command:    "bench",
+			Worker:     w,
+			NumWorkers: cfg.Workers,
+			K:          cfg.K,
+			Node:       topo.Node(w + 1),
+			Topo:       topo,
+			Cost:       cost,
+			Schema:     transferSchema(),
+			Rows:       rows,
+			Config:     senderCfg,
+		})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := <-done
 	if res.err != nil {

@@ -566,73 +566,3 @@ func (r *sliceReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 }
 
 func (r *sliceReader) Close() error { return nil }
-
-// RetryableError marks a split-read failure that the consuming system
-// should handle by re-executing the task: re-open the split with a fresh
-// reader and discard any partially accumulated rows. The parallel streaming
-// transfer uses it to signal the paper's §6 restart protocol (restart the
-// SQL worker and all of its ML workers) to the reading task; RunTasks,
-// which runs the tasks of both the ML engine and the MapReduce engine,
-// re-executes on it, and the fault-injection layer
-// (internal/fault.TaskFaults) produces it to script deterministic task
-// crashes.
-type RetryableError struct {
-	Err error
-}
-
-// Error implements error.
-func (e *RetryableError) Error() string { return "retryable: " + e.Err.Error() }
-
-// Unwrap supports errors.Is/As.
-func (e *RetryableError) Unwrap() error { return e.Err }
-
-// IsRetryable reports whether err (or anything it wraps) is a
-// RetryableError.
-func IsRetryable(err error) bool {
-	var re *RetryableError
-	return errors.As(err, &re)
-}
-
-// MaxTaskAttempts bounds how many times RunTasks runs one task: the first
-// attempt plus every re-execution a RetryableError asks for. It is one
-// more than the sender's default MaxRestarts, so a reading task can follow
-// every §6 restart its SQL worker may take.
-const MaxTaskAttempts = 6
-
-// RunTasks runs task(i, attempt) for every i in [0, n) and returns the
-// first error in task order. All n tasks run at once, whatever n is: a
-// stream split's reader must be open before the coordinator matches its
-// SQL worker, which waits for all k of its readers, so a consumer that
-// held some splits back until others finished would never see them
-// served. A task failing with a RetryableError runs again from scratch
-// with the next attempt number (0-indexed, so fault scripts and scratch
-// paths can name it), up to MaxTaskAttempts; any other error fails the
-// task at once and comes back unchanged.
-func RunTasks(n int, task func(i, attempt int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
-		go func() {
-			defer wg.Done()
-			for attempt := 0; ; attempt++ {
-				err := task(i, attempt)
-				if err == nil || !IsRetryable(err) {
-					errs[i] = err
-					return
-				}
-				if attempt+1 >= MaxTaskAttempts {
-					errs[i] = fmt.Errorf("attempt budget (%d) exhausted: %w", MaxTaskAttempts, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

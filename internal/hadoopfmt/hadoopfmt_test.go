@@ -1,6 +1,7 @@
 package hadoopfmt
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -423,10 +424,14 @@ func TestOpenAllocsIndependentOfBlocks(t *testing.T) {
 	}
 }
 
-// TestRunTasks pins the task runner's contract: retryable failures re-run
-// with the next attempt number up to MaxTaskAttempts, other errors come
-// back unchanged after one attempt, the lowest failing task's error wins,
-// and all n tasks run at once.
+// TestRunTasks pins the task loop's contract and its attempt budget:
+// every task runs once, in index order on one worker and on no more
+// workers than the bound; a failing task stops the queue and its error
+// wins over the stop; a loop stopped before it starts runs nothing and
+// returns the stop's cause; the lowest failing task's error wins; bound n
+// runs all n tasks at once. Under WithAttemptBudget retryable failures
+// re-run with the next attempt number up to MaxTaskAttempts, and other
+// errors come back unchanged after one attempt.
 func TestRunTasks(t *testing.T) {
 	errLogic := errors.New("logic error")
 	crash := func(i, attempt int) error {
@@ -516,13 +521,117 @@ func TestRunTasks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			attempts := make([][]int, tc.n)
-			err := RunTasks(tc.n, func(i, attempt int) error {
+			err := RunTasks(context.Background(), nil, tc.n, tc.n, WithAttemptBudget(func(i, attempt int) error {
 				mu.Lock()
 				attempts[i] = append(attempts[i], attempt)
 				mu.Unlock()
 				return tc.task(i, attempt)
-			})
+			}))
 			tc.check(t, err, attempts)
 		})
 	}
+
+	// The loop itself, with no budget: each task runs once, claimed in
+	// index order, on at most the bound's workers.
+	t.Run("every task runs exactly once", func(t *testing.T) {
+		const n = 100
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		for _, workers := range []int{1, 3} {
+			var mu sync.Mutex
+			var order []int
+			if err := RunTasks(context.Background(), nil, n, workers, func(i int) error {
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 && !slices.Equal(order, want) {
+				t.Errorf("one worker ran the tasks out of index order: %v", order)
+			}
+			if slices.Sort(order); !slices.Equal(order, want) {
+				t.Errorf("%d workers ran tasks %v, want each of 0..%d once", workers, order, n-1)
+			}
+		}
+	})
+	// A failing task stops the queue; siblings that see the stop pass its
+	// cause back, and the failing task's own error is what returns.
+	t.Run("a failing task stops the queue", func(t *testing.T) {
+		boom := errors.New("task boom")
+		for _, workers := range []int{1, 2} {
+			const n = 100
+			ctx, stop := context.WithCancelCause(context.Background())
+			var ran atomic.Int32
+			err := RunTasks(ctx, stop, n, workers, func(i int) error {
+				ran.Add(1)
+				if i == 5 {
+					return boom
+				}
+				if ctx.Err() != nil {
+					return fmt.Errorf("task %d stopped: %w", i, context.Cause(ctx))
+				}
+				return nil
+			})
+			if err != boom {
+				t.Fatalf("%d workers: error = %v, want the task error itself", workers, err)
+			}
+			if ctx.Err() == nil {
+				t.Errorf("%d workers: task error did not trip the stop", workers)
+			}
+			if workers == 1 && ran.Load() != 6 {
+				t.Errorf("one worker ran %d tasks, want tasks 0..5 and none after the failure", ran.Load())
+			}
+		}
+	})
+	t.Run("a task error wins over the stop", func(t *testing.T) {
+		errClosed, boom := errors.New("closed"), errors.New("task boom")
+		ctx, stop := context.WithCancelCause(context.Background())
+		err := RunTasks(ctx, stop, 4, 1, func(i int) error {
+			stop(errClosed) // the consumer closes mid-task, which then fails
+			return boom
+		})
+		if err != boom {
+			t.Errorf("error = %v, want the task error over the stop's cause", err)
+		}
+	})
+	t.Run("a stop tripped before the start runs nothing", func(t *testing.T) {
+		errClosed := errors.New("closed")
+		ctx, stop := context.WithCancelCause(context.Background())
+		stop(errClosed)
+		var touched atomic.Int32
+		err := RunTasks(ctx, stop, 4, 2, func(int) error { touched.Add(1); return nil })
+		if err != errClosed {
+			t.Fatalf("error = %v, want the stop's cause", err)
+		}
+		if touched.Load() != 0 {
+			t.Errorf("a stopped loop still ran %d tasks", touched.Load())
+		}
+	})
+	// Tasks overlap long enough that a loop which ignores its bound runs
+	// far more than three at once.
+	t.Run("bound 3 runs at most 3 at once", func(t *testing.T) {
+		var mu sync.Mutex
+		running, peak := 0, 0
+		err := RunTasks(context.Background(), nil, 64, 3, func(int) error {
+			mu.Lock()
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			running--
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peak > 3 {
+			t.Errorf("%d tasks ran at once under bound 3", peak)
+		}
+	})
 }

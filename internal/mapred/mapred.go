@@ -1,9 +1,9 @@
 // Package mapred implements a MapReduce engine over the simulated DFS:
 // locality-aware map task placement over InputSplits (hadoopfmt.Place),
 // every phase's tasks run at once with bounded re-execution
-// (hadoopfmt.RunTasks), a hash-partitioned shuffle with network cost
-// charging, sorted reduce groups, and text-table output, one part file per
-// reduce (or map) task.
+// (hadoopfmt.RunTasks, hadoopfmt.WithAttemptBudget), a hash-partitioned
+// shuffle with network cost charging, sorted reduce groups, and text-table
+// output, one part file per reduce (or map) task.
 //
 // It stands in for the Hadoop MapReduce deployment of the paper's testbed:
 // the naive pipeline's external transformation tool (internal/jaql) runs on
@@ -13,6 +13,7 @@
 package mapred
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -70,8 +71,9 @@ type Cluster struct {
 }
 
 // Job describes one MapReduce job. Every task runs through
-// hadoopfmt.RunTasks: all of a phase's tasks at once, and a task failing
-// with a hadoopfmt.RetryableError re-executes from scratch — fresh reader,
+// hadoopfmt.RunTasks, all of a phase's tasks at once, under
+// hadoopfmt.WithAttemptBudget: a task failing with a
+// hadoopfmt.RetryableError re-executes from scratch — fresh reader,
 // attempt-local output, attempt-scoped part-file scratch path — up to
 // hadoopfmt.MaxTaskAttempts times before the job fails.
 type Job struct {
@@ -136,11 +138,12 @@ func Run(job *Job) (*Stats, error) {
 	}
 	stats.ReduceTasks = numReducers
 
-	// runPhase runs one phase's tasks through hadoopfmt.RunTasks, counting
-	// every re-execution and naming the phase and task in a failure.
+	// runPhase runs one phase's tasks at once on hadoopfmt.RunTasks, each
+	// under the attempt budget, counting every re-execution and naming the
+	// phase and task in a failure.
 	var taskRetries atomic.Int64
 	runPhase := func(phase string, n int, body func(i, attempt int) error) error {
-		return hadoopfmt.RunTasks(n, func(i, attempt int) error {
+		return hadoopfmt.RunTasks(context.Background(), nil, n, n, hadoopfmt.WithAttemptBudget(func(i, attempt int) error {
 			if attempt > 0 {
 				taskRetries.Add(1)
 			}
@@ -148,7 +151,7 @@ func Run(job *Job) (*Stats, error) {
 				return fmt.Errorf("%s task %d: %w", phase, i, err)
 			}
 			return nil
-		})
+		}))
 	}
 
 	// Map phase. Each task partitions its output by key hash across the

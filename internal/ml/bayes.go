@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"sqlml/internal/hadoopfmt"
 )
 
 // NaiveBayesModel is a multinomial naive Bayes classifier: the model family
@@ -31,7 +29,7 @@ func TrainNaiveBayes(d *Dataset, lambda float64) (*NaiveBayesModel, error) {
 		return nil, fmt.Errorf("ml: smoothing lambda must be positive")
 	}
 	partials := make([]classes, len(d.Parts))
-	if err := hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
+	if err := runAll(len(d.Parts), func(i int) error {
 		m := make(classes)
 		for _, p := range d.Parts[i] {
 			for _, x := range p.Features {

@@ -13,6 +13,7 @@
 package ml
 
 import (
+	"context"
 	"fmt"
 
 	"sqlml/internal/cluster"
@@ -112,7 +113,7 @@ func Ingest(f hadoopfmt.InputFormat, opts IngestOptions) (*Dataset, error) {
 	// attempt returns no points, so re-execution starts from an empty
 	// partition.
 	parts := make([][]LabeledPoint, len(splits))
-	err = hadoopfmt.RunTasks(len(splits), func(i, _ int) error {
+	err = runAll(len(splits), hadoopfmt.WithAttemptBudget(func(i, _ int) error {
 		part, err := readSplit(f, splits[i], nodes[i], conv)
 		if err != nil {
 			return err
@@ -120,11 +121,18 @@ func Ingest(f hadoopfmt.InputFormat, opts IngestOptions) (*Dataset, error) {
 		parts[i] = part
 		opts.Cost.ChargeProc(nodes[i], 9*len(part)*(conv.numFeatures+1))
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
 	return &Dataset{Parts: parts, Nodes: nodes, NumFeatures: conv.numFeatures}, nil
+}
+
+// runAll runs task(i) for every i in [0, n) at once on hadoopfmt.RunTasks,
+// with no stop: every split reader opens, and every partition's pass runs,
+// even after another task fails.
+func runAll(n int, task func(i int) error) error {
+	return hadoopfmt.RunTasks(context.Background(), nil, n, n, task)
 }
 
 // readSplit runs one ingest task: open the split, build points straight

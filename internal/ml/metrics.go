@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-
-	"sqlml/internal/hadoopfmt"
 )
 
 // BinaryMetrics summarises a binary classifier's quality on a dataset.
@@ -20,7 +18,7 @@ type BinaryMetrics struct {
 // dataset, in parallel across partitions.
 func EvaluateBinary(d *Dataset, predict func([]float64) float64) BinaryMetrics {
 	partial := make([]BinaryMetrics, len(d.Parts))
-	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
+	runAll(len(d.Parts), func(i int) error {
 		m := &partial[i]
 		for _, p := range d.Parts[i] {
 			pos := predict(p.Features) >= 0.5
@@ -148,7 +146,7 @@ func TrainTestSplit(d *Dataset, testFraction float64, seed int64) (train, test *
 	}
 	train = &Dataset{Parts: make([][]LabeledPoint, len(d.Parts)), Nodes: d.Nodes, NumFeatures: d.NumFeatures}
 	test = &Dataset{Parts: make([][]LabeledPoint, len(d.Parts)), Nodes: d.Nodes, NumFeatures: d.NumFeatures}
-	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
+	runAll(len(d.Parts), func(i int) error {
 		rng := rand.New(rand.NewSource(seed + int64(i)*104729))
 		for _, p := range d.Parts[i] {
 			if rng.Float64() < testFraction {

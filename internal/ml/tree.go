@@ -3,8 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-
-	"sqlml/internal/hadoopfmt"
 )
 
 // TreeConfig configures decision-tree training.
@@ -72,7 +70,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 
 	// Class index assignment (distributed label discovery).
 	labelSets := make([]map[float64]bool, len(d.Parts))
-	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
+	runAll(len(d.Parts), func(i int) error {
 		s := make(map[float64]bool)
 		for _, p := range d.Parts[i] {
 			s[p.Label] = true
@@ -104,7 +102,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 	}
 	partMins := make([][]float64, len(d.Parts))
 	partMaxs := make([][]float64, len(d.Parts))
-	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
+	runAll(len(d.Parts), func(i int) error {
 		mn := make([]float64, dim)
 		mx := make([]float64, dim)
 		for j := range mn {
@@ -149,7 +147,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 	root := &TreeNode{}
 	open := []*TreeNode{root}
 	assign := make([][]*TreeNode, len(d.Parts))
-	hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
+	runAll(len(d.Parts), func(i int) error {
 		a := make([]*TreeNode, len(d.Parts[i]))
 		for k := range a {
 			a[k] = root
@@ -171,7 +169,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 			totals [][]int64
 		}
 		partStats := make([]*levelStats, len(d.Parts))
-		hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
+		runAll(len(d.Parts), func(i int) error {
 			ls := &levelStats{
 				hist:   make([][][]int64, len(open)),
 				totals: make([][]int64, len(open)),
@@ -270,7 +268,7 @@ func TrainDecisionTree(d *Dataset, cfg TreeConfig) (*DecisionTreeModel, error) {
 		}
 
 		// Route points into the children.
-		hadoopfmt.RunTasks(len(d.Parts), func(i, _ int) error {
+		runAll(len(d.Parts), func(i int) error {
 			for k, p := range d.Parts[i] {
 				node := assign[i][k]
 				if node == nil || !split[node] {

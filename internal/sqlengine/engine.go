@@ -306,7 +306,7 @@ func (r *Result) Close() {
 	pool := r.pool
 	r.mu.Unlock()
 	if pool != nil {
-		pool.Cancel()
+		pool.cancel(errQueryCancelled)
 	}
 	closeAllIters(s)
 }

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"sqlml/internal/hadoopfmt"
 	"sqlml/internal/row"
 )
 
@@ -107,7 +108,7 @@ func buildHashTable(qp *queryPool, parts [][]*row.ColBatch, keyFns []vecFn) (*bu
 		chunks = append(chunks, p...)
 	}
 	keyed := make([]packedKeys, len(chunks))
-	err := qp.forEach(len(chunks), func(c int) error {
+	err := hadoopfmt.RunTasks(qp.ctx, qp.cancel, len(chunks), qp.n, func(c int) error {
 		var ctx vecCtx
 		return packKeys(&ctx, keyFns, chunks[c], &keyed[c])
 	})

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -185,82 +186,13 @@ func TestPartitionErrorCancelsSiblings(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	_, qerr := e.Query("SELECT v FROM TABLE(gen_partial_fail(t))")
-	if qerr == nil || !errors.Is(qerr, boom) && !containsBoom(qerr) {
+	// The UDF layer may wrap the failure with %v formatting, which keeps
+	// its text but not its chain.
+	if qerr == nil || !errors.Is(qerr, boom) && (errors.Is(qerr, errPipeClosed) || !strings.Contains(qerr.Error(), "boom")) {
 		t.Fatalf("query error = %v, want the partition's own failure", qerr)
 	}
 	if errors.Is(qerr, errQueryCancelled) {
 		t.Fatalf("cancellation masked the real error: %v", qerr)
 	}
 	waitGoroutines(t, baseline, "failed partition")
-}
-
-// containsBoom tolerates the UDF error wrapper (fmt.Errorf with %w keeps
-// the chain, but the UDF layer may wrap with plain %v formatting).
-func containsBoom(err error) bool {
-	return err != nil && (errors.Is(err, errPipeClosed) == false) &&
-		(len(err.Error()) > 0 && (stringsContains(err.Error(), "boom")))
-}
-
-func stringsContains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-// TestQueryPoolForEach exercises the pool scheduler directly: every task
-// runs exactly once, a task error cancels the remaining queue, and a
-// pre-cancelled pool runs nothing.
-func TestQueryPoolForEach(t *testing.T) {
-	p := newQueryPool(3)
-	if p.n != 3 {
-		t.Fatalf("pool size = %d, want 3", p.n)
-	}
-	const n = 100
-	var ran [n]atomic.Int32
-	if err := p.forEach(n, func(task int) error {
-		ran[task].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ran {
-		if ran[i].Load() != 1 {
-			t.Fatalf("task %d ran %d times", i, ran[i].Load())
-		}
-	}
-
-	// A failing task cancels the rest of the queue; the real error wins.
-	p = newQueryPool(2)
-	boom := errors.New("task boom")
-	var after atomic.Int32
-	err := p.forEach(n, func(task int) error {
-		if task == 5 {
-			return boom
-		}
-		if p.cancelled() {
-			after.Add(1)
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("forEach error = %v, want task error", err)
-	}
-	if !p.cancelled() {
-		t.Error("task error did not cancel the pool")
-	}
-
-	// Pre-cancelled pools run nothing.
-	p = newQueryPool(2)
-	p.Cancel()
-	var touched atomic.Int32
-	err = p.forEach(4, func(int) error { touched.Add(1); return nil })
-	if !errors.Is(err, errQueryCancelled) {
-		t.Fatalf("cancelled forEach error = %v, want errQueryCancelled", err)
-	}
-	if touched.Load() != 0 {
-		t.Errorf("cancelled pool still ran %d tasks", touched.Load())
-	}
 }

@@ -1,25 +1,27 @@
 package sqlengine
 
 import (
+	"context"
 	"errors"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"sqlml/internal/hadoopfmt"
 	"sqlml/internal/row"
 )
 
 // Partitioned intra-query parallelism. Every query gets one queryPool — a
 // bounded set of workers sized by Config.Parallelism — and every CPU-heavy
-// pass runs as tasks claimed from it instead of spawning one goroutine per
+// pass runs as tasks claimed from it on hadoopfmt.RunTasks, the task loop
+// the ML and MapReduce engines share, instead of spawning one goroutine per
 // partition: one task per partition (pipeline drains, aggregation
 // partials, sort runs) or per sealed chunk (the hash-join build's key
 // scan). Each pipeline breaker then combines its tasks' results serially:
 // the aggregate's head merge, the join's table insert, the sort's k-way
 // merge. The pool carries the query's cancellation: the first failing task
-// (or an external Result.Close) trips the cancel channel, every other task
-// stops at its next batch boundary, and the partition pipelines are closed
-// so producer goroutines and pooled ColBatches are released.
+// (or an external Result.Close) cancels the pool's context, no task starts
+// after that, every running drain stops at its next batch boundary, and
+// the partition pipelines are closed so producer goroutines and pooled
+// ColBatches are released.
 //
 // Parallelism: 1 is the sequential oracle — one worker executes every
 // task in index order, so its output is the reference the parallel
@@ -28,19 +30,21 @@ import (
 // the input (a partition, a chunk), never of the schedule, and the serial
 // combines read the tasks' results in a fixed order.
 
-// errQueryCancelled is returned by pool tasks that stopped early because
-// the query was cancelled (a sibling partition failed, or the consumer
-// closed the result mid-stream).
+// errQueryCancelled is the cause Result.Close cancels the query with: the
+// consumer closed the result mid-stream, so the passes still running stop
+// early and return it.
 var errQueryCancelled = errors.New("sql: query cancelled")
 
 // queryPool is one query's worker pool: a parallelism budget plus the
-// query-wide cancellation signal. Workers are spawned per parallel pass
-// and joined before the pass returns — the pool owns no long-lived
-// goroutines, so an abandoned plan leaks nothing.
+// query-wide cancellation, a context cancelled with the first failing
+// task's error or, by Result.Close, with errQueryCancelled. Every parallel
+// pass runs on hadoopfmt.RunTasks with at most n workers, spawned per pass
+// and joined before it returns, so the pool owns no long-lived goroutines
+// and an abandoned plan leaks nothing.
 type queryPool struct {
-	n          int
-	cancel     chan struct{}
-	cancelOnce sync.Once
+	n      int
+	ctx    context.Context
+	cancel context.CancelCauseFunc
 }
 
 // resolveParallelism maps the Config.Parallelism convention to a concrete
@@ -53,76 +57,8 @@ func resolveParallelism(n int) int {
 }
 
 func newQueryPool(n int) *queryPool {
-	return &queryPool{n: resolveParallelism(n), cancel: make(chan struct{})}
-}
-
-// Cancel trips the query-wide cancellation signal. Safe to call from any
-// goroutine, any number of times.
-func (p *queryPool) Cancel() { p.cancelOnce.Do(func() { close(p.cancel) }) }
-
-// cancelled reports whether the query has been cancelled.
-func (p *queryPool) cancelled() bool {
-	select {
-	case <-p.cancel:
-		return true
-	default:
-		return false
-	}
-}
-
-// forEach runs f(task) for task = 0..n-1 across min(n, pool size)
-// workers. Tasks are claimed from a shared counter, so a skewed task keeps
-// only one worker busy while the rest drain the remaining queue. The first
-// real task error wins (cancellation aborts of sibling tasks never mask
-// it); if tasks were skipped because the query was cancelled with no task
-// failing, errQueryCancelled is returned.
-func (p *queryPool) forEach(n int, f func(task int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	var skipped atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(p.n, n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= n {
-					return
-				}
-				if p.cancelled() {
-					skipped.Store(true)
-					return
-				}
-				if err := f(t); err != nil {
-					errs[t] = err
-					p.Cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	var cancelErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, errQueryCancelled) {
-			cancelErr = err
-			continue
-		}
-		return err
-	}
-	if cancelErr != nil {
-		return cancelErr
-	}
-	if skipped.Load() {
-		return errQueryCancelled
-	}
-	return nil
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return &queryPool{n: resolveParallelism(n), ctx: ctx, cancel: cancel}
 }
 
 // partSink consumes one partition for drain: add takes its batches in
@@ -144,7 +80,7 @@ type partSink interface {
 // is closed, those of tasks the cancelled pool never ran included.
 func (p *queryPool) drain(iters []ColBatchSource, open func(i int) (partSink, error)) error {
 	primeIters(iters)
-	err := p.forEach(len(iters), func(i int) error {
+	err := hadoopfmt.RunTasks(p.ctx, p.cancel, len(iters), p.n, func(i int) error {
 		in := iters[i]
 		defer in.Close()
 		s, err := open(i)
@@ -152,8 +88,10 @@ func (p *queryPool) drain(iters []ColBatchSource, open func(i int) (partSink, er
 			return err
 		}
 		for {
-			if p.cancelled() {
-				return s.end(errQueryCancelled)
+			select {
+			case <-p.ctx.Done():
+				return s.end(context.Cause(p.ctx))
+			default:
 			}
 			b, ok, err := in.NextCol()
 			if err != nil || !ok {

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"bytes"
 
+	"sqlml/internal/hadoopfmt"
 	"sqlml/internal/row"
 )
 
@@ -102,7 +103,7 @@ func sortParts(qp *queryPool, specs []orderSpec, keyFns []vecFn, types []row.Typ
 	}
 	s := &sortKeys{specs: specs, keys: make([][]*row.Vector, len(chunks))}
 	runs := make([][]sortRef, len(parts))
-	err := qp.forEach(len(parts), func(i int) error {
+	err := hadoopfmt.RunTasks(qp.ctx, qp.cancel, len(parts), qp.n, func(i int) error {
 		// The context is never reclaimed and each chunk's keys are
 		// evaluated over a view of it that outlives the sort, so every key
 		// vector, a passthrough one included, stays valid.
