@@ -196,3 +196,104 @@ func TestPartitionErrorCancelsSiblings(t *testing.T) {
 	}
 	waitGoroutines(t, baseline, "failed partition")
 }
+
+// countSink counts the batches of one partition; add fails with fail.
+type countSink struct {
+	batches int
+	fail    error
+}
+
+func (s *countSink) add(*row.ColBatch) error { s.batches++; return s.fail }
+func (s *countSink) end(err error) error     { return err }
+
+// closeCounter counts the Close calls on a partition pipeline.
+type closeCounter struct {
+	ColBatchSource
+	closed *atomic.Int32
+}
+
+func (c closeCounter) Close() { c.closed.Add(1); c.ColBatchSource.Close() }
+
+// oneRowParts returns n single-batch partition pipelines whose Close calls
+// are counted in closed.
+func oneRowParts(n int, closed *atomic.Int32) []ColBatchSource {
+	types := []row.Type{row.TypeInt}
+	iters := make([]ColBatchSource, n)
+	for i := range iters {
+		src := NewRowSource([]row.Row{{row.Int(int64(i))}}, types)
+		iters[i] = closeCounter{src, closed}
+	}
+	return iters
+}
+
+// TestQueryPoolForEach exercises the pool's task loop through its
+// partition drain: every partition runs exactly once, a failing partition
+// cancels the pool and its own error wins, and a pre-cancelled pool runs
+// nothing. Every pipeline is closed in all three cases.
+func TestQueryPoolForEach(t *testing.T) {
+	p := newQueryPool(3)
+	if p.n != 3 {
+		t.Fatalf("pool size = %d, want 3", p.n)
+	}
+	const n = 100
+	var ran [n]atomic.Int32
+	var closed atomic.Int32
+	sinks := make([]*countSink, n)
+	if err := p.drain(oneRowParts(n, &closed), func(i int) (partSink, error) {
+		ran[i].Add(1)
+		sinks[i] = &countSink{}
+		return sinks[i], nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ran {
+		if ran[i].Load() != 1 {
+			t.Fatalf("partition %d ran %d times", i, ran[i].Load())
+		}
+		if sinks[i].batches != 1 {
+			t.Fatalf("partition %d drained %d batches, want 1", i, sinks[i].batches)
+		}
+	}
+	if closed.Load() != n {
+		t.Errorf("closed %d pipelines, want %d", closed.Load(), n)
+	}
+
+	// A failing partition cancels the rest of the queue; its error wins.
+	p = newQueryPool(2)
+	boom := errors.New("task boom")
+	closed.Store(0)
+	err := p.drain(oneRowParts(n, &closed), func(i int) (partSink, error) {
+		if i == 5 {
+			return &countSink{fail: boom}, nil
+		}
+		return &countSink{}, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("drain error = %v, want task error", err)
+	}
+	if p.ctx.Err() == nil {
+		t.Error("task error did not cancel the pool")
+	}
+	if closed.Load() < n {
+		t.Errorf("closed %d pipelines, want every one of %d", closed.Load(), n)
+	}
+
+	// Pre-cancelled pools run nothing and still close every pipeline.
+	p = newQueryPool(2)
+	p.cancel(errQueryCancelled)
+	var touched atomic.Int32
+	closed.Store(0)
+	err = p.drain(oneRowParts(4, &closed), func(int) (partSink, error) {
+		touched.Add(1)
+		return &countSink{}, nil
+	})
+	if !errors.Is(err, errQueryCancelled) {
+		t.Fatalf("cancelled drain error = %v, want errQueryCancelled", err)
+	}
+	if touched.Load() != 0 {
+		t.Errorf("cancelled pool still ran %d tasks", touched.Load())
+	}
+	if closed.Load() != 4 {
+		t.Errorf("cancelled pool closed %d pipelines, want 4", closed.Load())
+	}
+}
