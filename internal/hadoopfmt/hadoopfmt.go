@@ -373,9 +373,10 @@ func (l *lineRecordReader) Close() error {
 	return l.closer.Close()
 }
 
-// TextTableWriter streams rows into a DFS text table file one at a time,
-// so producers can interleave writing with row production instead of
-// materializing the full partition first.
+// TextTableWriter streams a DFS text table file as its producer makes the
+// rows, a row or a column batch per call, so producers can interleave
+// writing with row production instead of materializing the full partition
+// first.
 type TextTableWriter struct {
 	w      *dfs.Writer
 	schema row.Schema
@@ -384,7 +385,7 @@ type TextTableWriter struct {
 }
 
 // NewTextTableWriter creates (or replaces) the file at path and returns a
-// row-at-a-time writer.
+// writer for it.
 func NewTextTableWriter(fs *dfs.FileSystem, path string, schema row.Schema, node *cluster.Node) (*TextTableWriter, error) {
 	w, err := fs.Create(path, node)
 	if err != nil {
@@ -399,12 +400,29 @@ func (t *TextTableWriter) WriteRow(r row.Row) error {
 		t.w.Abort()
 		return err
 	}
-	t.buf = row.AppendLine(t.buf[:0], r)
-	if _, err := t.w.Write(t.buf); err != nil {
+	return t.write(row.AppendLine(t.buf[:0], r))
+}
+
+// WriteBatch appends the batch's live rows, the bytes WriteRow would write
+// for each: one shape check for the batch, its lines encoded straight from
+// the vectors, and one write. On any error the underlying file is aborted.
+func (t *TextTableWriter) WriteBatch(b *row.ColBatch) error {
+	if err := b.Conforms(t.schema); err != nil {
 		t.w.Abort()
 		return err
 	}
-	t.total += int64(len(t.buf))
+	return t.write(row.AppendLines(t.buf[:0], b))
+}
+
+// write hands encoded lines to the file, keeping p as the next call's
+// buffer.
+func (t *TextTableWriter) write(p []byte) error {
+	t.buf = p
+	if _, err := t.w.Write(p); err != nil {
+		t.w.Abort()
+		return err
+	}
+	t.total += int64(len(p))
 	return nil
 }
 
@@ -421,8 +439,8 @@ func (t *TextTableWriter) Abort() { t.w.Abort() }
 
 // WriteTextTable writes rows to a DFS path in the text table format,
 // returning the number of bytes written. It is the common sink used by the
-// MapReduce output stage; the SQL engine's export streams through
-// TextTableWriter directly.
+// MapReduce output stage; the SQL engine's export streams its batches
+// through TextTableWriter.WriteBatch.
 func WriteTextTable(fs *dfs.FileSystem, path string, schema row.Schema, rows []row.Row, node *cluster.Node) (int64, error) {
 	w, err := NewTextTableWriter(fs, path, schema, node)
 	if err != nil {

@@ -15,6 +15,8 @@ package ml
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"sqlml/internal/cluster"
 	"sqlml/internal/hadoopfmt"
@@ -135,9 +137,9 @@ func runAll(n int, task func(i int) error) error {
 	return hadoopfmt.RunTasks(context.Background(), nil, n, n, task)
 }
 
-// readSplit runs one ingest task: open the split, build points straight
-// from each column batch's typed vectors (convertBatch), and assemble the
-// split's chunks into one exact-length partition at EOF.
+// readSplit runs one ingest task: open the split, convert each column
+// batch into the split's scratch (convertBatch), and build the partition
+// from it at EOF.
 func readSplit(f hadoopfmt.InputFormat, split hadoopfmt.InputSplit, node *cluster.Node, conv *converter) (part []LabeledPoint, err error) {
 	rr, err := f.Open(split, node)
 	if err != nil {
@@ -150,39 +152,76 @@ func readSplit(f hadoopfmt.InputFormat, split hadoopfmt.InputSplit, node *cluste
 	}()
 	cb := row.GetColBatch(nil)
 	defer row.PutColBatch(cb)
-	var chunks [][]LabeledPoint
+	sc := scratchPool.Get().(*splitScratch)
+	defer putScratch(sc)
 	for {
 		_, ok, err := rr.NextColBatch(cb)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return assemble(chunks), nil
+			return sc.partition(conv.numFeatures), nil
 		}
-		pts, err := conv.convertBatch(cb)
-		if err != nil {
+		if err := conv.convertBatch(cb, sc.next(cb.Len(), conv.numFeatures)); err != nil {
 			return nil, err
 		}
-		chunks = append(chunks, pts)
 	}
 }
 
-// assemble copies a split's point chunks into one exact-length partition.
-// The feature slices keep pointing into the chunks' slabs, which the
-// dataset owns from here on.
-func assemble(chunks [][]LabeledPoint) []LabeledPoint {
+// splitScratch is an ingest task's working memory, one entry per batch
+// read so far. Its label arrays are reused across splits through
+// scratchPool, so a warm ingest allocates only the dataset: each batch's
+// feature slab and each split's partition.
+type splitScratch struct{ batches []batchPoints }
+
+// batchPoints holds one batch's points until its split ends: point k has
+// label labels[k] and features slab[k*nf:(k+1)*nf].
+type batchPoints struct{ labels, slab []float64 }
+
+var scratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
+
+// putScratch pools the scratch without its slabs, which are the dataset's
+// or a failed attempt's garbage.
+func putScratch(s *splitScratch) {
+	for i := range s.batches {
+		s.batches[i].slab = nil
+	}
+	s.batches = s.batches[:0]
+	scratchPool.Put(s)
+}
+
+// next returns the entry for a batch of n live rows: a fresh slab, and the
+// label array an earlier split left at this index when it is large enough.
+// A new one holds a full batch, so batches of varying length do not regrow
+// it.
+func (s *splitScratch) next(n, nf int) *batchPoints {
+	s.batches = slices.Grow(s.batches, 1)[:len(s.batches)+1]
+	bp := &s.batches[len(s.batches)-1]
+	if cap(bp.labels) < n {
+		bp.labels = make([]float64, max(n, row.DefaultBatchSize))
+	}
+	bp.labels, bp.slab = bp.labels[:n], make([]float64, n*nf)
+	return bp
+}
+
+// partition builds the split's one exact-length point array. Features view
+// the batches' slabs, capped at nf so that appending to one point never
+// writes into the next.
+func (s *splitScratch) partition(nf int) []LabeledPoint {
 	n := 0
-	for _, c := range chunks {
-		n += len(c)
+	for _, b := range s.batches {
+		n += len(b.labels)
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([]LabeledPoint, 0, n)
-	for _, c := range chunks {
-		out = append(out, c...)
+	part := make([]LabeledPoint, 0, n)
+	for _, b := range s.batches {
+		for k, l := range b.labels {
+			part = append(part, LabeledPoint{Label: l, Features: b.slab[k*nf : (k+1)*nf : (k+1)*nf]})
+		}
 	}
-	return out
+	return part
 }
 
 type converter struct {
@@ -252,21 +291,18 @@ func (c *converter) convert(r row.Row, dst []float64) (LabeledPoint, error) {
 	return LabeledPoint{Label: c.labelTransform(lv.AsFloat()), Features: dst}, nil
 }
 
-// convertBatch builds a batch's live points straight from its typed
-// vectors, so ingest never pivots through rows. It allocates the points and one feature slab;
-// point k's features are slab[k*nf:(k+1)*nf] with capacity capped at nf, so
-// appending to one point never writes into the next. The slab is filled a
-// column at a time after one pass over the labels, so a NULL label is
-// reported before a NULL feature in an earlier row.
-func (c *converter) convertBatch(b *row.ColBatch) ([]LabeledPoint, error) {
-	n, nf := b.Len(), c.numFeatures
-	pts := make([]LabeledPoint, n)
-	slab := make([]float64, n*nf)
+// convertBatch writes a batch's live points into bp, sized for them by
+// next, straight from the typed vectors, so ingest never pivots through
+// rows. The slab is filled a column at a time after one pass over the
+// labels, so a NULL label is reported before a NULL feature in an earlier
+// row.
+func (c *converter) convertBatch(b *row.ColBatch, bp *batchPoints) error {
+	n, nf := len(bp.labels), c.numFeatures
 	lv := b.Col(c.labelIdx)
-	for si := range pts {
+	for si := range bp.labels {
 		p := b.SelPos(si)
 		if lv.Null(p) {
-			return nil, fmt.Errorf("ml: NULL label")
+			return fmt.Errorf("ml: NULL label")
 		}
 		var l float64
 		if lv.Type() == row.TypeInt {
@@ -274,14 +310,15 @@ func (c *converter) convertBatch(b *row.ColBatch) ([]LabeledPoint, error) {
 		} else {
 			l = lv.Floats[p]
 		}
-		pts[si] = LabeledPoint{Label: c.labelTransform(l), Features: slab[si*nf : (si+1)*nf : (si+1)*nf]}
+		bp.labels[si] = c.labelTransform(l)
 	}
+	slab := bp.slab
 	for j, i := range c.featureIdx {
 		v := b.Col(i)
 		if v.HasNulls() {
 			for si := 0; si < n; si++ {
 				if v.Null(b.SelPos(si)) {
-					return nil, fmt.Errorf("ml: NULL feature in column %d", i)
+					return fmt.Errorf("ml: NULL feature in column %d", i)
 				}
 			}
 		}
@@ -295,5 +332,5 @@ func (c *converter) convertBatch(b *row.ColBatch) ([]LabeledPoint, error) {
 			}
 		}
 	}
-	return pts, nil
+	return nil
 }

@@ -3,7 +3,6 @@ package row
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // The text table format used on the simulated DFS is a line-oriented,
@@ -20,12 +19,25 @@ import (
 // This mirrors the "text format on HDFS" storage the paper's experiments
 // use for both input tables.
 
-func needsQuoting(s string) bool {
-	return s == "" || strings.ContainsAny(s, ",\"\n\\")
+// needsQuoting reports whether a VARCHAR field must be quoted: it is
+// empty (which unquoted would read back as NULL) or holds a byte the
+// format escapes or splits on. It takes a string or a vector's bytes and
+// allocates nothing.
+func needsQuoting[S string | []byte](s S) bool {
+	if len(s) == 0 {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\n', '\\':
+			return true
+		}
+	}
+	return false
 }
 
 // appendQuoted appends s as a quoted field: the format's escape rules.
-func appendQuoted(dst []byte, s string) []byte {
+func appendQuoted[S string | []byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -42,32 +54,76 @@ func appendQuoted(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// appendField is the text format's one field encoder: AppendLine and
+// AppendLines write every field through it. NULL is the empty field;
+// BIGINT, DOUBLE and BOOLEAN take Value.String's strconv spellings,
+// formatted straight into dst; a VARCHAR field is s, quoted when
+// needsQuoting says so (v's own string is not read).
+func appendField[S string | []byte](dst []byte, v Value, s S) []byte {
+	switch {
+	case v.Null:
+		return dst
+	case v.Kind == TypeInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case v.Kind == TypeFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case v.Kind == TypeBool:
+		return strconv.AppendBool(dst, v.b)
+	case needsQuoting(s):
+		return appendQuoted(dst, s)
+	default:
+		return append(dst, s...)
+	}
+}
+
 // AppendLine appends the encoded row plus a trailing newline to dst and
-// returns the extended slice. Numbers and booleans format straight into dst
-// (the same strconv renderings Value.String uses), so a warm buffer makes
-// the hot write path allocation-free.
+// returns the extended slice. A warm buffer makes it allocation-free.
 func AppendLine(dst []byte, r Row) []byte {
 	for i, v := range r {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		if v.Null {
-			continue
-		}
-		switch {
-		case v.Kind == TypeInt:
-			dst = strconv.AppendInt(dst, v.i, 10)
-		case v.Kind == TypeFloat:
-			dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
-		case v.Kind == TypeBool:
-			dst = strconv.AppendBool(dst, v.b)
-		case v.Kind == TypeString && needsQuoting(v.s):
-			dst = appendQuoted(dst, v.s)
-		default:
-			dst = append(dst, v.String()...)
-		}
+		dst = appendField(dst, v, v.s)
 	}
 	return append(dst, '\n')
+}
+
+// AppendLines appends the batch's live rows to dst, in order, each as the
+// line AppendLine writes for it. Cells are read straight from the typed
+// vectors, VARCHARs as views of their slab, so no row is materialized and
+// a warm buffer makes it allocation-free.
+func AppendLines(dst []byte, b *ColBatch) []byte {
+	for si, n := 0, b.Len(); si < n; si++ {
+		p := b.SelPos(si)
+		for c := range b.cols {
+			if c > 0 {
+				dst = append(dst, ',')
+			}
+			dst = b.cols[c].appendText(dst, p)
+		}
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// appendText appends slot p as one text field: its fixed-width payload
+// goes to appendField in a Value, a VARCHAR's as the slab's bytes.
+func (v *Vector) appendText(dst []byte, p int) []byte {
+	c := Value{Kind: v.typ, Null: v.Null(p)}
+	var s []byte
+	if !c.Null {
+		switch v.typ {
+		case TypeInt:
+			c.i = v.Ints[p]
+		case TypeFloat:
+			c.f = v.Floats[p]
+		case TypeBool:
+			c.b = v.Bools[p]
+		default:
+			s = v.Bytes(p)
+		}
+	}
+	return appendField(dst, c, s)
 }
 
 // DecodeLineInto is the text format's decoder: it parses one line straight

@@ -1,6 +1,7 @@
 package row
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -334,6 +335,8 @@ func BenchmarkDecodeLineInto(b *testing.B) {
 // checkRoundTrip holds AppendLine to DecodeLineInto: a row the decoder
 // accepts, written back by AppendLine, decodes to the same cells, bit for
 // bit, except that every NaN reads back as the one NaN ParseFloat returns.
+// AppendLines, encoding the decoded batch from its vectors, must write
+// AppendLine's bytes.
 func checkRoundTrip(t *testing.T, line []byte, s Schema) {
 	t.Helper()
 	types := SchemaTypes(s)
@@ -343,6 +346,9 @@ func checkRoundTrip(t *testing.T, line []byte, s Schema) {
 	}
 	r := b.RowAt(0, nil)
 	enc := AppendLine(nil, r)
+	if fromVectors := AppendLines(nil, b); !bytes.Equal(fromVectors, enc) {
+		t.Fatalf("line %q: AppendLines wrote %q, AppendLine %q", line, fromVectors, enc)
+	}
 	back := NewColBatch(types)
 	if err := DecodeLineInto(back, enc[:len(enc)-1], s); err != nil {
 		t.Fatalf("line %q: AppendLine wrote %q, which does not decode: %v", line, enc, err)

@@ -182,19 +182,12 @@ type exportSink struct {
 	w    *hadoopfmt.TextTableWriter
 	cost *cluster.CostModel
 	node *cluster.Node
-	rows []row.Row
 }
 
 func (s *exportSink) add(b *row.ColBatch) error {
 	// Encoding and writing the batch is one pass over it.
 	s.cost.ChargeProc(s.node, colBatchBytes(b))
-	s.rows = b.Rows(s.rows[:0])
-	for _, r := range s.rows {
-		if err := s.w.WriteRow(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.w.WriteBatch(b)
 }
 
 // end commits the part file, or discards it when the partition failed.

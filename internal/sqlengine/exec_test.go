@@ -789,6 +789,64 @@ func TestExportToDFSAndScanDirectory(t *testing.T) {
 	count("with an orphaned _attempt file")
 }
 
+// TestExportNullColumnsAsRows pins the export of columns that are NULL
+// throughout, the one place the batch writer's shape check
+// (ColBatch.Conforms: vector types) is stricter than the row writer's
+// (Row.Conforms: a NULL of any kind passes). A NULL literal and an
+// all-NULL CASE are typed VARCHAR in the schema and in their vectors
+// alike, so every part file holds exactly the lines AppendLine writes for
+// its partition's rows, on a materialized and on a streaming result.
+func TestExportNullColumnsAsRows(t *testing.T) {
+	topo := cluster.NewTopology(5)
+	fsys := dfs.New(topo, dfs.Config{BlockSize: 128})
+	e, err := New(topo, nil, Config{HeadNodeID: 0, WorkerNodeIDs: []int{1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadPaperTables(t, e)
+	const sql = "SELECT NULL AS x, userid, CASE WHEN userid > 3 THEN NULL END AS y, country FROM users"
+	ref, err := e.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := ref.Parts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := e.QueryStream(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, res := range []*Result{ref, stream} {
+		dir := fmt.Sprintf("/out/streaming=%v", res.Streaming())
+		if err := e.ExportToDFS(res, fsys, dir); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range parts {
+			var want []byte
+			for _, r := range p {
+				want = row.AppendLine(want, r)
+			}
+			got, err := fsys.ReadFile(fmt.Sprintf("%s/part-%05d", dir, i), topo.Node(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("%s part %d: wrote %q, rows encode to %q", dir, i, got, want)
+			}
+			if len(got) > 0 {
+				lines = append(lines, strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")...)
+			}
+		}
+	}
+	sort.Strings(lines)
+	want := []string{",1,,USA", ",1,,USA", ",2,,USA", ",2,,USA", ",3,,USA", ",3,,USA", ",4,,Germany", ",4,,Germany", ",5,,Greece", ",5,,Greece"}
+	if fmt.Sprint(lines) != fmt.Sprint(want) {
+		t.Errorf("exported lines %q, want %q", lines, want)
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	e := newTestEngine(t)
 	loadPaperTables(t, e)
