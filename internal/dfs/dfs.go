@@ -354,23 +354,38 @@ func (fs *FileSystem) Create(path string, writerNode *cluster.Node) (*Writer, er
 	return &Writer{fs: fs, path: p, node: writerNode}, nil
 }
 
-// Write buffers data, sealing full blocks as they fill.
+// Write copies data into the block being filled, w.buf, sealing it as the
+// stored block once it holds a full block. The first block's buffer grows
+// by doubling, so a small file allocates about its size; once a block has
+// been sealed the file is known to be large, and each later block's buffer
+// is allocated whole.
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("dfs: write on closed writer for %q", w.path)
 	}
-	w.buf = append(w.buf, p...)
-	bs := int(w.fs.cfg.BlockSize)
-	for len(w.buf) >= bs {
-		if err := w.seal(w.buf[:bs]); err != nil {
-			return 0, err
+	n, bs := len(p), int(w.fs.cfg.BlockSize)
+	for len(p) > 0 {
+		k := min(len(p), bs-len(w.buf))
+		if len(w.buf)+k > cap(w.buf) {
+			size := bs
+			if len(w.blocks) == 0 {
+				size = min(bs, max(2*cap(w.buf), len(w.buf)+k))
+			}
+			w.buf = append(make([]byte, 0, size), w.buf...)
 		}
-		w.buf = append(w.buf[:0], w.buf[bs:]...)
+		w.buf, p = append(w.buf, p[:k]...), p[k:]
+		if len(w.buf) == bs {
+			if err := w.seal(w.buf); err != nil {
+				return 0, err
+			}
+			w.buf = nil
+		}
 	}
-	return len(p), nil
+	return n, nil
 }
 
-// seal stores one block on its replicas, charging disk and network costs.
+// seal stores data, which the writer hands over, as one block on its
+// replicas, charging disk and network costs.
 func (w *Writer) seal(data []byte) error {
 	fs := w.fs
 	fs.mu.Lock()
@@ -383,8 +398,6 @@ func (w *Writer) seal(data []byte) error {
 	}
 
 	hook := fs.faultHook()
-	stored := make([]byte, len(data))
-	copy(stored, data)
 	kept := make([]int, 0, len(replicas))
 	var lastErr error
 	for i, nodeID := range replicas {
@@ -400,7 +413,7 @@ func (w *Writer) seal(data []byte) error {
 		}
 		dn := fs.datanodes[nodeID]
 		dn.mu.Lock()
-		dn.blocks[id] = stored
+		dn.blocks[id] = data
 		dn.mu.Unlock()
 		target := fs.topo.Node(nodeID)
 		if i > 0 || w.node == nil || w.node.ID != nodeID {
@@ -430,6 +443,9 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	if len(w.buf) > 0 {
+		if cap(w.buf)-len(w.buf) > len(w.buf)/8 {
+			w.buf = append([]byte(nil), w.buf...) // no large unused capacity stored
+		}
 		if err := w.seal(w.buf); err != nil {
 			w.Abort()
 			return err

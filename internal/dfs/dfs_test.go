@@ -607,3 +607,78 @@ func TestCloseSealFailureReleasesPath(t *testing.T) {
 		t.Errorf("path not reusable after failed Close: %v", err)
 	}
 }
+
+// TestWriteChunkingKeepsBlocks: however a file's bytes are split across
+// Write calls, its bytes, its Stat (block offsets, lengths and hosts) and
+// the disk and network bytes charged for its replicas are those of one
+// Write of the whole file, at sizes on each side of the block boundaries.
+// No stored block keeps more than an eighth of its length (plus malloc's
+// rounding) as unused capacity, and a file of less than a block written
+// in one Write is stored at exactly its length.
+func TestWriteChunkingKeepsBlocks(t *testing.T) {
+	const bs = 64
+	rng := rand.New(rand.NewSource(1))
+	write := func(data []byte, chunks []int) (FileInfo, cluster.Stats, [][]byte) {
+		t.Helper()
+		topo := cluster.NewTopology(4)
+		cost := &cluster.CostModel{DiskReadBps: 1e6, DiskWriteBps: 1e6, NetBps: 1e6}
+		fs := New(topo, Config{BlockSize: bs, Replication: 2, Cost: cost})
+		w, err := fs.Create("/f", topo.Node(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := data
+		for _, n := range chunks {
+			if m, err := w.Write(rest[:n]); err != nil || m != n {
+				t.Fatalf("Write(%d bytes) = %d, %v", n, m, err)
+			}
+			rest = rest[n:]
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		charged := cost.Stats()
+		info, err := fs.Stat("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := fs.ReadFile("/f", topo.Node(1)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("chunks %v: read back %d bytes (%v), want the %d written", chunks, len(got), err, len(data))
+		}
+		var stored [][]byte
+		for _, blk := range fs.files["/f"].blocks {
+			for _, id := range blk.replicas {
+				stored = append(stored, fs.datanodes[id].blocks[blk.id])
+			}
+		}
+		return info, charged, stored
+	}
+	for _, size := range []int{1, bs - 1, bs, bs + 1, 3*bs + 7} {
+		data := make([]byte, size)
+		rng.Read(data)
+		wantInfo, wantCharged, stored := write(data, []int{size})
+		if b := stored[0]; size < bs && cap(b) != len(b) {
+			t.Errorf("size %d in one Write: stored with capacity %d", size, cap(b))
+		}
+		for trial := 0; trial < 50; trial++ {
+			var chunks []int
+			for left := size; left > 0; {
+				n := min(left, []int{1, rng.Intn(bs + 2), bs - 1, bs, bs + 1}[rng.Intn(5)])
+				chunks = append(chunks, n)
+				left -= n
+			}
+			info, charged, stored := write(data, chunks)
+			if fmt.Sprint(info) != fmt.Sprint(wantInfo) {
+				t.Errorf("size %d, chunks %v: Stat %v, want %v", size, chunks, info, wantInfo)
+			}
+			if charged != wantCharged {
+				t.Errorf("size %d, chunks %v: charged %+v, want %+v", size, chunks, charged, wantCharged)
+			}
+			for _, b := range stored {
+				if cap(b)-len(b) > len(b)/8+16 {
+					t.Errorf("size %d, chunks %v: block of %d bytes stored with capacity %d", size, chunks, len(b), cap(b))
+				}
+			}
+		}
+	}
+}

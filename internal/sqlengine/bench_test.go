@@ -126,6 +126,23 @@ func BenchmarkProject(b *testing.B) {
 	runQuery(b, e, "SELECT v * 2.0 - 1.0, id + dimid, v / 4.0 FROM fact WHERE v > 100.0")
 }
 
+// CompareKernels measures the compare and IN kernels under a COUNT(*),
+// so the predicate dominates: a VARCHAR =, a DOUBLE range, a BIGINT
+// against a DOUBLE (widened once per batch) and an 8-element IN list.
+func BenchmarkCompareKernels(b *testing.B) {
+	e := benchEngine(b, 50_000, 100)
+	for _, c := range []struct{ name, where string }{
+		{"varchar_eq", "cat = 'red'"},
+		{"double_range", "v >= 250.0 AND v < 750.0"},
+		{"bigint_double", "dimid * 10 < v"},
+		{"in_list8", "dimid IN (1, 3, 5, 7, 11, 13, 17, 19)"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			runQuery(b, e, "SELECT COUNT(*) FROM fact WHERE "+c.where)
+		})
+	}
+}
+
 // The P1/P2 pairs below measure the query pool directly: the same
 // query with the pool pinned to one worker (the sequential oracle) and to
 // two — as far as a 2-vCPU runner can show. Output is byte-identical by

@@ -144,6 +144,16 @@ func comparable(a, b row.Type) bool {
 	return numericType(a) && numericType(b)
 }
 
+// isNullLit reports whether e is a bare NULL literal. SQL's NULL has no
+// type of its own: the compiler gives it the type of a typed peer — the
+// other operand of a binary operator (BOOLEAN under AND/OR), the other arms
+// of a CASE, the other arguments of COALESCE — and leaves it VARCHAR when
+// it has none.
+func isNullLit(e Expr) bool {
+	l, ok := e.(*Lit)
+	return ok && l.V.Null
+}
+
 var aggregateNames = map[string]bool{
 	"count": true, "sum": true, "avg": true, "min": true, "max": true,
 }

@@ -847,6 +847,56 @@ func TestExportNullColumnsAsRows(t *testing.T) {
 	}
 }
 
+// TestNullLiteralTakesContextType: a bare NULL is typed by its peer — the
+// other operand of a binary operator (BOOLEAN under AND/OR), the other
+// arms of a CASE, the other arguments of COALESCE — so the feature-prep
+// idioms below compile and answer SQL's values; with no typed peer it stays
+// VARCHAR. Each case pins the result's column types, the type of every
+// cell (NULLs included) and the rows, ordered by userid.
+func TestNullLiteralTakesContextType(t *testing.T) {
+	e := newTestEngine(t)
+	loadPaperTables(t, e)
+	for _, c := range []struct {
+		sql   string
+		types []row.Type
+		rows  string
+	}{
+		{"SELECT userid, NULL + 1 AS x FROM users", []row.Type{row.TypeInt, row.TypeInt},
+			"[(1, NULL) (2, NULL) (3, NULL) (4, NULL) (5, NULL)]"},
+		{"SELECT userid FROM users WHERE userid = NULL", []row.Type{row.TypeInt}, "[]"},
+		{"SELECT userid FROM users WHERE NULL <> userid OR userid < NULL", []row.Type{row.TypeInt}, "[]"},
+		{"SELECT userid, CASE WHEN userid = 1 THEN 1 ELSE NULL END AS x FROM users", []row.Type{row.TypeInt, row.TypeInt},
+			"[(1, 1) (2, NULL) (3, NULL) (4, NULL) (5, NULL)]"},
+		{"SELECT userid, CASE WHEN userid = 1 THEN NULL WHEN userid = 2 THEN 2.5 ELSE 3 END AS x FROM users", []row.Type{row.TypeInt, row.TypeFloat},
+			"[(1, NULL) (2, 2.5) (3, 3) (4, 3) (5, 3)]"},
+		{"SELECT userid, COALESCE(NULL, userid) AS x FROM users", []row.Type{row.TypeInt, row.TypeInt},
+			"[(1, 1) (2, 2) (3, 3) (4, 4) (5, 5)]"},
+		{"SELECT userid FROM users WHERE NULL OR userid = 2", []row.Type{row.TypeInt}, "[(2)]"},
+		{"SELECT userid, NULL AS x, CASE WHEN userid > 3 THEN NULL ELSE NULL END AS y FROM users WHERE userid < 3",
+			[]row.Type{row.TypeInt, row.TypeString, row.TypeString}, "[(1, NULL, NULL) (2, NULL, NULL)]"},
+	} {
+		res, err := e.Query(c.sql)
+		if err != nil {
+			t.Errorf("%s: %v", c.sql, err)
+			continue
+		}
+		if got := row.SchemaTypes(res.Schema); fmt.Sprint(got) != fmt.Sprint(c.types) {
+			t.Errorf("%s: column types %v, want %v", c.sql, got, c.types)
+		}
+		rows := sortedRows(res)
+		for _, r := range rows {
+			for i, v := range r {
+				if i < len(c.types) && v.Kind != c.types[i] {
+					t.Errorf("%s: row %v cell %d is %s, want %s", c.sql, r, i, v.Kind, c.types[i])
+				}
+			}
+		}
+		if got := fmt.Sprint(rows); got != c.rows {
+			t.Errorf("%s: rows %s, want %s", c.sql, got, c.rows)
+		}
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	e := newTestEngine(t)
 	loadPaperTables(t, e)

@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -94,6 +93,15 @@ func compileVec(e Expr, s *scope, reg *Registry) (vecFn, row.Type, error) {
 	return fn, t, nil
 }
 
+// nullAs compiles e, already compiled as (fn, t), as a NULL of type peer
+// when it is a bare NULL literal; any other e keeps (fn, t).
+func nullAs(e Expr, fn vecFn, t, peer row.Type) (vecFn, row.Type) {
+	if isNullLit(e) {
+		return constKernel(row.NullOf(peer), peer), peer
+	}
+	return fn, t
+}
+
 // compileNode types and compiles one non-literal node over its compiled
 // children.
 func compileNode(e Expr, s *scope, reg *Registry) (vecFn, row.Type, error) {
@@ -125,17 +133,18 @@ func compileNode(e Expr, s *scope, reg *Registry) (vecFn, row.Type, error) {
 		return isNullKernel(inner, x.Negate), row.TypeBool, nil
 
 	case *InListExpr:
-		inner, _, err := compileVec(x.E, s, reg)
+		inner, t, err := compileVec(x.E, s, reg)
 		if err != nil {
 			return nil, 0, err
 		}
 		elems := make([]vecFn, len(x.List))
+		types := make([]row.Type, len(x.List))
 		for i, le := range x.List {
-			if elems[i], _, err = compileVec(le, s, reg); err != nil {
+			if elems[i], types[i], err = compileVec(le, s, reg); err != nil {
 				return nil, 0, err
 			}
 		}
-		return inListKernel(inner, elems, x.Negate), row.TypeBool, nil
+		return inListKernel(inner, t, elems, types, x.Negate), row.TypeBool, nil
 
 	case *FuncCall:
 		if isAggregateName(x.Name) {
@@ -153,6 +162,19 @@ func compileNode(e Expr, s *scope, reg *Registry) (vecFn, row.Type, error) {
 				return nil, 0, err
 			}
 			args[i], types[i] = fn, t
+		}
+		if udf.Name == "coalesce" {
+			var typed []row.Type
+			for i, a := range x.Args {
+				if !isNullLit(a) {
+					typed = append(typed, types[i])
+				}
+			}
+			if peer, err := udf.ReturnType(typed); err == nil {
+				for i, a := range x.Args {
+					args[i], types[i] = nullAs(a, args[i], types[i], peer)
+				}
+			}
 		}
 		ret, err := udf.ReturnType(types)
 		if err != nil {
@@ -181,6 +203,12 @@ func compileBinOpVec(x *BinOp, s *scope, reg *Registry) (vecFn, row.Type, error)
 	if err != nil {
 		return nil, 0, err
 	}
+	lpeer, rpeer := rt, lt
+	if x.Op == "AND" || x.Op == "OR" {
+		lpeer, rpeer = row.TypeBool, row.TypeBool
+	}
+	lf, lt = nullAs(x.L, lf, lt, lpeer)
+	rf, rt = nullAs(x.R, rf, rt, rpeer)
 	switch x.Op {
 	case "AND", "OR":
 		if lt != row.TypeBool || rt != row.TypeBool {
@@ -465,40 +493,24 @@ func orKernel(lf, rf vecFn) vecFn {
 	}
 }
 
-// Comparison opcodes, resolved from the operator string at compile time.
-const (
-	cmpEq = iota
-	cmpNe
-	cmpLt
-	cmpLe
-	cmpGt
-	cmpGe
-)
-
-func cmpCode(op string) int {
-	switch op {
-	case "=":
-		return cmpEq
-	case "<>":
-		return cmpNe
-	case "<":
-		return cmpLt
-	case "<=":
-		return cmpLe
-	case ">":
-		return cmpGt
-	default:
-		return cmpGe
-	}
+// cmpHolds[op][c+1] reports whether a three-way comparison result c
+// satisfies the comparison operator op.
+var cmpHolds = map[string][3]bool{
+	"=":  {false, true, false},
+	"<>": {true, false, true},
+	"<":  {true, false, false},
+	"<=": {true, true, false},
+	">":  {false, false, true},
+	">=": {false, true, true},
 }
 
 // compareKernel: comparisons are two-valued here — a NULL operand yields
-// non-null FALSE. DOUBLEs compare as
-// Value.Compare orders them (PostgreSQL's rule): -0 equals 0, NaN equals
-// NaN, and NaN is above every number.
+// non-null FALSE. Every pair is ordered by the sort's comparator, so a
+// BIGINT against a DOUBLE compares as two DOUBLEs and DOUBLEs follow
+// PostgreSQL's rule (-0 equals 0, NaN equals NaN and is above every number).
 func compareKernel(lf, rf vecFn, lt, rt row.Type, op string) vecFn {
-	code := cmpCode(op)
-	mixedNumeric := lt != rt // comparable() already held, so mixed == numeric pair
+	holds := cmpHolds[op]
+	widen := lt != rt // comparable() already held, so mixed == numeric pair
 	return func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
 		lv, err := lf(c, b, pos)
 		if err != nil {
@@ -511,123 +523,48 @@ func compareKernel(lf, rf vecFn, lt, rt row.Type, op string) vecFn {
 		if pos == nil {
 			pos = c.allPos(b.FullLen())
 		}
-		if mixedNumeric || lt == row.TypeFloat {
+		if widen {
 			lv = toFloatVec(c, lv, b.FullLen(), pos)
 			rv = toFloatVec(c, rv, b.FullLen(), pos)
 		}
 		out := c.get()
 		out.ResetDense(row.TypeBool, b.FullLen())
-		anyNull := lv.HasNulls() || rv.HasNulls()
-		switch {
-		case mixedNumeric || lt == row.TypeFloat:
-			for _, pp := range pos {
-				p := int(pp)
-				if anyNull && (lv.Null(p) || rv.Null(p)) {
-					continue // stays false
-				}
-				a, bb := lv.Floats[p], rv.Floats[p]
-				var r bool
-				switch code {
-				case cmpEq:
-					r = floatEq(a, bb)
-				case cmpNe:
-					r = !floatEq(a, bb)
-				case cmpLt:
-					r = a < bb || (bb != bb && a == a)
-				case cmpLe:
-					r = a <= bb || bb != bb
-				case cmpGt:
-					r = a > bb || (a != a && bb == bb)
-				default:
-					r = a >= bb || a != a
-				}
-				out.Bools[p] = r
-			}
-		case lt == row.TypeInt:
-			for _, pp := range pos {
-				p := int(pp)
-				if anyNull && (lv.Null(p) || rv.Null(p)) {
-					continue
-				}
-				a, bb := lv.Ints[p], rv.Ints[p]
-				var r bool
-				switch code {
-				case cmpEq:
-					r = a == bb
-				case cmpNe:
-					r = a != bb
-				case cmpLt:
-					r = a < bb
-				case cmpLe:
-					r = a <= bb
-				case cmpGt:
-					r = a > bb
-				default:
-					r = a >= bb
-				}
-				out.Bools[p] = r
-			}
-		case lt == row.TypeString:
-			for _, pp := range pos {
-				p := int(pp)
-				if anyNull && (lv.Null(p) || rv.Null(p)) {
-					continue
-				}
-				var r bool
-				switch code {
-				case cmpEq:
-					r = bytes.Equal(lv.Bytes(p), rv.Bytes(p))
-				case cmpNe:
-					r = !bytes.Equal(lv.Bytes(p), rv.Bytes(p))
-				default:
-					cc := bytes.Compare(lv.Bytes(p), rv.Bytes(p))
-					switch code {
-					case cmpLt:
-						r = cc < 0
-					case cmpLe:
-						r = cc <= 0
-					case cmpGt:
-						r = cc > 0
-					default:
-						r = cc >= 0
-					}
-				}
-				out.Bools[p] = r
-			}
-		default: // BOOLEAN: false < true, as Value.Compare orders
-			for _, pp := range pos {
-				p := int(pp)
-				if anyNull && (lv.Null(p) || rv.Null(p)) {
-					continue
-				}
-				a, bb := b2i(lv.Bools[p]), b2i(rv.Bools[p])
-				var r bool
-				switch code {
-				case cmpEq:
-					r = a == bb
-				case cmpNe:
-					r = a != bb
-				case cmpLt:
-					r = a < bb
-				case cmpLe:
-					r = a <= bb
-				case cmpGt:
-					r = a > bb
-				default:
-					r = a >= bb
-				}
-				out.Bools[p] = r
-			}
-		}
+		compareAt(out.Bools, lv, rv, pos, holds)
 		return out, nil
 	}
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
+// compareAt sets dst[p], for each p in pos, to whether the comparator's
+// result for the cells of lv and rv at p satisfies holds; a pair with a
+// NULL leaves dst[p] as it was. lv and rv are of one type.
+func compareAt(dst []bool, lv, rv *row.Vector, pos []int32, holds [3]bool) {
+	anyNull := lv.HasNulls() || rv.HasNulls()
+	switch lv.Type() {
+	case row.TypeInt:
+		compareOrderedAt(dst, lv.Ints, rv.Ints, lv, rv, anyNull, pos, holds)
+	case row.TypeFloat:
+		compareOrderedAt(dst, lv.Floats, rv.Floats, lv, rv, anyNull, pos, holds)
+	default:
+		for _, pp := range pos {
+			p := int(pp)
+			if anyNull && (lv.Null(p) || rv.Null(p)) {
+				continue
+			}
+			dst[p] = holds[compareCells(lv, p, rv, p)+1]
+		}
 	}
-	return 0
+}
+
+// compareOrderedAt is compareAt's loop over BIGINT or DOUBLE cells a and
+// b, the value slices of lv and rv.
+func compareOrderedAt[T int64 | float64](dst []bool, a, b []T, lv, rv *row.Vector, anyNull bool, pos []int32, holds [3]bool) {
+	for _, pp := range pos {
+		p := int(pp)
+		if anyNull && (lv.Null(p) || rv.Null(p)) {
+			continue
+		}
+		dst[p] = holds[cmpOrdered(a[p], b[p])+1]
+	}
 }
 
 // toFloatVec widens a BIGINT vector to DOUBLE in one pass (nulls carried);
@@ -754,18 +691,25 @@ func arithKernel(lf, rf vecFn, lt, rt row.Type, op byte, outType row.Type) vecFn
 
 // inListKernel: list elements are evaluated lazily over the still-unmatched
 // positions, a left-to-right short-circuit (an erroring element after a
-// match never runs). A NULL needle yields FALSE even for NOT IN.
-func inListKernel(inner vecFn, elems []vecFn, neg bool) vecFn {
+// match never runs). The needle, of type t, matches element i, of type
+// types[i], where the comparator returns 0; an element of a type the needle
+// cannot be compared with runs but matches nothing. A NULL needle yields
+// FALSE even for NOT IN.
+func inListKernel(inner vecFn, t row.Type, elems []vecFn, types []row.Type, neg bool) vecFn {
+	eq := cmpHolds["="]
 	return func(c *vecCtx, b *row.ColBatch, pos []int32) (*row.Vector, error) {
 		v, err := inner(c, b, pos)
 		if err != nil {
 			return nil, err
 		}
+		n := b.FullLen()
 		if pos == nil {
-			pos = c.allPos(b.FullLen())
+			pos = c.allPos(n)
 		}
+		// out.Bools[p] says whether the needle at p matched so far; NOT IN
+		// flips it for the non-NULL needles at the end.
 		out := c.get()
-		out.ResetDense(row.TypeBool, b.FullLen())
+		out.ResetDense(row.TypeBool, n)
 		pb := c.getPos()
 		remaining := (*pb)[:0]
 		vnull := v.HasNulls()
@@ -776,7 +720,8 @@ func inListKernel(inner vecFn, elems []vecFn, neg bool) vecFn {
 			remaining = append(remaining, pp)
 		}
 		*pb = remaining
-		for _, ef := range elems {
+		var wide *row.Vector // the needle as DOUBLE, made at the first mixed element
+		for i, ef := range elems {
 			if len(remaining) == 0 {
 				break
 			}
@@ -784,51 +729,36 @@ func inListKernel(inner vecFn, elems []vecFn, neg bool) vecFn {
 			if err != nil {
 				return nil, err
 			}
+			if !comparable(t, types[i]) {
+				continue
+			}
+			nv := v
+			if t != types[i] {
+				if wide == nil {
+					wide = toFloatVec(c, v, n, pos)
+				}
+				nv, ev = wide, toFloatVec(c, ev, n, remaining)
+			}
+			compareAt(out.Bools, nv, ev, remaining, eq)
 			keep := remaining[:0]
-			enull := ev.HasNulls()
 			for _, pp := range remaining {
-				p := int(pp)
-				if (!enull || !ev.Null(p)) && vecCellsEqual(v, ev, p) {
-					out.Bools[p] = !neg
-				} else {
+				if !out.Bools[pp] {
 					keep = append(keep, pp)
 				}
 			}
 			remaining = keep
 			*pb = remaining
 		}
-		for _, pp := range remaining {
-			out.Bools[int(pp)] = neg
+		if neg {
+			for _, pp := range pos {
+				if !vnull || !v.Null(int(pp)) {
+					out.Bools[pp] = !out.Bools[pp]
+				}
+			}
 		}
 		return out, nil
 	}
 }
-
-// vecCellsEqual mirrors Value.Equal for two non-null cells at the same
-// position: same-kind deep equality, plus numeric cross-type equality.
-func vecCellsEqual(a, b *row.Vector, pp int) bool {
-	at, bt := a.Type(), b.Type()
-	if at != bt {
-		if (at == row.TypeInt || at == row.TypeFloat) && (bt == row.TypeInt || bt == row.TypeFloat) {
-			return cellFloat(a, pp) == cellFloat(b, pp)
-		}
-		return false
-	}
-	switch at {
-	case row.TypeInt:
-		return a.Ints[pp] == b.Ints[pp]
-	case row.TypeFloat:
-		return floatEq(a.Floats[pp], b.Floats[pp])
-	case row.TypeBool:
-		return a.Bools[pp] == b.Bools[pp]
-	default:
-		return bytes.Equal(a.Bytes(pp), b.Bytes(pp))
-	}
-}
-
-// floatEq is DOUBLE equality under PostgreSQL's rule: IEEE equality (so
-// -0 equals 0), and NaN equals NaN.
-func floatEq(a, b float64) bool { return a == b || (a != a && b != b) }
 
 func cellFloat(v *row.Vector, pp int) float64 {
 	if v.Type() == row.TypeInt {
@@ -838,18 +768,18 @@ func cellFloat(v *row.Vector, pp int) float64 {
 }
 
 // compileCaseVec types a searched CASE — every condition BOOLEAN, every
-// result arm of one common type (numerics unify to DOUBLE) — and
-// vectorizes it by progressive position refinement: each arm's condition
-// runs over the rows no prior arm claimed, and its result expression runs
-// only over the rows it matched. BIGINT, DOUBLE and BOOLEAN results
-// scatter into one dense output as each arm finishes; VARCHAR results,
-// which build sequentially, are gathered in position order from the arm
-// that claimed each row once every arm has run.
+// result arm but a bare NULL of one common type (numerics unify to DOUBLE;
+// all-NULL arms are VARCHAR) — and vectorizes it by progressive position
+// refinement: each arm's condition runs over the rows no prior arm
+// claimed, and its result expression runs only over the rows it matched.
+// BIGINT, DOUBLE and BOOLEAN results scatter into one dense output as each
+// arm finishes; VARCHAR results, which build sequentially, are gathered in
+// position order from the arm that claimed each row once every arm has run.
 func compileCaseVec(x *CaseExpr, s *scope, reg *Registry) (vecFn, row.Type, error) {
-	var outType row.Type
-	seen := false
-	unify := func(t row.Type) error {
+	outType, seen := row.TypeString, false
+	unify := func(e Expr, t row.Type) error {
 		switch {
+		case isNullLit(e):
 		case !seen:
 			outType, seen = t, true
 		case outType == t:
@@ -874,7 +804,7 @@ func compileCaseVec(x *CaseExpr, s *scope, reg *Registry) (vecFn, row.Type, erro
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := unify(tt); err != nil {
+		if err := unify(w.Then, tt); err != nil {
 			return nil, 0, err
 		}
 		conds[i], thens[i] = cond, then
@@ -885,7 +815,7 @@ func compileCaseVec(x *CaseExpr, s *scope, reg *Registry) (vecFn, row.Type, erro
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := unify(t); err != nil {
+		if err := unify(x.Else, t); err != nil {
 			return nil, 0, err
 		}
 		elseFn = fn
